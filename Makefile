@@ -2,7 +2,8 @@
 # determinism lint, build, tests (shuffled so order dependence surfaces), a
 # race-detector pass over the concurrency-bearing packages (the goroutine
 # message-passing runtime, the split-scoring paths, the intra-rank worker
-# pool, the observability sinks, the core/GaneSH engines above them, and the
+# pool, the observability sinks, the core/GaneSH engines above them, the
+# clustering state whose stored block scores the pool's workers read, and the
 # supervised job runtime), and the fault-injection suite under the race
 # detector.
 
@@ -11,7 +12,7 @@ GO ?= go
 # Iterations of the seeded cancel/fault chaos soak (`make soak`).
 SOAK_ITERS ?= 25
 
-.PHONY: tier1 fmt vet lint lint-fast build test race faults soak fuzz fuzz-score fuzz-wire bench bench-batch serve-smoke
+.PHONY: tier1 fmt vet lint lint-fast build test race faults soak fuzz fuzz-score fuzz-wire bench bench-batch bench-cluster serve-smoke
 
 tier1: fmt vet lint build test race faults
 
@@ -48,7 +49,8 @@ test:
 race:
 	$(GO) test -race ./internal/comm/ ./internal/splits/ ./internal/pool/ ./internal/obs/ \
 		./internal/core/ ./internal/ganesh/ ./internal/wire/ ./internal/jobs/ \
-		./internal/serve/ ./cmd/parsimoned/
+		./internal/serve/ ./cmd/parsimoned/ \
+		./internal/cluster/ ./internal/consensus/ ./internal/matrix/
 
 # The fault-injection, crash-recovery, and cancellation suite, race-enabled:
 # injected crashes/delays/drops in comm, the dynamic-coordinator watchdog,
@@ -101,6 +103,13 @@ bench:
 # wall-clock breakdown, bit-identity column) as machine-readable JSON.
 bench-batch:
 	$(GO) run ./cmd/benchtab -json batch > BENCH_batch.json
+
+# The repo benchmark's `cluster` workload (GaneSH + consensus ~80 % of the
+# learn) as a traced run: learn_s next to the per-layer clocks
+# (consensus.cluster_s, ganesh.run_s, …) and the exact work counts they must
+# be read against (consensus.iters, ganesh.decisions, core.pool_cost).
+bench-cluster:
+	$(GO) run ./benchmark -workload cluster -trace
 
 # Boot the parsimoned daemon on an ephemeral port, drive one tiny learn job
 # end-to-end through its HTTP surface (submit → long-poll done → download +

@@ -14,6 +14,7 @@ package cluster
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"parsimone/internal/prng"
@@ -22,10 +23,16 @@ import (
 
 // ObsCluster is one observation cluster inside a variable cluster, together
 // with the sufficient statistics of its block (parent cluster's variables ×
-// this cluster's observations).
+// this cluster's observations) and the block's score.
 type ObsCluster struct {
 	Obs   []int
 	Stats score.Stats
+	// logML is the block score logML(Stats), re-evaluated by every mutation
+	// that changes Stats (ObsClusters.rescore) so the read-only Gain* and
+	// Score calls subtract it instead of re-scoring the unchanged block on
+	// every candidate. It is the same pure function of the same integers, so
+	// the same bits (CheckInvariants compares it with a fresh evaluation).
+	logML float64
 }
 
 // ObsClusters is a partition of all m observations relative to a fixed set
@@ -60,6 +67,9 @@ func (oc *ObsClusters) logML(s score.Stats) float64 {
 // subsequent LogML evaluation goes through the precomputed tables.
 func (oc *ObsClusters) UseKernel(k *score.Kernel) { oc.Kernel = k }
 
+// rescore stores c's block score after a mutation changed c.Stats.
+func (oc *ObsClusters) rescore(c *ObsCluster) { c.logML = oc.logML(c.Stats) }
+
 // NewRandomObsClusters partitions the m observations of q into `count`
 // clusters uniformly at random (consuming m draws from g in observation
 // order), relative to the given variables. Empty clusters are removed.
@@ -87,8 +97,8 @@ func NewRandomObsClusters(q *score.QData, pr score.Prior, vars []int, count int,
 // newSingleObsCluster returns an ObsClusters with every observation in one
 // cluster — the initial observation partition of a freshly created singleton
 // variable cluster.
-func newSingleObsCluster(q *score.QData, pr score.Prior, vars []int) *ObsClusters {
-	oc := &ObsClusters{Q: q, Prior: pr, Vars: append([]int(nil), vars...), Assign: make([]int, q.M)}
+func newSingleObsCluster(q *score.QData, pr score.Prior, kern *score.Kernel, vars []int) *ObsClusters {
+	oc := &ObsClusters{Q: q, Prior: pr, Kernel: kern, Vars: append([]int(nil), vars...), Assign: make([]int, q.M)}
 	c := &ObsCluster{Obs: make([]int, q.M)}
 	for j := 0; j < q.M; j++ {
 		c.Obs[j] = j
@@ -125,6 +135,7 @@ func (oc *ObsClusters) rebuildStats() {
 				c.Stats.Add(row[j])
 			}
 		}
+		oc.rescore(c)
 	}
 }
 
@@ -142,7 +153,7 @@ func (oc *ObsClusters) ColumnStats(j int) score.Stats {
 func (oc *ObsClusters) Score() float64 {
 	var total float64
 	for _, c := range oc.Clusters {
-		total += oc.logML(c.Stats)
+		total += c.logML
 	}
 	return total
 }
@@ -154,6 +165,7 @@ func (oc *ObsClusters) AddVar(x int) {
 		for _, j := range c.Obs {
 			c.Stats.Add(row[j])
 		}
+		oc.rescore(c)
 	}
 	oc.Vars = append(oc.Vars, x)
 }
@@ -177,6 +189,7 @@ func (oc *ObsClusters) RemoveVar(x int) {
 		for _, j := range c.Obs {
 			c.Stats.Remove(row[j])
 		}
+		oc.rescore(c)
 	}
 }
 
@@ -192,6 +205,7 @@ func (oc *ObsClusters) DetachObs(j int) score.Stats {
 	c := oc.Clusters[ci]
 	col := oc.ColumnStats(j)
 	c.Stats.Unmerge(col)
+	oc.rescore(c)
 	for i, o := range c.Obs {
 		if o == j {
 			c.Obs = append(c.Obs[:i], c.Obs[i+1:]...)
@@ -218,7 +232,7 @@ func (oc *ObsClusters) GainAttachObs(col score.Stats, to int) float64 {
 		return oc.logML(col)
 	}
 	c := oc.Clusters[to]
-	return oc.logML(c.Stats.Plus(col)) - oc.logML(c.Stats)
+	return oc.logML(c.Stats.Plus(col)) - c.logML
 }
 
 // AttachObs places a detached observation j into cluster `to`;
@@ -234,6 +248,7 @@ func (oc *ObsClusters) AttachObs(j, to int) {
 	c := oc.Clusters[to]
 	c.Obs = append(c.Obs, j)
 	c.Stats.Merge(col)
+	oc.rescore(c)
 	oc.Assign[j] = to
 }
 
@@ -244,8 +259,7 @@ func (oc *ObsClusters) GainMergeObs(src, dst int) float64 {
 		return 0
 	}
 	a, b := oc.Clusters[src], oc.Clusters[dst]
-	return oc.logML(a.Stats.Plus(b.Stats)) -
-		oc.logML(a.Stats) - oc.logML(b.Stats)
+	return oc.logML(a.Stats.Plus(b.Stats)) - a.logML - b.logML
 }
 
 // MergeObs merges cluster src into dst and removes src.
@@ -256,6 +270,7 @@ func (oc *ObsClusters) MergeObs(src, dst int) {
 	a, b := oc.Clusters[src], oc.Clusters[dst]
 	b.Obs = append(b.Obs, a.Obs...)
 	b.Stats.Merge(a.Stats)
+	oc.rescore(b)
 	for _, j := range a.Obs {
 		oc.Assign[j] = dst
 	}
@@ -279,9 +294,10 @@ func (oc *ObsClusters) Snapshot() [][]int {
 	return out
 }
 
-// CheckInvariants verifies assignment/membership consistency and that all
-// block statistics equal a from-scratch recomputation. Used by tests and
-// available for debugging.
+// CheckInvariants verifies assignment/membership consistency, that all block
+// statistics equal a from-scratch recomputation, and that every stored block
+// score is bit-equal to a fresh evaluation of those statistics. Used by tests
+// and available for debugging.
 func (oc *ObsClusters) CheckInvariants() error {
 	seen := make([]int, oc.Q.M)
 	for i := range seen {
@@ -300,6 +316,10 @@ func (oc *ObsClusters) CheckInvariants() error {
 		}
 		if c.Stats != want {
 			return fmt.Errorf("cluster: obs cluster %d stats %+v, recomputed %+v", ci, c.Stats, want)
+		}
+		if fresh := oc.logML(want); math.Float64bits(c.logML) != math.Float64bits(fresh) {
+			return fmt.Errorf("cluster: obs cluster %d stored score %v (%#x), fresh evaluation %v (%#x)",
+				ci, c.logML, math.Float64bits(c.logML), fresh, math.Float64bits(fresh))
 		}
 		for _, j := range c.Obs {
 			if seen[j] != -1 {
@@ -444,7 +464,7 @@ func (cc *CoClustering) GainAttachVar(x, to int) float64 {
 		for _, j := range c.Obs {
 			part.Add(row[j])
 		}
-		gain += cc.logML(c.Stats.Plus(part)) - cc.logML(c.Stats)
+		gain += cc.logML(c.Stats.Plus(part)) - c.logML
 	}
 	return gain
 }
@@ -458,9 +478,8 @@ func (cc *CoClustering) AttachVar(x, to int) {
 	if to == len(cc.Clusters) {
 		vc := &VarCluster{
 			Vars: []int{x},
-			Obs:  newSingleObsCluster(cc.Q, cc.Prior, []int{x}),
+			Obs:  newSingleObsCluster(cc.Q, cc.Prior, cc.Kernel, []int{x}),
 		}
-		vc.Obs.Kernel = cc.Kernel
 		cc.Clusters = append(cc.Clusters, vc)
 		cc.Assign[x] = to
 		return
@@ -498,10 +517,10 @@ func (cc *CoClustering) GainMergeVar(cols []score.Stats, src, dst int) float64 {
 		for _, j := range c.Obs {
 			part.Merge(cols[j])
 		}
-		gain += cc.logML(c.Stats.Plus(part)) - cc.logML(c.Stats)
+		gain += cc.logML(c.Stats.Plus(part)) - c.logML
 	}
 	for _, c := range cc.Clusters[src].Obs.Clusters {
-		gain -= cc.logML(c.Stats)
+		gain -= c.logML
 	}
 	return gain
 }

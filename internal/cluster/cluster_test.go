@@ -324,49 +324,72 @@ func TestVarSnapshotCanonical(t *testing.T) {
 }
 
 // TestRandomOpSequenceInvariants drives the state through random mixed
-// operations and verifies the exact-statistics invariant throughout.
+// operations and verifies, after every one of them, the exact-statistics
+// invariant and that each stored block score is bit-equal to a fresh
+// evaluation — scored by the prior, then by the kernel, which takes over
+// blocks the prior scored at construction.
 func TestRandomOpSequenceInvariants(t *testing.T) {
-	cc, q := newCC(t, 16, 12, 4, 20)
-	g := prng.New(999)
-	for step := 0; step < 200; step++ {
-		switch g.Intn(4) {
-		case 0: // move a variable
-			x := g.Intn(q.N)
-			cc.DetachVar(x)
-			to := g.Intn(len(cc.Clusters) + 1)
-			cc.AttachVar(x, to)
-		case 1: // merge two variable clusters
-			if len(cc.Clusters) >= 2 {
-				src := g.Intn(len(cc.Clusters))
-				dst := g.Intn(len(cc.Clusters))
-				if src != dst {
-					cc.MergeVar(src, dst)
-				}
-			}
-		case 2: // move an observation within a random cluster
-			vc := cc.Clusters[g.Intn(len(cc.Clusters))]
-			j := g.Intn(q.M)
-			vc.Obs.DetachObs(j)
-			to := g.Intn(len(vc.Obs.Clusters) + 1)
-			vc.Obs.AttachObs(j, to)
-		case 3: // merge two observation clusters
-			vc := cc.Clusters[g.Intn(len(cc.Clusters))]
-			if len(vc.Obs.Clusters) >= 2 {
-				src := g.Intn(len(vc.Obs.Clusters))
-				dst := g.Intn(len(vc.Obs.Clusters))
-				if src != dst {
-					vc.Obs.MergeObs(src, dst)
-				}
+	for _, kernel := range []bool{false, true} {
+		cc, q := newCC(t, 16, 12, 4, 20)
+		if kernel {
+			cc.UseKernel(score.NewKernel(cc.Prior, q.N*q.M))
+		}
+		check := func(step int) {
+			t.Helper()
+			if err := cc.CheckInvariants(); err != nil {
+				t.Fatalf("kernel=%v step %d: %v", kernel, step, err)
 			}
 		}
-		if step%20 == 19 {
-			if err := cc.CheckInvariants(); err != nil {
-				t.Fatalf("step %d: %v", step, err)
+		g := prng.New(999)
+		for step := 0; step < 200; step++ {
+			switch g.Intn(4) {
+			case 0: // move a variable
+				x := g.Intn(q.N)
+				cc.DetachVar(x)
+				check(step)
+				to := g.Intn(len(cc.Clusters) + 1)
+				cc.AttachVar(x, to)
+			case 1: // merge two variable clusters
+				if len(cc.Clusters) >= 2 {
+					src := g.Intn(len(cc.Clusters))
+					dst := g.Intn(len(cc.Clusters))
+					if src != dst {
+						cc.MergeVar(src, dst)
+					}
+				}
+			case 2: // move an observation within a random cluster
+				vc := cc.Clusters[g.Intn(len(cc.Clusters))]
+				j := g.Intn(q.M)
+				vc.Obs.DetachObs(j)
+				check(step)
+				to := g.Intn(len(vc.Obs.Clusters) + 1)
+				vc.Obs.AttachObs(j, to)
+			case 3: // merge two observation clusters
+				vc := cc.Clusters[g.Intn(len(cc.Clusters))]
+				if len(vc.Obs.Clusters) >= 2 {
+					src := g.Intn(len(vc.Obs.Clusters))
+					dst := g.Intn(len(vc.Obs.Clusters))
+					if src != dst {
+						vc.Obs.MergeObs(src, dst)
+					}
+				}
 			}
+			check(step)
 		}
 	}
-	if err := cc.CheckInvariants(); err != nil {
+}
+
+// TestCheckInvariantsCatchesStaleScore: a block whose statistics moved
+// without its stored score following is reported.
+func TestCheckInvariantsCatchesStaleScore(t *testing.T) {
+	q := testData(t, 6, 8, 4)
+	oc := NewRandomObsClusters(q, score.DefaultPrior(), []int{0, 1, 2}, 2, prng.New(5))
+	if err := oc.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+	oc.Clusters[0].logML = math.Nextafter(oc.Clusters[0].logML, math.Inf(1))
+	if err := oc.CheckInvariants(); err == nil {
+		t.Fatal("a stored score one ulp off passed")
 	}
 }
 

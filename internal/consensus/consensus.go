@@ -8,9 +8,12 @@
 // repeats until the dominant eigenvalue falls below a cutoff or too few
 // variables remain.
 //
-// The task is a negligible fraction of total run time (<0.04 % in the
-// paper), so as in the paper it runs sequentially — replicated on all ranks
-// in the parallel pipeline.
+// The paper measures the task at <0.04 % of total run time and keeps it
+// sequential — replicated on all ranks in the parallel pipeline. It is that
+// cheap only when a round costs what the thresholded matrix holds, not n²:
+// the matrix lives in CSR form (internal/matrix), a round restricts it in
+// place, and a power step is one sparse product. DESIGN.md §17 has the
+// exactness argument and EXPERIMENTS.md (Figure 5a) the measured share.
 package consensus
 
 import (
@@ -90,65 +93,77 @@ func (p Params) withDefaults() Params {
 // first). Variables not in any returned cluster are not part of any module,
 // matching Lemon-Tree's behaviour of dropping weakly co-clustered genes.
 //
-// A malformed matrix (wrong size, NaN, asymmetric — matrix.FromDense's
-// checks) and a power iteration that fails to converge within MaxIter both
-// return an error; the clusters extracted before a convergence failure are
-// returned alongside it. Earlier versions panicked on the former and
-// silently used the unconverged eigenpair for the latter, which could peel
-// a garbage cluster without any trace of the failure.
+// A malformed matrix (wrong size, asymmetric, or a NaN, infinite or negative
+// cell anywhere — matrix.FromDense's checks) and a power iteration that
+// fails to converge within MaxIter both return an error; the clusters
+// extracted before a convergence failure are returned alongside it. Earlier
+// versions panicked on the former and silently used the unconverged
+// eigenpair for the latter, which could peel a garbage cluster without any
+// trace of the failure.
+//
+// a is converted to CSR once and not retained; each round then works on the
+// matrix restricted, in place, to the variables still unassigned.
 func Cluster(n int, a []float64, par Params) ([][]int, error) {
 	par = par.withDefaults()
-	sym, err := matrix.FromDense(n, a)
+	sub, err := matrix.FromDense(n, a)
 	if err != nil {
 		return nil, fmt.Errorf("consensus: %w", err)
 	}
+	// remaining[local] is the variable behind row `local` of sub.
 	remaining := make([]int, n)
 	for i := range remaining {
 		remaining[i] = i
 	}
+	// Scratch shared by all rounds, sliced to the current size.
+	x, z := make([]float64, n), make([]float64, n)
+	order, relabel := make([]int, n), make([]int, n)
+	row := make([]float64, n)
 	var clusters [][]int
 	for len(remaining) >= par.MinClusterSize {
 		par.Cancel.Check()
-		sub := sym.Submatrix(remaining)
-		res := matrix.PowerIteration(sub, par.MaxIter, par.Tol)
+		m := len(remaining)
+		res := matrix.PowerIteration(sub, par.MaxIter, par.Tol, x[:m], z[:m])
 		if !res.Converged {
 			par.Hooks.Emit(obs.Event{Type: obs.TypeConsensus, Consensus: &obs.ConsensusInfo{
-				Remaining: len(remaining), Eigenvalue: res.Value, Iters: res.Iters,
+				Remaining: m, Eigenvalue: res.Value, Iters: res.Iters,
 			}})
 			return clusters, fmt.Errorf(
 				"consensus: power iteration did not converge within %d iterations on %d remaining variables (eigenvalue estimate %g, tol %g)",
-				par.MaxIter, len(remaining), res.Value, par.Tol)
+				par.MaxIter, m, res.Value, par.Tol)
 		}
 		extracted := 0
 		var members []int
 		if res.Value >= par.MinEigenvalue {
-			members = extract(sub, res.Vector, par.MinClusterSize, par.SupportFrac)
+			members = extract(sub, res.Vector, par.MinClusterSize, par.SupportFrac, order[:m], row[:m])
 			if len(members) >= par.MinClusterSize {
 				extracted = len(members)
 			}
 		}
 		par.Hooks.Emit(obs.Event{Type: obs.TypeConsensus, Consensus: &obs.ConsensusInfo{
-			Remaining: len(remaining), Eigenvalue: res.Value, Iters: res.Iters,
+			Remaining: m, Eigenvalue: res.Value, Iters: res.Iters,
 			Converged: true, Extracted: extracted,
 		}})
 		if extracted == 0 {
 			break
 		}
 		cluster := make([]int, len(members))
-		inCluster := make(map[int]bool, len(members))
+		clear(relabel[:m])
 		for i, local := range members {
 			cluster[i] = remaining[local]
-			inCluster[local] = true
+			relabel[local] = -1
 		}
 		sort.Ints(cluster)
 		clusters = append(clusters, cluster)
-		var rest []int
+		kept := 0
 		for local, global := range remaining {
-			if !inCluster[local] {
-				rest = append(rest, global)
+			if relabel[local] >= 0 {
+				relabel[local] = kept
+				remaining[kept] = global
+				kept++
 			}
 		}
-		remaining = rest
+		remaining = remaining[:kept]
+		sub.Restrict(relabel[:m])
 	}
 	return clusters, nil
 }
@@ -160,9 +175,11 @@ func Cluster(n int, a []float64, par Params) ([][]int, error) {
 // off-diagonal weight per member, W_off(k)/k. Excluding the diagonal keeps
 // variables that never co-cluster with anything from forming spurious
 // modules (each variable trivially co-occurs with itself).
-func extract(sub *matrix.Sym, v []float64, minSize int, supportFrac float64) []int {
+//
+// order and row are scratch of length sub.N, row all zero on entry and on
+// return; the result aliases order.
+func extract(sub *matrix.CSR, v []float64, minSize int, supportFrac float64, order []int, row []float64) []int {
 	n := sub.N
-	order := make([]int, n)
 	for i := range order {
 		order[i] = i
 	}
@@ -185,8 +202,17 @@ func extract(sub *matrix.Sym, v []float64, minSize int, supportFrac float64) []i
 			// it belong to other clusters or to none.
 			break
 		}
+		// Row i scattered dense, so the sum visits the prefix in rank
+		// order t whatever the columns' order.
+		cols, vals := sub.Row(i)
+		for c, j := range cols {
+			row[j] = vals[c]
+		}
 		for t := 0; t < k-1; t++ {
-			within += 2 * sub.At(i, order[t])
+			within += 2 * row[order[t]]
+		}
+		for _, j := range cols {
+			row[j] = 0
 		}
 		density := within / float64(k)
 		if k >= minSize && density > bestDensity {

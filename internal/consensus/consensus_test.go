@@ -1,6 +1,7 @@
 package consensus
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -138,6 +139,24 @@ func TestClusterErrorsOnAsymmetric(t *testing.T) {
 	a[1] = 0.5 // (0,1) without (1,0)
 	if _, err := Cluster(2, a, Params{}); err == nil {
 		t.Fatal("asymmetric matrix accepted")
+	}
+}
+
+// TestClusterErrorsOnOutOfEnvelopeCells: a NaN on the diagonal used to pass
+// validation (the symmetry scan skipped the diagonal, and NaN != NaN hid a
+// mirrored pair) and poison every Perron vector silently; so did an infinite
+// or negative cell with its mirror.
+func TestClusterErrorsOnOutOfEnvelopeCells(t *testing.T) {
+	for name, set := range map[string]func(a []float64){
+		"diagonal NaN":      func(a []float64) { a[1*4+1] = math.NaN() },
+		"off-diagonal +Inf": func(a []float64) { a[0*4+2], a[2*4+0] = math.Inf(1), math.Inf(1) },
+		"negative cell":     func(a []float64) { a[1*4+3], a[3*4+1] = -0.5, -0.5 },
+	} {
+		a := block(4, [][]int{{0, 1}, {2, 3}})
+		set(a)
+		if got, err := Cluster(4, a, Params{}); err == nil || !strings.Contains(err.Error(), "finite non-negative") {
+			t.Errorf("%s accepted: clusters %v, err %v", name, got, err)
+		}
 	}
 }
 

@@ -1,10 +1,14 @@
 package core
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"testing"
 
 	"parsimone/internal/obs"
 	"parsimone/internal/result"
+	"parsimone/internal/synth"
 )
 
 // withObs turns on both sinks.
@@ -182,5 +186,53 @@ func TestObservabilityCheckpointEvents(t *testing.T) {
 	}
 	if !result.Equal(again.Network, out.Network) {
 		t.Fatal("resumed network differs")
+	}
+}
+
+// TestClusterShapedTelemetryPinned pins everything a traced learn of the
+// benchmark's `cluster` shape (many variables, three GaneSH runs, strict
+// consensus, little split scoring) reports about its own work — the canonical
+// event stream (consensus.extract payloads included), the registry dump
+// (pool_cost_total, ganesh_decisions_total, …), the recorded workload's item
+// costs — together with the network, as one digest recorded at the commit
+// before consensus went sparse and GaneSH block scores were cached. A change
+// that makes the same work faster must leave it alone; one that redefines a
+// counter or a cost weight re-records it in its own reviewed commit.
+func TestClusterShapedTelemetryPinned(t *testing.T) {
+	const pinned = "adab7fced9ef63a9a8e73481ffb262abfb08f502ce278a7246960ce37ed9966e"
+	d, _, err := synth.Generate(synth.Config{N: 240, M: 24, Seed: 15})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := DefaultOptions()
+	opt.Seed = 15
+	opt.GaneshRuns = 3
+	opt.Ganesh.Updates = 2
+	opt.CoOccurrenceThreshold = 0.9
+	opt.Module.Splits.Candidates = []int{0, 1, 2, 3, 4, 5, 6, 7}
+	opt.Module.Splits.MaxSteps = 16
+	opt.RecordWork = true
+	opt = withObs(opt)
+	out, err := Learn(d, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := obs.WriteJSONL(&buf, obs.Canonical(out.Events)); err != nil {
+		t.Fatal(err)
+	}
+	if err := opt.Metrics.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, ph := range out.Workload.Phases {
+		fmt.Fprintf(&buf, "%s items=%d cost=%v serial=%v collectives=%d words=%d workers=%v\n",
+			ph.Name, len(ph.Items), ph.TotalCost(), ph.SerialCost, ph.Collectives, ph.Words, ph.WorkerCost)
+	}
+	if err := out.Network.WriteBinary(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != pinned {
+		t.Fatalf("telemetry digest %s, pinned %s (%d events, %d modules, %d bytes digested)",
+			got, pinned, len(out.Events), len(out.Network.Modules), buf.Len())
 	}
 }

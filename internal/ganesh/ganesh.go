@@ -131,7 +131,8 @@ type engine struct {
 	prior score.Prior
 	// kern is the precomputed scoring kernel of prior, attached to the
 	// clustering state so every gain evaluation hits the tables. A Gibbs
-	// block never exceeds the full data matrix, so n·m covers every count.
+	// block never exceeds the variables the engine samples over times the m
+	// observations, so the table is sized to that and never falls back.
 	kern *score.Kernel
 	g    *prng.MRG3
 	ex   executor
@@ -149,8 +150,12 @@ type phaseCounters struct {
 	cost, items, decisions *obs.Counter
 }
 
-func newEngine(q *score.QData, pr score.Prior, g *prng.MRG3, ex executor, wl *trace.Workload) *engine {
-	return &engine{q: q, prior: pr, kern: score.NewKernel(pr, q.N*q.M),
+// newEngine builds an engine whose blocks span at most nVars variables: all
+// q.N for a co-clustering run, the pinned module's for the observation-only
+// sampler, which runs once per module and would otherwise fill a table
+// q.N/nVars times longer than any count it can ask for.
+func newEngine(q *score.QData, pr score.Prior, nVars int, g *prng.MRG3, ex executor, wl *trace.Workload) *engine {
+	return &engine{q: q, prior: pr, kern: score.NewKernel(pr, nVars*q.M),
 		g: g, ex: ex, wl: wl, decision: make(map[string]int)}
 }
 
@@ -328,29 +333,35 @@ func (e *engine) run(par Params) *cluster.CoClustering {
 	cc.UseKernel(e.kern)
 	for u := 0; u < par.Updates; u++ {
 		par.Cancel.Check()
-		e.reassignVars(cc)
-		e.mergeVars(cc)
-		for vi := 0; vi < len(cc.Clusters); vi++ {
-			oc := cc.Clusters[vi].Obs
-			e.reassignObs(oc)
-			e.mergeObs(oc)
-		}
+		e.step(cc)
 	}
 	return cc
+}
+
+// step performs one update step of Algorithm 3: the two variable sweeps,
+// then the two observation sweeps of every variable cluster.
+func (e *engine) step(cc *cluster.CoClustering) {
+	e.reassignVars(cc)
+	e.mergeVars(cc)
+	for vi := 0; vi < len(cc.Clusters); vi++ {
+		oc := cc.Clusters[vi].Obs
+		e.reassignObs(oc)
+		e.mergeObs(oc)
+	}
 }
 
 // Run executes one sequential GaneSH run and returns the final
 // co-clustering. If wl is non-nil the parallelizable work is recorded into
 // it for scaling analysis.
 func Run(q *score.QData, pr score.Prior, par Params, g *prng.MRG3, wl *trace.Workload) *cluster.CoClustering {
-	return newEngine(q, pr, g, seqExec{workers: par.Workers}, wl).withObs(par.Hooks).run(par)
+	return newEngine(q, pr, q.N, g, seqExec{workers: par.Workers}, wl).withObs(par.Hooks).run(par)
 }
 
 // RunParallel executes the same algorithm across c's ranks. Every rank must
 // pass a PRNG in the same state; every rank returns an identical
 // co-clustering, bit-equal to the sequential result from the same state.
 func RunParallel(c *comm.Comm, q *score.QData, pr score.Prior, par Params, g *prng.MRG3) *cluster.CoClustering {
-	return newEngine(q, pr, g, parExec{c: c, workers: par.Workers}, nil).withObs(par.Hooks).run(par)
+	return newEngine(q, pr, q.N, g, parExec{c: c, workers: par.Workers}, nil).withObs(par.Hooks).run(par)
 }
 
 // ObsParams configures the observation-only sampler used by the
@@ -388,13 +399,13 @@ func (p ObsParams) withDefaults(m int) ObsParams {
 // sampled after burn-in — one snapshot per post-burn-in update step — plus
 // the final partition state. Sequential variant.
 func SampleObsClusterings(q *score.QData, pr score.Prior, vars []int, par ObsParams, g *prng.MRG3, wl *trace.Workload) ([][][]int, *cluster.ObsClusters) {
-	return sampleObs(newEngine(q, pr, g, seqExec{workers: par.Workers}, wl).withObs(par.Hooks), vars, par)
+	return sampleObs(newEngine(q, pr, len(vars), g, seqExec{workers: par.Workers}, wl).withObs(par.Hooks), vars, par)
 }
 
 // SampleObsClusteringsParallel is the distributed variant of
 // SampleObsClusterings; identical results on every rank.
 func SampleObsClusteringsParallel(c *comm.Comm, q *score.QData, pr score.Prior, vars []int, par ObsParams, g *prng.MRG3) ([][][]int, *cluster.ObsClusters) {
-	return sampleObs(newEngine(q, pr, g, parExec{c: c, workers: par.Workers}, nil).withObs(par.Hooks), vars, par)
+	return sampleObs(newEngine(q, pr, len(vars), g, parExec{c: c, workers: par.Workers}, nil).withObs(par.Hooks), vars, par)
 }
 
 func sampleObs(e *engine, vars []int, par ObsParams) ([][][]int, *cluster.ObsClusters) {

@@ -8,6 +8,7 @@ import (
 
 	"parsimone/internal/cluster"
 	"parsimone/internal/comm"
+	"parsimone/internal/pool"
 	"parsimone/internal/prng"
 	"parsimone/internal/score"
 	"parsimone/internal/synth"
@@ -134,6 +135,76 @@ func TestWorkersInvariance(t *testing.T) {
 		samples, _ := SampleObsClusterings(q, pr, vars, ObsParams{Updates: 2, Workers: workers}, prng.New(19), nil)
 		if !reflect.DeepEqual(samples, wantSamples) {
 			t.Fatalf("obs sampler W=%d samples differ", workers)
+		}
+	}
+}
+
+// checkedExec evaluates gains like seqExec after verifying the clustering
+// state's invariants. A decision sits between every two mutations of a sweep
+// (detach → decide → attach, decide → merge), so together with a final check
+// this sees the state after every mutation.
+type checkedExec struct {
+	seqExec
+	t     *testing.T
+	check func() error
+}
+
+func (e *checkedExec) gains(count int, eval func(int) float64, cost func(int) float64) ([]float64, pool.Stats) {
+	if err := e.check(); err != nil {
+		e.t.Fatal(err)
+	}
+	return e.seqExec.gains(count, eval, cost)
+}
+
+// TestStoredBlockScoresExactThroughSampling: every block score the sampler's
+// gains subtract is bit-equal to a fresh evaluation of the block's statistics
+// after every mutation (cluster.CheckInvariants), serially and with two
+// workers reading the state concurrently (under `make race`), for the full
+// sampler and the pinned-module one — whose kernel, sized to the module,
+// never falls back to the prior. The checked runs are the real ones: they
+// end on the clusterings Run and SampleObsClusterings return.
+func TestStoredBlockScoresExactThroughSampling(t *testing.T) {
+	q := testData(t, 24, 16, 6)
+	pr := score.DefaultPrior()
+	vars := []int{0, 2, 4, 6, 8}
+	want := Run(q, pr, Params{Updates: 2}, prng.New(13), nil).VarSnapshot()
+	_, wantObs := SampleObsClusterings(q, pr, vars, ObsParams{Updates: 2}, prng.New(19), nil)
+	for _, workers := range []int{1, 2} {
+		ex := &checkedExec{seqExec: seqExec{workers: workers}, t: t}
+		e := newEngine(q, pr, q.N, prng.New(13), ex, nil)
+		par := Params{Updates: 2}.withDefaults(q.N, q.M)
+		cc := cluster.NewRandomCoClustering(q, pr, par.InitVarClusters, par.InitObsClusters, e.g)
+		cc.UseKernel(e.kern)
+		ex.check = cc.CheckInvariants
+		for u := 0; u < par.Updates; u++ {
+			e.step(cc)
+		}
+		if err := cc.CheckInvariants(); err != nil {
+			t.Fatalf("W=%d: %v", workers, err)
+		}
+		if got := cc.VarSnapshot(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("W=%d: checked run left Run's path", workers)
+		}
+
+		ex = &checkedExec{seqExec: seqExec{workers: workers}, t: t}
+		e = newEngine(q, pr, len(vars), prng.New(19), ex, nil)
+		opar := ObsParams{Updates: 2}.withDefaults(q.M)
+		oc := cluster.NewRandomObsClusters(q, pr, vars, opar.InitObsClusters, e.g)
+		oc.UseKernel(e.kern)
+		ex.check = oc.CheckInvariants
+		for u := 0; u < opar.Updates; u++ {
+			e.reassignObs(oc)
+			e.mergeObs(oc)
+		}
+		if err := oc.CheckInvariants(); err != nil {
+			t.Fatalf("W=%d pinned: %v", workers, err)
+		}
+		if got := oc.Snapshot(); !reflect.DeepEqual(got, wantObs.Snapshot()) {
+			t.Fatalf("W=%d: checked pinned run left SampleObsClusterings' path", workers)
+		}
+		if e.kern.TableLen() != len(vars)*q.M+1 || e.kern.Fallbacks() != 0 {
+			t.Fatalf("W=%d: pinned kernel has %d entries (want %d) and fell back %d times",
+				workers, e.kern.TableLen(), len(vars)*q.M+1, e.kern.Fallbacks())
 		}
 	}
 }

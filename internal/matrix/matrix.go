@@ -1,8 +1,12 @@
-// Package matrix provides the small dense linear-algebra kernel the
-// consensus-clustering task needs: symmetric matrices and deterministic
-// power iteration for the dominant eigenpair (Michoel & Nachtergaele 2012
-// use the Perron eigenvector of the non-negative co-occurrence matrix to
-// peel off consensus clusters).
+// Package matrix provides the sparse linear-algebra kernel the
+// consensus-clustering task needs: symmetric non-negative matrices in
+// compressed-sparse-row form, their restriction to a surviving index set,
+// and deterministic power iteration for the dominant eigenpair (Michoel &
+// Nachtergaele 2012 use the Perron eigenvector of the non-negative
+// co-occurrence matrix to peel off consensus clusters). A thresholded
+// co-occurrence matrix is a few percent non-zero, so every operation here
+// costs O(nnz), not O(n²); DESIGN.md §17 shows that skipping the zero cells
+// changes no result bit.
 package matrix
 
 import (
@@ -10,65 +14,87 @@ import (
 	"math"
 )
 
-// Sym is a dense symmetric n×n matrix in row-major full storage.
-type Sym struct {
-	N int
-	A []float64
+// CSR is a sparse symmetric n×n matrix: row i's non-zero cells are
+// Col[RowPtr[i]:RowPtr[i+1]] (ascending) with values Val[…]. Every stored
+// value is finite and positive.
+type CSR struct {
+	N      int
+	RowPtr []int
+	Col    []int
+	Val    []float64
 }
 
-// NewSym returns a zero n×n symmetric matrix.
-func NewSym(n int) *Sym {
-	return &Sym{N: n, A: make([]float64, n*n)}
-}
-
-// FromDense wraps an existing row-major n×n buffer. It returns an error if
-// the buffer has the wrong size or is not symmetric.
-func FromDense(n int, a []float64) (*Sym, error) {
+// FromDense converts a row-major n×n buffer, which it does not retain. It
+// returns an error if the buffer has the wrong size, holds a cell that is
+// not a finite non-negative number (NaN, ±Inf, negative — on or off the
+// diagonal), or is not symmetric. Finite cells are what makes dropping the
+// zeros exact: 0·x is ±0 only for finite x.
+func FromDense(n int, a []float64) (*CSR, error) {
 	if len(a) != n*n {
 		return nil, fmt.Errorf("matrix: %d values for %d×%d", len(a), n, n)
 	}
+	s := &CSR{N: n, RowPtr: make([]int, n+1)}
 	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
+		for j, v := range a[i*n : (i+1)*n] {
+			if !(v >= 0) || math.IsInf(v, 1) {
+				return nil, fmt.Errorf("matrix: cell (%d,%d) = %v is not a finite non-negative number", i, j, v)
+			}
 			//parsivet:floateq — symmetry validation wants bit equality of mirrored cells
-			if a[i*n+j] != a[j*n+i] {
+			if j > i && v != a[j*n+i] {
 				return nil, fmt.Errorf("matrix: not symmetric at (%d,%d)", i, j)
 			}
+			if v > 0 { // the rest are ±0, and so are their products
+				s.Col = append(s.Col, j)
+				s.Val = append(s.Val, v)
+			}
 		}
+		s.RowPtr[i+1] = len(s.Col)
 	}
-	return &Sym{N: n, A: a}, nil
+	return s, nil
 }
 
-// At returns element (i, j).
-func (s *Sym) At(i, j int) float64 { return s.A[i*s.N+j] }
-
-// Set assigns element (i, j) and its mirror (j, i).
-func (s *Sym) Set(i, j int, v float64) {
-	s.A[i*s.N+j] = v
-	s.A[j*s.N+i] = v
+// Row returns row i's non-zero columns (ascending) and their values. The
+// slices alias the matrix.
+func (s *CSR) Row(i int) ([]int, []float64) {
+	lo, hi := s.RowPtr[i], s.RowPtr[i+1]
+	return s.Col[lo:hi], s.Val[lo:hi]
 }
 
-// MulVec computes y = S·x. x and y must have length N and must not alias.
-func (s *Sym) MulVec(x, y []float64) {
+// MulVec computes y = S·x, each y[i] summed over row i's non-zero cells in
+// ascending column order. x and y must have length N and must not alias.
+func (s *CSR) MulVec(x, y []float64) {
 	for i := 0; i < s.N; i++ {
-		row := s.A[i*s.N : (i+1)*s.N]
+		cols, vals := s.Row(i)
 		var sum float64
-		for j, v := range row {
-			sum += v * x[j]
+		for k, j := range cols {
+			sum += vals[k] * x[j]
 		}
 		y[i] = sum
 	}
 }
 
-// Submatrix returns the symmetric matrix restricted to the given index set
-// (in the given order).
-func (s *Sym) Submatrix(idx []int) *Sym {
-	sub := NewSym(len(idx))
-	for a, i := range idx {
-		for b, j := range idx {
-			sub.A[a*sub.N+b] = s.At(i, j)
+// Restrict shrinks s in place, in O(nnz), to the rows and columns i with
+// relabel[i] ≥ 0, which become row and column relabel[i]. The kept indices
+// must be numbered 0, 1, … in ascending order of i, so rows keep their
+// ascending column order.
+func (s *CSR) Restrict(relabel []int) {
+	rows, w := 0, 0
+	for i := 0; i < s.N; i++ {
+		if relabel[i] < 0 {
+			continue
+		}
+		lo, hi := s.RowPtr[i], s.RowPtr[i+1] // read before RowPtr[rows], rows ≤ i, is overwritten
+		s.RowPtr[rows] = w
+		rows++
+		for k := lo; k < hi; k++ {
+			if j := relabel[s.Col[k]]; j >= 0 {
+				s.Col[w], s.Val[w] = j, s.Val[k]
+				w++
+			}
 		}
 	}
-	return sub
+	s.RowPtr[rows] = w
+	s.N, s.RowPtr, s.Col, s.Val = rows, s.RowPtr[:rows+1], s.Col[:w], s.Val[:w]
 }
 
 // Norm2 returns the Euclidean norm of x.
@@ -96,8 +122,12 @@ type PowerResult struct {
 // deterministic uniform vector. For the non-negative matrices produced by
 // co-occurrence accumulation the dominant eigenvalue is the Perron root and
 // the eigenvector is entrywise non-negative. A zero matrix returns Value 0
-// with the start vector.
-func PowerIteration(s *Sym, maxIter int, tol float64) PowerResult {
+// with the start vector. x and z are scratch of length s.N (a caller peeling
+// many matrices reuses them); the returned Vector is one of the two.
+//
+// A step costs one product: S·y, computed for the Rayleigh quotient yᵀSy of
+// the normalized iterate y, is also the next step's unnormalized iterate.
+func PowerIteration(s *CSR, maxIter int, tol float64, x, z []float64) PowerResult {
 	n := s.N
 	if n == 0 {
 		return PowerResult{Converged: true}
@@ -108,34 +138,34 @@ func PowerIteration(s *Sym, maxIter int, tol float64) PowerResult {
 	if tol <= 0 {
 		tol = 1e-10
 	}
-	x := make([]float64, n)
-	y := make([]float64, n)
 	for i := range x {
 		x[i] = 1 / math.Sqrt(float64(n))
 	}
+	s.MulVec(x, z)
 	var lambda float64
 	for it := 1; it <= maxIter; it++ {
-		s.MulVec(x, y)
-		norm := Norm2(y)
+		// Invariant: x is the current unit iterate and z = S·x.
+		norm := Norm2(z)
 		//parsivet:floateq — exact-zero null-space test; a sum of squares is 0 iff all terms are
 		if norm == 0 {
 			// x is in the null space; for non-negative matrices this
 			// means the matrix is zero on the support of x.
 			return PowerResult{Value: 0, Vector: x, Iters: it, Converged: true}
 		}
-		for i := range y {
-			y[i] /= norm
+		for i := range z {
+			z[i] /= norm
 		}
-		// Rayleigh quotient λ = xᵀSx with the normalized iterate.
-		s.MulVec(y, x) // reuse x as scratch for S·y
+		// z is the next iterate y; x's old contents are dead, so it
+		// receives S·y. Rayleigh quotient λ = yᵀSy.
+		s.MulVec(z, x)
 		var rq float64
-		for i := range y {
-			rq += y[i] * x[i]
+		for i := range z {
+			rq += z[i] * x[i]
 		}
 		// Convergence on the eigenvalue estimate.
 		done := math.Abs(rq-lambda) <= tol*(1+math.Abs(rq))
 		lambda = rq
-		copy(x, y)
+		x, z = z, x
 		if done {
 			return PowerResult{Value: lambda, Vector: x, Iters: it, Converged: true}
 		}
