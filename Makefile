@@ -12,7 +12,7 @@ GO ?= go
 # Iterations of the seeded cancel/fault chaos soak (`make soak`).
 SOAK_ITERS ?= 25
 
-.PHONY: tier1 fmt vet lint lint-fast build test race faults soak fuzz fuzz-score fuzz-wire bench bench-batch bench-cluster serve-smoke
+.PHONY: tier1 fmt vet lint lint-fast build test race faults soak fuzz fuzz-score fuzz-wire bench bench-cluster serve-smoke
 
 tier1: fmt vet lint build test race faults
 
@@ -97,12 +97,6 @@ fuzz-score:
 # Regenerate the full reduced-scale reproduction (minutes).
 bench:
 	$(GO) run ./cmd/benchtab all
-
-# Reproducible end-to-end measurement of the batched split scorer: the
-# `batch` experiment (unbatched DisableBatch leg vs batched leg, per-phase
-# wall-clock breakdown, bit-identity column) as machine-readable JSON.
-bench-batch:
-	$(GO) run ./cmd/benchtab -json batch > BENCH_batch.json
 
 # The repo benchmark's `cluster` workload (GaneSH + consensus ~80 % of the
 # learn) as a traced run: learn_s next to the per-layer clocks

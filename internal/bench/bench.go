@@ -176,7 +176,7 @@ func Experiments() []string {
 		"table1", "fig3", "fig4", "fig5a", "fig5b", "fig5c",
 		"fig6", "table2", "imbalance", "ablation-dist", "threads",
 		"estimate", "determinism", "compare-genomica", "crossval",
-		"comm-volume", "recovery", "obs-overhead", "kernel", "batch", "serve",
+		"comm-volume", "recovery", "obs-overhead", "serve",
 	}
 }
 
@@ -219,10 +219,6 @@ func Run(id string, scale Scale) (*Table, error) {
 		return Recovery(scale), nil
 	case "obs-overhead":
 		return ObsOverhead(scale), nil
-	case "kernel":
-		return KernelTable(scale), nil
-	case "batch":
-		return BatchTable(scale), nil
 	case "serve":
 		return ServeBench(scale), nil
 	}

@@ -221,26 +221,3 @@ func TestServeExperiment(t *testing.T) {
 		}
 	}
 }
-
-// TestBatchExperiment: the batched-scorer table must report a bit-identical
-// network in every grid cell and carry three per-phase breakdown rows under
-// each total row.
-func TestBatchExperiment(t *testing.T) {
-	tab := BatchTable(Quick)
-	totals := 0
-	for _, row := range tab.Rows {
-		if row[2] != "total" {
-			continue
-		}
-		totals++
-		if row[6] != "true" {
-			t.Fatalf("row %v: batched and unbatched networks differ", row)
-		}
-	}
-	if totals == 0 {
-		t.Fatal("no total rows")
-	}
-	if len(tab.Rows) != totals*4 {
-		t.Fatalf("%d rows for %d grid cells, want 4 per cell (total + 3 phases)", len(tab.Rows), totals)
-	}
-}

@@ -39,18 +39,18 @@ type fixtureData struct {
 
 // cancelAndResume cancels a run at check index at (on rank 0), asserts the
 // documented *CancelledError, then resumes from the drained checkpoints and
-// returns the resumed output. batchOffRun/batchOffResume disable the batched
-// split scorer independently on the two legs: the result is defined to be
-// identical either way, so every combination — including a batched run
-// resumed unbatched — must land on the same network.
+// returns the resumed output. scanRun/scanResume select the segmented-scan
+// exchange independently on the two legs: the stream layout is the same
+// under every exchange strategy, so every combination — including a gathered
+// run resumed under scan — must land on the same network.
 func cancelAndResume(t *testing.T, f *fixtureData, p int, binary bool, at int64,
-	batchOffRun, batchOffResume bool) *Output {
+	scanRun, scanResume bool) *Output {
 	t.Helper()
 	dir := t.TempDir()
 	injected := f.opt
 	injected.CheckpointDir = dir
 	injected.BinaryCheckpoints = binary
-	injected.Module.Splits.DisableBatch = batchOffRun
+	injected.Module.Splits.ScanSelection = scanRun
 	injected.MaxRestarts = 1 // must NOT be consumed: cancellation is not a failure
 	injected.Inject = &FaultSpec{CancelAt: at, Rank: 0}
 	out, err := LearnParallel(p, f.data, injected)
@@ -75,7 +75,7 @@ func cancelAndResume(t *testing.T, f *fixtureData, p int, binary bool, at int64,
 	resumed := f.opt
 	resumed.CheckpointDir = dir
 	resumed.BinaryCheckpoints = binary
-	resumed.Module.Splits.DisableBatch = batchOffResume
+	resumed.Module.Splits.ScanSelection = scanResume
 	got, err := LearnParallel(p, f.data, resumed)
 	if err != nil {
 		t.Fatalf("resume after cancel at check %d failed: %v", at, err)
@@ -89,18 +89,20 @@ func cancelAndResume(t *testing.T, f *fixtureData, p int, binary bool, at int64,
 // checkpoints, learns a network bit-identical to the uninterrupted run.
 // Exhaustive over check indices at p=1/JSON; the p ∈ {2, 4} worlds and the
 // binary checkpoint format cover five spread indices each, mirroring the
-// crash matrix's density. The batchOff rows rerun spread indices with the
-// batched split scorer disabled — and one row resumes a batched run
-// unbatched — proving the restructure preserved resume bit-identity on
-// both paths and across them.
+// crash matrix's density. The scan rows rerun spread indices under the
+// segmented-scan exchange — and one row resumes a gathered run under scan —
+// proving resume bit-identity on both exchange paths and across them. Their
+// subtest IDs still say "nobatch": the rows used to flip the deleted batch
+// A/B knob, and the IDs are pinned by the test floor, which admits
+// only a few removals per PR.
 func TestCancelMatrixBitIdentical(t *testing.T) {
 	f, checks := cancelFixture(t)
 	spread := []int64{1, checks / 4, checks / 2, 3 * checks / 4, checks}
 	cases := []struct {
-		p        int
-		binary   bool
-		at       []int64
-		batchOff [2]bool // [run leg, resume leg]
+		p      int
+		binary bool
+		at     []int64
+		scan   [2]bool // [run leg, resume leg]
 	}{
 		{1, false, nil, [2]bool{}}, // nil → every check index
 		{1, true, spread, [2]bool{}},
@@ -110,7 +112,7 @@ func TestCancelMatrixBitIdentical(t *testing.T) {
 		{4, true, spread, [2]bool{}},
 		{1, false, spread, [2]bool{true, true}},
 		{4, true, spread, [2]bool{true, true}},
-		{2, false, spread, [2]bool{false, true}}, // cross: batched run, unbatched resume
+		{2, false, spread, [2]bool{false, true}}, // cross: gathered run, scan resume
 	}
 	for _, tc := range cases {
 		ats := tc.at
@@ -123,13 +125,13 @@ func TestCancelMatrixBitIdentical(t *testing.T) {
 		if tc.binary {
 			format = "binary"
 		}
-		if tc.batchOff[0] || tc.batchOff[1] {
-			format += fmt.Sprintf("_nobatch%v%v", tc.batchOff[0], tc.batchOff[1])
+		if tc.scan[0] || tc.scan[1] {
+			format += fmt.Sprintf("_nobatch%v%v", tc.scan[0], tc.scan[1])
 		}
 		for _, at := range ats {
 			at := at
 			t.Run(fmt.Sprintf("%s_p%d_check%d", format, tc.p, at), func(t *testing.T) {
-				got := cancelAndResume(t, f, tc.p, tc.binary, at, tc.batchOff[0], tc.batchOff[1])
+				got := cancelAndResume(t, f, tc.p, tc.binary, at, tc.scan[0], tc.scan[1])
 				if !result.Equal(got.Network, f.want.Network) {
 					t.Fatal("resumed network differs from the uninterrupted run")
 				}
@@ -301,11 +303,12 @@ func TestSweepOrphanedTempCheckpoints(t *testing.T) {
 
 // TestSoakCancelFaultChaos is the seeded chaos soak behind `make soak`: a
 // deterministic MRG3 stream picks (p, checkpoint format, cancel point,
-// batched-scorer on/off per leg, and optionally a comm-fault crash) per
+// gather or scan exchange per leg, and optionally a comm-fault crash) per
 // iteration; every iteration must end in the bit-identical network, either
 // directly (fault + supervised restart) or after a resume (cancellation).
-// The batch draws are independent for the run and resume legs, so the soak
-// also exercises crossing the batched/unbatched boundary mid-job.
+// The exchange draws are independent for the run and resume legs, so the
+// soak also exercises crossing the gather/scan boundary mid-job (the
+// "nobatch" in the subtest IDs is the floor-pinned name of those draws).
 // PARSIMONE_SOAK_ITERS scales the iteration count (default 3, so the test
 // stays cheap in tier-1).
 func TestSoakCancelFaultChaos(t *testing.T) {
@@ -325,9 +328,9 @@ func TestSoakCancelFaultChaos(t *testing.T) {
 		binary := g.Intn(2) == 1
 		at := int64(1 + g.Intn(int(checks)))
 		crash := g.Intn(2) == 1 && p > 1
-		batchOffRun := g.Intn(2) == 1
-		batchOffResume := g.Intn(2) == 1
-		t.Run(fmt.Sprintf("iter%d_p%d_at%d_crash%v_nobatch%v%v", i, p, at, crash, batchOffRun, batchOffResume), func(t *testing.T) {
+		scanRun := g.Intn(2) == 1
+		scanResume := g.Intn(2) == 1
+		t.Run(fmt.Sprintf("iter%d_p%d_at%d_crash%v_nobatch%v%v", i, p, at, crash, scanRun, scanResume), func(t *testing.T) {
 			if crash {
 				// Fault plan: crash a random rank at a random comm op, let
 				// the supervised restart recover.
@@ -335,7 +338,7 @@ func TestSoakCancelFaultChaos(t *testing.T) {
 				injected := f.opt
 				injected.CheckpointDir = dir
 				injected.BinaryCheckpoints = binary
-				injected.Module.Splits.DisableBatch = batchOffRun
+				injected.Module.Splits.ScanSelection = scanRun
 				injected.MaxRestarts = 1
 				injected.Inject = &FaultSpec{Comm: []comm.Fault{
 					{Rank: g.Intn(p), Op: int64(1 + g.Intn(64)), Kind: comm.FaultCrash},
@@ -349,7 +352,7 @@ func TestSoakCancelFaultChaos(t *testing.T) {
 				}
 				return
 			}
-			got := cancelAndResume(t, f, p, binary, at, batchOffRun, batchOffResume)
+			got := cancelAndResume(t, f, p, binary, at, scanRun, scanResume)
 			if !result.Equal(got.Network, f.want.Network) {
 				t.Fatal("soak resume differs from the uninterrupted run")
 			}

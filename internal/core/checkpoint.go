@@ -24,6 +24,7 @@ import (
 	"sort"
 
 	"parsimone/internal/module"
+	"parsimone/internal/splits"
 	"parsimone/internal/wire"
 )
 
@@ -47,25 +48,56 @@ const (
 	checkpointVersionBinary = 3
 )
 
-// ensemblesCheckpoint persists the GaneSH task's output.
-type ensemblesCheckpoint struct {
-	Version int `json:"version"`
-	// Seed and GaneshRuns guard against resuming with a different
-	// configuration.
-	Seed       uint64    `json:"seed"`
-	GaneshRuns int       `json:"ganeshRuns"`
-	N          int       `json:"n"`
-	Ensembles  [][][]int `json:"ensembles"`
+// ckptStamp is the head of every checkpoint file: the format version and the
+// run configuration a resume validates. Seed and GaneshRuns guard against
+// resuming under a different configuration (the consensus modules are a
+// function of the G-run ensemble, so they are guarded by G too).
+// StreamLayout is splits.StreamLayout at write time: units learned under one
+// PRNG stream layout are never mixed with another's. A file without the
+// field predates the stamp — layout 1 — and decodes as 0.
+type ckptStamp struct {
+	Version      int    `json:"version"`
+	Seed         uint64 `json:"seed"`
+	GaneshRuns   int    `json:"ganeshRuns"`
+	N            int    `json:"n"`
+	StreamLayout int    `json:"streamLayout"`
 }
 
-// modulesCheckpoint persists the consensus task's output. GaneshRuns guards
-// it too: the consensus modules are a function of the G-run ensemble, so
-// resuming them under a different G would silently keep the old modules.
+// newStamp is the stamp of a checkpoint this run writes.
+func newStamp(opt Options, n int) ckptStamp {
+	return ckptStamp{Version: checkpointVersion, Seed: opt.Seed, GaneshRuns: opt.GaneshRuns, N: n, StreamLayout: splits.StreamLayout}
+}
+
+func (st *ckptStamp) stamp() *ckptStamp { return st }
+
+// check rejects a checkpoint written by another configuration or under
+// another stream layout — the same refusal either way: delete the directory
+// to re-learn.
+func (st *ckptStamp) check(name string, opt Options, n int) error {
+	if st.Seed != opt.Seed || st.GaneshRuns != opt.GaneshRuns || st.N != n {
+		return fmt.Errorf("core: checkpoint %s was written by a different configuration (seed %d, G %d, n %d)",
+			name, st.Seed, st.GaneshRuns, st.N)
+	}
+	if st.StreamLayout != splits.StreamLayout {
+		wrote := fmt.Sprintf("stream layout %d", st.StreamLayout)
+		if st.StreamLayout == 0 {
+			wrote = "stream layout 1 (no layout stamp)"
+		}
+		return fmt.Errorf("core: checkpoint %s was written under %s, this build learns stream layout %d and never mixes the two — delete the checkpoint directory to re-learn",
+			name, wrote, splits.StreamLayout)
+	}
+	return nil
+}
+
+// ensemblesCheckpoint persists the GaneSH task's output.
+type ensemblesCheckpoint struct {
+	ckptStamp
+	Ensembles [][][]int `json:"ensembles"`
+}
+
+// modulesCheckpoint persists the consensus task's output.
 type modulesCheckpoint struct {
-	Version    int     `json:"version"`
-	Seed       uint64  `json:"seed"`
-	GaneshRuns int     `json:"ganeshRuns"`
-	N          int     `json:"n"`
+	ckptStamp
 	ModuleVars [][]int `json:"moduleVars"`
 }
 
@@ -74,11 +106,8 @@ type modulesCheckpoint struct {
 // substream), so any subset can be resumed and the remainder recomputed
 // bit-identically.
 type progressCheckpoint struct {
-	Version    int            `json:"version"`
-	Seed       uint64         `json:"seed"`
-	GaneshRuns int            `json:"ganeshRuns"`
-	N          int            `json:"n"`
-	Units      []*module.Unit `json:"units"`
+	ckptStamp
+	Units []*module.Unit `json:"units"`
 }
 
 // checkVersion rejects JSON checkpoint files written in another format.
@@ -97,13 +126,13 @@ func checkVersion(name string, got int, present bool) error {
 }
 
 // wireCheckpoint is the codec contract each checkpoint type implements for
-// the v3 binary format: its wire header (kind plus the configuration triple
-// the loaders validate) and its section payloads.
+// the v3 binary format: its kind, its stamp (the wire header and the layout
+// section), and its payload.
 type wireCheckpoint interface {
 	wireKind() wire.Kind
-	wireHeader() wire.Header
-	encodeSections() []wire.Section
-	decodeSections(h wire.Header, secs []wire.Section) error
+	stamp() *ckptStamp
+	encodePayload(e *wire.Encoder)
+	decodePayload(d *wire.Decoder)
 }
 
 // loadCheckpoint reads and validates a checkpoint file into v; a missing
@@ -121,15 +150,8 @@ func loadCheckpoint(dir, name string, v wireCheckpoint) (bool, error) {
 		return false, err
 	}
 	if wire.IsWire(data) {
-		h, secs, err := wire.DecodeFile(data)
-		if err != nil {
-			return false, fmt.Errorf("core: corrupt checkpoint %s: %w", name, err)
-		}
-		if h.Kind != v.wireKind() {
-			return false, fmt.Errorf("core: checkpoint %s is a %s, expected a %s", name, h.Kind, v.wireKind())
-		}
-		if err := v.decodeSections(h, secs); err != nil {
-			return false, fmt.Errorf("core: corrupt checkpoint %s: %w", name, err)
+		if err := decodeCheckpoint(name, data, v); err != nil {
+			return false, err
 		}
 		return true, nil
 	}
@@ -166,7 +188,7 @@ func loadCheckpoint(dir, name string, v wireCheckpoint) (bool, error) {
 func saveCheckpoint(dir, name string, v wireCheckpoint, binary bool) error {
 	var data []byte
 	if binary {
-		data = wire.EncodeFile(v.wireHeader(), v.encodeSections())
+		data = encodeCheckpoint(v)
 	} else {
 		var err error
 		if data, err = json.Marshal(v); err != nil {
@@ -211,9 +233,8 @@ func loadEnsembles(dir string, opt Options, n int) ([][][]int, error) {
 	if err != nil || !ok {
 		return nil, err
 	}
-	if ck.Seed != opt.Seed || ck.GaneshRuns != opt.GaneshRuns || ck.N != n {
-		return nil, fmt.Errorf("core: checkpoint %s was written by a different configuration (seed %d, G %d, n %d)",
-			ckptEnsembles, ck.Seed, ck.GaneshRuns, ck.N)
+	if err := ck.check(ckptEnsembles, opt, n); err != nil {
+		return nil, err
 	}
 	return ck.Ensembles, nil
 }
@@ -226,9 +247,8 @@ func loadModules(dir string, opt Options, n int) ([][]int, bool, error) {
 	if err != nil || !ok {
 		return nil, false, err
 	}
-	if ck.Seed != opt.Seed || ck.GaneshRuns != opt.GaneshRuns || ck.N != n {
-		return nil, false, fmt.Errorf("core: checkpoint %s was written by a different configuration (seed %d, G %d, n %d)",
-			ckptModules, ck.Seed, ck.GaneshRuns, ck.N)
+	if err := ck.check(ckptModules, opt, n); err != nil {
+		return nil, false, err
 	}
 	return ck.ModuleVars, true, nil
 }
@@ -244,9 +264,8 @@ func loadProgress(dir string, opt Options, n int, moduleVars [][]int) (map[int]*
 	if err != nil || !ok {
 		return nil, err
 	}
-	if ck.Seed != opt.Seed || ck.GaneshRuns != opt.GaneshRuns || ck.N != n {
-		return nil, fmt.Errorf("core: checkpoint %s was written by a different configuration (seed %d, G %d, n %d)",
-			ckptProgress, ck.Seed, ck.GaneshRuns, ck.N)
+	if err := ck.check(ckptProgress, opt, n); err != nil {
+		return nil, err
 	}
 	units := make(map[int]*module.Unit, len(ck.Units))
 	for _, u := range ck.Units {
@@ -273,7 +292,7 @@ func loadProgress(dir string, opt Options, n int, moduleVars [][]int) (map[int]*
 // index) atomically via saveCheckpoint. Manifests are small relative to the
 // work a module represents, so whole-file rewrites keep the format trivial.
 func saveProgress(dir string, opt Options, n int, units map[int]*module.Unit) error {
-	ck := progressCheckpoint{Version: checkpointVersion, Seed: opt.Seed, GaneshRuns: opt.GaneshRuns, N: n}
+	ck := progressCheckpoint{ckptStamp: newStamp(opt, n)}
 	for _, u := range units {
 		ck.Units = append(ck.Units, u)
 	}

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"parsimone/internal/result"
-	"parsimone/internal/wire"
 )
 
 // writeCkpt drops raw bytes where loadCheckpoint will look for them.
@@ -23,7 +22,7 @@ func writeCkpt(t *testing.T, dir, name string, data []byte) {
 // validEnsemblesJSON is a well-formed v2 ensembles checkpoint document.
 func validEnsemblesJSON(t *testing.T) []byte {
 	t.Helper()
-	ck := ensemblesCheckpoint{Version: checkpointVersion, Seed: 7, GaneshRuns: 2, N: 4,
+	ck := ensemblesCheckpoint{ckptStamp: ckptStamp{Version: checkpointVersion, Seed: 7, GaneshRuns: 2, N: 4},
 		Ensembles: [][][]int{{{0, 1}, {2, 3}}, {{0, 2}, {1, 3}}}}
 	data, err := json.Marshal(&ck)
 	if err != nil {
@@ -76,9 +75,9 @@ func TestLoadCheckpointStrictJSON(t *testing.T) {
 // TestBinaryCheckpointRoundTrip: each checkpoint type survives a v3 binary
 // save/load cycle with its payload intact.
 func TestBinaryCheckpointRoundTrip(t *testing.T) {
-	ens := &ensemblesCheckpoint{Version: checkpointVersion, Seed: 11, GaneshRuns: 3, N: 6,
+	ens := &ensemblesCheckpoint{ckptStamp: ckptStamp{Version: checkpointVersion, Seed: 11, GaneshRuns: 3, N: 6},
 		Ensembles: [][][]int{{{0, 1, 2}, {3, 4, 5}}, {{0, 3}, {1, 2, 4, 5}}, {{5}}}}
-	mods := &modulesCheckpoint{Version: checkpointVersion, Seed: 11, GaneshRuns: 3, N: 6,
+	mods := &modulesCheckpoint{ckptStamp: ckptStamp{Version: checkpointVersion, Seed: 11, GaneshRuns: 3, N: 6},
 		ModuleVars: [][]int{{0, 2, 4}, {1, 3}, {5}}}
 	t.Run("ensembles", func(t *testing.T) {
 		dir := t.TempDir()
@@ -126,20 +125,30 @@ func TestBinaryCheckpointRoundTrip(t *testing.T) {
 
 // TestBinaryCheckpointCorruptFailsCleanly: every truncation of a valid
 // binary checkpoint is rejected with an error, never a panic or a silent
-// partial resume.
+// partial resume. One truncation is a well-formed file — the cut that drops
+// exactly the trailing layout section — and is refused as unstamped.
 func TestBinaryCheckpointCorruptFailsCleanly(t *testing.T) {
-	ens := &ensemblesCheckpoint{Version: checkpointVersion, Seed: 11, GaneshRuns: 3, N: 6,
-		Ensembles: [][][]int{{{0, 1, 2}, {3, 4, 5}}}}
-	data := wire.EncodeFile(ens.wireHeader(), ens.encodeSections())
+	opt := Options{Seed: 11, GaneshRuns: 3}
+	ens := &ensemblesCheckpoint{ckptStamp: newStamp(opt, 6), Ensembles: [][][]int{{{0, 1, 2}, {3, 4, 5}}}}
+	data := encodeCheckpoint(ens)
 	dir := t.TempDir()
 	for cut := 0; cut < len(data); cut++ {
 		writeCkpt(t, dir, ckptEnsembles, data[:cut])
 		var got ensemblesCheckpoint
-		if _, err := loadCheckpoint(dir, ckptEnsembles, &got); err == nil {
+		_, err := loadCheckpoint(dir, ckptEnsembles, &got)
+		if err == nil {
+			err = got.check(ckptEnsembles, opt, 6)
+		}
+		if err == nil {
 			// Truncating to zero bytes is "corrupt"; anything that keeps the
-			// magic must fail decode.
+			// magic must fail decode or the stamp check.
 			t.Fatalf("truncation to %d bytes loaded without error", cut)
 		}
+	}
+	writeCkpt(t, dir, ckptEnsembles, data)
+	var got ensemblesCheckpoint
+	if _, err := loadCheckpoint(dir, ckptEnsembles, &got); err != nil || got.check(ckptEnsembles, opt, 6) != nil {
+		t.Fatalf("the untruncated file is refused: %v / %v", err, got.check(ckptEnsembles, opt, 6))
 	}
 }
 
@@ -210,13 +219,13 @@ func TestBinaryCheckpointSize(t *testing.T) {
 // checkpoint types. The property is simply that nothing panics and errors
 // are reported, not swallowed.
 func FuzzWireCheckpoint(f *testing.F) {
-	ens := &ensemblesCheckpoint{Version: checkpointVersion, Seed: 7, GaneshRuns: 2, N: 4,
+	ens := &ensemblesCheckpoint{ckptStamp: ckptStamp{Version: checkpointVersion, Seed: 7, GaneshRuns: 2, N: 4},
 		Ensembles: [][][]int{{{0, 1}, {2, 3}}}}
-	mods := &modulesCheckpoint{Version: checkpointVersion, Seed: 7, GaneshRuns: 2, N: 4,
+	mods := &modulesCheckpoint{ckptStamp: ckptStamp{Version: checkpointVersion, Seed: 7, GaneshRuns: 2, N: 4},
 		ModuleVars: [][]int{{0, 1}, {2, 3}}}
-	prog := &progressCheckpoint{Version: checkpointVersion, Seed: 7, GaneshRuns: 2, N: 4}
+	prog := &progressCheckpoint{ckptStamp: ckptStamp{Version: checkpointVersion, Seed: 7, GaneshRuns: 2, N: 4}}
 	for _, v := range []wireCheckpoint{ens, mods, prog} {
-		f.Add(wire.EncodeFile(v.wireHeader(), v.encodeSections()))
+		f.Add(encodeCheckpoint(v))
 		data, err := json.Marshal(v)
 		if err != nil {
 			f.Fatal(err)

@@ -435,7 +435,7 @@ func run(d *dataset.Data, q *score.QData, opt Options, prim pipeline, timers *tr
 			ensembles = prim.ganeshEnsembles(opt, master)
 		})
 		if opt.CheckpointDir != "" && prim.writesCheckpoints {
-			ck := ensemblesCheckpoint{Version: checkpointVersion, Seed: opt.Seed, GaneshRuns: opt.GaneshRuns, N: q.N, Ensembles: ensembles}
+			ck := ensemblesCheckpoint{ckptStamp: newStamp(opt, q.N), Ensembles: ensembles}
 			if err := saveCheckpoint(opt.CheckpointDir, ckptEnsembles, &ck, opt.BinaryCheckpoints); err != nil {
 				return nil, err
 			}
@@ -467,7 +467,7 @@ func run(d *dataset.Data, q *score.QData, opt Options, prim pipeline, timers *tr
 			return nil, consErr
 		}
 		if opt.CheckpointDir != "" && prim.writesCheckpoints {
-			ck := modulesCheckpoint{Version: checkpointVersion, Seed: opt.Seed, GaneshRuns: opt.GaneshRuns, N: q.N, ModuleVars: moduleVars}
+			ck := modulesCheckpoint{ckptStamp: newStamp(opt, q.N), ModuleVars: moduleVars}
 			if err := saveCheckpoint(opt.CheckpointDir, ckptModules, &ck, opt.BinaryCheckpoints); err != nil {
 				return nil, err
 			}

@@ -1,0 +1,173 @@
+package core
+
+import (
+	"encoding/json"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"parsimone/internal/synth"
+)
+
+// TestUnstampedCheckpointNotResumed: the files under testdata/layout1 were
+// written by the parent commit (1bb2f8d: stream layout 1, before checkpoints
+// carried a layout stamp) by Learn on testData(24, 20, 36) under
+// fastOptions(51), in both formats. The same data and options must refuse to
+// resume from any of them — seed, G and n all match, so it is the missing
+// stamp alone that stops layout-1 units from being mixed into a layout-2
+// network — with an error that names both layouts.
+func TestUnstampedCheckpointNotResumed(t *testing.T) {
+	d, _ := testData(t, 24, 20, 36)
+	for _, tc := range []struct{ file, as string }{
+		{"progress_v2.json", ckptProgress},
+		{"progress_v3.bin", ckptProgress},
+		{"modules_v2.json", ckptModules},
+		{"ensembles_v2.json", ckptEnsembles},
+	} {
+		t.Run(tc.file, func(t *testing.T) {
+			data, err := os.ReadFile(filepath.Join("testdata", "layout1", tc.file))
+			if err != nil {
+				t.Fatal(err)
+			}
+			opt := fastOptions(51)
+			opt.CheckpointDir = t.TempDir()
+			writeCkpt(t, opt.CheckpointDir, tc.as, data)
+			for name, learn := range map[string]func() (*Output, error){
+				"sequential": func() (*Output, error) { return Learn(d, opt) },
+				"p=2":        func() (*Output, error) { return LearnParallel(2, d, opt) },
+			} {
+				_, err := learn()
+				if err == nil {
+					t.Fatalf("%s: resumed from a checkpoint without a layout stamp", name)
+				}
+				for _, want := range []string{tc.as, "stream layout 1 (no layout stamp)", "stream layout 2"} {
+					if !strings.Contains(err.Error(), want) {
+						t.Fatalf("%s: error %q does not mention %q", name, err, want)
+					}
+				}
+			}
+		})
+	}
+	// Control: what this build writes, it resumes.
+	opt := fastOptions(51)
+	opt.CheckpointDir = t.TempDir()
+	for i := 0; i < 2; i++ {
+		if _, err := Learn(d, opt); err != nil {
+			t.Fatalf("learn %d over a stamped directory: %v", i, err)
+		}
+	}
+}
+
+// regulatorReading is one seed's regulator-recovery score: edge-level
+// precision and recall of the learned module → regulator assignments against
+// the generator's truth.
+type regulatorReading struct {
+	Seed      uint64  `json:"seed"`
+	Precision float64 `json:"precision"`
+	Recall    float64 `json:"recall"`
+}
+
+// regulatorRecovery learns one synthetic data set (48 member genes in 4
+// modules driven by 1–3 of 8 regulators each, the regulators as candidate
+// parents) and scores it. Every learned module is matched to the truth
+// module most of its members belong to and predicts its top-k weighted
+// parents as regulators, k being the matched truth module's regulator count.
+// Precision is true edges over predicted edges; recall is distinct true
+// ⟨truth module, regulator⟩ edges recovered over all true edges, so a truth
+// module no learned module matched counts against recall.
+func regulatorRecovery(t testing.TB, seed uint64) regulatorReading {
+	t.Helper()
+	d, truth, err := synth.Generate(synth.Config{N: 56, M: 40, Regulators: 8, Modules: 4, Noise: 0.3, Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := DefaultOptions()
+	opt.Seed = seed
+	opt.Module.Splits.Candidates = []int{0, 1, 2, 3, 4, 5, 6, 7}
+	opt.Module.Tree.Updates = 4
+	opt.Module.Splits.NumSplits = 4
+	out, err := Learn(d, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	predicted, hits := 0, 0
+	recovered := map[[2]int]bool{}
+	for _, mod := range out.Network.Modules {
+		votes := make([]int, truth.NumModules)
+		for _, v := range mod.Variables {
+			if tm := truth.ModuleOf[v]; tm >= 0 {
+				votes[tm]++
+			}
+		}
+		best := 0
+		for tm, c := range votes {
+			if c > votes[best] {
+				best = tm
+			}
+		}
+		if votes[best] == 0 {
+			continue
+		}
+		k := min(len(truth.Regulators[best]), len(mod.Parents))
+		predicted += k
+		for _, p := range mod.Parents[:k] {
+			for _, r := range truth.Regulators[best] {
+				if p.Index == r {
+					hits++
+					recovered[[2]int{best, r}] = true
+				}
+			}
+		}
+	}
+	edges := 0
+	for _, regs := range truth.Regulators {
+		edges += len(regs)
+	}
+	rd := regulatorReading{Seed: seed, Recall: float64(len(recovered)) / float64(edges)}
+	if predicted > 0 {
+		rd.Precision = float64(hits) / float64(predicted)
+	}
+	return rd
+}
+
+// TestRegulatorRecoveryNoWorse is the end-to-end half of the stream-layout
+// quality pin. testdata/regulators.json holds regulatorRecovery's readings
+// for synth seeds 1…20 as the parent commit (1bb2f8d, stream layout 1)
+// learned them — modules and trees are the same under both layouts, only the
+// split posteriors behind the parent ranking moved. The reference means are
+// 0.387 precision and 0.286 recall with a per-seed sd of about 0.2, i.e. a
+// standard error near 0.045 on a 20-seed mean and 0.065 on a difference of
+// two; the seed-averaged readings of this build may fall short of the
+// reference by at most 0.08 (tolerance: about 1.25 such standard errors).
+func TestRegulatorRecoveryNoWorse(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "regulators.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ref struct {
+		Readings []regulatorReading `json:"readings"`
+	}
+	if err := json.Unmarshal(raw, &ref); err != nil {
+		t.Fatal(err)
+	}
+	if len(ref.Readings) != 20 {
+		t.Fatalf("reference holds %d readings, want 20", len(ref.Readings))
+	}
+	var refP, refR, gotP, gotR float64
+	for _, want := range ref.Readings {
+		got := regulatorRecovery(t, want.Seed)
+		refP += want.Precision
+		refR += want.Recall
+		gotP += got.Precision
+		gotR += got.Recall
+	}
+	n := float64(len(ref.Readings))
+	refP, refR, gotP, gotR = refP/n, refR/n, gotP/n, gotR/n
+	t.Logf("precision %.3f (reference %.3f), recall %.3f (reference %.3f)", gotP, refP, gotR, refR)
+	const tolerance = 0.08
+	if gotP < refP-tolerance || gotR < refR-tolerance {
+		t.Fatalf("regulator recovery fell: precision %.3f vs reference %.3f, recall %.3f vs %.3f (tolerance %.2f)",
+			gotP, refP, gotR, refR, tolerance)
+	}
+}

@@ -11,7 +11,7 @@ import (
 	"parsimone/internal/comm"
 	"parsimone/internal/dataset"
 	"parsimone/internal/result"
-	"parsimone/internal/wire"
+	"parsimone/internal/splits"
 )
 
 // recoveryFixture is shared by the recovery tests: a data set whose consensus
@@ -36,9 +36,10 @@ func recoveryFixture(t *testing.T) (*dataset.Data, Options, *Output) {
 // module-learning crash points, followed by an automatic supervised restart
 // from checkpoints, yields a network bit-identical to the uninterrupted run
 // for p ∈ {1, 2, 4} — under both the v2 JSON and the v3 binary checkpoint
-// formats, and with the batched split scorer disabled (the reference was
-// learned batched, so the nobatch rows also prove A/B bit-identity through
-// a crash and restart).
+// formats, and under the segmented-scan exchange (the reference was learned
+// sequentially, so those rows also prove strategy invariance through a crash
+// and restart; their floor-pinned IDs still say "nobatch", after the deleted
+// knob they used to flip).
 func TestFailpointRecoveryBitIdentical(t *testing.T) {
 	d, opt, want := recoveryFixture(t)
 	nm := len(want.Network.Modules)
@@ -50,9 +51,9 @@ func TestFailpointRecoveryBitIdentical(t *testing.T) {
 		fmt.Sprintf("module:%d", nm-1),
 	}
 	for _, format := range []struct {
-		name     string
-		binary   bool
-		batchOff bool
+		name   string
+		binary bool
+		scan   bool
 	}{{"json", false, false}, {"binary", true, false}, {"json_nobatch", false, true}} {
 		for _, p := range []int{1, 2, 4} {
 			for _, fp := range failpoints {
@@ -60,7 +61,7 @@ func TestFailpointRecoveryBitIdentical(t *testing.T) {
 					injected := opt
 					injected.CheckpointDir = t.TempDir()
 					injected.BinaryCheckpoints = format.binary
-					injected.Module.Splits.DisableBatch = format.batchOff
+					injected.Module.Splits.ScanSelection = format.scan
 					injected.MaxRestarts = 1
 					injected.Inject = &FaultSpec{Task: fp, Rank: 0}
 					got, err := LearnParallel(p, d, injected)
@@ -275,8 +276,7 @@ func TestCheckpointVersionRejected(t *testing.T) {
 	})
 	t.Run("binary_future_version", func(t *testing.T) {
 		dir := t.TempDir()
-		ck := ensemblesCheckpoint{Seed: opt.Seed, GaneshRuns: opt.GaneshRuns, N: d.N}
-		data := wire.EncodeFile(ck.wireHeader(), ck.encodeSections())
+		data := encodeCheckpoint(&ensemblesCheckpoint{ckptStamp: newStamp(opt, d.N)})
 		data[4]++ // bump the wire version byte right after the magic
 		if err := os.WriteFile(filepath.Join(dir, ckptEnsembles), data, 0o644); err != nil {
 			t.Fatal(err)
@@ -296,8 +296,8 @@ func TestCheckpointVersionRejected(t *testing.T) {
 func TestProgressManifestForeignRejected(t *testing.T) {
 	d, opt, _ := recoveryFixture(t)
 	dir := t.TempDir()
-	foreign := fmt.Sprintf(`{"version":2,"seed":%d,"ganeshRuns":%d,"n":%d,"units":[{"module":999,"vars":[0]}]}`,
-		opt.Seed, opt.GaneshRuns, d.N)
+	foreign := fmt.Sprintf(`{"version":2,"seed":%d,"ganeshRuns":%d,"n":%d,"streamLayout":%d,"units":[{"module":999,"vars":[0]}]}`,
+		opt.Seed, opt.GaneshRuns, d.N, splits.StreamLayout)
 	if err := os.WriteFile(filepath.Join(dir, ckptProgress), []byte(foreign), 0o644); err != nil {
 		t.Fatal(err)
 	}

@@ -80,7 +80,7 @@ type gibbs struct {
 	k *score.Kernel
 	g *prng.MRG3
 	// m memoizes split-posterior logML calls on the exact integer triple
-	// (score.Memo), mirroring the optimized engines' batched scorer. The
+	// (score.Memo), mirroring the optimized engines' pair evaluator. The
 	// statistics themselves are still rescanned from raw cells each step;
 	// only the scoring suffix is cached, and the memo delegates misses to k,
 	// so every answer stays bit-identical. Lazily built on first use.
@@ -288,8 +288,9 @@ func (e *gibbs) buildTree(vars []int, clusters [][]int) *tree.Tree {
 	return &tree.Tree{Root: subtrees[0], Vars: append([]int(nil), vars...)}
 }
 
-// learnSplits mirrors splits.Learn but rescans module cells per bootstrap
-// step instead of using precomputed per-observation column statistics.
+// learnSplits mirrors splits.Learn — same pair stream layout, same shared
+// resamples — but rescans module cells per threshold and bootstrap step
+// instead of using precomputed per-observation column statistics.
 func (e *gibbs) learnSplits(moduleVars [][]int, trees [][]*tree.Tree, par splits.Params) splits.Result {
 	numSplits := par.NumSplits
 	if numSplits == 0 {
@@ -335,16 +336,17 @@ func (e *gibbs) learnSplits(moduleVars [][]int, trees [][]*tree.Tree, par splits
 	}
 	total := offset
 
+	// One substream per ⟨node, parent⟩ pair, numbered by the pair's first
+	// global candidate index (splits.StreamLayout 2).
 	base := e.g.Clone()
-	posteriors := make([]float64, total)
-	ni := 0
-	for ci := 0; ci < total; ci++ {
-		for nodes[ni].offset+nodes[ni].count <= ci {
-			ni++
+	posteriors := make([]float64, 0, total)
+	for _, ref := range nodes {
+		nObs := len(ref.node.Obs)
+		for pi, parent := range cands {
+			sub := base.Substream(uint64(ref.offset + pi*nObs))
+			posteriors = append(posteriors, e.pairPosteriors(moduleVars[ref.module], ref.node, parent,
+				sub, minSteps, maxSteps, ciHW)...)
 		}
-		ref := nodes[ni]
-		posteriors[ci] = e.posterior(moduleVars[ref.module], ref.node, cands, ci-ref.offset,
-			base.Substream(uint64(ci)), minSteps, maxSteps, ciHW)
 	}
 
 	var res splits.Result
@@ -385,53 +387,70 @@ func (e *gibbs) learnSplits(moduleVars [][]int, trees [][]*tree.Tree, par splits
 	return res
 }
 
-// posterior mirrors the optimized bootstrap estimator, rescanning the module
-// column cells for every resampled observation.
-func (e *gibbs) posterior(vars []int, node *tree.Node, cands []int, local int,
-	sub *prng.MRG3, minSteps, maxSteps int, ciHW float64) float64 {
+// pairPosteriors mirrors the optimized pair evaluator's stream layout the
+// naive way: the pair's thresholds share one resample per step — nObs scalar
+// draws from the pair's substream — but every live threshold rescans it,
+// re-reading the module's raw cells for each pick and re-deciding its side,
+// where the optimized engine bucket-sums the resample once. Thresholds retire
+// individually on the confidence rule; drawing stops with the last one.
+func (e *gibbs) pairPosteriors(vars []int, node *tree.Node, parent int,
+	sub *prng.MRG3, minSteps, maxSteps int, ciHW float64) []float64 {
 	nObs := len(node.Obs)
-	parent := cands[local/nObs]
-	value := e.q.At(parent, node.Obs[local%nObs])
-	left := 0
-	for _, j := range node.Obs {
-		if e.q.At(parent, j) <= value {
-			left++
-		}
-	}
-	if left == 0 || left == nObs {
-		return 0
-	}
 	prow := e.q.Row(parent)
 	if e.m == nil {
 		e.m = score.NewMemo(e.k, 0)
 	}
-	successes, steps := 0, 0
-	for steps < maxSteps {
-		steps++
-		var ls, rs score.Stats
-		for k := 0; k < nObs; k++ {
-			pick := sub.Intn(nObs)
-			j := node.Obs[pick]
-			col := rowColumn(e.q, vars, j) // rescan: no cached column stats
-			if prow[j] <= value {
-				ls.Merge(col)
-			} else {
-				rs.Merge(col)
-			}
-		}
-		delta := e.m.LogML(ls) + e.m.LogML(rs) - e.m.LogML(ls.Plus(rs))
-		if delta > 0 {
-			successes++
-		}
-		if steps >= minSteps {
-			phat := float64(successes) / float64(steps)
-			hw := 1.96 * math.Sqrt(phat*(1-phat)/float64(steps))
-			if hw < ciHW {
+	post := make([]float64, nObs)
+	successes := make([]int, nObs)
+	// Degenerate thresholds (nothing falls right) keep posterior 0 and
+	// never go live.
+	var live []int
+	for k, j := range node.Obs {
+		for _, j2 := range node.Obs {
+			if prow[j2] > prow[j] {
+				live = append(live, k)
 				break
 			}
 		}
 	}
-	return float64(successes) / float64(steps)
+	picks := make([]int, nObs)
+	for steps := 1; len(live) > 0; steps++ {
+		for i := range picks {
+			picks[i] = sub.Intn(nObs)
+		}
+		n := 0
+		for _, k := range live {
+			value := prow[node.Obs[k]]
+			var ls, rs score.Stats
+			for _, pick := range picks {
+				j := node.Obs[pick]
+				col := rowColumn(e.q, vars, j) // rescan: no cached column stats
+				if prow[j] <= value {
+					ls.Merge(col)
+				} else {
+					rs.Merge(col)
+				}
+			}
+			delta := e.m.LogML(ls) + e.m.LogML(rs) - e.m.LogML(ls.Plus(rs))
+			if delta > 0 {
+				successes[k]++
+			}
+			done := steps >= maxSteps
+			if !done && steps >= minSteps {
+				phat := float64(successes[k]) / float64(steps)
+				hw := 1.96 * math.Sqrt(phat*(1-phat)/float64(steps))
+				done = hw < ciHW
+			}
+			if done {
+				post[k] = float64(successes[k]) / float64(steps)
+			} else {
+				live[n] = k
+				n++
+			}
+		}
+		live = live[:n]
+	}
+	return post
 }
 
 // scoreParents mirrors module.Learn's parent aggregation.

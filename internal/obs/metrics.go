@@ -80,16 +80,20 @@ type Histogram struct {
 }
 
 // Observe records one value.
-func (h *Histogram) Observe(v float64) {
-	if h == nil {
+func (h *Histogram) Observe(v float64) { h.ObserveN(v, 1) }
+
+// ObserveN records n observations of the value v under one lock — for
+// callers that have already tallied a large sample by value.
+func (h *Histogram) ObserveN(v float64, n int64) {
+	if h == nil || n <= 0 {
 		return
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	i := sort.SearchFloat64s(h.bounds, v) // first bound >= v
-	h.counts[i]++
-	h.sum += v
-	h.n++
+	h.counts[i] += n
+	h.sum += v * float64(n)
+	h.n += n
 }
 
 // Count returns the number of observations.

@@ -69,10 +69,9 @@ type Kernel struct {
 	fallbacks atomic.Int64
 	// zeroN counts LogML calls on empty blocks (s.N == 0), which return 0
 	// without consulting the table or the prior. Counted so the
-	// observability layer can derive true table serves: deriving hits as
-	// 3·Σsteps − fallbacks silently credited these early returns to the
-	// table (phantom hits, worst under DisableKernel). Atomic, but off the
-	// table-hit path: only empty-block calls pay it.
+	// observability layer can derive true table serves instead of crediting
+	// these early returns to the table. Atomic, but off the table-hit path:
+	// only empty-block calls pay it.
 	zeroN atomic.Int64
 }
 

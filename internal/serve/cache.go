@@ -21,16 +21,22 @@ import (
 	"parsimone/internal/dataset"
 	"parsimone/internal/module"
 	"parsimone/internal/score"
+	"parsimone/internal/splits"
 )
 
 // canonicalOptions is the serialized form of exactly the result-affecting
 // subset of core.Options. Scheduling and supervision knobs are deliberately
 // absent — Ranks, Workers (at every level), GaneshGroups, DynamicChunk,
-// ScanSelection, DisableKernel, DisableBatch, CoordTimeout, CheckpointDir,
-// BinaryCheckpoints, MaxRestarts, Inject, Ctx, Events, Metrics, RecordWork
-// — each documented result-invisible, so resubmitting the same learning
-// problem at a different p×W (or with checkpointing toggled) still hits.
+// ScanSelection, CoordTimeout, CheckpointDir, BinaryCheckpoints,
+// MaxRestarts, Inject, Ctx, Events, Metrics, RecordWork — each documented
+// result-invisible, so resubmitting the same learning problem at a different
+// p×W (or with checkpointing toggled) still hits. StreamLayout is not an
+// option but a property of the build that is just as result-affecting: with
+// it in the key, entries and content-addressed checkpoint directories of
+// another PRNG stream layout (DESIGN §18) simply stop matching.
 type canonicalOptions struct {
+	StreamLayout int `json:"stream_layout"`
+
 	PriorMu0     float64 `json:"mu0"`
 	PriorLambda0 float64 `json:"lambda0"`
 	PriorAlpha0  float64 `json:"alpha0"`
@@ -66,6 +72,8 @@ type canonicalOptions struct {
 
 func canonicalize(opt core.Options) canonicalOptions {
 	return canonicalOptions{
+		StreamLayout: splits.StreamLayout,
+
 		PriorMu0:     opt.Prior.Mu0,
 		PriorLambda0: opt.Prior.Lambda0,
 		PriorAlpha0:  opt.Prior.Alpha0,

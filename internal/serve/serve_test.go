@@ -485,3 +485,23 @@ func TestServerSidePathAndMetrics(t *testing.T) {
 		}
 	}
 }
+
+// TestCacheKeyCarriesStreamLayout: the key the parent commit (1bb2f8d, stream
+// layout 1, no layout in the key) computed for this exact data set and these
+// options must not be the key this build computes — a cache entry or a
+// content-addressed checkpoint directory of another layout never matches.
+func TestCacheKeyCarriesStreamLayout(t *testing.T) {
+	const layout1Key = "93d570dd5bf7ed82ed851fa6d8e4748884b8ffe13cae09cbde1b6431c9af7a62"
+	d, _, err := synth.Generate(synth.Config{N: 12, M: 8, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := core.DefaultOptions()
+	opt.Seed = 7
+	if got := CacheKey(d, opt); got == layout1Key {
+		t.Fatal("cache key unchanged from the layout-1 build: old entries and checkpoint dirs would be mixed into layout-2 results")
+	}
+	if canonicalize(opt).StreamLayout != splits.StreamLayout {
+		t.Fatal("canonical options do not carry splits.StreamLayout")
+	}
+}

@@ -5,10 +5,11 @@
 // workers on demand, so slow (high-step-count) splits no longer pin an
 // entire static block to one rank.
 //
-// Because every split's bootstrap draws come from the substream numbered by
+// Because every pair's bootstrap draws come from the substream numbered by
 // its global index, the computed posteriors — and therefore the learned
 // network — are identical to the static schemes' output; only the
-// assignment of work to ranks changes.
+// assignment of work to ranks changes. Dealt chunks end on pair boundaries,
+// so no pair is ever evaluated in two pieces on this path.
 
 package splits
 
@@ -16,7 +17,6 @@ import (
 	"fmt"
 
 	"parsimone/internal/comm"
-	"parsimone/internal/pool"
 	"parsimone/internal/prng"
 	"parsimone/internal/score"
 	"parsimone/internal/tree"
@@ -38,9 +38,9 @@ const DefaultDynamicChunk = 64
 // LearnParallelDynamic is the dynamic-scheme counterpart of LearnParallel:
 // ranks 1…p−1 request fixed-size chunks of the candidate list from the
 // rank-0 coordinator until it is exhausted, so expensive splits no longer
-// pin a whole static block to one rank. It shares enumerate, posterior, and
-// the selection logic with the static path and returns the identical
-// result. With p == 1 it falls back to the sequential path; chunk ≤ 0 uses
+// pin a whole static block to one rank. It shares the evaluator and the
+// selection logic with the static path and returns the identical result.
+// With p == 1 it falls back to the sequential path; chunk ≤ 0 uses
 // DefaultDynamicChunk.
 func LearnParallelDynamic(c *comm.Comm, q *score.QData, pr score.Prior, modules [][]int,
 	trees [][]*tree.Tree, par Params, g *prng.MRG3, chunk int) Result {
@@ -50,51 +50,8 @@ func LearnParallelDynamic(c *comm.Comm, q *score.QData, pr score.Prior, modules 
 	if c.Size() == 1 {
 		return Learn(q, pr, modules, trees, par, g, nil)
 	}
-	par = par.withDefaults(q.N)
-	nodes := enumerate(q, modules, trees, par.Candidates)
-	total := 0
-	for _, ref := range nodes {
-		total += ref.count
-	}
-	base := g.Clone()
-
-	// computeRange evaluates one dealt chunk through the intra-rank worker
-	// pool; a sub-chunk granularity finer than the dealt chunk keeps W
-	// workers busy inside it. valMsg carries the global index, so dealing
-	// order never affects the gathered result. One nodeIndexAt seeds
-	// per-worker monotone cursors for the chunk (each worker's indices
-	// ascend), so the binary search runs once per dealt chunk, not once
-	// per candidate. No par.Hooks cost events are emitted on this path:
-	// which rank computes which chunk is demand-driven and therefore
-	// scheduling-dependent, and per-rank cost events would break the
-	// event-stream determinism the static and scan paths guarantee.
-	subChunk := max(1, chunk/8)
-	nw := max(1, par.Workers)
-	cursors := make([]int, nw)
-	kern := newKernel(pr, nodes, par)
-	// Scratches persist across dealt chunks: the ⟨node, parent⟩ cache key
-	// stays valid whatever ranges the coordinator deals this rank.
-	scratches := newScratches(nw)
-	computeRange := func(lo, hi int, out []valMsg) []valMsg {
-		tmp := make([]valMsg, hi-lo)
-		start := nodeIndexAt(nodes, lo)
-		for w := range cursors {
-			cursors[w] = start
-		}
-		pool.For(hi-lo, par.Workers, subChunk, func(k, w int) float64 {
-			ci := lo + k
-			ni := cursors[w]
-			for nodes[ni].offset+nodes[ni].count <= ci {
-				ni++
-			}
-			cursors[w] = ni
-			ref := nodes[ni]
-			p, s := posterior(q, kern, ref, par.Candidates, ci, base.Substream(uint64(ci)), par, scratches[w])
-			tmp[k] = valMsg{Index: ci, P: p}
-			return itemCost(s, len(ref.node.Obs))
-		})
-		return append(out, tmp...)
-	}
+	ev := newEvaluator(q, pr, modules, trees, par, g)
+	par, total := ev.par, ev.total
 
 	var local []valMsg
 	if c.Rank() == 0 {
@@ -114,7 +71,7 @@ func LearnParallelDynamic(c *comm.Comm, q *score.QData, pr score.Prior, modules 
 					par.CoordTimeout, active))
 			}
 			if next < total {
-				hi := min(next+chunk, total)
+				hi := ev.alignUp(min(next+chunk, total))
 				comm.Send(c, worker, chunkMsg{Lo: next, Hi: hi})
 				next = hi
 			} else {
@@ -123,14 +80,28 @@ func LearnParallelDynamic(c *comm.Comm, q *score.QData, pr score.Prior, modules 
 			}
 		}
 	} else {
+		// Workers evaluate each dealt chunk through the intra-rank pool;
+		// valMsg carries the global index, so dealing order never affects
+		// the gathered result. No cost events are emitted on this path:
+		// which rank computes which chunk is demand-driven, and per-rank
+		// cost events would break the event-stream determinism the static
+		// and scan paths guarantee. The metrics are sums over whatever this
+		// rank was dealt, so the registry totals stay schedule-invariant
+		// (but for the memo's hit/miss split).
+		var steps []int
 		for {
 			comm.Send(c, 0, c.Rank())
 			ch := comm.Recv[chunkMsg](c, 0)
 			if ch.Lo < 0 {
 				break
 			}
-			local = computeRange(ch.Lo, ch.Hi, local)
+			post, s, _ := ev.eval(ch.Lo, ch.Hi)
+			for k, p := range post {
+				local = append(local, valMsg{Index: ch.Lo + k, P: p})
+			}
+			steps = append(steps, s...)
 		}
+		ev.recordMetrics(par.Hooks.Registry(), steps)
 	}
 
 	// Gather all posteriors everywhere and restore canonical order.
@@ -139,5 +110,5 @@ func LearnParallelDynamic(c *comm.Comm, q *score.QData, pr score.Prior, modules 
 	for _, v := range all {
 		posteriors[v.Index] = v.P
 	}
-	return selectSplits(q, nodes, posteriors, par, g)
+	return selectSplits(q, ev.nodes, posteriors, par, g)
 }

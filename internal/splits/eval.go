@@ -1,0 +1,486 @@
+// The pair evaluator — the one posterior loop of the package (DESIGN §18).
+//
+// The unit of randomness is the ⟨node, parent⟩ pair: its nObs thresholds
+// share one numbered substream and one bootstrap resample per step. A
+// resample is bucket-accumulated by threshold group and prefix-summed, so
+// every live distinct threshold reads its left block in O(1) and a pair-step
+// costs O(nObs + live) instead of O(nObs · live). The unit of distribution
+// stays the candidate: eval scores any half-open range of the global list,
+// and a range that cuts a pair evaluates only its own thresholds while
+// replaying the pair's draws from the start of the pair's substream.
+// Liveness decides when drawing stops, never what is drawn, so a
+// threshold's posterior is a function of (pair substream, threshold) alone
+// and every p × W × strategy yields identical bits.
+
+package splits
+
+import (
+	"cmp"
+	"math"
+	"slices"
+	"sort"
+
+	"parsimone/internal/comm"
+	"parsimone/internal/obs"
+	"parsimone/internal/pool"
+	"parsimone/internal/prng"
+	"parsimone/internal/score"
+	"parsimone/internal/trace"
+	"parsimone/internal/tree"
+)
+
+// StreamLayout versions the mapping from candidate splits to PRNG draws. It
+// is result-affecting and deliberately not configurable: layout 1 numbered a
+// substream per candidate, layout 2 (this code) numbers one per ⟨node,
+// parent⟩ pair by the pair's first global candidate index. Checkpoints and
+// the serve cache key carry it so results of different layouts never mix.
+const StreamLayout = 2
+
+// Cost-model weights in trace cost units (one cell operation = 1, a logML
+// evaluation = 8 as in ganesh and tree). A bootstrap pick — MRG3 draw,
+// bounded reduction, bucket accumulate — measures about half a memoised
+// logML (the benchmark's prng.fill_ns_per_draw against score.memo_logml_ns).
+const (
+	logMLCost = 8
+	drawCost  = 4
+)
+
+// candCost is a candidate's own share of the recorded cost: two block
+// scores per bootstrap step it stayed live.
+func candCost(steps int) float64 { return float64(steps * 2 * logMLCost) }
+
+// pairCost is the cost the thresholds of a pair share — the column gather
+// and sort, then per pair-step one nObs-pick resample and the total's score.
+// It is carried by the pair's first candidate. A range that cuts a pair
+// replays draws the model does not charge: at most p−1 pairs per learn call.
+func pairCost(pairSteps, nObs int) float64 {
+	return float64(nObs + pairSteps*(nObs*drawCost+logMLCost))
+}
+
+// fragCost is the recorded cost of the pair fragment whose candidates
+// consumed steps; first says whether it holds the pair's first candidate.
+func fragCost(steps []int, nObs int, first bool) float64 {
+	var cost float64
+	for _, s := range steps {
+		cost += candCost(s)
+	}
+	if first {
+		cost += pairCost(slices.Max(steps), nObs)
+	}
+	return cost
+}
+
+// nodeRef is one internal node in the global enumeration, with its
+// per-observation column statistics cached.
+type nodeRef struct {
+	module, treeIdx, nodeIdx int
+	node                     *tree.Node
+	// offset is the node's first index in the global candidate list;
+	// count its number of candidates (|P|·|Obs|), parent-major: nObs
+	// consecutive candidates share ⟨node, parent⟩.
+	offset, count int
+	// colStats[k] covers the module's variables at observation Obs[k].
+	colStats []score.Stats
+}
+
+// enumerate builds the canonical global node list and candidate offsets.
+// trees[mi] is the ensemble for module mi over vars modules[mi].
+func enumerate(q *score.QData, modules [][]int, trees [][]*tree.Tree, candParents []int) []*nodeRef {
+	var nodes []*nodeRef
+	offset := 0
+	for mi := range trees {
+		for ti, tr := range trees[mi] {
+			for ni, n := range tr.InternalNodes() {
+				ref := &nodeRef{
+					module: mi, treeIdx: ti, nodeIdx: ni, node: n,
+					offset: offset, count: len(candParents) * len(n.Obs),
+				}
+				ref.colStats = make([]score.Stats, len(n.Obs))
+				for k, j := range n.Obs {
+					for _, x := range modules[mi] {
+						ref.colStats[k].Add(q.At(x, j))
+					}
+				}
+				nodes = append(nodes, ref)
+				offset += ref.count
+			}
+		}
+	}
+	return nodes
+}
+
+// nodeIndexAt returns the index in nodes of the node owning global candidate
+// ci (nodes' [offset, offset+count) ranges tile the candidate list).
+func nodeIndexAt(nodes []*nodeRef, ci int) int {
+	return sort.Search(len(nodes), func(i int) bool {
+		return nodes[i].offset+nodes[i].count > ci
+	})
+}
+
+// maxStatsN returns the largest sufficient-statistics count the bootstrap
+// can produce over these nodes — a full resample drawing one observation
+// column (one Stats value per module variable) |Obs| times — which sizes
+// the kernel tables so the hot loop never takes the fallback path.
+func maxStatsN(nodes []*nodeRef) int {
+	maxN := 0
+	for _, ref := range nodes {
+		if len(ref.colStats) == 0 {
+			continue
+		}
+		if n := len(ref.node.Obs) * int(ref.colStats[0].N); n > maxN {
+			maxN = n
+		}
+	}
+	return maxN
+}
+
+// stopTable hoists the early-termination rule out of the hot loop:
+// stop[s·(MaxSteps+1)+k] says whether a threshold with k successes after s
+// steps retires — at MaxSteps always, from MinSteps on once the
+// normal-approximation confidence half-width drops below CIHalfWidth.
+func stopTable(par Params) []bool {
+	w := par.MaxSteps + 1
+	stop := make([]bool, w*w)
+	for s := 1; s <= par.MaxSteps; s++ {
+		for k := 0; k <= s; k++ {
+			done := s == par.MaxSteps
+			if !done && s >= par.MinSteps {
+				phat := float64(k) / float64(s)
+				hw := 1.96 * math.Sqrt(phat*(1-phat)/float64(s))
+				done = hw < par.CIHalfWidth
+			}
+			stop[s*w+k] = done
+		}
+	}
+	return stop
+}
+
+// scratch is one worker's reusable buffers, allocation-free per pair, plus
+// its exact work counters.
+type scratch struct {
+	// pobs[k] is the parent's quantized value at the node's k-th
+	// observation; order the slots sorted by that value; grp[k] slot k's
+	// threshold group — its rank among the column's distinct values. Slots
+	// of one group are the same threshold and are scored once; a pick lands
+	// left of group d's threshold iff its own group is ≤ d, and the last
+	// group sends everything left (a degenerate split: posterior 0, no
+	// draws).
+	pobs  []int64
+	order []int32
+	grp   []int32
+	// picks receives one step's draws; bkt the per-group resample sums,
+	// prefix-summed in place into each threshold's left block.
+	picks []int
+	bkt   []score.Stats
+	// Per group: whether the evaluated range asks for it, its success
+	// count, and once retired its posterior and step count. live lists the
+	// groups still drawing, ascending.
+	want   []bool
+	succ   []int32
+	gsteps []int32
+	gpost  []float64
+	live   []int32
+	// memo is the worker's exact logML cache over the run's kernel.
+	memo *score.Memo
+	// pairSteps, draws and calls count resamples, bootstrap picks and logML
+	// evaluations (1 + 2·live per pair-step); cands the candidates scored
+	// in the current eval call.
+	pairSteps, draws, calls, cands int64
+}
+
+// grow sizes the per-observation buffers for a node with nObs observations.
+func (sc *scratch) grow(nObs int) {
+	if cap(sc.pobs) < nObs {
+		sc.pobs = make([]int64, nObs)
+		sc.order = make([]int32, nObs)
+		sc.grp = make([]int32, nObs)
+		sc.picks = make([]int, nObs)
+		sc.bkt = make([]score.Stats, nObs)
+		sc.want = make([]bool, nObs)
+		sc.succ = make([]int32, nObs)
+		sc.gsteps = make([]int32, nObs)
+		sc.gpost = make([]float64, nObs)
+		sc.live = make([]int32, nObs)
+	}
+	sc.pobs, sc.order, sc.grp, sc.picks = sc.pobs[:nObs], sc.order[:nObs], sc.grp[:nObs], sc.picks[:nObs]
+}
+
+// fillPair gathers the parent column over the node's observations, sorts it
+// once for the pair's nObs thresholds, and numbers the threshold groups. It
+// returns the group count.
+func (sc *scratch) fillPair(q *score.QData, ref *nodeRef, parent int) int {
+	sc.grow(len(ref.node.Obs))
+	prow := q.Row(parent)
+	for k, j := range ref.node.Obs {
+		sc.pobs[k] = prow[j]
+		sc.order[k] = int32(k)
+	}
+	pobs := sc.pobs
+	slices.SortFunc(sc.order, func(a, b int32) int { return cmp.Compare(pobs[a], pobs[b]) })
+	last := int32(0)
+	for i, k := range sc.order {
+		if i > 0 && pobs[k] != pobs[sc.order[i-1]] {
+			last++
+		}
+		sc.grp[k] = last
+	}
+	return int(last) + 1
+}
+
+// evaluator scores ranges of one learn call's global candidate list. All
+// three exchange strategies and the sequential path evaluate through it.
+type evaluator struct {
+	q     *score.QData
+	par   Params // defaults applied
+	nodes []*nodeRef
+	total int
+	// base is the stream the pair substreams are numbered from; kern the
+	// shared scoring kernel; stop the early-termination table.
+	base      *prng.MRG3
+	kern      *score.Kernel
+	stop      []bool
+	scratches []*scratch
+}
+
+func newEvaluator(q *score.QData, pr score.Prior, modules [][]int, trees [][]*tree.Tree, par Params, g *prng.MRG3) *evaluator {
+	par = par.withDefaults(q.N)
+	ev := &evaluator{q: q, par: par, nodes: enumerate(q, modules, trees, par.Candidates), base: g.Clone(), stop: stopTable(par)}
+	for _, ref := range ev.nodes {
+		ev.total += ref.count
+	}
+	ev.kern = score.NewKernel(pr, maxStatsN(ev.nodes))
+	// One scratch per pool worker, allocated separately so workers never
+	// write into a shared cache line.
+	ev.scratches = make([]*scratch, max(1, par.Workers))
+	for w := range ev.scratches {
+		ev.scratches[w] = &scratch{memo: score.NewMemo(ev.kern, 0)}
+	}
+	return ev
+}
+
+// pairAt returns the global pair index of candidate ci: every node has one
+// pair per candidate parent, so pair g belongs to node g/|P|, parent g%|P|.
+func (ev *evaluator) pairAt(ci int) int {
+	ni := nodeIndexAt(ev.nodes, ci)
+	ref := ev.nodes[ni]
+	return ni*len(ev.par.Candidates) + (ci-ref.offset)/len(ref.node.Obs)
+}
+
+// alignUp returns the first pair boundary at or after candidate index ci.
+func (ev *evaluator) alignUp(ci int) int {
+	if ci >= ev.total {
+		return ev.total
+	}
+	ref := ev.nodes[nodeIndexAt(ev.nodes, ci)]
+	nObs := len(ref.node.Obs)
+	return ref.offset + (ci-ref.offset+nObs-1)/nObs*nObs
+}
+
+// eval scores the candidates [lo, hi) of the global list on the intra-rank
+// worker pool, one pool item per pair (the first and last possibly cut to
+// fragments by the range). It returns their posteriors and consumed steps,
+// indexed from lo, and the pool's per-worker counters with Items counting
+// candidates. Workers write disjoint slots, so the fill is order-free.
+func (ev *evaluator) eval(lo, hi int) (post []float64, steps []int, st pool.Stats) {
+	post, steps = make([]float64, hi-lo), make([]int, hi-lo)
+	if hi <= lo {
+		return post, steps, pool.For(0, 1, 1, nil)
+	}
+	for _, sc := range ev.scratches {
+		sc.cands = 0
+	}
+	np := len(ev.par.Candidates)
+	g0 := ev.pairAt(lo)
+	st = pool.For(ev.pairAt(hi-1)+1-g0, ev.par.Workers, 1, func(i, w int) float64 {
+		ref, pi := ev.nodes[(g0+i)/np], (g0+i)%np
+		nObs := len(ref.node.Obs)
+		if nObs == 0 {
+			return 0 // a node without observations has no candidates
+		}
+		first := ref.offset + pi*nObs
+		from, to := max(lo, first), min(hi, first+nObs)
+		sc := ev.scratches[w]
+		sc.cands += int64(to - from)
+		ev.evalPair(sc, ref, pi, from-first, to-first, post[from-lo:to-lo], steps[from-lo:to-lo])
+		return fragCost(steps[from-lo:to-lo], nObs, from == first)
+	})
+	for w := range st.Items {
+		st.Items[w] = ev.scratches[w].cands
+	}
+	return post, steps, st
+}
+
+// evalPair runs the bootstrap of pair ⟨ref, Candidates[pi]⟩ for its
+// thresholds at slots [from, to), writing their posteriors and step counts.
+// Every step draws one resample from the pair's substream whichever slots
+// are asked for; thresholds retire individually on the stop table, and the
+// drawing ends when none of the requested ones is live.
+func (ev *evaluator) evalPair(sc *scratch, ref *nodeRef, pi, from, to int, post []float64, steps []int) {
+	nObs := len(ref.node.Obs)
+	groups := sc.fillPair(ev.q, ref, ev.par.Candidates[pi])
+	grp, bkt, picks, succ := sc.grp, sc.bkt[:groups], sc.picks, sc.succ[:groups]
+	clear(sc.want[:groups])
+	for _, d := range grp[from:to] {
+		sc.want[d] = true
+	}
+	live := sc.live[:0]
+	for d := 0; d < groups; d++ {
+		succ[d], sc.gsteps[d], sc.gpost[d] = 0, 0, 0
+		if sc.want[d] && d < groups-1 {
+			live = append(live, int32(d))
+		}
+	}
+
+	sub := ev.base.Substream(uint64(ref.offset + pi*nObs))
+	draw := prng.NewUniform(nObs)
+	cols, memo, w := ref.colStats, sc.memo, ev.par.MaxSteps+1
+	step := 0
+	for len(live) > 0 {
+		step++
+		draw.Fill(sub, picks)
+		clear(bkt)
+		for _, pick := range picks {
+			bkt[grp[pick]].Merge(cols[pick])
+		}
+		for d := 1; d < groups; d++ {
+			bkt[d].Merge(bkt[d-1])
+		}
+		tot := bkt[groups-1]
+		totML := memo.LogML(tot)
+		sc.calls += int64(1 + 2*len(live))
+		n := 0
+		for _, d := range live {
+			ls := bkt[d]
+			rs := score.Stats{N: tot.N - ls.N, Sum: tot.Sum - ls.Sum, SumSq: tot.SumSq - ls.SumSq}
+			if delta := memo.LogML(ls) + memo.LogML(rs) - totML; delta > 0 {
+				succ[d]++
+			}
+			if ev.stop[step*w+int(succ[d])] {
+				sc.gsteps[d], sc.gpost[d] = int32(step), float64(succ[d])/float64(step)
+			} else {
+				live[n] = d
+				n++
+			}
+		}
+		live = live[:n]
+	}
+	sc.pairSteps += int64(step)
+	sc.draws += int64(step * nObs)
+	for k, d := range grp[from:to] {
+		post[k], steps[k] = sc.gpost[d], int(sc.gsteps[d])
+	}
+}
+
+// observe reports one rank's evaluation to the attached hooks: the pool
+// cost and worker imbalance events and the split metrics.
+func (ev *evaluator) observe(st pool.Stats, steps []int) {
+	if h := ev.par.Hooks; h != nil {
+		h.PoolCost(PhaseAssign, st)
+		h.WorkerImbalance(PhaseAssign, st)
+		ev.recordMetrics(h.Registry(), steps)
+	}
+}
+
+// observeRanks gathers the ranks' pool costs into the rank-imbalance event
+// (emitted by rank 0). It communicates only with hooks attached — on every
+// rank or on none — so runs without observability perform no extra
+// collective.
+func (ev *evaluator) observeRanks(c *comm.Comm, st pool.Stats) {
+	h := ev.par.Hooks
+	if h == nil {
+		return
+	}
+	var localCost float64
+	for _, cost := range st.Cost {
+		localCost += cost
+	}
+	if perRank := comm.AllGatherv(c, []float64{localCost}); c.Rank() == 0 {
+		h.RankImbalance(PhaseAssign, perRank)
+	}
+}
+
+// recordMetrics records the result-invisible split-phase metrics of the
+// candidates this evaluator scored, whose per-candidate step counts are
+// steps. Every strategy goes through it, so same-seed runs that differ only
+// in the exchange strategy dump identical split_steps. Table hits are
+// derived rather than counted in the hot loop: every logML call is exactly
+// one of an empty-block early return, a memo serve, or a kernel call that
+// hit the table or fell back to Prior.LogML, so
+//
+//	hits = calls − zero − memoHits − fallbacks
+//
+// and the table-hit path stays free of atomics. split_steps is the
+// per-candidate count and identical for every p × W × strategy; the pair
+// and draw counters are the work actually done, replay at cut pairs
+// included, and like the memo's hit/miss split (cache state is per worker)
+// depend on where the ranges were cut.
+func (ev *evaluator) recordMetrics(reg *obs.Registry, steps []int) {
+	if reg == nil {
+		return
+	}
+	// One histogram update per distinct step count, not per candidate.
+	counts := make([]int64, ev.par.MaxSteps+1)
+	for _, s := range steps {
+		counts[s]++
+	}
+	hist := reg.Histogram("split_steps", "bootstrap resampling steps per candidate split", obs.DefaultStepBuckets)
+	for s, n := range counts {
+		hist.ObserveN(float64(s), n)
+	}
+	var pairSteps, draws, calls, memoHits, memoMisses, zero int64
+	for _, sc := range ev.scratches {
+		pairSteps += sc.pairSteps
+		draws += sc.draws
+		calls += sc.calls
+		memoHits += sc.memo.Hits()
+		memoMisses += sc.memo.Misses()
+		zero += sc.memo.Zero()
+	}
+	zero += ev.kern.ZeroN()
+	misses := ev.kern.Fallbacks()
+	counter := func(name, help string, v int64) { reg.Counter(name, help, "phase", PhaseAssign).Add(v) }
+	counter("split_pair_steps", "bootstrap resamples drawn, one per ⟨node,parent⟩ pair-step", pairSteps)
+	counter("split_draws_total", "bootstrap picks drawn by split scoring", draws)
+	counter("kernel_table_hits_total", "split-score kernel LogML calls served from the precomputed tables", calls-zero-memoHits-misses)
+	counter("kernel_table_misses_total", "split-score kernel LogML calls that fell back to direct Prior.LogML", misses)
+	counter("kernel_memo_hits_total", "split-score logML calls served from the per-worker exact memo caches", memoHits)
+	counter("kernel_memo_misses_total", "split-score logML memo lookups that went through to the kernel", memoMisses)
+	counter("kernel_zero_blocks_total", "split-score logML calls on empty blocks (N == 0), answered 0 without a table or memo lookup", zero)
+}
+
+// recordWork appends the full list's per-candidate cost items to the
+// workload's assignment phase (sequential engine only), in canonical
+// candidate order: the trace is identical for every worker count, while the
+// per-worker counters reflect the pool's static deal.
+func (ev *evaluator) recordWork(wl *trace.Workload, st pool.Stats, steps []int) {
+	if wl == nil {
+		return
+	}
+	ph := wl.Phase(PhaseAssign)
+	if ph == nil {
+		ph = wl.AddPhase(PhaseAssign)
+	}
+	// Later calls (module learning records one assignment per module)
+	// continue the segment numbering where the previous call stopped, so
+	// node segments stay globally distinct for the coarse model.
+	segBase := 0
+	if len(ph.Items) > 0 {
+		segBase = ph.Items[len(ph.Items)-1].Seg + 1
+	}
+	for ni, ref := range ev.nodes {
+		nObs := len(ref.node.Obs)
+		for first := ref.offset; first < ref.offset+ref.count; first += nObs {
+			pair := steps[first : first+nObs]
+			for k, s := range pair {
+				cost := candCost(s)
+				if k == 0 {
+					cost += pairCost(slices.Max(pair), nObs)
+				}
+				ph.Items = append(ph.Items, trace.Item{Cost: cost, Seg: segBase + ni})
+			}
+		}
+	}
+	ph.AddWorkerCost(st.Cost)
+	ph.Collectives++
+	ph.Words += int64(ev.total)
+}

@@ -20,7 +20,6 @@ import (
 	"sort"
 
 	"parsimone/internal/comm"
-	"parsimone/internal/pool"
 	"parsimone/internal/prng"
 	"parsimone/internal/score"
 	"parsimone/internal/tree"
@@ -50,62 +49,22 @@ type pickMsg struct {
 // per-node weight partials and the chosen splits travel.
 func LearnParallelScan(c *comm.Comm, q *score.QData, pr score.Prior, modules [][]int,
 	trees [][]*tree.Tree, par Params, g *prng.MRG3) Result {
-	par = par.withDefaults(q.N)
-	nodes := enumerate(q, modules, trees, par.Candidates)
-	total := 0
-	for _, ref := range nodes {
-		total += ref.count
-	}
-	base := g.Clone()
+	ev := newEvaluator(q, pr, modules, trees, par, g)
+	par, nodes := ev.par, ev.nodes
 
-	// Local posteriors over this rank's block, kept distributed; evaluated
-	// by the intra-rank worker pool with indexed writes (identical for
-	// every worker count). Weights come from score.QuantizeProb — the same
-	// grid as the gather-based path, bit for bit, or the two paths would
-	// consume the shared PRNG stream differently. Per-worker monotone
-	// cursors replace the per-candidate binary search, as in learn.
-	lo, hi := comm.BlockRange(total, c.Size(), c.Rank())
+	// Local posteriors over this rank's block, kept distributed. Weights
+	// come from score.QuantizeProb — the same grid as the gather-based
+	// path, bit for bit, or the two paths would consume the shared PRNG
+	// stream differently.
+	lo, hi := comm.BlockRange(ev.total, c.Size(), c.Rank())
+	localP, localSteps, st := ev.eval(lo, hi)
+	ev.observe(st, localSteps)
+	ev.observeRanks(c, st)
 	localW := make([]uint64, hi-lo)
-	localP := make([]float64, hi-lo)
 	localRetained := make([]bool, hi-lo)
-	localSteps := make([]int, hi-lo)
-	nw := max(1, par.Workers)
-	cursors := make([]int, nw)
-	if len(nodes) > 0 {
-		start := nodeIndexAt(nodes, lo)
-		for w := range cursors {
-			cursors[w] = start
-		}
-	}
-	kern := newKernel(pr, nodes, par)
-	scratches := newScratches(nw)
-	st := pool.For(hi-lo, par.Workers, pool.DefaultChunk, func(k, w int) float64 {
-		ci := lo + k
-		nc := cursors[w]
-		for nodes[nc].offset+nodes[nc].count <= ci {
-			nc++
-		}
-		cursors[w] = nc
-		ref := nodes[nc]
-		p, s := posterior(q, kern, ref, par.Candidates, ci, base.Substream(uint64(ci)), par, scratches[w])
+	for k, p := range localP {
 		localW[k] = score.QuantizeProb(p)
-		localP[k] = p
 		localRetained[k] = p > 0
-		localSteps[k] = s
-		return itemCost(s, len(ref.node.Obs))
-	})
-	if h := par.Hooks; h != nil {
-		h.PoolCost(PhaseAssign, st)
-		h.WorkerImbalance(PhaseAssign, st)
-		recordSplitMetrics(h.Registry(), localSteps, kern, scratches)
-		var localCost float64
-		for _, cst := range st.Cost {
-			localCost += cst
-		}
-		perRank := comm.AllGatherv(c, []float64{localCost})
-		if c.Rank() == 0 {
-			h.RankImbalance(PhaseAssign, perRank)
-		}
 	}
 
 	// Per-node partial sums of this rank's block (the local half of the

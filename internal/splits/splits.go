@@ -15,21 +15,19 @@
 // significantly across splits".
 //
 // The candidate list is flattened globally and block-partitioned over ranks
-// (the paper's fine-grained distribution; Algorithm 5 line 5). Each split's
-// bootstrap draws come from a numbered PRNG substream indexed by the
-// split's *global* position, so posteriors are identical for every rank
-// count and for the sequential run (§4.2's block-split PRNG discipline).
+// (the paper's fine-grained distribution; Algorithm 5 line 5). The nObs
+// thresholds of a ⟨node, parent⟩ pair share one bootstrap resample per step,
+// drawn from a numbered PRNG substream indexed by the pair's *global*
+// position, so posteriors are identical for every rank count and for the
+// sequential run (§4.2's block-split PRNG discipline; eval.go, DESIGN §18).
 package splits
 
 import (
 	"fmt"
-	"math"
-	"sort"
 	"time"
 
 	"parsimone/internal/comm"
 	"parsimone/internal/obs"
-	"parsimone/internal/pool"
 	"parsimone/internal/prng"
 	"parsimone/internal/score"
 	"parsimone/internal/trace"
@@ -76,8 +74,8 @@ type Params struct {
 	// Workers is W, the number of intra-rank worker goroutines evaluating
 	// this rank's posterior block (internal/pool); 0 or 1 means serial.
 	// Posteriors, trace items, and the selected splits are bit-identical
-	// for every (rank count, W) combination: each candidate draws only
-	// from its own numbered substream and writes only its own slot.
+	// for every (rank count, W) combination: each pair draws only from its
+	// own numbered substream and each candidate writes only its own slot.
 	Workers int
 	// CoordTimeout, when positive, bounds how long the dynamic
 	// coordinator waits for a worker's next request: a hung worker then
@@ -92,20 +90,6 @@ type Params struct {
 	// collectively, so a mixed configuration would deadlock, exactly like
 	// disagreeing on any other collective.
 	Hooks *obs.Hooks
-	// DisableKernel makes every posterior evaluation score through
-	// Prior.LogML directly instead of the precomputed kernel tables. The
-	// learned result is identical either way (the kernel is an exact
-	// re-expression); the switch exists so the `kernel` benchtab
-	// experiment can measure the tables' effect end to end.
-	DisableKernel bool
-	// DisableBatch makes posterior evaluation run candidate-at-a-time (the
-	// pre-batch hot loop: per-candidate left-mask build and degenerate
-	// pre-scan, no per-pair sorted ranks, no logML memo). The learned
-	// result is identical either way — batching only removes repeated
-	// work, never reorders a PRNG draw or changes a float operation
-	// (DESIGN §16) — so the switch exists for A/B verification and the
-	// `batch` benchtab experiment, like DisableKernel for the kernel.
-	DisableBatch bool
 	// Cancel is the run's cooperative cancellation signal. Split
 	// assignment itself polls nothing (a module's splits are recomputed
 	// wholesale on resume, so the module edge is the cancellation
@@ -176,501 +160,8 @@ type Result struct {
 	Uniform  []Assigned
 }
 
-// nodeRef is one internal node in the global enumeration, with its
-// per-observation column statistics cached.
-type nodeRef struct {
-	module, treeIdx, nodeIdx int
-	node                     *tree.Node
-	// offset is the node's first index in the global candidate list;
-	// count its number of candidates (|P|·|Obs|).
-	offset, count int
-	// colStats[k] covers the module's variables at observation Obs[k].
-	colStats []score.Stats
-}
-
-// enumerate builds the canonical global node list and candidate offsets.
-// trees[mi] is the ensemble for module mi over vars modules[mi].
-func enumerate(q *score.QData, modules [][]int, trees [][]*tree.Tree, candParents []int) []*nodeRef {
-	var nodes []*nodeRef
-	offset := 0
-	for mi := range trees {
-		for ti, tr := range trees[mi] {
-			for ni, n := range tr.InternalNodes() {
-				ref := &nodeRef{
-					module: mi, treeIdx: ti, nodeIdx: ni, node: n,
-					offset: offset, count: len(candParents) * len(n.Obs),
-				}
-				ref.colStats = make([]score.Stats, len(n.Obs))
-				for k, j := range n.Obs {
-					for _, x := range modules[mi] {
-						ref.colStats[k].Add(q.At(x, j))
-					}
-				}
-				nodes = append(nodes, ref)
-				offset += ref.count
-			}
-		}
-	}
-	return nodes
-}
-
 // PhaseAssign is the work-recording phase name for posterior computation.
 const PhaseAssign = "splits/assign"
-
-const logMLCost = 8
-
-// nodeIndexAt returns the index in nodes of the node owning global candidate
-// ci (nodes' [offset, offset+count) ranges tile the candidate list).
-func nodeIndexAt(nodes []*nodeRef, ci int) int {
-	return sort.Search(len(nodes), func(i int) bool {
-		return nodes[i].offset+nodes[i].count > ci
-	})
-}
-
-// itemCost is the recorded cost of one posterior evaluation that consumed
-// `steps` bootstrap resamples of a node with nObs observations.
-func itemCost(steps, nObs int) float64 {
-	return float64((steps + 1) * nObs * (1 + logMLCost/4))
-}
-
-// scratch is one worker's reusable buffers for posterior evaluation,
-// allocation-free per candidate. The candidate list is parent-major within
-// a node — nObs consecutive candidates share ⟨node, parent⟩ — so the parent
-// column gathered over the node's observations is cached across candidates
-// and refilled only when the pair changes. The batched path additionally
-// keys the pair's sorted-order structure (spos/rank) on the same change.
-type scratch struct {
-	// node and parent key the cached column.
-	node   *nodeRef
-	parent int
-	// pobs[k] is the parent's quantized value at the node's k-th
-	// observation; mask[k] the candidate's left/right side
-	// (pobs[k] ≤ value), rebuilt per candidate in one pass (unbatched
-	// path only — the batched path replaces the mask with spos/rank).
-	pobs []int64
-	mask []bool
-	// spos[k] is observation slot k's position in the pair's sorted order
-	// (by value, ties by slot — a permutation); rank[k] is the left count
-	// of the candidate whose threshold is slot k's value: the number of
-	// pobs ≤ pobs[k]. A pick lands left of candidate k iff
-	// spos[pick] < rank[k], and the candidate is degenerate iff
-	// rank[k] == nObs — both O(1), replacing the per-candidate O(nObs)
-	// mask build and degenerate pre-scan with one O(nObs log nObs) sort
-	// per pair.
-	spos, rank []int32
-	// sortBuf holds the slot permutation while fillPair sorts.
-	sortBuf []int32
-	// picks receives one bootstrap step's batched draws.
-	picks []int
-	// memo is the worker's exact logML cache (batched path), lazily bound
-	// to the run's kernel by memoFor.
-	memo *score.Memo
-}
-
-// newScratches allocates one scratch per pool worker — separately, so
-// workers never write into a shared cache line.
-func newScratches(workers int) []*scratch {
-	out := make([]*scratch, workers)
-	for i := range out {
-		out[i] = &scratch{parent: -1}
-	}
-	return out
-}
-
-// memoFor returns the worker's memo cache over kern, creating or rebinding
-// it on first use (scratches outlive no kernel: each learn call builds one
-// kernel and one scratch set, so the rebind happens once per worker).
-func (sc *scratch) memoFor(kern *score.Kernel) *score.Memo {
-	if sc.memo == nil || sc.memo.Kernel() != kern {
-		sc.memo = score.NewMemo(kern, 0)
-	}
-	return sc.memo
-}
-
-// grow resizes the per-observation buffers for a node with nObs
-// observations.
-func (sc *scratch) grow(nObs int) {
-	if cap(sc.pobs) < nObs {
-		sc.pobs = make([]int64, nObs)
-		sc.mask = make([]bool, nObs)
-		sc.spos = make([]int32, nObs)
-		sc.rank = make([]int32, nObs)
-		sc.sortBuf = make([]int32, nObs)
-		sc.picks = make([]int, nObs)
-	}
-	sc.pobs = sc.pobs[:nObs]
-	sc.mask = sc.mask[:nObs]
-	sc.spos = sc.spos[:nObs]
-	sc.rank = sc.rank[:nObs]
-	sc.sortBuf = sc.sortBuf[:nObs]
-	sc.picks = sc.picks[:nObs]
-}
-
-// fillPair caches the ⟨node, parent⟩ pair: the parent column over the
-// node's observations, its sorted order, and the per-slot ranks (prefix
-// counts of the sorted column — the batched path's whole-pair sufficient
-// structure). One sort amortizes over the pair's nObs candidates.
-func (sc *scratch) fillPair(q *score.QData, ref *nodeRef, parent, nObs int) {
-	sc.grow(nObs)
-	prow := q.Row(parent)
-	for k, j := range ref.node.Obs {
-		sc.pobs[k] = prow[j]
-	}
-	buf := sc.sortBuf
-	for k := range buf {
-		buf[k] = int32(k)
-	}
-	sort.Slice(buf, func(a, b int) bool {
-		va, vb := sc.pobs[buf[a]], sc.pobs[buf[b]]
-		if va != vb {
-			return va < vb
-		}
-		return buf[a] < buf[b]
-	})
-	for p, k := range buf {
-		sc.spos[k] = int32(p)
-	}
-	// Ranks: every slot of a run of equal values gets the run's end
-	// position — the count of column values ≤ that value.
-	for p := 0; p < nObs; {
-		runStart, v := p, sc.pobs[buf[p]]
-		for p < nObs && sc.pobs[buf[p]] == v {
-			p++
-		}
-		for i := runStart; i < p; i++ {
-			sc.rank[buf[i]] = int32(p)
-		}
-	}
-	sc.node, sc.parent = ref, parent
-}
-
-// maxStatsN returns the largest sufficient-statistics count the bootstrap
-// can produce over these nodes — a full resample drawing one observation
-// column (one Stats value per module variable) |Obs| times — which sizes
-// the kernel tables so the hot loop never takes the fallback path.
-func maxStatsN(nodes []*nodeRef) int {
-	maxN := 0
-	for _, ref := range nodes {
-		if len(ref.colStats) == 0 {
-			continue
-		}
-		if n := len(ref.node.Obs) * int(ref.colStats[0].N); n > maxN {
-			maxN = n
-		}
-	}
-	return maxN
-}
-
-// newKernel builds the scoring kernel every selection path shares. With
-// par.DisableKernel the table degenerates to the N=0 entry, so every call
-// takes the Prior.LogML fallback — the pre-kernel scoring path, kept
-// reachable for the `kernel` benchtab measurement.
-func newKernel(pr score.Prior, nodes []*nodeRef, par Params) *score.Kernel {
-	if par.DisableKernel {
-		return score.NewKernel(pr, 0)
-	}
-	return score.NewKernel(pr, maxStatsN(nodes))
-}
-
-// posterior computes the bootstrap posterior of global candidate ci of node
-// ref, drawing from sub (the candidate's numbered substream) and scoring
-// through kern — bit-equal to the prior's LogML (score.Kernel). sc is the
-// calling worker's scratch. It returns the posterior and the number of
-// resampling steps consumed. The batched and unbatched bodies return
-// identical bits and consume identical draws (TestPosteriorBatchBitIdentical);
-// par.DisableBatch selects the pre-batch body for A/B measurement.
-func posterior(q *score.QData, kern *score.Kernel, ref *nodeRef, candParents []int, ci int, sub *prng.MRG3, par Params, sc *scratch) (float64, int) {
-	if par.DisableBatch {
-		return posteriorUnbatched(q, kern, ref, candParents, ci, sub, par, sc)
-	}
-	return posteriorBatched(q, kern, ref, candParents, ci, sub, par, sc)
-}
-
-// posteriorBatched evaluates one candidate against its pair's cached
-// sorted-rank structure: the degenerate test and the per-pick side test are
-// rank comparisons (O(1) and branch-free), the per-candidate mask build is
-// gone, and logML goes through the worker's exact memo. Each candidate
-// still consumes its own substream in the exact unbatched order — the
-// bootstrap draws are the one part of the pair that cannot be shared
-// without changing bits (DESIGN §16).
-func posteriorBatched(q *score.QData, kern *score.Kernel, ref *nodeRef, candParents []int, ci int, sub *prng.MRG3, par Params, sc *scratch) (float64, int) {
-	local := ci - ref.offset
-	nObs := len(ref.node.Obs)
-	parent := candParents[local/nObs]
-	if sc.node != ref || sc.parent != parent {
-		sc.fillPair(q, ref, parent, nObs)
-	}
-	// threshold rank: picks with spos < t fall left. rank ≥ 1 always (the
-	// threshold value is its own observation), so only the all-left side
-	// can degenerate.
-	t := sc.rank[local%nObs]
-	if int(t) == nObs {
-		return 0, 0
-	}
-	spos := sc.spos
-	cols := ref.colStats
-	picks := sc.picks
-	memo := sc.memoFor(kern)
-	draw := prng.NewUniform(nObs)
-	successes, steps := 0, 0
-	for steps < par.MaxSteps {
-		steps++
-		// One batched fill per step, exactly as the unbatched body draws.
-		draw.Fill(sub, picks)
-		// Branch-free merge: spos[pick]−t is negative exactly for left
-		// picks, so its sign extension is an all-ones mask selecting the
-		// pick's contribution to the left block; the total accumulates
-		// unconditionally and the right block is total − left. Adding an
-		// AND-masked zero and subtracting exact integer sums are both
-		// identities in int64 arithmetic, so ls/rs/total carry the same
-		// bits the two-sided Merge sequence produced — with no per-pick
-		// branch to mispredict and every accumulator in a register.
-		var lsN, lsS, lsQ, totN, totS, totQ int64
-		for _, pick := range picks {
-			c := &cols[pick]
-			m := int64(spos[pick]-t) >> 63
-			totN += c.N
-			totS += c.Sum
-			totQ += c.SumSq
-			lsN += c.N & m
-			lsS += c.Sum & m
-			lsQ += c.SumSq & m
-		}
-		ls := score.Stats{N: lsN, Sum: lsS, SumSq: lsQ}
-		rs := score.Stats{N: totN - lsN, Sum: totS - lsS, SumSq: totQ - lsQ}
-		tot := score.Stats{N: totN, Sum: totS, SumSq: totQ}
-		delta := memo.LogML(ls) + memo.LogML(rs) - memo.LogML(tot)
-		if delta > 0 {
-			successes++
-		}
-		if steps >= par.MinSteps {
-			phat := float64(successes) / float64(steps)
-			hw := 1.96 * math.Sqrt(phat*(1-phat)/float64(steps))
-			if hw < par.CIHalfWidth {
-				break
-			}
-		}
-	}
-	return float64(successes) / float64(steps), steps
-}
-
-// posteriorUnbatched is the pre-batch hot loop, kept reachable via
-// par.DisableBatch as the A/B reference: per-candidate left-mask build and
-// degenerate pre-scan, direct kernel scoring.
-func posteriorUnbatched(q *score.QData, kern *score.Kernel, ref *nodeRef, candParents []int, ci int, sub *prng.MRG3, par Params, sc *scratch) (float64, int) {
-	local := ci - ref.offset
-	nObs := len(ref.node.Obs)
-	parent := candParents[local/nObs]
-	if sc.node != ref || sc.parent != parent {
-		sc.grow(nObs)
-		prow := q.Row(parent)
-		for k, j := range ref.node.Obs {
-			sc.pobs[k] = prow[j]
-		}
-		sc.node, sc.parent = ref, parent
-	}
-	value := sc.pobs[local%nObs]
-	// Build the left mask and count the left side in the same pass, so each
-	// column value is compared against the threshold exactly once per
-	// candidate — the mask build IS the degenerate-split pre-scan.
-	left := 0
-	for k, v := range sc.pobs {
-		le := v <= value
-		sc.mask[k] = le
-		if le {
-			left++
-		}
-	}
-	// Degenerate split: one side empty → zero posterior, discarded
-	// (§2.2.3: "candidate splits with zero posterior probability are
-	// discarded"). Costs one scan.
-	if left == 0 || left == nObs {
-		return 0, 0
-	}
-	mask := sc.mask
-	cols := ref.colStats
-	picks := sc.picks
-	draw := prng.NewUniform(nObs)
-	successes, steps := 0, 0
-	for steps < par.MaxSteps {
-		steps++
-		var ls, rs score.Stats
-		// One batched fill per step: the sampler keeps the generator state
-		// in registers across the whole resample, drawing the exact
-		// sequence nObs Intn calls would.
-		draw.Fill(sub, picks)
-		for _, pick := range picks {
-			if mask[pick] {
-				ls.Merge(cols[pick])
-			} else {
-				rs.Merge(cols[pick])
-			}
-		}
-		delta := kern.LogML(ls) + kern.LogML(rs) - kern.LogML(ls.Plus(rs))
-		if delta > 0 {
-			successes++
-		}
-		if steps >= par.MinSteps {
-			phat := float64(successes) / float64(steps)
-			hw := 1.96 * math.Sqrt(phat*(1-phat)/float64(steps))
-			if hw < par.CIHalfWidth {
-				break
-			}
-		}
-	}
-	return float64(successes) / float64(steps), steps
-}
-
-// recordSplitMetrics records the result-invisible split-phase metrics:
-// the split_steps histogram and the kernel/memo cache counters. Both
-// metric-recording selection paths (gather and scan) go through this one
-// helper so same-seed runs that differ only in ScanSelection produce
-// byte-identical metrics dumps. Table hits are derived rather than counted
-// in the hot loop — each completed bootstrap step makes exactly three logML
-// calls (degenerate candidates make none), and every call is accounted to
-// exactly one of: an empty-block early return (kernel's ZeroN unbatched,
-// the memo's Zero batched), a memo serve, or a kernel call that either hit
-// the table or fell back to Prior.LogML. So
-//
-//	hits = 3·Σsteps − zeroN − memoZero − memoHits − fallbacks
-//
-// and the table-hit path stays free of atomics. (The old derivation
-// 3·Σsteps − fallbacks silently credited empty-block early returns — calls
-// the table never served — as hits; TestKernelHitCounterExact pins the
-// fix.) Memo counters are summed over the per-worker caches; their split
-// between hit and miss depends on the worker count and block partition
-// (cache state is per worker), while every other metric here is
-// schedule-invariant.
-func recordSplitMetrics(reg *obs.Registry, steps []int, kern *score.Kernel, scratches []*scratch) {
-	if reg == nil {
-		return
-	}
-	hist := reg.Histogram("split_steps", "bootstrap resampling steps per candidate split", obs.DefaultStepBuckets)
-	var total int64
-	for _, s := range steps {
-		hist.Observe(float64(s))
-		total += int64(s)
-	}
-	var memoHits, memoMisses, memoZero int64
-	for _, sc := range scratches {
-		if sc.memo != nil {
-			memoHits += sc.memo.Hits()
-			memoMisses += sc.memo.Misses()
-			memoZero += sc.memo.Zero()
-		}
-	}
-	misses := kern.Fallbacks()
-	hits := 3*total - kern.ZeroN() - memoZero - memoHits - misses
-	reg.Counter("kernel_table_hits_total", "split-score kernel LogML calls served from the precomputed tables", "phase", PhaseAssign).Add(hits)
-	reg.Counter("kernel_table_misses_total", "split-score kernel LogML calls that fell back to direct Prior.LogML", "phase", PhaseAssign).Add(misses)
-	reg.Counter("kernel_memo_hits_total", "split-score logML calls served from the per-worker exact memo caches", "phase", PhaseAssign).Add(memoHits)
-	reg.Counter("kernel_memo_misses_total", "split-score logML memo lookups that went through to the kernel", "phase", PhaseAssign).Add(memoMisses)
-	reg.Counter("kernel_zero_blocks_total", "split-score logML calls on empty blocks (N == 0), answered 0 without a table or memo lookup", "phase", PhaseAssign).Add(kern.ZeroN() + memoZero)
-}
-
-// learn computes all posteriors (partitioned by evalRange) and performs the
-// per-node selection on the full posterior vector. gatherCosts, when
-// non-nil, collects the per-rank pool costs for the rank-imbalance summary
-// (returning non-nil on rank 0 only); it runs only when par.Hooks is
-// attached, so runs without observability perform no extra communication.
-func learn(q *score.QData, pr score.Prior, modules [][]int, trees [][]*tree.Tree,
-	par Params, g *prng.MRG3,
-	exchange func(local []float64, lo, hi, total int) []float64,
-	evalRange func(total int) (int, int),
-	gatherCosts func(localCost float64) []float64,
-	wl *trace.Workload) Result {
-
-	par = par.withDefaults(q.N)
-	nodes := enumerate(q, modules, trees, par.Candidates)
-	total := 0
-	for _, ref := range nodes {
-		total += ref.count
-	}
-
-	// Posterior computation over this rank's block of the global list,
-	// fanned out over the intra-rank worker pool. Each candidate draws only
-	// from its own numbered substream (Substream is read-only on base) and
-	// writes only its own slot, so the fill is order-independent. The pool
-	// deals chunks round-robin, so each worker sees strictly ascending
-	// candidate indices: a per-worker monotone cursor replaces the binary
-	// search for the owning node (one O(log nodes) sort.Search per
-	// candidate would dominate the loop overhead on cheap splits; see
-	// BenchmarkNodeLookup).
-	base := g.Clone()
-	lo, hi := evalRange(total)
-	local := make([]float64, hi-lo)
-	steps := make([]int, hi-lo)
-	nw := par.Workers
-	if nw < 1 {
-		nw = 1
-	}
-	cursors := make([]int, nw)
-	if len(nodes) > 0 {
-		start := nodeIndexAt(nodes, lo)
-		for w := range cursors {
-			cursors[w] = start
-		}
-	}
-	kern := newKernel(pr, nodes, par)
-	scratches := newScratches(nw)
-	st := pool.For(hi-lo, par.Workers, pool.DefaultChunk, func(k, w int) float64 {
-		ci := lo + k
-		ni := cursors[w]
-		for nodes[ni].offset+nodes[ni].count <= ci {
-			ni++
-		}
-		cursors[w] = ni
-		ref := nodes[ni]
-		p, s := posterior(q, kern, ref, par.Candidates, ci, base.Substream(uint64(ci)), par, scratches[w])
-		local[k] = p
-		steps[k] = s
-		return itemCost(s, len(ref.node.Obs))
-	})
-	if h := par.Hooks; h != nil {
-		h.PoolCost(PhaseAssign, st)
-		h.WorkerImbalance(PhaseAssign, st)
-		recordSplitMetrics(h.Registry(), steps, kern, scratches)
-		if gatherCosts != nil {
-			var localCost float64
-			for _, c := range st.Cost {
-				localCost += c
-			}
-			if perRank := gatherCosts(localCost); perRank != nil {
-				h.RankImbalance(PhaseAssign, perRank)
-			}
-		}
-	}
-	if wl != nil {
-		ph := wl.Phase(PhaseAssign)
-		if ph == nil {
-			ph = wl.AddPhase(PhaseAssign)
-		}
-		// Later calls (module learning records one assignment per module)
-		// continue the segment numbering where the previous call stopped,
-		// so node segments stay globally distinct for the coarse model.
-		segBase := 0
-		if len(ph.Items) > 0 {
-			segBase = ph.Items[len(ph.Items)-1].Seg + 1
-		}
-		// Record items serially in canonical candidate order: the trace is
-		// identical for every worker count, while the per-worker counters
-		// reflect the pool's static chunk deal.
-		ni := 0
-		for k, s := range steps {
-			ci := lo + k
-			for nodes[ni].offset+nodes[ni].count <= ci {
-				ni++
-			}
-			ph.Items = append(ph.Items, trace.Item{Cost: itemCost(s, len(nodes[ni].node.Obs)), Seg: segBase + ni})
-		}
-		ph.AddWorkerCost(st.Cost)
-		ph.Collectives++
-		ph.Words += int64(total)
-	}
-	posteriors := exchange(local, lo, hi, total)
-
-	return selectSplits(q, nodes, posteriors, par, g)
-}
 
 // selectSplits performs the per-node selection over the full posterior
 // vector: J weighted + J uniform picks over the retained (non-zero
@@ -720,11 +211,11 @@ func selectSplits(q *score.QData, nodes []*nodeRef, posteriors []float64, par Pa
 // Learn computes and selects splits sequentially.
 func Learn(q *score.QData, pr score.Prior, modules [][]int, trees [][]*tree.Tree,
 	par Params, g *prng.MRG3, wl *trace.Workload) Result {
-	return learn(q, pr, modules, trees, par, g,
-		func(local []float64, lo, hi, total int) []float64 { return local },
-		func(total int) (int, int) { return 0, total },
-		nil,
-		wl)
+	ev := newEvaluator(q, pr, modules, trees, par, g)
+	posteriors, steps, st := ev.eval(0, ev.total)
+	ev.observe(st, steps)
+	ev.recordWork(wl, st, steps)
+	return selectSplits(q, ev.nodes, posteriors, ev.par, g)
 }
 
 // LearnParallel computes posteriors over c's ranks (fine-grained static
@@ -739,19 +230,10 @@ func LearnParallel(c *comm.Comm, q *score.QData, pr score.Prior, modules [][]int
 	if par.ScanSelection {
 		return LearnParallelScan(c, q, pr, modules, trees, par, g)
 	}
-	return learn(q, pr, modules, trees, par, g,
-		func(local []float64, lo, hi, total int) []float64 {
-			return comm.AllGatherv(c, local)
-		},
-		func(total int) (int, int) {
-			return comm.BlockRange(total, c.Size(), c.Rank())
-		},
-		func(localCost float64) []float64 {
-			per := comm.AllGatherv(c, []float64{localCost})
-			if c.Rank() != 0 {
-				return nil
-			}
-			return per
-		},
-		nil)
+	ev := newEvaluator(q, pr, modules, trees, par, g)
+	lo, hi := comm.BlockRange(ev.total, c.Size(), c.Rank())
+	local, steps, st := ev.eval(lo, hi)
+	ev.observe(st, steps)
+	ev.observeRanks(c, st)
+	return selectSplits(q, ev.nodes, comm.AllGatherv(c, local), ev.par, g)
 }

@@ -3,7 +3,6 @@ package splits
 import (
 	"bytes"
 	"fmt"
-	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -146,39 +145,38 @@ func TestTrueRegulatorsScoreHighly(t *testing.T) {
 
 func TestPosteriorDegenerateSplit(t *testing.T) {
 	q, modules, trees, _ := fixture(t, 6)
-	par := Params{}.withDefaults(q.N)
-	nodes := enumerate(q, modules, trees, par.Candidates)
-	ref := nodes[0]
+	ev := newEvaluator(q, score.DefaultPrior(), modules, trees, Params{}, prng.New(1))
+	ref := ev.nodes[0]
 	// Find the candidate whose value is the node's maximum for parent 0:
-	// everything goes left → degenerate → posterior 0, zero steps.
-	maxIdx, maxVal := 0, q.At(par.Candidates[0], ref.node.Obs[0])
+	// everything goes left → degenerate → posterior 0, zero steps, no draws.
+	maxIdx, maxVal := 0, q.At(ev.par.Candidates[0], ref.node.Obs[0])
 	for k, j := range ref.node.Obs {
-		if v := q.At(par.Candidates[0], j); v >= maxVal {
+		if v := q.At(ev.par.Candidates[0], j); v >= maxVal {
 			maxVal, maxIdx = v, k
 		}
 	}
 	ci := ref.offset + maxIdx // parent index 0 → offset + obs index
-	kern := score.NewKernel(score.DefaultPrior(), maxStatsN(nodes))
-	p, steps := posterior(q, kern, ref, par.Candidates, ci, prng.New(1), par, &scratch{parent: -1})
-	if p != 0 || steps != 0 {
-		t.Fatalf("degenerate split: posterior %v steps %d, want 0, 0", p, steps)
+	p, steps, _ := ev.eval(ci, ci+1)
+	if p[0] != 0 || steps[0] != 0 || ev.scratches[0].draws != 0 {
+		t.Fatalf("degenerate split: posterior %v steps %d draws %d, want 0, 0, 0", p[0], steps[0], ev.scratches[0].draws)
 	}
 }
 
 func TestPosteriorStepBounds(t *testing.T) {
 	q, modules, trees, _ := fixture(t, 7)
-	par := Params{MinSteps: 8, MaxSteps: 32}.withDefaults(q.N)
-	nodes := enumerate(q, modules, trees, par.Candidates)
-	g := prng.New(3)
-	kern := score.NewKernel(score.DefaultPrior(), maxStatsN(nodes))
-	sc := &scratch{parent: -1}
-	for _, ref := range nodes[:min(3, len(nodes))] {
-		for ci := ref.offset; ci < ref.offset+min(ref.count, 50); ci++ {
-			_, steps := posterior(q, kern, ref, par.Candidates, ci, g.Substream(uint64(ci)), par, sc)
-			if steps != 0 && (steps < par.MinSteps || steps > par.MaxSteps) {
-				t.Fatalf("steps %d outside [%d, %d]", steps, par.MinSteps, par.MaxSteps)
-			}
+	ev := newEvaluator(q, score.DefaultPrior(), modules, trees, Params{MinSteps: 8, MaxSteps: 32}, prng.New(3))
+	_, steps, _ := ev.eval(0, ev.total)
+	early := 0
+	for ci, s := range steps {
+		if s != 0 && (s < ev.par.MinSteps || s > ev.par.MaxSteps) {
+			t.Fatalf("candidate %d: steps %d outside [%d, %d]", ci, s, ev.par.MinSteps, ev.par.MaxSteps)
 		}
+		if s != 0 && s < ev.par.MaxSteps {
+			early++
+		}
+	}
+	if early == 0 {
+		t.Fatal("no threshold retired before MaxSteps: the stop table never fired")
 	}
 }
 
@@ -266,24 +264,15 @@ func TestParamsWithDefaults(t *testing.T) {
 // MaxSteps bootstrap resamples (or one degenerate scan).
 func TestNegativeCIHalfWidthRunsToMaxSteps(t *testing.T) {
 	q, modules, trees, _ := fixture(t, 3)
-	pr := score.DefaultPrior()
-	par := Params{MaxSteps: 12, CIHalfWidth: -1}.withDefaults(q.N)
-	nodes := enumerate(q, modules, trees, par.Candidates)
-	g := prng.New(9)
-	kern := score.NewKernel(pr, maxStatsN(nodes))
-	sc := &scratch{parent: -1}
-	checked := 0
-	for _, ref := range nodes {
-		for ci := ref.offset; ci < ref.offset+ref.count && checked < 50; ci++ {
-			_, steps := posterior(q, kern, ref, par.Candidates, ci, g.Substream(uint64(ci)), par, sc)
-			if steps != 0 && steps != par.MaxSteps {
-				t.Fatalf("candidate %d stopped early at %d steps despite disabled CI", ci, steps)
-			}
-			checked++
-		}
-	}
-	if checked == 0 {
+	ev := newEvaluator(q, score.DefaultPrior(), modules, trees, Params{MaxSteps: 12, CIHalfWidth: -1}, prng.New(9))
+	_, steps, _ := ev.eval(0, ev.total)
+	if len(steps) == 0 {
 		t.Fatal("no candidates checked")
+	}
+	for ci, s := range steps {
+		if s != 0 && s != ev.par.MaxSteps {
+			t.Fatalf("candidate %d stopped early at %d steps despite disabled CI", ci, s)
+		}
 	}
 }
 
@@ -326,41 +315,6 @@ func TestSelectSplitsPosteriorExtremes(t *testing.T) {
 			t.Fatalf("%s: no splits selected", name)
 		}
 	}
-}
-
-// BenchmarkNodeLookup compares the per-candidate sort.Search node lookup
-// (the old hot-loop code) against the monotone cursor that replaced it,
-// over a realistic enumeration. The surrounding posterior work is elided so
-// the benchmark isolates exactly the lookup cost the cursor removes.
-func BenchmarkNodeLookup(b *testing.B) {
-	q, modules, trees, _ := fixture(b, 1)
-	par := Params{}.withDefaults(q.N)
-	nodes := enumerate(q, modules, trees, par.Candidates)
-	total := 0
-	for _, ref := range nodes {
-		total += ref.count
-	}
-	b.Run("sort.Search", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			var sink int
-			for ci := 0; ci < total; ci++ {
-				sink += nodeIndexAt(nodes, ci)
-			}
-			_ = sink
-		}
-	})
-	b.Run("cursor", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			var sink, ni int
-			for ci := 0; ci < total; ci++ {
-				for nodes[ni].offset+nodes[ni].count <= ci {
-					ni++
-				}
-				sink += ni
-			}
-			_ = sink
-		}
-	})
 }
 
 func BenchmarkLearn(b *testing.B) {
@@ -587,235 +541,4 @@ func TestScanMetricsParity(t *testing.T) {
 	if gather != scan {
 		t.Errorf("metrics dumps differ across ScanSelection:\n--- gather ---\n%s\n--- scan ---\n%s", gather, scan)
 	}
-}
-
-// posteriorPreKernel is the pre-kernel posterior, kept verbatim as the
-// differential baseline: direct Prior.LogML per bootstrap step, a separate
-// q.At degenerate pre-scan, and a prow comparison per resampled pick.
-// TestPosteriorMatchesPreKernel and BenchmarkPosterior run it against the
-// kernel implementation.
-func posteriorPreKernel(q *score.QData, pr score.Prior, ref *nodeRef, candParents []int, ci int, sub *prng.MRG3, par Params) (float64, int) {
-	local := ci - ref.offset
-	nObs := len(ref.node.Obs)
-	parent := candParents[local/nObs]
-	value := q.At(parent, ref.node.Obs[local%nObs])
-	left := 0
-	for _, j := range ref.node.Obs {
-		if q.At(parent, j) <= value {
-			left++
-		}
-	}
-	if left == 0 || left == nObs {
-		return 0, 0
-	}
-	prow := q.Row(parent)
-	successes, steps := 0, 0
-	for steps < par.MaxSteps {
-		steps++
-		var ls, rs score.Stats
-		for k := 0; k < nObs; k++ {
-			pick := sub.Intn(nObs)
-			j := ref.node.Obs[pick]
-			if prow[j] <= value {
-				ls.Merge(ref.colStats[pick])
-			} else {
-				rs.Merge(ref.colStats[pick])
-			}
-		}
-		delta := pr.LogML(ls) + pr.LogML(rs) - pr.LogML(ls.Plus(rs))
-		if delta > 0 {
-			successes++
-		}
-		if steps >= par.MinSteps {
-			phat := float64(successes) / float64(steps)
-			hw := 1.96 * math.Sqrt(phat*(1-phat)/float64(steps))
-			if hw < par.CIHalfWidth {
-				break
-			}
-		}
-	}
-	return float64(successes) / float64(steps), steps
-}
-
-// TestPosteriorMatchesPreKernel: the kernel/leftMask posterior must return
-// the identical (posterior, steps) pair — same float bits, same PRNG
-// consumption — as the pre-kernel implementation for every candidate.
-func TestPosteriorMatchesPreKernel(t *testing.T) {
-	q, modules, trees, _ := fixture(t, 17)
-	pr := score.DefaultPrior()
-	par := Params{MaxSteps: 24}.withDefaults(q.N)
-	nodes := enumerate(q, modules, trees, par.Candidates)
-	kern := score.NewKernel(pr, maxStatsN(nodes))
-	sc := &scratch{parent: -1}
-	g := prng.New(19)
-	for _, ref := range nodes {
-		for ci := ref.offset; ci < ref.offset+ref.count; ci++ {
-			wantP, wantS := posteriorPreKernel(q, pr, ref, par.Candidates, ci, g.Substream(uint64(ci)), par)
-			gotP, gotS := posterior(q, kern, ref, par.Candidates, ci, g.Substream(uint64(ci)), par, sc)
-			if math.Float64bits(gotP) != math.Float64bits(wantP) || gotS != wantS {
-				t.Fatalf("candidate %d: kernel posterior (%v, %d), pre-kernel (%v, %d)",
-					ci, gotP, gotS, wantP, wantS)
-			}
-		}
-	}
-	if kern.Fallbacks() != 0 {
-		t.Fatalf("kernel fell back %d times; maxStatsN sized the table too small", kern.Fallbacks())
-	}
-}
-
-// TestPosteriorBatchBitIdentical: the batched body (per-pair sorted ranks,
-// branch-free merge, exact logML memo) must return the identical
-// (posterior, steps) pair — same float bits, same PRNG consumption — as the
-// unbatched body for every candidate, and whole learned Results must be
-// byte-identical across DisableBatch.
-func TestPosteriorBatchBitIdentical(t *testing.T) {
-	q, modules, trees, _ := fixture(t, 18)
-	pr := score.DefaultPrior()
-	par := Params{MaxSteps: 24}.withDefaults(q.N)
-	parOff := par
-	parOff.DisableBatch = true
-	nodes := enumerate(q, modules, trees, par.Candidates)
-	kern := score.NewKernel(pr, maxStatsN(nodes))
-	scBatch := &scratch{parent: -1}
-	scRef := &scratch{parent: -1}
-	g := prng.New(19)
-	for _, ref := range nodes {
-		for ci := ref.offset; ci < ref.offset+ref.count; ci++ {
-			wantP, wantS := posterior(q, kern, ref, parOff.Candidates, ci, g.Substream(uint64(ci)), parOff, scRef)
-			gotP, gotS := posterior(q, kern, ref, par.Candidates, ci, g.Substream(uint64(ci)), par, scBatch)
-			if math.Float64bits(gotP) != math.Float64bits(wantP) || gotS != wantS {
-				t.Fatalf("candidate %d: batched (%v, %d), unbatched (%v, %d)",
-					ci, gotP, gotS, wantP, wantS)
-			}
-		}
-	}
-	if scBatch.memo == nil || scBatch.memo.Misses() == 0 {
-		t.Fatal("batched sweep never consulted the memo")
-	}
-	if scRef.memo != nil {
-		t.Fatal("unbatched sweep allocated a memo")
-	}
-	// End to end: same seed, batch on vs off, byte-identical Result.
-	for _, seed := range []uint64{5, 23} {
-		on := Learn(q, pr, modules, trees, Params{MaxSteps: 24}, prng.New(seed), nil)
-		off := Learn(q, pr, modules, trees, Params{MaxSteps: 24, DisableBatch: true}, prng.New(seed), nil)
-		if !reflect.DeepEqual(on, off) {
-			t.Fatalf("seed %d: learned splits differ across DisableBatch", seed)
-		}
-	}
-}
-
-// TestKernelHitCounterExact is the satellite regression test for the
-// kernel_table_hits_total derivation: with DisableKernel every N>0 call
-// falls back to Prior.LogML, so the table serves exactly zero calls — but
-// the old derivation (3·Σsteps − fallbacks) credited the kernel's
-// uncounted N==0 early returns as phantom table hits. The fixture's small
-// nodes make one-sided resamples (an empty block on one side) common, so
-// zero-N calls provably occur.
-func TestKernelHitCounterExact(t *testing.T) {
-	q, modules, trees, _ := fixture(t, 16)
-	pr := score.DefaultPrior()
-	for name, disableBatch := range map[string]bool{"batched": false, "unbatched": true} {
-		reg := obs.NewRegistry()
-		par := Params{MaxSteps: 24, DisableKernel: true, DisableBatch: disableBatch,
-			Hooks: obs.NewHooks(nil, reg)}
-		Learn(q, pr, modules, trees, par, prng.New(21), nil)
-		counter := func(metric string) int64 {
-			return reg.Counter(metric, "", "phase", PhaseAssign).Value()
-		}
-		if hits := counter("kernel_table_hits_total"); hits != 0 {
-			t.Errorf("%s: DisableKernel run reports %d table hits, want 0", name, hits)
-		}
-		if misses := counter("kernel_table_misses_total"); misses == 0 {
-			t.Errorf("%s: DisableKernel run reports no fallbacks", name)
-		}
-		// The regression's premise: empty-block calls actually happen on
-		// this fixture (one-sided resamples), so the old derivation would
-		// have credited them as phantom hits.
-		if zero := counter("kernel_zero_blocks_total"); zero == 0 {
-			t.Errorf("%s: no empty-block calls observed; fixture does not exercise the bug", name)
-		}
-		if disableBatch {
-			if mh := counter("kernel_memo_hits_total") + counter("kernel_memo_misses_total"); mh != 0 {
-				t.Errorf("unbatched run reports %d memo lookups, want 0", mh)
-			}
-		} else if counter("kernel_memo_misses_total") == 0 {
-			t.Error("batched run reports no memo lookups")
-		}
-	}
-	// With the kernel enabled the accounting identity still must hold:
-	// hits + fallbacks + memo serves + empty blocks = 3·Σsteps, with
-	// fallbacks zero (maxStatsN sizes the table to cover every block).
-	reg := obs.NewRegistry()
-	Learn(q, pr, modules, trees, Params{MaxSteps: 24, Hooks: obs.NewHooks(nil, reg)}, prng.New(21), nil)
-	if misses := reg.Counter("kernel_table_misses_total", "", "phase", PhaseAssign).Value(); misses != 0 {
-		t.Errorf("enabled-kernel run reports %d fallbacks, want 0", misses)
-	}
-	if hits := reg.Counter("kernel_table_hits_total", "", "phase", PhaseAssign).Value(); hits <= 0 {
-		t.Errorf("enabled-kernel run reports %d table hits, want > 0", hits)
-	}
-}
-
-// BenchmarkPosterior contrasts the pre-kernel hot loop, the PR 5 kernel
-// implementation (DisableBatch), and the batched implementation over one
-// full candidate sweep (the acceptance bar is ≥ 1.5× batch vs kernel).
-func BenchmarkPosterior(b *testing.B) {
-	q, modules, trees, _ := fixture(b, 1)
-	pr := score.DefaultPrior()
-	par := Params{MaxSteps: 32, CIHalfWidth: -1}.withDefaults(q.N)
-	nodes := enumerate(q, modules, trees, par.Candidates)
-	total := 0
-	for _, ref := range nodes {
-		total += ref.count
-	}
-	// Position one generator per candidate up front: substream derivation is
-	// identical on both sides and not part of the scoring work under test.
-	g := prng.New(11)
-	subs := make([]*prng.MRG3, total)
-	for ci := range subs {
-		subs[ci] = g.Substream(uint64(ci))
-	}
-	sweep := func(eval func(ref *nodeRef, ci int, sub *prng.MRG3) float64) float64 {
-		var sum float64
-		ni := 0
-		for ci := 0; ci < total; ci++ {
-			for nodes[ni].offset+nodes[ni].count <= ci {
-				ni++
-			}
-			sum += eval(nodes[ni], ci, subs[ci].Clone())
-		}
-		return sum
-	}
-	b.Run("prekernel", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			sweep(func(ref *nodeRef, ci int, sub *prng.MRG3) float64 {
-				p, _ := posteriorPreKernel(q, pr, ref, par.Candidates, ci, sub, par)
-				return p
-			})
-		}
-	})
-	b.Run("kernel", func(b *testing.B) {
-		parOff := par
-		parOff.DisableBatch = true
-		kern := score.NewKernel(pr, maxStatsN(nodes))
-		sc := &scratch{parent: -1}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			sweep(func(ref *nodeRef, ci int, sub *prng.MRG3) float64 {
-				p, _ := posterior(q, kern, ref, parOff.Candidates, ci, sub, parOff, sc)
-				return p
-			})
-		}
-	})
-	b.Run("batch", func(b *testing.B) {
-		kern := score.NewKernel(pr, maxStatsN(nodes))
-		sc := &scratch{parent: -1}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			sweep(func(ref *nodeRef, ci int, sub *prng.MRG3) float64 {
-				p, _ := posterior(q, kern, ref, par.Candidates, ci, sub, par, sc)
-				return p
-			})
-		}
-	})
 }
