@@ -21,6 +21,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 
 	"parsimone/internal/module"
@@ -276,7 +277,7 @@ func loadProgress(dir string, opt Options, n int, moduleVars [][]int) (map[int]*
 			return nil, fmt.Errorf("core: checkpoint %s references module %d of %d",
 				ckptProgress, u.Module, len(moduleVars))
 		}
-		if !equalInts(u.Vars, moduleVars[u.Module]) {
+		if !slices.Equal(u.Vars, moduleVars[u.Module]) {
 			return nil, fmt.Errorf("core: checkpoint %s unit for module %d does not match the consensus module members",
 				ckptProgress, u.Module)
 		}
@@ -298,17 +299,4 @@ func saveProgress(dir string, opt Options, n int, units map[int]*module.Unit) er
 	}
 	sort.Slice(ck.Units, func(i, j int) bool { return ck.Units[i].Module < ck.Units[j].Module })
 	return saveCheckpoint(dir, ckptProgress, &ck, opt.BinaryCheckpoints)
-}
-
-// equalInts reports whether a and b hold the same sequence.
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

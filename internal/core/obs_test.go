@@ -196,11 +196,9 @@ func TestObservabilityCheckpointEvents(t *testing.T) {
 // (pool_cost_total, ganesh_decisions_total, …), the recorded workload's item
 // costs — together with the network, as one digest. A change that makes the
 // same work faster must leave it alone; one that redefines a counter or a
-// cost weight re-records it in its own reviewed commit. Recorded at the
-// commit before consensus went sparse and GaneSH block scores were cached
-// (adab7fce…), re-recorded once since: stream layout 2 changes the split
-// posteriors (hence the network), the split cost model and the split
-// counters, and nothing in the GaneSH or consensus telemetry.
+// cost weight re-records it in its own reviewed commit, as stream layout 2
+// did (split posteriors, cost model and counters; nothing in the GaneSH or
+// consensus telemetry moved).
 func TestClusterShapedTelemetryPinned(t *testing.T) {
 	const pinned = "daaedd7ec65d2d3d17883d1b5db6a3df965c8081510bd3bb67a9f9e5358151d6"
 	d, _, err := synth.Generate(synth.Config{N: 240, M: 24, Seed: 15})

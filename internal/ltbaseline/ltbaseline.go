@@ -292,30 +292,9 @@ func (e *gibbs) buildTree(vars []int, clusters [][]int) *tree.Tree {
 // resamples — but rescans module cells per threshold and bootstrap step
 // instead of using precomputed per-observation column statistics.
 func (e *gibbs) learnSplits(moduleVars [][]int, trees [][]*tree.Tree, par splits.Params) splits.Result {
-	numSplits := par.NumSplits
-	if numSplits == 0 {
-		numSplits = 2
-	}
-	maxSteps := par.MaxSteps
-	if maxSteps == 0 {
-		maxSteps = 64
-	}
-	minSteps := par.MinSteps
-	if minSteps == 0 {
-		minSteps = 8
-	}
-	ciHW := par.CIHalfWidth
-	//parsivet:floateq — zero-value sentinel for "option unset", never a computed float
-	if ciHW == 0 {
-		ciHW = 0.08
-	}
+	// Defaults are configuration, not algorithm: shared with the engines.
+	par = par.WithDefaults(e.q.N)
 	cands := par.Candidates
-	if cands == nil {
-		cands = make([]int, e.q.N)
-		for i := range cands {
-			cands[i] = i
-		}
-	}
 
 	type nodeRef struct {
 		module, treeIdx, nodeIdx int
@@ -345,7 +324,7 @@ func (e *gibbs) learnSplits(moduleVars [][]int, trees [][]*tree.Tree, par splits
 		for pi, parent := range cands {
 			sub := base.Substream(uint64(ref.offset + pi*nObs))
 			posteriors = append(posteriors, e.pairPosteriors(moduleVars[ref.module], ref.node, parent,
-				sub, minSteps, maxSteps, ciHW)...)
+				sub, par.MinSteps, par.MaxSteps, par.CIHalfWidth)...)
 		}
 	}
 
@@ -377,10 +356,10 @@ func (e *gibbs) learnSplits(moduleVars [][]int, trees [][]*tree.Tree, par splits
 				NodeObs:   nObs,
 			}
 		}
-		for s := 0; s < numSplits; s++ {
+		for s := 0; s < par.NumSplits; s++ {
 			res.Weighted = append(res.Weighted, mk(e.g.WeightedIndex(weights)))
 		}
-		for s := 0; s < numSplits; s++ {
+		for s := 0; s < par.NumSplits; s++ {
 			res.Uniform = append(res.Uniform, mk(retained[e.g.Intn(len(retained))]))
 		}
 	}

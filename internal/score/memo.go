@@ -55,9 +55,6 @@ func NewMemo(k *Kernel, size int) *Memo {
 	return &Memo{kern: k, mask: uint64(n - 1), slots: make([]memoSlot, n)}
 }
 
-// Kernel returns the kernel the memo caches for.
-func (m *Memo) Kernel() *Kernel { return m.kern }
-
 // Slots returns the slot count.
 func (m *Memo) Slots() int { return len(m.slots) }
 

@@ -501,7 +501,4 @@ func TestCacheKeyCarriesStreamLayout(t *testing.T) {
 	if got := CacheKey(d, opt); got == layout1Key {
 		t.Fatal("cache key unchanged from the layout-1 build: old entries and checkpoint dirs would be mixed into layout-2 results")
 	}
-	if canonicalize(opt).StreamLayout != splits.StreamLayout {
-		t.Fatal("canonical options do not carry splits.StreamLayout")
-	}
 }

@@ -83,6 +83,20 @@ type nodeRef struct {
 	colStats []score.Stats
 }
 
+// assigned materializes the node's local-th candidate, whose posterior is p,
+// as an assigned split.
+func (ref *nodeRef) assigned(q *score.QData, candParents []int, local int, p float64) Assigned {
+	nObs := len(ref.node.Obs)
+	parent := candParents[local/nObs]
+	return Assigned{
+		Module: ref.module, Tree: ref.treeIdx, Node: ref.nodeIdx,
+		Parent:    parent,
+		Value:     q.At(parent, ref.node.Obs[local%nObs]),
+		Posterior: p,
+		NodeObs:   nObs,
+	}
+}
+
 // enumerate builds the canonical global node list and candidate offsets.
 // trees[mi] is the ensemble for module mi over vars modules[mi].
 func enumerate(q *score.QData, modules [][]int, trees [][]*tree.Tree, candParents []int) []*nodeRef {
@@ -172,13 +186,9 @@ type scratch struct {
 	// prefix-summed in place into each threshold's left block.
 	picks []int
 	bkt   []score.Stats
-	// Per group: whether the evaluated range asks for it, its success
-	// count, and once retired its posterior and step count. live lists the
-	// groups still drawing, ascending.
-	want   []bool
-	succ   []int32
-	gsteps []int32
-	gpost  []float64
+	// groups is the per-threshold-group state; live lists the groups still
+	// drawing, ascending.
+	groups []group
 	live   []int32
 	// memo is the worker's exact logML cache over the run's kernel.
 	memo *score.Memo
@@ -186,6 +196,15 @@ type scratch struct {
 	// evaluations (1 + 2·live per pair-step); cands the candidates scored
 	// in the current eval call.
 	pairSteps, draws, calls, cands int64
+}
+
+// group is one distinct threshold of the pair being evaluated: whether the
+// evaluated range asks for it, its success count, and once retired its step
+// count and posterior.
+type group struct {
+	want        bool
+	succ, steps int32
+	post        float64
 }
 
 // grow sizes the per-observation buffers for a node with nObs observations.
@@ -196,10 +215,7 @@ func (sc *scratch) grow(nObs int) {
 		sc.grp = make([]int32, nObs)
 		sc.picks = make([]int, nObs)
 		sc.bkt = make([]score.Stats, nObs)
-		sc.want = make([]bool, nObs)
-		sc.succ = make([]int32, nObs)
-		sc.gsteps = make([]int32, nObs)
-		sc.gpost = make([]float64, nObs)
+		sc.groups = make([]group, nObs)
 		sc.live = make([]int32, nObs)
 	}
 	sc.pobs, sc.order, sc.grp, sc.picks = sc.pobs[:nObs], sc.order[:nObs], sc.grp[:nObs], sc.picks[:nObs]
@@ -243,7 +259,7 @@ type evaluator struct {
 }
 
 func newEvaluator(q *score.QData, pr score.Prior, modules [][]int, trees [][]*tree.Tree, par Params, g *prng.MRG3) *evaluator {
-	par = par.withDefaults(q.N)
+	par = par.WithDefaults(q.N)
 	ev := &evaluator{q: q, par: par, nodes: enumerate(q, modules, trees, par.Candidates), base: g.Clone(), stop: stopTable(par)}
 	for _, ref := range ev.nodes {
 		ev.total += ref.count
@@ -318,15 +334,14 @@ func (ev *evaluator) eval(lo, hi int) (post []float64, steps []int, st pool.Stat
 func (ev *evaluator) evalPair(sc *scratch, ref *nodeRef, pi, from, to int, post []float64, steps []int) {
 	nObs := len(ref.node.Obs)
 	groups := sc.fillPair(ev.q, ref, ev.par.Candidates[pi])
-	grp, bkt, picks, succ := sc.grp, sc.bkt[:groups], sc.picks, sc.succ[:groups]
-	clear(sc.want[:groups])
+	grp, bkt, picks, gs := sc.grp, sc.bkt[:groups], sc.picks, sc.groups[:groups]
+	clear(gs)
 	for _, d := range grp[from:to] {
-		sc.want[d] = true
+		gs[d].want = true
 	}
 	live := sc.live[:0]
-	for d := 0; d < groups; d++ {
-		succ[d], sc.gsteps[d], sc.gpost[d] = 0, 0, 0
-		if sc.want[d] && d < groups-1 {
+	for d := range gs[:groups-1] {
+		if gs[d].want {
 			live = append(live, int32(d))
 		}
 	}
@@ -352,11 +367,12 @@ func (ev *evaluator) evalPair(sc *scratch, ref *nodeRef, pi, from, to int, post 
 		for _, d := range live {
 			ls := bkt[d]
 			rs := score.Stats{N: tot.N - ls.N, Sum: tot.Sum - ls.Sum, SumSq: tot.SumSq - ls.SumSq}
+			g := &gs[d]
 			if delta := memo.LogML(ls) + memo.LogML(rs) - totML; delta > 0 {
-				succ[d]++
+				g.succ++
 			}
-			if ev.stop[step*w+int(succ[d])] {
-				sc.gsteps[d], sc.gpost[d] = int32(step), float64(succ[d])/float64(step)
+			if ev.stop[step*w+int(g.succ)] {
+				g.steps, g.post = int32(step), float64(g.succ)/float64(step)
 			} else {
 				live[n] = d
 				n++
@@ -367,7 +383,7 @@ func (ev *evaluator) evalPair(sc *scratch, ref *nodeRef, pi, from, to int, post 
 	sc.pairSteps += int64(step)
 	sc.draws += int64(step * nObs)
 	for k, d := range grp[from:to] {
-		post[k], steps[k] = sc.gpost[d], int(sc.gsteps[d])
+		post[k], steps[k] = gs[d].post, int(gs[d].steps)
 	}
 }
 

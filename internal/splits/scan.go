@@ -61,10 +61,8 @@ func LearnParallelScan(c *comm.Comm, q *score.QData, pr score.Prior, modules [][
 	ev.observe(st, localSteps)
 	ev.observeRanks(c, st)
 	localW := make([]uint64, hi-lo)
-	localRetained := make([]bool, hi-lo)
 	for k, p := range localP {
 		localW[k] = score.QuantizeProb(p)
-		localRetained[k] = p > 0
 	}
 
 	// Per-node partial sums of this rank's block (the local half of the
@@ -80,7 +78,7 @@ func LearnParallelScan(c *comm.Comm, q *score.QData, pr score.Prior, modules [][
 		}
 		p := &partials[len(partials)-1]
 		p.Weight += localW[ci-lo]
-		if localRetained[ci-lo] {
+		if localP[ci-lo] > 0 {
 			p.Retained++
 		}
 	}
@@ -95,17 +93,7 @@ func LearnParallelScan(c *comm.Comm, q *score.QData, pr score.Prior, modules [][
 	// mkLocal materializes the Assigned for a candidate this rank owns.
 	mkLocal := func(nodeIdx, ci int) Assigned {
 		ref := nodes[nodeIdx]
-		local := ci - ref.offset
-		nObs := len(ref.node.Obs)
-		parent := par.Candidates[local/nObs]
-		p := localP[ci-lo]
-		return Assigned{
-			Module: ref.module, Tree: ref.treeIdx, Node: ref.nodeIdx,
-			Parent:    parent,
-			Value:     q.At(parent, ref.node.Obs[local%nObs]),
-			Posterior: p,
-			NodeObs:   nObs,
-		}
+		return ref.assigned(q, par.Candidates, ci-ref.offset, localP[ci-lo])
 	}
 
 	// Selection: identical draws to the gather-based path, but only the
@@ -141,7 +129,7 @@ func LearnParallelScan(c *comm.Comm, q *score.QData, pr score.Prior, modules [][
 			for _, p := range byNode[nodeIdx] {
 				if u < cum+uint64(p.Retained) {
 					if p.Rank == c.Rank() {
-						ci := findRetained(nodes[nodeIdx], lo, hi, localRetained, int(u-cum))
+						ci := findRetained(nodes[nodeIdx], lo, hi, localP, int(u-cum))
 						localPicks = append(localPicks, pickMsg{Node: nodeIdx, Kind: 1, S: s, A: mkLocal(nodeIdx, ci)})
 					}
 					break
@@ -190,13 +178,13 @@ func findWeighted(ref *nodeRef, lo, hi int, localW []uint64, rem uint64) int {
 	panic("splits: weighted crossing not found in local block")
 }
 
-// findRetained locates the rem-th retained candidate within this rank's
-// slice of the node.
-func findRetained(ref *nodeRef, lo, hi int, localRetained []bool, rem int) int {
+// findRetained locates the rem-th retained (positive-posterior) candidate
+// within this rank's slice of the node.
+func findRetained(ref *nodeRef, lo, hi int, localP []float64, rem int) int {
 	start := max(ref.offset, lo)
 	end := min(ref.offset+ref.count, hi)
 	for ci := start; ci < end; ci++ {
-		if localRetained[ci-lo] {
+		if localP[ci-lo] > 0 {
 			if rem == 0 {
 				return ci
 			}

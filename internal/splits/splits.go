@@ -41,7 +41,7 @@ import (
 // The zero value of every field selects its documented default — an
 // *explicit* zero cannot be configured. Count fields (NumSplits, MaxSteps,
 // MinSteps) treat any value ≤ 0 as "use the default": a negative count is
-// never meaningful, and silently accepting one would make posterior() run
+// never meaningful, and silently accepting one would make the evaluator run
 // zero bootstrap steps and divide by zero. For CIHalfWidth a negative
 // value IS meaningful and is honored: it disables early termination, so
 // every split runs to MaxSteps (the half-width test `hw < CIHalfWidth`
@@ -99,7 +99,9 @@ type Params struct {
 	Cancel *comm.Canceler
 }
 
-func (p Params) withDefaults(n int) Params {
+// WithDefaults returns p with every unset field replaced by its documented
+// default, for a data set of n variables.
+func (p Params) WithDefaults(n int) Params {
 	if p.NumSplits <= 0 {
 		p.NumSplits = 2
 	}
@@ -185,17 +187,7 @@ func selectSplits(q *score.QData, nodes []*nodeRef, posteriors []float64, par Pa
 		if len(retained) == 0 {
 			continue
 		}
-		mk := func(local int) Assigned {
-			nObs := len(ref.node.Obs)
-			parent := par.Candidates[local/nObs]
-			return Assigned{
-				Module: ref.module, Tree: ref.treeIdx, Node: ref.nodeIdx,
-				Parent:    parent,
-				Value:     q.At(parent, ref.node.Obs[local%nObs]),
-				Posterior: ps[local],
-				NodeObs:   nObs,
-			}
-		}
+		mk := func(local int) Assigned { return ref.assigned(q, par.Candidates, local, ps[local]) }
 		for s := 0; s < par.NumSplits; s++ {
 			wi := g.WeightedIndex(weights)
 			res.Weighted = append(res.Weighted, mk(wi))

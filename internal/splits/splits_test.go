@@ -50,6 +50,31 @@ func fixture(t testing.TB, seed uint64) (*score.QData, [][]int, [][]*tree.Tree, 
 	return q, modules, trees, truth
 }
 
+// registryJSON returns the registry's JSON dump.
+func registryJSON(t *testing.T, reg *obs.Registry) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := reg.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// onRanks runs learn on a p-rank world and reports every rank whose result
+// is not want.
+func onRanks(t *testing.T, name string, p int, want Result, learn func(c *comm.Comm) Result) {
+	t.Helper()
+	_, err := comm.Run(p, func(c *comm.Comm) error {
+		if got := learn(c); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s p=%d rank %d: splits differ", name, p, c.Rank())
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("%s p=%d: %v", name, p, err)
+	}
+}
+
 func TestLearnBasic(t *testing.T) {
 	q, modules, trees, _ := fixture(t, 1)
 	res := Learn(q, score.DefaultPrior(), modules, trees, Params{NumSplits: 2}, prng.New(5), nil)
@@ -107,16 +132,9 @@ func TestParallelMatchesSequential(t *testing.T) {
 	par := Params{NumSplits: 2, MaxSteps: 24}
 	want := Learn(q, pr, modules, trees, par, prng.New(9), nil)
 	for _, p := range []int{1, 2, 3, 5, 8} {
-		_, err := comm.Run(p, func(c *comm.Comm) error {
-			got := LearnParallel(c, q, pr, modules, trees, par, prng.New(9))
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("p=%d rank %d: splits differ", p, c.Rank())
-			}
-			return nil
+		onRanks(t, "gather", p, want, func(c *comm.Comm) Result {
+			return LearnParallel(c, q, pr, modules, trees, par, prng.New(9))
 		})
-		if err != nil {
-			t.Fatalf("p=%d: %v", p, err)
-		}
 	}
 }
 
@@ -182,7 +200,7 @@ func TestPosteriorStepBounds(t *testing.T) {
 
 func TestEnumerateOffsets(t *testing.T) {
 	q, modules, trees, _ := fixture(t, 8)
-	par := Params{}.withDefaults(q.N)
+	par := Params{}.WithDefaults(q.N)
 	nodes := enumerate(q, modules, trees, par.Candidates)
 	offset := 0
 	for _, ref := range nodes {
@@ -249,7 +267,7 @@ func TestParamsWithDefaults(t *testing.T) {
 		{"explicit values kept", Params{NumSplits: 3, MaxSteps: 32, MinSteps: 4, CIHalfWidth: 0.2}, 3, 32, 4, 0.2},
 	}
 	for _, tc := range cases {
-		p := tc.in.withDefaults(10)
+		p := tc.in.WithDefaults(10)
 		if p.NumSplits != tc.splits || p.MaxSteps != tc.maxSteps || p.MinSteps != tc.minSteps || p.CIHalfWidth != tc.ciHW {
 			t.Errorf("%s: got %+v", tc.name, p)
 		}
@@ -285,7 +303,7 @@ func TestNegativeCIHalfWidthRunsToMaxSteps(t *testing.T) {
 // vector, which returns -1 and crashed the selection.
 func TestSelectSplitsPosteriorExtremes(t *testing.T) {
 	q, modules, trees, _ := fixture(t, 5)
-	par := Params{NumSplits: 2}.withDefaults(q.N)
+	par := Params{NumSplits: 2}.WithDefaults(q.N)
 	nodes := enumerate(q, modules, trees, par.Candidates)
 	total := 0
 	for _, ref := range nodes {
@@ -328,7 +346,7 @@ func BenchmarkLearn(b *testing.B) {
 
 // TestDynamicMatchesStatic: the dynamic coordinator/worker distribution
 // (the paper's §6 future work) must return exactly the static schemes'
-// result — per-split substreams make posteriors independent of which rank
+// result — per-pair substreams make posteriors independent of which rank
 // computes them.
 func TestDynamicMatchesStatic(t *testing.T) {
 	q, modules, trees, _ := fixture(t, 11)
@@ -337,16 +355,9 @@ func TestDynamicMatchesStatic(t *testing.T) {
 	want := Learn(q, pr, modules, trees, par, prng.New(17), nil)
 	for _, p := range []int{1, 2, 3, 5} {
 		for _, chunk := range []int{0, 1, 7, 1000000} {
-			_, err := comm.Run(p, func(c *comm.Comm) error {
-				got := LearnParallelDynamic(c, q, pr, modules, trees, par, prng.New(17), chunk)
-				if !reflect.DeepEqual(got, want) {
-					t.Errorf("p=%d chunk=%d rank %d: dynamic result differs", p, chunk, c.Rank())
-				}
-				return nil
+			onRanks(t, fmt.Sprintf("dynamic chunk=%d", chunk), p, want, func(c *comm.Comm) Result {
+				return LearnParallelDynamic(c, q, pr, modules, trees, par, prng.New(17), chunk)
 			})
-			if err != nil {
-				t.Fatalf("p=%d chunk=%d: %v", p, chunk, err)
-			}
 		}
 	}
 }
@@ -360,55 +371,23 @@ func TestScanSelectionMatchesGather(t *testing.T) {
 	par := Params{NumSplits: 3, MaxSteps: 24}
 	want := Learn(q, pr, modules, trees, par, prng.New(31), nil)
 	for _, p := range []int{1, 2, 3, 5, 8} {
-		_, err := comm.Run(p, func(c *comm.Comm) error {
-			got := LearnParallelScan(c, q, pr, modules, trees, par, prng.New(31))
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("p=%d rank %d: scan-selected splits differ", p, c.Rank())
-			}
-			return nil
+		onRanks(t, "scan", p, want, func(c *comm.Comm) Result {
+			return LearnParallelScan(c, q, pr, modules, trees, par, prng.New(31))
 		})
-		if err != nil {
-			t.Fatalf("p=%d: %v", p, err)
-		}
 	}
 }
 
 // TestWorkersInvariance: the intra-rank worker pool must not change the
-// result — sequential Learn and all three parallel paths return bit-identical
-// splits for every (p, W) combination.
+// result sequentially, whatever the worker count (TestCutPairInvariance
+// sweeps p × W over the three parallel paths).
 func TestWorkersInvariance(t *testing.T) {
 	q, modules, trees, _ := fixture(t, 14)
 	pr := score.DefaultPrior()
-	base := Params{NumSplits: 2, MaxSteps: 24}
-	want := Learn(q, pr, modules, trees, base, prng.New(23), nil)
+	want := Learn(q, pr, modules, trees, Params{NumSplits: 2, MaxSteps: 24}, prng.New(23), nil)
 	for _, workers := range []int{2, 3, 8} {
-		par := base
-		par.Workers = workers
+		par := Params{NumSplits: 2, MaxSteps: 24, Workers: workers}
 		if got := Learn(q, pr, modules, trees, par, prng.New(23), nil); !reflect.DeepEqual(got, want) {
 			t.Fatalf("sequential W=%d: splits differ", workers)
-		}
-		for _, p := range []int{2, 3} {
-			for name, run := range map[string]func(c *comm.Comm) Result{
-				"gather": func(c *comm.Comm) Result {
-					return LearnParallel(c, q, pr, modules, trees, par, prng.New(23))
-				},
-				"scan": func(c *comm.Comm) Result {
-					return LearnParallelScan(c, q, pr, modules, trees, par, prng.New(23))
-				},
-				"dynamic": func(c *comm.Comm) Result {
-					return LearnParallelDynamic(c, q, pr, modules, trees, par, prng.New(23), 16)
-				},
-			} {
-				_, err := comm.Run(p, func(c *comm.Comm) error {
-					if got := run(c); !reflect.DeepEqual(got, want) {
-						t.Errorf("%s p=%d W=%d rank %d: splits differ", name, p, workers, c.Rank())
-					}
-					return nil
-				})
-				if err != nil {
-					t.Fatalf("%s p=%d W=%d: %v", name, p, workers, err)
-				}
-			}
 		}
 	}
 }
@@ -513,23 +492,15 @@ func TestScanMetricsParity(t *testing.T) {
 	pr := score.DefaultPrior()
 	dump := func(scan bool) string {
 		reg := obs.NewRegistry()
-		par := Params{NumSplits: 2, MaxSteps: 24, Hooks: obs.NewHooks(nil, reg)}
+		par := Params{NumSplits: 2, MaxSteps: 24, ScanSelection: scan, Hooks: obs.NewHooks(nil, reg)}
 		_, err := comm.Run(2, func(c *comm.Comm) error {
-			if scan {
-				LearnParallelScan(c, q, pr, modules, trees, par, prng.New(21))
-			} else {
-				LearnParallel(c, q, pr, modules, trees, par, prng.New(21))
-			}
+			LearnParallel(c, q, pr, modules, trees, par, prng.New(21))
 			return nil
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		var buf bytes.Buffer
-		if err := reg.WriteJSON(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.String()
+		return string(registryJSON(t, reg))
 	}
 	gather, scan := dump(false), dump(true)
 	if !strings.Contains(scan, "split_steps") {
