@@ -88,6 +88,7 @@ func LearnParallelDynamic(c *comm.Comm, q *score.QData, pr score.Prior, modules 
 		// and scan paths guarantee. The metrics are sums over whatever this
 		// rank was dealt, so the registry totals stay schedule-invariant
 		// (but for the memo's hit/miss split).
+		reg := par.Hooks.Registry()
 		var steps []int
 		for {
 			comm.Send(c, 0, c.Rank())
@@ -99,9 +100,11 @@ func LearnParallelDynamic(c *comm.Comm, q *score.QData, pr score.Prior, modules 
 			for k, p := range post {
 				local = append(local, valMsg{Index: ch.Lo + k, P: p})
 			}
-			steps = append(steps, s...)
+			if reg != nil {
+				steps = append(steps, s...)
+			}
 		}
-		ev.recordMetrics(par.Hooks.Registry(), steps)
+		ev.recordMetrics(reg, steps)
 	}
 
 	// Gather all posteriors everywhere and restore canonical order.
