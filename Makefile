@@ -94,7 +94,8 @@ fuzz-score:
 	$(GO) test -run '^$$' -fuzz 'FuzzKernelLogML$$' -fuzztime 10s ./internal/score/
 	$(GO) test -run '^$$' -fuzz 'FuzzMemoLogML$$' -fuzztime 10s ./internal/score/
 
-# Regenerate the full reduced-scale reproduction (minutes).
+# Regenerate the full reduced-scale reproduction of the paper's tables and
+# figures (minutes). Performance is the other harness: `go run ./benchmark`.
 bench:
 	$(GO) run ./cmd/benchtab all
 

@@ -13,7 +13,9 @@
 // text tables, so runs can be diffed and plotted by scripts.
 //
 // Experiments: table1, fig3, fig4, fig5a, fig5b, fig5c, fig6, table2,
-// imbalance, ablation-dist, estimate, determinism, obs-overhead, ….
+// imbalance, ablation-dist, estimate, determinism, compare-genomica,
+// crossval, comm-volume, recovery (-list prints them). Performance is
+// refereed by the repo benchmark (go run ./benchmark), not here.
 package main
 
 import (

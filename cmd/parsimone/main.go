@@ -28,6 +28,7 @@ import (
 	"parsimone/internal/dataset"
 	"parsimone/internal/obs"
 	"parsimone/internal/result"
+	"parsimone/internal/serve"
 )
 
 // writeFileWith creates path, streams fn into it, and surfaces close errors
@@ -91,6 +92,35 @@ func verifyNetworkFile(path, format string, want *result.Network) error {
 	return nil
 }
 
+// learnFlags registers the flags that describe the learning problem and its
+// execution shape, parsing them straight into the serve.JobRequest a POST
+// /api/v1/jobs body decodes to. JobRequest.Options is then the one place
+// either surface's settings become core.Options; as there, a zero count or
+// seed keeps the engine default.
+func learnFlags(fs *flag.FlagSet) *serve.JobRequest {
+	req := new(serve.JobRequest)
+	fs.IntVar(&req.Ranks, "p", 1, "number of message-passing ranks")
+	fs.IntVar(&req.Workers, "threads", 1, "intra-rank worker goroutines per rank (W); the network is identical for every (p, W)")
+	fs.Uint64Var(&req.Seed, "seed", 1, "PRNG seed (0 keeps the default, as in the parsimoned API)")
+	fs.IntVar(&req.GaneshRuns, "ganesh-runs", 1, "number of GaneSH co-clustering runs (G)")
+	fs.IntVar(&req.Updates, "updates", 1, "GaneSH update steps per run (U)")
+	fs.IntVar(&req.Trees, "trees", 1, "regression trees per module (R)")
+	fs.IntVar(&req.Splits, "splits", 2, "splits chosen per tree node (J)")
+	fs.IntVar(&req.MaxSteps, "max-steps", 64, "bootstrap sampling cap per split (S)")
+	fs.StringVar(&req.Dist, "dist", "static", "parallel split distribution: static, scan, or dynamic")
+	fs.StringVar(&req.CheckpointFormat, "checkpoint-format", "json", "checkpoint file format: json (v2) or binary (v3, several times smaller); reads auto-detect, so either setting resumes a directory written by the other")
+	fs.IntVar(&req.MaxRestarts, "max-restarts", 0, "with -p > 1: restart the world up to this many times after a rank failure, resuming from -checkpoint if set")
+	fs.Func("regulators", "comma-separated candidate regulator names (default: all variables)", func(s string) error {
+		if s != "" {
+			req.Regulators = strings.Split(s, ",")
+		}
+		return nil
+	})
+	fs.IntVar(&req.N, "n", 0, "use only the first n variables (0 = all)")
+	fs.IntVar(&req.M, "m", 0, "use only the first m observations (0 = all)")
+	return req
+}
+
 func main() {
 	// SIGINT/SIGTERM drain the run cooperatively: every rank stops at its
 	// next deterministic cancellation check, the durable checkpoints are the
@@ -124,27 +154,14 @@ func run(args []string, stdout io.Writer) error {
 // drains to its checkpoints and returns a *core.CancelledError.
 func runCtx(ctx context.Context, args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("parsimone", flag.ContinueOnError)
+	req := learnFlags(fs)
 	var (
 		in         = fs.String("in", "", "input TSV expression matrix (required)")
 		out        = fs.String("out", "network.xml", "output network file (.xml, .json, or .bin)")
 		outFormat  = fs.String("out-format", "auto", "output network format: auto (by -out suffix: .json → json, .bin → binary, else xml), xml, json, or binary")
 		verifyOut  = fs.Bool("verify-out", false, "after writing -out, reload it and verify it decodes to the identical network")
-		ranks      = fs.Int("p", 1, "number of message-passing ranks")
-		threads    = fs.Int("threads", 1, "intra-rank worker goroutines per rank (W); the network is identical for every (p, W)")
-		seed       = fs.Uint64("seed", 1, "PRNG seed")
-		ganeshRuns = fs.Int("ganesh-runs", 1, "number of GaneSH co-clustering runs (G)")
-		updates    = fs.Int("updates", 1, "GaneSH update steps per run (U)")
-		treeRuns   = fs.Int("trees", 1, "regression trees per module (R)")
-		numSplits  = fs.Int("splits", 2, "splits chosen per tree node (J)")
-		maxSteps   = fs.Int("max-steps", 64, "bootstrap sampling cap per split (S)")
-		dist       = fs.String("dist", "static", "parallel split distribution: static, scan, or dynamic")
 		ckptDir    = fs.String("checkpoint", "", "checkpoint directory: task outputs and per-module progress are persisted there, and a rerun with the same data, seed, and options resumes from whatever checkpoints exist, learning the identical network; stale checkpoints from other configurations are rejected")
-		ckptFormat = fs.String("checkpoint-format", "json", "checkpoint file format: json (v2) or binary (v3, several times smaller); reads auto-detect, so either setting resumes a directory written by the other")
-		restarts   = fs.Int("max-restarts", 0, "with -p > 1: restart the world up to this many times after a rank failure, resuming from -checkpoint if set")
 		timeout    = fs.Duration("timeout", 0, "cancel the run after this long (0 = none): it drains cleanly to -checkpoint, exits with code 3, and a rerun with the same flags resumes to the identical network; SIGINT/SIGTERM drain the same way")
-		regulators = fs.String("regulators", "", "comma-separated candidate regulator names (default: all variables)")
-		subN       = fs.Int("n", 0, "use only the first n variables (0 = all)")
-		subM       = fs.Int("m", 0, "use only the first m observations (0 = all)")
 		acyclic    = fs.Bool("acyclic", false, "print the acyclic module graph after learning")
 		quiet      = fs.Bool("quiet", false, "suppress progress output")
 		traceOut   = fs.String("trace-out", "", "write the structured run-event log (JSON lines, rank-merged) to this file")
@@ -159,14 +176,14 @@ func runCtx(ctx context.Context, args []string, stdout io.Writer) error {
 		fs.Usage()
 		return fmt.Errorf("-in is required")
 	}
-	if *ranks < 1 {
-		return fmt.Errorf("-p must be ≥ 1, got %d", *ranks)
+	if req.Ranks < 1 {
+		return fmt.Errorf("-p must be ≥ 1, got %d", req.Ranks)
 	}
-	if *threads < 1 {
-		return fmt.Errorf("-threads must be ≥ 1, got %d", *threads)
+	if req.Workers < 1 {
+		return fmt.Errorf("-threads must be ≥ 1, got %d", req.Workers)
 	}
-	if *restarts < 0 {
-		return fmt.Errorf("-max-restarts must be ≥ 0, got %d", *restarts)
+	if req.MaxRestarts < 0 {
+		return fmt.Errorf("-max-restarts must be ≥ 0, got %d", req.MaxRestarts)
 	}
 	if *timeout < 0 {
 		return fmt.Errorf("-timeout must be ≥ 0, got %v", *timeout)
@@ -175,9 +192,6 @@ func runCtx(ctx context.Context, args []string, stdout io.Writer) error {
 		if fi, err := os.Stat(*ckptDir); err == nil && !fi.IsDir() {
 			return fmt.Errorf("-checkpoint %q exists and is not a directory", *ckptDir)
 		}
-	}
-	if *ckptFormat != "json" && *ckptFormat != "binary" {
-		return fmt.Errorf("unknown -checkpoint-format %q (want json or binary)", *ckptFormat)
 	}
 	format, err := resolveOutFormat(*outFormat, *out)
 	if err != nil {
@@ -188,17 +202,9 @@ func runCtx(ctx context.Context, args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if *subN > 0 || *subM > 0 {
-		n, m := d.N, d.M
-		if *subN > 0 {
-			n = *subN
-		}
-		if *subM > 0 {
-			m = *subM
-		}
-		if d, err = d.Subset(n, m); err != nil {
-			return err
-		}
+	d, opt, err := req.Options(d)
+	if err != nil {
+		return err
 	}
 	logf := func(format string, args ...any) {
 		if !*quiet {
@@ -207,50 +213,7 @@ func runCtx(ctx context.Context, args []string, stdout io.Writer) error {
 	}
 	logf("loaded %d variables × %d observations from %s", d.N, d.M, *in)
 
-	opt := core.DefaultOptions()
-	opt.Seed = *seed
-	opt.Workers = *threads
-	opt.GaneshRuns = *ganeshRuns
-	opt.Ganesh.Updates = *updates
-	opt.Module.Tree.Updates = *treeRuns + opt.Module.Tree.Burnin
-	opt.Module.Splits.NumSplits = *numSplits
-	opt.Module.Splits.MaxSteps = *maxSteps
 	opt.CheckpointDir = *ckptDir
-	opt.BinaryCheckpoints = *ckptFormat == "binary"
-	opt.MaxRestarts = *restarts
-	switch *dist {
-	case "static":
-	case "scan":
-		opt.Module.Splits.ScanSelection = true
-	case "dynamic":
-		opt.Module.Splits.DynamicChunk = 64
-	default:
-		return fmt.Errorf("unknown -dist %q (want static, scan, or dynamic)", *dist)
-	}
-	if *regulators != "" {
-		index := map[string]int{}
-		for i, name := range d.Names {
-			index[name] = i
-		}
-		for _, name := range strings.Split(*regulators, ",") {
-			name = strings.TrimSpace(name)
-			if name == "" {
-				continue
-			}
-			i, ok := index[name]
-			if !ok {
-				return fmt.Errorf("regulator %q not in the data set", name)
-			}
-			opt.Module.Splits.Candidates = append(opt.Module.Splits.Candidates, i)
-		}
-		// Fail fast here rather than after data loading inside Learn: a list
-		// of only separators/blanks (e.g. -regulators ",") would otherwise
-		// produce the non-nil empty Candidates slice splits.Params rejects.
-		if len(opt.Module.Splits.Candidates) == 0 {
-			return fmt.Errorf("-regulators %q names no variables — the candidate-parent list would be empty", *regulators)
-		}
-	}
-
 	opt.Events = *traceOut != ""
 	if *metricsOut != "" {
 		opt.Metrics = obs.NewRegistry()
@@ -278,16 +241,16 @@ func runCtx(ctx context.Context, args []string, stdout io.Writer) error {
 	}
 
 	var output *core.Output
-	if *ranks > 1 {
-		logf("learning on %d ranks × %d workers ...", *ranks, *threads)
-		// The -ranks flag picks the world size before any rank exists;
+	if req.Ranks > 1 {
+		logf("learning on %d ranks × %d workers ...", req.Ranks, req.Workers)
+		// The -p flag picks the world size before any rank exists;
 		// LearnParallel launches every rank itself, so all of them reach the
 		// collectives together. The rank-guard heuristic keys on the
 		// identifier name alone and cannot see that.
 		//parsivet:commreach — audited: flag-guarded launcher, world not yet created, all ranks enter together
-		output, err = core.LearnParallel(*ranks, d, opt)
+		output, err = core.LearnParallel(req.Ranks, d, opt)
 	} else {
-		logf("learning sequentially (%d workers) ...", *threads)
+		logf("learning sequentially (%d workers) ...", req.Workers)
 		output, err = core.Learn(d, opt)
 	}
 	if err != nil {

@@ -5,14 +5,18 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	"parsimone/internal/core"
 	"parsimone/internal/obs"
 	"parsimone/internal/result"
+	"parsimone/internal/serve"
 	"parsimone/internal/synth"
 )
 
@@ -244,6 +248,57 @@ func TestRunSubsetAndRegulators(t *testing.T) {
 			if p.Index > 1 {
 				t.Fatalf("parent %d outside regulator list", p.Index)
 			}
+		}
+	}
+}
+
+// TestFlagsAndJSONGiveSameOptions: the CLI flags and the parsimoned JSON
+// fields of the same names go through one mapping (JobRequest.Options), so
+// the same request written either way must give reflect.DeepEqual engine
+// options over the same dataset subset, or the same rejection.
+func TestFlagsAndJSONGiveSameOptions(t *testing.T) {
+	d, _, err := synth.Generate(synth.Config{N: 30, M: 20, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		flags, body string
+		wantErr     bool
+	}{
+		// The flag defaults written out: what a bare `parsimone -in x` asks for.
+		{"", `{"ranks":1,"workers":1,"seed":1,"ganesh_runs":1,"updates":1,"trees":1,"splits":2,"max_steps":64,"dist":"static","checkpoint_format":"json"}`, false},
+		{"-seed 9 -ganesh-runs 3 -updates 2 -trees 4 -splits 3 -max-steps 16",
+			`{"seed":9,"ganesh_runs":3,"updates":2,"trees":4,"splits":3,"max_steps":16,"workers":1}`, false},
+		{"-dist scan -checkpoint-format binary -max-restarts 2 -p 2 -threads 2 -splits 0 -max-steps 0",
+			`{"dist":"scan","checkpoint_format":"binary","max_restarts":2,"ranks":2,"workers":2}`, false},
+		{"-dist dynamic -splits 0 -max-steps 0", `{"dist":"dynamic","workers":1}`, false},
+		// Subset, regulator names → indices, blank names skipped.
+		{"-n 20 -m 15 -regulators R0001,,R0000, -splits 0 -max-steps 0",
+			`{"n":20,"m":15,"regulators":["R0001","R0000"],"workers":1}`, false},
+		// A zero count or seed keeps the engine default on both surfaces.
+		{"-seed 0 -ganesh-runs 0 -updates 0 -trees 0 -splits 0 -max-steps 0", `{"workers":1}`, false},
+		{"-n 1 -regulators R0001", `{"n":1,"regulators":["R0001"]}`, true}, // outside the subset
+		{"-regulators ,", `{"regulators":["",""]}`, true},                  // names no variable
+		{"-dist bogus", `{"dist":"bogus"}`, true},
+		{"-checkpoint-format yaml", `{"checkpoint_format":"yaml"}`, true},
+	}
+	for _, tc := range cases {
+		fs := flag.NewFlagSet("parsimone", flag.ContinueOnError)
+		fromFlags := learnFlags(fs)
+		if err := fs.Parse(strings.Fields(tc.flags)); err != nil {
+			t.Fatalf("%q: %v", tc.flags, err)
+		}
+		var fromJSON serve.JobRequest
+		if err := json.Unmarshal([]byte(tc.body), &fromJSON); err != nil {
+			t.Fatalf("%s: %v", tc.body, err)
+		}
+		fd, fopt, ferr := fromFlags.Options(d)
+		jd, jopt, jerr := fromJSON.Options(d)
+		if (ferr != nil) != tc.wantErr || fmt.Sprint(ferr) != fmt.Sprint(jerr) {
+			t.Errorf("%q: flags error %v, JSON error %v, want error %v", tc.flags, ferr, jerr, tc.wantErr)
+		}
+		if !reflect.DeepEqual(fopt, jopt) || !reflect.DeepEqual(fd, jd) {
+			t.Errorf("%q: flags and JSON differ\nflags: %+v\njson:  %+v", tc.flags, fopt, jopt)
 		}
 	}
 }

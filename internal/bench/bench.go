@@ -33,7 +33,7 @@ import (
 type Scale int
 
 const (
-	// Quick is for CI and testing.B: seconds per experiment.
+	// Quick is for CI: seconds per experiment.
 	Quick Scale = iota
 	// Full is the benchtab default: the complete reduced-scale
 	// reproduction, minutes per experiment.
@@ -170,57 +170,46 @@ func fmtDur(d time.Duration) string {
 	}
 }
 
+// experiments is the registry: one row per experiment, in the canonical
+// order benchtab -list and `benchtab all` use. Experiments and Run both
+// read it, so an id cannot be listed without dispatching.
+var experiments = []struct {
+	id  string
+	run func(Scale) *Table
+}{
+	{"table1", Table1},
+	{"fig3", Fig3},
+	{"fig4", Fig4},
+	{"fig5a", Fig5a},
+	{"fig5b", Fig5b},
+	{"fig5c", Fig5c},
+	{"fig6", Fig6},
+	{"table2", Table2},
+	{"imbalance", Imbalance},
+	{"ablation-dist", AblationDist},
+	{"estimate", Estimate},
+	{"determinism", Determinism},
+	{"compare-genomica", CompareGenomica},
+	{"crossval", CrossVal},
+	{"comm-volume", CommVolume},
+	{"recovery", Recovery},
+}
+
 // Experiments lists the available experiment ids in canonical order.
 func Experiments() []string {
-	return []string{
-		"table1", "fig3", "fig4", "fig5a", "fig5b", "fig5c",
-		"fig6", "table2", "imbalance", "ablation-dist", "threads",
-		"estimate", "determinism", "compare-genomica", "crossval",
-		"comm-volume", "recovery", "obs-overhead", "serve",
+	ids := make([]string, len(experiments))
+	for i, e := range experiments {
+		ids[i] = e.id
 	}
+	return ids
 }
 
 // Run executes one experiment by id.
 func Run(id string, scale Scale) (*Table, error) {
-	switch id {
-	case "table1":
-		return Table1(scale), nil
-	case "fig3":
-		return Fig3(scale), nil
-	case "fig4":
-		return Fig4(scale), nil
-	case "fig5a":
-		return Fig5a(scale), nil
-	case "fig5b":
-		return Fig5b(scale), nil
-	case "fig5c":
-		return Fig5c(scale), nil
-	case "fig6":
-		return Fig6(scale), nil
-	case "table2":
-		return Table2(scale), nil
-	case "imbalance":
-		return Imbalance(scale), nil
-	case "ablation-dist":
-		return AblationDist(scale), nil
-	case "threads":
-		return Threads(scale), nil
-	case "estimate":
-		return Estimate(scale), nil
-	case "determinism":
-		return Determinism(scale), nil
-	case "compare-genomica":
-		return CompareGenomica(scale), nil
-	case "crossval":
-		return CrossVal(scale), nil
-	case "comm-volume":
-		return CommVolume(scale), nil
-	case "recovery":
-		return Recovery(scale), nil
-	case "obs-overhead":
-		return ObsOverhead(scale), nil
-	case "serve":
-		return ServeBench(scale), nil
+	for _, e := range experiments {
+		if e.id == id {
+			return e.run(scale), nil
+		}
 	}
 	return nil, fmt.Errorf("bench: unknown experiment %q (have %s)", id, strings.Join(Experiments(), ", "))
 }

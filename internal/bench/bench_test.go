@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -31,40 +32,23 @@ func TestRunUnknownExperiment(t *testing.T) {
 	}
 }
 
+// TestExperimentsAllDispatch checks the registry without executing an
+// experiment: the ids are exactly the sixteen below (so unique, and none of
+// the retired ones) in benchtab -list order, and each has a runner. Run looks
+// an id up in the same table; TestRunUnknownExperiment covers the miss.
 func TestExperimentsAllDispatch(t *testing.T) {
-	// Every listed id must dispatch (checked by name only; execution is
-	// covered by the per-experiment tests and benchmarks).
-	for _, id := range Experiments() {
-		found := false
-		for _, known := range Experiments() {
-			if id == known {
-				found = true
-			}
-		}
-		if !found {
-			t.Fatalf("id %s missing", id)
-		}
+	want := []string{
+		"table1", "fig3", "fig4", "fig5a", "fig5b", "fig5c",
+		"fig6", "table2", "imbalance", "ablation-dist",
+		"estimate", "determinism", "compare-genomica", "crossval",
+		"comm-volume", "recovery",
 	}
-}
-
-// TestThreadsExperiment: the worker-pool table must report a bit-identical
-// network at every W and carry W per-worker counters per row. Wall-clock
-// speedup is NOT asserted — it requires a multicore host.
-func TestThreadsExperiment(t *testing.T) {
-	tab, err := Run("threads", Quick)
-	if err != nil {
-		t.Fatal(err)
+	if got := Experiments(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Experiments() = %v, want %v", got, want)
 	}
-	if len(tab.Rows) != 4 {
-		t.Fatalf("want 4 rows (W∈{1,2,4,8}), got %d", len(tab.Rows))
-	}
-	for _, row := range tab.Rows {
-		if row[4] != "true" {
-			t.Fatalf("W=%s network not identical: %v", row[0], row)
-		}
-		w, _ := strconv.Atoi(row[0])
-		if got := len(strings.Split(row[5], "/")); got != w {
-			t.Fatalf("W=%s row has %d worker counters: %v", row[0], got, row)
+	for _, e := range experiments {
+		if e.run == nil {
+			t.Fatalf("id %s has no runner", e.id)
 		}
 	}
 }
@@ -198,26 +182,5 @@ func TestSubsetDataCachesMaster(t *testing.T) {
 	c := subsetData(48, 24, 4242, 24, 12)
 	if c.At(0, 0) == 99 {
 		t.Fatal("subset aliases the cached master")
-	}
-}
-
-// TestServeExperiment: the service table must carry one row per load job
-// with a sub-second cache-hit latency column — the second identical
-// submission never runs a learning job.
-func TestServeExperiment(t *testing.T) {
-	tab, err := Run("serve", Quick)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tab.Rows) != 4 {
-		t.Fatalf("want 4 rows (one per load job), got %d", len(tab.Rows))
-	}
-	if got := tab.Header[len(tab.Header)-2]; got != "cache hit" {
-		t.Fatalf("second-to-last column %q, want the cache-hit latency", got)
-	}
-	for _, row := range tab.Rows {
-		if !strings.HasSuffix(row[len(row)-1], "x") {
-			t.Fatalf("speedup cell %q is not a factor", row[len(row)-1])
-		}
 	}
 }

@@ -104,13 +104,20 @@ func (cl *Canceler) Check() {
 	}
 }
 
-// RecvAnyCtx is RecvAnyTimeout with cancellation: it blocks until a message
-// whose payload is assignable to T arrives from any sender, honoring both a
-// timeout and the run's cancel signal. d ≤ 0 waits without bound (so a
-// coordinator configured without a watchdog still honors cancellation);
-// cl == nil reduces to RecvAnyTimeout. On timeout it returns (-1, zero,
-// false); when the cancel signal fires first it panics with the Canceler's
-// reason error, aborting the world like any rank failure.
+// RecvAnyCtx blocks until a message whose payload is assignable to T
+// arrives from any sender, and returns the sender's rank and the message.
+// The payload type acts as a lightweight MPI tag: messages of other types
+// are stashed for later typed Recv calls, so a coordinator matching requests
+// is not confused by peers that have already moved on to a later exchange.
+// Stashed messages are scanned lowest sender rank first; per-sender order
+// among same-type messages is preserved.
+//
+// The wait honors both a deadline and the run's cancel signal. If no
+// message of type T arrives within d it returns (-1, zero, false), which
+// lets a coordinator turn a hung peer into a detectable failure (the dynamic
+// split-distribution watchdog); d ≤ 0 waits without bound. When the cancel
+// signal fires first it panics with the Canceler's reason error, aborting
+// the world like any rank failure; a nil cl never fires.
 func RecvAnyCtx[T any](c *Comm, cl *Canceler, d time.Duration) (int, T, bool) {
 	c.tick()
 	for from := 0; from < c.world.size; from++ {

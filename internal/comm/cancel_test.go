@@ -76,7 +76,7 @@ func TestCancelerDoneFires(t *testing.T) {
 }
 
 // TestRecvAnyCtxDelivers: with a live Canceler attached, RecvAnyCtx still
-// delivers messages exactly like RecvAnyTimeout.
+// delivers messages exactly as it does with a nil one.
 func TestRecvAnyCtxDelivers(t *testing.T) {
 	cl := NewCanceler(make(chan struct{}), nil)
 	_, err := Run(2, func(c *Comm) error {

@@ -25,7 +25,6 @@ import (
 	"reflect"
 	"runtime/debug"
 	"sync"
-	"time"
 )
 
 // envelope is a single in-flight point-to-point message.
@@ -396,70 +395,6 @@ func BlockOwner(n, size, i int) int {
 		return i / (base + 1)
 	}
 	return rem + (i-wide)/base
-}
-
-// RecvAny blocks until a message whose payload is assignable to T arrives
-// from any sender, and returns the sender's rank and the message. The
-// payload type acts as a lightweight MPI tag: messages of other types are
-// stashed for later typed Recv calls, so a coordinator matching requests is
-// not confused by peers that have already moved on to a later exchange.
-// Stashed messages are scanned lowest sender rank first; per-sender order
-// among same-type messages is preserved.
-func RecvAny[T any](c *Comm) (int, T) {
-	c.tick()
-	for from := 0; from < c.world.size; from++ {
-		q := c.pending[from]
-		for i, v := range q {
-			if tv, ok := v.(T); ok {
-				c.pending[from] = append(q[:i:i], q[i+1:]...)
-				return from, tv
-			}
-		}
-	}
-	for {
-		select {
-		case env := <-c.world.inbox[c.rank]:
-			if tv, ok := env.v.(T); ok {
-				return env.from, tv
-			}
-			c.pending[env.from] = append(c.pending[env.from], env.v)
-		case <-c.world.aborted:
-			panic(ErrAborted)
-		}
-	}
-}
-
-// RecvAnyTimeout is RecvAny with a deadline: it returns (-1, zero, false)
-// if no message of type T arrives within d. It lets a coordinator that
-// would otherwise block forever on a hung peer turn the hang into a
-// detectable failure (the dynamic split-distribution watchdog).
-func RecvAnyTimeout[T any](c *Comm, d time.Duration) (int, T, bool) {
-	c.tick()
-	for from := 0; from < c.world.size; from++ {
-		q := c.pending[from]
-		for i, v := range q {
-			if tv, ok := v.(T); ok {
-				c.pending[from] = append(q[:i:i], q[i+1:]...)
-				return from, tv, true
-			}
-		}
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	for {
-		select {
-		case env := <-c.world.inbox[c.rank]:
-			if tv, ok := env.v.(T); ok {
-				return env.from, tv, true
-			}
-			c.pending[env.from] = append(c.pending[env.from], env.v)
-		case <-t.C:
-			var zero T
-			return -1, zero, false
-		case <-c.world.aborted:
-			panic(ErrAborted)
-		}
-	}
 }
 
 // Split partitions the ranks into disjoint subgroups by color and returns a

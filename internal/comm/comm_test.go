@@ -450,7 +450,7 @@ func TestRecvAny(t *testing.T) {
 		if c.Rank() == 0 {
 			got := map[int]int{}
 			for i := 0; i < 3; i++ {
-				from, v := RecvAny[int](c)
+				from, v, _ := RecvAnyCtx[int](c, nil, 0)
 				got[from] = v
 			}
 			for k := 1; k < 4; k++ {
@@ -481,9 +481,9 @@ func TestRecvAnyDrainsPendingFirst(t *testing.T) {
 			if got := Recv[string](c, 2); got != "two" {
 				return fmt.Errorf("from 2: %q", got)
 			}
-			from, v := RecvAny[string](c)
+			from, v, _ := RecvAnyCtx[string](c, nil, 0)
 			if from != 1 || v != "one" {
-				return fmt.Errorf("RecvAny got %d/%q", from, v)
+				return fmt.Errorf("RecvAnyCtx got %d/%q", from, v)
 			}
 		}
 		return nil
@@ -495,7 +495,7 @@ func TestRecvAnyDrainsPendingFirst(t *testing.T) {
 
 func TestRecvAnyTimeoutDrainsPendingFirst(t *testing.T) {
 	// A typed message already sitting in the pending stash must satisfy
-	// RecvAnyTimeout immediately — no fresh arrival, no timeout wait.
+	// RecvAnyCtx immediately — no fresh arrival, no timeout wait.
 	_, err := Run(3, func(c *Comm) error {
 		switch c.Rank() {
 		case 1:
@@ -510,9 +510,9 @@ func TestRecvAnyTimeoutDrainsPendingFirst(t *testing.T) {
 			if got := Recv[string](c, 2); got != "sync" {
 				return fmt.Errorf("from 2: %q", got)
 			}
-			from, v, ok := RecvAnyTimeout[int](c, time.Minute)
+			from, v, ok := RecvAnyCtx[int](c, nil, time.Minute)
 			if !ok || from != 1 || v != 42 {
-				return fmt.Errorf("RecvAnyTimeout got %d/%d/%v, want 1/42/true", from, v, ok)
+				return fmt.Errorf("RecvAnyCtx got %d/%d/%v, want 1/42/true", from, v, ok)
 			}
 		}
 		return nil
@@ -536,11 +536,11 @@ func TestRecvAnyTimeoutStashesMixedTypes(t *testing.T) {
 			Recv[string](c, 1)
 			Send(c, 0, 9)
 		case 0:
-			from, v, ok := RecvAnyTimeout[int](c, time.Minute)
+			from, v, ok := RecvAnyCtx[int](c, nil, time.Minute)
 			if !ok || from != 1 || v != 7 {
 				return fmt.Errorf("first int: %d/%d/%v", from, v, ok)
 			}
-			from, v, ok = RecvAnyTimeout[int](c, time.Minute)
+			from, v, ok = RecvAnyCtx[int](c, nil, time.Minute)
 			if !ok || from != 2 || v != 9 {
 				return fmt.Errorf("second int: %d/%d/%v", from, v, ok)
 			}
@@ -565,7 +565,7 @@ func TestRecvAnyTimeoutTimesOutWhileStashing(t *testing.T) {
 			Send(c, 0, "done")
 			return nil
 		}
-		from, v, ok := RecvAnyTimeout[int](c, 100*time.Millisecond)
+		from, v, ok := RecvAnyCtx[int](c, nil, 100*time.Millisecond)
 		if ok || from != -1 || v != 0 {
 			return fmt.Errorf("want timeout (-1, 0, false), got %d/%d/%v", from, v, ok)
 		}

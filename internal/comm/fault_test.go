@@ -167,23 +167,23 @@ func TestRecvAnyTimeout(t *testing.T) {
 	_, err := Run(2, func(c *Comm) error {
 		if c.Rank() == 0 {
 			// Phase 1: nothing in flight — the deadline must fire.
-			if from, v, ok := RecvAnyTimeout[int](c, 20*time.Millisecond); ok || from != -1 || v != 0 {
+			if from, v, ok := RecvAnyCtx[int](c, nil, 20*time.Millisecond); ok || from != -1 || v != 0 {
 				return fmt.Errorf("empty timeout returned (%d, %d, %v), want (-1, 0, false)", from, v, ok)
 			}
 			Barrier(c)
 			// Phase 2: a message is coming — it must be delivered.
-			from, v, ok := RecvAnyTimeout[int](c, 10*time.Second)
+			from, v, ok := RecvAnyCtx[int](c, nil, 10*time.Second)
 			if !ok || from != 1 || v != 42 {
 				return fmt.Errorf("delivery returned (%d, %d, %v), want (1, 42, true)", from, v, ok)
 			}
-			// Phase 3: a stashed message of the wanted type is found without
-			// waiting, even with a zero deadline.
+			// Phase 3: a message of the wanted type already sent is found
+			// with no deadline set.
 			Send(c, 0, "stash")
 			Send(c, 0, 7)
 			if got := Recv[string](c, 0); got != "stash" {
 				return fmt.Errorf("stash recv got %q", got)
 			}
-			if from, v, ok := RecvAnyTimeout[int](c, 0); !ok || from != 0 || v != 7 {
+			if from, v, ok := RecvAnyCtx[int](c, nil, 0); !ok || from != 0 || v != 7 {
 				return fmt.Errorf("pending scan returned (%d, %d, %v), want (0, 7, true)", from, v, ok)
 			}
 			return nil

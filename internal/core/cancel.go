@@ -109,15 +109,28 @@ func cancelledError(err error, opt Options) *CancelledError {
 	if errors.Is(err, ErrDeadline) {
 		cause = ErrDeadline
 	}
-	ce := &CancelledError{Cause: cause, CheckpointDir: opt.CheckpointDir}
-	if opt.CheckpointDir != "" {
-		for _, name := range []string{ckptEnsembles, ckptModules, ckptProgress} {
-			if _, err := os.Stat(filepath.Join(opt.CheckpointDir, name)); err == nil {
-				ce.Checkpoints = append(ce.Checkpoints, name)
-			}
+	return &CancelledError{
+		Cause:         cause,
+		CheckpointDir: opt.CheckpointDir,
+		Checkpoints:   DurableCheckpoints(opt.CheckpointDir),
+	}
+}
+
+// DurableCheckpoints lists the durable checkpoint files present in dir: the
+// three names a resume reads (ensembles, modules, progress), in that order.
+// Temp files and anything else in the directory are not resume state and
+// are not listed; dir == "" (checkpointing off) lists nothing.
+func DurableCheckpoints(dir string) []string {
+	if dir == "" {
+		return nil
+	}
+	var names []string
+	for _, name := range []string{ckptEnsembles, ckptModules, ckptProgress} {
+		if _, err := os.Stat(filepath.Join(dir, name)); err == nil {
+			names = append(names, name)
 		}
 	}
-	return ce
+	return names
 }
 
 // catchCancel converts a cancellation panic escaping the sequential engine

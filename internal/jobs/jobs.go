@@ -23,7 +23,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
 	"strings"
 	"sync"
 	"time"
@@ -220,7 +219,7 @@ func (j *Job) reportLocked() Report {
 		Duration: j.dur,
 		Err:      j.err,
 	}
-	if hasCheckpoints(j.Budget.CheckpointDir) {
+	if len(core.DurableCheckpoints(j.Budget.CheckpointDir)) > 0 {
 		rep.Checkpoint = j.Budget.CheckpointDir
 	}
 	return rep
@@ -373,12 +372,13 @@ func (r *Runner) run(j *Job) {
 				// *core.CancelledError naming them, exactly as an in-run
 				// cancellation would — callers unwrap one error shape on
 				// every cancellation path.
+				ce := cancelledError(ctx, j.Budget.CheckpointDir)
 				r.mu.Lock()
-				if hasCheckpoints(j.Budget.CheckpointDir) {
+				if len(ce.Checkpoints) > 0 {
 					r.emit(obs.TypeJobCheckpointed, j)
 				}
 				r.mu.Unlock()
-				r.finish(j, StateCancelled, nil, cancelledError(ctx, j.Budget.CheckpointDir))
+				r.finish(j, StateCancelled, nil, ce)
 				return
 			}
 		}
@@ -415,11 +415,11 @@ func cancelCause(ctx context.Context) error {
 // outside a learning run (mid-backoff), mirroring the error the drivers
 // return from an in-run cancellation: same unwrap chain, and the durable
 // checkpoint files listed when the directory holds any.
-func cancelledError(ctx context.Context, dir string) error {
+func cancelledError(ctx context.Context, dir string) *core.CancelledError {
 	return &core.CancelledError{
 		Cause:         cancelCause(ctx),
 		CheckpointDir: dir,
-		Checkpoints:   durableCheckpoints(dir),
+		Checkpoints:   core.DurableCheckpoints(dir),
 	}
 }
 
@@ -546,30 +546,4 @@ func (r *Runner) gauges() {
 	reg.Gauge("jobs_queued", "jobs waiting for admission", "runner", "jobs").Set(float64(len(r.queue)))
 	reg.Gauge("jobs_running", "jobs currently admitted", "runner", "jobs").Set(float64(r.running))
 	reg.Gauge("jobs_slots_used", "p×W slots held by running jobs", "runner", "jobs").Set(float64(r.slots))
-}
-
-// hasCheckpoints reports whether dir holds at least one durable (non-temp)
-// checkpoint file.
-func hasCheckpoints(dir string) bool {
-	return len(durableCheckpoints(dir)) > 0
-}
-
-// durableCheckpoints lists the durable (non-temp) checkpoint files in dir,
-// sorted by name (os.ReadDir order) — the resume inputs a cancelled job
-// reports through its *core.CancelledError.
-func durableCheckpoints(dir string) []string {
-	if dir == "" {
-		return nil
-	}
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return nil
-	}
-	var names []string
-	for _, e := range ents {
-		if !e.IsDir() && !strings.HasSuffix(e.Name(), ".tmp") {
-			names = append(names, e.Name())
-		}
-	}
-	return names
 }

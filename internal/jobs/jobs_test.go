@@ -3,6 +3,8 @@ package jobs
 import (
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -352,15 +354,7 @@ func TestMidBackoffCancelWrapsCancelledError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Wait for the first restart to be charged — the job is then in (or
-	// entering) its hour-long backoff sleep.
-	deadline := time.Now().Add(30 * time.Second)
-	for j.Restarts() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("job never reached its retry backoff")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	awaitBackoff(t, j)
 	r.Drain()
 	_, jerr := j.Wait()
 	var ce *core.CancelledError
@@ -381,6 +375,62 @@ func TestMidBackoffCancelWrapsCancelledError(t *testing.T) {
 	}
 	if !result.Equal(got.Network, want.Network) {
 		t.Fatal("resumed network differs from the uninterrupted run")
+	}
+}
+
+// awaitBackoff waits for the job's first restart to be charged — the job is
+// then in (or entering) its backoff sleep.
+func awaitBackoff(t *testing.T, j *Job) {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for j.Restarts() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("job never reached its retry backoff")
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestMidBackoffCancelIgnoresForeignFiles: "durable checkpoint" means the
+// files a resume reads (core.DurableCheckpoints), not any file in the
+// directory. A job that crashed before its first checkpoint and is then
+// cancelled mid-backoff must not report resumable state — no listed
+// checkpoints, no Report.Checkpoint, no job.checkpointed event — just
+// because something else left a file there.
+func TestMidBackoffCancelIgnoresForeignFiles(t *testing.T) {
+	d, opt, _ := fixture(t)
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "notes.txt"), []byte("not a checkpoint"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rec := obs.NewRecorder(0)
+	r := New(Config{MaxJobs: 1, RetryBase: time.Hour, Hooks: obs.NewHooks(rec, nil)})
+	injected := opt
+	// Rank 1 dies at its first comm op, long before GaneSH completes and
+	// the first checkpoint is written.
+	injected.Inject = &core.FaultSpec{Comm: []comm.Fault{{Rank: 1, Op: 1, Kind: comm.FaultCrash}}}
+	j, err := r.Submit(Spec{Name: "foreign", Ranks: 2, Data: d, Options: injected},
+		Budget{MaxRestarts: 1, CheckpointDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	awaitBackoff(t, j)
+	reports := r.Drain()
+	_, jerr := j.Wait()
+	var ce *core.CancelledError
+	if !errors.As(jerr, &ce) {
+		t.Fatalf("mid-backoff cancellation returned %v (%T), want *core.CancelledError", jerr, jerr)
+	}
+	if len(ce.Checkpoints) != 0 {
+		t.Fatalf("CancelledError lists %v as durable checkpoints; no checkpoint was written", ce.Checkpoints)
+	}
+	if len(reports) != 1 || reports[0].Checkpoint != "" {
+		t.Fatalf("reports %v name a resumable checkpoint directory; it holds only a foreign file", reports)
+	}
+	for _, ev := range rec.Events() {
+		if ev.Type == obs.TypeJobCheckpointed {
+			t.Fatal("job.checkpointed emitted for a directory holding only a foreign file")
+		}
 	}
 }
 

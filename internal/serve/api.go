@@ -29,10 +29,11 @@ type DatasetRequest struct {
 	Path string `json:"path,omitempty"`
 }
 
-// JobRequest is the POST /api/v1/jobs body. Zero values keep the engine
-// defaults (mirroring the parsimone CLI flags of the same names); Ranks and
-// Workers set the p×W execution shape, which is result-invisible and
-// therefore not part of the cache key.
+// JobRequest is the POST /api/v1/jobs body, and what the parsimone CLI
+// collects its flags of the same names into; Options maps either onto the
+// engine. Zero values keep the engine defaults; Ranks and Workers set the
+// p×W execution shape, which is result-invisible and therefore not part of
+// the cache key.
 type JobRequest struct {
 	Name    string         `json:"name,omitempty"`
 	Dataset DatasetRequest `json:"dataset"`

@@ -28,9 +28,12 @@ import (
 // subset of core.Options. Scheduling and supervision knobs are deliberately
 // absent — Ranks, Workers (at every level), GaneshGroups, DynamicChunk,
 // ScanSelection, CoordTimeout, CheckpointDir, BinaryCheckpoints,
-// MaxRestarts, Inject, Ctx, Events, Metrics, RecordWork — each documented
-// result-invisible, so resubmitting the same learning problem at a different
-// p×W (or with checkpointing toggled) still hits. StreamLayout is not an
+// MaxRestarts, Inject, Ctx, Events, Metrics, RecordWork, and the per-task
+// Hooks and Cancel plumbing — each documented result-invisible, so
+// resubmitting the same learning problem at a different p×W (or with
+// checkpointing toggled) still hits. TestCacheKeyClassifiesEveryOption
+// fails on any core.Options leaf that is neither hashed here nor on that
+// list. StreamLayout is not an
 // option but a property of the build that is just as result-affecting: with
 // it in the key, entries and content-addressed checkpoint directories of
 // another PRNG stream layout (DESIGN §18) simply stop matching.

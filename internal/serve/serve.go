@@ -145,14 +145,11 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // duplicate, or submit a fresh job to the runner. The returned bool is true
 // when no new learning run was started.
 func (s *Server) submit(req *JobRequest) (*servedJob, bool, error) {
-	d, err := s.loadDataset(req)
+	spec, budget, err := s.buildJob(req)
 	if err != nil {
 		return nil, false, err
 	}
-	spec, budget, err := s.buildJob(req, d)
-	if err != nil {
-		return nil, false, err
-	}
+	d := spec.Data
 	key := CacheKey(d, spec.Options)
 	if s.cfg.CheckpointRoot != "" {
 		budget.CheckpointDir = filepath.Join(s.cfg.CheckpointRoot, key[:16])
@@ -306,8 +303,7 @@ func (s *Server) Close() []jobs.Report {
 }
 
 // loadDataset resolves the request's dataset: exactly one of an inline TSV
-// upload or a server-side path under Config.DataDir, optionally subset to
-// the first n variables × m observations.
+// upload or a server-side path under Config.DataDir.
 func (s *Server) loadDataset(req *JobRequest) (*dataset.Data, error) {
 	var (
 		d   *dataset.Data
@@ -332,6 +328,18 @@ func (s *Server) loadDataset(req *JobRequest) (*dataset.Data, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dataset: %w", err)
 	}
+	return d, nil
+}
+
+// Options is the one mapping from a request's learning settings onto the
+// engine: the dataset subset to the first N variables × M observations, and
+// core.Options with the seed, the G/U/R/J/S counts, the split distribution,
+// the regulator names resolved to variable indices, Workers, MaxRestarts and
+// the checkpoint format set. Zero values keep the engine defaults. POST
+// /api/v1/jobs and the parsimone CLI (which fills a JobRequest from its
+// flags) both go through it, so a flag and the JSON field of the same name
+// cannot drift apart.
+func (req *JobRequest) Options(d *dataset.Data) (*dataset.Data, core.Options, error) {
 	if req.N > 0 || req.M > 0 {
 		n, m := d.N, d.M
 		if req.N > 0 {
@@ -340,21 +348,17 @@ func (s *Server) loadDataset(req *JobRequest) (*dataset.Data, error) {
 		if req.M > 0 {
 			m = req.M
 		}
+		var err error
 		if d, err = d.Subset(n, m); err != nil {
-			return nil, fmt.Errorf("dataset: %w", err)
+			return nil, core.Options{}, fmt.Errorf("dataset: %w", err)
 		}
 	}
-	return d, nil
-}
-
-// buildJob maps the request onto a runner spec and budget, mirroring the
-// parsimone CLI's flag semantics (zero values keep the defaults).
-func (s *Server) buildJob(req *JobRequest, d *dataset.Data) (jobs.Spec, jobs.Budget, error) {
 	opt := core.DefaultOptions()
 	if req.Seed != 0 {
 		opt.Seed = req.Seed
 	}
 	opt.Workers = req.Workers
+	opt.MaxRestarts = req.MaxRestarts
 	if req.GaneshRuns > 0 {
 		opt.GaneshRuns = req.GaneshRuns
 	}
@@ -377,7 +381,14 @@ func (s *Server) buildJob(req *JobRequest, d *dataset.Data) (jobs.Spec, jobs.Bud
 	case "dynamic":
 		opt.Module.Splits.DynamicChunk = 64
 	default:
-		return jobs.Spec{}, jobs.Budget{}, fmt.Errorf("dist %q not one of static, scan, dynamic", req.Dist)
+		return nil, core.Options{}, fmt.Errorf("dist %q not one of static, scan, dynamic", req.Dist)
+	}
+	switch req.CheckpointFormat {
+	case "", "json":
+	case "binary":
+		opt.BinaryCheckpoints = true
+	default:
+		return nil, core.Options{}, fmt.Errorf("checkpoint_format %q not one of json, binary", req.CheckpointFormat)
 	}
 	if len(req.Regulators) > 0 {
 		index := make(map[string]int, d.N)
@@ -385,24 +396,41 @@ func (s *Server) buildJob(req *JobRequest, d *dataset.Data) (jobs.Spec, jobs.Bud
 			index[name] = i
 		}
 		for _, name := range req.Regulators {
+			name = strings.TrimSpace(name)
+			if name == "" {
+				continue
+			}
 			i, ok := index[name]
 			if !ok {
-				return jobs.Spec{}, jobs.Budget{}, fmt.Errorf("regulator %q is not a variable of the dataset", name)
+				return nil, core.Options{}, fmt.Errorf("regulator %q is not a variable of the dataset", name)
 			}
 			opt.Module.Splits.Candidates = append(opt.Module.Splits.Candidates, i)
 		}
+		// Fail here rather than inside Learn: a list of only blanks would
+		// otherwise produce the non-nil empty Candidates slice
+		// splits.Params rejects.
+		if len(opt.Module.Splits.Candidates) == 0 {
+			return nil, core.Options{}, fmt.Errorf("regulators %q name no variables — the candidate-parent list would be empty", req.Regulators)
+		}
 	}
+	return d, opt, nil
+}
 
-	b := jobs.Budget{MaxRestarts: req.MaxRestarts}
+// buildJob loads the request's dataset and wraps its Options into a runner
+// spec and budget. The runner owns restarts and the checkpoint format, so
+// those two move from the options to the budget.
+func (s *Server) buildJob(req *JobRequest) (jobs.Spec, jobs.Budget, error) {
+	d, err := s.loadDataset(req)
+	if err != nil {
+		return jobs.Spec{}, jobs.Budget{}, err
+	}
+	d, opt, err := req.Options(d)
+	if err != nil {
+		return jobs.Spec{}, jobs.Budget{}, err
+	}
+	b := jobs.Budget{MaxRestarts: opt.MaxRestarts, BinaryCheckpoints: opt.BinaryCheckpoints}
 	if req.DeadlineMS > 0 {
 		b.Deadline = time.Duration(req.DeadlineMS) * time.Millisecond
-	}
-	switch req.CheckpointFormat {
-	case "", "json":
-	case "binary":
-		b.BinaryCheckpoints = true
-	default:
-		return jobs.Spec{}, jobs.Budget{}, fmt.Errorf("checkpoint_format %q not one of json, binary", req.CheckpointFormat)
 	}
 	return jobs.Spec{Name: req.Name, Ranks: req.Ranks, Data: d, Options: opt}, b, nil
 }

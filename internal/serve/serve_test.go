@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -500,5 +501,81 @@ func TestCacheKeyCarriesStreamLayout(t *testing.T) {
 	opt.Seed = 7
 	if got := CacheKey(d, opt); got == layout1Key {
 		t.Fatal("cache key unchanged from the layout-1 build: old entries and checkpoint dirs would be mixed into layout-2 results")
+	}
+}
+
+// resultInvisible names every leaf of core.Options (nested params included)
+// that must NOT enter the cache key: the scheduling, supervision and
+// observability settings the canonicalOptions comment in cache.go lists,
+// each documented result-invisible where it is declared.
+var resultInvisible = []string{
+	"GaneshGroups", "RecordWork", "Workers", "CheckpointDir", "BinaryCheckpoints",
+	"MaxRestarts", "Inject", "Events", "Metrics", "Ctx",
+	"Ganesh.Workers", "Ganesh.Hooks", "Ganesh.Cancel",
+	"Consensus.Hooks", "Consensus.Cancel",
+	"Module.Tree.Workers", "Module.Tree.Hooks", "Module.Tree.Cancel",
+	"Module.Splits.DynamicChunk", "Module.Splits.ScanSelection", "Module.Splits.Workers",
+	"Module.Splits.CoordTimeout", "Module.Splits.Hooks", "Module.Splits.Cancel",
+}
+
+// TestCacheKeyClassifiesEveryOption guards the hand-written canonicalOptions
+// mirror: walking core.Options and its nested score / ganesh / consensus /
+// module / splits structs, changing any one leaf must change CacheKey unless
+// the leaf is listed in resultInvisible, and a listed leaf must leave the key
+// alone. A field added to any of those structs fails here until it is either
+// hashed or listed — it cannot silently alias two different learning
+// problems onto one cache entry and one checkpoint directory.
+func TestCacheKeyClassifiesEveryOption(t *testing.T) {
+	d := dataset.New(2, 2)
+	base := CacheKey(d, core.DefaultOptions())
+	invisible := map[string]bool{}
+	for _, path := range resultInvisible {
+		invisible[path] = true
+	}
+	var walk func(prefix string, typ reflect.Type, index []int)
+	walk = func(prefix string, typ reflect.Type, index []int) {
+		for i := 0; i < typ.NumField(); i++ {
+			f := typ.Field(i)
+			path, at := prefix+f.Name, append(index[:len(index):len(index)], i)
+			if f.Type.Kind() == reflect.Struct {
+				walk(path+".", f.Type, at)
+				continue
+			}
+			listed := invisible[path]
+			delete(invisible, path)
+			opt := core.DefaultOptions()
+			v := reflect.ValueOf(&opt).Elem().FieldByIndex(at)
+			switch v.Kind() {
+			case reflect.Bool:
+				v.SetBool(!v.Bool())
+			case reflect.Int, reflect.Int64:
+				v.SetInt(v.Int() + 1)
+			case reflect.Uint64:
+				v.SetUint(v.Uint() + 1)
+			case reflect.Float64:
+				v.SetFloat(v.Float() + 0.5)
+			case reflect.String:
+				v.SetString(v.String() + "x")
+			case reflect.Slice:
+				v.Set(reflect.Append(v, reflect.Zero(f.Type.Elem())))
+			case reflect.Pointer:
+				v.Set(reflect.New(f.Type.Elem()))
+			case reflect.Interface:
+				// No value to hash; it can only be classified by listing.
+			default:
+				t.Fatalf("%s: kind %s not handled by this test", path, v.Kind())
+			}
+			hashed := CacheKey(d, opt) != base
+			switch {
+			case hashed && listed:
+				t.Errorf("%s is listed result-invisible but changes the cache key", path)
+			case !hashed && !listed:
+				t.Errorf("%s is neither hashed into the cache key nor listed result-invisible", path)
+			}
+		}
+	}
+	walk("", reflect.TypeOf(core.Options{}), nil)
+	for path := range invisible {
+		t.Errorf("resultInvisible names %s, which is not a leaf of core.Options", path)
 	}
 }

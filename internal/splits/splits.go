@@ -80,7 +80,7 @@ type Params struct {
 	// CoordTimeout, when positive, bounds how long the dynamic
 	// coordinator waits for a worker's next request: a hung worker then
 	// aborts the world (detectably, via the usual RankError) instead of
-	// deadlocking the coordinator in RecvAny forever. 0 waits without
+	// deadlocking the coordinator in RecvAnyCtx forever. 0 waits without
 	// bound.
 	CoordTimeout time.Duration
 	// Hooks receives observability events and metrics (nil disables both).

@@ -153,10 +153,6 @@ func (ph *Phase) AddWorkerCost(cost []float64) {
 	}
 }
 
-// WorkerImbalance returns the §5.3.1 imbalance measure applied one level
-// down, across the intra-rank workers that evaluated this phase's items.
-func (ph *Phase) WorkerImbalance() float64 { return Imbalance(ph.WorkerCost) }
-
 // TotalCost returns the sum of item costs plus the serial cost.
 func (ph *Phase) TotalCost() float64 {
 	sum := ph.SerialCost

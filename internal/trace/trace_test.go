@@ -334,8 +334,8 @@ func TestAddWorkerCostAccumulates(t *testing.T) {
 		}
 	}
 	// max=4, avg=8/3 → (4−8/3)/(8/3) = 0.5.
-	if got := ph.WorkerImbalance(); math.Abs(got-0.5) > 1e-12 {
-		t.Fatalf("WorkerImbalance = %v, want 0.5", got)
+	if got := Imbalance(ph.WorkerCost); math.Abs(got-0.5) > 1e-12 {
+		t.Fatalf("Imbalance(WorkerCost) = %v, want 0.5", got)
 	}
 }
 
