@@ -191,16 +191,22 @@ func TestObservabilityCheckpointEvents(t *testing.T) {
 
 // TestClusterShapedTelemetryPinned pins everything a traced learn of the
 // benchmark's `cluster` shape (many variables, three GaneSH runs, strict
-// consensus, little split scoring) reports about its own work — the canonical
-// event stream (consensus.extract payloads included), the registry dump
-// (pool_cost_total, ganesh_decisions_total, …), the recorded workload's item
-// costs — together with the network, as one digest. A change that makes the
-// same work faster must leave it alone; one that redefines a counter or a
-// cost weight re-records it in its own reviewed commit, as stream layout 2
-// did (split posteriors, cost model and counters; nothing in the GaneSH or
-// consensus telemetry moved).
+// consensus, little split scoring) reports about its own work, one digest per
+// component so a re-pin shows what moved: the canonical event stream
+// (consensus.extract payloads included), the registry dump (pool_cost_total,
+// ganesh_decisions_total, …), the recorded workload's phase totals, and the
+// binary network. A change that makes the same work faster must leave all
+// four alone; one that redefines a counter or a cost weight re-records that
+// component in its own reviewed commit, as stream layout 2 did (split
+// posteriors, cost model and counters; nothing in the GaneSH or consensus
+// telemetry moved).
 func TestClusterShapedTelemetryPinned(t *testing.T) {
-	const pinned = "daaedd7ec65d2d3d17883d1b5db6a3df965c8081510bd3bb67a9f9e5358151d6"
+	pinned := map[string]string{
+		"events":   "3ae41ce4fe48e4f0493ac43909139e24a1f80e9f55f27502167690d8008ebed2",
+		"registry": "727fe95d2136a8ab74dba4b91ea313f6cf35119456153091dfa9879971fc38dd",
+		"workload": "f0ea7f7ca3518bc60e71470a68c612c004b6b54290b6899d375cdb41aad6b86c",
+		"network":  "cb0153644902bae7a085e9aa8254c207ac52ed54b59b3c65a4a4dee7099d04c6",
+	}
 	d, _, err := synth.Generate(synth.Config{N: 240, M: 24, Seed: 15})
 	if err != nil {
 		t.Fatal(err)
@@ -218,22 +224,27 @@ func TestClusterShapedTelemetryPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := obs.WriteJSONL(&buf, obs.Canonical(out.Events)); err != nil {
+	var events, registry, workload, network bytes.Buffer
+	if err := obs.WriteJSONL(&events, obs.Canonical(out.Events)); err != nil {
 		t.Fatal(err)
 	}
-	if err := opt.Metrics.WriteJSON(&buf); err != nil {
+	if err := opt.Metrics.WriteJSON(&registry); err != nil {
 		t.Fatal(err)
 	}
 	for _, ph := range out.Workload.Phases {
-		fmt.Fprintf(&buf, "%s items=%d cost=%v serial=%v collectives=%d words=%d workers=%v\n",
+		fmt.Fprintf(&workload, "%s items=%d cost=%v serial=%v collectives=%d words=%d workers=%v\n",
 			ph.Name, len(ph.Items), ph.TotalCost(), ph.SerialCost, ph.Collectives, ph.Words, ph.WorkerCost)
 	}
-	if err := out.Network.WriteBinary(&buf); err != nil {
+	if err := out.Network.WriteBinary(&network); err != nil {
 		t.Fatal(err)
 	}
-	if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != pinned {
-		t.Fatalf("telemetry digest %s, pinned %s (%d events, %d modules, %d bytes digested)",
-			got, pinned, len(out.Events), len(out.Network.Modules), buf.Len())
+	for _, c := range []struct {
+		name string
+		buf  *bytes.Buffer
+	}{{"events", &events}, {"registry", &registry}, {"workload", &workload}, {"network", &network}} {
+		if got := fmt.Sprintf("%x", sha256.Sum256(c.buf.Bytes())); got != pinned[c.name] {
+			t.Errorf("%s digest %s, pinned %s (%d events, %d modules, %d bytes digested)",
+				c.name, got, pinned[c.name], len(out.Events), len(out.Network.Modules), c.buf.Len())
+		}
 	}
 }
