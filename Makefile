@@ -3,16 +3,16 @@
 # race-detector pass over the concurrency-bearing packages (the goroutine
 # message-passing runtime, the split-scoring paths, the intra-rank worker
 # pool, the observability sinks, the core/GaneSH engines above them, the
-# clustering state whose stored block scores the pool's workers read, and the
-# supervised job runtime), and the fault-injection suite under the race
-# detector.
+# clustering state whose stored block scores the pool's workers read, the
+# tree/module/dataset code that calls comm collectives, and the supervised
+# job runtime), and the fault-injection suite under the race detector.
 
 GO ?= go
 
 # Iterations of the seeded cancel/fault chaos soak (`make soak`).
 SOAK_ITERS ?= 25
 
-.PHONY: tier1 fmt vet lint lint-fast build test race faults soak fuzz fuzz-score fuzz-wire bench bench-cluster serve-smoke
+.PHONY: tier1 fmt vet lint lint-fast build test race faults soak fuzz fuzz-score fuzz-wire bench bench-cluster bench-hybrid serve-smoke
 
 tier1: fmt vet lint build test race faults
 
@@ -50,7 +50,8 @@ race:
 	$(GO) test -race ./internal/comm/ ./internal/splits/ ./internal/pool/ ./internal/obs/ \
 		./internal/core/ ./internal/ganesh/ ./internal/wire/ ./internal/jobs/ \
 		./internal/serve/ ./cmd/parsimoned/ \
-		./internal/cluster/ ./internal/consensus/ ./internal/matrix/
+		./internal/cluster/ ./internal/consensus/ ./internal/matrix/ \
+		./internal/tree/ ./internal/module/ ./internal/dataset/
 
 # The fault-injection, crash-recovery, and cancellation suite, race-enabled:
 # injected crashes/delays/drops in comm, the dynamic-coordinator watchdog,
@@ -105,6 +106,13 @@ bench:
 # be read against (consensus.iters, ganesh.decisions, core.pool_cost).
 bench-cluster:
 	$(GO) run ./benchmark -workload cluster -trace
+
+# The `hybrid` workload as a traced run: the same learns through the p=2
+# gather and scan exchanges, the p=3 dynamic coordinator and W=2 workers
+# (splits.gather_s, splits.scan_s, splits.dynamic_s, pool.w2_s, speedup_2)
+# beside the messages each shape sent (comm.*_collectives, comm.*_sends).
+bench-hybrid:
+	$(GO) run ./benchmark -workload hybrid -trace
 
 # Boot the parsimoned daemon on an ephemeral port, drive one tiny learn job
 # end-to-end through its HTTP surface (submit → long-poll done → download +

@@ -359,6 +359,13 @@ func AllGatherv[T any](c *Comm, v []T) []T {
 	parts := Gather(c, 0, v)
 	var out []T
 	if c.rank == 0 {
+		n := 0
+		for _, part := range parts {
+			n += len(part)
+		}
+		if n > 0 { // all-empty stays nil, as an unsized append leaves it
+			out = make([]T, 0, n)
+		}
 		for _, part := range parts {
 			out = append(out, part...)
 		}

@@ -323,6 +323,17 @@ func TestSoakCancelFaultChaos(t *testing.T) {
 	f, checks := cancelFixture(t)
 	g := prng.New(0xC0FFEE)
 	ps := []int{1, 2, 4}
+	// Crash addresses are drawn within the ops a rank of each world size
+	// makes, probed from a clean run: a fixed range would mostly miss now
+	// that cheap decisions send nothing (DESIGN §19).
+	opsPerRank := map[int]int{}
+	for _, p := range ps[1:] {
+		clean, err := LearnParallel(p, f.data, f.opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opsPerRank[p] = int(clean.CommStats.Ops) / p
+	}
 	for i := 0; i < iters; i++ {
 		p := ps[g.Intn(len(ps))]
 		binary := g.Intn(2) == 1
@@ -341,7 +352,7 @@ func TestSoakCancelFaultChaos(t *testing.T) {
 				injected.Module.Splits.ScanSelection = scanRun
 				injected.MaxRestarts = 1
 				injected.Inject = &FaultSpec{Comm: []comm.Fault{
-					{Rank: g.Intn(p), Op: int64(1 + g.Intn(64)), Kind: comm.FaultCrash},
+					{Rank: g.Intn(p), Op: int64(1 + g.Intn(opsPerRank[p])), Kind: comm.FaultCrash},
 				}}
 				got, err := LearnParallel(p, f.data, injected)
 				if err != nil {

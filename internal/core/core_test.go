@@ -288,6 +288,49 @@ func BenchmarkLearnParallelP4(b *testing.B) {
 	}
 }
 
+// clusterShapedOptions are the options of the benchmark's `cluster` workload:
+// three GaneSH runs of two update steps, strict consensus, little split
+// scoring — GaneSH and consensus are ~80 % of the learn.
+func clusterShapedOptions(seed uint64) Options {
+	opt := DefaultOptions()
+	opt.Seed = seed
+	opt.GaneshRuns = 3
+	opt.Ganesh.Updates = 2
+	opt.CoOccurrenceThreshold = 0.9
+	opt.Module.Splits.Candidates = []int{0, 1, 2, 3, 4, 5, 6, 7}
+	opt.Module.Splits.MaxSteps = 16
+	return opt
+}
+
+// benchmarkLearnClusterShaped is the layer witness of the distribution rule
+// (DESIGN §19) outside benchmark/: a cluster-shaped learn at 480×32 through
+// the sequential engine (ranks 0), two ranks, or two pool workers. Neither
+// parallel shape may be more than 5 % slower than Seq; with every decision
+// distributed (the constant at 0) both were 1.25–1.6× slower.
+func benchmarkLearnClusterShaped(b *testing.B, ranks, workers int) {
+	d, _, err := synth.Generate(synth.Config{N: 480, M: 32, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	opt := clusterShapedOptions(1)
+	opt.Workers = workers
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if ranks == 0 {
+			_, err = Learn(d, opt)
+		} else {
+			_, err = LearnParallel(ranks, d, opt)
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkLearnClusterShapedSeq(b *testing.B) { benchmarkLearnClusterShaped(b, 0, 0) }
+func BenchmarkLearnClusterShapedP2(b *testing.B)  { benchmarkLearnClusterShaped(b, 2, 0) }
+func BenchmarkLearnClusterShapedW2(b *testing.B)  { benchmarkLearnClusterShaped(b, 0, 2) }
+
 // TestPInvarianceDynamicSplits: the dynamic split distribution (the paper's
 // §6 future work) must also reproduce the sequential network exactly.
 func TestPInvarianceDynamicSplits(t *testing.T) {

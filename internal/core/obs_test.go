@@ -211,13 +211,7 @@ func TestClusterShapedTelemetryPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := DefaultOptions()
-	opt.Seed = 15
-	opt.GaneshRuns = 3
-	opt.Ganesh.Updates = 2
-	opt.CoOccurrenceThreshold = 0.9
-	opt.Module.Splits.Candidates = []int{0, 1, 2, 3, 4, 5, 6, 7}
-	opt.Module.Splits.MaxSteps = 16
+	opt := clusterShapedOptions(15)
 	opt.RecordWork = true
 	opt = withObs(opt)
 	out, err := Learn(d, opt)

@@ -165,10 +165,16 @@ func ReadTSV(r io.Reader) (*Data, error) {
 		}
 		if m == -1 {
 			m = len(fields) - 1
+			// Start several rows wide (within 512 KB, or the one row if
+			// it is wider), so growth is append's 1.25× of a large slice
+			// and not a run of small doublings.
+			values = make([]float64, 0, max(m, min(64*m, 1<<16)))
 		} else if len(fields)-1 != m {
 			return nil, fmt.Errorf("dataset: line %d: %d values, want %d", line, len(fields)-1, m)
 		}
-		names = append(names, fields[0])
+		// A substring would pin its whole line for the life of the data
+		// set — every byte of the input, several times the parsed values.
+		names = append(names, strings.Clone(fields[0]))
 		for _, f := range fields[1:] {
 			v, err := strconv.ParseFloat(f, 64)
 			if err != nil {

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"math"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func fill(d *Data) {
@@ -186,6 +188,51 @@ func TestTSVRoundTripProperty(t *testing.T) {
 	if err := quick.Check(check, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestReadTSVRetainsOnlyParsedData: a parsed data set holds its values and
+// its names, not the text it was parsed from. A name cut out of the scanner's
+// line as a substring pins the whole line — at 96×32 some 60 KB of input
+// beyond the 24 KB of values, for as long as the data set (a serve cache
+// entry, say) lives. Parse, drop the input, collect, and require the retained
+// heap to stay within twice the values and names.
+func TestReadTSVRetainsOnlyParsedData(t *testing.T) {
+	const n, m, sets = 96, 32, 32
+	d := New(n, m)
+	for i := range d.Values {
+		d.Values[i] = math.Sqrt(float64(i + 2)) // ~18 significant digits, like real input
+	}
+	var text bytes.Buffer
+	if err := d.WriteTSV(&text); err != nil {
+		t.Fatal(err)
+	}
+	heap := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	kept := make([]*Data, sets)
+	before := heap()
+	for i := range kept {
+		got, err := ReadTSV(bytes.NewReader(text.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		kept[i] = got
+	}
+	retained := int64(heap()-before) / sets
+	want := int64(8 * n * m)
+	for _, name := range d.Names {
+		want += int64(unsafe.Sizeof(name)) + int64(len(name))
+	}
+	t.Logf("retained %d bytes per data set, values and names %d, input text %d", retained, want, text.Len())
+	if retained > 2*want {
+		t.Fatalf("a parsed %d×%d data set retains %d bytes; its values and names are %d (input text %d)",
+			n, m, retained, want, text.Len())
+	}
+	runtime.KeepAlive(kept)
 }
 
 func TestReadTSVNoHeader(t *testing.T) {

@@ -7,11 +7,14 @@
 // variable-cluster merge pass, and — per variable cluster — m observation
 // reassignments and an observation-cluster merge pass. Every individual
 // decision is a collective weighted random choice over score gains. The
-// parallel variant partitions the candidate evaluations of each decision
-// over ranks (Algorithms 1–2), all-gathers the gains, and every rank then
-// draws the same choice from the replicated PRNG stream; state transitions
-// are applied redundantly on all ranks, so the clustering state never needs
-// to be communicated.
+// parallel variant partitions the candidate evaluations of a decision over
+// ranks (Algorithms 1–2) and all-gathers the gains — when the decision
+// outweighs the message (trace.Distributed, DESIGN §19); a cheaper one every
+// rank evaluates in full, which yields the same gains because they are
+// functions of replicated state. Either way every rank then draws the same
+// choice from the replicated PRNG stream; state transitions are applied
+// redundantly on all ranks, so the clustering state never needs to be
+// communicated.
 package ganesh
 
 import (
@@ -35,10 +38,10 @@ type Params struct {
 	// Updates is U, the number of update steps.
 	Updates int
 	// Workers is W, the number of intra-rank worker goroutines evaluating
-	// each decision's candidate gains (internal/pool); 0 or 1 means
-	// serial. The drawn choices are identical for every worker count: the
-	// Gain* evaluations are read-only on the clustering state and each
-	// writes only its own gains slot.
+	// a distributed decision's candidate gains (internal/pool); 0 or 1
+	// means serial. The drawn choices are identical for every worker
+	// count: the Gain* evaluations are read-only on the clustering state
+	// and each writes only its own gains slot.
 	Workers int
 	// Hooks supplies the observability sinks. The sampler makes thousands
 	// of decisions per update step, so it feeds the metrics registry only
@@ -86,26 +89,45 @@ const logMLCost = 8
 // balanced over the short candidate lists of one decision.
 const gainsChunk = 8
 
-// executor abstracts how a decision's candidate gains are computed: locally
-// (sequential) or block-partitioned over ranks followed by an all-gather
-// (parallel), in both cases fanned over the intra-rank worker pool.
-// Implementations must return exactly the same gains vector; the Stats are
-// the pool counters of this rank's share, weighted by cost.
+// executor abstracts where a decision's candidate gains are computed: on this
+// rank alone (sequential) or, for a distributed decision, block-partitioned
+// over ranks followed by an all-gather (parallel) — in both cases fanned over
+// the intra-rank worker pool. Implementations must leave exactly the same
+// gains vector on every rank.
 type executor interface {
-	// gains evaluates eval(i) for i in [0, count) and returns all values;
-	// cost(i) is the recorded cost of candidate i.
-	gains(count int, eval func(int) float64, cost func(int) float64) ([]float64, pool.Stats)
+	// width is the number of goroutines a distributed decision's evaluations
+	// are spread over (ranks × workers); at 1 there is nothing to distribute.
+	width() int
+	// gains stores eval(i) in out[i] for every i. A distributed decision
+	// (trace.Distributed of its total cost) is spread over the ranks and
+	// workers and returns the pool counters of this rank's share, weighted
+	// by cost(i); any other is evaluated inline on the calling goroutine of
+	// every rank, with no message, no spawn and zero Stats.
+	gains(out []float64, distributed bool, eval func(int) float64, cost func(int) float64) pool.Stats
+}
+
+// evalInline is the replicated evaluation of a decision: gains are pure
+// functions of the replicated clustering state, so every rank computes the
+// same vector bit for bit.
+func evalInline(out []float64, eval func(int) float64) pool.Stats {
+	for i := range out {
+		out[i] = eval(i)
+	}
+	return pool.Stats{}
 }
 
 type seqExec struct{ workers int }
 
-func (e seqExec) gains(count int, eval func(int) float64, cost func(int) float64) ([]float64, pool.Stats) {
-	out := make([]float64, count)
-	st := pool.For(count, e.workers, gainsChunk, func(i, w int) float64 {
+func (e seqExec) width() int { return max(1, e.workers) }
+
+func (e seqExec) gains(out []float64, distributed bool, eval func(int) float64, cost func(int) float64) pool.Stats {
+	if !distributed {
+		return evalInline(out, eval)
+	}
+	return pool.For(len(out), e.workers, gainsChunk, func(i, w int) float64 {
 		out[i] = eval(i)
 		return cost(i)
 	})
-	return out, st
 }
 
 type parExec struct {
@@ -113,14 +135,22 @@ type parExec struct {
 	workers int
 }
 
-func (e parExec) gains(count int, eval func(int) float64, cost func(int) float64) ([]float64, pool.Stats) {
-	lo, hi := comm.BlockRange(count, e.c.Size(), e.c.Rank())
-	local := make([]float64, hi-lo)
+func (e parExec) width() int { return e.c.Size() * max(1, e.workers) }
+
+func (e parExec) gains(out []float64, distributed bool, eval func(int) float64, cost func(int) float64) pool.Stats {
+	if !distributed {
+		return evalInline(out, eval)
+	}
+	lo, hi := comm.BlockRange(len(out), e.c.Size(), e.c.Rank())
+	local := out[lo:hi]
 	st := pool.For(hi-lo, e.workers, gainsChunk, func(k, w int) float64 {
 		local[k] = eval(lo + k)
 		return cost(lo + k)
 	})
-	return comm.AllGatherv(e.c, local), st
+	// local is this rank's send buffer: overwritten only here, after the
+	// broadcast that follows the root's read of every block.
+	copy(out, comm.AllGatherv(e.c, local))
+	return st
 }
 
 // engine runs the sampler against an executor; the sequential and parallel
@@ -137,6 +167,10 @@ type engine struct {
 	g    *prng.MRG3
 	ex   executor
 	wl   *trace.Workload
+	// gains and weights are the decision scratch: one decision's candidate
+	// gains and their quantized weights, grown to the widest decision seen.
+	gains   []float64
+	weights []uint64
 	// decision counts segments for per-phase work recording.
 	decision map[string]int
 	// reg receives per-phase pool counters; ctrs caches the interned
@@ -169,11 +203,10 @@ func (e *engine) withObs(h *obs.Hooks) *engine {
 	return e
 }
 
-// count accumulates one decision's pool stats into the metrics registry.
-func (e *engine) count(phaseName string, st pool.Stats) {
-	if e.reg == nil {
-		return
-	}
+// count accumulates one decision's evaluated cost and items on this rank into
+// the metrics registry. Every rank counts what it evaluated: its share of a
+// distributed decision, all of a replicated one.
+func (e *engine) count(phaseName string, cost float64, items int64) {
 	pc, ok := e.ctrs[phaseName]
 	if !ok {
 		pc = phaseCounters{
@@ -182,14 +215,6 @@ func (e *engine) count(phaseName string, st pool.Stats) {
 			decisions: e.reg.Counter("ganesh_decisions_total", "collective weighted choices drawn by phase", "phase", phaseName),
 		}
 		e.ctrs[phaseName] = pc
-	}
-	var cost float64
-	var items int64
-	for _, c := range st.Cost {
-		cost += c
-	}
-	for _, n := range st.Items {
-		items += n
 	}
 	pc.cost.Add(int64(cost))
 	pc.items.Add(items)
@@ -212,22 +237,50 @@ func (e *engine) phase(name string) *trace.Phase {
 // decide evaluates count candidate gains through the executor, records the
 // work, converts gains to quantized weights, and draws the collective
 // weighted choice. itemCost(i) reports the deterministic cost of evaluating
-// candidate i.
+// candidate i; the decision is distributed only when the costs sum to
+// trace.Distributed (DESIGN §19). The sum is a replicated value, so every
+// rank and every p×W takes the same branch and draws from the same weights.
 func (e *engine) decide(phaseName string, count int, eval func(int) float64, itemCost func(int) float64) int {
-	gains, st := e.ex.gains(count, eval, itemCost)
-	e.count(phaseName, st)
-	if ph := e.phase(phaseName); ph != nil {
-		seg := e.decision[phaseName]
-		e.decision[phaseName]++
-		for i := 0; i < count; i++ {
-			ph.Items = append(ph.Items, trace.Item{Cost: itemCost(i), Seg: seg})
-		}
-		ph.AddWorkerCost(st.Cost)
-		ph.Collectives++ // the gains all-gather
-		ph.Words += int64(count)
+	if cap(e.gains) < count {
+		e.gains, e.weights = make([]float64, count), make([]uint64, count)
 	}
-	weights := score.QuantizeWeights(gains)
-	s := e.g.WeightedIndex(weights)
+	gains := e.gains[:count]
+	ph := e.phase(phaseName)
+	// A serial, unobserved engine has nobody to tell the cost to.
+	var total float64
+	if e.ex.width() > 1 || e.reg != nil || ph != nil {
+		for i := 0; i < count; i++ {
+			total += itemCost(i)
+		}
+	}
+	distributed := trace.Distributed(total)
+	st := e.ex.gains(gains, distributed, eval, itemCost)
+	if e.reg != nil {
+		cost, items := total, int64(count)
+		if distributed {
+			cost, items = 0, 0
+			for w := range st.Cost {
+				cost += st.Cost[w]
+				items += st.Items[w]
+			}
+		}
+		e.count(phaseName, cost, items)
+	}
+	if ph != nil {
+		if distributed {
+			seg := e.decision[phaseName]
+			e.decision[phaseName]++
+			for i := 0; i < count; i++ {
+				ph.Items = append(ph.Items, trace.Item{Cost: itemCost(i), Seg: seg})
+			}
+			ph.AddWorkerCost(st.Cost)
+			ph.Collectives++ // the gains all-gather
+			ph.Words += int64(count)
+		} else {
+			ph.SerialCost += total
+		}
+	}
+	s := e.g.WeightedIndex(score.QuantizeWeightsInto(e.weights[:count], gains))
 	if s < 0 {
 		// All gains were −Inf/NaN, which finite statistics cannot
 		// produce; fall back to the last candidate (retain/new).

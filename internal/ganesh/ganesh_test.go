@@ -2,6 +2,7 @@ package ganesh
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -139,6 +140,110 @@ func TestWorkersInvariance(t *testing.T) {
 	}
 }
 
+// straddleData is a fixture whose variable-reassignment decisions straddle
+// the distribution constant: ~50 candidates of ~700 cost units each, so the
+// total crosses it as the cluster count moves by one.
+func straddleData(t testing.TB) *score.QData { return testData(t, 136, 400, 4) }
+
+// tallyExec is seqExec noting every decision's total cost and branch.
+type tallyExec struct {
+	seqExec
+	decisions, distributed             int64
+	maxInline, minDistributed, maxItem float64
+}
+
+func (e *tallyExec) gains(out []float64, distributed bool, eval func(int) float64, cost func(int) float64) pool.Stats {
+	var total float64
+	for i := range out {
+		total += cost(i)
+		e.maxItem = max(e.maxItem, cost(i))
+	}
+	e.decisions++
+	if distributed {
+		e.distributed++
+		e.minDistributed = min(e.minDistributed, total)
+	} else {
+		e.maxInline = max(e.maxInline, total)
+	}
+	return e.seqExec.gains(out, distributed, eval, cost)
+}
+
+// TestDistributionRuleInvariance: a decision is distributed exactly when its
+// candidates cost the constant or more, and who evaluates a decision changes
+// nothing (DESIGN §19). On a fixture whose decisions straddle the constant —
+// the costliest replicated and the cheapest distributed decision are within
+// one candidate of each other — every p×W ends on the sequential run's
+// co-clustering and PRNG state, and each rank enters exactly one all-gather
+// (a gather and a broadcast) per decision at or above the constant, none for
+// the rest. Under `make race` the W=2 legs are the pool workers reading the
+// clustering state concurrently.
+func TestDistributionRuleInvariance(t *testing.T) {
+	q := straddleData(t)
+	pr := score.DefaultPrior()
+	par := Params{Updates: 1}
+	state := func(cc *cluster.CoClustering, g *prng.MRG3) string {
+		obs := make([][][]int, len(cc.Clusters))
+		for i, vc := range cc.Clusters {
+			obs[i] = vc.Obs.Snapshot()
+		}
+		s0, s1, s2 := g.State()
+		return fmt.Sprint(cc.VarSnapshot(), obs, cc.Score(), s0, s1, s2)
+	}
+	wl := &trace.Workload{}
+	g := prng.New(11)
+	want := state(Run(q, pr, par, g, wl), g)
+
+	tally := &tallyExec{seqExec: seqExec{workers: 2}, minDistributed: math.Inf(1)}
+	g = prng.New(11)
+	if got := state(newEngine(q, pr, q.N, g, tally, nil).run(par), g); got != want {
+		t.Fatal("tallied run left Run's path")
+	}
+	decisions, distributed := tally.decisions, tally.distributed
+	if distributed == 0 || distributed == decisions {
+		t.Fatalf("%d of %d decisions distributed: the fixture does not straddle the constant", distributed, decisions)
+	}
+	var recorded int64
+	for _, ph := range wl.Phases {
+		recorded += ph.Collectives
+	}
+	if recorded != distributed {
+		t.Fatalf("recording charges %d collectives for %d distributed decisions", recorded, distributed)
+	}
+	if tally.maxInline >= tally.minDistributed || tally.minDistributed-tally.maxInline > tally.maxItem {
+		t.Fatalf("costliest replicated decision %v, cheapest distributed %v, costliest candidate %v: not within one candidate",
+			tally.maxInline, tally.minDistributed, tally.maxItem)
+	}
+
+	for _, p := range []int{1, 2, 3} {
+		for _, workers := range []int{1, 2} {
+			par.Workers = workers
+			got := make([]string, p)
+			stats, err := comm.Run(p, func(c *comm.Comm) error {
+				g := prng.New(11)
+				got[c.Rank()] = state(RunParallel(c, q, pr, par, g), g)
+				return nil
+			})
+			if err != nil {
+				t.Fatalf("p=%d W=%d: %v", p, workers, err)
+			}
+			// One goroutine has nothing to distribute over and sums no costs.
+			wantCollectives := 2 * distributed
+			if p*workers == 1 {
+				wantCollectives = 0
+			}
+			for k := 0; k < p; k++ {
+				if got[k] != want {
+					t.Fatalf("p=%d W=%d rank %d: co-clustering or PRNG state differs from sequential", p, workers, k)
+				}
+				if stats[k].Collectives != wantCollectives {
+					t.Fatalf("p=%d W=%d rank %d: %d collectives, want %d for %d distributed decisions of %d",
+						p, workers, k, stats[k].Collectives, wantCollectives, distributed, decisions)
+				}
+			}
+		}
+	}
+}
+
 // checkedExec evaluates gains like seqExec after verifying the clustering
 // state's invariants. A decision sits between every two mutations of a sweep
 // (detach → decide → attach, decide → merge), so together with a final check
@@ -149,11 +254,11 @@ type checkedExec struct {
 	check func() error
 }
 
-func (e *checkedExec) gains(count int, eval func(int) float64, cost func(int) float64) ([]float64, pool.Stats) {
+func (e *checkedExec) gains(out []float64, distributed bool, eval func(int) float64, cost func(int) float64) pool.Stats {
 	if err := e.check(); err != nil {
 		e.t.Fatal(err)
 	}
-	return e.seqExec.gains(count, eval, cost)
+	return e.seqExec.gains(out, distributed, eval, cost)
 }
 
 // TestStoredBlockScoresExactThroughSampling: every block score the sampler's
@@ -210,19 +315,20 @@ func TestStoredBlockScoresExactThroughSampling(t *testing.T) {
 }
 
 // TestWorkersRecordCounters: with W workers the recorded phases carry
-// reproducible per-worker cost counters summing to the item costs.
+// reproducible per-worker cost counters summing to the item costs — of the
+// distributed decisions, the only ones that reach the pool.
 func TestWorkersRecordCounters(t *testing.T) {
-	q := testData(t, 24, 16, 7)
+	q := straddleData(t)
 	record := func() *trace.Workload {
 		wl := &trace.Workload{}
-		Run(q, score.DefaultPrior(), Params{Updates: 1, Workers: 4}, prng.New(17), wl)
+		Run(q, score.DefaultPrior(), Params{Updates: 1, Workers: 4}, prng.New(11), wl)
 		return wl
 	}
 	a, b := record(), record()
+	if len(a.Phase(PhaseVarReassign).WorkerCost) != 4 {
+		t.Fatalf("phase %s: worker counters %v, want 4 workers", PhaseVarReassign, a.Phase(PhaseVarReassign).WorkerCost)
+	}
 	for _, ph := range a.Phases {
-		if len(ph.WorkerCost) == 0 {
-			t.Fatalf("phase %s has no worker counters", ph.Name)
-		}
 		if !reflect.DeepEqual(ph.WorkerCost, b.Phase(ph.Name).WorkerCost) {
 			t.Fatalf("phase %s worker counters not reproducible", ph.Name)
 		}
@@ -284,6 +390,10 @@ func TestGibbsRecoversStructure(t *testing.T) {
 	}
 }
 
+// TestWorkloadRecorded: the recording mirrors the distribution rule. Every
+// decision of a small run is below the constant, so its cost is replicated
+// work: SerialCost, with no items, collectives or words for the model to
+// charge.
 func TestWorkloadRecorded(t *testing.T) {
 	q := testData(t, 20, 12, 8)
 	wl := &trace.Workload{}
@@ -293,11 +403,12 @@ func TestWorkloadRecorded(t *testing.T) {
 		if ph == nil {
 			t.Fatalf("phase %s not recorded", name)
 		}
-		if len(ph.Items) == 0 {
-			t.Fatalf("phase %s has no items", name)
+		if len(ph.Items) != 0 || ph.Collectives != 0 || ph.Words != 0 {
+			t.Fatalf("phase %s: %d items, %d collectives, %d words recorded for replicated decisions",
+				name, len(ph.Items), ph.Collectives, ph.Words)
 		}
-		if ph.Collectives == 0 {
-			t.Fatalf("phase %s has no collectives", name)
+		if ph.SerialCost <= 0 {
+			t.Fatalf("phase %s has no serial cost", name)
 		}
 		if !ph.PerSegmentBarrier {
 			t.Fatalf("phase %s must be per-segment", name)
@@ -414,6 +525,18 @@ func BenchmarkRunSequential(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Run(q, pr, Params{Updates: 1}, prng.New(uint64(i)), nil)
+	}
+}
+
+// BenchmarkRun480x32 is one GaneSH run at the benchmark's `cluster` shape
+// (two update steps): allocs/op counts the per-decision scratch.
+func BenchmarkRun480x32(b *testing.B) {
+	q := testData(b, 480, 32, 1)
+	pr := score.DefaultPrior()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		Run(q, pr, Params{Updates: 2}, prng.New(uint64(i)), nil)
 	}
 }
 

@@ -406,8 +406,13 @@ func TestMidBackoffCancelIgnoresForeignFiles(t *testing.T) {
 	rec := obs.NewRecorder(0)
 	r := New(Config{MaxJobs: 1, RetryBase: time.Hour, Hooks: obs.NewHooks(rec, nil)})
 	injected := opt
-	// Rank 1 dies at its first comm op, long before GaneSH completes and
-	// the first checkpoint is written.
+	// An op count addresses a task only while the task communicates, and a
+	// GaneSH run this small decides everything without a message (DESIGN
+	// §19). Two runs on two rank groups make the GaneSH task open with the
+	// communicator split, so rank 1's first comm op is inside it: rank 1
+	// dies before any run starts, long before the first checkpoint is
+	// written.
+	injected.GaneshRuns, injected.GaneshGroups = 2, 2
 	injected.Inject = &core.FaultSpec{Comm: []comm.Fault{{Rank: 1, Op: 1, Kind: comm.FaultCrash}}}
 	j, err := r.Submit(Spec{Name: "foreign", Ranks: 2, Data: d, Options: injected},
 		Budget{MaxRestarts: 1, CheckpointDir: dir})

@@ -204,7 +204,14 @@ const MaxWeight = uint64(1) << WeightBits
 // sums combine associatively and selections are identical for every
 // processor count.
 func QuantizeWeights(logScores []float64) []uint64 {
-	ws := make([]uint64, len(logScores))
+	return QuantizeWeightsInto(make([]uint64, len(logScores)), logScores)
+}
+
+// QuantizeWeightsInto is QuantizeWeights writing into ws, which must have
+// len(logScores) elements and is returned; a per-decision caller reuses one
+// buffer across calls.
+func QuantizeWeightsInto(ws []uint64, logScores []float64) []uint64 {
+	clear(ws)
 	maxs := math.Inf(-1)
 	for _, s := range logScores {
 		if !math.IsNaN(s) && s > maxs {

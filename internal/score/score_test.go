@@ -2,6 +2,7 @@ package score
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -275,6 +276,23 @@ func TestQuantizeWeightsHandlesDegenerate(t *testing.T) {
 	}
 	if ws := QuantizeWeights(nil); len(ws) != 0 {
 		t.Fatal("nil input")
+	}
+}
+
+// TestQuantizeWeightsIntoReusedBuffer: a reused buffer carries nothing over —
+// entries the quantizer skips (NaN, −Inf, an all-degenerate vector) must read
+// zero, not the previous decision's weight.
+func TestQuantizeWeightsIntoReusedBuffer(t *testing.T) {
+	buf := []uint64{7, 7, 7, 7}
+	for _, scores := range [][]float64{
+		{0, math.NaN(), math.Inf(-1), -1},
+		{math.Inf(-1), math.NaN(), math.Inf(-1), math.NaN()},
+		{-3, 2},
+	} {
+		got := QuantizeWeightsInto(buf[:len(scores)], scores)
+		if want := QuantizeWeights(scores); !reflect.DeepEqual(got, want) {
+			t.Fatalf("scores %v: into a used buffer %v, fresh %v", scores, got, want)
+		}
 	}
 }
 

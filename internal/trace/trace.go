@@ -122,12 +122,14 @@ type Phase struct {
 	Name  string
 	Items []Item
 	// Collectives is the number of collective operations the phase
-	// performs; each costs α·⌈log₂ p⌉ in the model. Words is the total
-	// number of words moved through collectives, charged β each.
+	// performs — one per distributed decision, none for a replicated one;
+	// each costs α·⌈log₂ p⌉ in the model. Words is the total number of
+	// words moved through collectives, charged β each.
 	Collectives int64
 	Words       int64
-	// SerialCost is work replicated on every rank (e.g. applying cluster
-	// state transitions), which does not shrink with p.
+	// SerialCost is work replicated on every rank — applying cluster state
+	// transitions, and every candidate of a decision too cheap to
+	// distribute (Distributed) — which does not shrink with p.
 	SerialCost float64
 	// PerSegmentBarrier marks phases whose items are produced by a
 	// sequence of collective decisions (one segment per decision, e.g.
@@ -141,6 +143,20 @@ type Phase struct {
 	// pool's static chunk assignment makes these counters deterministic.
 	WorkerCost []float64
 }
+
+// distributeMinCost is the least total candidate cost, in cost units, at which
+// a collective decision is spread over ranks and pool workers. Below it every
+// rank evaluates all candidates inline: a collective or a pool spawn costs more
+// than the scoring it would divide (≈ 0.15 ms at this value on the goroutine
+// runtime; the sweep is in EXPERIMENTS.md, the argument in DESIGN §19). At 0
+// every decision is distributed, which is Algorithms 1–2 and 4 as printed.
+const distributeMinCost = 32768
+
+// Distributed reports whether a collective decision whose candidate
+// evaluations cost `cost` units in total is partitioned over ranks and pool
+// workers, rather than evaluated redundantly by every rank. cost must be a
+// function of replicated state only, so every rank takes the same branch.
+func Distributed(cost float64) bool { return cost >= distributeMinCost }
 
 // AddWorkerCost accumulates one pool invocation's per-worker cost counters
 // into the phase, growing WorkerCost to the widest pool seen.

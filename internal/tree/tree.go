@@ -5,11 +5,13 @@
 // merging the pair of *consecutive* subtrees whose merged block has the best
 // score gain, until a single root remains.
 //
-// The parallel variant partitions the per-round merge-score evaluations over
+// The parallel variant partitions a round's merge-score evaluations over
 // ranks and combines them with an all-reduce max (score, then lowest index
-// on ties), exactly mirroring Algorithm 4; results are identical to the
-// sequential variant for every rank count because every candidate score is
-// computed by exactly one rank and compared exactly.
+// on ties), exactly mirroring Algorithm 4 — when the round outweighs the
+// message (trace.Distributed); a cheaper round is scored in full on every
+// rank. Results are identical to the sequential variant for every rank count
+// because every candidate score is a function of replicated state, compared
+// exactly.
 package tree
 
 import (
@@ -130,7 +132,9 @@ func (t *Tree) CheckInvariants(q *score.QData) error {
 // PhaseBuild is the work-recording phase name.
 const PhaseBuild = "tree/build"
 
-const logMLCost = 8
+// mergeCost is the cost of one merge score — three marginal likelihoods, at
+// the weight of one relative to a cell-statistics update (as in ganesh).
+const mergeCost = 3 * 8
 
 // leafNodes creates the initial subtree list from an observation clustering
 // (canonical order: as given, which snapshots order by smallest member).
@@ -186,11 +190,22 @@ func better(a, b scoredIndex) scoredIndex {
 	return b
 }
 
-// build runs the agglomeration; evalBlock returns the best merge candidate
-// among pair indices [lo, hi) and is the hook the parallel variant uses to
-// restrict evaluation to a rank's block before the cross-rank reduction.
+// bestMerge returns the best merge candidate among pair indices [lo, hi).
+func bestMerge(pr score.Prior, subtrees []*Node, lo, hi int) scoredIndex {
+	best := scoredIndex{Index: -1}
+	for i := lo; i < hi; i++ {
+		best = better(best, scoredIndex{Score: mergeGain(pr, subtrees[i], subtrees[i+1]), Index: i})
+	}
+	return best
+}
+
+// build runs the agglomeration; pick returns the round's best pair index and
+// is the hook the parallel variant uses to partition a distributed round's
+// evaluations over ranks. A round is distributed only when its pairs cost
+// trace.Distributed (DESIGN §19) — with at most ~√m clusters of three logML
+// each, in practice never: every rank scores all pairs and no message moves.
 func build(q *score.QData, pr score.Prior, vars []int, clusters [][]int,
-	pick func(subtrees []*Node) int, wl *trace.Workload) *Tree {
+	pick func(subtrees []*Node, distributed bool) int, wl *trace.Workload) *Tree {
 	if len(clusters) == 0 {
 		panic("tree: no observation clusters")
 	}
@@ -205,15 +220,21 @@ func build(q *score.QData, pr score.Prior, vars []int, clusters [][]int,
 	}
 	round := 0
 	for len(subtrees) > 1 {
+		pairs := len(subtrees) - 1
+		distributed := trace.Distributed(float64(pairs * mergeCost))
 		if ph != nil {
-			for i := 0; i < len(subtrees)-1; i++ {
-				ph.Items = append(ph.Items, trace.Item{Cost: 3 * logMLCost, Seg: round})
+			if distributed {
+				for i := 0; i < pairs; i++ {
+					ph.Items = append(ph.Items, trace.Item{Cost: mergeCost, Seg: round})
+				}
+				ph.Collectives++
+				ph.Words += 2
+			} else {
+				ph.SerialCost += float64(pairs * mergeCost)
 			}
-			ph.Collectives++
-			ph.Words += 2
 			ph.SerialCost += float64(len(subtrees[0].Obs)) // merge bookkeeping
 		}
-		best := pick(subtrees)
+		best := pick(subtrees, distributed)
 		merged := merge(subtrees[best], subtrees[best+1])
 		subtrees[best] = merged
 		subtrees = append(subtrees[:best+1], subtrees[best+2:]...)
@@ -224,26 +245,24 @@ func build(q *score.QData, pr score.Prior, vars []int, clusters [][]int,
 
 // Build constructs the regression tree sequentially.
 func Build(q *score.QData, pr score.Prior, vars []int, clusters [][]int, wl *trace.Workload) *Tree {
-	return build(q, pr, vars, clusters, func(subtrees []*Node) int {
-		best := scoredIndex{Index: -1}
-		for i := 0; i < len(subtrees)-1; i++ {
-			best = better(best, scoredIndex{Score: mergeGain(pr, subtrees[i], subtrees[i+1]), Index: i})
-		}
-		return best.Index
+	return build(q, pr, vars, clusters, func(subtrees []*Node, _ bool) int {
+		return bestMerge(pr, subtrees, 0, len(subtrees)-1).Index
 	}, wl)
 }
 
-// BuildParallel constructs the identical tree with the per-round merge
-// scores partitioned over c's ranks (Algorithm 4 lines 13–17).
+// BuildParallel constructs the identical tree; a distributed round's merge
+// scores are partitioned over c's ranks and combined with an all-reduce max
+// (Algorithm 4 lines 13–17), any other is scored in full on every rank.
 func BuildParallel(c *comm.Comm, q *score.QData, pr score.Prior, vars []int, clusters [][]int) *Tree {
-	return build(q, pr, vars, clusters, func(subtrees []*Node) int {
-		pairs := len(subtrees) - 1
-		lo, hi := comm.BlockRange(pairs, c.Size(), c.Rank())
-		local := scoredIndex{Index: -1}
-		for i := lo; i < hi; i++ {
-			local = better(local, scoredIndex{Score: mergeGain(pr, subtrees[i], subtrees[i+1]), Index: i})
-		}
-		best := comm.AllReduce(c, local, better)
-		return best.Index
+	return build(q, pr, vars, clusters, func(subtrees []*Node, distributed bool) int {
+		return pickParallel(c, pr, subtrees, distributed)
 	}, nil)
+}
+
+func pickParallel(c *comm.Comm, pr score.Prior, subtrees []*Node, distributed bool) int {
+	if !distributed {
+		return bestMerge(pr, subtrees, 0, len(subtrees)-1).Index
+	}
+	lo, hi := comm.BlockRange(len(subtrees)-1, c.Size(), c.Rank())
+	return comm.AllReduce(c, bestMerge(pr, subtrees, lo, hi), better).Index
 }

@@ -8,6 +8,7 @@ import (
 	"parsimone/internal/prng"
 	"parsimone/internal/score"
 	"parsimone/internal/synth"
+	"parsimone/internal/trace"
 )
 
 func testData(t testing.TB, n, m int, seed uint64) *score.QData {
@@ -167,6 +168,53 @@ func TestBuildParallelMatchesSequential(t *testing.T) {
 		})
 		if err != nil {
 			t.Fatalf("p=%d: %v", p, err)
+		}
+	}
+}
+
+// TestBuildParallelDistributionRule: a merge round is partitioned over ranks
+// only when its pairs cost trace.Distributed, which real leaf counts (~√m)
+// never do: BuildParallel is Build on every rank with zero collectives, and
+// the recording charges none (DESIGN §19). With the rule's answer forced the
+// other way, every round enters one all-reduce (a gather and a broadcast) and
+// still picks the same pair.
+func TestBuildParallelDistributionRule(t *testing.T) {
+	q := testData(t, 10, 24, 7)
+	pr := score.DefaultPrior()
+	vars := []int{1, 4, 7}
+	clusters := evenClusters(24, 8)
+	wl := &trace.Workload{}
+	want := shape(Build(q, pr, vars, clusters, wl).Root)
+	if ph := wl.Phase(PhaseBuild); len(ph.Items) != 0 || ph.Collectives != 0 || ph.Words != 0 || ph.SerialCost <= 0 {
+		t.Fatalf("recording of replicated rounds: %d items, %d collectives, %d words, serial cost %v",
+			len(ph.Items), ph.Collectives, ph.Words, ph.SerialCost)
+	}
+	for _, forced := range []bool{false, true} {
+		for _, p := range []int{2, 3} {
+			stats, err := comm.Run(p, func(c *comm.Comm) error {
+				tr := BuildParallel(c, q, pr, vars, clusters)
+				if forced {
+					tr = build(q, pr, vars, clusters, func(subtrees []*Node, _ bool) int {
+						return pickParallel(c, pr, subtrees, true)
+					}, nil)
+				}
+				if !reflect.DeepEqual(shape(tr.Root), want) {
+					t.Errorf("forced=%v p=%d rank %d tree differs", forced, p, c.Rank())
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatalf("forced=%v p=%d: %v", forced, p, err)
+			}
+			wantCollectives := int64(0)
+			if forced {
+				wantCollectives = 2 * int64(len(clusters)-1) // BuildParallel's own run added none
+			}
+			for k, st := range stats {
+				if st.Collectives != wantCollectives {
+					t.Fatalf("forced=%v p=%d rank %d entered %d collectives, want %d", forced, p, k, st.Collectives, wantCollectives)
+				}
+			}
 		}
 	}
 }
