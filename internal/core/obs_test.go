@@ -197,14 +197,15 @@ func TestObservabilityCheckpointEvents(t *testing.T) {
 // ganesh_decisions_total, …), the recorded workload's phase totals, and the
 // binary network. A change that makes the same work faster must leave all
 // four alone; one that redefines a counter or a cost weight re-records that
-// component in its own reviewed commit, as stream layout 2 did (split
-// posteriors, cost model and counters; nothing in the GaneSH or consensus
-// telemetry moved).
+// component in its own reviewed commit — as stream layout 2 did (split
+// posteriors, cost model and counters), and as the distribution rule did for
+// `workload` alone (DESIGN §19: a decision below the constant is recorded as
+// serial cost, with no items, collectives or words).
 func TestClusterShapedTelemetryPinned(t *testing.T) {
 	pinned := map[string]string{
 		"events":   "3ae41ce4fe48e4f0493ac43909139e24a1f80e9f55f27502167690d8008ebed2",
 		"registry": "727fe95d2136a8ab74dba4b91ea313f6cf35119456153091dfa9879971fc38dd",
-		"workload": "f0ea7f7ca3518bc60e71470a68c612c004b6b54290b6899d375cdb41aad6b86c",
+		"workload": "d302de9767eba6c54ea21c6494e1fea5d90d0e2d02b46e330f4b85a19885093b",
 		"network":  "cb0153644902bae7a085e9aa8254c207ac52ed54b59b3c65a4a4dee7099d04c6",
 	}
 	d, _, err := synth.Generate(synth.Config{N: 240, M: 24, Seed: 15})
