@@ -132,9 +132,10 @@ func (t *Tree) CheckInvariants(q *score.QData) error {
 // PhaseBuild is the work-recording phase name.
 const PhaseBuild = "tree/build"
 
-// mergeCost is the cost of one merge score — three marginal likelihoods, at
-// the weight of one relative to a cell-statistics update (as in ganesh).
-const mergeCost = 3 * 8
+const logMLCost = 8
+
+// mergeCost is the cost of one merge score: three marginal likelihoods.
+const mergeCost = 3 * logMLCost
 
 // leafNodes creates the initial subtree list from an observation clustering
 // (canonical order: as given, which snapshots order by smallest member).
@@ -221,7 +222,8 @@ func build(q *score.QData, pr score.Prior, vars []int, clusters [][]int,
 	round := 0
 	for len(subtrees) > 1 {
 		pairs := len(subtrees) - 1
-		distributed := trace.Distributed(float64(pairs * mergeCost))
+		cost := float64(pairs * mergeCost)
+		distributed := trace.Distributed(cost)
 		if ph != nil {
 			if distributed {
 				for i := 0; i < pairs; i++ {
@@ -230,7 +232,7 @@ func build(q *score.QData, pr score.Prior, vars []int, clusters [][]int,
 				ph.Collectives++
 				ph.Words += 2
 			} else {
-				ph.SerialCost += float64(pairs * mergeCost)
+				ph.SerialCost += cost
 			}
 			ph.SerialCost += float64(len(subtrees[0].Obs)) // merge bookkeeping
 		}
@@ -259,6 +261,8 @@ func BuildParallel(c *comm.Comm, q *score.QData, pr score.Prior, vars []int, clu
 	}, nil)
 }
 
+// pickParallel is one round of BuildParallel: this rank's block of a
+// distributed round reduced across ranks, or the whole round scored here.
 func pickParallel(c *comm.Comm, pr score.Prior, subtrees []*Node, distributed bool) int {
 	if !distributed {
 		return bestMerge(pr, subtrees, 0, len(subtrees)-1).Index

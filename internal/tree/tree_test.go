@@ -192,11 +192,13 @@ func TestBuildParallelDistributionRule(t *testing.T) {
 	for _, forced := range []bool{false, true} {
 		for _, p := range []int{2, 3} {
 			stats, err := comm.Run(p, func(c *comm.Comm) error {
-				tr := BuildParallel(c, q, pr, vars, clusters)
+				var tr *Tree
 				if forced {
 					tr = build(q, pr, vars, clusters, func(subtrees []*Node, _ bool) int {
 						return pickParallel(c, pr, subtrees, true)
 					}, nil)
+				} else {
+					tr = BuildParallel(c, q, pr, vars, clusters)
 				}
 				if !reflect.DeepEqual(shape(tr.Root), want) {
 					t.Errorf("forced=%v p=%d rank %d tree differs", forced, p, c.Rank())
@@ -208,7 +210,7 @@ func TestBuildParallelDistributionRule(t *testing.T) {
 			}
 			wantCollectives := int64(0)
 			if forced {
-				wantCollectives = 2 * int64(len(clusters)-1) // BuildParallel's own run added none
+				wantCollectives = 2 * int64(len(clusters)-1)
 			}
 			for k, st := range stats {
 				if st.Collectives != wantCollectives {
