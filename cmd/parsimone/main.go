@@ -1,7 +1,7 @@
 // Command parsimone learns a module network from a TSV expression data set,
 // mirroring the paper's tool: GaneSH co-clustering, consensus clustering,
-// and module learning, sequentially or on p message-passing ranks (the
-// network is identical either way).
+// and module learning, on p message-passing ranks (-p, default 1; the
+// network is identical for every p).
 //
 // Usage:
 //
@@ -109,7 +109,7 @@ func learnFlags(fs *flag.FlagSet) *serve.JobRequest {
 	fs.IntVar(&req.MaxSteps, "max-steps", 64, "bootstrap sampling cap per split (S)")
 	fs.StringVar(&req.Dist, "dist", "static", "parallel split distribution: static, scan, or dynamic")
 	fs.StringVar(&req.CheckpointFormat, "checkpoint-format", "json", "checkpoint file format: json (v2) or binary (v3, several times smaller); reads auto-detect, so either setting resumes a directory written by the other")
-	fs.IntVar(&req.MaxRestarts, "max-restarts", 0, "with -p > 1: restart the world up to this many times after a rank failure, resuming from -checkpoint if set")
+	fs.IntVar(&req.MaxRestarts, "max-restarts", 0, "restart the world up to this many times after a rank failure, resuming from -checkpoint if set")
 	fs.Func("regulators", "comma-separated candidate regulator names (default: all variables)", func(s string) error {
 		if s != "" {
 			req.Regulators = strings.Split(s, ",")
@@ -240,19 +240,8 @@ func runCtx(ctx context.Context, args []string, stdout io.Writer) error {
 		}()
 	}
 
-	var output *core.Output
-	if req.Ranks > 1 {
-		logf("learning on %d ranks × %d workers ...", req.Ranks, req.Workers)
-		// The -p flag picks the world size before any rank exists;
-		// LearnParallel launches every rank itself, so all of them reach the
-		// collectives together. The rank-guard heuristic keys on the
-		// identifier name alone and cannot see that.
-		//parsivet:commreach — audited: flag-guarded launcher, world not yet created, all ranks enter together
-		output, err = core.LearnParallel(req.Ranks, d, opt)
-	} else {
-		logf("learning sequentially (%d workers) ...", req.Workers)
-		output, err = core.Learn(d, opt)
-	}
+	logf("learning on %d ranks × %d workers ...", req.Ranks, req.Workers)
+	output, err := core.LearnParallel(req.Ranks, d, opt)
 	if err != nil {
 		return err
 	}

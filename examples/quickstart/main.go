@@ -41,7 +41,7 @@ func main() {
 		fmt.Println()
 	}
 
-	// The parallel engine learns exactly the same network.
+	// Four ranks learn exactly the same network.
 	par, err := parsimone.LearnParallel(4, data, opt)
 	if err != nil {
 		log.Fatal(err)

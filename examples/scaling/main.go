@@ -1,6 +1,6 @@
 // Scaling reproduces the paper's Fig. 6 strong-scaling study in miniature:
-// it measures a sequential instrumented run, verifies the parallel engine
-// against it at small rank counts on the real message-passing runtime, and
+// it measures an instrumented one-rank run, verifies more ranks against it
+// at small rank counts on the real message-passing runtime, and
 // projects the run time to thousands of ranks with the calibrated
 // work-and-communication model (see DESIGN.md §2 for why large p is modeled
 // rather than measured in this environment).
@@ -40,8 +40,8 @@ func main() {
 	seqDur := time.Since(start)
 	fmt.Printf("sequential run: %v (%d modules)\n", seqDur.Round(time.Millisecond), len(seq.Network.Modules))
 
-	// Verification: the real parallel engine must reproduce the network
-	// exactly at every rank count.
+	// Verification: the engine must reproduce the network exactly at every
+	// rank count.
 	opt.RecordWork = false
 	for _, p := range []int{2, 4, 8} {
 		par, err := parsimone.LearnParallel(p, data, opt)

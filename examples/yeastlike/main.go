@@ -17,7 +17,7 @@ import (
 func main() {
 	n := flag.Int("n", 240, "genes")
 	m := flag.Int("m", 60, "observations")
-	p := flag.Int("p", 1, "ranks (1 = sequential)")
+	p := flag.Int("p", 1, "message-passing ranks")
 	flag.Parse()
 
 	// The synthetic compendium stands in for the Tchourine et al. yeast
@@ -33,12 +33,7 @@ func main() {
 
 	opt := parsimone.DefaultOptions()
 	opt.Seed = 5716
-	var out *parsimone.Output
-	if *p > 1 {
-		out, err = parsimone.LearnParallel(*p, data, opt)
-	} else {
-		out, err = parsimone.Learn(data, opt)
-	}
+	out, err := parsimone.LearnParallel(*p, data, opt)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -139,7 +139,7 @@ type measured struct {
 	duration time.Duration
 }
 
-// runSequential executes the optimized sequential engine, recording work.
+// runSequential executes the engine on one rank, recording work.
 func runSequential(d *dataset.Data, seed uint64) measured {
 	opt := runOptions(seed)
 	opt.RecordWork = true

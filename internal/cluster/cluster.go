@@ -7,7 +7,7 @@
 // decomposable Bayesian score incrementally and reproducibly.
 //
 // Every mutating operation is deterministic given its arguments. The
-// parallel engines replicate this state on all ranks and apply the same
+// engines replicate this state on all ranks and apply the same
 // operations everywhere; only the *scoring* of candidate operations is
 // partitioned across ranks.
 package cluster

@@ -70,6 +70,22 @@ type World struct {
 	faults []Fault
 }
 
+// newWorld builds a world of size ranks that aborts through aborted.
+func newWorld(size int, aborted chan struct{}, faults []Fault) *World {
+	w := &World{size: size, inbox: make([]chan envelope, size), aborted: aborted, faults: faults}
+	for i := range w.inbox {
+		// Buffer enough that tree exchanges never deadlock on slow
+		// receivers; gathers may still block, which is fine.
+		w.inbox[i] = make(chan envelope, size+8)
+	}
+	return w
+}
+
+// endpoint returns rank's endpoint into w.
+func (w *World) endpoint(rank int) *Comm {
+	return &Comm{world: w, rank: rank, pending: make(map[int][]any)}
+}
+
 // abort releases every blocked rank.
 func (w *World) abort() { w.abortOnce.Do(func() { close(w.aborted) }) }
 
@@ -129,12 +145,7 @@ func RunWithFaults(p int, faults []Fault, fn func(*Comm) error) ([]Stats, error)
 	if p <= 0 {
 		return nil, fmt.Errorf("comm: rank count %d must be positive", p)
 	}
-	w := &World{size: p, inbox: make([]chan envelope, p), aborted: make(chan struct{}), faults: faults}
-	for i := range w.inbox {
-		// Buffer enough that tree exchanges never deadlock on slow
-		// receivers; gathers may still block, which is fine.
-		w.inbox[i] = make(chan envelope, p+8)
-	}
+	w := newWorld(p, make(chan struct{}), faults)
 	errs := make([]error, p)
 	stats := make([]Stats, p)
 	var wg sync.WaitGroup
@@ -142,7 +153,7 @@ func RunWithFaults(p int, faults []Fault, fn func(*Comm) error) ([]Stats, error)
 		wg.Add(1)
 		go func(rank int) {
 			defer wg.Done()
-			c := &Comm{world: w, rank: rank, pending: make(map[int][]any)}
+			c := w.endpoint(rank)
 			defer func() {
 				stats[rank] = c.stats
 				if r := recover(); r != nil {
@@ -188,6 +199,14 @@ func RunWithFaults(p int, faults []Fault, fn func(*Comm) error) ([]Stats, error)
 	}
 	return stats, abortErr
 }
+
+// Self returns the endpoint of a one-rank world that needs no Run: the world
+// a sequential caller is. Every collective on it is the general code at size
+// 1 — it returns its input, sends nothing, and still counts its ops — so an
+// engine written against a *Comm has no second, comm-less code path. Nothing
+// recovers a panic raised on it; a caller that wants a rank failure, an
+// injected fault or a cancellation as an error uses Run(1, …).
+func Self() *Comm { return newWorld(1, make(chan struct{}), nil).endpoint(0) }
 
 // elems estimates the number of elements (words) in a payload.
 func elems(v any) int64 {
@@ -425,15 +444,12 @@ func Split(c *Comm, color int) *Comm {
 	}
 	var w *World
 	if members[0] == c.rank {
-		w = &World{size: len(members), inbox: make([]chan envelope, len(members)), aborted: c.world.aborted}
-		for i := range w.inbox {
-			w.inbox[i] = make(chan envelope, len(members)+8)
-		}
+		w = newWorld(len(members), c.world.aborted, nil)
 		for _, rank := range members[1:] {
 			Send(c, rank, w)
 		}
 	} else {
 		w = Recv[*World](c, members[0])
 	}
-	return &Comm{world: w, rank: myNewRank, pending: make(map[int][]any)}
+	return w.endpoint(myNewRank)
 }

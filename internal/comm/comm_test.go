@@ -737,3 +737,54 @@ func TestSplitArbitraryColorsProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestSelfCollectives: the one-rank world needs no Run, and every collective
+// on it is the general code at size 1 — it returns its input, sends nothing
+// and counts its ops like any other world; splitting it gives another
+// one-rank world.
+func TestSelfCollectives(t *testing.T) {
+	c := Self()
+	if c.Rank() != 0 || c.Size() != 1 {
+		t.Fatalf("Self is rank %d of %d, want 0 of 1", c.Rank(), c.Size())
+	}
+	sum := func(a, b int) int { return a + b }
+	for _, op := range []struct {
+		name        string
+		run         func() any
+		want        any
+		collectives int64
+	}{
+		{"Bcast", func() any { return Bcast(c, 0, 7) }, 7, 1},
+		{"Gather", func() any { return fmt.Sprint(Gather(c, 0, 7)) }, "[7]", 1},
+		{"AllGather", func() any { return fmt.Sprint(AllGather(c, 7)) }, "[7]", 2},
+		{"Reduce", func() any { return Reduce(c, 0, 7, sum) }, 7, 1},
+		{"AllReduce", func() any { return AllReduce(c, 7, sum) }, 7, 2},
+		{"ExScan", func() any { return ExScan(c, 7, sum, -1) }, -1, 2},
+		{"Barrier", func() any { Barrier(c); return nil }, nil, 3},
+		{"AllReduceSlice", func() any { return fmt.Sprint(AllReduceSlice(c, []int{1, 2}, sum)) }, "[1 2]", 2},
+		{"AllGatherv", func() any { return fmt.Sprint(AllGatherv(c, []int{1, 2})) }, "[1 2]", 2},
+		{"SendRecv", func() any { Send(c, 0, 7); return Recv[int](c, 0) }, 7, 0},
+	} {
+		before := c.Stats()
+		if got := op.run(); got != op.want {
+			t.Errorf("%s on Self returned %v, want %v", op.name, got, op.want)
+		}
+		after := c.Stats()
+		if got := after.Collectives - before.Collectives; got != op.collectives {
+			t.Errorf("%s entered %d collectives, want %d", op.name, got, op.collectives)
+		}
+		if after.Ops <= before.Ops {
+			t.Errorf("%s did not advance the op counter", op.name)
+		}
+		if sent := after.Sends - before.Sends; (sent != 0) != (op.name == "SendRecv") {
+			t.Errorf("%s sent %d messages", op.name, sent)
+		}
+	}
+	sub := Split(c, 3)
+	if sub.Rank() != 0 || sub.Size() != 1 {
+		t.Fatalf("Split of Self is rank %d of %d, want 0 of 1", sub.Rank(), sub.Size())
+	}
+	if got := AllReduce(sub, 5, sum); got != 5 || sub.Stats().Ops == 0 {
+		t.Fatalf("AllReduce on the split world returned %d after %d ops", got, sub.Stats().Ops)
+	}
+}

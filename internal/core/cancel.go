@@ -81,7 +81,7 @@ func cancelReason(ctx context.Context) func() error {
 // newCanceler builds one rank's Canceler from the run options: the signal
 // is Options.Ctx's done channel (nil context → counting-only), and an
 // Inject.CancelAt targeting this rank arms the deterministic test
-// injection. Every engine creates one even without a context, so
+// injection. Every rank creates one even without a context, so
 // Output.CancelChecks is always a meaningful probe.
 func newCanceler(opt Options, rank int) *comm.Canceler {
 	var done <-chan struct{}
@@ -131,24 +131,6 @@ func DurableCheckpoints(dir string) []string {
 		}
 	}
 	return names
-}
-
-// catchCancel converts a cancellation panic escaping the sequential engine
-// into the documented error return; any other panic is re-raised. (The
-// parallel engine needs no equivalent: a rank's cancellation panic is
-// recovered by comm.RunWithFaults into a RankError, which LearnParallel
-// distills with cancelledError.)
-func catchCancel(opt Options, out **Output, errp *error) {
-	r := recover()
-	if r == nil {
-		return
-	}
-	err, ok := r.(error)
-	if !ok || !isCancel(err) {
-		panic(r)
-	}
-	*out = nil
-	*errp = cancelledError(err, opt)
 }
 
 // sweepTempCheckpoints removes orphaned checkpoint temp files — the

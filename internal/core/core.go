@@ -2,10 +2,11 @@
 // engine: (1) an ensemble of GaneSH co-clustering runs, (2) sequential
 // consensus clustering of the sampled variable partitions into modules, and
 // (3) module learning — regression-tree ensembles, parent-split assignment,
-// and regulator scoring. It exposes a sequential entry point and a
-// distributed-memory parallel one that produce identical networks for every
-// rank count (the paper's §4.2 guarantee), plus per-task timing matching the
-// paper's breakdown (Fig. 5) and optional work recording for the scaling
+// and regulator scoring. The engine is written against a message-passing
+// world and produces identical networks for every rank count (the paper's
+// §4.2 guarantee); a sequential run is that engine on a one-rank world
+// (DESIGN §20). It reports per-task timing matching the paper's breakdown
+// (Fig. 5) and, on a one-rank world, optional work recording for the scaling
 // model.
 package core
 
@@ -41,17 +42,17 @@ type Options struct {
 	// Prior is the normal-gamma score prior.
 	Prior score.Prior
 	// Seed drives all randomness; identical seeds give identical
-	// networks across engines and rank counts.
+	// networks across rank and worker counts.
 	Seed uint64
 	// GaneshRuns is G, the number of independent co-clustering runs
 	// sampled into the consensus ensemble.
 	GaneshRuns int
-	// GaneshGroups, when > 1, lets the parallel engine execute the G runs
-	// on disjoint rank groups of p/GaneshGroups ranks each — the paper's
-	// observation that "G runs of GaneSH can be executed in parallel on
-	// p/G processors each, without any communication" (§3.2.1). Because
-	// every run draws from its own numbered substream, the learned
-	// network is identical regardless of the grouping.
+	// GaneshGroups, when > 1, lets a world execute the G runs on disjoint
+	// rank groups of p/GaneshGroups ranks each — the paper's observation
+	// that "G runs of GaneSH can be executed in parallel on p/G processors
+	// each, without any communication" (§3.2.1). Because every run draws
+	// from its own numbered substream, the learned network is identical
+	// regardless of the grouping.
 	GaneshGroups int
 	// Ganesh configures each run (U update steps, K₀, L₀).
 	Ganesh ganesh.Params
@@ -65,13 +66,15 @@ type Options struct {
 	// Standardize rescales each variable to zero mean and unit variance
 	// before quantization.
 	Standardize bool
-	// RecordWork enables work recording (sequential engine only); the
-	// recorded workload drives the strong-scaling time model.
+	// RecordWork enables work recording; the recorded workload drives the
+	// strong-scaling time model. Accepted on a one-rank world only, however
+	// it was launched (Learn, LearnParallel(1, …), LearnWithComm): with more
+	// ranks each would see only its own block's steps.
 	RecordWork bool
-	// Workers is W, the number of intra-rank worker goroutines each
-	// engine (and, in the parallel engine, each rank) uses to evaluate
-	// its block of score computations — the thread level of hybrid
-	// process×thread parallelism (internal/pool). 0 or 1 means serial.
+	// Workers is W, the number of intra-rank worker goroutines each rank
+	// uses to evaluate its block of score computations — the thread level
+	// of hybrid process×thread parallelism (internal/pool). 0 or 1 means
+	// serial.
 	// The learned network is bit-identical for every (p, Workers)
 	// combination (DESIGN.md §6). Copied into Ganesh, Module.Tree, and
 	// Module.Splits unless those set their own worker counts.
@@ -82,7 +85,7 @@ type Options struct {
 	// from whatever checkpoints exist. Because each task — and each module
 	// within task 3 — draws from its own numbered PRNG substream, a
 	// resumed run learns exactly the network an uninterrupted run would.
-	// In the parallel engine only rank 0 writes, as in the paper.
+	// Only rank 0 writes, as in the paper.
 	CheckpointDir string
 	// BinaryCheckpoints selects the v3 binary wire format (internal/wire,
 	// DESIGN §12) for checkpoint writes: several times smaller and faster
@@ -91,16 +94,15 @@ type Options struct {
 	// runs of the same configuration is safe — existing checkpoints still
 	// resume, and newly written files use the selected format.
 	BinaryCheckpoints bool
-	// MaxRestarts is how many times the supervised parallel driver
-	// (LearnParallel) restarts the world after a rank failure before
-	// giving up, resuming from the newest checkpoints. 0 disables
-	// recovery.
+	// MaxRestarts is how many times the supervised driver (LearnParallel,
+	// and Learn, which is LearnParallel on one rank) restarts the world
+	// after a rank failure before giving up, resuming from the newest
+	// checkpoints. 0 disables recovery.
 	MaxRestarts int
 	// Inject, when non-nil, injects a deterministic failure into the run —
-	// the test- and benchmark-facing face of the fault-tolerance layer.
-	// Rejected by the sequential engine (recovery is a property of the
-	// supervised parallel driver; use LearnParallel(1, …) to exercise it
-	// single-rank).
+	// the test- and benchmark-facing face of the fault-tolerance layer. A
+	// spec addressed to a rank the world does not have is rejected: it
+	// could never fire.
 	Inject *FaultSpec
 	// Events enables structured run-event recording (internal/obs). Each
 	// rank records into its own recorder; the streams are gathered to rank
@@ -194,12 +196,14 @@ type Output struct {
 	// Timers holds the per-task wall-clock breakdown of this rank.
 	Timers *trace.Timers
 	// Workload is the recorded parallelizable work (nil unless
-	// Options.RecordWork was set on the sequential engine).
+	// Options.RecordWork was set).
 	Workload *trace.Workload
-	// CommStats aggregates message traffic (parallel engine only).
+	// CommStats is this rank's message traffic; from LearnParallel and
+	// Learn, the total over all ranks. A one-rank world enters collectives
+	// but sends nothing.
 	CommStats comm.Stats
 	// Recovery lists the supervised restarts the run survived (empty for
-	// an uninterrupted run; LearnParallel only).
+	// an uninterrupted run).
 	Recovery []trace.RecoveryEvent
 	// CancelChecks counts the cancellation checks this rank polled — the
 	// probe a cancel matrix uses to enumerate every cancellation point of
@@ -207,11 +211,12 @@ type Output struct {
 	// only at replicated program points.
 	CancelChecks int64
 	// Events is the merged structured event stream (Options.Events; on
-	// rank 0 / the sequential engine only — other ranks return nil).
+	// rank 0 only — other ranks return nil).
 	Events []obs.Event
 }
 
-func (o Options) validate() error {
+// validate checks the options for a world of p ranks.
+func (o Options) validate(p int) error {
 	if err := o.Prior.Validate(); err != nil {
 		return err
 	}
@@ -230,12 +235,22 @@ func (o Options) validate() error {
 	if o.MaxRestarts < 0 {
 		return fmt.Errorf("core: MaxRestarts %d must be ≥ 0", o.MaxRestarts)
 	}
+	if o.RecordWork && p > 1 {
+		return fmt.Errorf("core: work recording needs a one-rank world: each of %d ranks would see only its own block's steps", p)
+	}
 	if o.Inject != nil {
 		if _, _, err := parseFailpoint(o.Inject.Task); err != nil {
 			return err
 		}
-		if o.Inject.Rank < 0 {
-			return fmt.Errorf("core: Inject.Rank %d must be ≥ 0", o.Inject.Rank)
+		// A fault addressed to a rank the world does not have never fires,
+		// and the run would report a success nothing was injected into.
+		if o.Inject.Rank < 0 || o.Inject.Rank >= p {
+			return fmt.Errorf("core: Inject.Rank %d outside the world's ranks [0, %d)", o.Inject.Rank, p)
+		}
+		for _, f := range o.Inject.Comm {
+			if f.Rank < 0 || f.Rank >= p {
+				return fmt.Errorf("core: Inject.Comm fault %v outside the world's ranks [0, %d)", f, p)
+			}
 		}
 		if o.Inject.CancelAt < 0 {
 			return fmt.Errorf("core: Inject.CancelAt %d must be ≥ 0", o.Inject.CancelAt)
@@ -250,8 +265,7 @@ func (o Options) validate() error {
 // withHooks threads this rank's observability hooks into every task's
 // params. Per-rank data (pool costs, imbalance) is emitted by every rank;
 // single-sourced task data (the consensus peeling trail, replicated
-// identically everywhere) attaches only where root is true — rank 0 or the
-// sequential engine.
+// identically everywhere) attaches only where root is true — rank 0.
 func (o Options) withHooks(h *obs.Hooks, root bool) Options {
 	if h == nil {
 		return o
@@ -315,45 +329,16 @@ func prepare(d *dataset.Data, opt Options) (*score.QData, error) {
 	return score.QuantizeData(work), nil
 }
 
-// pipeline is the engine-independent run: prim supplies the sequential or
-// parallel task primitives.
-type pipeline struct {
-	// ganeshEnsembles returns the variable-partition snapshot of every
-	// co-clustering run, indexed by run.
-	ganeshEnsembles func(opt Options, master *prng.MRG3) [][][]int
-	moduleRun       func(moduleVars [][]int, par module.Params, g *prng.MRG3, prog *module.Progress) (*module.Result, error)
-	// writesCheckpoints is true on the rank that persists checkpoints
-	// (the only rank in the sequential engine; rank 0 in the parallel
-	// one). Task-level events are emitted from the same place, keeping
-	// the merged stream single-sourced.
-	writesCheckpoints bool
-	// rank identifies this pipeline instance for fault injection (0 in
-	// the sequential engine).
-	rank int
-	// hooks is this rank's observability sink (nil when disabled); ranks
-	// the world size, for run.start/run.end events.
-	hooks *obs.Hooks
-	ranks int
-	// cancel is this rank's cancellation signal, polled at the task
-	// boundaries and module-unit edges of run() (and, through the params
-	// threaded by withCancel, inside the tasks themselves).
-	cancel *comm.Canceler
-}
-
-// failpointFn returns the task-boundary crash hook for this rank: a no-op
-// unless opt.Inject targets a failpoint on this rank.
-func (prim pipeline) failpointFn(opt Options) func(task string, mi int) {
-	if opt.Inject == nil || opt.Inject.Task == "" || opt.Inject.Rank != prim.rank {
+// failpointFn returns the task-boundary crash hook of rank: a no-op unless
+// opt.Inject targets a failpoint on it.
+func failpointFn(opt Options, rank int) func(task string, mi int) {
+	if opt.Inject == nil || opt.Inject.Task == "" || opt.Inject.Rank != rank {
 		return func(string, int) {}
 	}
-	task, k, err := parseFailpoint(opt.Inject.Task)
-	if err != nil {
-		// validate() already rejected malformed specs.
-		return func(string, int) {}
-	}
+	task, k, _ := parseFailpoint(opt.Inject.Task) // validate rejected malformed specs
 	return func(at string, mi int) {
 		if at == task && mi == k {
-			panic(fmt.Errorf("%w: rank %d at failpoint %q", comm.ErrInjected, prim.rank, opt.Inject.Task))
+			panic(fmt.Errorf("%w: rank %d at failpoint %q", comm.ErrInjected, rank, opt.Inject.Task))
 		}
 	}
 }
@@ -378,16 +363,23 @@ func snapshotOf(assign []int) [][]int {
 	return snap
 }
 
-func run(d *dataset.Data, q *score.QData, opt Options, prim pipeline, timers *trace.Timers) (*Output, error) {
+// run is the pipeline on c's rank: hooks is the rank's observability sink
+// (nil when disabled), cancel its cancellation signal — polled here at the
+// task boundaries and module-unit edges and, through the params threaded by
+// withCancel, inside the tasks — and wl the work recording (nil when
+// disabled). Rank 0 persists the checkpoints and emits the task-level events,
+// which keeps the merged stream single-sourced.
+func run(c *comm.Comm, d *dataset.Data, q *score.QData, opt Options, hooks *obs.Hooks, cancel *comm.Canceler, wl *trace.Workload) (*Output, error) {
 	master := prng.New(opt.Seed)
-	failpoint := prim.failpointFn(opt)
+	failpoint := failpointFn(opt, c.Rank())
+	timers := trace.NewTimers()
+	root := c.Rank() == 0
 
-	// Task-level events are single-sourced from the checkpoint-writing
-	// rank; per-rank data (pool costs, comm stats) is emitted elsewhere
-	// through the hooks each engine carries.
+	// Per-rank data (pool costs, comm stats) is emitted elsewhere, through
+	// the hooks the tasks carry.
 	emit := func(ev obs.Event) {
-		if prim.writesCheckpoints {
-			prim.hooks.Emit(ev)
+		if root {
+			hooks.Emit(ev)
 		}
 	}
 	taskEvent := func(typ, name string) {
@@ -401,7 +393,7 @@ func run(d *dataset.Data, q *score.QData, opt Options, prim pipeline, timers *tr
 		emit(obs.Event{Type: obs.TypeCheckpoint, Checkpoint: &obs.CheckpointInfo{File: file}})
 	}
 	emit(obs.Event{Type: obs.TypeRunStart, Run: &obs.RunInfo{
-		Ranks: prim.ranks, Workers: opt.Workers, Seed: opt.Seed, N: q.N, M: q.M,
+		Ranks: c.Size(), Workers: opt.Workers, Seed: opt.Seed, N: q.N, M: q.M,
 	}})
 
 	// Task 1: G GaneSH co-clustering runs, each on its own numbered
@@ -410,10 +402,10 @@ func run(d *dataset.Data, q *score.QData, opt Options, prim pipeline, timers *tr
 	var ensembles [][][]int
 	var resumedModules [][]int
 	haveModules := false
-	prim.cancel.Check()
+	cancel.Check()
 	if opt.CheckpointDir != "" {
 		var err error
-		if prim.writesCheckpoints {
+		if root {
 			// Resume entry: clear any orphaned temp files an interrupted
 			// atomic rename left behind before touching the directory.
 			if err = sweepTempCheckpoints(opt.CheckpointDir); err != nil {
@@ -432,9 +424,9 @@ func run(d *dataset.Data, q *score.QData, opt Options, prim pipeline, timers *tr
 	if !haveModules && ensembles == nil {
 		taskEvent(obs.TypeTaskStart, TaskGaneSH)
 		timers.Time(TaskGaneSH, func() {
-			ensembles = prim.ganeshEnsembles(opt, master)
+			ensembles = sampleEnsembles(c, q, opt, master, wl)
 		})
-		if opt.CheckpointDir != "" && prim.writesCheckpoints {
+		if opt.CheckpointDir != "" && root {
 			ck := ensemblesCheckpoint{ckptStamp: newStamp(opt, q.N), Ensembles: ensembles}
 			if err := saveCheckpoint(opt.CheckpointDir, ckptEnsembles, &ck, opt.BinaryCheckpoints); err != nil {
 				return nil, err
@@ -448,10 +440,10 @@ func run(d *dataset.Data, q *score.QData, opt Options, prim pipeline, timers *tr
 	}
 	// Task-boundary cancellation point: the GaneSH checkpoint (when
 	// enabled) is durable by now, so a cancel here resumes from it.
-	prim.cancel.Check()
+	cancel.Check()
 
 	// Task 2: consensus clustering, sequential as in the paper (<0.04 %
-	// of run time), replicated on every rank in the parallel engine.
+	// of run time), replicated on every rank.
 	var moduleVars [][]int
 	if haveModules {
 		moduleVars = resumedModules
@@ -466,7 +458,7 @@ func run(d *dataset.Data, q *score.QData, opt Options, prim pipeline, timers *tr
 		if consErr != nil {
 			return nil, consErr
 		}
-		if opt.CheckpointDir != "" && prim.writesCheckpoints {
+		if opt.CheckpointDir != "" && root {
 			ck := modulesCheckpoint{ckptStamp: newStamp(opt, q.N), ModuleVars: moduleVars}
 			if err := saveCheckpoint(opt.CheckpointDir, ckptModules, &ck, opt.BinaryCheckpoints); err != nil {
 				return nil, err
@@ -476,7 +468,7 @@ func run(d *dataset.Data, q *score.QData, opt Options, prim pipeline, timers *tr
 		taskEvent(obs.TypeTaskEnd, TaskConsensus)
 		failpoint(TaskConsensus, -1)
 	}
-	prim.cancel.Check()
+	cancel.Check()
 
 	// Task 3: module learning on its own substream, one numbered
 	// sub-substream per module, checkpointed module-by-module so a crash
@@ -491,7 +483,7 @@ func run(d *dataset.Data, q *score.QData, opt Options, prim pipeline, timers *tr
 			// is durably checkpointed (when enabled), and unit mi has not
 			// drawn from its substream yet, so a cancel here loses no
 			// completed work and a resume recomputes mi bit-identically.
-			prim.cancel.Check()
+			cancel.Check()
 		},
 	}
 	var saveUnit func(u *module.Unit) error
@@ -504,7 +496,7 @@ func run(d *dataset.Data, q *score.QData, opt Options, prim pipeline, timers *tr
 			units = map[int]*module.Unit{}
 		}
 		prog.Completed = units
-		if prim.writesCheckpoints {
+		if root {
 			saveUnit = func(u *module.Unit) error {
 				units[u.Module] = u
 				return saveProgress(opt.CheckpointDir, opt, q.N, units)
@@ -528,7 +520,7 @@ func run(d *dataset.Data, q *score.QData, opt Options, prim pipeline, timers *tr
 	taskEvent(obs.TypeTaskStart, TaskModules)
 	timers.Time(TaskModules, func() {
 		g := master.Substream(uint64(opt.GaneshRuns + 1))
-		modRes, modErr = prim.moduleRun(moduleVars, opt.Module, g, prog)
+		modRes, modErr = module.LearnWithComm(c, q, opt.Prior, moduleVars, opt.Module, g, wl, prog)
 	})
 	if modErr != nil {
 		return nil, modErr
@@ -558,70 +550,15 @@ func run(d *dataset.Data, q *score.QData, opt Options, prim pipeline, timers *tr
 		return nil, err
 	}
 	emit(obs.Event{Type: obs.TypeRunEnd, Run: &obs.RunInfo{
-		Ranks: prim.ranks, Workers: opt.Workers, Seed: opt.Seed, N: q.N, M: q.M,
+		Ranks: c.Size(), Workers: opt.Workers, Seed: opt.Seed, N: q.N, M: q.M,
 		Modules: len(net.Modules),
 	}})
 	return &Output{Network: net, Modules: modRes.Modules, Splits: modRes.Splits, Timers: timers}, nil
 }
 
-// Learn runs the full pipeline sequentially. A cancelled Options.Ctx
-// surfaces as a *CancelledError; the checkpoints written so far (when
-// Options.CheckpointDir is set) resume bit-identically.
-func Learn(d *dataset.Data, opt Options) (out *Output, err error) {
-	if err := opt.validate(); err != nil {
-		return nil, err
-	}
-	if opt.Inject != nil {
-		return nil, fmt.Errorf("core: fault injection needs the supervised parallel driver; use LearnParallel(1, …) for a single-rank run")
-	}
-	opt = opt.withWorkers()
-	q, err := prepare(d, opt)
-	if err != nil {
-		return nil, err
-	}
-	var wl *trace.Workload
-	if opt.RecordWork {
-		wl = &trace.Workload{}
-	}
-	var rec *obs.Recorder
-	if opt.Events {
-		rec = obs.NewRecorder(0)
-	}
-	hooks := obs.NewHooks(rec, opt.Metrics)
-	opt = opt.withHooks(hooks, true)
-	cl := newCanceler(opt, 0)
-	opt = opt.withCancel(cl)
-	// The sequential engine has no comm world to recover a cancellation
-	// panic; convert it into the documented error return here.
-	defer catchCancel(opt, &out, &err)
-	timers := trace.NewTimers()
-	out, err = run(d, q, opt, pipeline{
-		ganeshEnsembles: func(opt Options, master *prng.MRG3) [][][]int {
-			ensembles := make([][][]int, opt.GaneshRuns)
-			for r := 0; r < opt.GaneshRuns; r++ {
-				g := master.Substream(uint64(r + 1))
-				ensembles[r] = snapshotOf(ganesh.Run(q, opt.Prior, opt.Ganesh, g, wl).VarAssignment())
-			}
-			return ensembles
-		},
-		moduleRun: func(moduleVars [][]int, par module.Params, g *prng.MRG3, prog *module.Progress) (*module.Result, error) {
-			return module.Learn(q, opt.Prior, moduleVars, par, g, wl, prog)
-		},
-		writesCheckpoints: true,
-		hooks:             hooks,
-		ranks:             1,
-		cancel:            cl,
-	}, timers)
-	if err != nil {
-		return nil, err
-	}
-	out.Workload = wl
-	out.CancelChecks = cl.Checks()
-	if rec != nil {
-		out.Events = rec.Events()
-	}
-	return out, nil
-}
+// Learn runs the full pipeline on a one-rank world: LearnParallel(1, d, opt),
+// with its supervision, fault injection and cancellation (DESIGN §20).
+func Learn(d *dataset.Data, opt Options) (*Output, error) { return LearnParallel(1, d, opt) }
 
 // LearnWithComm runs the full pipeline on an existing communicator; every
 // rank returns an identical network. When Options.Ctx fires, the first rank
@@ -630,16 +567,23 @@ func Learn(d *dataset.Data, opt Options) (out *Output, err error) {
 // comm.Run see it as a RankError; LearnParallel distills it into a
 // *CancelledError.
 func LearnWithComm(c *comm.Comm, d *dataset.Data, opt Options) (*Output, error) {
-	if err := opt.validate(); err != nil {
+	if err := opt.validate(c.Size()); err != nil {
 		return nil, err
 	}
-	if opt.RecordWork {
-		return nil, fmt.Errorf("core: work recording is only supported on the sequential engine")
-	}
-	opt = opt.withWorkers()
 	q, err := prepare(d, opt)
 	if err != nil {
 		return nil, err
+	}
+	return learn(c, d, q, opt)
+}
+
+// learn runs the pipeline on c's rank over the prepared data and collects
+// the rank's side of the Output.
+func learn(c *comm.Comm, d *dataset.Data, q *score.QData, opt Options) (*Output, error) {
+	opt = opt.withWorkers()
+	var wl *trace.Workload
+	if opt.RecordWork {
+		wl = &trace.Workload{}
 	}
 	var rec *obs.Recorder
 	if opt.Events {
@@ -649,27 +593,18 @@ func LearnWithComm(c *comm.Comm, d *dataset.Data, opt Options) (*Output, error) 
 	opt = opt.withHooks(hooks, c.Rank() == 0)
 	cl := newCanceler(opt, c.Rank())
 	opt = opt.withCancel(cl)
-	timers := trace.NewTimers()
-	out, err := run(d, q, opt, pipeline{
-		ganeshEnsembles: func(opt Options, master *prng.MRG3) [][][]int {
-			return parallelEnsembles(c, q, opt, master)
-		},
-		moduleRun: func(moduleVars [][]int, par module.Params, g *prng.MRG3, prog *module.Progress) (*module.Result, error) {
-			return module.LearnParallel(c, q, opt.Prior, moduleVars, par, g, prog)
-		},
-		writesCheckpoints: c.Rank() == 0,
-		rank:              c.Rank(),
-		hooks:             hooks,
-		ranks:             c.Size(),
-		cancel:            cl,
-	}, timers)
+	out, err := run(c, d, q, opt, hooks, cl, wl)
 	if err != nil {
 		return nil, err
 	}
+	out.Workload = wl
 	out.CommStats = c.Stats()
 	out.CancelChecks = cl.Checks()
-	// Snapshot per-rank traffic before the event gather adds its own.
-	hooks.CommStats(c.Rank(), out.CommStats)
+	// Snapshot per-rank traffic before the event gather adds its own. A
+	// one-rank world has sent nothing and reports nothing.
+	if c.Size() > 1 {
+		hooks.CommStats(c.Rank(), out.CommStats)
+	}
 	if rec != nil {
 		perRank := comm.Gather(c, 0, rec.Events())
 		if c.Rank() == 0 {
@@ -692,22 +627,22 @@ func BuildCPDs(d *dataset.Data, opt Options, out *Output) ([]*module.CPD, error)
 	return module.BuildCPDs(res, q, opt.Prior)
 }
 
-// parallelEnsembles executes the G GaneSH runs on c's ranks: all ranks per
+// sampleEnsembles executes the G GaneSH runs on c's ranks and returns the
+// variable-partition snapshot of every run, indexed by run: all ranks per
 // run by default, or — with Options.GaneshGroups > 1 — on disjoint rank
 // groups, each group handling the runs r ≡ group (mod groups), followed by
 // an exchange of the sampled partitions (§3.2.1: the runs need no
 // communication between groups).
-func parallelEnsembles(c *comm.Comm, q *score.QData, opt Options, master *prng.MRG3) [][][]int {
-	groups := opt.GaneshGroups
-	if groups <= 1 || c.Size() == 1 || opt.GaneshRuns == 1 {
+func sampleEnsembles(c *comm.Comm, q *score.QData, opt Options, master *prng.MRG3, wl *trace.Workload) [][][]int {
+	groups := min(opt.GaneshGroups, c.Size(), opt.GaneshRuns)
+	if groups <= 1 {
 		ensembles := make([][][]int, opt.GaneshRuns)
 		for r := 0; r < opt.GaneshRuns; r++ {
 			g := master.Substream(uint64(r + 1))
-			ensembles[r] = snapshotOf(ganesh.RunParallel(c, q, opt.Prior, opt.Ganesh, g).VarAssignment())
+			ensembles[r] = snapshotOf(ganesh.RunWithComm(c, q, opt.Prior, opt.Ganesh, g, wl).VarAssignment())
 		}
 		return ensembles
 	}
-	groups = min(groups, c.Size(), opt.GaneshRuns)
 	// Contiguous rank groups of near-equal size.
 	color := c.Rank() * groups / c.Size()
 	sub := comm.Split(c, color)
@@ -718,7 +653,7 @@ func parallelEnsembles(c *comm.Comm, q *score.QData, opt Options, master *prng.M
 	var local []runSnap
 	for r := color; r < opt.GaneshRuns; r += groups {
 		g := master.Substream(uint64(r + 1))
-		snap := snapshotOf(ganesh.RunParallel(sub, q, opt.Prior, opt.Ganesh, g).VarAssignment())
+		snap := snapshotOf(ganesh.RunWithComm(sub, q, opt.Prior, opt.Ganesh, g, wl).VarAssignment())
 		// Only the group's first rank contributes to the exchange, so
 		// each run appears exactly once.
 		if sub.Rank() == 0 {
@@ -733,8 +668,10 @@ func parallelEnsembles(c *comm.Comm, q *score.QData, opt Options, master *prng.M
 	return ensembles
 }
 
-// LearnParallel spins up p ranks, runs the parallel pipeline, and returns
-// rank 0's output with the total message traffic of all ranks.
+// LearnParallel spins up p ranks, runs the pipeline on them, and returns
+// rank 0's output with the total message traffic of all ranks. Options and
+// data are checked, and the data quantized once for all ranks to read,
+// before any world starts.
 //
 // It is also the supervised driver of the fault-tolerance layer: when a
 // rank fails (organically or via Options.Inject), the whole world is torn
@@ -748,6 +685,13 @@ func parallelEnsembles(c *comm.Comm, q *score.QData, opt Options, master *prng.M
 // restarted, no restart budget is consumed, and the driver returns a
 // *CancelledError naming the durable checkpoints the run drained to.
 func LearnParallel(p int, d *dataset.Data, opt Options) (*Output, error) {
+	if err := opt.validate(p); err != nil {
+		return nil, err
+	}
+	q, err := prepare(d, opt)
+	if err != nil {
+		return nil, err
+	}
 	attempt := opt
 	var recovery []trace.RecoveryEvent
 	for {
@@ -757,7 +701,7 @@ func LearnParallel(p int, d *dataset.Data, opt Options) (*Output, error) {
 			faults = attempt.Inject.Comm
 		}
 		stats, err := comm.RunWithFaults(p, faults, func(c *comm.Comm) error {
-			out, err := LearnWithComm(c, d, attempt)
+			out, err := learn(c, d, q, attempt)
 			if err != nil {
 				return err
 			}

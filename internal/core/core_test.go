@@ -1,12 +1,16 @@
 package core
 
 import (
+	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"parsimone/internal/comm"
 	"parsimone/internal/dataset"
 	"parsimone/internal/ganesh"
+	"parsimone/internal/obs"
 	"parsimone/internal/result"
 	"parsimone/internal/splits"
 	"parsimone/internal/synth"
@@ -131,6 +135,77 @@ func TestLearnRecordsWork(t *testing.T) {
 	}
 	if out.Workload.Phase(splits.PhaseAssign) == nil {
 		t.Fatal("split phase missing from workload")
+	}
+}
+
+// TestLearnIsOneRankWorld: there is one engine, and a sequential run is it on
+// a one-rank world (DESIGN §20) — Learn, LearnParallel(1, …) and LearnWithComm
+// under comm.Run(1, …) report the same network, event stream, registry,
+// recorded workload and cancellation checks, with every sink attached.
+func TestLearnIsOneRankWorld(t *testing.T) {
+	d, _ := testData(t, 24, 20, 4)
+	launch := map[string]func(Options) (*Output, error){
+		"Learn":         func(opt Options) (*Output, error) { return Learn(d, opt) },
+		"LearnParallel": func(opt Options) (*Output, error) { return LearnParallel(1, d, opt) },
+		"LearnWithComm": func(opt Options) (out *Output, err error) {
+			_, err = comm.Run(1, func(c *comm.Comm) (err error) {
+				out, err = LearnWithComm(c, d, opt)
+				return err
+			})
+			return out, err
+		},
+	}
+	type report struct {
+		out               *Output
+		network, registry bytes.Buffer
+		workload          string
+	}
+	reports := map[string]*report{}
+	for name, learn := range launch {
+		opt := fastOptions(9)
+		opt.Workers = 2
+		opt.Events = true
+		opt.Metrics = obs.NewRegistry()
+		opt.RecordWork = true
+		opt.CheckpointDir = t.TempDir()
+		out, err := learn(opt)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		r := &report{out: out}
+		if err := out.Network.WriteBinary(&r.network); err != nil {
+			t.Fatal(err)
+		}
+		if err := opt.Metrics.WriteJSON(&r.registry); err != nil {
+			t.Fatal(err)
+		}
+		for _, ph := range out.Workload.Phases {
+			r.workload += fmt.Sprintf("%s items=%d cost=%v serial=%v collectives=%d words=%d workers=%v\n",
+				ph.Name, len(ph.Items), ph.TotalCost(), ph.SerialCost, ph.Collectives, ph.Words, ph.WorkerCost)
+		}
+		reports[name] = r
+	}
+	want := reports["Learn"]
+	if len(want.out.Events) == 0 || want.workload == "" || want.out.CancelChecks == 0 {
+		t.Fatalf("Learn reported %d events, workload %q, %d cancel checks", len(want.out.Events), want.workload, want.out.CancelChecks)
+	}
+	for _, name := range []string{"LearnParallel", "LearnWithComm"} {
+		got := reports[name]
+		if !bytes.Equal(got.network.Bytes(), want.network.Bytes()) {
+			t.Errorf("%s: binary network differs from Learn's", name)
+		}
+		if err := obs.DiffCanonical(got.out.Events, want.out.Events); err != nil {
+			t.Errorf("%s: events differ from Learn's: %v", name, err)
+		}
+		if !bytes.Equal(got.registry.Bytes(), want.registry.Bytes()) {
+			t.Errorf("%s: registry differs from Learn's:\n%s\nwant\n%s", name, got.registry.Bytes(), want.registry.Bytes())
+		}
+		if got.workload != want.workload {
+			t.Errorf("%s: workload\n%swant\n%s", name, got.workload, want.workload)
+		}
+		if got.out.CancelChecks != want.out.CancelChecks {
+			t.Errorf("%s: %d cancel checks, Learn %d", name, got.out.CancelChecks, want.out.CancelChecks)
+		}
 	}
 }
 
@@ -304,7 +379,7 @@ func clusterShapedOptions(seed uint64) Options {
 
 // benchmarkLearnClusterShaped is the layer witness of the distribution rule
 // (DESIGN §19) outside benchmark/: a cluster-shaped learn at 480×32 through
-// the sequential engine (ranks 0), two ranks, or two pool workers. Neither
+// Learn's one-rank world (ranks 0), two ranks, or two pool workers. Neither
 // parallel shape may be more than 5 % slower than Seq; with every decision
 // distributed (the constant at 0) both were 1.25–1.6× slower.
 func benchmarkLearnClusterShaped(b *testing.B, ranks, workers int) {

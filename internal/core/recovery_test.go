@@ -187,15 +187,53 @@ func TestMaxRestartsExhausted(t *testing.T) {
 	}
 }
 
-// TestSequentialRejectsInject: fault injection is a property of the
-// supervised parallel driver, so the sequential engine refuses it instead of
-// silently ignoring the spec.
-func TestSequentialRejectsInject(t *testing.T) {
+// TestLearnIsSupervised: Learn is the supervised driver on one rank, so an
+// injected crash and the restart budget behave as they do for any world — at
+// MaxRestarts = 0 the crash is the caller's error, at 1 the run resumes from
+// its checkpoints to the uninterrupted network and says so, exactly as the
+// same request submitted to parsimoned (which runs LearnParallel(1, …)) does.
+func TestLearnIsSupervised(t *testing.T) {
+	d, opt, want := recoveryFixture(t)
+	injected := opt
+	injected.Inject = &FaultSpec{Task: TaskGaneSH}
+	if _, err := Learn(d, injected); !errors.Is(err, comm.ErrInjected) {
+		t.Fatalf("Learn with MaxRestarts=0 returned %v, want the injected crash", err)
+	}
+	injected.MaxRestarts = 1
+	injected.CheckpointDir = t.TempDir()
+	got, err := Learn(d, injected)
+	if err != nil {
+		t.Fatalf("recovery failed: %v", err)
+	}
+	if !result.Equal(got.Network, want.Network) {
+		t.Fatal("recovered network differs from the uninterrupted run")
+	}
+	if len(got.Recovery) != 1 || got.Recovery[0].Rank != 0 {
+		t.Fatalf("recovery events %v, want one on rank 0", got.Recovery)
+	}
+}
+
+// TestInjectUnknownRankRejected: a fault addressed to a rank the world does
+// not have can never fire, so reporting success would be a lie; it is
+// rejected before any world starts, in the failpoint and the comm form.
+func TestInjectUnknownRankRejected(t *testing.T) {
 	d, _ := testData(t, 20, 16, 1)
+	for name, spec := range map[string]*FaultSpec{
+		"task": {Task: TaskGaneSH, Rank: 5},
+		"comm": {Comm: []comm.Fault{{Rank: 5, Op: 1}}},
+	} {
+		opt := fastOptions(3)
+		opt.Inject = spec
+		_, err := LearnParallel(2, d, opt)
+		var re *comm.RankError
+		if err == nil || errors.As(err, &re) || !strings.Contains(err.Error(), "outside the world's ranks [0, 2)") {
+			t.Errorf("%s fault on rank 5 of 2: got %v, want a rejection before the world starts", name, err)
+		}
+	}
 	opt := fastOptions(3)
-	opt.Inject = &FaultSpec{Task: TaskGaneSH}
+	opt.Inject = &FaultSpec{CancelAt: 1, Rank: 1}
 	if _, err := Learn(d, opt); err == nil {
-		t.Fatal("sequential Learn accepted Inject")
+		t.Error("Learn accepted a cancellation addressed to rank 1 of its one-rank world")
 	}
 }
 

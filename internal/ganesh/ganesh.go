@@ -1,20 +1,19 @@
 // Package ganesh implements the GaneSH Gibbs-sampler co-clustering task of
-// Lemon-Tree (Joshi et al. 2008; §2.2.1 and Algorithms 1–3 of the paper),
-// in a sequential and a distributed-memory parallel variant that produce
-// bit-identical results.
+// Lemon-Tree (Joshi et al. 2008; §2.2.1 and Algorithms 1–3 of the paper) as
+// one distributed-memory implementation whose result is bit-identical on
+// every world; a sequential run is the one-rank world (DESIGN §20).
 //
 // Each update step performs four sweeps: n variable reassignments, a
 // variable-cluster merge pass, and — per variable cluster — m observation
 // reassignments and an observation-cluster merge pass. Every individual
 // decision is a collective weighted random choice over score gains. The
-// parallel variant partitions the candidate evaluations of a decision over
-// ranks (Algorithms 1–2) and all-gathers the gains — when the decision
-// outweighs the message (trace.Distributed, DESIGN §19); a cheaper one every
-// rank evaluates in full, which yields the same gains because they are
-// functions of replicated state. Either way every rank then draws the same
-// choice from the replicated PRNG stream; state transitions are applied
-// redundantly on all ranks, so the clustering state never needs to be
-// communicated.
+// candidate evaluations of a decision are partitioned over ranks
+// (Algorithms 1–2) and the gains all-gathered — when the decision outweighs
+// the message (trace.Distributed, DESIGN §19); a cheaper one every rank
+// evaluates in full, which yields the same gains because they are functions
+// of replicated state. Either way every rank then draws the same choice from
+// the replicated PRNG stream; state transitions are applied redundantly on
+// all ranks, so the clustering state never needs to be communicated.
 package ganesh
 
 import (
@@ -89,11 +88,10 @@ const logMLCost = 8
 // balanced over the short candidate lists of one decision.
 const gainsChunk = 8
 
-// executor abstracts where a decision's candidate gains are computed: on this
-// rank alone (sequential) or, for a distributed decision, block-partitioned
-// over ranks followed by an all-gather (parallel) — in both cases fanned over
-// the intra-rank worker pool. Implementations must leave exactly the same
-// gains vector on every rank.
+// executor is where a decision's candidate gains are computed. The engines
+// run on commExec; the interface exists so a test can wrap it and check the
+// clustering state between every two mutations. An implementation must leave
+// exactly the same gains vector on every rank.
 type executor interface {
 	// width is the number of goroutines a distributed decision's evaluations
 	// are spread over (ranks × workers); at 1 there is nothing to distribute.
@@ -106,40 +104,23 @@ type executor interface {
 	gains(out []float64, distributed bool, eval func(int) float64, cost func(int) float64) pool.Stats
 }
 
-// evalInline is the replicated evaluation of a decision: gains are pure
-// functions of the replicated clustering state, so every rank computes the
-// same vector bit for bit.
-func evalInline(out []float64, eval func(int) float64) pool.Stats {
-	for i := range out {
-		out[i] = eval(i)
-	}
-	return pool.Stats{}
-}
-
-type seqExec struct{ workers int }
-
-func (e seqExec) width() int { return max(1, e.workers) }
-
-func (e seqExec) gains(out []float64, distributed bool, eval func(int) float64, cost func(int) float64) pool.Stats {
-	if !distributed {
-		return evalInline(out, eval)
-	}
-	return pool.For(len(out), e.workers, gainsChunk, func(i, w int) float64 {
-		out[i] = eval(i)
-		return cost(i)
-	})
-}
-
-type parExec struct {
+// commExec block-partitions a distributed decision over c's ranks, fans each
+// block over the intra-rank worker pool and all-gathers the gains.
+type commExec struct {
 	c       *comm.Comm
 	workers int
 }
 
-func (e parExec) width() int { return e.c.Size() * max(1, e.workers) }
+func (e commExec) width() int { return e.c.Size() * max(1, e.workers) }
 
-func (e parExec) gains(out []float64, distributed bool, eval func(int) float64, cost func(int) float64) pool.Stats {
+func (e commExec) gains(out []float64, distributed bool, eval func(int) float64, cost func(int) float64) pool.Stats {
 	if !distributed {
-		return evalInline(out, eval)
+		// Gains are pure functions of the replicated clustering state, so
+		// every rank computes the same vector bit for bit.
+		for i := range out {
+			out[i] = eval(i)
+		}
+		return pool.Stats{}
 	}
 	lo, hi := comm.BlockRange(len(out), e.c.Size(), e.c.Rank())
 	local := out[lo:hi]
@@ -153,9 +134,7 @@ func (e parExec) gains(out []float64, distributed bool, eval func(int) float64, 
 	return st
 }
 
-// engine runs the sampler against an executor; the sequential and parallel
-// entry points share all decision logic, which is what guarantees identical
-// PRNG consumption and identical results.
+// engine runs the sampler against an executor.
 type engine struct {
 	q     *score.QData
 	prior score.Prior
@@ -171,8 +150,6 @@ type engine struct {
 	// gains and their quantized weights, grown to the widest decision seen.
 	gains   []float64
 	weights []uint64
-	// decision counts segments for per-phase work recording.
-	decision map[string]int
 	// reg receives per-phase pool counters; ctrs caches the interned
 	// counter handles so the hot decision loop skips the registry lookup.
 	reg  *obs.Registry
@@ -190,7 +167,7 @@ type phaseCounters struct {
 // q.N/nVars times longer than any count it can ask for.
 func newEngine(q *score.QData, pr score.Prior, nVars int, g *prng.MRG3, ex executor, wl *trace.Workload) *engine {
 	return &engine{q: q, prior: pr, kern: score.NewKernel(pr, nVars*q.M),
-		g: g, ex: ex, wl: wl, decision: make(map[string]int)}
+		g: g, ex: ex, wl: wl}
 }
 
 // withObs attaches the metrics registry of hooks (nil-safe) and returns the
@@ -246,7 +223,7 @@ func (e *engine) decide(phaseName string, count int, eval func(int) float64, ite
 	}
 	gains := e.gains[:count]
 	ph := e.phase(phaseName)
-	// A serial, unobserved engine has nobody to tell the cost to.
+	// One unobserved goroutine has nobody to tell the cost to.
 	var total float64
 	if e.ex.width() > 1 || e.reg != nil || ph != nil {
 		for i := 0; i < count; i++ {
@@ -267,18 +244,8 @@ func (e *engine) decide(phaseName string, count int, eval func(int) float64, ite
 		e.count(phaseName, cost, items)
 	}
 	if ph != nil {
-		if distributed {
-			seg := e.decision[phaseName]
-			e.decision[phaseName]++
-			for i := 0; i < count; i++ {
-				ph.Items = append(ph.Items, trace.Item{Cost: itemCost(i), Seg: seg})
-			}
-			ph.AddWorkerCost(st.Cost)
-			ph.Collectives++ // the gains all-gather
-			ph.Words += int64(count)
-		} else {
-			ph.SerialCost += total
-		}
+		ph.AddDecision(count, itemCost, total, int64(count)) // the gains all-gather
+		ph.AddWorkerCost(st.Cost)
 	}
 	s := e.g.WeightedIndex(score.QuantizeWeightsInto(e.weights[:count], gains))
 	if s < 0 {
@@ -403,18 +370,24 @@ func (e *engine) step(cc *cluster.CoClustering) {
 	}
 }
 
-// Run executes one sequential GaneSH run and returns the final
-// co-clustering. If wl is non-nil the parallelizable work is recorded into
-// it for scaling analysis.
-func Run(q *score.QData, pr score.Prior, par Params, g *prng.MRG3, wl *trace.Workload) *cluster.CoClustering {
-	return newEngine(q, pr, q.N, g, seqExec{workers: par.Workers}, wl).withObs(par.Hooks).run(par)
+// RunWithComm executes one GaneSH run across c's ranks and returns the final
+// co-clustering. Every rank must pass a PRNG in the same state; every rank
+// returns an identical co-clustering, bit-equal for every world size. If wl
+// is non-nil the parallelizable work is recorded into it for scaling
+// analysis — on a one-rank world only, where the rank's share of a decision
+// is the whole decision.
+func RunWithComm(c *comm.Comm, q *score.QData, pr score.Prior, par Params, g *prng.MRG3, wl *trace.Workload) *cluster.CoClustering {
+	return newEngine(q, pr, q.N, g, commExec{c: c, workers: par.Workers}, wl).withObs(par.Hooks).run(par)
 }
 
-// RunParallel executes the same algorithm across c's ranks. Every rank must
-// pass a PRNG in the same state; every rank returns an identical
-// co-clustering, bit-equal to the sequential result from the same state.
+// Run is RunWithComm on the one-rank world.
+func Run(q *score.QData, pr score.Prior, par Params, g *prng.MRG3, wl *trace.Workload) *cluster.CoClustering {
+	return RunWithComm(comm.Self(), q, pr, par, g, wl)
+}
+
+// RunParallel is RunWithComm without recording.
 func RunParallel(c *comm.Comm, q *score.QData, pr score.Prior, par Params, g *prng.MRG3) *cluster.CoClustering {
-	return newEngine(q, pr, q.N, g, parExec{c: c, workers: par.Workers}, nil).withObs(par.Hooks).run(par)
+	return RunWithComm(c, q, pr, par, g, nil)
 }
 
 // ObsParams configures the observation-only sampler used by the
@@ -447,18 +420,18 @@ func (p ObsParams) withDefaults(m int) ObsParams {
 	return p
 }
 
-// SampleObsClusterings runs GaneSH constrained to a single pinned variable
-// cluster (the module's variables) and returns the observation clusterings
-// sampled after burn-in — one snapshot per post-burn-in update step — plus
-// the final partition state. Sequential variant.
-func SampleObsClusterings(q *score.QData, pr score.Prior, vars []int, par ObsParams, g *prng.MRG3, wl *trace.Workload) ([][][]int, *cluster.ObsClusters) {
-	return sampleObs(newEngine(q, pr, len(vars), g, seqExec{workers: par.Workers}, wl).withObs(par.Hooks), vars, par)
+// SampleObsClusteringsWithComm runs GaneSH constrained to a single pinned
+// variable cluster (the module's variables) across c's ranks and returns the
+// observation clusterings sampled after burn-in — one snapshot per
+// post-burn-in update step — plus the final partition state; identical on
+// every rank. wl as in RunWithComm.
+func SampleObsClusteringsWithComm(c *comm.Comm, q *score.QData, pr score.Prior, vars []int, par ObsParams, g *prng.MRG3, wl *trace.Workload) ([][][]int, *cluster.ObsClusters) {
+	return sampleObs(newEngine(q, pr, len(vars), g, commExec{c: c, workers: par.Workers}, wl).withObs(par.Hooks), vars, par)
 }
 
-// SampleObsClusteringsParallel is the distributed variant of
-// SampleObsClusterings; identical results on every rank.
-func SampleObsClusteringsParallel(c *comm.Comm, q *score.QData, pr score.Prior, vars []int, par ObsParams, g *prng.MRG3) ([][][]int, *cluster.ObsClusters) {
-	return sampleObs(newEngine(q, pr, len(vars), g, parExec{c: c, workers: par.Workers}, nil).withObs(par.Hooks), vars, par)
+// SampleObsClusterings is SampleObsClusteringsWithComm on the one-rank world.
+func SampleObsClusterings(q *score.QData, pr score.Prior, vars []int, par ObsParams, g *prng.MRG3, wl *trace.Workload) ([][][]int, *cluster.ObsClusters) {
+	return SampleObsClusteringsWithComm(comm.Self(), q, pr, vars, par, g, wl)
 }
 
 func sampleObs(e *engine, vars []int, par ObsParams) ([][][]int, *cluster.ObsClusters) {

@@ -95,7 +95,7 @@ func TestParallelObsClusteringsMatchSequential(t *testing.T) {
 	wantSamples, wantFinal := SampleObsClusterings(q, pr, vars, par, prng.New(21), nil)
 	for _, p := range []int{1, 2, 5} {
 		_, err := comm.Run(p, func(c *comm.Comm) error {
-			samples, final := SampleObsClusteringsParallel(c, q, pr, vars, par, prng.New(21))
+			samples, final := SampleObsClusteringsWithComm(c, q, pr, vars, par, prng.New(21), nil)
 			if !reflect.DeepEqual(samples, wantSamples) {
 				return fmt.Errorf("rank %d samples differ", c.Rank())
 			}
@@ -145,9 +145,9 @@ func TestWorkersInvariance(t *testing.T) {
 // total crosses it as the cluster count moves by one.
 func straddleData(t testing.TB) *score.QData { return testData(t, 136, 400, 4) }
 
-// tallyExec is seqExec noting every decision's total cost and branch.
+// tallyExec is commExec noting every decision's total cost and branch.
 type tallyExec struct {
-	seqExec
+	commExec
 	decisions, distributed             int64
 	maxInline, minDistributed, maxItem float64
 }
@@ -165,7 +165,7 @@ func (e *tallyExec) gains(out []float64, distributed bool, eval func(int) float6
 	} else {
 		e.maxInline = max(e.maxInline, total)
 	}
-	return e.seqExec.gains(out, distributed, eval, cost)
+	return e.commExec.gains(out, distributed, eval, cost)
 }
 
 // TestDistributionRuleInvariance: a decision is distributed exactly when its
@@ -193,7 +193,7 @@ func TestDistributionRuleInvariance(t *testing.T) {
 	g := prng.New(11)
 	want := state(Run(q, pr, par, g, wl), g)
 
-	tally := &tallyExec{seqExec: seqExec{workers: 2}, minDistributed: math.Inf(1)}
+	tally := &tallyExec{commExec: commExec{c: comm.Self(), workers: 2}, minDistributed: math.Inf(1)}
 	g = prng.New(11)
 	if got := state(newEngine(q, pr, q.N, g, tally, nil).run(par), g); got != want {
 		t.Fatal("tallied run left Run's path")
@@ -244,12 +244,12 @@ func TestDistributionRuleInvariance(t *testing.T) {
 	}
 }
 
-// checkedExec evaluates gains like seqExec after verifying the clustering
+// checkedExec evaluates gains like commExec after verifying the clustering
 // state's invariants. A decision sits between every two mutations of a sweep
 // (detach → decide → attach, decide → merge), so together with a final check
 // this sees the state after every mutation.
 type checkedExec struct {
-	seqExec
+	commExec
 	t     *testing.T
 	check func() error
 }
@@ -258,7 +258,7 @@ func (e *checkedExec) gains(out []float64, distributed bool, eval func(int) floa
 	if err := e.check(); err != nil {
 		e.t.Fatal(err)
 	}
-	return e.seqExec.gains(out, distributed, eval, cost)
+	return e.commExec.gains(out, distributed, eval, cost)
 }
 
 // TestStoredBlockScoresExactThroughSampling: every block score the sampler's
@@ -275,7 +275,7 @@ func TestStoredBlockScoresExactThroughSampling(t *testing.T) {
 	want := Run(q, pr, Params{Updates: 2}, prng.New(13), nil).VarSnapshot()
 	_, wantObs := SampleObsClusterings(q, pr, vars, ObsParams{Updates: 2}, prng.New(19), nil)
 	for _, workers := range []int{1, 2} {
-		ex := &checkedExec{seqExec: seqExec{workers: workers}, t: t}
+		ex := &checkedExec{commExec: commExec{c: comm.Self(), workers: workers}, t: t}
 		e := newEngine(q, pr, q.N, prng.New(13), ex, nil)
 		par := Params{Updates: 2}.withDefaults(q.N, q.M)
 		cc := cluster.NewRandomCoClustering(q, pr, par.InitVarClusters, par.InitObsClusters, e.g)
@@ -291,7 +291,7 @@ func TestStoredBlockScoresExactThroughSampling(t *testing.T) {
 			t.Fatalf("W=%d: checked run left Run's path", workers)
 		}
 
-		ex = &checkedExec{seqExec: seqExec{workers: workers}, t: t}
+		ex = &checkedExec{commExec: commExec{c: comm.Self(), workers: workers}, t: t}
 		e = newEngine(q, pr, len(vars), prng.New(19), ex, nil)
 		opar := ObsParams{Updates: 2}.withDefaults(q.M)
 		oc := cluster.NewRandomObsClusters(q, pr, vars, opar.InitObsClusters, e.g)

@@ -63,7 +63,7 @@ type Result struct {
 
 // Unit is the self-contained outcome of learning one module: its
 // regression-tree ensemble and its assigned splits. Because every module
-// consumes its own numbered substream (see learn), a Unit depends only on
+// consumes its own numbered substream (see LearnWithComm), a Unit depends only on
 // the module's index, member variables, and the run configuration — it is
 // the granularity of mid-task checkpointing, and a resumed Unit never
 // needs recomputing. Parent scores are cheap and derived, so they are
@@ -77,9 +77,9 @@ type Unit struct {
 }
 
 // Progress wires module-granular checkpointing and fault injection into
-// Learn/LearnParallel. All fields are optional; a nil *Progress disables
-// both. In parallel runs every rank must hold the same Completed set, or
-// ranks would disagree on which collectives to enter.
+// LearnWithComm. All fields are optional; a nil *Progress disables both.
+// Every rank must hold the same Completed set, or ranks would disagree on
+// which collectives to enter.
 type Progress struct {
 	// Completed holds previously learned units by module index; they are
 	// reused verbatim instead of being recomputed.
@@ -93,15 +93,11 @@ type Progress struct {
 	OnUnit func(u *Unit) error
 }
 
-// learn drives Algorithm 6 against either the sequential or parallel
-// primitives.
-type primitives struct {
-	sampleObs func(vars []int, par ganesh.ObsParams, g *prng.MRG3) [][][]int
-	buildTree func(vars []int, clusters [][]int) *tree.Tree
-	assign    func(modules [][]int, trees [][]*tree.Tree, par splits.Params, g *prng.MRG3) splits.Result
-}
-
-func learn(moduleVars [][]int, par Params, g *prng.MRG3, prim primitives, prog *Progress) (*Result, error) {
+// LearnWithComm runs the task (Algorithm 6) across c's ranks; the result is
+// identical on every rank and for every world size. If wl is non-nil,
+// parallelizable work is recorded for scaling analysis (one-rank worlds
+// only).
+func LearnWithComm(c *comm.Comm, q *score.QData, pr score.Prior, moduleVars [][]int, par Params, g *prng.MRG3, wl *trace.Workload, prog *Progress) (*Result, error) {
 	res := &Result{}
 	for mi, vars := range moduleVars {
 		var u *Unit
@@ -118,10 +114,11 @@ func learn(moduleVars [][]int, par Params, g *prng.MRG3, prim primitives, prog *
 			// resume bit-exact without persisting PRNG state.
 			gi := g.Substream(uint64(mi + 1))
 			u = &Unit{Module: mi, Vars: append([]int(nil), vars...)}
-			for _, clusters := range prim.sampleObs(vars, par.Tree, gi) {
-				u.Trees = append(u.Trees, prim.buildTree(vars, clusters))
+			samples, _ := ganesh.SampleObsClusteringsWithComm(c, q, pr, vars, par.Tree, gi, wl)
+			for _, clusters := range samples {
+				u.Trees = append(u.Trees, tree.BuildWithComm(c, q, pr, vars, clusters, wl))
 			}
-			sp := prim.assign([][]int{vars}, [][]*tree.Tree{u.Trees}, par.Splits, gi)
+			sp := splits.LearnWithComm(c, q, pr, [][]int{vars}, [][]*tree.Tree{u.Trees}, par.Splits, gi, wl)
 			u.Weighted = renumber(sp.Weighted, mi)
 			u.Uniform = renumber(sp.Uniform, mi)
 			if prog != nil && prog.OnUnit != nil {
@@ -141,6 +138,11 @@ func learn(moduleVars [][]int, par Params, g *prng.MRG3, prim primitives, prog *
 	return res, nil
 }
 
+// Learn is LearnWithComm on the one-rank world.
+func Learn(q *score.QData, pr score.Prior, moduleVars [][]int, par Params, g *prng.MRG3, wl *trace.Workload, prog *Progress) (*Result, error) {
+	return LearnWithComm(comm.Self(), q, pr, moduleVars, par, g, wl, prog)
+}
+
 // renumber rewrites the module index of a single-module assignment (always
 // 0) to the module's global index.
 func renumber(assigned []splits.Assigned, mi int) []splits.Assigned {
@@ -149,40 +151,6 @@ func renumber(assigned []splits.Assigned, mi int) []splits.Assigned {
 		out[i].Module = mi
 	}
 	return out
-}
-
-// Learn runs the task sequentially. If wl is non-nil, parallelizable work is
-// recorded for scaling analysis.
-func Learn(q *score.QData, pr score.Prior, moduleVars [][]int, par Params, g *prng.MRG3, wl *trace.Workload, prog *Progress) (*Result, error) {
-	return learn(moduleVars, par, g, primitives{
-		sampleObs: func(vars []int, op ganesh.ObsParams, g *prng.MRG3) [][][]int {
-			samples, _ := ganesh.SampleObsClusterings(q, pr, vars, op, g, wl)
-			return samples
-		},
-		buildTree: func(vars []int, clusters [][]int) *tree.Tree {
-			return tree.Build(q, pr, vars, clusters, wl)
-		},
-		assign: func(modules [][]int, trees [][]*tree.Tree, sp splits.Params, g *prng.MRG3) splits.Result {
-			return splits.Learn(q, pr, modules, trees, sp, g, wl)
-		},
-	}, prog)
-}
-
-// LearnParallel runs the task across c's ranks; results are identical to
-// Learn on every rank for every rank count.
-func LearnParallel(c *comm.Comm, q *score.QData, pr score.Prior, moduleVars [][]int, par Params, g *prng.MRG3, prog *Progress) (*Result, error) {
-	return learn(moduleVars, par, g, primitives{
-		sampleObs: func(vars []int, op ganesh.ObsParams, g *prng.MRG3) [][][]int {
-			samples, _ := ganesh.SampleObsClusteringsParallel(c, q, pr, vars, op, g)
-			return samples
-		},
-		buildTree: func(vars []int, clusters [][]int) *tree.Tree {
-			return tree.BuildParallel(c, q, pr, vars, clusters)
-		},
-		assign: func(modules [][]int, trees [][]*tree.Tree, sp splits.Params, g *prng.MRG3) splits.Result {
-			return splits.LearnParallel(c, q, pr, modules, trees, sp, g)
-		},
-	}, prog)
 }
 
 // scoreParents aggregates the chosen splits of one module into parent

@@ -92,7 +92,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 	want := mustLearn(t, q, pr, moduleVars, par, prng.New(7), nil)
 	for _, p := range []int{1, 2, 3, 4, 7} {
 		_, err := comm.Run(p, func(c *comm.Comm) error {
-			got, err := LearnParallel(c, q, pr, moduleVars, par, prng.New(7), nil)
+			got, err := LearnWithComm(c, q, pr, moduleVars, par, prng.New(7), nil, nil)
 			if err != nil {
 				return err
 			}

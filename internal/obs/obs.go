@@ -26,7 +26,7 @@
 //     per-rank cost events are therefore not emitted (see
 //     splits.LearnParallelDynamic).
 //
-// In the parallel engine each rank records into its own Recorder (a Comm
+// Each rank records into its own Recorder (a Comm
 // must only be used from its own goroutine, and the same holds here); the
 // per-rank streams are gathered to rank 0 at the end of the run and merged
 // deterministically by Merge — the rank-0-serialized sink, mirroring the

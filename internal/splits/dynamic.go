@@ -35,20 +35,20 @@ type valMsg struct {
 // DefaultDynamicChunk is the chunk size of the dynamic scheme.
 const DefaultDynamicChunk = 64
 
-// LearnParallelDynamic is the dynamic-scheme counterpart of LearnParallel:
+// LearnParallelDynamic is the dynamic-scheme counterpart of LearnWithComm:
 // ranks 1…p−1 request fixed-size chunks of the candidate list from the
 // rank-0 coordinator until it is exhausted, so expensive splits no longer
 // pin a whole static block to one rank. It shares the evaluator and the
 // selection logic with the static path and returns the identical result.
-// With p == 1 it falls back to the sequential path; chunk ≤ 0 uses
-// DefaultDynamicChunk.
+// A one-rank world has no worker to deal to and takes the static path;
+// chunk ≤ 0 uses DefaultDynamicChunk.
 func LearnParallelDynamic(c *comm.Comm, q *score.QData, pr score.Prior, modules [][]int,
 	trees [][]*tree.Tree, par Params, g *prng.MRG3, chunk int) Result {
 	if chunk <= 0 {
 		chunk = DefaultDynamicChunk
 	}
 	if c.Size() == 1 {
-		return Learn(q, pr, modules, trees, par, g, nil)
+		return LearnWithComm(c, q, pr, modules, trees, par, g, nil)
 	}
 	ev := newEvaluator(q, pr, modules, trees, par, g)
 	par, total := ev.par, ev.total

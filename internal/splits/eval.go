@@ -244,7 +244,7 @@ func (sc *scratch) fillPair(q *score.QData, ref *nodeRef, parent int) int {
 }
 
 // evaluator scores ranges of one learn call's global candidate list. All
-// three exchange strategies and the sequential path evaluate through it.
+// three exchange strategies evaluate through it.
 type evaluator struct {
 	q     *score.QData
 	par   Params // defaults applied
@@ -465,9 +465,10 @@ func (ev *evaluator) recordMetrics(reg *obs.Registry, steps []int) {
 }
 
 // recordWork appends the full list's per-candidate cost items to the
-// workload's assignment phase (sequential engine only), in canonical
-// candidate order: the trace is identical for every worker count, while the
-// per-worker counters reflect the pool's static deal.
+// workload's assignment phase, in canonical candidate order: the trace is
+// identical for every worker count, while the per-worker counters reflect
+// the pool's static deal. steps must cover the whole list, which is why only
+// a one-rank world records.
 func (ev *evaluator) recordWork(wl *trace.Workload, st pool.Stats, steps []int) {
 	if wl == nil {
 		return

@@ -61,15 +61,15 @@ type Params struct {
 	// Candidates is the candidate-parent list P; nil means every
 	// variable (the paper's genome-scale setting).
 	Candidates []int
-	// DynamicChunk, when positive, makes LearnParallel use the dynamic
-	// coordinator/worker distribution (the paper's §6 future work) with
-	// this chunk size instead of the static block partition. The learned
-	// result is identical either way.
+	// DynamicChunk, when positive, makes a world of more than one rank use
+	// the dynamic coordinator/worker distribution (the paper's §6 future
+	// work) with this chunk size instead of the static block partition. The
+	// learned result is identical either way.
 	DynamicChunk int
-	// ScanSelection makes LearnParallel use the paper's segmented-scan
-	// selection (§3.2.3) instead of gathering the full posterior vector:
-	// less communication, identical result. Ignored when DynamicChunk is
-	// set.
+	// ScanSelection makes a world of more than one rank use the paper's
+	// segmented-scan selection (§3.2.3) instead of gathering the full
+	// posterior vector: less communication, identical result. Ignored when
+	// DynamicChunk is set.
 	ScanSelection bool
 	// Workers is W, the number of intra-rank worker goroutines evaluating
 	// this rank's posterior block (internal/pool); 0 or 1 means serial.
@@ -200,26 +200,19 @@ func selectSplits(q *score.QData, nodes []*nodeRef, posteriors []float64, par Pa
 	return res
 }
 
-// Learn computes and selects splits sequentially.
-func Learn(q *score.QData, pr score.Prior, modules [][]int, trees [][]*tree.Tree,
-	par Params, g *prng.MRG3, wl *trace.Workload) Result {
-	ev := newEvaluator(q, pr, modules, trees, par, g)
-	posteriors, steps, st := ev.eval(0, ev.total)
-	ev.observe(st, steps)
-	ev.recordWork(wl, st, steps)
-	return selectSplits(q, ev.nodes, posteriors, ev.par, g)
-}
-
-// LearnParallel computes posteriors over c's ranks (fine-grained static
-// block distribution, Algorithm 5 line 5 — or the dynamic distribution when
-// par.DynamicChunk is set), gathers them, and selects splits identically on
-// every rank.
-func LearnParallel(c *comm.Comm, q *score.QData, pr score.Prior, modules [][]int,
-	trees [][]*tree.Tree, par Params, g *prng.MRG3) Result {
-	if par.DynamicChunk > 0 {
+// LearnWithComm computes posteriors over c's ranks (fine-grained static
+// block distribution, Algorithm 5 line 5), gathers them, and selects splits
+// identically on every rank — the same splits for every world size. With
+// more than one rank par.DynamicChunk and par.ScanSelection pick another
+// exchange; a one-rank world has nobody to exchange with, and its block is
+// the whole list. If wl is non-nil the per-candidate costs are recorded into
+// it (one-rank worlds only).
+func LearnWithComm(c *comm.Comm, q *score.QData, pr score.Prior, modules [][]int,
+	trees [][]*tree.Tree, par Params, g *prng.MRG3, wl *trace.Workload) Result {
+	if c.Size() > 1 && par.DynamicChunk > 0 {
 		return LearnParallelDynamic(c, q, pr, modules, trees, par, g, par.DynamicChunk)
 	}
-	if par.ScanSelection {
+	if c.Size() > 1 && par.ScanSelection {
 		return LearnParallelScan(c, q, pr, modules, trees, par, g)
 	}
 	ev := newEvaluator(q, pr, modules, trees, par, g)
@@ -227,5 +220,18 @@ func LearnParallel(c *comm.Comm, q *score.QData, pr score.Prior, modules [][]int
 	local, steps, st := ev.eval(lo, hi)
 	ev.observe(st, steps)
 	ev.observeRanks(c, st)
+	ev.recordWork(wl, st, steps)
 	return selectSplits(q, ev.nodes, comm.AllGatherv(c, local), ev.par, g)
+}
+
+// Learn is LearnWithComm on the one-rank world.
+func Learn(q *score.QData, pr score.Prior, modules [][]int, trees [][]*tree.Tree,
+	par Params, g *prng.MRG3, wl *trace.Workload) Result {
+	return LearnWithComm(comm.Self(), q, pr, modules, trees, par, g, wl)
+}
+
+// LearnParallel is LearnWithComm without recording.
+func LearnParallel(c *comm.Comm, q *score.QData, pr score.Prior, modules [][]int,
+	trees [][]*tree.Tree, par Params, g *prng.MRG3) Result {
+	return LearnWithComm(c, q, pr, modules, trees, par, g, nil)
 }

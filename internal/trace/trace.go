@@ -158,6 +158,27 @@ const distributeMinCost = 32768
 // function of replicated state only, so every rank takes the same branch.
 func Distributed(cost float64) bool { return cost >= distributeMinCost }
 
+// AddDecision records one collective decision of n candidates — candidate i
+// costing cost(i), all of them total — the way the engines execute it: when
+// Distributed(total), as a new segment of n items, one collective and words
+// words moved; otherwise as serial cost alone, because every rank evaluates
+// every candidate and no message moves. It is the recording half of the rule
+// Distributed is the execution half of (DESIGN §19).
+func (ph *Phase) AddDecision(n int, cost func(int) float64, total float64, words int64) {
+	if !Distributed(total) {
+		ph.SerialCost += total
+		return
+	}
+	// A phase's collectives so far number its distributed decisions, so
+	// segments stay distinct across the runs that share the phase.
+	seg := int(ph.Collectives)
+	for i := 0; i < n; i++ {
+		ph.Items = append(ph.Items, Item{Cost: cost(i), Seg: seg})
+	}
+	ph.Collectives++
+	ph.Words += words
+}
+
 // AddWorkerCost accumulates one pool invocation's per-worker cost counters
 // into the phase, growing WorkerCost to the widest pool seen.
 func (ph *Phase) AddWorkerCost(cost []float64) {

@@ -5,13 +5,13 @@
 // merging the pair of *consecutive* subtrees whose merged block has the best
 // score gain, until a single root remains.
 //
-// The parallel variant partitions a round's merge-score evaluations over
-// ranks and combines them with an all-reduce max (score, then lowest index
-// on ties), exactly mirroring Algorithm 4 — when the round outweighs the
-// message (trace.Distributed); a cheaper round is scored in full on every
-// rank. Results are identical to the sequential variant for every rank count
-// because every candidate score is a function of replicated state, compared
-// exactly.
+// A round's merge-score evaluations are partitioned over the world's ranks
+// and combined with an all-reduce max (score, then lowest index on ties),
+// exactly mirroring Algorithm 4 — when the round outweighs the message
+// (trace.Distributed); a cheaper round is scored in full on every rank. The
+// tree is identical for every rank count, the sequential one-rank world
+// included, because every candidate score is a function of replicated state,
+// compared exactly.
 package tree
 
 import (
@@ -200,13 +200,14 @@ func bestMerge(pr score.Prior, subtrees []*Node, lo, hi int) scoredIndex {
 	return best
 }
 
-// build runs the agglomeration; pick returns the round's best pair index and
-// is the hook the parallel variant uses to partition a distributed round's
-// evaluations over ranks. A round is distributed only when its pairs cost
+// BuildWithComm constructs the regression tree across c's ranks, identically
+// on every rank. A round is distributed only when its pairs cost
 // trace.Distributed (DESIGN §19) — with at most ~√m clusters of three logML
 // each, in practice never: every rank scores all pairs and no message moves.
-func build(q *score.QData, pr score.Prior, vars []int, clusters [][]int,
-	pick func(subtrees []*Node, distributed bool) int, wl *trace.Workload) *Tree {
+// A distributed round's merge scores are partitioned over the ranks and
+// combined with an all-reduce max (Algorithm 4 lines 13–17). If wl is non-nil
+// the work is recorded into it (one-rank worlds only).
+func BuildWithComm(c *comm.Comm, q *score.QData, pr score.Prior, vars []int, clusters [][]int, wl *trace.Workload) *Tree {
 	if len(clusters) == 0 {
 		panic("tree: no observation clusters")
 	}
@@ -219,54 +220,31 @@ func build(q *score.QData, pr score.Prior, vars []int, clusters [][]int,
 			ph.PerSegmentBarrier = true
 		}
 	}
-	round := 0
 	for len(subtrees) > 1 {
 		pairs := len(subtrees) - 1
 		cost := float64(pairs * mergeCost)
-		distributed := trace.Distributed(cost)
 		if ph != nil {
-			if distributed {
-				for i := 0; i < pairs; i++ {
-					ph.Items = append(ph.Items, trace.Item{Cost: mergeCost, Seg: round})
-				}
-				ph.Collectives++
-				ph.Words += 2
-			} else {
-				ph.SerialCost += cost
-			}
+			ph.AddDecision(pairs, func(int) float64 { return mergeCost }, cost, 2)
 			ph.SerialCost += float64(len(subtrees[0].Obs)) // merge bookkeeping
 		}
-		best := pick(subtrees, distributed)
-		merged := merge(subtrees[best], subtrees[best+1])
-		subtrees[best] = merged
+		best := pick(c, pr, subtrees, trace.Distributed(cost))
+		subtrees[best] = merge(subtrees[best], subtrees[best+1])
 		subtrees = append(subtrees[:best+1], subtrees[best+2:]...)
-		round++
 	}
 	return &Tree{Root: subtrees[0], Vars: append([]int(nil), vars...)}
 }
 
-// Build constructs the regression tree sequentially.
-func Build(q *score.QData, pr score.Prior, vars []int, clusters [][]int, wl *trace.Workload) *Tree {
-	return build(q, pr, vars, clusters, func(subtrees []*Node, _ bool) int {
-		return bestMerge(pr, subtrees, 0, len(subtrees)-1).Index
-	}, wl)
-}
-
-// BuildParallel constructs the identical tree; a distributed round's merge
-// scores are partitioned over c's ranks and combined with an all-reduce max
-// (Algorithm 4 lines 13–17), any other is scored in full on every rank.
-func BuildParallel(c *comm.Comm, q *score.QData, pr score.Prior, vars []int, clusters [][]int) *Tree {
-	return build(q, pr, vars, clusters, func(subtrees []*Node, distributed bool) int {
-		return pickParallel(c, pr, subtrees, distributed)
-	}, nil)
-}
-
-// pickParallel is one round of BuildParallel: this rank's block of a
-// distributed round reduced across ranks, or the whole round scored here.
-func pickParallel(c *comm.Comm, pr score.Prior, subtrees []*Node, distributed bool) int {
+// pick returns a round's best pair index: this rank's block of a distributed
+// round reduced across ranks, or the whole round scored here.
+func pick(c *comm.Comm, pr score.Prior, subtrees []*Node, distributed bool) int {
 	if !distributed {
 		return bestMerge(pr, subtrees, 0, len(subtrees)-1).Index
 	}
 	lo, hi := comm.BlockRange(len(subtrees)-1, c.Size(), c.Rank())
 	return comm.AllReduce(c, bestMerge(pr, subtrees, lo, hi), better).Index
+}
+
+// Build is BuildWithComm on the one-rank world.
+func Build(q *score.QData, pr score.Prior, vars []int, clusters [][]int, wl *trace.Workload) *Tree {
+	return BuildWithComm(comm.Self(), q, pr, vars, clusters, wl)
 }

@@ -160,7 +160,7 @@ func TestBuildParallelMatchesSequential(t *testing.T) {
 	want := shape(Build(q, pr, vars, clusters, nil).Root)
 	for _, p := range []int{1, 2, 3, 5, 8} {
 		_, err := comm.Run(p, func(c *comm.Comm) error {
-			tr := BuildParallel(c, q, pr, vars, clusters)
+			tr := BuildWithComm(c, q, pr, vars, clusters, nil)
 			if !reflect.DeepEqual(shape(tr.Root), want) {
 				t.Errorf("p=%d rank %d tree differs", p, c.Rank())
 			}
@@ -174,7 +174,7 @@ func TestBuildParallelMatchesSequential(t *testing.T) {
 
 // TestBuildParallelDistributionRule: a merge round is partitioned over ranks
 // only when its pairs cost trace.Distributed, which real leaf counts (~√m)
-// never do: BuildParallel is Build on every rank with zero collectives, and
+// never do: BuildWithComm is Build on every rank with zero collectives, and
 // the recording charges none (DESIGN §19). With the rule's answer forced the
 // other way, every round enters one all-reduce (a gather and a broadcast) and
 // still picks the same pair.
@@ -192,13 +192,15 @@ func TestBuildParallelDistributionRule(t *testing.T) {
 	for _, forced := range []bool{false, true} {
 		for _, p := range []int{2, 3} {
 			stats, err := comm.Run(p, func(c *comm.Comm) error {
-				var tr *Tree
+				tr := BuildWithComm(c, q, pr, vars, clusters, nil)
 				if forced {
-					tr = build(q, pr, vars, clusters, func(subtrees []*Node, _ bool) int {
-						return pickParallel(c, pr, subtrees, true)
-					}, nil)
-				} else {
-					tr = BuildParallel(c, q, pr, vars, clusters)
+					subtrees := leafNodes(q, vars, clusters)
+					for len(subtrees) > 1 {
+						best := pick(c, pr, subtrees, true)
+						subtrees[best] = merge(subtrees[best], subtrees[best+1])
+						subtrees = append(subtrees[:best+1], subtrees[best+2:]...)
+					}
+					tr = &Tree{Root: subtrees[0]}
 				}
 				if !reflect.DeepEqual(shape(tr.Root), want) {
 					t.Errorf("forced=%v p=%d rank %d tree differs", forced, p, c.Rank())

@@ -10,12 +10,14 @@
 //	data, _ := parsimone.LoadTSV("expression.tsv")
 //	opt := parsimone.DefaultOptions()
 //	opt.Seed = 42
-//	out, err := parsimone.Learn(data, opt)          // sequential
+//	out, err := parsimone.Learn(data, opt)          // one rank
 //	out, err = parsimone.LearnParallel(8, data, opt) // 8 ranks, same network
 //
-// The parallel engine runs on an MPI-style message-passing runtime over
-// goroutines and learns exactly the same network as the sequential engine
-// for every rank count — the reproducibility guarantee of the paper's §4.2.
+// There is one engine. It runs on an MPI-style message-passing runtime over
+// goroutines and learns exactly the same network for every rank count — the
+// reproducibility guarantee of the paper's §4.2 — and a sequential run is
+// that engine on a one-rank world: Learn is LearnParallel(1, …), supervised
+// restarts, fault injection and cancellation included.
 //
 // Synthetic module-structured data with ground truth is available through
 // GenerateSynthetic for benchmarking and validation.
@@ -51,7 +53,8 @@ type Network = result.Network
 // FaultSpec describes a deterministic failure to inject via Options.Inject —
 // a crash at a pipeline failpoint ("ganesh", "consensus", or "module:<k>")
 // or at a specific communication operation — honored by the supervised
-// LearnParallel driver, which recovers it when Options.MaxRestarts allows.
+// driver behind Learn and LearnParallel, which recovers it when
+// Options.MaxRestarts allows.
 type FaultSpec = core.FaultSpec
 
 // RecoveryEvent records one supervised restart in Output.Recovery.
@@ -68,7 +71,7 @@ type SynthTruth = synth.Truth
 // module, every variable a candidate parent.
 func DefaultOptions() Options { return core.DefaultOptions() }
 
-// Learn runs the full pipeline sequentially.
+// Learn runs the full pipeline on one rank: LearnParallel(1, d, opt).
 func Learn(d *Data, opt Options) (*Output, error) { return core.Learn(d, opt) }
 
 // LearnParallel runs the full pipeline on p message-passing ranks and
