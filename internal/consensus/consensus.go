@@ -20,9 +20,9 @@ import (
 	"fmt"
 	"sort"
 
-	"parsimone/internal/comm"
 	"parsimone/internal/matrix"
 	"parsimone/internal/obs"
+	"parsimone/internal/rank"
 )
 
 // Params configures consensus clustering.
@@ -55,16 +55,6 @@ type Params struct {
 	// defaults, 1000 and 1e-10.
 	MaxIter int
 	Tol     float64
-	// Hooks receives one consensus.extract event per peeling step (nil
-	// disables). The parallel pipeline attaches it on rank 0 only: the
-	// task is replicated identically on every rank, so a single source
-	// keeps the merged event stream free of p-fold duplicates.
-	Hooks *obs.Hooks
-	// Cancel is the run's cooperative cancellation signal, polled once per
-	// peeling round. Unlike Hooks it is attached on every rank — the task
-	// is replicated, and each rank polls its own per-rank Canceler at the
-	// same deterministic point, so no collective is reordered (DESIGN §13).
-	Cancel *comm.Canceler
 }
 
 func (p Params) withDefaults() Params {
@@ -104,7 +94,21 @@ func (p Params) withDefaults() Params {
 // a is converted to CSR once and not retained; each round then works on the
 // matrix restricted, in place, to the variables still unassigned.
 func Cluster(n int, a []float64, par Params) ([][]int, error) {
+	return ClusterWithComm(rank.Self(nil), n, a, par)
+}
+
+// ClusterWithComm is Cluster as one rank of rc's world runs it. The task is
+// replicated, not distributed: every rank computes the same clusters and
+// polls its own cancellation signal once per peeling round — the same
+// deterministic point everywhere, so no collective is reordered (DESIGN §13)
+// — while only rank 0 emits the consensus.extract event of each round, which
+// keeps the merged event stream free of p-fold duplicates.
+func ClusterWithComm(rc rank.Context, n int, a []float64, par Params) ([][]int, error) {
 	par = par.withDefaults()
+	var hooks *obs.Hooks
+	if rc.Comm.Rank() == 0 {
+		hooks = rc.Hooks
+	}
 	sub, err := matrix.FromDense(n, a)
 	if err != nil {
 		return nil, fmt.Errorf("consensus: %w", err)
@@ -120,11 +124,11 @@ func Cluster(n int, a []float64, par Params) ([][]int, error) {
 	row := make([]float64, n)
 	var clusters [][]int
 	for len(remaining) >= par.MinClusterSize {
-		par.Cancel.Check()
+		rc.Cancel.Check()
 		m := len(remaining)
 		res := matrix.PowerIteration(sub, par.MaxIter, par.Tol, x[:m], z[:m])
 		if !res.Converged {
-			par.Hooks.Emit(obs.Event{Type: obs.TypeConsensus, Consensus: &obs.ConsensusInfo{
+			hooks.Emit(obs.Event{Type: obs.TypeConsensus, Consensus: &obs.ConsensusInfo{
 				Remaining: m, Eigenvalue: res.Value, Iters: res.Iters,
 			}})
 			return clusters, fmt.Errorf(
@@ -139,7 +143,7 @@ func Cluster(n int, a []float64, par Params) ([][]int, error) {
 				extracted = len(members)
 			}
 		}
-		par.Hooks.Emit(obs.Event{Type: obs.TypeConsensus, Consensus: &obs.ConsensusInfo{
+		hooks.Emit(obs.Event{Type: obs.TypeConsensus, Consensus: &obs.ConsensusInfo{
 			Remaining: m, Eigenvalue: res.Value, Iters: res.Iters,
 			Converged: true, Extracted: extracted,
 		}})

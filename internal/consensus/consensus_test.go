@@ -1,17 +1,25 @@
 package consensus
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
 	"testing"
 
+	"parsimone/internal/comm"
 	"parsimone/internal/ganesh"
 	"parsimone/internal/obs"
 	"parsimone/internal/prng"
+	"parsimone/internal/rank"
 	"parsimone/internal/score"
 	"parsimone/internal/synth"
 )
+
+// recording is the one-rank run context whose events go to rec.
+func recording(rec *obs.Recorder) rank.Context {
+	return rank.Context{Comm: comm.Self(), Hooks: obs.NewHooks(rec, nil)}
+}
 
 // mustCluster fails the test on any Cluster error.
 func mustCluster(t *testing.T, n int, a []float64, par Params) [][]int {
@@ -179,7 +187,7 @@ func TestClusterNonConvergenceSurfaced(t *testing.T) {
 		}
 	}
 	rec := obs.NewRecorder(0)
-	_, err := Cluster(8, a, Params{MaxIter: 1, Hooks: obs.NewHooks(rec, nil)})
+	_, err := ClusterWithComm(recording(rec), 8, a, Params{MaxIter: 1})
 	if err == nil || !strings.Contains(err.Error(), "did not converge") {
 		t.Fatalf("non-convergence not surfaced: %v", err)
 	}
@@ -199,7 +207,7 @@ func TestClusterNonConvergenceSurfaced(t *testing.T) {
 func TestClusterEmitsExtractionEvents(t *testing.T) {
 	a := block(7, [][]int{{0, 1, 2, 3}, {4, 5, 6}})
 	rec := obs.NewRecorder(0)
-	got, err := Cluster(7, a, Params{Hooks: obs.NewHooks(rec, nil)})
+	got, err := ClusterWithComm(recording(rec), 7, a, Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,6 +229,39 @@ func TestClusterEmitsExtractionEvents(t *testing.T) {
 	// Hooks never change the clusters themselves.
 	if bare := mustCluster(t, 7, a, Params{}); !reflect.DeepEqual(bare, got) {
 		t.Fatalf("hooks changed the result: %v vs %v", bare, got)
+	}
+}
+
+// TestClusterWithCommSingleSourced: on a p=2 world both ranks run the
+// replicated task to the same clusters and poll one cancellation check per
+// peeling round, but only rank 0 emits the rounds' consensus.extract events —
+// each exactly once in the world.
+func TestClusterWithCommSingleSourced(t *testing.T) {
+	a := block(7, [][]int{{0, 1, 2, 3}, {4, 5, 6}})
+	want := mustCluster(t, 7, a, Params{})
+	const p = 2
+	recs := [p]*obs.Recorder{obs.NewRecorder(0), obs.NewRecorder(1)}
+	var checks [p]int64
+	_, err := comm.Run(p, func(c *comm.Comm) error {
+		rc := recording(recs[c.Rank()])
+		rc.Comm, rc.Cancel = c, comm.NewCanceler(nil, nil)
+		got, err := ClusterWithComm(rc, 7, a, Params{})
+		if err == nil && !reflect.DeepEqual(got, want) {
+			err = fmt.Errorf("rank %d: clusters %v, want %v", c.Rank(), got, want)
+		}
+		checks[c.Rank()] = rc.Cancel.Checks()
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rounds := len(recs[0].Events())
+	if rounds != len(want) || len(recs[1].Events()) != 0 {
+		t.Fatalf("rank 0 emitted %d events and rank 1 %d; want %d (one per extracted cluster) and 0",
+			rounds, len(recs[1].Events()), len(want))
+	}
+	if checks[0] != int64(rounds) || checks[1] != checks[0] {
+		t.Fatalf("cancel checks per rank %v, want %d on both (one per peeling round)", checks, rounds)
 	}
 }
 

@@ -142,8 +142,7 @@ func goldenInputs() []goldenInput {
 
 func runGolden(n int, a []float64, par Params) goldenCase {
 	rec := obs.NewRecorder(0)
-	par.Hooks = obs.NewHooks(rec, nil)
-	clusters, err := Cluster(n, a, par)
+	clusters, err := ClusterWithComm(recording(rec), n, a, par)
 	gc := goldenCase{Clusters: clusters, Peels: []goldenPeel{}}
 	if gc.Clusters == nil {
 		gc.Clusters = [][]int{}

@@ -24,6 +24,7 @@ import (
 	"parsimone/internal/module"
 	"parsimone/internal/obs"
 	"parsimone/internal/prng"
+	"parsimone/internal/rank"
 	"parsimone/internal/result"
 	"parsimone/internal/score"
 	"parsimone/internal/splits"
@@ -76,8 +77,9 @@ type Options struct {
 	// of hybrid process×thread parallelism (internal/pool). 0 or 1 means
 	// serial.
 	// The learned network is bit-identical for every (p, Workers)
-	// combination (DESIGN.md §6). Copied into Ganesh, Module.Tree, and
-	// Module.Splits unless those set their own worker counts.
+	// combination (DESIGN.md §6). Every task of a rank runs at this width:
+	// it is part of the rank's run context, not of any task's Params
+	// (DESIGN §21).
 	Workers int
 	// CheckpointDir, when set, persists each task's output there (as the
 	// paper's pipeline writes intermediate files between tasks, §5.3) plus
@@ -262,71 +264,38 @@ func (o Options) validate(p int) error {
 	return nil
 }
 
-// withHooks threads this rank's observability hooks into every task's
-// params. Per-rank data (pool costs, imbalance) is emitted by every rank;
-// single-sourced task data (the consensus peeling trail, replicated
-// identically everywhere) attaches only where root is true — rank 0.
-func (o Options) withHooks(h *obs.Hooks, root bool) Options {
-	if h == nil {
-		return o
+// Check is what LearnParallel(p, d, opt) checks before it starts a world:
+// options that fit p ranks and data inside the envelope. It quantizes nothing,
+// so a caller that queues runs (internal/serve) can refuse at the door what
+// the engine would refuse later.
+func Check(p int, d *dataset.Data, opt Options) error {
+	if err := opt.validate(p); err != nil {
+		return err
 	}
-	o.Ganesh.Hooks = h
-	o.Module.Tree.Hooks = h
-	o.Module.Splits.Hooks = h
-	if root {
-		o.Consensus.Hooks = h
-	}
-	return o
+	return checkData(d)
 }
 
-// withCancel threads this rank's cancellation signal into every task's
-// params. Unlike withHooks there is no root gating: each rank polls its own
-// Canceler at the same replicated program points, so check counts stay
-// rank-identical and no collective is reordered.
-func (o Options) withCancel(cl *comm.Canceler) Options {
-	o.Ganesh.Cancel = cl
-	o.Module.Tree.Cancel = cl
-	o.Module.Splits.Cancel = cl
-	o.Consensus.Cancel = cl
-	return o
-}
-
-// withWorkers threads the hybrid worker knob into every task's params,
-// keeping any per-task count the caller set explicitly.
-func (o Options) withWorkers() Options {
-	if o.Workers == 0 {
-		return o
-	}
-	if o.Ganesh.Workers == 0 {
-		o.Ganesh.Workers = o.Workers
-	}
-	if o.Module.Tree.Workers == 0 {
-		o.Module.Tree.Workers = o.Workers
-	}
-	if o.Module.Splits.Workers == 0 {
-		o.Module.Splits.Workers = o.Workers
-	}
-	return o
-}
-
-// prepare standardizes (optionally) and quantizes the data set.
-func prepare(d *dataset.Data, opt Options) (*score.QData, error) {
-	if err := d.Validate(); err != nil {
-		return nil, err
-	}
+// checkData checks the O(1) shape and capacity bounds before scanning the
+// cells, so an oversized data set is refused without being read.
+func checkData(d *dataset.Data) error {
 	if d.N < 2 || d.M < 2 {
-		return nil, fmt.Errorf("core: need at least a 2×2 data set, got %d×%d", d.N, d.M)
+		return fmt.Errorf("core: need at least a 2×2 data set, got %d×%d", d.N, d.M)
 	}
 	if d.N*d.M > score.MaxBlockCells {
-		return nil, fmt.Errorf("core: %d×%d = %d cells exceeds the exact-statistics capacity of %d (see score.MaxBlockCells)",
+		return fmt.Errorf("core: %d×%d = %d cells exceeds the exact-statistics capacity of %d (see score.MaxBlockCells)",
 			d.N, d.M, d.N*d.M, score.MaxBlockCells)
 	}
+	return d.Validate()
+}
+
+// prepare standardizes (optionally) and quantizes a checked data set.
+func prepare(d *dataset.Data, opt Options) *score.QData {
 	work := d
 	if opt.Standardize {
 		work = d.Clone()
 		work.Standardize()
 	}
-	return score.QuantizeData(work), nil
+	return score.QuantizeData(work)
 }
 
 // failpointFn returns the task-boundary crash hook of rank: a no-op unless
@@ -363,20 +332,19 @@ func snapshotOf(assign []int) [][]int {
 	return snap
 }
 
-// run is the pipeline on c's rank: hooks is the rank's observability sink
-// (nil when disabled), cancel its cancellation signal — polled here at the
-// task boundaries and module-unit edges and, through the params threaded by
-// withCancel, inside the tasks — and wl the work recording (nil when
-// disabled). Rank 0 persists the checkpoints and emits the task-level events,
-// which keeps the merged stream single-sourced.
-func run(c *comm.Comm, d *dataset.Data, q *score.QData, opt Options, hooks *obs.Hooks, cancel *comm.Canceler, wl *trace.Workload) (*Output, error) {
+// run is the pipeline on rc's rank. The rank's cancellation signal is polled
+// here at the task boundaries and module-unit edges and, by the tasks handed
+// rc, inside them. Rank 0 persists the checkpoints and emits the task-level
+// events, which keeps the merged stream single-sourced.
+func run(rc rank.Context, d *dataset.Data, q *score.QData, opt Options) (*Output, error) {
+	c, hooks, cancel := rc.Comm, rc.Hooks, rc.Cancel
 	master := prng.New(opt.Seed)
 	failpoint := failpointFn(opt, c.Rank())
 	timers := trace.NewTimers()
 	root := c.Rank() == 0
 
-	// Per-rank data (pool costs, comm stats) is emitted elsewhere, through
-	// the hooks the tasks carry.
+	// Per-rank data (pool costs, comm stats) is emitted elsewhere: by the
+	// tasks, through rc.
 	emit := func(ev obs.Event) {
 		if root {
 			hooks.Emit(ev)
@@ -424,7 +392,7 @@ func run(c *comm.Comm, d *dataset.Data, q *score.QData, opt Options, hooks *obs.
 	if !haveModules && ensembles == nil {
 		taskEvent(obs.TypeTaskStart, TaskGaneSH)
 		timers.Time(TaskGaneSH, func() {
-			ensembles = sampleEnsembles(c, q, opt, master, wl)
+			ensembles = sampleEnsembles(rc, q, opt, master)
 		})
 		if opt.CheckpointDir != "" && root {
 			ck := ensemblesCheckpoint{ckptStamp: newStamp(opt, q.N), Ensembles: ensembles}
@@ -453,7 +421,7 @@ func run(c *comm.Comm, d *dataset.Data, q *score.QData, opt Options, hooks *obs.
 		var consErr error
 		timers.Time(TaskConsensus, func() {
 			a := ganesh.CoOccurrence(q.N, ensembles, opt.CoOccurrenceThreshold)
-			moduleVars, consErr = consensus.Cluster(q.N, a, opt.Consensus)
+			moduleVars, consErr = consensus.ClusterWithComm(rc, q.N, a, opt.Consensus)
 		})
 		if consErr != nil {
 			return nil, consErr
@@ -520,7 +488,7 @@ func run(c *comm.Comm, d *dataset.Data, q *score.QData, opt Options, hooks *obs.
 	taskEvent(obs.TypeTaskStart, TaskModules)
 	timers.Time(TaskModules, func() {
 		g := master.Substream(uint64(opt.GaneshRuns + 1))
-		modRes, modErr = module.LearnWithComm(c, q, opt.Prior, moduleVars, opt.Module, g, wl, prog)
+		modRes, modErr = module.LearnWithComm(rc, q, opt.Prior, moduleVars, opt.Module, g, prog)
 	})
 	if modErr != nil {
 		return nil, modErr
@@ -567,39 +535,32 @@ func Learn(d *dataset.Data, opt Options) (*Output, error) { return LearnParallel
 // comm.Run see it as a RankError; LearnParallel distills it into a
 // *CancelledError.
 func LearnWithComm(c *comm.Comm, d *dataset.Data, opt Options) (*Output, error) {
-	if err := opt.validate(c.Size()); err != nil {
+	if err := Check(c.Size(), d, opt); err != nil {
 		return nil, err
 	}
-	q, err := prepare(d, opt)
-	if err != nil {
-		return nil, err
-	}
-	return learn(c, d, q, opt)
+	return learn(c, d, prepare(d, opt), opt)
 }
 
-// learn runs the pipeline on c's rank over the prepared data and collects
-// the rank's side of the Output.
+// learn builds the run context of c's rank from the options — the one place
+// that says how a rank executes (DESIGN §21) — runs the pipeline on it over
+// the prepared data and collects the rank's side of the Output.
 func learn(c *comm.Comm, d *dataset.Data, q *score.QData, opt Options) (*Output, error) {
-	opt = opt.withWorkers()
-	var wl *trace.Workload
-	if opt.RecordWork {
-		wl = &trace.Workload{}
-	}
 	var rec *obs.Recorder
 	if opt.Events {
 		rec = obs.NewRecorder(c.Rank())
 	}
 	hooks := obs.NewHooks(rec, opt.Metrics)
-	opt = opt.withHooks(hooks, c.Rank() == 0)
-	cl := newCanceler(opt, c.Rank())
-	opt = opt.withCancel(cl)
-	out, err := run(c, d, q, opt, hooks, cl, wl)
+	rc := rank.Context{Comm: c, Workers: opt.Workers, Hooks: hooks, Cancel: newCanceler(opt, c.Rank())}
+	if opt.RecordWork {
+		rc.Work = &trace.Workload{}
+	}
+	out, err := run(rc, d, q, opt)
 	if err != nil {
 		return nil, err
 	}
-	out.Workload = wl
+	out.Workload = rc.Work
 	out.CommStats = c.Stats()
-	out.CancelChecks = cl.Checks()
+	out.CancelChecks = rc.Cancel.Checks()
 	// Snapshot per-rank traffic before the event gather adds its own. A
 	// one-rank world has sent nothing and reports nothing.
 	if c.Size() > 1 {
@@ -619,12 +580,11 @@ func learn(c *comm.Comm, d *dataset.Data, q *score.QData, opt Options) (*Output,
 // variables), from a learning output and the data set it was learned from.
 // The same Options must be passed so preprocessing matches.
 func BuildCPDs(d *dataset.Data, opt Options, out *Output) ([]*module.CPD, error) {
-	q, err := prepare(d, opt)
-	if err != nil {
+	if err := checkData(d); err != nil {
 		return nil, err
 	}
 	res := &module.Result{Modules: out.Modules, Splits: out.Splits}
-	return module.BuildCPDs(res, q, opt.Prior)
+	return module.BuildCPDs(res, prepare(d, opt), opt.Prior)
 }
 
 // sampleEnsembles executes the G GaneSH runs on c's ranks and returns the
@@ -633,19 +593,21 @@ func BuildCPDs(d *dataset.Data, opt Options, out *Output) ([]*module.CPD, error)
 // groups, each group handling the runs r ≡ group (mod groups), followed by
 // an exchange of the sampled partitions (§3.2.1: the runs need no
 // communication between groups).
-func sampleEnsembles(c *comm.Comm, q *score.QData, opt Options, master *prng.MRG3, wl *trace.Workload) [][][]int {
+func sampleEnsembles(rc rank.Context, q *score.QData, opt Options, master *prng.MRG3) [][][]int {
+	c := rc.Comm
 	groups := min(opt.GaneshGroups, c.Size(), opt.GaneshRuns)
 	if groups <= 1 {
 		ensembles := make([][][]int, opt.GaneshRuns)
 		for r := 0; r < opt.GaneshRuns; r++ {
 			g := master.Substream(uint64(r + 1))
-			ensembles[r] = snapshotOf(ganesh.RunWithComm(c, q, opt.Prior, opt.Ganesh, g, wl).VarAssignment())
+			ensembles[r] = snapshotOf(ganesh.RunWithComm(rc, q, opt.Prior, opt.Ganesh, g).VarAssignment())
 		}
 		return ensembles
 	}
 	// Contiguous rank groups of near-equal size.
 	color := c.Rank() * groups / c.Size()
-	sub := comm.Split(c, color)
+	sub := rc
+	sub.Comm = comm.Split(c, color)
 	type runSnap struct {
 		R    int
 		Snap [][]int
@@ -653,10 +615,10 @@ func sampleEnsembles(c *comm.Comm, q *score.QData, opt Options, master *prng.MRG
 	var local []runSnap
 	for r := color; r < opt.GaneshRuns; r += groups {
 		g := master.Substream(uint64(r + 1))
-		snap := snapshotOf(ganesh.RunWithComm(sub, q, opt.Prior, opt.Ganesh, g, wl).VarAssignment())
+		snap := snapshotOf(ganesh.RunWithComm(sub, q, opt.Prior, opt.Ganesh, g).VarAssignment())
 		// Only the group's first rank contributes to the exchange, so
 		// each run appears exactly once.
-		if sub.Rank() == 0 {
+		if sub.Comm.Rank() == 0 {
 			local = append(local, runSnap{R: r, Snap: snap})
 		}
 	}
@@ -685,13 +647,10 @@ func sampleEnsembles(c *comm.Comm, q *score.QData, opt Options, master *prng.MRG
 // restarted, no restart budget is consumed, and the driver returns a
 // *CancelledError naming the durable checkpoints the run drained to.
 func LearnParallel(p int, d *dataset.Data, opt Options) (*Output, error) {
-	if err := opt.validate(p); err != nil {
+	if err := Check(p, d, opt); err != nil {
 		return nil, err
 	}
-	q, err := prepare(d, opt)
-	if err != nil {
-		return nil, err
-	}
+	q := prepare(d, opt)
 	attempt := opt
 	var recovery []trace.RecoveryEvent
 	for {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"parsimone/internal/comm"
@@ -474,12 +475,11 @@ func TestPInvarianceScanSelection(t *testing.T) {
 
 func TestLearnRejectsOverflowSizedData(t *testing.T) {
 	// A data set whose cell count exceeds the exact-statistics capacity
-	// must be rejected up front, not corrupt Σx² silently.
+	// must be rejected up front, not corrupt Σx² silently — and from its
+	// shape alone, before any cell is read: the header carries no cells.
 	d := &dataset.Data{N: 1 << 13, M: 1 << 13} // 2^26 cells > 2^25
-	d.Names = make([]string, d.N)
-	d.Values = make([]float64, d.N*d.M)
-	if _, err := Learn(d, fastOptions(1)); err == nil {
-		t.Fatal("oversized data set accepted")
+	if _, err := Learn(d, fastOptions(1)); err == nil || !strings.Contains(err.Error(), "exceeds the exact-statistics capacity") {
+		t.Fatalf("oversized data set: got %v, want the capacity refusal", err)
 	}
 }
 

@@ -22,6 +22,7 @@ import (
 	"parsimone/internal/obs"
 	"parsimone/internal/pool"
 	"parsimone/internal/prng"
+	"parsimone/internal/rank"
 	"parsimone/internal/score"
 	"parsimone/internal/trace"
 )
@@ -36,22 +37,6 @@ type Params struct {
 	InitObsClusters int
 	// Updates is U, the number of update steps.
 	Updates int
-	// Workers is W, the number of intra-rank worker goroutines evaluating
-	// a distributed decision's candidate gains (internal/pool); 0 or 1
-	// means serial. The drawn choices are identical for every worker
-	// count: the Gain* evaluations are read-only on the clustering state
-	// and each writes only its own gains slot.
-	Workers int
-	// Hooks supplies the observability sinks. The sampler makes thousands
-	// of decisions per update step, so it feeds the metrics registry only
-	// (per-phase cost/item/decision counters) and never emits per-decision
-	// events; nil disables. Result-invisible, as everywhere.
-	Hooks *obs.Hooks
-	// Cancel is the run's cooperative cancellation signal, polled once per
-	// update step — before any PRNG draw of the step, so a check never
-	// perturbs the substream schedule. Firing panics through the rank's
-	// abort path; nil disables (DESIGN §13).
-	Cancel *comm.Canceler
 }
 
 func (p Params) withDefaults(n, m int) Params {
@@ -78,10 +63,6 @@ const (
 	PhaseObsReassign = "ganesh/obs-reassign"
 	PhaseObsMerge    = "ganesh/obs-merge"
 )
-
-// logMLCost is the cost-unit weight of one marginal-likelihood evaluation
-// relative to one cell-statistics update.
-const logMLCost = 8
 
 // gainsChunk is the pool chunk size for gain evaluations, which are much
 // cheaper than split posteriors; small chunks keep the round-robin deal
@@ -134,8 +115,13 @@ func (e commExec) gains(out []float64, distributed bool, eval func(int) float64,
 	return st
 }
 
-// engine runs the sampler against an executor.
+// engine runs the sampler on one rank. Of the rank's context it feeds the
+// metrics registry only (the sampler makes thousands of decisions per update
+// step, so it never emits per-decision events) and polls the cancellation
+// signal once per update step — before any PRNG draw of the step, so a check
+// never perturbs the substream schedule.
 type engine struct {
+	rc    rank.Context
 	q     *score.QData
 	prior score.Prior
 	// kern is the precomputed scoring kernel of prior, attached to the
@@ -145,7 +131,6 @@ type engine struct {
 	kern *score.Kernel
 	g    *prng.MRG3
 	ex   executor
-	wl   *trace.Workload
 	// gains and weights are the decision scratch: one decision's candidate
 	// gains and their quantized weights, grown to the widest decision seen.
 	gains   []float64
@@ -165,15 +150,9 @@ type phaseCounters struct {
 // q.N for a co-clustering run, the pinned module's for the observation-only
 // sampler, which runs once per module and would otherwise fill a table
 // q.N/nVars times longer than any count it can ask for.
-func newEngine(q *score.QData, pr score.Prior, nVars int, g *prng.MRG3, ex executor, wl *trace.Workload) *engine {
-	return &engine{q: q, prior: pr, kern: score.NewKernel(pr, nVars*q.M),
-		g: g, ex: ex, wl: wl}
-}
-
-// withObs attaches the metrics registry of hooks (nil-safe) and returns the
-// engine for chaining.
-func (e *engine) withObs(h *obs.Hooks) *engine {
-	e.reg = h.Registry()
+func newEngine(rc rank.Context, q *score.QData, pr score.Prior, nVars int, g *prng.MRG3) *engine {
+	e := &engine{rc: rc, q: q, prior: pr, kern: score.NewKernel(pr, nVars*q.M),
+		g: g, ex: commExec{c: rc.Comm, workers: rc.Workers}, reg: rc.Hooks.Registry()}
 	if e.reg != nil {
 		e.ctrs = make(map[string]phaseCounters)
 	}
@@ -186,11 +165,8 @@ func (e *engine) withObs(h *obs.Hooks) *engine {
 func (e *engine) count(phaseName string, cost float64, items int64) {
 	pc, ok := e.ctrs[phaseName]
 	if !ok {
-		pc = phaseCounters{
-			cost:      e.reg.Counter("pool_cost_total", "accumulated abstract work-item cost by phase", "phase", phaseName),
-			items:     e.reg.Counter("pool_items_total", "work items evaluated by phase", "phase", phaseName),
-			decisions: e.reg.Counter("ganesh_decisions_total", "collective weighted choices drawn by phase", "phase", phaseName),
-		}
+		pc.cost, pc.items = e.reg.PoolCounters(phaseName)
+		pc.decisions = e.reg.Counter("ganesh_decisions_total", "collective weighted choices drawn by phase", "phase", phaseName)
 		e.ctrs[phaseName] = pc
 	}
 	pc.cost.Add(int64(cost))
@@ -200,12 +176,13 @@ func (e *engine) count(phaseName string, cost float64, items int64) {
 
 // phase returns the recording phase for name, creating it on first use.
 func (e *engine) phase(name string) *trace.Phase {
-	if e.wl == nil {
+	wl := e.rc.Work
+	if wl == nil {
 		return nil
 	}
-	ph := e.wl.Phase(name)
+	ph := wl.Phase(name)
 	if ph == nil {
-		ph = e.wl.AddPhase(name)
+		ph = wl.AddPhase(name)
 		ph.PerSegmentBarrier = true
 	}
 	return ph
@@ -269,7 +246,7 @@ func (e *engine) reassignVars(cc *cluster.CoClustering) {
 			if i < k {
 				l = len(cc.Clusters[i].Obs.Clusters)
 			}
-			return float64(e.q.M + logMLCost*2*l)
+			return float64(e.q.M + trace.LogMLCost*2*l)
 		}
 		s := e.decide(PhaseVarReassign, k+1,
 			func(i int) float64 { return cc.GainAttachVar(r, i) }, cost)
@@ -291,7 +268,7 @@ func (e *engine) mergeVars(cc *cluster.CoClustering) {
 			if j == i {
 				return 1
 			}
-			return float64(e.q.M + logMLCost*(2*len(cc.Clusters[j].Obs.Clusters)+srcL))
+			return float64(e.q.M + trace.LogMLCost*(2*len(cc.Clusters[j].Obs.Clusters)+srcL))
 		}
 		s := e.decide(PhaseVarMerge, k,
 			func(j int) float64 { return cc.GainMergeVar(cols, i, j) }, cost)
@@ -317,7 +294,7 @@ func (e *engine) reassignObs(oc *cluster.ObsClusters) {
 		l := len(oc.Clusters)
 		s := e.decide(PhaseObsReassign, l+1,
 			func(i int) float64 { return oc.GainAttachObs(col, i) },
-			func(int) float64 { return 2 * logMLCost })
+			func(int) float64 { return 2 * trace.LogMLCost })
 		oc.AttachObs(r, s)
 		e.addSerial(PhaseObsReassign, float64(2*nv))
 	}
@@ -330,7 +307,7 @@ func (e *engine) mergeObs(oc *cluster.ObsClusters) {
 		l := len(oc.Clusters)
 		s := e.decide(PhaseObsMerge, l,
 			func(j int) float64 { return oc.GainMergeObs(i, j) },
-			func(int) float64 { return 3 * logMLCost })
+			func(int) float64 { return 3 * trace.LogMLCost })
 		if s != i {
 			oc.MergeObs(i, s)
 		} else {
@@ -352,7 +329,7 @@ func (e *engine) run(par Params) *cluster.CoClustering {
 	cc := cluster.NewRandomCoClustering(e.q, e.prior, par.InitVarClusters, par.InitObsClusters, e.g)
 	cc.UseKernel(e.kern)
 	for u := 0; u < par.Updates; u++ {
-		par.Cancel.Check()
+		e.rc.Cancel.Check()
 		e.step(cc)
 	}
 	return cc
@@ -370,24 +347,18 @@ func (e *engine) step(cc *cluster.CoClustering) {
 	}
 }
 
-// RunWithComm executes one GaneSH run across c's ranks and returns the final
-// co-clustering. Every rank must pass a PRNG in the same state; every rank
-// returns an identical co-clustering, bit-equal for every world size. If wl
-// is non-nil the parallelizable work is recorded into it for scaling
-// analysis — on a one-rank world only, where the rank's share of a decision
-// is the whole decision.
-func RunWithComm(c *comm.Comm, q *score.QData, pr score.Prior, par Params, g *prng.MRG3, wl *trace.Workload) *cluster.CoClustering {
-	return newEngine(q, pr, q.N, g, commExec{c: c, workers: par.Workers}, wl).withObs(par.Hooks).run(par)
+// RunWithComm executes one GaneSH run across the ranks of rc's world and
+// returns the final co-clustering. Every rank must pass a PRNG in the same
+// state; every rank returns an identical co-clustering, bit-equal for every
+// world size and worker count: the Gain* evaluations are read-only on the
+// clustering state and each writes only its own gains slot.
+func RunWithComm(rc rank.Context, q *score.QData, pr score.Prior, par Params, g *prng.MRG3) *cluster.CoClustering {
+	return newEngine(rc, q, pr, q.N, g).run(par)
 }
 
-// Run is RunWithComm on the one-rank world.
+// Run is RunWithComm on the one-rank world, recording into wl when non-nil.
 func Run(q *score.QData, pr score.Prior, par Params, g *prng.MRG3, wl *trace.Workload) *cluster.CoClustering {
-	return RunWithComm(comm.Self(), q, pr, par, g, wl)
-}
-
-// RunParallel is RunWithComm without recording.
-func RunParallel(c *comm.Comm, q *score.QData, pr score.Prior, par Params, g *prng.MRG3) *cluster.CoClustering {
-	return RunWithComm(c, q, pr, par, g, nil)
+	return RunWithComm(rank.Self(wl), q, pr, par, g)
 }
 
 // ObsParams configures the observation-only sampler used by the
@@ -398,12 +369,6 @@ type ObsParams struct {
 	// Updates is U, the number of update steps; Burnin is B, the number
 	// of initial steps whose states are discarded.
 	Updates, Burnin int
-	// Workers as in Params.
-	Workers int
-	// Hooks as in Params (metrics only).
-	Hooks *obs.Hooks
-	// Cancel as in Params, polled once per update step.
-	Cancel *comm.Canceler
 }
 
 func (p ObsParams) withDefaults(m int) ObsParams {
@@ -421,17 +386,18 @@ func (p ObsParams) withDefaults(m int) ObsParams {
 }
 
 // SampleObsClusteringsWithComm runs GaneSH constrained to a single pinned
-// variable cluster (the module's variables) across c's ranks and returns the
-// observation clusterings sampled after burn-in — one snapshot per
-// post-burn-in update step — plus the final partition state; identical on
-// every rank. wl as in RunWithComm.
-func SampleObsClusteringsWithComm(c *comm.Comm, q *score.QData, pr score.Prior, vars []int, par ObsParams, g *prng.MRG3, wl *trace.Workload) ([][][]int, *cluster.ObsClusters) {
-	return sampleObs(newEngine(q, pr, len(vars), g, commExec{c: c, workers: par.Workers}, wl).withObs(par.Hooks), vars, par)
+// variable cluster (the module's variables) across the ranks of rc's world
+// and returns the observation clusterings sampled after burn-in — one
+// snapshot per post-burn-in update step — plus the final partition state;
+// identical on every rank.
+func SampleObsClusteringsWithComm(rc rank.Context, q *score.QData, pr score.Prior, vars []int, par ObsParams, g *prng.MRG3) ([][][]int, *cluster.ObsClusters) {
+	return sampleObs(newEngine(rc, q, pr, len(vars), g), vars, par)
 }
 
-// SampleObsClusterings is SampleObsClusteringsWithComm on the one-rank world.
+// SampleObsClusterings is SampleObsClusteringsWithComm on the one-rank world,
+// recording into wl when non-nil.
 func SampleObsClusterings(q *score.QData, pr score.Prior, vars []int, par ObsParams, g *prng.MRG3, wl *trace.Workload) ([][][]int, *cluster.ObsClusters) {
-	return SampleObsClusteringsWithComm(comm.Self(), q, pr, vars, par, g, wl)
+	return SampleObsClusteringsWithComm(rank.Self(wl), q, pr, vars, par, g)
 }
 
 func sampleObs(e *engine, vars []int, par ObsParams) ([][][]int, *cluster.ObsClusters) {
@@ -440,7 +406,7 @@ func sampleObs(e *engine, vars []int, par ObsParams) ([][][]int, *cluster.ObsClu
 	oc.UseKernel(e.kern)
 	var samples [][][]int
 	for u := 1; u <= par.Updates; u++ {
-		par.Cancel.Check()
+		e.rc.Cancel.Check()
 		e.reassignObs(oc)
 		e.mergeObs(oc)
 		if u > par.Burnin {

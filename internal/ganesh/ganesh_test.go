@@ -11,6 +11,7 @@ import (
 	"parsimone/internal/comm"
 	"parsimone/internal/pool"
 	"parsimone/internal/prng"
+	"parsimone/internal/rank"
 	"parsimone/internal/score"
 	"parsimone/internal/synth"
 	"parsimone/internal/trace"
@@ -25,6 +26,9 @@ func testData(t testing.TB, n, m int, seed uint64) *score.QData {
 	d.Standardize()
 	return score.QuantizeData(d)
 }
+
+// on is the run context of c's rank at W workers.
+func on(c *comm.Comm, workers int) rank.Context { return rank.Context{Comm: c, Workers: workers} }
 
 func TestRunProducesValidClustering(t *testing.T) {
 	q := testData(t, 30, 20, 1)
@@ -70,7 +74,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 	for _, p := range []int{1, 2, 3, 4, 7, 8} {
 		snaps := make([][][]int, p)
 		_, err := comm.Run(p, func(c *comm.Comm) error {
-			cc := RunParallel(c, q, pr, par, prng.New(11))
+			cc := RunWithComm(on(c, 1), q, pr, par, prng.New(11))
 			snaps[c.Rank()] = cc.VarSnapshot()
 			return nil
 		})
@@ -95,7 +99,7 @@ func TestParallelObsClusteringsMatchSequential(t *testing.T) {
 	wantSamples, wantFinal := SampleObsClusterings(q, pr, vars, par, prng.New(21), nil)
 	for _, p := range []int{1, 2, 5} {
 		_, err := comm.Run(p, func(c *comm.Comm) error {
-			samples, final := SampleObsClusteringsWithComm(c, q, pr, vars, par, prng.New(21), nil)
+			samples, final := SampleObsClusteringsWithComm(on(c, 1), q, pr, vars, par, prng.New(21))
 			if !reflect.DeepEqual(samples, wantSamples) {
 				return fmt.Errorf("rank %d samples differ", c.Rank())
 			}
@@ -120,12 +124,12 @@ func TestWorkersInvariance(t *testing.T) {
 	vars := []int{0, 2, 4, 6, 8}
 	wantSamples, _ := SampleObsClusterings(q, pr, vars, ObsParams{Updates: 2}, prng.New(19), nil)
 	for _, workers := range []int{2, 4} {
-		par := Params{Updates: 2, Workers: workers}
-		if got := Run(q, pr, par, prng.New(13), nil).VarSnapshot(); !reflect.DeepEqual(got, want) {
+		par := Params{Updates: 2}
+		if got := RunWithComm(on(comm.Self(), workers), q, pr, par, prng.New(13)).VarSnapshot(); !reflect.DeepEqual(got, want) {
 			t.Fatalf("sequential W=%d clustering differs", workers)
 		}
 		_, err := comm.Run(3, func(c *comm.Comm) error {
-			if got := RunParallel(c, q, pr, par, prng.New(13)).VarSnapshot(); !reflect.DeepEqual(got, want) {
+			if got := RunWithComm(on(c, workers), q, pr, par, prng.New(13)).VarSnapshot(); !reflect.DeepEqual(got, want) {
 				return fmt.Errorf("rank %d W=%d clustering differs", c.Rank(), workers)
 			}
 			return nil
@@ -133,7 +137,7 @@ func TestWorkersInvariance(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		samples, _ := SampleObsClusterings(q, pr, vars, ObsParams{Updates: 2, Workers: workers}, prng.New(19), nil)
+		samples, _ := SampleObsClusteringsWithComm(on(comm.Self(), workers), q, pr, vars, ObsParams{Updates: 2}, prng.New(19))
 		if !reflect.DeepEqual(samples, wantSamples) {
 			t.Fatalf("obs sampler W=%d samples differ", workers)
 		}
@@ -193,9 +197,11 @@ func TestDistributionRuleInvariance(t *testing.T) {
 	g := prng.New(11)
 	want := state(Run(q, pr, par, g, wl), g)
 
-	tally := &tallyExec{commExec: commExec{c: comm.Self(), workers: 2}, minDistributed: math.Inf(1)}
 	g = prng.New(11)
-	if got := state(newEngine(q, pr, q.N, g, tally, nil).run(par), g); got != want {
+	e := newEngine(on(comm.Self(), 2), q, pr, q.N, g)
+	tally := &tallyExec{commExec: e.ex.(commExec), minDistributed: math.Inf(1)}
+	e.ex = tally
+	if got := state(e.run(par), g); got != want {
 		t.Fatal("tallied run left Run's path")
 	}
 	decisions, distributed := tally.decisions, tally.distributed
@@ -216,11 +222,10 @@ func TestDistributionRuleInvariance(t *testing.T) {
 
 	for _, p := range []int{1, 2, 3} {
 		for _, workers := range []int{1, 2} {
-			par.Workers = workers
 			got := make([]string, p)
 			stats, err := comm.Run(p, func(c *comm.Comm) error {
 				g := prng.New(11)
-				got[c.Rank()] = state(RunParallel(c, q, pr, par, g), g)
+				got[c.Rank()] = state(RunWithComm(on(c, workers), q, pr, par, g), g)
 				return nil
 			})
 			if err != nil {
@@ -275,8 +280,9 @@ func TestStoredBlockScoresExactThroughSampling(t *testing.T) {
 	want := Run(q, pr, Params{Updates: 2}, prng.New(13), nil).VarSnapshot()
 	_, wantObs := SampleObsClusterings(q, pr, vars, ObsParams{Updates: 2}, prng.New(19), nil)
 	for _, workers := range []int{1, 2} {
-		ex := &checkedExec{commExec: commExec{c: comm.Self(), workers: workers}, t: t}
-		e := newEngine(q, pr, q.N, prng.New(13), ex, nil)
+		e := newEngine(on(comm.Self(), workers), q, pr, q.N, prng.New(13))
+		ex := &checkedExec{commExec: e.ex.(commExec), t: t}
+		e.ex = ex
 		par := Params{Updates: 2}.withDefaults(q.N, q.M)
 		cc := cluster.NewRandomCoClustering(q, pr, par.InitVarClusters, par.InitObsClusters, e.g)
 		cc.UseKernel(e.kern)
@@ -291,8 +297,9 @@ func TestStoredBlockScoresExactThroughSampling(t *testing.T) {
 			t.Fatalf("W=%d: checked run left Run's path", workers)
 		}
 
-		ex = &checkedExec{commExec: commExec{c: comm.Self(), workers: workers}, t: t}
-		e = newEngine(q, pr, len(vars), prng.New(19), ex, nil)
+		e = newEngine(on(comm.Self(), workers), q, pr, len(vars), prng.New(19))
+		ex = &checkedExec{commExec: e.ex.(commExec), t: t}
+		e.ex = ex
 		opar := ObsParams{Updates: 2}.withDefaults(q.M)
 		oc := cluster.NewRandomObsClusters(q, pr, vars, opar.InitObsClusters, e.g)
 		oc.UseKernel(e.kern)
@@ -321,7 +328,7 @@ func TestWorkersRecordCounters(t *testing.T) {
 	q := straddleData(t)
 	record := func() *trace.Workload {
 		wl := &trace.Workload{}
-		Run(q, score.DefaultPrior(), Params{Updates: 1, Workers: 4}, prng.New(11), wl)
+		RunWithComm(rank.Context{Comm: comm.Self(), Workers: 4, Work: wl}, q, score.DefaultPrior(), Params{Updates: 1}, prng.New(11))
 		return wl
 	}
 	a, b := record(), record()
@@ -546,7 +553,7 @@ func BenchmarkRunParallelP4(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		comm.Run(4, func(c *comm.Comm) error {
-			RunParallel(c, q, pr, Params{Updates: 1}, prng.New(uint64(i)))
+			RunWithComm(on(c, 1), q, pr, Params{Updates: 1}, prng.New(uint64(i)))
 			return nil
 		})
 	}

@@ -27,6 +27,7 @@ import (
 	"sync"
 	"time"
 
+	"parsimone/internal/comm"
 	"parsimone/internal/core"
 	"parsimone/internal/dataset"
 	"parsimone/internal/obs"
@@ -42,8 +43,8 @@ const (
 	StateRunning
 	// StateDone: completed with a learned network.
 	StateDone
-	// StateFailed: exhausted its restart budget, or failed queued during a
-	// drain.
+	// StateFailed: refused by the engine, out of restart budget, or still
+	// queued when a drain began.
 	StateFailed
 	// StateCancelled: stopped by its deadline or by a drain; its checkpoint
 	// directory (if any) resumes bit-identically.
@@ -102,7 +103,8 @@ type Budget struct {
 	// checkpoint directory resumes bit-identically.
 	Deadline time.Duration
 	// MaxRestarts is how many times the runner restarts the job's world
-	// after a failure before declaring it failed. Restarts resume from
+	// after a rank failure before declaring it failed; any other error
+	// fails the job on the first attempt. Restarts resume from
 	// CheckpointDir and back off exponentially (jitter-free, base
 	// Config.RetryBase).
 	MaxRestarts int
@@ -310,7 +312,7 @@ func (r *Runner) admitLocked() {
 	}
 }
 
-// run executes one admitted job: attempt, and on failure retry with
+// run executes one admitted job: attempt, and on a rank failure retry with
 // jitter-free exponential backoff until the restart budget is spent. A
 // cancellation (deadline or drain) is terminal immediately — the durable
 // checkpoints are the job's result.
@@ -348,7 +350,11 @@ func (r *Runner) run(j *Job) {
 			r.finish(j, StateCancelled, nil, err)
 			return
 		}
-		if attempt >= j.Budget.MaxRestarts {
+		// core's rule: only a rank failure is worth a restart. A run refused
+		// before its world started (bad options, data outside the envelope)
+		// would be refused again on every attempt.
+		var re *comm.RankError
+		if attempt >= j.Budget.MaxRestarts || !errors.As(err, &re) {
 			r.finish(j, StateFailed, nil, err)
 			return
 		}

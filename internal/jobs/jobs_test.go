@@ -225,6 +225,33 @@ func TestJobExhaustsRestartBudget(t *testing.T) {
 	r.Drain()
 }
 
+// TestRunnerDoesNotRetryRefusedRun: a run the engine refuses before a world
+// exists is refused identically on every attempt, so it fails on the first
+// and spends no restart budget — the runner retries what core restarts, a
+// rank failure, and nothing else.
+func TestRunnerDoesNotRetryRefusedRun(t *testing.T) {
+	d, opt, _ := fixture(t)
+	rec := obs.NewRecorder(0)
+	r := New(Config{MaxJobs: 1, Hooks: obs.NewHooks(rec, nil)})
+	opt.GaneshRuns = 0
+	j, err := r.Submit(Spec{Data: d, Options: opt}, Budget{MaxRestarts: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, jerr := j.Wait(); jerr == nil {
+		t.Fatal("a run with GaneshRuns 0 succeeded")
+	}
+	if j.State() != StateFailed || j.Restarts() != 0 {
+		t.Fatalf("state %v after %d restarts, want failed after 0", j.State(), j.Restarts())
+	}
+	for _, ev := range eventTypes(rec) {
+		if ev == fmt.Sprintf("%s:%d", obs.TypeJobRetry, j.ID) {
+			t.Fatalf("refused run was retried: %v", eventTypes(rec))
+		}
+	}
+	r.Drain()
+}
+
 // TestDrainUnderFault is the graceful-drain acceptance property: a drain
 // racing an injected rank crash (with a restart budget, so the drain can
 // land before, during, or after the recovery) must end every job either

@@ -14,9 +14,9 @@ package module
 import (
 	"sort"
 
-	"parsimone/internal/comm"
 	"parsimone/internal/ganesh"
 	"parsimone/internal/prng"
+	"parsimone/internal/rank"
 	"parsimone/internal/score"
 	"parsimone/internal/splits"
 	"parsimone/internal/trace"
@@ -93,11 +93,10 @@ type Progress struct {
 	OnUnit func(u *Unit) error
 }
 
-// LearnWithComm runs the task (Algorithm 6) across c's ranks; the result is
-// identical on every rank and for every world size. If wl is non-nil,
-// parallelizable work is recorded for scaling analysis (one-rank worlds
-// only).
-func LearnWithComm(c *comm.Comm, q *score.QData, pr score.Prior, moduleVars [][]int, par Params, g *prng.MRG3, wl *trace.Workload, prog *Progress) (*Result, error) {
+// LearnWithComm runs the task (Algorithm 6) across the ranks of rc's world;
+// the result is identical on every rank and for every world size and worker
+// count.
+func LearnWithComm(rc rank.Context, q *score.QData, pr score.Prior, moduleVars [][]int, par Params, g *prng.MRG3, prog *Progress) (*Result, error) {
 	res := &Result{}
 	for mi, vars := range moduleVars {
 		var u *Unit
@@ -114,11 +113,11 @@ func LearnWithComm(c *comm.Comm, q *score.QData, pr score.Prior, moduleVars [][]
 			// resume bit-exact without persisting PRNG state.
 			gi := g.Substream(uint64(mi + 1))
 			u = &Unit{Module: mi, Vars: append([]int(nil), vars...)}
-			samples, _ := ganesh.SampleObsClusteringsWithComm(c, q, pr, vars, par.Tree, gi, wl)
+			samples, _ := ganesh.SampleObsClusteringsWithComm(rc, q, pr, vars, par.Tree, gi)
 			for _, clusters := range samples {
-				u.Trees = append(u.Trees, tree.BuildWithComm(c, q, pr, vars, clusters, wl))
+				u.Trees = append(u.Trees, tree.BuildWithComm(rc, q, pr, vars, clusters))
 			}
-			sp := splits.LearnWithComm(c, q, pr, [][]int{vars}, [][]*tree.Tree{u.Trees}, par.Splits, gi, wl)
+			sp := splits.LearnWithComm(rc, q, pr, [][]int{vars}, [][]*tree.Tree{u.Trees}, par.Splits, gi)
 			u.Weighted = renumber(sp.Weighted, mi)
 			u.Uniform = renumber(sp.Uniform, mi)
 			if prog != nil && prog.OnUnit != nil {
@@ -138,9 +137,10 @@ func LearnWithComm(c *comm.Comm, q *score.QData, pr score.Prior, moduleVars [][]
 	return res, nil
 }
 
-// Learn is LearnWithComm on the one-rank world.
+// Learn is LearnWithComm on the one-rank world, recording into wl when
+// non-nil.
 func Learn(q *score.QData, pr score.Prior, moduleVars [][]int, par Params, g *prng.MRG3, wl *trace.Workload, prog *Progress) (*Result, error) {
-	return LearnWithComm(comm.Self(), q, pr, moduleVars, par, g, wl, prog)
+	return LearnWithComm(rank.Self(wl), q, pr, moduleVars, par, g, prog)
 }
 
 // renumber rewrites the module index of a single-module assignment (always

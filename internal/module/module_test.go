@@ -7,6 +7,7 @@ import (
 	"parsimone/internal/comm"
 	"parsimone/internal/ganesh"
 	"parsimone/internal/prng"
+	"parsimone/internal/rank"
 	"parsimone/internal/score"
 	"parsimone/internal/splits"
 	"parsimone/internal/synth"
@@ -92,7 +93,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 	want := mustLearn(t, q, pr, moduleVars, par, prng.New(7), nil)
 	for _, p := range []int{1, 2, 3, 4, 7} {
 		_, err := comm.Run(p, func(c *comm.Comm) error {
-			got, err := LearnWithComm(c, q, pr, moduleVars, par, prng.New(7), nil, nil)
+			got, err := LearnWithComm(rank.Context{Comm: c}, q, pr, moduleVars, par, prng.New(7), nil)
 			if err != nil {
 				return err
 			}

@@ -1,7 +1,6 @@
-// Hooks bundle the two sinks the engines thread through their parameters:
-// the per-rank event recorder and the (shared, concurrency-safe) metrics
-// registry. Engine packages accept a *Hooks in their Params so no public
-// function signature changes when observability is attached.
+// Hooks bundle the two sinks of one rank: the per-rank event recorder and the
+// (shared, concurrency-safe) metrics registry. The engines reach them through
+// the rank's run context (internal/rank), never through a Params struct.
 
 package obs
 
@@ -70,9 +69,17 @@ func (h *Hooks) PoolCost(phase string, st pool.Stats) {
 		for _, n := range st.Items {
 			items += n
 		}
-		h.Reg.Counter("pool_cost_total", "accumulated abstract work-item cost by phase", "phase", phase).Add(int64(cost))
-		h.Reg.Counter("pool_items_total", "work items evaluated by phase", "phase", phase).Add(items)
+		costs, evaluated := h.Reg.PoolCounters(phase)
+		costs.Add(int64(cost))
+		evaluated.Add(items)
 	}
+}
+
+// PoolCounters returns the two counters every layer that evaluates work items
+// accumulates into, by phase: the abstract cost and the number of items.
+func (r *Registry) PoolCounters(phase string) (cost, items *Counter) {
+	return r.Counter("pool_cost_total", "accumulated abstract work-item cost by phase", "phase", phase),
+		r.Counter("pool_items_total", "work items evaluated by phase", "phase", phase)
 }
 
 // WorkerImbalance emits the §5.3.1 imbalance of one pool evaluation across

@@ -26,17 +26,16 @@ import (
 
 // canonicalOptions is the serialized form of exactly the result-affecting
 // subset of core.Options. Scheduling and supervision knobs are deliberately
-// absent — Ranks, Workers (at every level), GaneshGroups, DynamicChunk,
-// ScanSelection, CoordTimeout, CheckpointDir, BinaryCheckpoints,
-// MaxRestarts, Inject, Ctx, Events, Metrics, RecordWork, and the per-task
-// Hooks and Cancel plumbing — each documented result-invisible, so
+// absent — Ranks, Workers, GaneshGroups, DynamicChunk, ScanSelection,
+// CoordTimeout, CheckpointDir, BinaryCheckpoints, MaxRestarts, Inject, Ctx,
+// Events, Metrics and RecordWork — each documented result-invisible, so
 // resubmitting the same learning problem at a different p×W (or with
 // checkpointing toggled) still hits. TestCacheKeyClassifiesEveryOption
 // fails on any core.Options leaf that is neither hashed here nor on that
-// list. StreamLayout is not an
-// option but a property of the build that is just as result-affecting: with
-// it in the key, entries and content-addressed checkpoint directories of
-// another PRNG stream layout (DESIGN §18) simply stop matching.
+// list. StreamLayout is not an option but a property of the build that is
+// just as result-affecting: with it in the key, entries and
+// content-addressed checkpoint directories of another PRNG stream layout
+// (DESIGN §18) simply stop matching.
 type canonicalOptions struct {
 	StreamLayout int `json:"stream_layout"`
 

@@ -150,6 +150,10 @@ func (s *Server) submit(req *JobRequest) (*servedJob, bool, error) {
 		return nil, false, err
 	}
 	d := spec.Data
+	// What the engine would refuse is a bad request, not a job that fails.
+	if err := core.Check(max(1, spec.Ranks), d, spec.Options); err != nil {
+		return nil, false, err
+	}
 	key := CacheKey(d, spec.Options)
 	if s.cfg.CheckpointRoot != "" {
 		budget.CheckpointDir = filepath.Join(s.cfg.CheckpointRoot, key[:16])

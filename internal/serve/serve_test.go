@@ -378,6 +378,10 @@ func TestBadRequests(t *testing.T) {
 		{"bad checkpoint format", func(r *JobRequest) { r.CheckpointFormat = "yaml" }},
 		{"unknown regulator", func(r *JobRequest) { r.Regulators = []string{"nope"} }},
 		{"negative restarts", func(r *JobRequest) { r.MaxRestarts = -1 }},
+		// What core would refuse before starting a world is refused here,
+		// not accepted as a job that fails (and used to be retried).
+		{"negative workers", func(r *JobRequest) { r.Workers = -1; r.MaxRestarts = 3 }},
+		{"one-variable data set", func(r *JobRequest) { r.N = 1 }},
 	}
 	for _, tc := range cases {
 		if w := post(tc.mutate); w.Code != http.StatusBadRequest {
@@ -511,11 +515,7 @@ func TestCacheKeyCarriesStreamLayout(t *testing.T) {
 var resultInvisible = []string{
 	"GaneshGroups", "RecordWork", "Workers", "CheckpointDir", "BinaryCheckpoints",
 	"MaxRestarts", "Inject", "Events", "Metrics", "Ctx",
-	"Ganesh.Workers", "Ganesh.Hooks", "Ganesh.Cancel",
-	"Consensus.Hooks", "Consensus.Cancel",
-	"Module.Tree.Workers", "Module.Tree.Hooks", "Module.Tree.Cancel",
-	"Module.Splits.DynamicChunk", "Module.Splits.ScanSelection", "Module.Splits.Workers",
-	"Module.Splits.CoordTimeout", "Module.Splits.Hooks", "Module.Splits.Cancel",
+	"Module.Splits.DynamicChunk", "Module.Splits.ScanSelection", "Module.Splits.CoordTimeout",
 }
 
 // TestCacheKeyClassifiesEveryOption guards the hand-written canonicalOptions

@@ -18,6 +18,7 @@ import (
 
 	"parsimone/internal/comm"
 	"parsimone/internal/prng"
+	"parsimone/internal/rank"
 	"parsimone/internal/score"
 	"parsimone/internal/tree"
 )
@@ -32,25 +33,20 @@ type valMsg struct {
 	P     float64
 }
 
-// DefaultDynamicChunk is the chunk size of the dynamic scheme.
-const DefaultDynamicChunk = 64
-
 // LearnParallelDynamic is the dynamic-scheme counterpart of LearnWithComm:
-// ranks 1…p−1 request fixed-size chunks of the candidate list from the
-// rank-0 coordinator until it is exhausted, so expensive splits no longer
-// pin a whole static block to one rank. It shares the evaluator and the
-// selection logic with the static path and returns the identical result.
-// A one-rank world has no worker to deal to and takes the static path;
-// chunk ≤ 0 uses DefaultDynamicChunk.
-func LearnParallelDynamic(c *comm.Comm, q *score.QData, pr score.Prior, modules [][]int,
-	trees [][]*tree.Tree, par Params, g *prng.MRG3, chunk int) Result {
-	if chunk <= 0 {
-		chunk = DefaultDynamicChunk
+// ranks 1…p−1 request chunks of par.DynamicChunk candidates from the rank-0
+// coordinator until the list is exhausted, so expensive splits no longer pin
+// a whole static block to one rank. It shares the evaluator and the selection
+// logic with the static path and returns the identical result. It needs what
+// LearnWithComm checks before choosing it: a worker rank to deal to and a
+// positive chunk size.
+func LearnParallelDynamic(rc rank.Context, q *score.QData, pr score.Prior, modules [][]int,
+	trees [][]*tree.Tree, par Params, g *prng.MRG3) Result {
+	c, chunk := rc.Comm, par.DynamicChunk
+	if c.Size() < 2 || chunk <= 0 {
+		panic(fmt.Sprintf("splits: the dynamic scheme needs a worker rank and a positive chunk size, got %d ranks and chunk %d", c.Size(), chunk))
 	}
-	if c.Size() == 1 {
-		return LearnWithComm(c, q, pr, modules, trees, par, g, nil)
-	}
-	ev := newEvaluator(q, pr, modules, trees, par, g)
+	ev := newEvaluator(rc, q, pr, modules, trees, par, g)
 	par, total := ev.par, ev.total
 
 	var local []valMsg
@@ -65,7 +61,7 @@ func LearnParallelDynamic(c *comm.Comm, q *score.QData, pr score.Prior, modules 
 			// detectable failure after CoordTimeout, and a cancelled run
 			// releases the coordinator immediately instead of waiting the
 			// timeout out.
-			_, worker, ok := comm.RecvAnyCtx[int](c, par.Cancel, par.CoordTimeout)
+			_, worker, ok := comm.RecvAnyCtx[int](c, rc.Cancel, par.CoordTimeout)
 			if !ok {
 				panic(fmt.Errorf("splits: dynamic coordinator timed out after %v waiting for a work request (%d workers still active)",
 					par.CoordTimeout, active))
@@ -88,7 +84,7 @@ func LearnParallelDynamic(c *comm.Comm, q *score.QData, pr score.Prior, modules 
 		// and scan paths guarantee. The metrics are sums over whatever this
 		// rank was dealt, so the registry totals stay schedule-invariant
 		// (but for the memo's hit/miss split).
-		reg := par.Hooks.Registry()
+		reg := rc.Hooks.Registry()
 		var steps []int
 		for {
 			comm.Send(c, 0, c.Rank())

@@ -9,6 +9,7 @@ import (
 
 	"parsimone/internal/comm"
 	"parsimone/internal/prng"
+	"parsimone/internal/rank"
 	"parsimone/internal/score"
 )
 
@@ -17,12 +18,12 @@ import (
 func TestDynamicCoordTimeoutHarmless(t *testing.T) {
 	q, modules, trees, _ := fixture(t, 11)
 	pr := score.DefaultPrior()
-	par := Params{NumSplits: 2, MaxSteps: 24}
+	par := Params{NumSplits: 2, MaxSteps: 24, DynamicChunk: 7}
 	want := Learn(q, pr, modules, trees, par, prng.New(17), nil)
 	armed := par
 	armed.CoordTimeout = 10 * time.Second
 	_, err := comm.Run(3, func(c *comm.Comm) error {
-		got := LearnParallelDynamic(c, q, pr, modules, trees, armed, prng.New(17), 7)
+		got := LearnParallelDynamic(on(c, 1, nil), q, pr, modules, trees, armed, prng.New(17))
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("rank %d: result differs with CoordTimeout armed", c.Rank())
 		}
@@ -41,13 +42,13 @@ func TestDynamicCoordTimeoutHarmless(t *testing.T) {
 func TestDynamicCoordTimeoutDetectsHungWorker(t *testing.T) {
 	q, modules, trees, _ := fixture(t, 11)
 	pr := score.DefaultPrior()
-	par := Params{NumSplits: 2, MaxSteps: 24, CoordTimeout: 50 * time.Millisecond}
+	par := Params{NumSplits: 2, MaxSteps: 24, DynamicChunk: 7, CoordTimeout: 50 * time.Millisecond}
 	// Rank 1's op 1 is its first work-request Send: delaying it by an hour
 	// models a worker that accepted work assignment but never engages.
 	faults := []comm.Fault{{Rank: 1, Op: 1, Kind: comm.FaultDelay, Delay: time.Hour}}
 	start := time.Now()
 	_, err := comm.RunWithFaults(3, faults, func(c *comm.Comm) error {
-		LearnParallelDynamic(c, q, pr, modules, trees, par, prng.New(17), 7)
+		LearnParallelDynamic(on(c, 1, nil), q, pr, modules, trees, par, prng.New(17))
 		return nil
 	})
 	var re *comm.RankError
@@ -80,9 +81,8 @@ func TestDynamicCoordinatorReleasedByCancel(t *testing.T) {
 	faults := []comm.Fault{{Rank: 1, Op: 1, Kind: comm.FaultDelay, Delay: time.Hour}}
 	start := time.Now()
 	_, err := comm.RunWithFaults(3, faults, func(c *comm.Comm) error {
-		par := Params{NumSplits: 2, MaxSteps: 24,
-			Cancel: comm.NewCanceler(done, func() error { return reason })}
-		LearnParallelDynamic(c, q, pr, modules, trees, par, prng.New(17), 7)
+		rc := rank.Context{Comm: c, Cancel: comm.NewCanceler(done, func() error { return reason })}
+		LearnParallelDynamic(rc, q, pr, modules, trees, Params{NumSplits: 2, MaxSteps: 24, DynamicChunk: 7}, prng.New(17))
 		return nil
 	})
 	var re *comm.RankError

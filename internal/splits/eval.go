@@ -24,6 +24,7 @@ import (
 	"parsimone/internal/obs"
 	"parsimone/internal/pool"
 	"parsimone/internal/prng"
+	"parsimone/internal/rank"
 	"parsimone/internal/score"
 	"parsimone/internal/trace"
 	"parsimone/internal/tree"
@@ -36,25 +37,21 @@ import (
 // the serve cache key carry it so results of different layouts never mix.
 const StreamLayout = 2
 
-// Cost-model weights in trace cost units (one cell operation = 1, a logML
-// evaluation = 8 as in ganesh and tree). A bootstrap pick — MRG3 draw,
-// bounded reduction, bucket accumulate — measures about half a memoised
-// logML (the benchmark's prng.fill_ns_per_draw against score.memo_logml_ns).
-const (
-	logMLCost = 8
-	drawCost  = 4
-)
+// drawCost is the cost-model weight of a bootstrap pick — MRG3 draw, bounded
+// reduction, bucket accumulate — which measures about half a memoised logML
+// (the benchmark's prng.fill_ns_per_draw against score.memo_logml_ns).
+const drawCost = trace.LogMLCost / 2
 
 // candCost is a candidate's own share of the recorded cost: two block
 // scores per bootstrap step it stayed live.
-func candCost(steps int) float64 { return float64(steps * 2 * logMLCost) }
+func candCost(steps int) float64 { return float64(steps * 2 * trace.LogMLCost) }
 
 // pairCost is the cost the thresholds of a pair share — the column gather
 // and sort, then per pair-step one nObs-pick resample and the total's score.
 // It is carried by the pair's first candidate. A range that cuts a pair
 // replays draws the model does not charge: at most p−1 pairs per learn call.
 func pairCost(pairSteps, nObs int) float64 {
-	return float64(nObs + pairSteps*(nObs*drawCost+logMLCost))
+	return float64(nObs + pairSteps*(nObs*drawCost+trace.LogMLCost))
 }
 
 // fragCost is the recorded cost of the pair fragment whose candidates
@@ -243,9 +240,10 @@ func (sc *scratch) fillPair(q *score.QData, ref *nodeRef, parent int) int {
 	return int(last) + 1
 }
 
-// evaluator scores ranges of one learn call's global candidate list. All
-// three exchange strategies evaluate through it.
+// evaluator scores ranges of one learn call's global candidate list on one
+// rank. All three exchange strategies evaluate through it.
 type evaluator struct {
+	rc    rank.Context
 	q     *score.QData
 	par   Params // defaults applied
 	nodes []*nodeRef
@@ -258,16 +256,16 @@ type evaluator struct {
 	scratches []*scratch
 }
 
-func newEvaluator(q *score.QData, pr score.Prior, modules [][]int, trees [][]*tree.Tree, par Params, g *prng.MRG3) *evaluator {
+func newEvaluator(rc rank.Context, q *score.QData, pr score.Prior, modules [][]int, trees [][]*tree.Tree, par Params, g *prng.MRG3) *evaluator {
 	par = par.WithDefaults(q.N)
-	ev := &evaluator{q: q, par: par, nodes: enumerate(q, modules, trees, par.Candidates), base: g.Clone(), stop: stopTable(par)}
+	ev := &evaluator{rc: rc, q: q, par: par, nodes: enumerate(q, modules, trees, par.Candidates), base: g.Clone(), stop: stopTable(par)}
 	for _, ref := range ev.nodes {
 		ev.total += ref.count
 	}
 	ev.kern = score.NewKernel(pr, maxStatsN(ev.nodes))
 	// One scratch per pool worker, allocated separately so workers never
 	// write into a shared cache line.
-	ev.scratches = make([]*scratch, max(1, par.Workers))
+	ev.scratches = make([]*scratch, max(1, rc.Workers))
 	for w := range ev.scratches {
 		ev.scratches[w] = &scratch{memo: score.NewMemo(ev.kern, 0)}
 	}
@@ -307,7 +305,7 @@ func (ev *evaluator) eval(lo, hi int) (post []float64, steps []int, st pool.Stat
 	}
 	np := len(ev.par.Candidates)
 	g0 := ev.pairAt(lo)
-	st = pool.For(ev.pairAt(hi-1)+1-g0, ev.par.Workers, 1, func(i, w int) float64 {
+	st = pool.For(ev.pairAt(hi-1)+1-g0, ev.rc.Workers, 1, func(i, w int) float64 {
 		ref, pi := ev.nodes[(g0+i)/np], (g0+i)%np
 		nObs := len(ref.node.Obs)
 		if nObs == 0 {
@@ -387,25 +385,19 @@ func (ev *evaluator) evalPair(sc *scratch, ref *nodeRef, pi, from, to int, post 
 	}
 }
 
-// observe reports one rank's evaluation to the attached hooks: the pool
-// cost and worker imbalance events and the split metrics.
+// observe reports this rank's block evaluation to the attached hooks: the
+// pool cost and worker imbalance events, the split metrics, and the ranks'
+// pool costs gathered into the rank-imbalance event (emitted by rank 0). It
+// communicates only with hooks attached — on every rank or on none — so runs
+// without observability perform no extra collective.
 func (ev *evaluator) observe(st pool.Stats, steps []int) {
-	if h := ev.par.Hooks; h != nil {
-		h.PoolCost(PhaseAssign, st)
-		h.WorkerImbalance(PhaseAssign, st)
-		ev.recordMetrics(h.Registry(), steps)
-	}
-}
-
-// observeRanks gathers the ranks' pool costs into the rank-imbalance event
-// (emitted by rank 0). It communicates only with hooks attached — on every
-// rank or on none — so runs without observability perform no extra
-// collective.
-func (ev *evaluator) observeRanks(c *comm.Comm, st pool.Stats) {
-	h := ev.par.Hooks
+	h, c := ev.rc.Hooks, ev.rc.Comm
 	if h == nil {
 		return
 	}
+	h.PoolCost(PhaseAssign, st)
+	h.WorkerImbalance(PhaseAssign, st)
+	ev.recordMetrics(h.Registry(), steps)
 	var localCost float64
 	for _, cost := range st.Cost {
 		localCost += cost
@@ -469,7 +461,8 @@ func (ev *evaluator) recordMetrics(reg *obs.Registry, steps []int) {
 // identical for every worker count, while the per-worker counters reflect
 // the pool's static deal. steps must cover the whole list, which is why only
 // a one-rank world records.
-func (ev *evaluator) recordWork(wl *trace.Workload, st pool.Stats, steps []int) {
+func (ev *evaluator) recordWork(st pool.Stats, steps []int) {
+	wl := ev.rc.Work
 	if wl == nil {
 		return
 	}

@@ -11,6 +11,7 @@ import (
 	"parsimone/internal/comm"
 	"parsimone/internal/obs"
 	"parsimone/internal/prng"
+	"parsimone/internal/rank"
 	"parsimone/internal/score"
 )
 
@@ -83,7 +84,7 @@ func TestPosteriorMatchesPreKernel(t *testing.T) {
 	q, modules, trees, _ := fixture(t, 17)
 	pr := score.DefaultPrior()
 	g := prng.New(19)
-	ev := newEvaluator(q, pr, modules, trees, Params{MaxSteps: 24}, g)
+	ev := newEvaluator(rank.Self(nil), q, pr, modules, trees, Params{MaxSteps: 24}, g)
 	gotP, gotS, _ := ev.eval(0, ev.total)
 	for _, ref := range ev.nodes {
 		nObs := len(ref.node.Obs)
@@ -111,9 +112,9 @@ func TestPosteriorMatchesPreKernel(t *testing.T) {
 func TestPosteriorBatchBitIdentical(t *testing.T) {
 	q, modules, trees, _ := fixture(t, 18)
 	pr := score.DefaultPrior()
-	batch := newEvaluator(q, pr, modules, trees, Params{MaxSteps: 24}, prng.New(19))
+	batch := newEvaluator(rank.Self(nil), q, pr, modules, trees, Params{MaxSteps: 24}, prng.New(19))
 	wantP, wantS, _ := batch.eval(0, batch.total)
-	single := newEvaluator(q, pr, modules, trees, Params{MaxSteps: 24}, prng.New(19))
+	single := newEvaluator(rank.Self(nil), q, pr, modules, trees, Params{MaxSteps: 24}, prng.New(19))
 	for ci := 0; ci < single.total; ci++ {
 		p, s, _ := single.eval(ci, ci+1)
 		if math.Float64bits(p[0]) != math.Float64bits(wantP[ci]) || s[0] != wantS[ci] {
@@ -126,7 +127,7 @@ func TestPosteriorBatchBitIdentical(t *testing.T) {
 	}
 	// Arbitrary cuts, three workers: ranges tile the list at edges that are
 	// not pair boundaries.
-	cut := newEvaluator(q, pr, modules, trees, Params{MaxSteps: 24, Workers: 3}, prng.New(19))
+	cut := newEvaluator(on(comm.Self(), 3, nil), q, pr, modules, trees, Params{MaxSteps: 24}, prng.New(19))
 	for lo := 0; lo < cut.total; {
 		hi := min(lo+37, cut.total)
 		p, s, _ := cut.eval(lo, hi)
@@ -146,8 +147,8 @@ func TestPosteriorBatchBitIdentical(t *testing.T) {
 func TestKernelHitCounterExact(t *testing.T) {
 	q, modules, trees, _ := fixture(t, 16)
 	reg := obs.NewRegistry()
-	ev := newEvaluator(q, score.DefaultPrior(), modules, trees,
-		Params{MaxSteps: 24, Hooks: obs.NewHooks(nil, reg)}, prng.New(21))
+	ev := newEvaluator(on(comm.Self(), 1, reg), q, score.DefaultPrior(), modules, trees,
+		Params{MaxSteps: 24}, prng.New(21))
 	_, steps, st := ev.eval(0, ev.total)
 	ev.observe(st, steps)
 
@@ -231,7 +232,7 @@ func TestPairMarginalsMatchPerCandidateLayout(t *testing.T) {
 	par := Params{MaxSteps: ref.Steps, CIHalfWidth: -1}
 	sum, sumSq := make([]int64, ref.Candidates), make([]int64, ref.Candidates)
 	for seed := 0; seed < ref.Seeds; seed++ {
-		ev := newEvaluator(q, pr, modules, trees, par, prng.New(uint64(1001+seed)))
+		ev := newEvaluator(rank.Self(nil), q, pr, modules, trees, par, prng.New(uint64(1001+seed)))
 		if ev.total != ref.Candidates {
 			t.Fatalf("fixture enumerates %d candidates, the record %d", ev.total, ref.Candidates)
 		}
@@ -309,12 +310,10 @@ func TestCutPairInvariance(t *testing.T) {
 	pr := score.DefaultPrior()
 	base := Params{NumSplits: 2, MaxSteps: 24}
 	seqReg := obs.NewRegistry()
-	par := base
-	par.Hooks = obs.NewHooks(nil, seqReg)
-	want := Learn(q, pr, modules, trees, par, prng.New(23), nil)
+	want := LearnWithComm(on(comm.Self(), 1, seqReg), q, pr, modules, trees, base, prng.New(23))
 	wantSteps := splitStepsDump(t, seqReg)
 
-	ev := newEvaluator(q, pr, modules, trees, base, prng.New(23))
+	ev := newEvaluator(rank.Self(nil), q, pr, modules, trees, base, prng.New(23))
 	chunks := []int{11, 29, 101}
 	for _, ref := range ev.nodes {
 		for _, chunk := range chunks {
@@ -325,8 +324,8 @@ func TestCutPairInvariance(t *testing.T) {
 	}
 	for _, p := range []int{2, 3, 5} {
 		cuts := 0
-		for rank := 1; rank < p; rank++ {
-			if lo, _ := comm.BlockRange(ev.total, p, rank); ev.alignUp(lo) != lo {
+		for r := 1; r < p; r++ {
+			if lo, _ := comm.BlockRange(ev.total, p, r); ev.alignUp(lo) != lo {
 				cuts++
 			}
 		}
@@ -337,8 +336,6 @@ func TestCutPairInvariance(t *testing.T) {
 			for _, strategy := range []string{"gather", "scan", "dynamic"} {
 				reg := obs.NewRegistry()
 				par := base
-				par.Workers = workers
-				par.Hooks = obs.NewHooks(nil, reg)
 				switch strategy {
 				case "scan":
 					par.ScanSelection = true
@@ -347,7 +344,7 @@ func TestCutPairInvariance(t *testing.T) {
 				}
 				name := fmt.Sprintf("%s W=%d", strategy, workers)
 				onRanks(t, name, p, want, func(c *comm.Comm) Result {
-					return LearnParallel(c, q, pr, modules, trees, par, prng.New(23))
+					return LearnWithComm(on(c, workers, reg), q, pr, modules, trees, par, prng.New(23))
 				})
 				if got := splitStepsDump(t, reg); got != wantSteps {
 					t.Errorf("%s p=%d: split_steps differ from the sequential run:\n got %s\nwant %s", name, p, got, wantSteps)
@@ -362,7 +359,7 @@ func TestCutPairInvariance(t *testing.T) {
 // per pair now, and part of the cost being measured).
 func BenchmarkPosterior(b *testing.B) {
 	q, modules, trees, _ := fixture(b, 1)
-	ev := newEvaluator(q, score.DefaultPrior(), modules, trees, Params{MaxSteps: 32, CIHalfWidth: -1}, prng.New(11))
+	ev := newEvaluator(rank.Self(nil), q, score.DefaultPrior(), modules, trees, Params{MaxSteps: 32, CIHalfWidth: -1}, prng.New(11))
 	b.Run("eval", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			ev.eval(0, ev.total)

@@ -6,7 +6,7 @@
 // are selected independently on each processor, followed by an all-gather
 // call to collect all the chosen splits" (§3.2.3).
 //
-// LearnParallel (static path) gathers the full posterior vector — simple,
+// LearnWithComm's static path gathers the full posterior vector — simple,
 // O(total) communication. This variant exchanges only per-node per-rank
 // weight partials and the chosen splits, O(p·nodes + J·nodes) — the paper's
 // O(τ log p + µJKRL) communication bound. Because sampling weights are
@@ -21,6 +21,7 @@ import (
 
 	"parsimone/internal/comm"
 	"parsimone/internal/prng"
+	"parsimone/internal/rank"
 	"parsimone/internal/score"
 	"parsimone/internal/tree"
 )
@@ -44,12 +45,13 @@ type pickMsg struct {
 	A       Assigned
 }
 
-// LearnParallelScan computes the same Result as LearnParallel using the
-// paper's segmented-scan selection: posteriors stay distributed; only
-// per-node weight partials and the chosen splits travel.
-func LearnParallelScan(c *comm.Comm, q *score.QData, pr score.Prior, modules [][]int,
+// LearnParallelScan computes the same Result as LearnWithComm's static path
+// using the paper's segmented-scan selection: posteriors stay distributed;
+// only per-node weight partials and the chosen splits travel.
+func LearnParallelScan(rc rank.Context, q *score.QData, pr score.Prior, modules [][]int,
 	trees [][]*tree.Tree, par Params, g *prng.MRG3) Result {
-	ev := newEvaluator(q, pr, modules, trees, par, g)
+	c := rc.Comm
+	ev := newEvaluator(rc, q, pr, modules, trees, par, g)
 	par, nodes := ev.par, ev.nodes
 
 	// Local posteriors over this rank's block, kept distributed. Weights
@@ -59,7 +61,6 @@ func LearnParallelScan(c *comm.Comm, q *score.QData, pr score.Prior, modules [][
 	lo, hi := comm.BlockRange(ev.total, c.Size(), c.Rank())
 	localP, localSteps, st := ev.eval(lo, hi)
 	ev.observe(st, localSteps)
-	ev.observeRanks(c, st)
 	localW := make([]uint64, hi-lo)
 	for k, p := range localP {
 		localW[k] = score.QuantizeProb(p)

@@ -27,8 +27,8 @@ import (
 	"time"
 
 	"parsimone/internal/comm"
-	"parsimone/internal/obs"
 	"parsimone/internal/prng"
+	"parsimone/internal/rank"
 	"parsimone/internal/score"
 	"parsimone/internal/trace"
 	"parsimone/internal/tree"
@@ -71,32 +71,12 @@ type Params struct {
 	// posterior vector: less communication, identical result. Ignored when
 	// DynamicChunk is set.
 	ScanSelection bool
-	// Workers is W, the number of intra-rank worker goroutines evaluating
-	// this rank's posterior block (internal/pool); 0 or 1 means serial.
-	// Posteriors, trace items, and the selected splits are bit-identical
-	// for every (rank count, W) combination: each pair draws only from its
-	// own numbered substream and each candidate writes only its own slot.
-	Workers int
 	// CoordTimeout, when positive, bounds how long the dynamic
 	// coordinator waits for a worker's next request: a hung worker then
 	// aborts the world (detectably, via the usual RankError) instead of
 	// deadlocking the coordinator in RecvAnyCtx forever. 0 waits without
 	// bound.
 	CoordTimeout time.Duration
-	// Hooks receives observability events and metrics (nil disables both).
-	// Observability is result-invisible: hooks never consume the PRNG
-	// stream or alter control flow. In a parallel run either every rank or
-	// no rank must attach hooks — the rank-imbalance summary is gathered
-	// collectively, so a mixed configuration would deadlock, exactly like
-	// disagreeing on any other collective.
-	Hooks *obs.Hooks
-	// Cancel is the run's cooperative cancellation signal. Split
-	// assignment itself polls nothing (a module's splits are recomputed
-	// wholesale on resume, so the module edge is the cancellation
-	// granularity), but the dynamic coordinator's watchdog wait honors it:
-	// a cancelled run releases a coordinator blocked on worker requests
-	// immediately instead of after CoordTimeout (comm.RecvAnyCtx).
-	Cancel *comm.Canceler
 }
 
 // WithDefaults returns p with every unset field replaced by its documented
@@ -200,38 +180,37 @@ func selectSplits(q *score.QData, nodes []*nodeRef, posteriors []float64, par Pa
 	return res
 }
 
-// LearnWithComm computes posteriors over c's ranks (fine-grained static
-// block distribution, Algorithm 5 line 5), gathers them, and selects splits
-// identically on every rank — the same splits for every world size. With
-// more than one rank par.DynamicChunk and par.ScanSelection pick another
-// exchange; a one-rank world has nobody to exchange with, and its block is
-// the whole list. If wl is non-nil the per-candidate costs are recorded into
-// it (one-rank worlds only).
-func LearnWithComm(c *comm.Comm, q *score.QData, pr score.Prior, modules [][]int,
-	trees [][]*tree.Tree, par Params, g *prng.MRG3, wl *trace.Workload) Result {
+// LearnWithComm computes posteriors over the ranks of rc's world
+// (fine-grained static block distribution, Algorithm 5 line 5), each rank's
+// block fanned over its rc.Workers pool workers, gathers them, and selects
+// splits identically on every rank. Posteriors, trace items and the selected
+// splits are bit-identical for every (rank count, W): each pair draws only
+// from its own numbered substream and each candidate writes only its own
+// slot. With more than one rank par.DynamicChunk and par.ScanSelection pick
+// another exchange; a one-rank world has nobody to exchange with, and its
+// block is the whole list. No cancellation check is polled here — a module's
+// splits are recomputed wholesale on resume, so the module edge is the
+// granularity — but the dynamic coordinator's wait honors rc.Cancel.
+func LearnWithComm(rc rank.Context, q *score.QData, pr score.Prior, modules [][]int,
+	trees [][]*tree.Tree, par Params, g *prng.MRG3) Result {
+	c := rc.Comm
 	if c.Size() > 1 && par.DynamicChunk > 0 {
-		return LearnParallelDynamic(c, q, pr, modules, trees, par, g, par.DynamicChunk)
+		return LearnParallelDynamic(rc, q, pr, modules, trees, par, g)
 	}
 	if c.Size() > 1 && par.ScanSelection {
-		return LearnParallelScan(c, q, pr, modules, trees, par, g)
+		return LearnParallelScan(rc, q, pr, modules, trees, par, g)
 	}
-	ev := newEvaluator(q, pr, modules, trees, par, g)
+	ev := newEvaluator(rc, q, pr, modules, trees, par, g)
 	lo, hi := comm.BlockRange(ev.total, c.Size(), c.Rank())
 	local, steps, st := ev.eval(lo, hi)
 	ev.observe(st, steps)
-	ev.observeRanks(c, st)
-	ev.recordWork(wl, st, steps)
+	ev.recordWork(st, steps)
 	return selectSplits(q, ev.nodes, comm.AllGatherv(c, local), ev.par, g)
 }
 
-// Learn is LearnWithComm on the one-rank world.
+// Learn is LearnWithComm on the one-rank world, recording the per-candidate
+// costs into wl when non-nil.
 func Learn(q *score.QData, pr score.Prior, modules [][]int, trees [][]*tree.Tree,
 	par Params, g *prng.MRG3, wl *trace.Workload) Result {
-	return LearnWithComm(comm.Self(), q, pr, modules, trees, par, g, wl)
-}
-
-// LearnParallel is LearnWithComm without recording.
-func LearnParallel(c *comm.Comm, q *score.QData, pr score.Prior, modules [][]int,
-	trees [][]*tree.Tree, par Params, g *prng.MRG3) Result {
-	return LearnWithComm(c, q, pr, modules, trees, par, g, nil)
+	return LearnWithComm(rank.Self(wl), q, pr, modules, trees, par, g)
 }

@@ -10,6 +10,7 @@ import (
 	"parsimone/internal/comm"
 	"parsimone/internal/obs"
 	"parsimone/internal/prng"
+	"parsimone/internal/rank"
 	"parsimone/internal/score"
 	"parsimone/internal/synth"
 	"parsimone/internal/trace"
@@ -48,6 +49,12 @@ func fixture(t testing.TB, seed uint64) (*score.QData, [][]int, [][]*tree.Tree, 
 		trees[mi] = []*tree.Tree{tree.Build(q, pr, vars, clusters(4), nil)}
 	}
 	return q, modules, trees, truth
+}
+
+// on is the run context of c's rank at W workers, its metrics going to reg
+// (nil: unobserved).
+func on(c *comm.Comm, workers int, reg *obs.Registry) rank.Context {
+	return rank.Context{Comm: c, Workers: workers, Hooks: obs.NewHooks(nil, reg)}
 }
 
 // registryJSON returns the registry's JSON dump.
@@ -133,7 +140,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 	want := Learn(q, pr, modules, trees, par, prng.New(9), nil)
 	for _, p := range []int{1, 2, 3, 5, 8} {
 		onRanks(t, "gather", p, want, func(c *comm.Comm) Result {
-			return LearnParallel(c, q, pr, modules, trees, par, prng.New(9))
+			return LearnWithComm(on(c, 1, nil), q, pr, modules, trees, par, prng.New(9))
 		})
 	}
 }
@@ -163,7 +170,7 @@ func TestTrueRegulatorsScoreHighly(t *testing.T) {
 
 func TestPosteriorDegenerateSplit(t *testing.T) {
 	q, modules, trees, _ := fixture(t, 6)
-	ev := newEvaluator(q, score.DefaultPrior(), modules, trees, Params{}, prng.New(1))
+	ev := newEvaluator(rank.Self(nil), q, score.DefaultPrior(), modules, trees, Params{}, prng.New(1))
 	ref := ev.nodes[0]
 	// Find the candidate whose value is the node's maximum for parent 0:
 	// everything goes left → degenerate → posterior 0, zero steps, no draws.
@@ -182,7 +189,7 @@ func TestPosteriorDegenerateSplit(t *testing.T) {
 
 func TestPosteriorStepBounds(t *testing.T) {
 	q, modules, trees, _ := fixture(t, 7)
-	ev := newEvaluator(q, score.DefaultPrior(), modules, trees, Params{MinSteps: 8, MaxSteps: 32}, prng.New(3))
+	ev := newEvaluator(rank.Self(nil), q, score.DefaultPrior(), modules, trees, Params{MinSteps: 8, MaxSteps: 32}, prng.New(3))
 	_, steps, _ := ev.eval(0, ev.total)
 	early := 0
 	for ci, s := range steps {
@@ -282,7 +289,7 @@ func TestParamsWithDefaults(t *testing.T) {
 // MaxSteps bootstrap resamples (or one degenerate scan).
 func TestNegativeCIHalfWidthRunsToMaxSteps(t *testing.T) {
 	q, modules, trees, _ := fixture(t, 3)
-	ev := newEvaluator(q, score.DefaultPrior(), modules, trees, Params{MaxSteps: 12, CIHalfWidth: -1}, prng.New(9))
+	ev := newEvaluator(rank.Self(nil), q, score.DefaultPrior(), modules, trees, Params{MaxSteps: 12, CIHalfWidth: -1}, prng.New(9))
 	_, steps, _ := ev.eval(0, ev.total)
 	if len(steps) == 0 {
 		t.Fatal("no candidates checked")
@@ -355,8 +362,9 @@ func TestDynamicMatchesStatic(t *testing.T) {
 	want := Learn(q, pr, modules, trees, par, prng.New(17), nil)
 	for _, p := range []int{1, 2, 3, 5} {
 		for _, chunk := range []int{0, 1, 7, 1000000} {
+			par.DynamicChunk = chunk
 			onRanks(t, fmt.Sprintf("dynamic chunk=%d", chunk), p, want, func(c *comm.Comm) Result {
-				return LearnParallelDynamic(c, q, pr, modules, trees, par, prng.New(17), chunk)
+				return LearnWithComm(on(c, 1, nil), q, pr, modules, trees, par, prng.New(17))
 			})
 		}
 	}
@@ -372,7 +380,7 @@ func TestScanSelectionMatchesGather(t *testing.T) {
 	want := Learn(q, pr, modules, trees, par, prng.New(31), nil)
 	for _, p := range []int{1, 2, 3, 5, 8} {
 		onRanks(t, "scan", p, want, func(c *comm.Comm) Result {
-			return LearnParallelScan(c, q, pr, modules, trees, par, prng.New(31))
+			return LearnParallelScan(on(c, 1, nil), q, pr, modules, trees, par, prng.New(31))
 		})
 	}
 }
@@ -385,8 +393,8 @@ func TestWorkersInvariance(t *testing.T) {
 	pr := score.DefaultPrior()
 	want := Learn(q, pr, modules, trees, Params{NumSplits: 2, MaxSteps: 24}, prng.New(23), nil)
 	for _, workers := range []int{2, 3, 8} {
-		par := Params{NumSplits: 2, MaxSteps: 24, Workers: workers}
-		if got := Learn(q, pr, modules, trees, par, prng.New(23), nil); !reflect.DeepEqual(got, want) {
+		par := Params{NumSplits: 2, MaxSteps: 24}
+		if got := LearnWithComm(on(comm.Self(), workers, nil), q, pr, modules, trees, par, prng.New(23)); !reflect.DeepEqual(got, want) {
 			t.Fatalf("sequential W=%d: splits differ", workers)
 		}
 	}
@@ -400,7 +408,7 @@ func TestWorkersTraceDeterministic(t *testing.T) {
 	pr := score.DefaultPrior()
 	record := func(workers int) *trace.Phase {
 		wl := &trace.Workload{}
-		Learn(q, pr, modules, trees, Params{MaxSteps: 24, Workers: workers}, prng.New(29), wl)
+		LearnWithComm(rank.Context{Comm: comm.Self(), Workers: workers, Work: wl}, q, pr, modules, trees, Params{MaxSteps: 24}, prng.New(29))
 		return wl.Phase(PhaseAssign)
 	}
 	serial := record(1)
@@ -436,7 +444,7 @@ func BenchmarkLearnWorkers(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("W%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				Learn(q, pr, modules, trees, Params{MaxSteps: 32, Workers: workers}, prng.New(uint64(i)), nil)
+				LearnWithComm(on(comm.Self(), workers, nil), q, pr, modules, trees, Params{MaxSteps: 32}, prng.New(uint64(i)))
 			}
 		})
 	}
@@ -462,8 +470,8 @@ func TestScanUsesLessCommunication(t *testing.T) {
 		}
 		return total
 	}
-	gather := elems(func(c *comm.Comm) { LearnParallel(c, q, pr, modules, trees, par, prng.New(3)) })
-	scan := elems(func(c *comm.Comm) { LearnParallelScan(c, q, pr, modules, trees, par, prng.New(3)) })
+	gather := elems(func(c *comm.Comm) { LearnWithComm(on(c, 1, nil), q, pr, modules, trees, par, prng.New(3)) })
+	scan := elems(func(c *comm.Comm) { LearnParallelScan(on(c, 1, nil), q, pr, modules, trees, par, prng.New(3)) })
 	if scan >= gather {
 		t.Fatalf("scan moved %d elements, gather %d — no saving", scan, gather)
 	}
@@ -492,9 +500,9 @@ func TestScanMetricsParity(t *testing.T) {
 	pr := score.DefaultPrior()
 	dump := func(scan bool) string {
 		reg := obs.NewRegistry()
-		par := Params{NumSplits: 2, MaxSteps: 24, ScanSelection: scan, Hooks: obs.NewHooks(nil, reg)}
+		par := Params{NumSplits: 2, MaxSteps: 24, ScanSelection: scan}
 		_, err := comm.Run(2, func(c *comm.Comm) error {
-			LearnParallel(c, q, pr, modules, trees, par, prng.New(21))
+			LearnWithComm(on(c, 1, reg), q, pr, modules, trees, par, prng.New(21))
 			return nil
 		})
 		if err != nil {

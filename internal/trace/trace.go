@@ -144,6 +144,12 @@ type Phase struct {
 	WorkerCost []float64
 }
 
+// LogMLCost is the weight of one marginal-likelihood evaluation in cost units
+// (one cell-statistics update = 1): the one exchange rate every layer prices
+// its work items with, so costs from different layers add up and compare
+// against distributeMinCost.
+const LogMLCost = 8
+
 // distributeMinCost is the least total candidate cost, in cost units, at which
 // a collective decision is spread over ranks and pool workers. Below it every
 // rank evaluates all candidates inline: a collective or a pool spawn costs more

@@ -19,6 +19,7 @@ import (
 	"sort"
 
 	"parsimone/internal/comm"
+	"parsimone/internal/rank"
 	"parsimone/internal/score"
 	"parsimone/internal/trace"
 )
@@ -132,10 +133,8 @@ func (t *Tree) CheckInvariants(q *score.QData) error {
 // PhaseBuild is the work-recording phase name.
 const PhaseBuild = "tree/build"
 
-const logMLCost = 8
-
 // mergeCost is the cost of one merge score: three marginal likelihoods.
-const mergeCost = 3 * logMLCost
+const mergeCost = 3 * trace.LogMLCost
 
 // leafNodes creates the initial subtree list from an observation clustering
 // (canonical order: as given, which snapshots order by smallest member).
@@ -200,20 +199,19 @@ func bestMerge(pr score.Prior, subtrees []*Node, lo, hi int) scoredIndex {
 	return best
 }
 
-// BuildWithComm constructs the regression tree across c's ranks, identically
-// on every rank. A round is distributed only when its pairs cost
-// trace.Distributed (DESIGN §19) — with at most ~√m clusters of three logML
-// each, in practice never: every rank scores all pairs and no message moves.
-// A distributed round's merge scores are partitioned over the ranks and
-// combined with an all-reduce max (Algorithm 4 lines 13–17). If wl is non-nil
-// the work is recorded into it (one-rank worlds only).
-func BuildWithComm(c *comm.Comm, q *score.QData, pr score.Prior, vars []int, clusters [][]int, wl *trace.Workload) *Tree {
+// BuildWithComm constructs the regression tree across the ranks of rc's
+// world, identically on every rank. A round is distributed only when its
+// pairs cost trace.Distributed (DESIGN §19) — with at most ~√m clusters of
+// three logML each, in practice never: every rank scores all pairs and no
+// message moves. A distributed round's merge scores are partitioned over the
+// ranks and combined with an all-reduce max (Algorithm 4 lines 13–17).
+func BuildWithComm(rc rank.Context, q *score.QData, pr score.Prior, vars []int, clusters [][]int) *Tree {
 	if len(clusters) == 0 {
 		panic("tree: no observation clusters")
 	}
 	subtrees := leafNodes(q, vars, clusters)
 	var ph *trace.Phase
-	if wl != nil {
+	if wl := rc.Work; wl != nil {
 		ph = wl.Phase(PhaseBuild)
 		if ph == nil {
 			ph = wl.AddPhase(PhaseBuild)
@@ -227,7 +225,7 @@ func BuildWithComm(c *comm.Comm, q *score.QData, pr score.Prior, vars []int, clu
 			ph.AddDecision(pairs, func(int) float64 { return mergeCost }, cost, 2)
 			ph.SerialCost += float64(len(subtrees[0].Obs)) // merge bookkeeping
 		}
-		best := pick(c, pr, subtrees, trace.Distributed(cost))
+		best := pick(rc.Comm, pr, subtrees, trace.Distributed(cost))
 		subtrees[best] = merge(subtrees[best], subtrees[best+1])
 		subtrees = append(subtrees[:best+1], subtrees[best+2:]...)
 	}
@@ -244,7 +242,7 @@ func pick(c *comm.Comm, pr score.Prior, subtrees []*Node, distributed bool) int 
 	return comm.AllReduce(c, bestMerge(pr, subtrees, lo, hi), better).Index
 }
 
-// Build is BuildWithComm on the one-rank world.
+// Build is BuildWithComm on the one-rank world, recording into wl when non-nil.
 func Build(q *score.QData, pr score.Prior, vars []int, clusters [][]int, wl *trace.Workload) *Tree {
-	return BuildWithComm(comm.Self(), q, pr, vars, clusters, wl)
+	return BuildWithComm(rank.Self(wl), q, pr, vars, clusters)
 }

@@ -6,6 +6,7 @@ import (
 
 	"parsimone/internal/comm"
 	"parsimone/internal/prng"
+	"parsimone/internal/rank"
 	"parsimone/internal/score"
 	"parsimone/internal/synth"
 	"parsimone/internal/trace"
@@ -160,7 +161,7 @@ func TestBuildParallelMatchesSequential(t *testing.T) {
 	want := shape(Build(q, pr, vars, clusters, nil).Root)
 	for _, p := range []int{1, 2, 3, 5, 8} {
 		_, err := comm.Run(p, func(c *comm.Comm) error {
-			tr := BuildWithComm(c, q, pr, vars, clusters, nil)
+			tr := BuildWithComm(rank.Context{Comm: c}, q, pr, vars, clusters)
 			if !reflect.DeepEqual(shape(tr.Root), want) {
 				t.Errorf("p=%d rank %d tree differs", p, c.Rank())
 			}
@@ -192,7 +193,7 @@ func TestBuildParallelDistributionRule(t *testing.T) {
 	for _, forced := range []bool{false, true} {
 		for _, p := range []int{2, 3} {
 			stats, err := comm.Run(p, func(c *comm.Comm) error {
-				tr := BuildWithComm(c, q, pr, vars, clusters, nil)
+				tr := BuildWithComm(rank.Context{Comm: c}, q, pr, vars, clusters)
 				if forced {
 					subtrees := leafNodes(q, vars, clusters)
 					for len(subtrees) > 1 {
