@@ -55,11 +55,11 @@ race:
 
 # The fault-injection, crash-recovery, and cancellation suite, race-enabled:
 # injected crashes/delays/drops in comm, the dynamic-coordinator watchdog,
-# the supervised restart-from-checkpoint acceptance tests, the
-# cancel-at-every-check matrix, and the job runtime's drain-under-fault
-# races.
+# the supervised restart-from-checkpoint acceptance tests and the restart
+# seam (core.Supervise), the cancel-at-every-check matrix, and the job
+# runtime's retry, backoff and drain-under-fault races.
 faults:
-	$(GO) test -race -run 'Fault|Recovery|Abort|Timeout|Failpoint|Restart|Checkpoint|Cancel|Drain|Deadline' \
+	$(GO) test -race -run 'Fault|Recovery|Abort|Timeout|Failpoint|Restart|Checkpoint|Cancel|Drain|Deadline|Supervis|Retry|Backoff' \
 		./internal/comm/ ./internal/splits/ ./internal/core/ ./internal/jobs/
 
 # Seeded chaos soak: the deterministic MRG3-driven matrix of (world size,

@@ -97,9 +97,9 @@ type Options struct {
 	// resume, and newly written files use the selected format.
 	BinaryCheckpoints bool
 	// MaxRestarts is how many times the supervised driver (LearnParallel,
-	// and Learn, which is LearnParallel on one rank) restarts the world
-	// after a rank failure before giving up, resuming from the newest
-	// checkpoints. 0 disables recovery.
+	// and Learn, which is LearnParallel on one rank), including under the job
+	// runner, restarts the world after a rank crashed before giving up,
+	// resuming from the newest checkpoints. 0 disables recovery.
 	MaxRestarts int
 	// Inject, when non-nil, injects a deterministic failure into the run —
 	// the test- and benchmark-facing face of the fault-tolerance layer. A
@@ -269,6 +269,9 @@ func (o Options) validate(p int) error {
 // so a caller that queues runs (internal/serve) can refuse at the door what
 // the engine would refuse later.
 func Check(p int, d *dataset.Data, opt Options) error {
+	if p < 1 {
+		return fmt.Errorf("core: a world of %d ranks cannot exist (need p ≥ 1)", p)
+	}
 	if err := opt.validate(p); err != nil {
 		return err
 	}
@@ -631,22 +634,33 @@ func sampleEnsembles(rc rank.Context, q *score.QData, opt Options, master *prng.
 }
 
 // LearnParallel spins up p ranks, runs the pipeline on them, and returns
-// rank 0's output with the total message traffic of all ranks. Options and
-// data are checked, and the data quantized once for all ranks to read,
-// before any world starts.
-//
-// It is also the supervised driver of the fault-tolerance layer: when a
-// rank fails (organically or via Options.Inject), the whole world is torn
-// down MPI-style, the failure is recorded as a recovery event, and — up to
-// Options.MaxRestarts times — a fresh world is started that resumes from
+// rank 0's output with the total message traffic of all ranks. It is
+// Supervise with nobody waiting between worlds.
+func LearnParallel(p int, d *dataset.Data, opt Options) (*Output, error) {
+	return Supervise(p, d, opt, nil)
+}
+
+// Supervise is the one supervised driver of the fault-tolerance layer.
+// Options and data are checked, and the data quantized once for all ranks to
+// read, before any world starts. When a rank crashes — an organic panic, a
+// watchdog abort, a fault injected via Options.Inject — the whole world is
+// torn down MPI-style, the failure is recorded as a recovery event, and — up
+// to Options.MaxRestarts times — a fresh world is started that resumes from
 // the newest checkpoints in Options.CheckpointDir (or from scratch without
 // checkpointing). Determinism (DESIGN §6) makes the recovered network
-// bit-identical to an uninterrupted run's.
+// bit-identical to an uninterrupted run's. An error a rank returned (a stale
+// checkpoint directory, a consensus that did not converge) would be returned
+// again by every world, so it ends the run on the first attempt.
+//
+// between, when non-nil, is the seam of a caller that queues runs
+// (internal/jobs): after a failure the run will restart from, and before the
+// next world starts, it is told the recovery event and may wait. If
+// Options.Ctx fired meanwhile, no further world is started.
 //
 // Cancellation (Options.Ctx) is not a failure: a cancelled world is never
 // restarted, no restart budget is consumed, and the driver returns a
 // *CancelledError naming the durable checkpoints the run drained to.
-func LearnParallel(p int, d *dataset.Data, opt Options) (*Output, error) {
+func Supervise(p int, d *dataset.Data, opt Options, between func(trace.RecoveryEvent)) (*Output, error) {
 	if err := Check(p, d, opt); err != nil {
 		return nil, err
 	}
@@ -671,19 +685,27 @@ func LearnParallel(p int, d *dataset.Data, opt Options) (*Output, error) {
 			if isCancel(err) {
 				return nil, cancelledError(err, opt)
 			}
+			// Only a rank that crashed (RankError.Stack) is worth a restart.
 			var re *comm.RankError
-			if len(recovery) >= opt.MaxRestarts || !errors.As(err, &re) {
+			if len(recovery) >= opt.MaxRestarts || !errors.As(err, &re) || re.Stack == "" {
 				return nil, err
 			}
-			recovery = append(recovery, trace.RecoveryEvent{
+			ev := trace.RecoveryEvent{
 				Attempt:  len(recovery) + 1,
 				Rank:     re.Rank,
-				Panicked: re.Stack != "",
+				Panicked: true,
 				Err:      re.Err.Error(),
-			})
+			}
+			recovery = append(recovery, ev)
 			// Injected faults fire once; an organic failure that repeats
 			// every attempt exhausts MaxRestarts instead of looping.
 			attempt.Inject = nil
+			if between != nil {
+				between(ev)
+				if opt.Ctx != nil && opt.Ctx.Err() != nil {
+					return nil, cancelledError(cancelReason(opt.Ctx)(), opt)
+				}
+			}
 			continue
 		}
 		total := comm.Stats{}

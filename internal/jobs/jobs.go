@@ -1,10 +1,11 @@
-// Package jobs is the supervised job runtime above core.LearnParallel: a
+// Package jobs is the job runtime above core.Supervise: a
 // deterministic-scheduling queue that admits learning runs against a shared
-// capacity pool, enforces per-job budgets (deadline, restart count,
-// checkpoint directory), retries failed worlds with jitter-free exponential
-// backoff, and drains gracefully on demand — stop admitting, cancel running
-// jobs through their contexts, and report the durable checkpoints each job
-// left behind (DESIGN §13).
+// capacity pool, bounds each job by a deadline, and drains gracefully on
+// demand — stop admitting, cancel running jobs through their contexts, and
+// report the durable checkpoints each job left behind (DESIGN §13). It does
+// not supervise: core restarts a crashed world (Options.MaxRestarts, resuming
+// from Options.CheckpointDir), and between two worlds the runner only counts
+// the restart and waits a jitter-free exponential backoff (DESIGN §22).
 //
 // Scheduling is strictly FIFO with head-of-line blocking: job i+1 is never
 // admitted before job i, so the admission order is a pure function of the
@@ -27,10 +28,10 @@ import (
 	"sync"
 	"time"
 
-	"parsimone/internal/comm"
 	"parsimone/internal/core"
 	"parsimone/internal/dataset"
 	"parsimone/internal/obs"
+	"parsimone/internal/trace"
 )
 
 // State is a job's lifecycle position.
@@ -39,7 +40,8 @@ type State int
 const (
 	// StateQueued: submitted, waiting for admission.
 	StateQueued State = iota
-	// StateRunning: admitted and executing (includes runner-level retries).
+	// StateRunning: admitted and executing (includes restarts and the backoff
+	// before each).
 	StateRunning
 	// StateDone: completed with a learned network.
 	StateDone
@@ -83,10 +85,9 @@ type Spec struct {
 	Ranks int
 	// Data is the expression matrix to learn from.
 	Data *dataset.Data
-	// Options configures the run. The runner overrides Ctx, CheckpointDir,
-	// BinaryCheckpoints, MaxRestarts, and Inject-after-first-attempt from
-	// the job's Budget — restarts are runner-owned, so Options.MaxRestarts
-	// is ignored.
+	// Options configures the run and reaches core as it is, restart budget
+	// and checkpoint directory included; the runner sets only Ctx (the
+	// job's deadline under the runner's drain).
 	Options core.Options
 }
 
@@ -95,25 +96,14 @@ func (s Spec) need() int {
 	return max(1, s.Ranks) * max(1, s.Options.Workers)
 }
 
-// Budget bounds one job's resource consumption.
+// Budget is what the runner itself bounds a job by. Everything else about a
+// run — restart budget, checkpoint directory and format — is Spec.Options.
 type Budget struct {
 	// Deadline, when > 0, cancels the job that long after it starts
 	// running (queue wait does not count). A job stopped by its deadline
 	// ends StateCancelled with an error wrapping core.ErrDeadline, and its
 	// checkpoint directory resumes bit-identically.
 	Deadline time.Duration
-	// MaxRestarts is how many times the runner restarts the job's world
-	// after a rank failure before declaring it failed; any other error
-	// fails the job on the first attempt. Restarts resume from
-	// CheckpointDir and back off exponentially (jitter-free, base
-	// Config.RetryBase).
-	MaxRestarts int
-	// CheckpointDir, when set, is where the job persists and resumes its
-	// task checkpoints — the durable state a deadline, drain, or crash
-	// leaves behind.
-	CheckpointDir string
-	// BinaryCheckpoints selects the v3 binary checkpoint wire format.
-	BinaryCheckpoints bool
 }
 
 // Report summarizes one job after the runner finished with it.
@@ -159,10 +149,10 @@ type Config struct {
 	// A job whose own demand exceeds Slots is rejected at Submit — it
 	// could never be admitted.
 	Slots int
-	// RetryBase is the backoff base: restart attempt k (1-based) sleeps
-	// RetryBase·2^(k−1) first, capped at maxRetryBackoff. Jitter-free, so a
-	// fixed failure schedule replays an identical retry schedule. 0 retries
-	// immediately.
+	// RetryBase is the backoff base: the runner waits RetryBase·2^(k−1)
+	// before core's restart k (1-based), capped at maxRetryBackoff.
+	// Jitter-free, so a fixed failure schedule replays an identical retry
+	// schedule. 0 retries immediately.
 	RetryBase time.Duration
 	// Hooks receives the job lifecycle events
 	// (queued/admitted/running/retry/checkpointed/done/failed) and the
@@ -204,7 +194,7 @@ func (j *Job) State() State {
 	return j.state
 }
 
-// Restarts returns how many runner-level restarts the job has consumed.
+// Restarts returns how many restarts the job's run has consumed.
 func (j *Job) Restarts() int {
 	j.r.mu.Lock()
 	defer j.r.mu.Unlock()
@@ -221,8 +211,8 @@ func (j *Job) reportLocked() Report {
 		Duration: j.dur,
 		Err:      j.err,
 	}
-	if len(core.DurableCheckpoints(j.Budget.CheckpointDir)) > 0 {
-		rep.Checkpoint = j.Budget.CheckpointDir
+	if dir := j.Spec.Options.CheckpointDir; len(core.DurableCheckpoints(dir)) > 0 {
+		rep.Checkpoint = dir
 	}
 	return rep
 }
@@ -266,8 +256,8 @@ func (r *Runner) Submit(spec Spec, b Budget) (*Job, error) {
 	if spec.Data == nil {
 		return nil, errors.New("jobs: Submit needs a dataset")
 	}
-	if b.MaxRestarts < 0 {
-		return nil, fmt.Errorf("jobs: MaxRestarts %d must be ≥ 0", b.MaxRestarts)
+	if spec.Ranks < 0 {
+		return nil, fmt.Errorf("jobs: Ranks %d must be ≥ 0", spec.Ranks)
 	}
 	if r.cfg.Slots > 0 && spec.need() > r.cfg.Slots {
 		return nil, fmt.Errorf("jobs: job needs %d slots (p=%d × W=%d) but the pool has only %d",
@@ -312,10 +302,11 @@ func (r *Runner) admitLocked() {
 	}
 }
 
-// run executes one admitted job: attempt, and on a rank failure retry with
-// jitter-free exponential backoff until the restart budget is spent. A
-// cancellation (deadline or drain) is terminal immediately — the durable
-// checkpoints are the job's result.
+// run executes one admitted job: one supervised run under the job's context.
+// core restarts a crashed world; before each restart the runner charges it,
+// says so (job.retry, jobs_retries_total) and waits the jitter-free backoff.
+// A cancellation (deadline or drain) is terminal wherever it lands, mid-run
+// or mid-backoff — the durable checkpoints are the job's result.
 func (r *Runner) run(j *Job) {
 	ctx := r.ctx
 	cancel := context.CancelFunc(func() {})
@@ -326,68 +317,39 @@ func (r *Runner) run(j *Job) {
 
 	opt := j.Spec.Options
 	opt.Ctx = ctx
-	opt.CheckpointDir = j.Budget.CheckpointDir
-	opt.BinaryCheckpoints = j.Budget.BinaryCheckpoints
-	opt.MaxRestarts = 0 // restarts are runner-owned
 
 	r.mu.Lock()
 	r.emit(obs.TypeJobRunning, j)
 	r.mu.Unlock()
 
-	for attempt := 0; ; attempt++ {
-		out, err := core.LearnParallel(max(1, j.Spec.Ranks), j.Spec.Data, opt)
-		if err == nil {
-			r.finish(j, StateDone, out, nil)
-			return
-		}
-		var ce *core.CancelledError
-		if errors.As(err, &ce) {
-			r.mu.Lock()
-			if len(ce.Checkpoints) > 0 {
-				r.emit(obs.TypeJobCheckpointed, j)
-			}
-			r.mu.Unlock()
-			r.finish(j, StateCancelled, nil, err)
-			return
-		}
-		// core's rule: only a rank failure is worth a restart. A run refused
-		// before its world started (bad options, data outside the envelope)
-		// would be refused again on every attempt.
-		var re *comm.RankError
-		if attempt >= j.Budget.MaxRestarts || !errors.As(err, &re) {
-			r.finish(j, StateFailed, nil, err)
-			return
-		}
-		// An injected fault fires once; clear it so the retry resumes
-		// cleanly (mirroring core.LearnParallel's own restart loop).
-		opt.Inject = nil
+	out, err := core.Supervise(max(1, j.Spec.Ranks), j.Spec.Data, opt, func(ev trace.RecoveryEvent) {
 		r.mu.Lock()
 		j.restarts++
-		j.err = err
+		j.err = errors.New(ev.String())
 		r.emit(obs.TypeJobRetry, j)
 		j.err = nil
 		r.count("jobs_retries_total", "runner-level job restarts", 1)
 		r.mu.Unlock()
 		if r.cfg.RetryBase > 0 {
-			backoff := retryBackoff(r.cfg.RetryBase, attempt)
 			select {
-			case <-time.After(backoff):
+			case <-time.After(retryBackoff(r.cfg.RetryBase, ev.Attempt-1)):
 			case <-ctx.Done():
-				// Cancelled mid-backoff: the checkpoints written before
-				// the failure are the drain state. Wrap the sentinel in a
-				// *core.CancelledError naming them, exactly as an in-run
-				// cancellation would — callers unwrap one error shape on
-				// every cancellation path.
-				ce := cancelledError(ctx, j.Budget.CheckpointDir)
-				r.mu.Lock()
-				if len(ce.Checkpoints) > 0 {
-					r.emit(obs.TypeJobCheckpointed, j)
-				}
-				r.mu.Unlock()
-				r.finish(j, StateCancelled, nil, ce)
-				return
 			}
 		}
+	})
+	var ce *core.CancelledError
+	switch {
+	case err == nil:
+		r.finish(j, StateDone, out, nil)
+	case errors.As(err, &ce):
+		r.mu.Lock()
+		if len(ce.Checkpoints) > 0 {
+			r.emit(obs.TypeJobCheckpointed, j)
+		}
+		r.mu.Unlock()
+		r.finish(j, StateCancelled, nil, err)
+	default:
+		r.finish(j, StateFailed, nil, err)
 	}
 }
 
@@ -406,27 +368,6 @@ func retryBackoff(base time.Duration, attempt int) time.Duration {
 		return maxRetryBackoff
 	}
 	return base << attempt
-}
-
-// cancelCause maps a fired job context to the core sentinel a cancelled
-// learning run would have reported.
-func cancelCause(ctx context.Context) error {
-	if errors.Is(ctx.Err(), context.DeadlineExceeded) {
-		return core.ErrDeadline
-	}
-	return core.ErrCancelled
-}
-
-// cancelledError builds the *core.CancelledError for a job cancelled
-// outside a learning run (mid-backoff), mirroring the error the drivers
-// return from an in-run cancellation: same unwrap chain, and the durable
-// checkpoint files listed when the directory holds any.
-func cancelledError(ctx context.Context, dir string) *core.CancelledError {
-	return &core.CancelledError{
-		Cause:         cancelCause(ctx),
-		CheckpointDir: dir,
-		Checkpoints:   core.DurableCheckpoints(dir),
-	}
 }
 
 // finish moves a job to its terminal state, releases its capacity, and
@@ -528,7 +469,7 @@ func (r *Runner) emit(typ string, j *Job) {
 		Restarts: j.restarts,
 	}
 	if typ == obs.TypeJobCheckpointed {
-		info.Checkpoint = j.Budget.CheckpointDir
+		info.Checkpoint = j.Spec.Options.CheckpointDir
 	}
 	if j.err != nil {
 		info.Err = j.err.Error()

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -138,8 +139,9 @@ func TestJobDeadlineDrainsToResumableCheckpoint(t *testing.T) {
 	d, opt, want := fixture(t)
 	dir := t.TempDir()
 	r := New(Config{MaxJobs: 1})
-	j, err := r.Submit(Spec{Ranks: 1, Data: d, Options: opt},
-		Budget{Deadline: time.Millisecond, CheckpointDir: dir})
+	ckpt := opt
+	ckpt.CheckpointDir = dir
+	j, err := r.Submit(Spec{Ranks: 1, Data: d, Options: ckpt}, Budget{Deadline: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,9 +164,10 @@ func TestJobDeadlineDrainsToResumableCheckpoint(t *testing.T) {
 	r.Drain()
 }
 
-// TestJobRetryAfterInjectedFault: the runner owns restarts — an injected
-// rank crash consumes one of the job's MaxRestarts, the retry resumes from
-// the checkpoint directory, and the final network is bit-identical.
+// TestJobRetryAfterInjectedFault: core restarts under the runner as anywhere
+// — an injected rank crash consumes one of the job's Options.MaxRestarts, the
+// runner charges and announces it, the restart resumes from the checkpoint
+// directory, and the final network is bit-identical.
 func TestJobRetryAfterInjectedFault(t *testing.T) {
 	d, opt, want := fixture(t)
 	rec := obs.NewRecorder(0)
@@ -172,8 +175,8 @@ func TestJobRetryAfterInjectedFault(t *testing.T) {
 	r := New(Config{MaxJobs: 1, RetryBase: time.Millisecond, Hooks: obs.NewHooks(rec, reg)})
 	injected := opt
 	injected.Inject = &core.FaultSpec{Task: core.TaskGaneSH, Rank: 0}
-	j, err := r.Submit(Spec{Name: "faulty", Ranks: 2, Data: d, Options: injected},
-		Budget{MaxRestarts: 1, CheckpointDir: t.TempDir()})
+	injected.MaxRestarts, injected.CheckpointDir = 1, t.TempDir()
+	j, err := r.Submit(Spec{Name: "faulty", Ranks: 2, Data: d, Options: injected}, Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,6 +189,9 @@ func TestJobRetryAfterInjectedFault(t *testing.T) {
 	}
 	if j.Restarts() != 1 {
 		t.Fatalf("job consumed %d restarts, want 1", j.Restarts())
+	}
+	if len(out.Recovery) != 1 || out.Recovery[0].Attempt != 1 || out.Recovery[0].Rank != 0 {
+		t.Fatalf("job output records recovery %+v, want the one restart after rank 0's crash", out.Recovery)
 	}
 	var sawRetry bool
 	for _, ev := range rec.Events() {
@@ -225,16 +231,58 @@ func TestJobExhaustsRestartBudget(t *testing.T) {
 	r.Drain()
 }
 
+// TestRunnerDoesNotRestartReturnedError: an error a rank returned — here a
+// checkpoint directory written under another seed — is what every restarted
+// world would return again, so the job fails on the first attempt with its
+// restart budget unspent and no backoff slept.
+func TestRunnerDoesNotRestartReturnedError(t *testing.T) {
+	d, opt, _ := fixture(t)
+	opt.CheckpointDir = t.TempDir()
+	if _, err := core.LearnParallel(2, d, opt); err != nil {
+		t.Fatal(err)
+	}
+	rec := obs.NewRecorder(0)
+	r := New(Config{MaxJobs: 1, RetryBase: time.Millisecond, Hooks: obs.NewHooks(rec, nil)})
+	opt.Seed, opt.MaxRestarts = 99, 3
+	j, err := r.Submit(Spec{Ranks: 2, Data: d, Options: opt}, Budget{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, jerr := j.Wait(); jerr == nil || !strings.Contains(jerr.Error(), "different configuration") {
+		t.Fatalf("got %v, want the stale-checkpoint refusal", jerr)
+	}
+	if j.State() != StateFailed || j.Restarts() != 0 {
+		t.Fatalf("state %v after %d restarts, want failed after 0", j.State(), j.Restarts())
+	}
+	for _, ev := range rec.Events() {
+		if ev.Type == obs.TypeJobRetry {
+			t.Fatalf("returned error was retried: %v", eventTypes(rec))
+		}
+	}
+	r.Drain()
+}
+
+// TestSubmitRejectsNegativeRanks: Ranks 0 means one rank; a negative count is
+// a world that cannot exist and is refused at the door, not learned at p = 1.
+func TestSubmitRejectsNegativeRanks(t *testing.T) {
+	d, opt, _ := fixture(t)
+	r := New(Config{})
+	if _, err := r.Submit(Spec{Ranks: -3, Data: d, Options: opt}, Budget{}); err == nil {
+		t.Fatal("a job of -3 ranks was accepted")
+	}
+	r.Drain()
+}
+
 // TestRunnerDoesNotRetryRefusedRun: a run the engine refuses before a world
 // exists is refused identically on every attempt, so it fails on the first
-// and spends no restart budget — the runner retries what core restarts, a
-// rank failure, and nothing else.
+// and spends no restart budget — core restarts a crashed world and nothing
+// else, and the runner waits only before a restart.
 func TestRunnerDoesNotRetryRefusedRun(t *testing.T) {
 	d, opt, _ := fixture(t)
 	rec := obs.NewRecorder(0)
 	r := New(Config{MaxJobs: 1, Hooks: obs.NewHooks(rec, nil)})
-	opt.GaneshRuns = 0
-	j, err := r.Submit(Spec{Data: d, Options: opt}, Budget{MaxRestarts: 3})
+	opt.GaneshRuns, opt.MaxRestarts = 0, 3
+	j, err := r.Submit(Spec{Data: d, Options: opt}, Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,8 +323,8 @@ func TestDrainUnderFault(t *testing.T) {
 					{Rank: p - 1, Op: 2, Kind: comm.FaultCrash},
 				}}
 			}
-			running, err := r.Submit(Spec{Name: "victim", Ranks: p, Data: d, Options: injected},
-				Budget{MaxRestarts: 1, CheckpointDir: dir})
+			injected.MaxRestarts, injected.CheckpointDir = 1, dir
+			running, err := r.Submit(Spec{Name: "victim", Ranks: p, Data: d, Options: injected}, Budget{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -329,8 +377,8 @@ func TestCancelEventMetricAgreement(t *testing.T) {
 	rec := obs.NewRecorder(0)
 	reg := obs.NewRegistry()
 	r := New(Config{MaxJobs: 1, Hooks: obs.NewHooks(rec, reg)})
-	j, err := r.Submit(Spec{Name: "deadline", Ranks: 1, Data: d, Options: opt},
-		Budget{Deadline: time.Millisecond, CheckpointDir: t.TempDir()})
+	opt.CheckpointDir = t.TempDir()
+	j, err := r.Submit(Spec{Name: "deadline", Ranks: 1, Data: d, Options: opt}, Budget{Deadline: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,8 +424,8 @@ func TestMidBackoffCancelWrapsCancelledError(t *testing.T) {
 	r := New(Config{MaxJobs: 1, RetryBase: time.Hour})
 	injected := opt
 	injected.Inject = &core.FaultSpec{Task: core.TaskGaneSH, Rank: 0}
-	j, err := r.Submit(Spec{Name: "backoff", Ranks: 2, Data: d, Options: injected},
-		Budget{MaxRestarts: 1, CheckpointDir: dir})
+	injected.MaxRestarts, injected.CheckpointDir = 1, dir
+	j, err := r.Submit(Spec{Name: "backoff", Ranks: 2, Data: d, Options: injected}, Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -441,8 +489,8 @@ func TestMidBackoffCancelIgnoresForeignFiles(t *testing.T) {
 	// written.
 	injected.GaneshRuns, injected.GaneshGroups = 2, 2
 	injected.Inject = &core.FaultSpec{Comm: []comm.Fault{{Rank: 1, Op: 1, Kind: comm.FaultCrash}}}
-	j, err := r.Submit(Spec{Name: "foreign", Ranks: 2, Data: d, Options: injected},
-		Budget{MaxRestarts: 1, CheckpointDir: dir})
+	injected.MaxRestarts, injected.CheckpointDir = 1, dir
+	j, err := r.Submit(Spec{Name: "foreign", Ranks: 2, Data: d, Options: injected}, Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -150,7 +150,7 @@ type JobInfo struct {
 	// Ranks×Workers is the p×W capacity the job holds while admitted.
 	Ranks   int `json:"ranks,omitempty"`
 	Workers int `json:"workers,omitempty"`
-	// Restarts counts runner-level retries so far (job.retry, job.done,
+	// Restarts counts the run's restarts so far (job.retry, job.done,
 	// job.failed).
 	Restarts int `json:"restarts,omitempty"`
 	// Checkpoint is the job's checkpoint directory (job.checkpointed: the

@@ -68,7 +68,7 @@ type JobStatus struct {
 	Cached  bool `json:"cached,omitempty"`
 	Ranks   int  `json:"ranks"`
 	Workers int  `json:"workers"`
-	// Restarts counts runner-level retries consumed so far.
+	// Restarts counts the restarts the job's run has consumed so far.
 	Restarts int `json:"restarts,omitempty"`
 	// Modules is the learned module count (terminal done jobs only).
 	Modules int `json:"modules,omitempty"`

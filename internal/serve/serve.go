@@ -74,7 +74,6 @@ type servedJob struct {
 	cached  bool // resolved from the result cache at submit time
 	ranks   int
 	workers int
-	ckptDir string
 
 	// job is the underlying runner job; nil for cache hits. Duplicate
 	// submissions coalesced onto an in-flight job share its pointer.
@@ -151,12 +150,12 @@ func (s *Server) submit(req *JobRequest) (*servedJob, bool, error) {
 	}
 	d := spec.Data
 	// What the engine would refuse is a bad request, not a job that fails.
-	if err := core.Check(max(1, spec.Ranks), d, spec.Options); err != nil {
+	if err := core.Check(spec.Ranks, d, spec.Options); err != nil {
 		return nil, false, err
 	}
 	key := CacheKey(d, spec.Options)
 	if s.cfg.CheckpointRoot != "" {
-		budget.CheckpointDir = filepath.Join(s.cfg.CheckpointRoot, key[:16])
+		spec.Options.CheckpointDir = filepath.Join(s.cfg.CheckpointRoot, key[:16])
 	}
 
 	s.mu.Lock()
@@ -167,7 +166,7 @@ func (s *Server) submit(req *JobRequest) (*servedJob, bool, error) {
 	if e, ok := s.cache[key]; ok {
 		sj := &servedJob{
 			id: len(s.table), name: req.Name, key: key, cached: true,
-			ranks: max(1, spec.Ranks), workers: max(1, spec.Options.Workers),
+			ranks: spec.Ranks, workers: max(1, spec.Options.Workers),
 			entry: e, done: make(chan struct{}), terminal: true,
 		}
 		close(sj.done)
@@ -195,8 +194,7 @@ func (s *Server) submit(req *JobRequest) (*servedJob, bool, error) {
 	}
 	sj := &servedJob{
 		id: len(s.table), name: req.Name, key: key,
-		ranks: max(1, spec.Ranks), workers: max(1, spec.Options.Workers),
-		ckptDir: budget.CheckpointDir, job: j,
+		ranks: spec.Ranks, workers: max(1, spec.Options.Workers), job: j,
 		entry: &cacheEntry{key: key, data: d, opt: spec.Options},
 		done:  make(chan struct{}),
 	}
@@ -421,8 +419,9 @@ func (req *JobRequest) Options(d *dataset.Data) (*dataset.Data, core.Options, er
 }
 
 // buildJob loads the request's dataset and wraps its Options into a runner
-// spec and budget. The runner owns restarts and the checkpoint format, so
-// those two move from the options to the budget.
+// spec — the restart budget and checkpoint format reach core inside them —
+// plus the one thing the runner bounds itself, the deadline. An absent ranks
+// is one rank; a negative one is left for core.Check to refuse.
 func (s *Server) buildJob(req *JobRequest) (jobs.Spec, jobs.Budget, error) {
 	d, err := s.loadDataset(req)
 	if err != nil {
@@ -432,9 +431,11 @@ func (s *Server) buildJob(req *JobRequest) (jobs.Spec, jobs.Budget, error) {
 	if err != nil {
 		return jobs.Spec{}, jobs.Budget{}, err
 	}
-	b := jobs.Budget{MaxRestarts: opt.MaxRestarts, BinaryCheckpoints: opt.BinaryCheckpoints}
-	if req.DeadlineMS > 0 {
-		b.Deadline = time.Duration(req.DeadlineMS) * time.Millisecond
+	ranks := req.Ranks
+	if ranks == 0 {
+		ranks = 1
 	}
-	return jobs.Spec{Name: req.Name, Ranks: req.Ranks, Data: d, Options: opt}, b, nil
+	// A deadline that is not positive is no deadline, to the runner too.
+	b := jobs.Budget{Deadline: time.Duration(req.DeadlineMS) * time.Millisecond}
+	return jobs.Spec{Name: req.Name, Ranks: ranks, Data: d, Options: opt}, b, nil
 }

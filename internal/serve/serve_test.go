@@ -382,6 +382,8 @@ func TestBadRequests(t *testing.T) {
 		// not accepted as a job that fails (and used to be retried).
 		{"negative workers", func(r *JobRequest) { r.Workers = -1; r.MaxRestarts = 3 }},
 		{"one-variable data set", func(r *JobRequest) { r.N = 1 }},
+		// Absent ranks means one; a negative count used to learn at p = 1.
+		{"negative ranks", func(r *JobRequest) { r.Ranks = -3 }},
 	}
 	for _, tc := range cases {
 		if w := post(tc.mutate); w.Code != http.StatusBadRequest {
