@@ -86,14 +86,16 @@ fuzz-wire:
 
 # Short native-fuzzing pass over the score quantizers every selection path
 # shares — no panics on NaN/±Inf/subnormals, weights on [0, MaxWeight], and
-# monotone mappings — and the precomputed scoring kernel's bit-identity with
-# Prior.LogML over arbitrary Stats and priors. One invocation per target (go
-# test allows a single -fuzz match per run).
+# monotone mappings — the precomputed scoring kernel's bit-identity with
+# Prior.LogML over arbitrary Stats and priors, and the certified split
+# decision's agreement with the exact expression it stands for (DESIGN §23).
+# One invocation per target (go test allows a single -fuzz match per run).
 fuzz-score:
 	$(GO) test -run '^$$' -fuzz 'FuzzQuantizeWeights$$' -fuzztime 10s ./internal/score/
 	$(GO) test -run '^$$' -fuzz 'FuzzQuantizeProb$$' -fuzztime 10s ./internal/score/
 	$(GO) test -run '^$$' -fuzz 'FuzzKernelLogML$$' -fuzztime 10s ./internal/score/
 	$(GO) test -run '^$$' -fuzz 'FuzzMemoLogML$$' -fuzztime 10s ./internal/score/
+	$(GO) test -run '^$$' -fuzz 'FuzzSplitImproves$$' -fuzztime 10s ./internal/score/
 
 # Regenerate the full reduced-scale reproduction of the paper's tables and
 # figures (minutes). Performance is the other harness: `go run ./benchmark`.

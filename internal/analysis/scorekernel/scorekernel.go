@@ -11,12 +11,15 @@
 //
 // Inside internal/score itself the check is sharper: the data-dependent
 // Log(βN) suffix (and every other math.Log/math.Lgamma of the score) may be
-// spelled only in Prior.LogML, Kernel.LogML, and the table builder
-// NewKernel. In particular the memo cache (Memo.LogML) is permitted to
-// SERVE logML values precisely because it computes none — it delegates
-// every miss to Kernel.LogML and replays the resulting bits — so a
-// transcendental call appearing in it (or any future score helper) would
-// break the memo's exactness-by-construction argument and is flagged.
+// spelled only in Prior.LogML, Kernel.LogML, the table builder NewKernel,
+// and newLogTable, which fills the approximate logarithm's table from
+// math.Log. The approximate logarithm itself (fastLog) may be called only
+// from Kernel.SplitImproves: its error is budgeted there and nowhere else
+// (DESIGN.md §23), so a second caller would be a score that is merely close.
+// The memo cache (Memo.LogML) is permitted to SERVE logML values precisely
+// because it computes none — it delegates every miss to Kernel.LogML and
+// replays the resulting bits — so a logarithm of either kind appearing in it
+// (or any future score helper) is flagged.
 // Deliberate exceptions carry //parsivet:scorekernel with a justification.
 package scorekernel
 
@@ -30,7 +33,7 @@ import (
 // Analyzer is the scorekernel check.
 var Analyzer = &analysis.Analyzer{
 	Name:     "scorekernel",
-	Doc:      "flags direct math.Lgamma calls outside internal/score, and math.Log/math.Lgamma outside the pinned LogML kernels within it",
+	Doc:      "flags direct math.Lgamma calls outside internal/score, and math.Log/math.Lgamma/fastLog outside the pinned LogML kernels and the certified split decision within it",
 	Suppress: "scorekernel",
 	Run:      run,
 }
@@ -42,6 +45,10 @@ var scoreAllowed = map[string]bool{
 	"Prior.LogML":  true,
 	"Kernel.LogML": true,
 	"NewKernel":    true,
+	// The certified split decision (DESIGN §23): the one caller of fastLog,
+	// and the initialiser of its table.
+	"Kernel.SplitImproves": true,
+	"newLogTable":          true,
 }
 
 func run(pass *analysis.Pass) error {
@@ -63,11 +70,16 @@ func run(pass *analysis.Pass) error {
 				if !ok {
 					return true
 				}
-				sel, ok := call.Fun.(*ast.SelectorExpr)
-				if !ok {
+				var id *ast.Ident
+				switch fun := call.Fun.(type) {
+				case *ast.SelectorExpr:
+					id = fun.Sel
+				case *ast.Ident:
+					id = fun
+				default:
 					return true
 				}
-				fn, ok := pass.TypesInfo.Uses[sel.Sel].(*types.Func)
+				fn, ok := pass.TypesInfo.Uses[id].(*types.Func)
 				if !ok {
 					return true
 				}
@@ -78,7 +90,12 @@ func run(pass *analysis.Pass) error {
 				case "math.Log":
 					if inScore {
 						pass.Reportf(call.Pos(),
-							"math.Log in package score outside Prior.LogML/Kernel.LogML/NewKernel: the Log(βN) suffix has exactly three pinned spellings, and the memo stays exact only by computing none — move the arithmetic into the kernel or annotate //parsivet:scorekernel")
+							"math.Log in package score outside Prior.LogML/Kernel.LogML/NewKernel/newLogTable: the Log(βN) suffix has exactly three pinned spellings, and the memo stays exact only by computing none — move the arithmetic into the kernel or annotate //parsivet:scorekernel")
+					}
+				case pass.Pkg.Path() + ".fastLog":
+					if inScore {
+						pass.Reportf(call.Pos(),
+							"fastLog outside Kernel.SplitImproves: the approximate logarithm's error is budgeted in the certified split decision only (DESIGN §23) — score through Kernel.LogML or annotate //parsivet:scorekernel")
 					}
 				}
 				return true

@@ -12,8 +12,9 @@ import (
 // outside internal/score, and honors //parsivet:scorekernel.
 func TestScoreKernel(t *testing.T) { analysistest.Run(t, scorekernel.Analyzer, "engine") }
 
-// TestScoreInternalRules proves the sharper in-score rule: math.Log and
-// math.Lgamma are permitted only inside Prior.LogML, Kernel.LogML, and
-// NewKernel — a transcendental in the memo (or any other helper) is
-// flagged.
+// TestScoreInternalRules proves the sharper in-score rule in both
+// directions: math.Log and math.Lgamma pass inside Prior.LogML,
+// Kernel.LogML, NewKernel and newLogTable, and fastLog inside
+// Kernel.SplitImproves; a logarithm of either kind in the memo or any other
+// helper is flagged.
 func TestScoreInternalRules(t *testing.T) { analysistest.Run(t, scorekernel.Analyzer, "score") }

@@ -1,7 +1,8 @@
 // Package score mirrors internal/score's sharper rule: the score's
 // math.Log/math.Lgamma spellings are permitted only in Prior.LogML,
-// Kernel.LogML, and the table builder NewKernel. The memo serves cached
-// bits and must compute no transcendental itself.
+// Kernel.LogML, the table builder NewKernel and the approximate logarithm's
+// table initialiser newLogTable; fastLog is called from Kernel.SplitImproves
+// only. The memo serves cached bits and must compute no logarithm itself.
 package score
 
 import "math"
@@ -26,13 +27,33 @@ func NewKernel(x float64) *Kernel {
 	return &Kernel{tables: []float64{lg + math.Log(x)}}
 }
 
+func newLogTable() [2]float64 {
+	return [2]float64{math.Log(1.25), math.Log(1.75)}
+}
+
+var logTab = newLogTable()
+
+func fastLog(x float64) float64 { return logTab[0] + (x - 1.25) }
+
+func (k *Kernel) SplitImproves(l, r, totML float64) bool {
+	return k.tables[0]-fastLog(l)-fastLog(r)-totML > 0
+}
+
 func (m *Memo) LogML(x float64) float64 {
-	return math.Log(x) // want "math.Log in package score outside Prior.LogML/Kernel.LogML/NewKernel"
+	return math.Log(x) // want "math.Log in package score outside Prior.LogML/Kernel.LogML/NewKernel/newLogTable"
+}
+
+func (m *Memo) approxLogML(x float64) float64 {
+	return m.kern.tables[0] - fastLog(x) // want "fastLog outside Kernel.SplitImproves"
+}
+
+func fasterLog(x float64) float64 {
+	return math.Log(float64(float32(x))) // want "math.Log in package score outside Prior.LogML/Kernel.LogML/NewKernel/newLogTable"
 }
 
 func helper(x float64) float64 {
 	v, _ := math.Lgamma(x) // want "direct math.Lgamma call outside the pinned LogML kernels"
-	return v + math.Log(x) // want "math.Log in package score outside Prior.LogML/Kernel.LogML/NewKernel"
+	return v + math.Log(x) // want "math.Log in package score outside Prior.LogML/Kernel.LogML/NewKernel/newLogTable"
 }
 
 func otherMathIsFine(x float64) float64 {

@@ -41,8 +41,7 @@ const MaxKernelTableN = MaxBlockCells
 
 // kernelEntry holds every count-only intermediate of Prior.LogML for one
 // block count n, each computed at construction with the exact operation
-// sequence the direct evaluation performs. One entry is 48 bytes, so the
-// whole per-count state of a call sits on a single cache line.
+// sequence the direct evaluation performs.
 type kernelEntry struct {
 	// c1 = (lnΓ(α₀+n/2) − lnΓ(α₀)) + α₀·ln β₀ — the score's count-only
 	// leading terms, folded left to right exactly as Prior.LogML folds them.
@@ -54,6 +53,10 @@ type kernelEntry struct {
 	// lamN = λ₀·n and twoLam = 2·(λ₀+n), the count-only factors of βN's
 	// shrinkage term λ₀·n·(mean−μ₀)² / (2·λN).
 	lamN, twoLam float64
+	// mag = |c1|+|c2|+|c3|, the count-only part of the magnitude that
+	// SplitImproves' rounding margin is proportional to. Not part of the
+	// score.
+	mag float64
 }
 
 // Kernel is a precomputed, exact re-expression of one Prior's LogML:
@@ -67,12 +70,6 @@ type Kernel struct {
 	// by Prior.LogML, still exact). Atomic: the splits pool shares one
 	// kernel across workers. The table-hit path never touches it.
 	fallbacks atomic.Int64
-	// zeroN counts LogML calls on empty blocks (s.N == 0), which return 0
-	// without consulting the table or the prior. Counted so the
-	// observability layer can derive true table serves instead of crediting
-	// these early returns to the table. Atomic, but off the table-hit path:
-	// only empty-block calls pay it.
-	zeroN atomic.Int64
 }
 
 // NewKernel precomputes the scoring kernel of p for block counts 0…maxN.
@@ -100,7 +97,7 @@ func NewKernel(p Prior, maxN int) *Kernel {
 		lambdaN := p.Lambda0 + n
 		alphaN := p.Alpha0 + n/2
 		lgA, _ := math.Lgamma(alphaN)
-		k.tab[i] = kernelEntry{
+		e := kernelEntry{
 			c1:     lgA - lg0 + p.Alpha0*logBeta0,
 			c2:     0.5 * (logLambda0 - math.Log(lambdaN)),
 			c3:     n / 2 * log2Pi,
@@ -108,6 +105,8 @@ func NewKernel(p Prior, maxN int) *Kernel {
 			lamN:   p.Lambda0 * n,
 			twoLam: 2 * lambdaN,
 		}
+		e.mag = math.Abs(e.c1) + math.Abs(e.c2) + math.Abs(e.c3)
+		k.tab[i] = e
 	}
 	return k
 }
@@ -122,10 +121,6 @@ func (k *Kernel) TableLen() int { return len(k.tab) }
 // construction — the cache-miss counter the observability layer exposes.
 func (k *Kernel) Fallbacks() int64 { return k.fallbacks.Load() }
 
-// ZeroN returns how many LogML calls were empty-block (s.N == 0) early
-// returns since construction — calls the table never served.
-func (k *Kernel) ZeroN() int64 { return k.zeroN.Load() }
-
 // LogML returns the normal-gamma marginal log-likelihood of the block whose
 // sufficient statistics are s, bit-equal to Prior.LogML(s). The remaining
 // operations are the data-dependent suffix of Prior.LogML's evaluation,
@@ -134,7 +129,6 @@ func (k *Kernel) ZeroN() int64 { return k.zeroN.Load() }
 // operands.
 func (k *Kernel) LogML(s Stats) float64 {
 	if s.N == 0 {
-		k.zeroN.Add(1)
 		return 0
 	}
 	if s.N < 0 || s.N >= int64(len(k.tab)) {
@@ -142,6 +136,16 @@ func (k *Kernel) LogML(s Stats) float64 {
 		return k.prior.LogML(s)
 	}
 	e := &k.tab[s.N]
+	return e.c1 - e.alphaN*math.Log(k.betaN(e, s)) + e.c2 - e.c3
+}
+
+// betaN is the data-dependent βN of a non-empty in-table block, e its
+// count's entry: Prior.LogML's operations on the same operands. LogML and
+// SplitImproves both take βN from here, so the certified decision and the
+// exact score it stands for differ in one value only, the logarithm of this
+// result — in particular the cancellation in sumsq − sum²/n is common to
+// both and costs the decision's error budget nothing.
+func (k *Kernel) betaN(e *kernelEntry, s Stats) float64 {
 	n := float64(s.N)
 	sum := float64(s.Sum) / ValueScale
 	sumsq := float64(s.SumSq) / (ValueScale * ValueScale)
@@ -151,6 +155,5 @@ func (k *Kernel) LogML(s Stats) float64 {
 		ss = 0 // guard the analytic non-negativity against rounding
 	}
 	dm := mean - k.prior.Mu0
-	betaN := k.prior.Beta0 + 0.5*ss + e.lamN*dm*dm/e.twoLam
-	return e.c1 - e.alphaN*math.Log(betaN) + e.c2 - e.c3
+	return k.prior.Beta0 + 0.5*ss + e.lamN*dm*dm/e.twoLam
 }

@@ -75,8 +75,7 @@ func mixMemoKey(s Stats) uint64 {
 // LogML returns the kernel's LogML(s) — bit-identical, served from the
 // cache when the exact triple was seen before. Empty blocks return 0
 // without touching the cache or the kernel, mirroring Kernel.LogML's
-// early return (so the kernel's ZeroN counter stays a pure unbatched-path
-// counter).
+// early return.
 func (m *Memo) LogML(s Stats) float64 {
 	if s.N == 0 {
 		m.zero++

@@ -78,20 +78,6 @@ func TestMemoCounters(t *testing.T) {
 	}
 }
 
-// TestMemoZeroBypassesKernel: the memo answers empty blocks itself, so the
-// kernel's ZeroN counter stays untouched by the batched path.
-func TestMemoZeroBypassesKernel(t *testing.T) {
-	kern := NewKernel(DefaultPrior(), 64)
-	m := NewMemo(kern, 16)
-	m.LogML(Stats{})
-	if kern.ZeroN() != 0 {
-		t.Fatalf("kernel ZeroN %d after memo empty-block call, want 0", kern.ZeroN())
-	}
-	if kern.LogML(Stats{}) != 0 || kern.ZeroN() != 1 {
-		t.Fatalf("kernel ZeroN %d after direct empty-block call, want 1", kern.ZeroN())
-	}
-}
-
 // TestNewMemoSizing: power-of-two rounding and the ≤0 default.
 func TestNewMemoSizing(t *testing.T) {
 	kern := NewKernel(DefaultPrior(), 0)

@@ -82,8 +82,7 @@ func LearnParallelDynamic(rc rank.Context, q *score.QData, pr score.Prior, modul
 		// which rank computes which chunk is demand-driven, and per-rank
 		// cost events would break the event-stream determinism the static
 		// and scan paths guarantee. The metrics are sums over whatever this
-		// rank was dealt, so the registry totals stay schedule-invariant
-		// (but for the memo's hit/miss split).
+		// rank was dealt, so the registry totals stay schedule-invariant.
 		reg := rc.Hooks.Registry()
 		var steps []int
 		for {

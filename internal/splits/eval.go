@@ -38,8 +38,11 @@ import (
 const StreamLayout = 2
 
 // drawCost is the cost-model weight of a bootstrap pick — MRG3 draw, bounded
-// reduction, bucket accumulate — which measures about half a memoised logML
-// (the benchmark's prng.fill_ns_per_draw against score.memo_logml_ns).
+// reduction, bucket accumulate — half a block score. The weights were fitted
+// when a threshold-step cost two memoised logML lookups; a certified decision
+// is cheaper than that, so candCost now over-charges the thresholds relative
+// to the draws, uniformly over the candidates. They stay as recorded (the
+// workload digests pin them) until ROADMAP item 3(b) re-weighs each phase.
 const drawCost = trace.LogMLCost / 2
 
 // candCost is a candidate's own share of the recorded cost: two block
@@ -187,12 +190,14 @@ type scratch struct {
 	// drawing, ascending.
 	groups []group
 	live   []int32
-	// memo is the worker's exact logML cache over the run's kernel.
-	memo *score.Memo
-	// pairSteps, draws and calls count resamples, bootstrap picks and logML
-	// evaluations (1 + 2·live per pair-step); cands the candidates scored
-	// in the current eval call.
-	pairSteps, draws, calls, cands int64
+	// pairSteps and draws count resamples and bootstrap picks; decisions the
+	// threshold-steps (one per live threshold per pair-step), of which empty
+	// had nothing on one side, repeated had the previous live threshold's
+	// left block, and exactFallbacks were scored exactly because the
+	// certified test could not tell — the rest were certified. cands is the candidates
+	// scored in the current eval call.
+	pairSteps, draws, cands                    int64
+	decisions, empty, repeated, exactFallbacks int64
 }
 
 // group is one distinct threshold of the pair being evaluated: whether the
@@ -267,7 +272,7 @@ func newEvaluator(rc rank.Context, q *score.QData, pr score.Prior, modules [][]i
 	// write into a shared cache line.
 	ev.scratches = make([]*scratch, max(1, rc.Workers))
 	for w := range ev.scratches {
-		ev.scratches[w] = &scratch{memo: score.NewMemo(ev.kern, 0)}
+		ev.scratches[w] = &scratch{}
 	}
 	return ev
 }
@@ -346,7 +351,7 @@ func (ev *evaluator) evalPair(sc *scratch, ref *nodeRef, pi, from, to int, post 
 
 	sub := ev.base.Substream(uint64(ref.offset + pi*nObs))
 	draw := prng.NewUniform(nObs)
-	cols, memo, w := ref.colStats, sc.memo, ev.par.MaxSteps+1
+	cols, kern, w := ref.colStats, ev.kern, ev.par.MaxSteps+1
 	step := 0
 	for len(live) > 0 {
 		step++
@@ -359,14 +364,37 @@ func (ev *evaluator) evalPair(sc *scratch, ref *nodeRef, pi, from, to int, post 
 			bkt[d].Merge(bkt[d-1])
 		}
 		tot := bkt[groups-1]
-		totML := memo.LogML(tot)
-		sc.calls += int64(1 + 2*len(live))
+		totML := kern.LogML(tot)
+		sc.decisions += int64(len(live))
+		// prev is the left block of the previous live threshold of this
+		// step, better its answer: the decision is a pure function of
+		// (ls, tot), so an equal block — no pick fell between the two
+		// thresholds — has the same answer. Before the first threshold
+		// prev is the empty block, which the first case answers.
+		var prev score.Stats
+		better := false
 		n := 0
 		for _, d := range live {
 			ls := bkt[d]
-			rs := score.Stats{N: tot.N - ls.N, Sum: tot.Sum - ls.Sum, SumSq: tot.SumSq - ls.SumSq}
+			switch {
+			case ls.N == 0 || ls.N == tot.N:
+				// One side is empty and the other is the whole resample:
+				// 0 + logML(tot) − logML(tot) is not above zero.
+				sc.empty++
+				better = false
+			case ls == prev:
+				sc.repeated++
+			default:
+				rs := score.Stats{N: tot.N - ls.N, Sum: tot.Sum - ls.Sum, SumSq: tot.SumSq - ls.SumSq}
+				var certified bool
+				better, certified = kern.SplitImproves(ls, rs, totML)
+				if !certified {
+					sc.exactFallbacks++
+				}
+			}
+			prev = ls
 			g := &gs[d]
-			if delta := memo.LogML(ls) + memo.LogML(rs) - totML; delta > 0 {
+			if better {
 				g.succ++
 			}
 			if ev.stop[step*w+int(g.succ)] {
@@ -410,18 +438,18 @@ func (ev *evaluator) observe(st pool.Stats, steps []int) {
 // recordMetrics records the result-invisible split-phase metrics of the
 // candidates this evaluator scored, whose per-candidate step counts are
 // steps. Every strategy goes through it, so same-seed runs that differ only
-// in the exchange strategy dump identical split_steps. Table hits are
-// derived rather than counted in the hot loop: every logML call is exactly
-// one of an empty-block early return, a memo serve, or a kernel call that
-// hit the table or fell back to Prior.LogML, so
+// in the exchange strategy dump identical split_steps. A threshold-step — one
+// live threshold in one pair-step — is exactly one of certified, exact
+// fallback, empty side or repeated neighbour, counted per worker; the exact
+// Kernel.LogML calls follow from them, one for the resample total of every
+// pair-step and two per fallback, so the table counters are derived,
 //
-//	hits = calls − zero − memoHits − fallbacks
+//	hits = pairSteps + 2·fallbacks − misses
 //
 // and the table-hit path stays free of atomics. split_steps is the
-// per-candidate count and identical for every p × W × strategy; the pair
-// and draw counters are the work actually done, replay at cut pairs
-// included, and like the memo's hit/miss split (cache state is per worker)
-// depend on where the ranges were cut.
+// per-candidate count and identical for every p × W × strategy; the pair,
+// draw and decision counters are the work actually done, replay at cut pairs
+// included, and depend on where the ranges were cut.
 func (ev *evaluator) recordMetrics(reg *obs.Registry, steps []int) {
 	if reg == nil {
 		return
@@ -435,25 +463,25 @@ func (ev *evaluator) recordMetrics(reg *obs.Registry, steps []int) {
 	for s, n := range counts {
 		hist.ObserveN(float64(s), n)
 	}
-	var pairSteps, draws, calls, memoHits, memoMisses, zero int64
+	var pairSteps, draws, decisions, empty, repeated, fallbacks int64
 	for _, sc := range ev.scratches {
 		pairSteps += sc.pairSteps
 		draws += sc.draws
-		calls += sc.calls
-		memoHits += sc.memo.Hits()
-		memoMisses += sc.memo.Misses()
-		zero += sc.memo.Zero()
+		decisions += sc.decisions
+		empty += sc.empty
+		repeated += sc.repeated
+		fallbacks += sc.exactFallbacks
 	}
-	zero += ev.kern.ZeroN()
 	misses := ev.kern.Fallbacks()
 	counter := func(name, help string, v int64) { reg.Counter(name, help, "phase", PhaseAssign).Add(v) }
 	counter("split_pair_steps", "bootstrap resamples drawn, one per ⟨node,parent⟩ pair-step", pairSteps)
 	counter("split_draws_total", "bootstrap picks drawn by split scoring", draws)
-	counter("kernel_table_hits_total", "split-score kernel LogML calls served from the precomputed tables", calls-zero-memoHits-misses)
+	counter("split_decisions_certified_total", "threshold-steps whose sign the approximate logarithm certified, no exact logML evaluated", decisions-empty-repeated-fallbacks)
+	counter("split_decisions_fallback_total", "threshold-steps too close to call, decided by two exact Kernel.LogML evaluations", fallbacks)
+	counter("split_decisions_empty_total", "threshold-steps with an empty side, answered no without scoring", empty)
+	counter("split_decisions_repeated_total", "threshold-steps whose left block equalled the previous live threshold's, answered alike without scoring", repeated)
+	counter("kernel_table_hits_total", "split-score kernel LogML calls served from the precomputed tables", pairSteps+2*fallbacks-misses)
 	counter("kernel_table_misses_total", "split-score kernel LogML calls that fell back to direct Prior.LogML", misses)
-	counter("kernel_memo_hits_total", "split-score logML calls served from the per-worker exact memo caches", memoHits)
-	counter("kernel_memo_misses_total", "split-score logML memo lookups that went through to the kernel", memoMisses)
-	counter("kernel_zero_blocks_total", "split-score logML calls on empty blocks (N == 0), answered 0 without a table or memo lookup", zero)
 }
 
 // recordWork appends the full list's per-candidate cost items to the

@@ -19,9 +19,10 @@ import (
 // layout — one substream per pair, one resample per step shared by the
 // pair's thresholds — computed the slow way. Picks come from scalar Intn
 // draws, every live threshold rescans the resample through its own
-// left/right comparison, blocks are scored by Prior.LogML directly (no
-// kernel tables, no memo), and the stopping rule is the float expression
-// itself rather than the hoisted table. It returns the pair's posteriors
+// left/right comparison, every decision is the exact expression through
+// Prior.LogML (no kernel tables, no certified sign test, no shortcut for
+// empty sides or repeated blocks), and the stopping rule is the float
+// expression itself rather than the hoisted table. It returns the pair's posteriors
 // and step counts by slot.
 func naivePair(q *score.QData, pr score.Prior, ref *nodeRef, parent int, sub *prng.MRG3, par Params) ([]float64, []int) {
 	nObs := len(ref.node.Obs)
@@ -76,8 +77,9 @@ func naivePair(q *score.QData, pr score.Prior, ref *nodeRef, parent int, sub *pr
 }
 
 // TestPosteriorMatchesPreKernel: the evaluator — bucket/prefix resample
-// sums, threshold groups scored once, kernel tables behind the exact memo,
-// the hoisted stop table — must return the identical (posterior, steps)
+// sums, threshold groups scored once, the certified split decision over the
+// kernel tables with its empty-side and repeated-neighbour shortcuts, the
+// hoisted stop table — must return the identical (posterior, steps)
 // pair, same float bits, as the naive kernel-less evaluation of the same
 // stream layout, for every candidate.
 func TestPosteriorMatchesPreKernel(t *testing.T) {
@@ -138,69 +140,84 @@ func TestPosteriorBatchBitIdentical(t *testing.T) {
 	}
 }
 
-// TestKernelHitCounterExact pins the logML call identity the derived
-// kernel_table_hits_total rests on: a pair-step scores the resample total
-// once and two blocks per live distinct threshold — 1 + 2·live calls — and
-// every call is exactly one of an empty-block return, a memo serve, a table
-// hit or a fallback. The expected call count is rebuilt here from the
-// per-candidate step counts alone.
+// TestKernelHitCounterExact pins the accounting of a threshold-step. Every
+// live distinct threshold of every pair-step is exactly one of certified,
+// exact fallback, empty side or repeated neighbour, and the exact
+// Kernel.LogML calls follow: one for the resample total per pair-step and
+// two per fallback, each a table hit or a miss. The expected totals are
+// rebuilt here from the per-candidate step counts alone. With the table the
+// evaluator sizes there is no miss and — on this fixture — no near tie, so
+// the second run halves the table: blocks beyond it cannot be certified,
+// which exercises the fallback and miss terms without moving a posterior.
 func TestKernelHitCounterExact(t *testing.T) {
 	q, modules, trees, _ := fixture(t, 16)
-	reg := obs.NewRegistry()
-	ev := newEvaluator(on(comm.Self(), 1, reg), q, score.DefaultPrior(), modules, trees,
-		Params{MaxSteps: 24}, prng.New(21))
-	_, steps, st := ev.eval(0, ev.total)
-	ev.observe(st, steps)
-
-	var pairSteps, thresholdSteps, draws int64
-	for _, ref := range ev.nodes {
-		nObs := len(ref.node.Obs)
-		for pi, parent := range ev.par.Candidates {
-			first := ref.offset + pi*nObs
-			// Equal-valued thresholds are one group, scored once.
-			byValue := map[int64]int{}
-			for k, j := range ref.node.Obs {
-				byValue[q.At(parent, j)] = steps[first+k]
-			}
-			longest := 0
-			for _, s := range byValue {
-				thresholdSteps += int64(s)
-				longest = max(longest, s)
-			}
-			pairSteps += int64(longest)
-			draws += int64(longest * nObs)
+	var wantPost []float64
+	for _, shrink := range []bool{false, true} {
+		reg := obs.NewRegistry()
+		ev := newEvaluator(on(comm.Self(), 1, reg), q, score.DefaultPrior(), modules, trees,
+			Params{MaxSteps: 24}, prng.New(21))
+		if shrink {
+			ev.kern = score.NewKernel(score.DefaultPrior(), maxStatsN(ev.nodes)/2)
 		}
-	}
-	counter := func(metric string) int64 {
-		return reg.Counter(metric, "", "phase", PhaseAssign).Value()
-	}
-	if got := counter("split_pair_steps"); got != pairSteps {
-		t.Errorf("split_pair_steps %d, want %d", got, pairSteps)
-	}
-	if got := counter("split_draws_total"); got != draws {
-		t.Errorf("split_draws_total %d, want %d", got, draws)
-	}
-	calls := pairSteps + 2*thresholdSteps
-	hits, misses := counter("kernel_table_hits_total"), counter("kernel_table_misses_total")
-	memoHits, memoMisses := counter("kernel_memo_hits_total"), counter("kernel_memo_misses_total")
-	zero := counter("kernel_zero_blocks_total")
-	if got := hits + misses + memoHits + zero; got != calls {
-		t.Errorf("hits %d + fallbacks %d + memo serves %d + empty blocks %d = %d logML calls, want 1+2·live per pair-step = %d",
-			hits, misses, memoHits, zero, got, calls)
-	}
-	if memoMisses != hits+misses {
-		t.Errorf("memo passed %d lookups through, the kernel answered %d", memoMisses, hits+misses)
-	}
-	if misses != 0 {
-		t.Errorf("%d fallbacks, want 0 (maxStatsN sizes the table to cover every block)", misses)
-	}
-	if hits <= 0 || memoHits <= 0 {
-		t.Errorf("table hits %d, memo hits %d: want both > 0", hits, memoHits)
-	}
-	// The premise of deriving rather than counting: empty-block calls do
-	// happen on this fixture (one-sided resamples) and are not table hits.
-	if zero == 0 {
-		t.Error("no empty-block calls observed; fixture does not exercise the derivation")
+		post, steps, st := ev.eval(0, ev.total)
+		ev.observe(st, steps)
+		if wantPost == nil {
+			wantPost = post
+		} else if !reflect.DeepEqual(post, wantPost) {
+			t.Fatal("half table: posteriors differ from the full table's")
+		}
+
+		var pairSteps, thresholdSteps, draws int64
+		for _, ref := range ev.nodes {
+			nObs := len(ref.node.Obs)
+			for pi, parent := range ev.par.Candidates {
+				first := ref.offset + pi*nObs
+				// Equal-valued thresholds are one group, scored once.
+				byValue := map[int64]int{}
+				for k, j := range ref.node.Obs {
+					byValue[q.At(parent, j)] = steps[first+k]
+				}
+				longest := 0
+				for _, s := range byValue {
+					thresholdSteps += int64(s)
+					longest = max(longest, s)
+				}
+				pairSteps += int64(longest)
+				draws += int64(longest * nObs)
+			}
+		}
+		counter := func(metric string) int64 {
+			return reg.Counter(metric, "", "phase", PhaseAssign).Value()
+		}
+		if got := counter("split_pair_steps"); got != pairSteps {
+			t.Errorf("split_pair_steps %d, want %d", got, pairSteps)
+		}
+		if got := counter("split_draws_total"); got != draws {
+			t.Errorf("split_draws_total %d, want %d", got, draws)
+		}
+		certified, fallbacks := counter("split_decisions_certified_total"), counter("split_decisions_fallback_total")
+		empty, repeated := counter("split_decisions_empty_total"), counter("split_decisions_repeated_total")
+		if got := certified + fallbacks + empty + repeated; got != thresholdSteps {
+			t.Errorf("certified %d + fallbacks %d + empty %d + repeated %d = %d threshold-steps, want one per live threshold per pair-step = %d",
+				certified, fallbacks, empty, repeated, got, thresholdSteps)
+		}
+		hits, misses := counter("kernel_table_hits_total"), counter("kernel_table_misses_total")
+		if got, want := hits+misses, pairSteps+2*fallbacks; got != want {
+			t.Errorf("table hits %d + misses %d = %d exact logML calls, want pair-steps + 2·fallbacks = %d", hits, misses, got, want)
+		}
+		if misses != ev.kern.Fallbacks() {
+			t.Errorf("kernel_table_misses_total %d, the kernel counted %d", misses, ev.kern.Fallbacks())
+		}
+		// The premise of naming the cases: each occurs on this fixture.
+		if certified <= 0 || empty <= 0 || repeated <= 0 || hits <= 0 {
+			t.Errorf("certified %d, empty %d, repeated %d, table hits %d: want all > 0", certified, empty, repeated, hits)
+		}
+		if !shrink && (fallbacks != 0 || misses != 0) {
+			t.Errorf("%d fallbacks, %d table misses, want 0 (maxStatsN sizes the table to cover every block, and no decision of this fixture is a near tie)", fallbacks, misses)
+		}
+		if shrink && (fallbacks <= 0 || misses <= 0) {
+			t.Errorf("half table: %d fallbacks, %d misses, want both > 0", fallbacks, misses)
+		}
 	}
 }
 
