@@ -200,11 +200,13 @@ func TestObservabilityCheckpointEvents(t *testing.T) {
 // component in its own reviewed commit — as stream layout 2 did (split
 // posteriors, cost model and counters), and as the distribution rule did for
 // `workload` alone (DESIGN §19: a decision below the constant is recorded as
-// serial cost, with no items, collectives or words).
+// serial cost, with no items, collectives or words), and as the certified
+// split decision did for `registry` alone (DESIGN §23: the split phase counts
+// what each threshold-step was instead of memo hits and misses).
 func TestClusterShapedTelemetryPinned(t *testing.T) {
 	pinned := map[string]string{
 		"events":   "3ae41ce4fe48e4f0493ac43909139e24a1f80e9f55f27502167690d8008ebed2",
-		"registry": "727fe95d2136a8ab74dba4b91ea313f6cf35119456153091dfa9879971fc38dd",
+		"registry": "069beba087f102cceae138488053f5c34cc357af2a567cd3f74b84220484391e",
 		"workload": "d302de9767eba6c54ea21c6494e1fea5d90d0e2d02b46e330f4b85a19885093b",
 		"network":  "cb0153644902bae7a085e9aa8254c207ac52ed54b59b3c65a4a4dee7099d04c6",
 	}
