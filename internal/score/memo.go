@@ -1,18 +1,17 @@
-// The exact logML memo of the batched split scorer. Bootstrap resamples of
-// the same ⟨node, parent⟩ pair keep producing blocks with identical
-// sufficient statistics — skewed thresholds put small integer multiples of
-// the same few observation columns on one side over and over — and every
-// repeat pays Kernel.LogML's data-dependent Log(βN) suffix again. Memo
+// The exact logML memo. A caller that keeps producing blocks with identical
+// sufficient statistics — the reference engine's split bootstrap rescans the
+// same few observation columns into the same sides over and over — pays
+// Kernel.LogML's data-dependent Log(βN) suffix again on every repeat. Memo
 // caches the result keyed on the *exact integer* sufficient-statistic
 // triple (N, Sum, SumSq), so a repeated block is served the bit-identical
 // float64 the kernel produced the first time: integer keys mean there is no
 // rounding in the lookup, only equality, which is what makes the cache
 // exact (the same discipline as the kernel's integer count key, DESIGN
-// §11/§16).
+// §11/§16). The split evaluator itself no longer needs one (DESIGN §23).
 //
 // The cache is direct-mapped with power-of-two slots and overwrites on
 // collision: a single probe and a single three-word compare per lookup, no
-// chains, no eviction bookkeeping. It is deliberately per-worker (not
+// chains, no eviction bookkeeping. It is deliberately single-owner (not
 // safe for concurrent use) so the hot path needs no atomics and the
 // hit/miss counters are plain int64s.
 
@@ -30,8 +29,8 @@ type memoSlot struct {
 	val float64
 }
 
-// Memo is a per-worker exact memo cache over one Kernel's LogML. Not safe
-// for concurrent use: each pool worker owns one.
+// Memo is an exact memo cache over one Kernel's LogML. Not safe for
+// concurrent use: one goroutine owns it.
 type Memo struct {
 	kern  *Kernel
 	mask  uint64
