@@ -12,7 +12,7 @@ GO ?= go
 # Iterations of the seeded cancel/fault chaos soak (`make soak`).
 SOAK_ITERS ?= 25
 
-.PHONY: tier1 fmt vet lint lint-fast build test race faults soak fuzz fuzz-score fuzz-wire bench bench-cluster bench-hybrid serve-smoke
+.PHONY: tier1 fmt vet lint build test race faults soak fuzz fuzz-score fuzz-wire bench bench-cluster bench-hybrid serve-smoke
 
 tier1: fmt vet lint build test race faults
 
@@ -25,20 +25,16 @@ fmt:
 vet:
 	$(GO) vet ./...
 
-# The parsivet suite (cmd/parsivet): repo-specific static enforcement of
-# the determinism, PRNG, float-comparison, comm-symmetry, worker-pool, and
-# whole-program reachability invariants (detreach/commreach/errsink walk the
-# interprocedural call graph). Standard library only — builds from the local
-# module cache, no network. `parsivet -json ./...` emits machine-readable
-# findings. -strict-suppressions keeps //parsivet: audit comments honest by
-# failing on stale ones; -time records the lint wall time on stderr.
+# The parsivet suite (cmd/parsivet): seven analyzers, one per contract —
+# map order, float comparison, worker pool and score kernel per package;
+# PRNG/wallclock (detreach), comm symmetry (commreach) and dropped
+# comm/wire/checkpoint errors (errsink) over the whole-program call graph.
+# Standard library only — builds from the local module cache, no network.
+# `parsivet -json ./...` emits machine-readable findings.
+# -strict-suppressions keeps //parsivet: audit comments honest by failing on
+# stale ones; -time records the lint wall time on stderr.
 lint:
 	$(GO) run ./cmd/parsivet -time -strict-suppressions ./...
-
-# Syntactic analyzers only — skips call-graph construction for a sub-second
-# pre-commit loop. The full lint stays in tier1.
-lint-fast:
-	$(GO) run ./cmd/parsivet -fast ./...
 
 build:
 	$(GO) build ./...

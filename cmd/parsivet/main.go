@@ -1,38 +1,34 @@
 // Command parsivet is the repo's determinism linter: a multichecker of
-// nine analyzers that statically enforce the invariants the reproduction's
-// bit-identity guarantee rests on (see internal/analysis):
+// seven analyzers, one per contract, that statically enforce the
+// invariants the reproduction's bit-identity guarantee rests on (see
+// internal/analysis):
 //
 //	maporder    — no unordered map iteration in deterministic packages
-//	prngonly    — stochastic draws only via internal/prng; no wallclock reads
 //	floateq     — no raw float ==/!= outside internal/score's quantizers
-//	commsym     — no rank-guarded collectives, no dropped comm/checkpoint errors
 //	seqcount    — no ad-hoc goroutines bypassing internal/pool
 //	scorekernel — no direct math.Lgamma outside internal/score's LogML kernels
-//	detreach    — no deterministic entry point transitively reaches a
-//	              wallclock/PRNG/env sink (whole-program, call-graph based)
-//	commreach   — no rank-guarded call transitively reaches a comm collective
-//	errsink     — no comm/wire/checkpoint error discarded along an
-//	              interprocedural propagation chain
+//	detreach    — stochastic draws only via internal/prng, no wallclock
+//	              reads, and no deterministic entry point transitively
+//	              reaches a wallclock/PRNG/env sink
+//	commreach   — no rank-guarded call is or transitively reaches a comm
+//	              collective
+//	errsink     — no comm/wire/checkpoint error discarded, directly or
+//	              along an interprocedural propagation chain
 //
-// The first six are per-package syntactic checks; the last three build a
+// The first four are per-package syntactic checks; the last three build a
 // static call graph over every loaded package (internal/analysis/callgraph)
 // and propagate taint across package boundaries, so their findings carry
 // the full call path from entry point to sink.
 //
 // Usage:
 //
-//	parsivet [-json] [-fast] [-strict-suppressions] [-time] [packages]
+//	parsivet [-json] [-strict-suppressions] [-time] [packages]
 //
 // Packages default to ./... . Exit status is 0 when clean, 1 when findings
 // remain, 2 on a load or usage error. Findings are silenced per site with
 // //parsivet:<keyword> comments on the flagged line or the line above;
 // several keywords share one comment separated by commas
 // (see internal/analysis for the convention).
-//
-// -fast runs only the per-package syntactic analyzers, skipping call-graph
-// construction — a sub-second pre-commit loop. It cannot be combined with
-// -strict-suppressions: stale detection over a subset of analyzers would
-// misreport the whole-program keywords as unknown.
 //
 // -strict-suppressions additionally flags every //parsivet: comment that no
 // analyzer consulted during the run — stale annotations that outlived the
@@ -70,21 +66,17 @@ import (
 
 	"parsimone/internal/analysis"
 	"parsimone/internal/analysis/commreach"
-	"parsimone/internal/analysis/commsym"
 	"parsimone/internal/analysis/detreach"
 	"parsimone/internal/analysis/errsink"
 	"parsimone/internal/analysis/floateq"
 	"parsimone/internal/analysis/maporder"
-	"parsimone/internal/analysis/prngonly"
 	"parsimone/internal/analysis/scorekernel"
 	"parsimone/internal/analysis/seqcount"
 )
 
 var analyzers = []*analysis.Analyzer{
 	maporder.Analyzer,
-	prngonly.Analyzer,
 	floateq.Analyzer,
-	commsym.Analyzer,
 	seqcount.Analyzer,
 	scorekernel.Analyzer,
 	detreach.Analyzer,
@@ -99,11 +91,10 @@ func main() {
 func run(args []string) int {
 	fs := flag.NewFlagSet("parsivet", flag.ContinueOnError)
 	jsonOut := fs.Bool("json", false, "emit findings as a JSON array on stdout")
-	fast := fs.Bool("fast", false, "run only the per-package syntactic analyzers (skips call-graph checks)")
 	strict := fs.Bool("strict-suppressions", false, "also flag stale and unknown //parsivet: comments")
 	timed := fs.Bool("time", false, "print lint wall time to stderr")
 	fs.Usage = func() {
-		fmt.Fprintln(fs.Output(), "usage: parsivet [-json] [-fast] [-strict-suppressions] [-time] [packages]")
+		fmt.Fprintln(fs.Output(), "usage: parsivet [-json] [-strict-suppressions] [-time] [packages]")
 		fs.PrintDefaults()
 		fmt.Fprintln(fs.Output(), "\nanalyzers:")
 		for _, a := range analyzers {
@@ -113,31 +104,18 @@ func run(args []string) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if *fast && *strict {
-		fmt.Fprintln(os.Stderr, "parsivet: -fast and -strict-suppressions cannot be combined: stale detection needs every analyzer's keywords in play")
-		return 2
-	}
 	patterns := fs.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
-	}
-	active := analyzers
-	if *fast {
-		active = nil
-		for _, a := range analyzers {
-			if a.Run != nil {
-				active = append(active, a)
-			}
-		}
 	}
 	//parsivet:wallclock — lint harness timing for the -time flag, reported to the operator, never part of analysis results
 	start := time.Now()
 	var diags []analysis.Diagnostic
 	var err error
 	if *strict {
-		diags, err = analysis.RunStrict(patterns, active)
+		diags, err = analysis.RunStrict(patterns, analyzers)
 	} else {
-		diags, err = analysis.Run(patterns, active)
+		diags, err = analysis.Run(patterns, analyzers)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

@@ -18,8 +18,8 @@
 //
 // # Suppression convention
 //
-// Every analyzer has a suppression keyword. A finding is silenced by a
-// `//parsivet:<keyword>` comment on the flagged line or on the line
+// Every analyzer has its own suppression keyword. A finding is silenced by
+// a `//parsivet:<keyword>` comment on the flagged line or on the line
 // directly above it; the rest of the comment line should say why the site
 // is safe, e.g.
 //
@@ -27,11 +27,11 @@
 //	for k := range m { ... }
 //
 // A site flagged by more than one analyzer carries the keywords
-// comma-separated in a single comment: //parsivet:commsym,errsink — why.
-// The keywords are "ordered" (maporder), "wallclock" (prngonly), "floateq"
-// (floateq), "commsym" (commsym), "seqcount" (seqcount), "scorekernel"
-// (scorekernel), and — for the interprocedural analyzers layered on the
-// callgraph subpackage — "detreach", "commreach", and "errsink".
+// comma-separated in a single comment: //parsivet:commreach,errsink — why.
+// The keywords are "ordered" (maporder), "floateq" (floateq), "seqcount"
+// (seqcount), "scorekernel" (scorekernel), and — for the interprocedural
+// analyzers layered on the callgraph subpackage — "wallclock" (detreach),
+// "commreach", and "errsink".
 //
 // Suppressions are tracked: the strict driver mode (`parsivet
 // -strict-suppressions`, wired into `make lint`) reports any //parsivet:
@@ -159,6 +159,12 @@ var WallclockExempt = map[string]bool{
 // IsDeterministic reports whether pkg is one of the bit-identity packages.
 func IsDeterministic(pkg *types.Package) bool {
 	return pkg != nil && DeterministicPackages[pkg.Name()]
+}
+
+// InPackage reports whether pkg is the package named name (comm, wire),
+// matched by import-path suffix so the analyzer testdata resolves too.
+func InPackage(pkg *types.Package, name string) bool {
+	return pkg != nil && (pkg.Path() == name || strings.HasSuffix(pkg.Path(), "/"+name))
 }
 
 // Program is the whole-program view the interprocedural analyzers run on:

@@ -20,9 +20,9 @@ func TestParseSuppressions(t *testing.T) {
 		{"//parsivet:ordered", []string{"ordered"}},
 		{"//parsivet:ordered — keys sorted below", []string{"ordered"}},
 		{"//parsivet:wallclock harness timing", []string{"wallclock"}},
-		{"//parsivet:commsym,errsink — audited drop", []string{"commsym", "errsink"}},
-		{"//parsivet:commsym,errsink,detreach why", []string{"commsym", "errsink", "detreach"}},
-		{"//parsivet:commsym, errsink — space breaks the list", []string{"commsym"}},
+		{"//parsivet:commreach,errsink — audited drop", []string{"commreach", "errsink"}},
+		{"//parsivet:commreach,errsink,wallclock why", []string{"commreach", "errsink", "wallclock"}},
+		{"//parsivet:commreach, errsink — space breaks the list", []string{"commreach"}},
 		{"// parsivet:ordered", nil}, // space breaks the marker, like //go: directives
 		{"//parsivet:", nil},
 		{"//parsivet:,ordered", nil}, // the list must open with a keyword
@@ -109,20 +109,20 @@ func TestSuppressionMultipleKeywords(t *testing.T) {
 	src := `package p
 
 func f() {
-	//parsivet:commsym,errsink — one audited site, two analyzers
+	//parsivet:commreach,errsink — one audited site, two analyzers
 	work()
 }
 
 func work() {}
 `
 	idx := trackerFor(t, src)
-	for _, kw := range []string{"commsym", "errsink"} {
+	for _, kw := range []string{"commreach", "errsink"} {
 		d := Diagnostic{Suppress: kw, Position: token.Position{Filename: "p.go", Line: 5}}
 		if !idx.suppressed(d) {
 			t.Errorf("keyword %q of the comma list should suppress", kw)
 		}
 	}
-	d := Diagnostic{Suppress: "detreach", Position: token.Position{Filename: "p.go", Line: 5}}
+	d := Diagnostic{Suppress: "wallclock", Position: token.Position{Filename: "p.go", Line: 5}}
 	if idx.suppressed(d) {
 		t.Error("a keyword outside the comma list must not suppress")
 	}
@@ -154,7 +154,7 @@ func other() {}
 	}
 	analyzers := []*Analyzer{
 		{Name: "maporder", Suppress: "ordered"},
-		{Name: "prngonly", Suppress: "wallclock"},
+		{Name: "detreach", Suppress: "wallclock"},
 	}
 	stale := idx.stale(analyzers)
 	if len(stale) != 2 {

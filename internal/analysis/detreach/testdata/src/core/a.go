@@ -5,6 +5,7 @@ package core
 
 import (
 	"os"
+	"time"
 
 	"sinklib"
 )
@@ -33,8 +34,14 @@ func Closure() func() int64 {
 // AuditedHop takes the tainted dependency at an audited call site: the
 // suppression on the line above is the taint barrier.
 func AuditedHop() int64 {
-	//parsivet:detreach — audited: timing report only, never feeds learned state (testdata)
+	//parsivet:wallclock — audited: timing report only, never feeds learned state (testdata)
 	return helper()
+}
+
+// Now reads the wallclock itself: the direct rule reports the call where
+// it is written, and the one-hop chain is not reported a second time.
+func Now() int64 {
+	return time.Now().UnixNano() // want "time.Now is a wallclock read"
 }
 
 // AuditedSink calls the helper whose wallclock read carries the audited

@@ -10,14 +10,6 @@ import (
 	"sort"
 )
 
-// Analyze runs the analyzers over one package and returns the unsuppressed
-// findings in position order. Whole-program analyzers see a program of
-// just that package.
-func Analyze(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
-	diags, _, err := analyzeProgram(NewProgram([]*Package{pkg}), analyzers)
-	return diags, err
-}
-
 // AnalyzeProgram runs the analyzers over all packages of prog: per-package
 // analyzers over each package in turn, whole-program analyzers once over
 // the full program. Findings come back unsuppressed and in position order.

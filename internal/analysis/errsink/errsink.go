@@ -1,30 +1,29 @@
 // Package errsink tracks comm/wire/checkpoint errors along interprocedural
-// propagation chains and flags the site where one is discarded. commsym
-// already catches the direct shape — a bare statement dropping the error
-// of a comm run-loop or checkpoint helper — but once the error has been
-// propagated up one level (a loader that returns wire.DecodeFile's error,
-// a resume path that returns the checkpoint reader's), the per-package
-// view no longer knows the discarded error decides resume safety.
+// propagation chains and flags the site where one is discarded, since a
+// swallowed checkpoint error turns a recoverable crash into a corrupt
+// resume. The direct shape — a bare statement dropping the error of a comm
+// run-loop or checkpoint helper — is the one-hop chain; once the error has
+// been propagated up one level (a loader that returns wire.DecodeFile's
+// error, a resume path that returns the checkpoint reader's), only the
+// whole-program view still knows the discarded error decides resume safety.
 //
 // A function is an error origin if it is declared in comm or wire, or its
 // name names durable state (checkpoint/progress/manifest), and its last
 // result is error. A function is a carrier if its last result is error and
 // it reaches an origin through a chain of error-returning functions — the
-// only chains an error value can actually travel. Discarding a carrier's
-// error — a bare call statement, defer, go, or a blank identifier in the
-// error position of an assignment — is reported with the propagation
-// chain. Direct comm/checkpoint drops in statement position stay commsym's
-// finding, so no site is reported twice.
+// only chains an error value can actually travel. Discarding an origin's or
+// a carrier's error — a bare call statement, defer, go, or a blank
+// identifier in the error position of an assignment — is reported with the
+// propagation chain.
 package errsink
 
 import (
 	"go/ast"
 	"go/types"
-	"strings"
+	"regexp"
 
 	"parsimone/internal/analysis"
 	"parsimone/internal/analysis/callgraph"
-	"parsimone/internal/analysis/commsym"
 )
 
 // Analyzer is the errsink check.
@@ -35,14 +34,9 @@ var Analyzer = &analysis.Analyzer{
 	RunProgram: run,
 }
 
-// fromWire reports whether fn is declared in the wire package.
-func fromWire(fn *types.Func) bool {
-	pkg := fn.Pkg()
-	if pkg == nil {
-		return false
-	}
-	return pkg.Path() == "wire" || strings.HasSuffix(pkg.Path(), "/wire")
-}
+// checkpointName matches the durable-state helpers whose errors are
+// origins by name.
+var checkpointName = regexp.MustCompile(`(?i)checkpoint|progress|manifest`)
 
 // sigReturnsError reports whether sig's last result is error.
 func sigReturnsError(sig *types.Signature) bool {
@@ -59,8 +53,8 @@ func isOrigin(n *callgraph.Node) bool {
 	if n.Func == nil || !sigReturnsError(n.Sig) {
 		return false
 	}
-	return commsym.FromComm(n.Func) || fromWire(n.Func) ||
-		commsym.CheckpointName.MatchString(n.Func.Name())
+	return analysis.InPackage(n.Pkg, "comm") || analysis.InPackage(n.Pkg, "wire") ||
+		checkpointName.MatchString(n.Func.Name())
 }
 
 func run(pass *analysis.ProgramPass) error {
@@ -79,35 +73,18 @@ func run(pass *analysis.ProgramPass) error {
 		SkipRefs: true,
 	})
 	// flagged resolves a call to its callee node when discarding that
-	// callee's error loses a comm/wire/checkpoint failure.
-	flagged := func(info *types.Info, call *ast.CallExpr, direct bool) *callgraph.Node {
-		fn := callgraph.StaticCallee(info, call)
-		n := g.NodeOf(fn)
-		if n == nil || !sigReturnsError(n.Sig) {
-			return nil
-		}
-		if carrier.IsSink(n) {
-			// Direct origins in bare-statement position are commsym's
-			// finding for comm/checkpoint names; wire and the non-statement
-			// discard shapes are ours.
-			if direct && (commsym.FromComm(fn) || commsym.CheckpointName.MatchString(fn.Name())) {
-				return nil
-			}
-			return n
-		}
-		if carrier.Reaches(n) {
+	// callee's error loses a comm/wire/checkpoint failure. Every origin and
+	// carrier returns error, so the node's last result is the one dropped.
+	flagged := func(info *types.Info, call *ast.CallExpr) *callgraph.Node {
+		if n := g.NodeOf(callgraph.StaticCallee(info, call)); n != nil && carrier.Reaches(n) {
 			return n
 		}
 		return nil
 	}
 	report := func(pos ast.Node, n *callgraph.Node) {
-		chain := n.Name
-		if !carrier.IsSink(n) {
-			chain = carrier.PathString(n)
-		}
 		pass.Reportf(pos.Pos(),
 			"error from %s discarded: it propagates comm/wire/checkpoint failures (%s) that decide abort and resume safety; handle it or annotate //parsivet:errsink",
-			n.Name, chain)
+			n.Name, carrier.PathString(n))
 	}
 	for _, pkg := range pass.Program.Packages {
 		for _, f := range pkg.Files {
@@ -115,16 +92,16 @@ func run(pass *analysis.ProgramPass) error {
 				switch x := x.(type) {
 				case *ast.ExprStmt:
 					if call, ok := x.X.(*ast.CallExpr); ok {
-						if n := flagged(pkg.Info, call, true); n != nil {
+						if n := flagged(pkg.Info, call); n != nil {
 							report(x, n)
 						}
 					}
 				case *ast.DeferStmt:
-					if n := flagged(pkg.Info, x.Call, false); n != nil {
+					if n := flagged(pkg.Info, x.Call); n != nil {
 						report(x, n)
 					}
 				case *ast.GoStmt:
-					if n := flagged(pkg.Info, x.Call, false); n != nil {
+					if n := flagged(pkg.Info, x.Call); n != nil {
 						report(x, n)
 					}
 				case *ast.AssignStmt:
@@ -133,7 +110,7 @@ func run(pass *analysis.ProgramPass) error {
 						if !ok {
 							continue
 						}
-						n := flagged(pkg.Info, call, false)
+						n := flagged(pkg.Info, call)
 						if n == nil {
 							continue
 						}

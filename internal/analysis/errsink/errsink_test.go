@@ -8,11 +8,11 @@ import (
 )
 
 // TestErrSink proves the analyzer tracks comm/wire/checkpoint errors
-// along interprocedural carrier chains: discarding a carrier's error one
-// or two hops above the origin is flagged with the propagation chain,
-// while handled errors, internally-swallowed chains, commsym's direct
-// statement drops, and audited sites stay silent. The testdata imports
-// the real parsimone/internal/wire and comm packages.
+// along interprocedural carrier chains: discarding an origin's error, or a
+// carrier's one or two hops above the origin, is flagged with the
+// propagation chain, while handled errors, internally-swallowed chains,
+// and audited sites stay silent. The testdata imports the real
+// parsimone/internal/wire and comm packages.
 func TestErrSink(t *testing.T) {
 	analysistest.RunPackages(t, errsink.Analyzer, "store")
 }

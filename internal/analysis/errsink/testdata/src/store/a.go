@@ -1,6 +1,6 @@
 // Seeded errsink cases: carriers that propagate wire/comm/checkpoint
 // errors up one or two levels before a caller discards them, plus the
-// direct shapes that stay commsym's finding.
+// direct discards of an origin.
 package store
 
 import (
@@ -33,14 +33,12 @@ func dropGo(data []byte) {
 	go restore(data) // want "error from store.restore discarded"
 }
 
-// dropDirectWire discards a wire origin in statement position: wire is
-// not in commsym's comm/checkpoint set, so the site is errsink's.
+// dropDirectWire discards a wire origin in statement position.
 func dropDirectWire(data []byte) {
 	wire.DecodeFile(data) // want "error from wire.DecodeFile discarded"
 }
 
-// dropRunBlank blanks the error position of a direct comm origin — an
-// assignment, not a bare statement, so it is errsink's, not commsym's.
+// dropRunBlank blanks the error position of a direct comm origin.
 func dropRunBlank() {
 	_, _ = comm.Run(1, func(c *comm.Comm) error { return nil }) // want "error from comm.Run discarded"
 }
@@ -49,14 +47,36 @@ func dropRunBlank() {
 // name even though it calls no I/O here.
 func readProgress() error { return nil }
 
-// dropProgressStatement is commsym's finding (direct checkpoint-named
-// drop in statement position): errsink must stay silent here.
+// dropProgressStatement drops a checkpoint-named origin in statement
+// position.
 func dropProgressStatement() {
-	readProgress()
+	readProgress() // want "error from store.readProgress discarded"
 }
 
 func dropProgressBlank() {
 	_ = readProgress() // want "error from store.readProgress discarded"
+}
+
+func droppedRun(p int) {
+	comm.Run(p, func(c *comm.Comm) error { return nil }) // want "discarded"
+}
+
+func handledRun(p int) error {
+	_, err := comm.Run(p, func(c *comm.Comm) error { return nil })
+	return err
+}
+
+func saveCheckpoint(dir string) error {
+	_ = dir
+	return nil
+}
+
+func droppedCheckpoint() {
+	saveCheckpoint("state") // want "discarded"
+}
+
+func handledCheckpoint() error {
+	return saveCheckpoint("state")
 }
 
 // handled consumes the carrier's error: clean.
