@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -180,10 +179,7 @@ func TestLearnIsOneRankWorld(t *testing.T) {
 		if err := opt.Metrics.WriteJSON(&r.registry); err != nil {
 			t.Fatal(err)
 		}
-		for _, ph := range out.Workload.Phases {
-			r.workload += fmt.Sprintf("%s items=%d cost=%v serial=%v collectives=%d words=%d workers=%v\n",
-				ph.Name, len(ph.Items), ph.TotalCost(), ph.SerialCost, ph.Collectives, ph.Words, ph.WorkerCost)
-		}
+		r.workload = phaseTotals(out.Workload)
 		reports[name] = r
 	}
 	want := reports["Learn"]
