@@ -1,10 +1,10 @@
 // Package seqcount flags `go` statements inside the deterministic
 // packages. All intra-rank parallelism must flow through internal/pool,
 // whose workers partition index ranges deterministically and report the
-// per-worker counters the hybrid p×W scaling model is calibrated on; an
+// per-worker counters the pool cost and worker-imbalance readings use; an
 // ad-hoc goroutine bypasses both — its interleaving is scheduler-dependent
-// and its work is invisible to the trace/scaling accounting. Audited
-// launches (none today) carry //parsivet:seqcount.
+// and its work is invisible to the rank's accounting. Audited launches (none
+// today) carry //parsivet:seqcount.
 package seqcount
 
 import (
@@ -29,7 +29,7 @@ func run(pass *analysis.Pass) error {
 		ast.Inspect(f, func(n ast.Node) bool {
 			if g, ok := n.(*ast.GoStmt); ok {
 				pass.Reportf(g.Go,
-					"ad-hoc goroutine in deterministic package %q bypasses the internal/pool p×W scaling model; use pool.Run or annotate //parsivet:seqcount",
+					"ad-hoc goroutine in deterministic package %q bypasses the internal/pool deterministic deal; use pool.For or annotate //parsivet:seqcount",
 					pass.Pkg.Name())
 			}
 			return true

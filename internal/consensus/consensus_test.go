@@ -18,7 +18,7 @@ import (
 
 // recording is the one-rank run context whose events go to rec.
 func recording(rec *obs.Recorder) rank.Context {
-	return rank.Context{Comm: comm.Self(), Hooks: obs.NewHooks(rec, nil)}
+	return rank.Context{Comm: comm.Self(), Hooks: obs.NewHooks(rec, nil, nil)}
 }
 
 // mustCluster fails the test on any Cluster error.

@@ -552,16 +552,17 @@ func learn(c *comm.Comm, d *dataset.Data, q *score.QData, opt Options) (*Output,
 	if opt.Events {
 		rec = obs.NewRecorder(c.Rank())
 	}
-	hooks := obs.NewHooks(rec, opt.Metrics)
-	rc := rank.Context{Comm: c, Workers: opt.Workers, Hooks: hooks, Cancel: newCanceler(opt, c.Rank())}
+	var wl *trace.Workload
 	if opt.RecordWork {
-		rc.Work = &trace.Workload{}
+		wl = &trace.Workload{}
 	}
+	hooks := obs.NewHooks(rec, opt.Metrics, wl)
+	rc := rank.Context{Comm: c, Workers: opt.Workers, Hooks: hooks, Cancel: newCanceler(opt, c.Rank())}
 	out, err := run(rc, d, q, opt)
 	if err != nil {
 		return nil, err
 	}
-	out.Workload = rc.Work
+	out.Workload = wl
 	out.CommStats = c.Stats()
 	out.CancelChecks = rc.Cancel.Checks()
 	// Snapshot per-rank traffic before the event gather adds its own. A

@@ -19,7 +19,6 @@ package ganesh
 import (
 	"parsimone/internal/cluster"
 	"parsimone/internal/comm"
-	"parsimone/internal/obs"
 	"parsimone/internal/pool"
 	"parsimone/internal/prng"
 	"parsimone/internal/rank"
@@ -115,11 +114,11 @@ func (e commExec) gains(out []float64, distributed bool, eval func(int) float64,
 	return st
 }
 
-// engine runs the sampler on one rank. Of the rank's context it feeds the
-// metrics registry only (the sampler makes thousands of decisions per update
-// step, so it never emits per-decision events) and polls the cancellation
-// signal once per update step — before any PRNG draw of the step, so a check
-// never perturbs the substream schedule.
+// engine runs the sampler on one rank. Of the rank's hooks it feeds the
+// decision accounting only (the sampler makes thousands of decisions per
+// update step, so it never emits per-decision events) and polls the
+// cancellation signal once per update step — before any PRNG draw of the
+// step, so a check never perturbs the substream schedule.
 type engine struct {
 	rc    rank.Context
 	q     *score.QData
@@ -135,15 +134,6 @@ type engine struct {
 	// gains and their quantized weights, grown to the widest decision seen.
 	gains   []float64
 	weights []uint64
-	// reg receives per-phase pool counters; ctrs caches the interned
-	// counter handles so the hot decision loop skips the registry lookup.
-	reg  *obs.Registry
-	ctrs map[string]phaseCounters
-}
-
-// phaseCounters are one phase's cached metric handles.
-type phaseCounters struct {
-	cost, items, decisions *obs.Counter
 }
 
 // newEngine builds an engine whose blocks span at most nVars variables: all
@@ -151,45 +141,12 @@ type phaseCounters struct {
 // sampler, which runs once per module and would otherwise fill a table
 // q.N/nVars times longer than any count it can ask for.
 func newEngine(rc rank.Context, q *score.QData, pr score.Prior, nVars int, g *prng.MRG3) *engine {
-	e := &engine{rc: rc, q: q, prior: pr, kern: score.NewKernel(pr, nVars*q.M),
-		g: g, ex: commExec{c: rc.Comm, workers: rc.Workers}, reg: rc.Hooks.Registry()}
-	if e.reg != nil {
-		e.ctrs = make(map[string]phaseCounters)
-	}
-	return e
+	return &engine{rc: rc, q: q, prior: pr, kern: score.NewKernel(pr, nVars*q.M),
+		g: g, ex: commExec{c: rc.Comm, workers: rc.Workers}}
 }
 
-// count accumulates one decision's evaluated cost and items on this rank into
-// the metrics registry. Every rank counts what it evaluated: its share of a
-// distributed decision, all of a replicated one.
-func (e *engine) count(phaseName string, cost float64, items int64) {
-	pc, ok := e.ctrs[phaseName]
-	if !ok {
-		pc.cost, pc.items = e.reg.PoolCounters(phaseName)
-		pc.decisions = e.reg.Counter("ganesh_decisions_total", "collective weighted choices drawn by phase", "phase", phaseName)
-		e.ctrs[phaseName] = pc
-	}
-	pc.cost.Add(int64(cost))
-	pc.items.Add(items)
-	pc.decisions.Add(1)
-}
-
-// phase returns the recording phase for name, creating it on first use.
-func (e *engine) phase(name string) *trace.Phase {
-	wl := e.rc.Work
-	if wl == nil {
-		return nil
-	}
-	ph := wl.Phase(name)
-	if ph == nil {
-		ph = wl.AddPhase(name)
-		ph.PerSegmentBarrier = true
-	}
-	return ph
-}
-
-// decide evaluates count candidate gains through the executor, records the
-// work, converts gains to quantized weights, and draws the collective
+// decide evaluates count candidate gains through the executor, accounts the
+// decision, converts gains to quantized weights, and draws the collective
 // weighted choice. itemCost(i) reports the deterministic cost of evaluating
 // candidate i; the decision is distributed only when the costs sum to
 // trace.Distributed (DESIGN §19). The sum is a replicated value, so every
@@ -199,31 +156,15 @@ func (e *engine) decide(phaseName string, count int, eval func(int) float64, ite
 		e.gains, e.weights = make([]float64, count), make([]uint64, count)
 	}
 	gains := e.gains[:count]
-	ph := e.phase(phaseName)
-	// One unobserved goroutine has nobody to tell the cost to.
+	// One unaccounted goroutine has nobody to tell the cost to.
 	var total float64
-	if e.ex.width() > 1 || e.reg != nil || ph != nil {
+	if e.ex.width() > 1 || e.rc.Hooks != nil {
 		for i := 0; i < count; i++ {
 			total += itemCost(i)
 		}
 	}
-	distributed := trace.Distributed(total)
-	st := e.ex.gains(gains, distributed, eval, itemCost)
-	if e.reg != nil {
-		cost, items := total, int64(count)
-		if distributed {
-			cost, items = 0, 0
-			for w := range st.Cost {
-				cost += st.Cost[w]
-				items += st.Items[w]
-			}
-		}
-		e.count(phaseName, cost, items)
-	}
-	if ph != nil {
-		ph.AddDecision(count, itemCost, total, int64(count)) // the gains all-gather
-		ph.AddWorkerCost(st.Cost)
-	}
+	st := e.ex.gains(gains, trace.Distributed(total), eval, itemCost)
+	e.rc.Hooks.Decision(phaseName, count, itemCost, total, int64(count), st) // words: the gains all-gather
 	s := e.g.WeightedIndex(score.QuantizeWeightsInto(e.weights[:count], gains))
 	if s < 0 {
 		// All gains were −Inf/NaN, which finite statistics cannot
@@ -251,7 +192,7 @@ func (e *engine) reassignVars(cc *cluster.CoClustering) {
 		s := e.decide(PhaseVarReassign, k+1,
 			func(i int) float64 { return cc.GainAttachVar(r, i) }, cost)
 		cc.AttachVar(r, s)
-		e.addSerial(PhaseVarReassign, float64(2*e.q.M))
+		e.rc.Hooks.Serial(PhaseVarReassign, float64(2*e.q.M))
 	}
 }
 
@@ -261,7 +202,7 @@ func (e *engine) reassignVars(cc *cluster.CoClustering) {
 func (e *engine) mergeVars(cc *cluster.CoClustering) {
 	for i := 0; i < len(cc.Clusters); {
 		cols := cc.VarColumnStats(i)
-		e.addSerial(PhaseVarMerge, float64(len(cc.Clusters[i].Vars)*e.q.M))
+		e.rc.Hooks.Serial(PhaseVarMerge, float64(len(cc.Clusters[i].Vars)*e.q.M))
 		k := len(cc.Clusters)
 		srcL := len(cc.Clusters[i].Obs.Clusters)
 		cost := func(j int) float64 {
@@ -296,7 +237,7 @@ func (e *engine) reassignObs(oc *cluster.ObsClusters) {
 			func(i int) float64 { return oc.GainAttachObs(col, i) },
 			func(int) float64 { return 2 * trace.LogMLCost })
 		oc.AttachObs(r, s)
-		e.addSerial(PhaseObsReassign, float64(2*nv))
+		e.rc.Hooks.Serial(PhaseObsReassign, float64(2*nv))
 	}
 }
 
@@ -313,12 +254,6 @@ func (e *engine) mergeObs(oc *cluster.ObsClusters) {
 		} else {
 			i++
 		}
-	}
-}
-
-func (e *engine) addSerial(phaseName string, cost float64) {
-	if ph := e.phase(phaseName); ph != nil {
-		ph.SerialCost += cost
 	}
 }
 

@@ -321,37 +321,6 @@ func TestStoredBlockScoresExactThroughSampling(t *testing.T) {
 	}
 }
 
-// TestWorkersRecordCounters: with W workers the recorded phases carry
-// reproducible per-worker cost counters summing to the item costs — of the
-// distributed decisions, the only ones that reach the pool.
-func TestWorkersRecordCounters(t *testing.T) {
-	q := straddleData(t)
-	record := func() *trace.Workload {
-		wl := &trace.Workload{}
-		RunWithComm(rank.Context{Comm: comm.Self(), Workers: 4, Work: wl}, q, score.DefaultPrior(), Params{Updates: 1}, prng.New(11))
-		return wl
-	}
-	a, b := record(), record()
-	if len(a.Phase(PhaseVarReassign).WorkerCost) != 4 {
-		t.Fatalf("phase %s: worker counters %v, want 4 workers", PhaseVarReassign, a.Phase(PhaseVarReassign).WorkerCost)
-	}
-	for _, ph := range a.Phases {
-		if !reflect.DeepEqual(ph.WorkerCost, b.Phase(ph.Name).WorkerCost) {
-			t.Fatalf("phase %s worker counters not reproducible", ph.Name)
-		}
-		var items, workers float64
-		for _, it := range ph.Items {
-			items += it.Cost
-		}
-		for _, c := range ph.WorkerCost {
-			workers += c
-		}
-		if items != workers {
-			t.Fatalf("phase %s: worker cost %v != item cost %v", ph.Name, workers, items)
-		}
-	}
-}
-
 // TestGibbsImprovesScore: the sampler should, on structured data, end far
 // above the score of its random initialization.
 func TestGibbsImprovesScore(t *testing.T) {

@@ -57,7 +57,7 @@ func eventTypes(rec *obs.Recorder) []string {
 func TestRunnerFIFOAdmission(t *testing.T) {
 	d, opt, want := fixture(t)
 	rec := obs.NewRecorder(0)
-	r := New(Config{MaxJobs: 1, Hooks: obs.NewHooks(rec, nil)})
+	r := New(Config{MaxJobs: 1, Hooks: obs.NewHooks(rec, nil, nil)})
 	var jobs []*Job
 	for i := 0; i < 3; i++ {
 		j, err := r.Submit(Spec{Name: fmt.Sprintf("job%d", i), Ranks: 1, Data: d, Options: opt}, Budget{})
@@ -99,7 +99,7 @@ func TestRunnerFIFOAdmission(t *testing.T) {
 func TestRunnerSlotAccounting(t *testing.T) {
 	d, opt, _ := fixture(t)
 	rec := obs.NewRecorder(0)
-	r := New(Config{MaxJobs: 8, Slots: 4, Hooks: obs.NewHooks(rec, nil)})
+	r := New(Config{MaxJobs: 8, Slots: 4, Hooks: obs.NewHooks(rec, nil, nil)})
 
 	wide := opt
 	wide.Workers = 2
@@ -172,7 +172,7 @@ func TestJobRetryAfterInjectedFault(t *testing.T) {
 	d, opt, want := fixture(t)
 	rec := obs.NewRecorder(0)
 	reg := obs.NewRegistry()
-	r := New(Config{MaxJobs: 1, RetryBase: time.Millisecond, Hooks: obs.NewHooks(rec, reg)})
+	r := New(Config{MaxJobs: 1, RetryBase: time.Millisecond, Hooks: obs.NewHooks(rec, reg, nil)})
 	injected := opt
 	injected.Inject = &core.FaultSpec{Task: core.TaskGaneSH, Rank: 0}
 	injected.MaxRestarts, injected.CheckpointDir = 1, t.TempDir()
@@ -242,7 +242,7 @@ func TestRunnerDoesNotRestartReturnedError(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := obs.NewRecorder(0)
-	r := New(Config{MaxJobs: 1, RetryBase: time.Millisecond, Hooks: obs.NewHooks(rec, nil)})
+	r := New(Config{MaxJobs: 1, RetryBase: time.Millisecond, Hooks: obs.NewHooks(rec, nil, nil)})
 	opt.Seed, opt.MaxRestarts = 99, 3
 	j, err := r.Submit(Spec{Ranks: 2, Data: d, Options: opt}, Budget{})
 	if err != nil {
@@ -280,7 +280,7 @@ func TestSubmitRejectsNegativeRanks(t *testing.T) {
 func TestRunnerDoesNotRetryRefusedRun(t *testing.T) {
 	d, opt, _ := fixture(t)
 	rec := obs.NewRecorder(0)
-	r := New(Config{MaxJobs: 1, Hooks: obs.NewHooks(rec, nil)})
+	r := New(Config{MaxJobs: 1, Hooks: obs.NewHooks(rec, nil, nil)})
 	opt.GaneshRuns, opt.MaxRestarts = 0, 3
 	j, err := r.Submit(Spec{Data: d, Options: opt}, Budget{})
 	if err != nil {
@@ -376,7 +376,7 @@ func TestCancelEventMetricAgreement(t *testing.T) {
 	d, opt, _ := fixture(t)
 	rec := obs.NewRecorder(0)
 	reg := obs.NewRegistry()
-	r := New(Config{MaxJobs: 1, Hooks: obs.NewHooks(rec, reg)})
+	r := New(Config{MaxJobs: 1, Hooks: obs.NewHooks(rec, reg, nil)})
 	opt.CheckpointDir = t.TempDir()
 	j, err := r.Submit(Spec{Name: "deadline", Ranks: 1, Data: d, Options: opt}, Budget{Deadline: time.Millisecond})
 	if err != nil {
@@ -479,7 +479,7 @@ func TestMidBackoffCancelIgnoresForeignFiles(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := obs.NewRecorder(0)
-	r := New(Config{MaxJobs: 1, RetryBase: time.Hour, Hooks: obs.NewHooks(rec, nil)})
+	r := New(Config{MaxJobs: 1, RetryBase: time.Hour, Hooks: obs.NewHooks(rec, nil, nil)})
 	injected := opt
 	// An op count addresses a task only while the task communicates, and a
 	// GaneSH run this small decides everything without a message (DESIGN
@@ -565,7 +565,7 @@ func TestRunnerEventStreamAndMetrics(t *testing.T) {
 	d, opt, _ := fixture(t)
 	rec := obs.NewRecorder(0)
 	reg := obs.NewRegistry()
-	r := New(Config{MaxJobs: 1, Hooks: obs.NewHooks(rec, reg)})
+	r := New(Config{MaxJobs: 1, Hooks: obs.NewHooks(rec, reg, nil)})
 	j, err := r.Submit(Spec{Name: "ok", Ranks: 1, Data: d, Options: opt}, Budget{})
 	if err != nil {
 		t.Fatal(err)

@@ -50,8 +50,78 @@ func TestNilRecorderIsNoop(t *testing.T) {
 	h.PoolCost("p", pool.Stats{})
 	h.CommStats(0, comm.Stats{})
 	h.RankImbalance("p", []float64{1, 2})
-	if NewHooks(nil, nil) != nil {
-		t.Fatal("NewHooks(nil, nil) should be nil")
+	h.Decision("p/x", 2, func(int) float64 { return 1 }, 2, 2, pool.Stats{})
+	h.Serial("p/x", 1)
+	if h.Phase("p/x", true) != nil || h.Observed() {
+		t.Fatal("nil hooks recorded or observed")
+	}
+	if NewHooks(nil, nil, nil) != nil {
+		t.Fatal("NewHooks(nil, nil, nil) should be nil")
+	}
+}
+
+// TestHooksDecision pins the one accounting rule of a collective decision:
+// the registry counts what this rank evaluated — every candidate of a
+// replicated decision, its block's pool counters of a distributed one — and
+// one decision under the engine's name; the work record gets the decision's
+// serial cost or items on a per-segment phase.
+func TestHooksDecision(t *testing.T) {
+	const big = 1 << 20 // distributed whatever the constant's exact value
+	reg, wl := NewRegistry(), &trace.Workload{}
+	h := NewHooks(nil, reg, wl)
+	unit := func(int) float64 { return 10 }
+	h.Decision("ganesh/x", 3, unit, 30, 3, pool.Stats{})
+	h.Serial("ganesh/x", 5)
+	block := pool.Stats{Workers: 2, Items: []int64{2, 1}, Cost: []float64{2 * big, big}}
+	h.Decision("ganesh/x", 8, func(int) float64 { return big }, 8*big, 8, block)
+	h.Decision("tree/build", 2, unit, 20, 2, pool.Stats{})
+
+	counter := func(name, phase string) int64 { return reg.Counter(name, "", "phase", phase).Value() }
+	if got := counter("pool_items_total", "ganesh/x"); got != 3+3 {
+		t.Errorf("ganesh/x items = %d, want 3 replicated + 3 in this rank's block", got)
+	}
+	if got := counter("pool_cost_total", "ganesh/x"); got != 30+3*big {
+		t.Errorf("ganesh/x cost = %d, want %d", got, 30+3*big)
+	}
+	if got := counter("ganesh_decisions_total", "ganesh/x"); got != 2 {
+		t.Errorf("ganesh/x decisions = %d, want 2", got)
+	}
+	if got := counter("tree_decisions_total", "tree/build"); got != 1 {
+		t.Errorf("tree/build decisions = %d, want 1", got)
+	}
+	if got := counter("pool_items_total", "tree/build"); got != 2 {
+		t.Errorf("tree/build items = %d, want 2", got)
+	}
+
+	ph := wl.Phase("ganesh/x")
+	if !ph.PerSegmentBarrier || ph.SerialCost != 30+5 || len(ph.Items) != 8 || ph.Collectives != 1 || ph.Words != 8 {
+		t.Errorf("ganesh/x work: per-segment %v, serial %v, %d items, %d collectives, %d words",
+			ph.PerSegmentBarrier, ph.SerialCost, len(ph.Items), ph.Collectives, ph.Words)
+	}
+	if ph := wl.Phase("tree/build"); ph.SerialCost != 20 || len(ph.Items) != 0 {
+		t.Errorf("tree/build work: serial %v, %d items", ph.SerialCost, len(ph.Items))
+	}
+	if h.Phase("splits/assign", false).PerSegmentBarrier || len(wl.Phases) != 3 {
+		t.Errorf("Phase: %d phases after a global one", len(wl.Phases))
+	}
+
+	// Work-only hooks record without being observed; registry-only ones
+	// count without recording.
+	wl = &trace.Workload{}
+	h = NewHooks(nil, nil, wl)
+	if h == nil || h.Observed() {
+		t.Fatal("work-only hooks must exist and must not count as observed")
+	}
+	h.Decision("ganesh/x", 3, unit, 30, 3, pool.Stats{})
+	if ph := wl.Phase("ganesh/x"); ph == nil || ph.SerialCost != 30 {
+		t.Fatalf("work-only hooks recorded %+v", ph)
+	}
+	reg = NewRegistry()
+	h = NewHooks(nil, reg, nil)
+	h.Decision("ganesh/x", 3, unit, 30, 3, pool.Stats{})
+	h.Serial("ganesh/x", 5)
+	if !h.Observed() || h.Phase("ganesh/x", true) != nil || reg.Counter("pool_items_total", "", "phase", "ganesh/x").Value() != 3 {
+		t.Fatal("registry-only hooks did not count the decision alone")
 	}
 }
 
@@ -152,7 +222,7 @@ func TestDiffCanonicalIgnoresClockOnly(t *testing.T) {
 func TestHooksPoolCostAndImbalance(t *testing.T) {
 	rec := fixedClock(NewRecorder(1))
 	reg := NewRegistry()
-	h := NewHooks(rec, reg)
+	h := NewHooks(rec, reg, nil)
 	st := pool.Stats{Workers: 2, Items: []int64{10, 6}, Cost: []float64{30, 10}}
 	h.PoolCost("splits/assign", st)
 	h.WorkerImbalance("splits/assign", st)

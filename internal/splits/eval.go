@@ -416,11 +416,12 @@ func (ev *evaluator) evalPair(sc *scratch, ref *nodeRef, pi, from, to int, post 
 // observe reports this rank's block evaluation to the attached hooks: the
 // pool cost and worker imbalance events, the split metrics, and the ranks'
 // pool costs gathered into the rank-imbalance event (emitted by rank 0). It
-// communicates only with hooks attached — on every rank or on none — so runs
-// without observability perform no extra collective.
+// communicates only when observed — on every rank or on none — so runs
+// without events or metrics, work-recording ones included, perform no extra
+// collective.
 func (ev *evaluator) observe(st pool.Stats, steps []int) {
 	h, c := ev.rc.Hooks, ev.rc.Comm
-	if h == nil {
+	if !h.Observed() {
 		return
 	}
 	h.PoolCost(PhaseAssign, st)
@@ -484,19 +485,14 @@ func (ev *evaluator) recordMetrics(reg *obs.Registry, steps []int) {
 	counter("kernel_table_misses_total", "split-score kernel LogML calls that fell back to direct Prior.LogML", misses)
 }
 
-// recordWork appends the full list's per-candidate cost items to the
-// workload's assignment phase, in canonical candidate order: the trace is
-// identical for every worker count, while the per-worker counters reflect
-// the pool's static deal. steps must cover the whole list, which is why only
-// a one-rank world records.
-func (ev *evaluator) recordWork(st pool.Stats, steps []int) {
-	wl := ev.rc.Work
-	if wl == nil {
-		return
-	}
-	ph := wl.Phase(PhaseAssign)
+// recordWork appends the full list's per-candidate cost items to the work
+// record's assignment phase, in canonical candidate order, so the record is
+// identical for every worker count. steps must cover the whole list, which is
+// why only a one-rank world records.
+func (ev *evaluator) recordWork(steps []int) {
+	ph := ev.rc.Hooks.Phase(PhaseAssign, false)
 	if ph == nil {
-		ph = wl.AddPhase(PhaseAssign)
+		return
 	}
 	// Later calls (module learning records one assignment per module)
 	// continue the segment numbering where the previous call stopped, so
@@ -518,7 +514,6 @@ func (ev *evaluator) recordWork(st pool.Stats, steps []int) {
 			}
 		}
 	}
-	ph.AddWorkerCost(st.Cost)
 	ph.Collectives++
 	ph.Words += int64(ev.total)
 }

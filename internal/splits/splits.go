@@ -204,7 +204,7 @@ func LearnWithComm(rc rank.Context, q *score.QData, pr score.Prior, modules [][]
 	lo, hi := comm.BlockRange(ev.total, c.Size(), c.Rank())
 	local, steps, st := ev.eval(lo, hi)
 	ev.observe(st, steps)
-	ev.recordWork(st, steps)
+	ev.recordWork(steps)
 	return selectSplits(q, ev.nodes, comm.AllGatherv(c, local), ev.par, g)
 }
 

@@ -54,7 +54,7 @@ func fixture(t testing.TB, seed uint64) (*score.QData, [][]int, [][]*tree.Tree, 
 // on is the run context of c's rank at W workers, its metrics going to reg
 // (nil: unobserved).
 func on(c *comm.Comm, workers int, reg *obs.Registry) rank.Context {
-	return rank.Context{Comm: c, Workers: workers, Hooks: obs.NewHooks(nil, reg)}
+	return rank.Context{Comm: c, Workers: workers, Hooks: obs.NewHooks(nil, reg, nil)}
 }
 
 // registryJSON returns the registry's JSON dump.
@@ -400,39 +400,33 @@ func TestWorkersInvariance(t *testing.T) {
 	}
 }
 
-// TestWorkersTraceDeterministic: with W workers the recorded trace items are
-// identical to the serial recording (canonical candidate order), and the
-// per-worker counters are reproducible with totals matching the item costs.
+// TestWorkersTraceDeterministic: with W workers the recorded trace is
+// identical to the serial recording (canonical candidate order), and a
+// work-only hooks value communicates exactly what an unobserved run does.
 func TestWorkersTraceDeterministic(t *testing.T) {
 	q, modules, trees, _ := fixture(t, 15)
 	pr := score.DefaultPrior()
+	par := Params{MaxSteps: 24}
+	unobserved := comm.Self()
+	LearnWithComm(on(unobserved, 1, nil), q, pr, modules, trees, par, prng.New(29))
 	record := func(workers int) *trace.Phase {
 		wl := &trace.Workload{}
-		LearnWithComm(rank.Context{Comm: comm.Self(), Workers: workers, Work: wl}, q, pr, modules, trees, Params{MaxSteps: 24}, prng.New(29))
+		c := comm.Self()
+		LearnWithComm(rank.Context{Comm: c, Workers: workers, Hooks: obs.NewHooks(nil, nil, wl)}, q, pr, modules, trees, par, prng.New(29))
+		if got, want := c.Stats(), unobserved.Stats(); got != want {
+			t.Fatalf("W=%d: work recording communicated %+v, unobserved %+v", workers, got, want)
+		}
 		return wl.Phase(PhaseAssign)
 	}
 	serial := record(1)
 	for _, workers := range []int{1, 4} {
-		a, b := record(workers), record(workers)
+		a := record(workers)
 		if !reflect.DeepEqual(a.Items, serial.Items) {
 			t.Fatalf("W=%d: trace items differ from serial recording", workers)
 		}
-		if !reflect.DeepEqual(a.WorkerCost, b.WorkerCost) {
-			t.Fatalf("W=%d: worker counters not reproducible: %v vs %v", workers, a.WorkerCost, b.WorkerCost)
+		if a.Collectives != serial.Collectives || a.Words != serial.Words {
+			t.Fatalf("W=%d: %d collectives, %d words recorded; serial %d, %d", workers, a.Collectives, a.Words, serial.Collectives, serial.Words)
 		}
-		var items, workersSum float64
-		for _, it := range a.Items {
-			items += it.Cost
-		}
-		for _, c := range a.WorkerCost {
-			workersSum += c
-		}
-		if items != workersSum {
-			t.Fatalf("W=%d: worker cost total %v != item cost total %v", workers, workersSum, items)
-		}
-	}
-	if len(record(4).WorkerCost) != 4 {
-		t.Fatal("W=4 did not record 4 worker counters")
 	}
 }
 

@@ -22,7 +22,6 @@ package trace
 
 import (
 	"fmt"
-	"sort"
 	"time"
 )
 
@@ -138,10 +137,6 @@ type Phase struct {
 	// independently and the per-rank work is the sum over segments of the
 	// rank's share. Without it, the whole item list is partitioned once.
 	PerSegmentBarrier bool
-	// WorkerCost[w] is the cost this rank's intra-rank worker w evaluated
-	// (the hybrid thread level under the rank level; internal/pool). The
-	// pool's static chunk assignment makes these counters deterministic.
-	WorkerCost []float64
 }
 
 // LogMLCost is the weight of one marginal-likelihood evaluation in cost units
@@ -183,17 +178,6 @@ func (ph *Phase) AddDecision(n int, cost func(int) float64, total float64, words
 	}
 	ph.Collectives++
 	ph.Words += words
-}
-
-// AddWorkerCost accumulates one pool invocation's per-worker cost counters
-// into the phase, growing WorkerCost to the widest pool seen.
-func (ph *Phase) AddWorkerCost(cost []float64) {
-	for len(ph.WorkerCost) < len(cost) {
-		ph.WorkerCost = append(ph.WorkerCost, 0)
-	}
-	for w, c := range cost {
-		ph.WorkerCost[w] += c
-	}
 }
 
 // TotalCost returns the sum of item costs plus the serial cost.
@@ -384,25 +368,9 @@ func argmin(xs []float64) int {
 // PhaseTime returns the modeled duration of one phase on p ranks: the
 // maximum per-rank compute time plus the communication charge.
 func (m Model) PhaseTime(ph *Phase, p int, scheme Scheme) time.Duration {
-	return m.HybridPhaseTime(ph, p, 1, scheme)
-}
-
-// HybridPhaseTime returns the modeled duration of one phase on p ranks with
-// W intra-rank workers each: a rank's partitionable item work divides by W
-// (the pool evaluates it concurrently), while SerialCost — replicated state
-// transitions outside the pool — does not, an Amdahl term that bounds the
-// hybrid speedup exactly as replication bounds the rank-level speedup.
-func (m Model) HybridPhaseTime(ph *Phase, p, workers int, scheme Scheme) time.Duration {
-	if workers < 1 {
-		workers = 1
-	}
-	work := m.PerRankWork(ph, p, scheme)
 	var maxWork float64
-	for _, w := range work {
-		h := (w-ph.SerialCost)/float64(workers) + ph.SerialCost
-		if h > maxWork {
-			maxWork = h
-		}
+	for _, w := range m.PerRankWork(ph, p, scheme) {
+		maxWork = max(maxWork, w)
 	}
 	sec := maxWork * m.SecPerCost
 	if p > 1 {
@@ -414,14 +382,9 @@ func (m Model) HybridPhaseTime(ph *Phase, p, workers int, scheme Scheme) time.Du
 
 // Time returns the modeled end-to-end duration on p ranks.
 func (m Model) Time(w *Workload, p int, scheme Scheme) time.Duration {
-	return m.HybridTime(w, p, 1, scheme)
-}
-
-// HybridTime returns the modeled end-to-end duration on p ranks × W workers.
-func (m Model) HybridTime(w *Workload, p, workers int, scheme Scheme) time.Duration {
 	var total time.Duration
 	for _, ph := range w.Phases {
-		total += m.HybridPhaseTime(ph, p, workers, scheme)
+		total += m.PhaseTime(ph, p, scheme)
 	}
 	return total
 }
@@ -452,15 +415,4 @@ func blockRange(n, size, rank int) (lo, hi int) {
 		hi++
 	}
 	return lo, hi
-}
-
-// SortedPhaseNames returns the phase names sorted alphabetically; useful for
-// stable reporting.
-func (w *Workload) SortedPhaseNames() []string {
-	names := make([]string, 0, len(w.Phases))
-	for _, ph := range w.Phases {
-		names = append(names, ph.Name)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -19,6 +19,7 @@ import (
 	"sort"
 
 	"parsimone/internal/comm"
+	"parsimone/internal/pool"
 	"parsimone/internal/rank"
 	"parsimone/internal/score"
 	"parsimone/internal/trace"
@@ -210,22 +211,12 @@ func BuildWithComm(rc rank.Context, q *score.QData, pr score.Prior, vars []int, 
 		panic("tree: no observation clusters")
 	}
 	subtrees := leafNodes(q, vars, clusters)
-	var ph *trace.Phase
-	if wl := rc.Work; wl != nil {
-		ph = wl.Phase(PhaseBuild)
-		if ph == nil {
-			ph = wl.AddPhase(PhaseBuild)
-			ph.PerSegmentBarrier = true
-		}
-	}
 	for len(subtrees) > 1 {
 		pairs := len(subtrees) - 1
 		cost := float64(pairs * mergeCost)
-		if ph != nil {
-			ph.AddDecision(pairs, func(int) float64 { return mergeCost }, cost, 2)
-			ph.SerialCost += float64(len(subtrees[0].Obs)) // merge bookkeeping
-		}
-		best := pick(rc.Comm, pr, subtrees, trace.Distributed(cost))
+		best, st := pick(rc.Comm, pr, subtrees, trace.Distributed(cost))
+		rc.Hooks.Decision(PhaseBuild, pairs, func(int) float64 { return mergeCost }, cost, 2, st)
+		rc.Hooks.Serial(PhaseBuild, float64(len(subtrees[0].Obs))) // merge bookkeeping
 		subtrees[best] = merge(subtrees[best], subtrees[best+1])
 		subtrees = append(subtrees[:best+1], subtrees[best+2:]...)
 	}
@@ -233,13 +224,15 @@ func BuildWithComm(rc rank.Context, q *score.QData, pr score.Prior, vars []int, 
 }
 
 // pick returns a round's best pair index: this rank's block of a distributed
-// round reduced across ranks, or the whole round scored here.
-func pick(c *comm.Comm, pr score.Prior, subtrees []*Node, distributed bool) int {
+// round reduced across ranks, with the block's work counters, or the whole
+// round scored here, with zero Stats.
+func pick(c *comm.Comm, pr score.Prior, subtrees []*Node, distributed bool) (int, pool.Stats) {
 	if !distributed {
-		return bestMerge(pr, subtrees, 0, len(subtrees)-1).Index
+		return bestMerge(pr, subtrees, 0, len(subtrees)-1).Index, pool.Stats{}
 	}
 	lo, hi := comm.BlockRange(len(subtrees)-1, c.Size(), c.Rank())
-	return comm.AllReduce(c, bestMerge(pr, subtrees, lo, hi), better).Index
+	st := pool.Stats{Workers: 1, Items: []int64{int64(hi - lo)}, Cost: []float64{float64((hi - lo) * mergeCost)}}
+	return comm.AllReduce(c, bestMerge(pr, subtrees, lo, hi), better).Index, st
 }
 
 // Build is BuildWithComm on the one-rank world, recording into wl when non-nil.

@@ -192,12 +192,17 @@ func TestBuildParallelDistributionRule(t *testing.T) {
 	}
 	for _, forced := range []bool{false, true} {
 		for _, p := range []int{2, 3} {
+			evaluated := make([]int64, p)
 			stats, err := comm.Run(p, func(c *comm.Comm) error {
 				tr := BuildWithComm(rank.Context{Comm: c}, q, pr, vars, clusters)
 				if forced {
 					subtrees := leafNodes(q, vars, clusters)
 					for len(subtrees) > 1 {
-						best := pick(c, pr, subtrees, true)
+						best, st := pick(c, pr, subtrees, true)
+						if st.Cost[0] != float64(st.Items[0]*mergeCost) {
+							t.Errorf("p=%d rank %d: block of %d pairs costs %v", p, c.Rank(), st.Items[0], st.Cost[0])
+						}
+						evaluated[c.Rank()] += st.Items[0]
 						subtrees[best] = merge(subtrees[best], subtrees[best+1])
 						subtrees = append(subtrees[:best+1], subtrees[best+2:]...)
 					}
@@ -214,6 +219,14 @@ func TestBuildParallelDistributionRule(t *testing.T) {
 			wantCollectives := int64(0)
 			if forced {
 				wantCollectives = 2 * int64(len(clusters)-1)
+				// The ranks' blocks cover every pair of every round once.
+				var sum int64
+				for _, n := range evaluated {
+					sum += n
+				}
+				if l := int64(len(clusters)); sum != l*(l-1)/2 {
+					t.Fatalf("p=%d: blocks evaluated %d pairs, want %d", p, sum, l*(l-1)/2)
+				}
 			}
 			for k, st := range stats {
 				if st.Collectives != wantCollectives {
