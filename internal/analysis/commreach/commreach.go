@@ -39,16 +39,14 @@ var Analyzer = &analysis.Analyzer{
 
 // collectives are the comm entry points every rank must reach in lockstep.
 var collectives = map[string]bool{
-	"Bcast":          true,
-	"Gather":         true,
-	"AllGather":      true,
-	"AllGatherv":     true,
-	"Reduce":         true,
-	"AllReduce":      true,
-	"AllReduceSlice": true,
-	"ExScan":         true,
-	"Barrier":        true,
-	"Split":          true,
+	"Bcast":      true,
+	"Gather":     true,
+	"AllGather":  true,
+	"AllGatherv": true,
+	"Reduce":     true,
+	"AllReduce":  true,
+	"Barrier":    true,
+	"Split":      true,
 }
 
 // isCollective reports whether fn is one of the comm collectives every

@@ -333,17 +333,6 @@ func AllReduce[T any](c *Comm, v T, op func(T, T) T) T {
 	return Bcast(c, 0, Reduce(c, 0, v, op))
 }
 
-// ExScan returns the exclusive prefix fold of the per-rank values in rank
-// order: rank 0 receives id, rank k receives op(v₀, …, v_{k−1}).
-func ExScan[T any](c *Comm, v T, op func(T, T) T, id T) T {
-	vs := AllGather(c, v)
-	acc := id
-	for k := 0; k < c.rank; k++ {
-		acc = op(acc, vs[k])
-	}
-	return acc
-}
-
 // Barrier blocks until all ranks have entered it.
 func Barrier(c *Comm) {
 	c.tick()
@@ -351,26 +340,6 @@ func Barrier(c *Comm) {
 	token := Gather(c, 0, struct{}{})
 	_ = token
 	Bcast(c, 0, struct{}{})
-}
-
-// AllReduceSlice folds equal-length slices elementwise in rank order and
-// returns the folded slice on every rank. It panics if lengths differ.
-func AllReduceSlice[T any](c *Comm, v []T, op func(T, T) T) []T {
-	parts := Gather(c, 0, v)
-	var folded []T
-	if c.rank == 0 {
-		folded = make([]T, len(v))
-		copy(folded, parts[0])
-		for _, part := range parts[1:] {
-			if len(part) != len(folded) {
-				panic(fmt.Sprintf("comm: AllReduceSlice length mismatch %d != %d", len(part), len(folded)))
-			}
-			for i, x := range part {
-				folded[i] = op(folded[i], x)
-			}
-		}
-	}
-	return Bcast(c, 0, folded)
 }
 
 // AllGatherv concatenates the per-rank slices in rank order on every rank.
@@ -406,21 +375,6 @@ func BlockRange(n, size, rank int) (lo, hi int) {
 		hi++
 	}
 	return lo, hi
-}
-
-// BlockOwner returns the rank whose block contains item i under BlockRange
-// partitioning of n items over size ranks.
-func BlockOwner(n, size, i int) int {
-	base := n / size
-	rem := n % size
-	wide := (base + 1) * rem // items covered by the wider blocks
-	if base == 0 {
-		return i
-	}
-	if i < wide {
-		return i / (base + 1)
-	}
-	return rem + (i-wide)/base
 }
 
 // Split partitions the ranks into disjoint subgroups by color and returns a

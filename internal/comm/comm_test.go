@@ -275,25 +275,6 @@ func TestAllReduceRankOrderDeterministic(t *testing.T) {
 	}
 }
 
-func TestExScan(t *testing.T) {
-	for _, p := range sizes {
-		_, err := Run(p, func(c *Comm) error {
-			got := ExScan(c, c.Rank()+1, func(a, b int) int { return a + b }, 0)
-			want := 0
-			for k := 0; k < c.Rank(); k++ {
-				want += k + 1
-			}
-			if got != want {
-				return fmt.Errorf("rank %d got %d want %d", c.Rank(), got, want)
-			}
-			return nil
-		})
-		if err != nil {
-			t.Fatalf("p=%d: %v", p, err)
-		}
-	}
-}
-
 func TestBarrierCompletes(t *testing.T) {
 	_, err := Run(8, func(c *Comm) error {
 		for i := 0; i < 10; i++ {
@@ -303,34 +284,6 @@ func TestBarrierCompletes(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestAllReduceSlice(t *testing.T) {
-	_, err := Run(4, func(c *Comm) error {
-		v := []int{c.Rank(), c.Rank() * 2, 1}
-		got := AllReduceSlice(c, v, func(a, b int) int { return a + b })
-		want := []int{0 + 1 + 2 + 3, 0 + 2 + 4 + 6, 4}
-		for i := range want {
-			if got[i] != want[i] {
-				return fmt.Errorf("slot %d: got %d want %d", i, got[i], want[i])
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestAllReduceSliceLengthMismatch(t *testing.T) {
-	_, err := Run(2, func(c *Comm) error {
-		v := make([]int, c.Rank()+1)
-		AllReduceSlice(c, v, func(a, b int) int { return a + b })
-		return nil
-	})
-	if err == nil {
-		t.Fatal("length mismatch not detected")
 	}
 }
 
@@ -408,20 +361,6 @@ func TestBlockRangeBalanced(t *testing.T) {
 			}
 			if maxLen-minLen > 1 {
 				t.Fatalf("n=%d p=%d: block lengths differ by %d", n, p, maxLen-minLen)
-			}
-		}
-	}
-}
-
-func TestBlockOwnerMatchesBlockRange(t *testing.T) {
-	for _, n := range []int{1, 5, 16, 17, 100} {
-		for _, p := range []int{1, 2, 3, 7, 16, 100} {
-			for i := 0; i < n; i++ {
-				owner := BlockOwner(n, p, i)
-				lo, hi := BlockRange(n, p, owner)
-				if i < lo || i >= hi {
-					t.Fatalf("n=%d p=%d i=%d: owner %d has [%d,%d)", n, p, i, owner, lo, hi)
-				}
 			}
 		}
 	}
@@ -759,9 +698,7 @@ func TestSelfCollectives(t *testing.T) {
 		{"AllGather", func() any { return fmt.Sprint(AllGather(c, 7)) }, "[7]", 2},
 		{"Reduce", func() any { return Reduce(c, 0, 7, sum) }, 7, 1},
 		{"AllReduce", func() any { return AllReduce(c, 7, sum) }, 7, 2},
-		{"ExScan", func() any { return ExScan(c, 7, sum, -1) }, -1, 2},
 		{"Barrier", func() any { Barrier(c); return nil }, nil, 3},
-		{"AllReduceSlice", func() any { return fmt.Sprint(AllReduceSlice(c, []int{1, 2}, sum)) }, "[1 2]", 2},
 		{"AllGatherv", func() any { return fmt.Sprint(AllGatherv(c, []int{1, 2})) }, "[1 2]", 2},
 		{"SendRecv", func() any { Send(c, 0, 7); return Recv[int](c, 0) }, 7, 0},
 	} {

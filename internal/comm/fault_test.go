@@ -210,7 +210,6 @@ func TestCollectiveAbortPropagation(t *testing.T) {
 		{"Bcast", func(c *Comm) { Bcast(c, 0, c.Rank()) }},
 		{"Gather", func(c *Comm) { Gather(c, 0, c.Rank()) }},
 		{"AllReduce", func(c *Comm) { AllReduce(c, c.Rank(), func(a, b int) int { return a + b }) }},
-		{"ExScan", func(c *Comm) { ExScan(c, 1, func(a, b int) int { return a + b }, 0) }},
 		{"Barrier", func(c *Comm) { Barrier(c) }},
 		{"Split", func(c *Comm) { Split(c, c.Rank()%2) }},
 	}
