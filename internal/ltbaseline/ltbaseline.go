@@ -79,12 +79,6 @@ type gibbs struct {
 	// character while scoring through the same tables as the engines.
 	k *score.Kernel
 	g *prng.MRG3
-	// m memoizes split-posterior logML calls on the exact integer triple
-	// (score.Memo), mirroring the optimized engines' pair evaluator. The
-	// statistics themselves are still rescanned from raw cells each step;
-	// only the scoring suffix is cached, and the memo delegates misses to k,
-	// so every answer stays bit-identical. Lazily built on first use.
-	m *score.Memo
 }
 
 func (e *gibbs) gainAttachVar(cc *cluster.CoClustering, x, to int) float64 {
@@ -376,9 +370,6 @@ func (e *gibbs) pairPosteriors(vars []int, node *tree.Node, parent int,
 	sub *prng.MRG3, minSteps, maxSteps int, ciHW float64) []float64 {
 	nObs := len(node.Obs)
 	prow := e.q.Row(parent)
-	if e.m == nil {
-		e.m = score.NewMemo(e.k, 0)
-	}
 	post := make([]float64, nObs)
 	successes := make([]int, nObs)
 	// Degenerate thresholds (nothing falls right) keep posterior 0 and
@@ -410,7 +401,7 @@ func (e *gibbs) pairPosteriors(vars []int, node *tree.Node, parent int,
 					rs.Merge(col)
 				}
 			}
-			delta := e.m.LogML(ls) + e.m.LogML(rs) - e.m.LogML(ls.Plus(rs))
+			delta := e.k.LogML(ls) + e.k.LogML(rs) - e.k.LogML(ls.Plus(rs))
 			if delta > 0 {
 				successes[k]++
 			}

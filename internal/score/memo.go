@@ -1,13 +1,15 @@
 // The exact logML memo. A caller that keeps producing blocks with identical
-// sufficient statistics — the reference engine's split bootstrap rescans the
-// same few observation columns into the same sides over and over — pays
-// Kernel.LogML's data-dependent Log(βN) suffix again on every repeat. Memo
-// caches the result keyed on the *exact integer* sufficient-statistic
-// triple (N, Sum, SumSq), so a repeated block is served the bit-identical
-// float64 the kernel produced the first time: integer keys mean there is no
-// rounding in the lookup, only equality, which is what makes the cache
-// exact (the same discipline as the kernel's integer count key, DESIGN
-// §11/§16). The split evaluator itself no longer needs one (DESIGN §23).
+// sufficient statistics pays Kernel.LogML's data-dependent Log(βN) suffix
+// again on every repeat. Memo caches the result keyed on the *exact
+// integer* sufficient-statistic triple (N, Sum, SumSq), so a repeated block
+// is served the bit-identical float64 the kernel produced the first time:
+// integer keys mean there is no rounding in the lookup, only equality, which
+// is what makes the cache exact (the same discipline as the kernel's integer
+// count key, DESIGN §11/§16). No engine uses it any more: the split
+// evaluator decides without one (DESIGN §23), and the reference engine
+// (internal/ltbaseline) scores through the kernel directly, as the naive
+// mirror it models would. Its one remaining user is the benchmark's
+// score.memo_logml_ns probe.
 //
 // The cache is direct-mapped with power-of-two slots and overwrites on
 // collision: a single probe and a single three-word compare per lookup, no
