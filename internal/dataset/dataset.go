@@ -95,27 +95,44 @@ func (d *Data) Validate() error {
 // (constant rows are left at zero), the usual preprocessing for expression
 // compendia before module-network learning.
 func (d *Data) Standardize() {
+	mean, sd := d.Moments()
+	for i := 0; i < d.N; i++ {
+		row := d.Row(i)
+		for j, v := range row {
+			row[j] = Standardized(v, mean[i], sd[i])
+		}
+	}
+}
+
+// Moments returns each variable's mean and population standard deviation —
+// the statistics Standardize rescales by, and the ones a raw observation
+// must be mapped with to land on the standardized training scale.
+func (d *Data) Moments() (mean, sd []float64) {
+	mean, sd = make([]float64, d.N), make([]float64, d.N)
 	for i := 0; i < d.N; i++ {
 		row := d.Row(i)
 		var sum float64
 		for _, v := range row {
 			sum += v
 		}
-		mean := sum / float64(d.M)
+		mean[i] = sum / float64(d.M)
 		var ss float64
 		for _, v := range row {
-			dv := v - mean
+			dv := v - mean[i]
 			ss += dv * dv
 		}
-		sd := math.Sqrt(ss / float64(d.M))
-		for j, v := range row {
-			if sd > 0 {
-				row[j] = (v - mean) / sd
-			} else {
-				row[j] = 0
-			}
-		}
+		sd[i] = math.Sqrt(ss / float64(d.M))
 	}
+	return mean, sd
+}
+
+// Standardized maps v onto the standardized scale of a variable with the
+// given Moments: (v − mean)/sd, or 0 for a constant variable.
+func Standardized(v, mean, sd float64) float64 {
+	if sd > 0 {
+		return (v - mean) / sd
+	}
+	return 0
 }
 
 // WriteTSV writes the data set as a header line ("gene" plus observation

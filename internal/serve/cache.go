@@ -172,28 +172,23 @@ type cacheEntry struct {
 func (e *cacheEntry) predictors() ([]*module.CPD, error) {
 	e.once.Do(func() {
 		e.cpds, e.cpdErr = core.BuildCPDs(e.data, e.opt, e.out)
-		if e.cpdErr != nil || !e.opt.Standardize {
-			return
-		}
-		e.mean = make([]float64, e.data.N)
-		e.sd = make([]float64, e.data.N)
-		for i := 0; i < e.data.N; i++ {
-			row := e.data.Row(i)
-			var sum float64
-			for _, v := range row {
-				sum += v
-			}
-			m := sum / float64(e.data.M)
-			var ss float64
-			for _, v := range row {
-				dv := v - m
-				ss += dv * dv
-			}
-			e.mean[i] = m
-			e.sd[i] = math.Sqrt(ss / float64(e.data.M))
+		if e.cpdErr == nil && e.opt.Standardize {
+			e.mean, e.sd = e.data.Moments()
 		}
 	})
 	return e.cpds, e.cpdErr
+}
+
+// standardize maps a raw observation (length n, original scale), in place,
+// onto the scale the CPDs were learned on — the training data's own
+// standardization. Call after predictors.
+func (e *cacheEntry) standardize(obs []float64) {
+	if !e.opt.Standardize {
+		return
+	}
+	for i, v := range obs {
+		obs[i] = dataset.Standardized(v, e.mean[i], e.sd[i])
+	}
 }
 
 // predict evaluates every module's CPD on one raw observation vector
@@ -205,15 +200,9 @@ func (e *cacheEntry) predict(obs []float64) ([]ModulePrediction, error) {
 	if err != nil {
 		return nil, err
 	}
+	e.standardize(obs)
 	q := make([]int64, len(obs))
 	for i, v := range obs {
-		if e.opt.Standardize {
-			if e.sd[i] > 0 {
-				v = (v - e.mean[i]) / e.sd[i]
-			} else {
-				v = 0 // constant training row standardizes to zero
-			}
-		}
 		q[i] = score.Quantize(v)
 	}
 	preds := make([]ModulePrediction, 0, len(cpds))

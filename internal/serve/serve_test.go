@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -205,6 +206,37 @@ func TestSubmitWaitFetchRoundTrip(t *testing.T) {
 	}
 }
 
+// TestPredictStandardizesLikeTraining: a training column standardized on the
+// predict side lands on exactly the values dataset.Standardize gave the
+// learner, bit for bit, so a training observation reaches the CPDs as it was
+// learned from. The data gets a constant variable, which both map to 0.
+func TestPredictStandardizesLikeTraining(t *testing.T) {
+	_, d, want := fixture(t)
+	d = d.Clone()
+	for j := 0; j < d.M; j++ {
+		d.Values[5*d.M+j] = 2.5
+	}
+	opt := core.DefaultOptions()
+	e := &cacheEntry{data: d, opt: opt, out: want}
+	if _, err := e.predictors(); err != nil {
+		t.Fatal(err)
+	}
+	trained := d.Clone()
+	trained.Standardize()
+	for _, j := range []int{0, d.M / 2, d.M - 1} {
+		col := make([]float64, d.N)
+		for i := range col {
+			col[i] = d.At(i, j)
+		}
+		e.standardize(col)
+		for i, v := range col {
+			if math.Float64bits(v) != math.Float64bits(trained.At(i, j)) {
+				t.Fatalf("observation %d, variable %d: predict side %v, Standardize %v", j, i, v, trained.At(i, j))
+			}
+		}
+	}
+}
+
 // TestCacheHitBitIdenticalNoRelearn: a repeated identical submission — even
 // at a different p×W shape — is served from the exact result cache with a
 // byte-identical network and no second learning run.
@@ -263,14 +295,18 @@ func TestCacheHitBitIdenticalNoRelearn(t *testing.T) {
 func TestDrainRejectsAndReportsResumePaths(t *testing.T) {
 	tsv, _, want := fixture(t)
 	root := t.TempDir()
-	s := NewServer(Config{Jobs: jobs.Config{MaxJobs: 1}, CheckpointRoot: root})
+	// The run is held in flight by construction: it crashes as module 0
+	// starts, after the GaneSH and consensus checkpoints are durable, and
+	// then waits out a retry backoff (capped at 30 s) that only the drain
+	// cuts short.
+	s := NewServer(Config{Jobs: jobs.Config{MaxJobs: 1, RetryBase: time.Hour}, CheckpointRoot: root})
+	s.inject = &core.FaultSpec{Task: "module:0"}
 
-	// A longer configuration, so the run is still in flight after its
-	// first checkpoint lands.
 	var req JobRequest
 	json.Unmarshal([]byte(submitBody(tsv)), &req) //nolint:errcheck
 	req.GaneshRuns = 2
 	req.Trees = 2
+	req.MaxRestarts = 1
 	body, _ := json.Marshal(req)
 	w := call(t, s, "POST", "/api/v1/jobs", string(body))
 	if w.Code != http.StatusAccepted {
@@ -279,21 +315,19 @@ func TestDrainRejectsAndReportsResumePaths(t *testing.T) {
 	st := decode[JobStatus](t, w)
 	ckptDir := filepath.Join(root, st.CacheKey[:16])
 
-	// Wait for durable checkpoint state, then drain mid-run.
+	// Wait until the run is in its backoff, then drain it there.
+	sj, _ := s.jobByID(0)
 	deadline := time.After(60 * time.Second)
-	for {
-		if ents, err := os.ReadDir(ckptDir); err == nil && len(ents) > 0 {
-			break
-		}
+	for sj.job.Restarts() == 0 {
 		select {
 		case <-deadline:
-			t.Fatal("no checkpoint appeared")
+			t.Fatal("the run never reached its injected crash")
 		case <-time.After(5 * time.Millisecond):
 		}
 	}
 	reports := s.Drain()
 
-	if len(reports) != 1 || reports[0].State != jobs.StateCancelled {
+	if len(reports) != 1 || reports[0].State != jobs.StateCancelled || reports[0].Restarts != 1 {
 		t.Fatalf("drain reports: %+v", reports)
 	}
 	if reports[0].Checkpoint != ckptDir {
