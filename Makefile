@@ -12,7 +12,7 @@ GO ?= go
 # Iterations of the seeded cancel/fault chaos soak (`make soak`).
 SOAK_ITERS ?= 25
 
-.PHONY: tier1 fmt vet lint build test race faults soak fuzz fuzz-score fuzz-wire bench bench-cluster bench-hybrid serve-smoke
+.PHONY: tier1 fmt vet lint build test race faults soak fuzz fuzz-score fuzz-wire bench bench-cluster bench-hybrid serve-smoke loc
 
 tier1: fmt vet lint build test race faults
 
@@ -118,3 +118,8 @@ bench-hybrid:
 # failure.
 serve-smoke:
 	$(GO) run ./cmd/parsimoned -addr 127.0.0.1:0 -smoke
+
+# Non-test Go lines outside benchmark/ — the size count CHANGES.md quotes
+# before and after each change.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' | xargs cat | wc -l
