@@ -10,7 +10,7 @@ import (
 
 // load is a one-hop carrier: it returns wire.DecodeFile's error.
 func load(data []byte) error {
-	_, _, err := wire.DecodeFile(data)
+	_, err := wire.DecodeFile(data, wire.KindNetwork, nil)
 	return err
 }
 
@@ -35,7 +35,7 @@ func dropGo(data []byte) {
 
 // dropDirectWire discards a wire origin in statement position.
 func dropDirectWire(data []byte) {
-	wire.DecodeFile(data) // want "error from wire.DecodeFile discarded"
+	wire.DecodeFile(data, wire.KindNetwork, nil) // want "error from wire.DecodeFile discarded"
 }
 
 // dropRunBlank blanks the error position of a direct comm origin.

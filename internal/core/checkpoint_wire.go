@@ -22,59 +22,42 @@ const (
 	secLayout  = 2
 )
 
+// checkpointSections is v's section table: the required payload and the
+// layout stamp.
+func checkpointSections(v wireCheckpoint) []wire.SectionCodec {
+	st := v.stamp()
+	return []wire.SectionCodec{
+		{ID: secPayload, Required: true, Encode: v.encodePayload, Decode: v.decodePayload},
+		{ID: secLayout,
+			Encode: func(e *wire.Encoder) { e.Uvarint(uint64(st.StreamLayout)) },
+			Decode: func(d *wire.Decoder) {
+				l := d.Uvarint()
+				if l > math.MaxInt32 {
+					d.Failf("stream layout %d out of range", l)
+				}
+				st.StreamLayout = int(l)
+			}},
+	}
+}
+
 // encodeCheckpoint assembles v's wire file.
 func encodeCheckpoint(v wireCheckpoint) []byte {
 	st := v.stamp()
-	payload, layout := wire.NewEncoder(), wire.NewEncoder()
-	v.encodePayload(payload)
-	layout.Uvarint(uint64(st.StreamLayout))
-	return wire.EncodeFile(
-		wire.Header{Kind: v.wireKind(), Seed: st.Seed, GaneshRuns: st.GaneshRuns, N: st.N},
-		[]wire.Section{{ID: secPayload, Body: payload.Bytes()}, {ID: secLayout, Body: layout.Bytes()}})
+	h := wire.Header{Kind: v.wireKind(), Seed: st.Seed, GaneshRuns: st.GaneshRuns, N: st.N}
+	return wire.EncodeFile(h, checkpointSections(v))
 }
 
-// decodeCheckpoint parses the wire file data, found under name, into v.
+// decodeCheckpoint parses the wire file data, found under name, into v. A
+// file without the layout section was written before the stamp existed: it
+// decodes as layout 0, which check refuses.
 func decodeCheckpoint(name string, data []byte, v wireCheckpoint) error {
-	h, secs, err := wire.DecodeFile(data)
+	st := v.stamp()
+	*st = ckptStamp{}
+	h, err := wire.DecodeFile(data, v.wireKind(), checkpointSections(v))
 	if err != nil {
 		return fmt.Errorf("core: corrupt checkpoint %s: %w", name, err)
 	}
-	if h.Kind != v.wireKind() {
-		return fmt.Errorf("core: checkpoint %s is a %s, expected a %s", name, h.Kind, v.wireKind())
-	}
-	st := v.stamp()
-	*st = ckptStamp{Version: checkpointVersionBinary, Seed: h.Seed, GaneshRuns: h.GaneshRuns, N: h.N}
-	payload, ok := wire.FindSection(secs, secPayload)
-	if !ok {
-		return fmt.Errorf("core: corrupt checkpoint %s: %s has no payload section", name, h.Kind)
-	}
-	if err := decodeSection(name, "payload", payload, v.decodePayload); err != nil {
-		return err
-	}
-	layout, ok := wire.FindSection(secs, secLayout)
-	if !ok {
-		return nil // written before the stamp existed: layout 0, refused by check
-	}
-	return decodeSection(name, "layout stamp", layout, func(d *wire.Decoder) {
-		l := d.Uvarint()
-		if l > math.MaxInt32 {
-			d.Failf("stream layout %d out of range", l)
-		}
-		st.StreamLayout = int(l)
-	})
-}
-
-// decodeSection runs decode over one section body, which it must consume
-// exactly.
-func decodeSection(name, what string, body []byte, decode func(*wire.Decoder)) error {
-	d := wire.NewDecoder(body)
-	decode(d)
-	if err := d.Err(); err != nil {
-		return fmt.Errorf("core: corrupt checkpoint %s: %s: %w", name, what, err)
-	}
-	if d.Remaining() != 0 {
-		return fmt.Errorf("core: corrupt checkpoint %s: %s has %d trailing bytes", name, what, d.Remaining())
-	}
+	st.Version, st.Seed, st.GaneshRuns, st.N = checkpointVersionBinary, h.Seed, h.GaneshRuns, h.N
 	return nil
 }
 
@@ -83,26 +66,15 @@ func decodeSection(name, what string, body []byte, decode func(*wire.Decoder)) e
 func (ck *ensemblesCheckpoint) wireKind() wire.Kind { return wire.KindEnsembles }
 
 func (ck *ensemblesCheckpoint) encodePayload(e *wire.Encoder) {
-	e.Uvarint(uint64(len(ck.Ensembles)))
-	for _, run := range ck.Ensembles {
-		e.Uvarint(uint64(len(run)))
-		for _, cluster := range run {
-			e.SortedInts(cluster)
-		}
-	}
+	wire.EncodeList(e, ck.Ensembles, func(e *wire.Encoder, run [][]int) {
+		wire.EncodeList(e, run, (*wire.Encoder).SortedInts)
+	})
 }
 
 func (ck *ensemblesCheckpoint) decodePayload(d *wire.Decoder) {
-	runs := d.Count(1)
-	ck.Ensembles = make([][][]int, 0, runs)
-	for r := 0; r < runs && d.Err() == nil; r++ {
-		clusters := d.Count(1)
-		run := make([][]int, 0, clusters)
-		for c := 0; c < clusters && d.Err() == nil; c++ {
-			run = append(run, d.SortedInts())
-		}
-		ck.Ensembles = append(ck.Ensembles, run)
-	}
+	ck.Ensembles = wire.DecodeList(d, 1, func(d *wire.Decoder) [][]int {
+		return wire.DecodeList(d, 1, (*wire.Decoder).SortedInts)
+	})
 }
 
 // --- modules.json (v3): delta-coded consensus module member lists ---
@@ -110,18 +82,11 @@ func (ck *ensemblesCheckpoint) decodePayload(d *wire.Decoder) {
 func (ck *modulesCheckpoint) wireKind() wire.Kind { return wire.KindModules }
 
 func (ck *modulesCheckpoint) encodePayload(e *wire.Encoder) {
-	e.Uvarint(uint64(len(ck.ModuleVars)))
-	for _, vars := range ck.ModuleVars {
-		e.SortedInts(vars)
-	}
+	wire.EncodeList(e, ck.ModuleVars, (*wire.Encoder).SortedInts)
 }
 
 func (ck *modulesCheckpoint) decodePayload(d *wire.Decoder) {
-	nm := d.Count(1)
-	ck.ModuleVars = make([][]int, 0, nm)
-	for i := 0; i < nm && d.Err() == nil; i++ {
-		ck.ModuleVars = append(ck.ModuleVars, d.SortedInts())
-	}
+	ck.ModuleVars = wire.DecodeList(d, 1, (*wire.Decoder).SortedInts)
 }
 
 // --- progress.json (v3): completed module units ---
@@ -129,18 +94,9 @@ func (ck *modulesCheckpoint) decodePayload(d *wire.Decoder) {
 func (ck *progressCheckpoint) wireKind() wire.Kind { return wire.KindProgress }
 
 func (ck *progressCheckpoint) encodePayload(e *wire.Encoder) {
-	e.Uvarint(uint64(len(ck.Units)))
-	for _, u := range ck.Units {
-		u.EncodeWire(e)
-	}
+	wire.EncodeList(e, ck.Units, func(e *wire.Encoder, u *module.Unit) { u.EncodeWire(e) })
 }
 
 func (ck *progressCheckpoint) decodePayload(d *wire.Decoder) {
-	nu := d.Count(1)
-	ck.Units = make([]*module.Unit, 0, nu)
-	for i := 0; i < nu && d.Err() == nil; i++ {
-		if u := module.DecodeUnitWire(d); u != nil {
-			ck.Units = append(ck.Units, u)
-		}
-	}
+	ck.Units = wire.DecodeList(d, 1, module.DecodeUnitWire)
 }

@@ -16,10 +16,7 @@ import (
 func (u *Unit) EncodeWire(e *wire.Encoder) {
 	e.Int(u.Module)
 	e.SortedInts(u.Vars)
-	e.Uvarint(uint64(len(u.Trees)))
-	for _, t := range u.Trees {
-		t.EncodeWire(e)
-	}
+	wire.EncodeList(e, u.Trees, func(e *wire.Encoder, t *tree.Tree) { t.EncodeWire(e) })
 	splits.EncodeAssigned(e, u.Weighted)
 	splits.EncodeAssigned(e, u.Uniform)
 }
@@ -30,21 +27,11 @@ func DecodeUnitWire(d *wire.Decoder) *Unit {
 	u := &Unit{
 		Module: d.Int(),
 		Vars:   d.SortedInts(),
+		// A tree costs at least its empty Vars list and one node tag.
+		Trees:    wire.DecodeList(d, 2, tree.DecodeWire),
+		Weighted: splits.DecodeAssigned(d),
+		Uniform:  splits.DecodeAssigned(d),
 	}
-	// A tree costs at least its empty Vars list and one node tag.
-	n := d.Count(2)
-	if d.Err() != nil {
-		return nil
-	}
-	for i := 0; i < n; i++ {
-		t := tree.DecodeWire(d)
-		if d.Err() != nil {
-			return nil
-		}
-		u.Trees = append(u.Trees, t)
-	}
-	u.Weighted = splits.DecodeAssigned(d)
-	u.Uniform = splits.DecodeAssigned(d)
 	if d.Err() != nil {
 		return nil
 	}

@@ -11,8 +11,7 @@ import "parsimone/internal/wire"
 
 // EncodeAssigned appends a counted list of assigned splits to e.
 func EncodeAssigned(e *wire.Encoder, as []Assigned) {
-	e.Uvarint(uint64(len(as)))
-	for _, a := range as {
+	wire.EncodeList(e, as, func(e *wire.Encoder, a Assigned) {
 		e.Int(a.Module)
 		e.Int(a.Tree)
 		e.Int(a.Node)
@@ -20,20 +19,15 @@ func EncodeAssigned(e *wire.Encoder, as []Assigned) {
 		e.Varint(a.Value)
 		e.Float64(a.Posterior)
 		e.Int(a.NodeObs)
-	}
+	})
 }
 
 // DecodeAssigned reads a list written by EncodeAssigned. Errors are
 // reported through d's sticky error; the result is nil once d has failed.
 func DecodeAssigned(d *wire.Decoder) []Assigned {
 	// Each entry is at least six 1-byte varints plus an 8-byte float.
-	n := d.Count(14)
-	if d.Err() != nil || n == 0 {
-		return nil
-	}
-	as := make([]Assigned, n)
-	for i := range as {
-		as[i] = Assigned{
+	return wire.DecodeList(d, 14, func(d *wire.Decoder) Assigned {
+		return Assigned{
 			Module:    d.Int(),
 			Tree:      d.Int(),
 			Node:      d.Int(),
@@ -42,9 +36,5 @@ func DecodeAssigned(d *wire.Decoder) []Assigned {
 			Posterior: d.Float64(),
 			NodeObs:   d.Int(),
 		}
-	}
-	if d.Err() != nil {
-		return nil
-	}
-	return as
+	})
 }

@@ -75,24 +75,69 @@ func TestListRoundTrip(t *testing.T) {
 	for _, xs := range lists {
 		e := NewEncoder()
 		e.SortedInts(xs)
-		e.Ints(xs)
 		d := NewDecoder(e.Bytes())
 		if got := d.SortedInts(); !equalInts(got, xs) {
 			t.Errorf("SortedInts(%v) round-tripped to %v", xs, got)
-		}
-		if got := d.Ints(); !equalInts(got, xs) {
-			t.Errorf("Ints(%v) round-tripped to %v", xs, got)
 		}
 		if err := d.Err(); err != nil {
 			t.Errorf("lists %v: %v", xs, err)
 		}
 	}
-	e := NewEncoder()
-	e.Uint64s([]uint64{0, 1, 1 << 20, math.MaxUint64})
-	d := NewDecoder(e.Bytes())
-	got := d.Uint64s()
-	if len(got) != 4 || got[3] != math.MaxUint64 || d.Err() != nil {
-		t.Errorf("Uint64s round trip = %v (%v)", got, d.Err())
+}
+
+// TestDecodeList: EncodeList/DecodeList round-trip, and every malformed
+// list decodes to nil with the sticky error set.
+func TestDecodeList(t *testing.T) {
+	for _, xs := range [][]float64{nil, {0}, {1.5, -2, math.Inf(1)}} {
+		e := NewEncoder()
+		EncodeList(e, xs, (*Encoder).Float64)
+		d := NewDecoder(e.Bytes())
+		got := DecodeList(d, 8, (*Decoder).Float64)
+		if d.Err() != nil || d.Remaining() != 0 || len(got) != len(xs) {
+			t.Fatalf("%v round-tripped to %v (err %v, %d bytes left)", xs, got, d.Err(), d.Remaining())
+		}
+		for i := range xs {
+			if got[i] != xs[i] {
+				t.Errorf("%v round-tripped to %v", xs, got)
+			}
+		}
+	}
+
+	floats := func(count uint64, xs ...float64) []byte {
+		e := NewEncoder()
+		e.Uvarint(count)
+		for _, x := range xs {
+			e.Float64(x)
+		}
+		return e.Bytes()
+	}
+	nonNegative := func(d *Decoder) float64 {
+		x := d.Float64()
+		if x < 0 {
+			d.Failf("negative element %v", x)
+		}
+		return x
+	}
+	for _, tc := range []struct {
+		name     string
+		data     []byte
+		minBytes int
+		elem     func(*Decoder) float64
+		want     string
+	}{
+		{"count exceeds the bytes left", floats(3, 1, 2), 8, (*Decoder).Float64, "count 3 exceeds"},
+		{"truncated element", floats(2, 1, 2)[:12], 1, (*Decoder).Float64, "truncated float64"},
+		{"element fails mid-list", floats(3, 1, -1, 2), 8, nonNegative, "negative element -1"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			d := NewDecoder(tc.data)
+			if got := DecodeList(d, tc.minBytes, tc.elem); got != nil {
+				t.Errorf("decoded %v, want nil", got)
+			}
+			if err := d.Err(); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("got %v, want error containing %q", err, tc.want)
+			}
+		})
 	}
 }
 
@@ -110,42 +155,47 @@ func TestSortedIntsCompact(t *testing.T) {
 	}
 }
 
+// rawSection writes body verbatim as section id and, when read, stores the
+// body it finds in *got.
+func rawSection(id uint64, body []byte, got *[]byte) SectionCodec {
+	return SectionCodec{
+		ID: id,
+		Encode: func(e *Encoder) {
+			for _, b := range body {
+				e.Byte(b)
+			}
+		},
+		Decode: func(d *Decoder) { *got = d.raw(d.Remaining()) },
+	}
+}
+
 func TestFileRoundTrip(t *testing.T) {
 	h := Header{Kind: KindProgress, Seed: 0xDEADBEEF, GaneshRuns: 7, N: 1234}
-	secs := []Section{
-		{ID: 1, Body: []byte("alpha")},
-		{ID: 9, Body: nil},
-		{ID: 2, Body: bytes.Repeat([]byte{0xFF}, 300)},
-	}
-	data := EncodeFile(h, secs)
+	bodies := [][]byte{[]byte("alpha"), nil, bytes.Repeat([]byte{0xFF}, 300)}
+	got := make([][]byte, len(bodies))
+	table := []SectionCodec{rawSection(1, bodies[0], &got[0]), rawSection(9, bodies[1], &got[1]), rawSection(2, bodies[2], &got[2])}
+	data := EncodeFile(h, table)
 	if !IsWire(data) {
 		t.Fatal("encoded file fails IsWire")
 	}
-	gh, gs, err := DecodeFile(data)
+	gh, err := DecodeFile(data, KindProgress, table)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if gh != h {
 		t.Fatalf("header %+v, want %+v", gh, h)
 	}
-	if len(gs) != len(secs) {
-		t.Fatalf("%d sections, want %d", len(gs), len(secs))
-	}
-	for i := range secs {
-		if gs[i].ID != secs[i].ID || !bytes.Equal(gs[i].Body, secs[i].Body) {
-			t.Errorf("section %d mismatch", i)
+	for i := range bodies {
+		if !bytes.Equal(got[i], bodies[i]) {
+			t.Errorf("section %d body %q, want %q", table[i].ID, got[i], bodies[i])
 		}
-	}
-	if body, ok := FindSection(gs, 2); !ok || len(body) != 300 {
-		t.Errorf("FindSection(2) = %d bytes, %v", len(body), ok)
-	}
-	if _, ok := FindSection(gs, 99); ok {
-		t.Error("FindSection found a section that does not exist")
 	}
 }
 
 func TestDecodeFileRejects(t *testing.T) {
-	good := EncodeFile(Header{Kind: KindNetwork, N: 3}, []Section{{ID: 1, Body: []byte{1, 2, 3}}})
+	var body []byte
+	good := EncodeFile(Header{Kind: KindEnsembles, N: 3}, []SectionCodec{rawSection(1, []byte{1, 2, 3}, &body)})
+	kind257 := append(append(append([]byte{}, good[:5]...), 0x81, 0x02), good[6:]...)
 	cases := []struct {
 		name string
 		data []byte
@@ -158,11 +208,47 @@ func TestDecodeFileRejects(t *testing.T) {
 		{"truncated section body", good[:len(good)-2], "exceeds"},
 		{"trailing garbage", append(append([]byte{}, good...), 0x80), "uvarint"},
 		{"oversized section length", append(append([]byte{}, good...), 5, 127), "count 127 exceeds"},
+		// 257 is KindEnsembles once truncated to a byte.
+		{"kind 257", kind257, "kind 257 out of range"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, _, err := DecodeFile(tc.data)
+			_, err := DecodeFile(tc.data, KindEnsembles, nil)
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("got %v, want error containing %q", err, tc.want)
+			}
+		})
+	}
+}
+
+// TestDecodeFileSections: the checks DecodeFile applies to a file's
+// sections against the reader's table.
+func TestDecodeFileSections(t *testing.T) {
+	var payload string
+	table := []SectionCodec{{ID: 1, Required: true,
+		Encode: func(e *Encoder) { e.String("payload") },
+		Decode: func(d *Decoder) { payload = d.String() }}}
+	var ignored []byte
+	for _, tc := range []struct {
+		name string
+		kind Kind
+		secs []SectionCodec
+		want string // "" for a file that decodes
+	}{
+		{"unknown section skipped", KindModules, append([]SectionCodec{rawSection(7777, []byte("from the future"), &ignored)}, table...), ""},
+		{"missing required section", KindModules, []SectionCodec{rawSection(2, []byte{0}, &ignored)}, "modules checkpoint has no section 1"},
+		{"trailing bytes in a section", KindModules, []SectionCodec{rawSection(1, []byte{1, 'x', 'y'}, &ignored)}, "section 1 has 1 trailing bytes"},
+		{"section decoder fails", KindModules, []SectionCodec{rawSection(1, []byte{9, 'x'}, &ignored)}, "section 1: wire: count 9 exceeds"},
+		{"repeated section", KindModules, append(table, table...), "section 1 repeated"},
+		{"kind mismatch", KindNetwork, table, "file is a network, expected a modules checkpoint"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			payload = ""
+			_, err := DecodeFile(EncodeFile(Header{Kind: tc.kind}, tc.secs), KindModules, table)
+			switch {
+			case tc.want == "" && (err != nil || payload != "payload"):
+				t.Fatalf("got payload %q, err %v", payload, err)
+			case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
 				t.Fatalf("got %v, want error containing %q", err, tc.want)
 			}
 		})
@@ -175,7 +261,7 @@ func TestVersionNegotiation(t *testing.T) {
 	data := EncodeFile(Header{Kind: KindNetwork}, nil)
 	// The version uvarint is the byte right after the magic (Version < 128).
 	data[len(magic)] = Version + 1
-	_, _, err := DecodeFile(data)
+	_, err := DecodeFile(data, KindNetwork, nil)
 	if err == nil || !strings.Contains(err.Error(), "format v2, this build expects v1") {
 		t.Fatalf("got %v, want a version-mismatch rejection naming v2 and v1", err)
 	}
@@ -184,16 +270,16 @@ func TestVersionNegotiation(t *testing.T) {
 // TestUnknownSectionsSkipped: a reader dispatching on known section IDs is
 // oblivious to appended sections — the forward-compatibility contract.
 func TestUnknownSectionsSkipped(t *testing.T) {
-	data := EncodeFile(Header{Kind: KindModules, N: 5}, []Section{
-		{ID: 1, Body: []byte("payload")},
-		{ID: 7777, Body: []byte("from the future")},
+	var known, future []byte
+	data := EncodeFile(Header{Kind: KindModules, N: 5}, []SectionCodec{
+		rawSection(1, []byte("payload"), &known),
+		rawSection(7777, []byte("from the future"), &future),
 	})
-	_, secs, err := DecodeFile(data)
-	if err != nil {
+	if _, err := DecodeFile(data, KindModules, []SectionCodec{rawSection(1, nil, &known)}); err != nil {
 		t.Fatal(err)
 	}
-	if body, ok := FindSection(secs, 1); !ok || string(body) != "payload" {
-		t.Fatalf("known section not found: %q %v", body, ok)
+	if string(known) != "payload" {
+		t.Fatalf("known section body %q", known)
 	}
 }
 
