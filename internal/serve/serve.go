@@ -158,7 +158,7 @@ func (s *Server) submit(req *JobRequest) (*servedJob, bool, error) {
 	if err := core.Check(spec.Ranks, d, spec.Options); err != nil {
 		return nil, false, err
 	}
-	key := CacheKey(d, spec.Options)
+	key := core.RunKey(d, spec.Options)
 	if s.cfg.CheckpointRoot != "" {
 		spec.Options.CheckpointDir = filepath.Join(s.cfg.CheckpointRoot, key[:16])
 	}
