@@ -108,7 +108,7 @@ func learnFlags(fs *flag.FlagSet) *serve.JobRequest {
 	fs.IntVar(&req.Splits, "splits", 2, "splits chosen per tree node (J)")
 	fs.IntVar(&req.MaxSteps, "max-steps", 64, "bootstrap sampling cap per split (S)")
 	fs.StringVar(&req.Dist, "dist", "static", "parallel split distribution: static, scan, or dynamic")
-	fs.StringVar(&req.CheckpointFormat, "checkpoint-format", "json", "checkpoint file format: json (v2) or binary (v3, several times smaller); reads auto-detect, so either setting resumes a directory written by the other")
+	fs.StringVar(&req.CheckpointFormat, "checkpoint-format", "json", "checkpoint file format: json (v4) or binary (v3, several times smaller); reads auto-detect, so either setting resumes a directory written by the other")
 	fs.IntVar(&req.MaxRestarts, "max-restarts", 0, "restart the world up to this many times after a rank failure, resuming from -checkpoint if set")
 	fs.Func("regulators", "comma-separated candidate regulator names (default: all variables)", func(s string) error {
 		if s != "" {
@@ -160,7 +160,7 @@ func runCtx(ctx context.Context, args []string, stdout io.Writer) error {
 		out        = fs.String("out", "network.xml", "output network file (.xml, .json, or .bin)")
 		outFormat  = fs.String("out-format", "auto", "output network format: auto (by -out suffix: .json → json, .bin → binary, else xml), xml, json, or binary")
 		verifyOut  = fs.Bool("verify-out", false, "after writing -out, reload it and verify it decodes to the identical network")
-		ckptDir    = fs.String("checkpoint", "", "checkpoint directory: task outputs and per-module progress are persisted there, and a rerun with the same data, seed, and options resumes from whatever checkpoints exist, learning the identical network; stale checkpoints from other configurations are rejected")
+		ckptDir    = fs.String("checkpoint", "", "checkpoint directory: task outputs and per-module progress are persisted there, stamped with the run key (a hash of the data and every option that changes the network); a rerun with the same key resumes from whatever checkpoints exist, learning the identical network, and any other run is refused: delete the directory to re-learn")
 		timeout    = fs.Duration("timeout", 0, "cancel the run after this long (0 = none): it drains cleanly to -checkpoint, exits with code 3, and a rerun with the same flags resumes to the identical network; SIGINT/SIGTERM drain the same way")
 		acyclic    = fs.Bool("acyclic", false, "print the acyclic module graph after learning")
 		quiet      = fs.Bool("quiet", false, "suppress progress output")

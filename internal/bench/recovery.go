@@ -5,7 +5,7 @@
 // crashed run saves by resuming from the per-module progress manifest
 // instead of starting over — and verifies the recovered network is
 // bit-identical to the uninterrupted one at every crash point. Every
-// checkpointed measurement runs under both the v2 JSON and the v3 binary
+// checkpointed measurement runs under both the v4 JSON and the v3 binary
 // checkpoint formats, with the on-disk footprint and the warm-resume
 // latency alongside.
 
@@ -118,7 +118,7 @@ func Recovery(scale Scale) *Table {
 		"later crash points resume more completed work, so their total time approaches 1x + the pre-crash work",
 		"'identical' compares the recovered network bit-for-bit against the uninterrupted run",
 		"'ckpt bytes' is the on-disk checkpoint footprint when the run finished",
-		fmt.Sprintf("v3 binary checkpoints are %.1fx smaller than v2 JSON (%d vs %d bytes)",
+		fmt.Sprintf("v3 binary checkpoints are %.1fx smaller than v4 JSON (%d vs %d bytes)",
 			float64(ckptBytes["json"])/float64(ckptBytes["binary"]),
 			ckptBytes["binary"], ckptBytes["json"]),
 		"'resume (warm ckpt)' reruns over a finished checkpoint directory: pure load-and-verify latency")

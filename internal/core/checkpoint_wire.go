@@ -1,16 +1,14 @@
 // Checkpoint v3: the binary wire-format codecs for the three checkpoint
-// files (DESIGN §12). Every file carries the self-describing wire header —
-// magic, format version, kind, and the (seed, GaneshRuns, N) configuration
-// triple the loaders validate — followed by its payload section and a
-// one-varint section stamping the PRNG stream layout (DESIGN §18). Readers
-// dispatch on section IDs and skip unknown ones, which is how the layout
-// stamp was added without a version bump: a file that lacks it predates it.
+// files (DESIGN §12). Every file is the wire header — magic, format version,
+// kind — followed by two required sections: the payload and the run key the
+// loaders check, as its raw 32-byte sha256 digest.
 
 package core
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
-	"math"
 
 	"parsimone/internal/module"
 	"parsimone/internal/wire"
@@ -19,45 +17,47 @@ import (
 // Section IDs, the same for every file kind.
 const (
 	secPayload = 1
-	secLayout  = 2
+	secKey     = 2
 )
 
-// checkpointSections is v's section table: the required payload and the
-// layout stamp.
+// checkpointSections is v's section table: the payload and the run key.
 func checkpointSections(v wireCheckpoint) []wire.SectionCodec {
 	st := v.stamp()
 	return []wire.SectionCodec{
 		{ID: secPayload, Required: true, Encode: v.encodePayload, Decode: v.decodePayload},
-		{ID: secLayout,
-			Encode: func(e *wire.Encoder) { e.Uvarint(uint64(st.StreamLayout)) },
-			Decode: func(d *wire.Decoder) {
-				l := d.Uvarint()
-				if l > math.MaxInt32 {
-					d.Failf("stream layout %d out of range", l)
-				}
-				st.StreamLayout = int(l)
-			}},
+		{ID: secKey, Required: true, Encode: st.encodeKey, Decode: st.decodeKey},
 	}
+}
+
+// encodeKey writes the run key's digest; a RunKey is always 64 hex digits.
+func (st *ckptStamp) encodeKey(e *wire.Encoder) {
+	digest, _ := hex.DecodeString(st.Key)
+	for _, b := range digest {
+		e.Byte(b)
+	}
+}
+
+func (st *ckptStamp) decodeKey(d *wire.Decoder) {
+	var digest [sha256.Size]byte
+	for i := range digest {
+		digest[i] = d.Byte()
+	}
+	st.Key = hex.EncodeToString(digest[:])
 }
 
 // encodeCheckpoint assembles v's wire file.
 func encodeCheckpoint(v wireCheckpoint) []byte {
-	st := v.stamp()
-	h := wire.Header{Kind: v.wireKind(), Seed: st.Seed, GaneshRuns: st.GaneshRuns, N: st.N}
-	return wire.EncodeFile(h, checkpointSections(v))
+	return wire.EncodeFile(wire.Header{Kind: v.wireKind()}, checkpointSections(v))
 }
 
 // decodeCheckpoint parses the wire file data, found under name, into v. A
-// file without the layout section was written before the stamp existed: it
-// decodes as layout 0, which check refuses.
+// file of another wire version is refused like a JSON file of another
+// checkpoint version.
 func decodeCheckpoint(name string, data []byte, v wireCheckpoint) error {
-	st := v.stamp()
-	*st = ckptStamp{}
-	h, err := wire.DecodeFile(data, v.wireKind(), checkpointSections(v))
-	if err != nil {
-		return fmt.Errorf("core: corrupt checkpoint %s: %w", name, err)
+	if _, err := wire.DecodeFile(data, v.wireKind(), checkpointSections(v)); err != nil {
+		return fmt.Errorf("core: checkpoint %s cannot be read (%w) — delete the checkpoint directory to re-learn", name, err)
 	}
-	st.Version, st.Seed, st.GaneshRuns, st.N = checkpointVersionBinary, h.Seed, h.GaneshRuns, h.N
+	v.stamp().Version = checkpointVersionBinary
 	return nil
 }
 

@@ -539,20 +539,6 @@ func TestCheckpointPartialResume(t *testing.T) {
 	}
 }
 
-func TestCheckpointConfigMismatchRejected(t *testing.T) {
-	d, _ := testData(t, 24, 20, 16)
-	opt := fastOptions(31)
-	dir := t.TempDir()
-	opt.CheckpointDir = dir
-	if _, err := Learn(d, opt); err != nil {
-		t.Fatal(err)
-	}
-	opt.Seed = 999 // different run must not silently reuse the checkpoint
-	if _, err := Learn(d, opt); err == nil {
-		t.Fatal("mismatched checkpoint accepted")
-	}
-}
-
 // TestCheckpointLeftoverTmpIgnored: a stale .tmp file from a crashed save
 // must neither break the run nor leak into the resumed state.
 func TestCheckpointLeftoverTmpIgnored(t *testing.T) {
@@ -591,29 +577,6 @@ func TestCheckpointCorruptRejected(t *testing.T) {
 	}
 	if _, err := Learn(d, opt); err == nil {
 		t.Fatal("corrupt checkpoint accepted")
-	}
-}
-
-// TestCheckpointGaneshRunsMismatchRejected: changing G invalidates both the
-// ensembles and the consensus modules derived from them.
-func TestCheckpointGaneshRunsMismatchRejected(t *testing.T) {
-	d, _ := testData(t, 24, 20, 20)
-	opt := fastOptions(39)
-	dir := t.TempDir()
-	opt.CheckpointDir = dir
-	if _, err := Learn(d, opt); err != nil {
-		t.Fatal(err)
-	}
-	opt.GaneshRuns = 2
-	if _, err := Learn(d, opt); err == nil {
-		t.Fatal("GaneshRuns-mismatched checkpoint accepted")
-	}
-	// Also with only the ensembles checkpoint present.
-	if err := os.Remove(filepath.Join(dir, "modules.json")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Learn(d, opt); err == nil {
-		t.Fatal("GaneshRuns-mismatched ensembles checkpoint accepted")
 	}
 }
 

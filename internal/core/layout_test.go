@@ -15,9 +15,10 @@ import (
 // written by the parent commit (1bb2f8d: stream layout 1, before checkpoints
 // carried a layout stamp) by Learn on testData(24, 20, 36) under
 // fastOptions(51), in both formats. The same data and options must refuse to
-// resume from any of them — seed, G and n all match, so it is the missing
-// stamp alone that stops layout-1 units from being mixed into a layout-2
-// network — with an error that names both layouts.
+// resume from any of them, so layout-1 units are never mixed into a layout-2
+// network. The files are of the format versions that carried no run key (v2
+// JSON, wire v1 binary), so they are refused by version, naming the file and
+// telling the user to delete the checkpoint directory.
 func TestUnstampedCheckpointNotResumed(t *testing.T) {
 	d, _ := testData(t, 24, 20, 36)
 	for _, tc := range []struct{ file, as string }{
@@ -40,9 +41,9 @@ func TestUnstampedCheckpointNotResumed(t *testing.T) {
 			} {
 				_, err := learn()
 				if err == nil {
-					t.Fatalf("%s: resumed from a checkpoint without a layout stamp", name)
+					t.Fatalf("%s: resumed from a checkpoint without a run key", name)
 				}
-				for _, want := range []string{tc.as, "stream layout 1 (no layout stamp)", "stream layout 2"} {
+				for _, want := range []string{tc.as, "delete the checkpoint directory"} {
 					if !strings.Contains(err.Error(), want) {
 						t.Fatalf("%s: error %q does not mention %q", name, err, want)
 					}
