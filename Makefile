@@ -59,7 +59,7 @@ faults:
 		./internal/comm/ ./internal/splits/ ./internal/core/ ./internal/jobs/
 
 # Seeded chaos soak: the deterministic MRG3-driven matrix of (world size,
-# checkpoint format, cancel point, injected comm crash) combinations, each
+# cancel point, exchange per leg, injected comm crash) combinations, each
 # required to land on the bit-identical network directly or after a resume.
 # Scale with SOAK_ITERS; the same seed replays the same plan sequence.
 soak:
@@ -72,7 +72,7 @@ fuzz: fuzz-wire
 	$(GO) test -run '^$$' -fuzz FuzzReadTSV -fuzztime 10s ./internal/dataset/
 
 # Short native-fuzzing pass over the binary wire format (DESIGN §12): the
-# checkpoint read path (format auto-detection, v3 binary, strict v2 JSON)
+# checkpoint read path (the refusal of non-wire files, the binary codecs)
 # and the network deserializers. No input may panic, and any network that
 # decodes must validate. One invocation per target (go test allows a single
 # -fuzz match per run); seed corpora live in testdata/fuzz/.

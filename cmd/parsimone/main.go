@@ -108,7 +108,6 @@ func learnFlags(fs *flag.FlagSet) *serve.JobRequest {
 	fs.IntVar(&req.Splits, "splits", 2, "splits chosen per tree node (J)")
 	fs.IntVar(&req.MaxSteps, "max-steps", 64, "bootstrap sampling cap per split (S)")
 	fs.StringVar(&req.Dist, "dist", "static", "parallel split distribution: static, scan, or dynamic")
-	fs.StringVar(&req.CheckpointFormat, "checkpoint-format", "json", "checkpoint file format: json (v4) or binary (v3, several times smaller); reads auto-detect, so either setting resumes a directory written by the other")
 	fs.IntVar(&req.MaxRestarts, "max-restarts", 0, "restart the world up to this many times after a rank failure, resuming from -checkpoint if set")
 	fs.Func("regulators", "comma-separated candidate regulator names (default: all variables)", func(s string) error {
 		if s != "" {

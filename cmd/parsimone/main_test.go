@@ -18,6 +18,7 @@ import (
 	"parsimone/internal/result"
 	"parsimone/internal/serve"
 	"parsimone/internal/synth"
+	"parsimone/internal/wire"
 )
 
 // writeData generates a small synthetic data set to a temp TSV.
@@ -137,49 +138,26 @@ func TestRunOutFormats(t *testing.T) {
 	}
 }
 
-// TestRunCheckpointFormats: -checkpoint-format binary produces checkpoint
-// files ≥5× smaller in total, and a directory written under one format
-// resumes under the other with the identical network. The data set is
-// 60×30: every file carries the run-key stamp, a fixed 72 bytes of JSON and
-// 34 binary, which on writeData's 30×20 outweighs the tiny ensembles and
-// modules files.
+// TestRunCheckpointFormats: every file -checkpoint writes is a binary wire
+// file, the one checkpoint format, and a rerun over the directory resumes to
+// the identical network.
 func TestRunCheckpointFormats(t *testing.T) {
-	in := writeSynth(t, synth.Config{N: 60, M: 30, Seed: 1})
+	in := writeData(t)
 	dir := t.TempDir()
-	ckptJSON := filepath.Join(dir, "ckpt-json")
-	ckptBin := filepath.Join(dir, "ckpt-bin")
-	base := []string{"-in", in, "-max-steps", "8", "-quiet"}
-	run1 := append(append([]string{}, base...), "-out", filepath.Join(dir, "a.xml"), "-checkpoint", ckptJSON)
-	run2 := append(append([]string{}, base...), "-out", filepath.Join(dir, "b.xml"), "-checkpoint", ckptBin, "-checkpoint-format", "binary")
-	for _, args := range [][]string{run1, run2} {
-		if err := run(args, new(bytes.Buffer)); err != nil {
+	ckpt := filepath.Join(dir, "ckpt")
+	base := []string{"-in", in, "-max-steps", "8", "-quiet", "-checkpoint", ckpt}
+	for _, out := range []string{"a.xml", "b.xml"} {
+		if err := run(append(append([]string{}, base...), "-out", filepath.Join(dir, out)), new(bytes.Buffer)); err != nil {
 			t.Fatal(err)
 		}
-	}
-	var jsonSize, binSize int64
-	for _, name := range []string{"ensembles.json", "modules.json", "progress.json"} {
-		fj, err := os.Stat(filepath.Join(ckptJSON, name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		fb, err := os.Stat(filepath.Join(ckptBin, name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		jsonSize += fj.Size()
-		binSize += fb.Size()
-	}
-	if binSize*5 > jsonSize {
-		t.Fatalf("binary checkpoints %d B not ≥5× smaller than JSON %d B", binSize, jsonSize)
-	}
-	t.Logf("checkpoints: JSON %d B, binary %d B (%.2f×)", jsonSize, binSize, float64(jsonSize)/float64(binSize))
-	// Cross-format resume: rerun over the binary directory with the JSON
-	// setting (and vice versa); the networks must match the originals.
-	run3 := append(append([]string{}, base...), "-out", filepath.Join(dir, "c.xml"), "-checkpoint", ckptBin)
-	run4 := append(append([]string{}, base...), "-out", filepath.Join(dir, "d.xml"), "-checkpoint", ckptJSON, "-checkpoint-format", "binary")
-	for _, args := range [][]string{run3, run4} {
-		if err := run(args, new(bytes.Buffer)); err != nil {
-			t.Fatal(err)
+		for _, name := range []string{"ensembles.json", "modules.json", "progress.json"} {
+			data, err := os.ReadFile(filepath.Join(ckpt, name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !wire.IsWire(data) {
+				t.Fatalf("%s is not a binary wire file", name)
+			}
 		}
 	}
 	read := func(name string) *result.Network {
@@ -194,11 +172,8 @@ func TestRunCheckpointFormats(t *testing.T) {
 		}
 		return n
 	}
-	a := read("a.xml")
-	for _, name := range []string{"b.xml", "c.xml", "d.xml"} {
-		if !result.Equal(read(name), a) {
-			t.Fatalf("%s differs from the first run", name)
-		}
+	if !result.Equal(read("b.xml"), read("a.xml")) {
+		t.Fatal("the resumed network differs from the first run's")
 	}
 }
 
@@ -276,10 +251,11 @@ func TestFlagsAndJSONGiveSameOptions(t *testing.T) {
 		wantErr     bool
 	}{
 		// The flag defaults written out: what a bare `parsimone -in x` asks for.
-		{"", `{"ranks":1,"workers":1,"seed":1,"ganesh_runs":1,"updates":1,"trees":1,"splits":2,"max_steps":64,"dist":"static","checkpoint_format":"json"}`, false},
+		{"", `{"ranks":1,"workers":1,"seed":1,"ganesh_runs":1,"updates":1,"trees":1,"splits":2,"max_steps":64,"dist":"static"}`, false},
 		{"-seed 9 -ganesh-runs 3 -updates 2 -trees 4 -splits 3 -max-steps 16",
 			`{"seed":9,"ganesh_runs":3,"updates":2,"trees":4,"splits":3,"max_steps":16,"workers":1}`, false},
-		{"-dist scan -checkpoint-format binary -max-restarts 2 -p 2 -threads 2 -splits 0 -max-steps 0",
+		// A request may still name the one checkpoint format.
+		{"-dist scan -max-restarts 2 -p 2 -threads 2 -splits 0 -max-steps 0",
 			`{"dist":"scan","checkpoint_format":"binary","max_restarts":2,"ranks":2,"workers":2}`, false},
 		{"-dist dynamic -splits 0 -max-steps 0", `{"dist":"dynamic","workers":1}`, false},
 		// Subset, regulator names → indices, blank names skipped.
@@ -290,7 +266,6 @@ func TestFlagsAndJSONGiveSameOptions(t *testing.T) {
 		{"-n 1 -regulators R0001", `{"n":1,"regulators":["R0001"]}`, true}, // outside the subset
 		{"-regulators ,", `{"regulators":["",""]}`, true},                  // names no variable
 		{"-dist bogus", `{"dist":"bogus"}`, true},
-		{"-checkpoint-format yaml", `{"checkpoint_format":"yaml"}`, true},
 	}
 	for _, tc := range cases {
 		fs := flag.NewFlagSet("parsimone", flag.ContinueOnError)
@@ -345,8 +320,9 @@ func TestRunErrors(t *testing.T) {
 			t.Fatalf("-threads %s accepted", w)
 		}
 	}
-	if err := run([]string{"-in", in, "-checkpoint-format", "bogus"}, new(bytes.Buffer)); err == nil {
-		t.Fatal("bad -checkpoint-format accepted")
+	// Checkpoints have one format, so there is no flag to choose it.
+	if err := run([]string{"-in", in, "-checkpoint-format", "binary"}, new(bytes.Buffer)); err == nil {
+		t.Fatal("-checkpoint-format accepted; it is not a flag")
 	}
 	if err := run([]string{"-in", in, "-out-format", "bogus"}, new(bytes.Buffer)); err == nil {
 		t.Fatal("bad -out-format accepted")

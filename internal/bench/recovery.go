@@ -4,10 +4,8 @@
 // the checkpointing overhead an uninterrupted run pays, and the work a
 // crashed run saves by resuming from the per-module progress manifest
 // instead of starting over — and verifies the recovered network is
-// bit-identical to the uninterrupted one at every crash point. Every
-// checkpointed measurement runs under both the v4 JSON and the v3 binary
-// checkpoint formats, with the on-disk footprint and the warm-resume
-// latency alongside.
+// bit-identical to the uninterrupted one at every crash point, with the
+// on-disk footprint and the warm-resume latency alongside.
 
 package bench
 
@@ -46,14 +44,9 @@ func Recovery(scale Scale) *Table {
 
 	tab := &Table{
 		Title:  fmt.Sprintf("Crash recovery: %d×%d, p=%d, %d modules", n, m, p, nm),
-		Header: []string{"crash point", "format", "time", "vs clean", "ckpt bytes", "identical", "restarts"},
+		Header: []string{"crash point", "time", "vs clean", "ckpt bytes", "identical", "restarts"},
 	}
-	tab.AddRow("none", "-", fmtDur(cleanDur), "1.00x", "-", "-", "0")
-
-	formats := []struct {
-		name   string
-		binary bool
-	}{{"json", false}, {"binary", true}}
+	tab.AddRow("none", fmtDur(cleanDur), "1.00x", "-", "-", "0")
 
 	vsClean := func(dur time.Duration) string {
 		return fmt.Sprintf("%.2fx", dur.Seconds()/cleanDur.Seconds())
@@ -62,27 +55,20 @@ func Recovery(scale Scale) *Table {
 	// Overhead and footprint: the uninterrupted run with checkpoint
 	// persistence on, then a warm resume over the finished directory (the
 	// save/load latency of a fully populated checkpoint set).
-	ckptBytes := map[string]int64{}
-	for _, format := range formats {
-		dir, err := os.MkdirTemp("", "parsimone-recovery-")
-		if err != nil {
-			panic(err)
-		}
-		withCkpt := opt
-		withCkpt.CheckpointDir = dir
-		withCkpt.BinaryCheckpoints = format.binary
-		ckptOut, ckptDur := timeRun(withCkpt)
-		ckptBytes[format.name] = dirSize(dir)
-		tab.AddRow("none (checkpointing)", format.name, fmtDur(ckptDur), vsClean(ckptDur),
-			fmt.Sprintf("%d", ckptBytes[format.name]),
-			yesNo(result.Equal(ckptOut.Network, clean.Network)), "0")
-
-		resumed, resumeDur := timeRun(withCkpt)
-		tab.AddRow("resume (warm ckpt)", format.name, fmtDur(resumeDur), vsClean(resumeDur),
-			fmt.Sprintf("%d", ckptBytes[format.name]),
-			yesNo(result.Equal(resumed.Network, clean.Network)), "0")
-		os.RemoveAll(dir)
+	dir, err := os.MkdirTemp("", "parsimone-recovery-")
+	if err != nil {
+		panic(err)
 	}
+	withCkpt := opt
+	withCkpt.CheckpointDir = dir
+	ckptOut, ckptDur := timeRun(withCkpt)
+	ckptBytes := fmt.Sprintf("%d", dirSize(dir))
+	tab.AddRow("none (checkpointing)", fmtDur(ckptDur), vsClean(ckptDur), ckptBytes,
+		yesNo(result.Equal(ckptOut.Network, clean.Network)), "0")
+	resumed, resumeDur := timeRun(withCkpt)
+	tab.AddRow("resume (warm ckpt)", fmtDur(resumeDur), vsClean(resumeDur), ckptBytes,
+		yesNo(result.Equal(resumed.Network, clean.Network)), "0")
+	os.RemoveAll(dir)
 
 	failpoints := []string{core.TaskGaneSH, core.TaskConsensus}
 	seen := map[string]bool{}
@@ -94,33 +80,27 @@ func Recovery(scale Scale) *Table {
 		}
 	}
 	for _, fp := range failpoints {
-		for _, format := range formats {
-			dir, err := os.MkdirTemp("", "parsimone-recovery-")
-			if err != nil {
-				panic(err)
-			}
-			injected := opt
-			injected.CheckpointDir = dir
-			injected.BinaryCheckpoints = format.binary
-			injected.MaxRestarts = 1
-			injected.Inject = &core.FaultSpec{Task: fp, Rank: 0}
-			out, dur := timeRun(injected)
-			tab.AddRow("crash@"+fp, format.name, fmtDur(dur), vsClean(dur),
-				fmt.Sprintf("%d", dirSize(dir)),
-				yesNo(result.Equal(out.Network, clean.Network)),
-				fmt.Sprintf("%d", len(out.Recovery)))
-			os.RemoveAll(dir)
+		dir, err := os.MkdirTemp("", "parsimone-recovery-")
+		if err != nil {
+			panic(err)
 		}
+		injected := opt
+		injected.CheckpointDir = dir
+		injected.MaxRestarts = 1
+		injected.Inject = &core.FaultSpec{Task: fp, Rank: 0}
+		out, dur := timeRun(injected)
+		tab.AddRow("crash@"+fp, fmtDur(dur), vsClean(dur),
+			fmt.Sprintf("%d", dirSize(dir)),
+			yesNo(result.Equal(out.Network, clean.Network)),
+			fmt.Sprintf("%d", len(out.Recovery)))
+		os.RemoveAll(dir)
 	}
 
 	tab.Notes = append(tab.Notes,
 		"each crash row runs to the failpoint, dies, restarts, and resumes from checkpoints",
 		"later crash points resume more completed work, so their total time approaches 1x + the pre-crash work",
 		"'identical' compares the recovered network bit-for-bit against the uninterrupted run",
-		"'ckpt bytes' is the on-disk checkpoint footprint when the run finished",
-		fmt.Sprintf("v3 binary checkpoints are %.1fx smaller than v4 JSON (%d vs %d bytes)",
-			float64(ckptBytes["json"])/float64(ckptBytes["binary"]),
-			ckptBytes["binary"], ckptBytes["json"]),
+		"'ckpt bytes' is the on-disk footprint of the binary checkpoints when the run finished",
 		"'resume (warm ckpt)' reruns over a finished checkpoint directory: pure load-and-verify latency")
 	return tab
 }

@@ -39,17 +39,17 @@ type fixtureData struct {
 
 // cancelAndResume cancels a run at check index at (on rank 0), asserts the
 // documented *CancelledError, then resumes from the drained checkpoints and
-// returns the resumed output. scanRun/scanResume select the segmented-scan
-// exchange independently on the two legs: the stream layout is the same
-// under every exchange strategy, so every combination — including a gathered
-// run resumed under scan — must land on the same network.
-func cancelAndResume(t *testing.T, f *fixtureData, p int, binary bool, at int64,
+// returns the resumed output. The resume runs on resumeP ranks, and
+// scanRun/scanResume select the segmented-scan exchange independently on the
+// two legs: the stream layout is the same under every world size and
+// exchange strategy, so every combination — including a gathered run resumed
+// under scan — must land on the same network.
+func cancelAndResume(t *testing.T, f *fixtureData, p, resumeP int, at int64,
 	scanRun, scanResume bool) *Output {
 	t.Helper()
 	dir := t.TempDir()
 	injected := f.opt
 	injected.CheckpointDir = dir
-	injected.BinaryCheckpoints = binary
 	injected.Module.Splits.ScanSelection = scanRun
 	injected.MaxRestarts = 1 // must NOT be consumed: cancellation is not a failure
 	injected.Inject = &FaultSpec{CancelAt: at, Rank: 0}
@@ -74,9 +74,8 @@ func cancelAndResume(t *testing.T, f *fixtureData, p int, binary bool, at int64,
 	}
 	resumed := f.opt
 	resumed.CheckpointDir = dir
-	resumed.BinaryCheckpoints = binary
 	resumed.Module.Splits.ScanSelection = scanResume
-	got, err := LearnParallel(p, f.data, resumed)
+	got, err := LearnParallel(resumeP, f.data, resumed)
 	if err != nil {
 		t.Fatalf("resume after cancel at check %d failed: %v", at, err)
 	}
@@ -87,32 +86,33 @@ func cancelAndResume(t *testing.T, f *fixtureData, p int, binary bool, at int64,
 // cancellation: a run cancelled at EVERY cancellation check (the cancel
 // analog of the crash matrix's failpoints), then resumed from its drained
 // checkpoints, learns a network bit-identical to the uninterrupted run.
-// Exhaustive over check indices at p=1/JSON; the p ∈ {2, 4} worlds and the
-// binary checkpoint format cover five spread indices each, mirroring the
-// crash matrix's density. The scan rows rerun spread indices under the
-// segmented-scan exchange — and one row resumes a gathered run under scan —
-// proving resume bit-identity on both exchange paths and across them. Their
-// subtest IDs still say "nobatch": the rows used to flip the deleted batch
-// A/B knob, and the IDs are pinned by the test floor, which admits
-// only a few removals per PR.
+// Exhaustive over check indices at p=1; the p ∈ {2, 4} worlds cover five
+// spread indices each, mirroring the crash matrix's density, and so do the
+// rows that resume on another world size. The scan rows rerun spread indices
+// under the segmented-scan exchange — and one row resumes a gathered run
+// under scan — proving resume bit-identity on both exchange paths and across
+// them. The subtest prefixes are pinned by the test floor and name the knobs
+// the rows used to flip: "binary" rows, which chose the binary checkpoint
+// format when there were two, now resume on another world size; "nobatch"
+// rows flip the exchange.
 func TestCancelMatrixBitIdentical(t *testing.T) {
 	f, checks := cancelFixture(t)
 	spread := []int64{1, checks / 4, checks / 2, 3 * checks / 4, checks}
 	cases := []struct {
-		p      int
-		binary bool
-		at     []int64
-		scan   [2]bool // [run leg, resume leg]
+		id         string
+		p, resumeP int
+		at         []int64
+		scan       [2]bool // [run leg, resume leg]
 	}{
-		{1, false, nil, [2]bool{}}, // nil → every check index
-		{1, true, spread, [2]bool{}},
-		{2, false, spread, [2]bool{}},
-		{2, true, spread, [2]bool{}},
-		{4, false, spread, [2]bool{}},
-		{4, true, spread, [2]bool{}},
-		{1, false, spread, [2]bool{true, true}},
-		{4, true, spread, [2]bool{true, true}},
-		{2, false, spread, [2]bool{false, true}}, // cross: gathered run, scan resume
+		{"json", 1, 1, nil, [2]bool{}}, // nil → every check index
+		{"binary", 1, 2, spread, [2]bool{}},
+		{"json", 2, 2, spread, [2]bool{}},
+		{"binary", 2, 4, spread, [2]bool{}},
+		{"json", 4, 4, spread, [2]bool{}},
+		{"binary", 4, 1, spread, [2]bool{}},
+		{"json", 1, 1, spread, [2]bool{true, true}},
+		{"binary", 4, 4, spread, [2]bool{true, true}},
+		{"json", 2, 2, spread, [2]bool{false, true}}, // cross: gathered run, scan resume
 	}
 	for _, tc := range cases {
 		ats := tc.at
@@ -121,17 +121,13 @@ func TestCancelMatrixBitIdentical(t *testing.T) {
 				ats = append(ats, at)
 			}
 		}
-		format := "json"
-		if tc.binary {
-			format = "binary"
-		}
+		id := tc.id
 		if tc.scan[0] || tc.scan[1] {
-			format += fmt.Sprintf("_nobatch%v%v", tc.scan[0], tc.scan[1])
+			id += fmt.Sprintf("_nobatch%v%v", tc.scan[0], tc.scan[1])
 		}
 		for _, at := range ats {
-			at := at
-			t.Run(fmt.Sprintf("%s_p%d_check%d", format, tc.p, at), func(t *testing.T) {
-				got := cancelAndResume(t, f, tc.p, tc.binary, at, tc.scan[0], tc.scan[1])
+			t.Run(fmt.Sprintf("%s_p%d_check%d", id, tc.p, at), func(t *testing.T) {
+				got := cancelAndResume(t, f, tc.p, tc.resumeP, at, tc.scan[0], tc.scan[1])
 				if !result.Equal(got.Network, f.want.Network) {
 					t.Fatal("resumed network differs from the uninterrupted run")
 				}
@@ -302,8 +298,8 @@ func TestSweepOrphanedTempCheckpoints(t *testing.T) {
 }
 
 // TestSoakCancelFaultChaos is the seeded chaos soak behind `make soak`: a
-// deterministic MRG3 stream picks (p, checkpoint format, cancel point,
-// gather or scan exchange per leg, and optionally a comm-fault crash) per
+// deterministic MRG3 stream picks (p, cancel point, gather or scan exchange
+// per leg, and optionally a comm-fault crash) per
 // iteration; every iteration must end in the bit-identical network, either
 // directly (fault + supervised restart) or after a resume (cancellation).
 // The exchange draws are independent for the run and resume legs, so the
@@ -336,7 +332,9 @@ func TestSoakCancelFaultChaos(t *testing.T) {
 	}
 	for i := 0; i < iters; i++ {
 		p := ps[g.Intn(len(ps))]
-		binary := g.Intn(2) == 1
+		// Drawn and discarded: the checkpoint format had two values once,
+		// and the draw keeps the seeded plans and their subtest IDs.
+		_ = g.Intn(2)
 		at := int64(1 + g.Intn(int(checks)))
 		crash := g.Intn(2) == 1 && p > 1
 		scanRun := g.Intn(2) == 1
@@ -348,7 +346,6 @@ func TestSoakCancelFaultChaos(t *testing.T) {
 				dir := t.TempDir()
 				injected := f.opt
 				injected.CheckpointDir = dir
-				injected.BinaryCheckpoints = binary
 				injected.Module.Splits.ScanSelection = scanRun
 				injected.MaxRestarts = 1
 				injected.Inject = &FaultSpec{Comm: []comm.Fault{
@@ -363,7 +360,7 @@ func TestSoakCancelFaultChaos(t *testing.T) {
 				}
 				return
 			}
-			got := cancelAndResume(t, f, p, binary, at, scanRun, scanResume)
+			got := cancelAndResume(t, f, p, p, at, scanRun, scanResume)
 			if !result.Equal(got.Network, f.want.Network) {
 				t.Fatal("soak resume differs from the uninterrupted run")
 			}

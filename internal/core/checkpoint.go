@@ -13,11 +13,8 @@
 package core
 
 import (
-	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -28,40 +25,31 @@ import (
 	"parsimone/internal/wire"
 )
 
-// checkpoint file names inside Options.CheckpointDir. The names are stable
-// across formats: a v3 binary checkpoint still lives in ensembles.json etc.,
-// and readers detect the format by content (wire magic vs JSON), so a
-// directory written by either format resumes under either setting.
+// checkpoint file names inside Options.CheckpointDir. Every file is a binary
+// wire file (checkpoint_wire.go, DESIGN §12). The names keep the suffix of
+// the JSON checkpoints earlier builds wrote, so an old directory's files are
+// found and refused instead of passed over while the run silently starts
+// again.
 const (
 	ckptEnsembles = "ensembles.json"
 	ckptModules   = "modules.json"
 	ckptProgress  = "progress.json"
 )
 
-// Checkpoint format versions. v4 is the JSON format; v3 is the binary wire
-// format (internal/wire, DESIGN §12) written when Options.BinaryCheckpoints
-// is set. The read path accepts both, auto-detected by magic. Files of any
-// other version, or of another wire version, are refused; there is no
-// migration — delete the directory and re-learn.
-const (
-	checkpointVersion       = 4
-	checkpointVersionBinary = 3
-)
-
-// ckptStamp is the head of every checkpoint file: the format version and the
-// key of the run that wrote it (RunKey). The key hashes the data, every
+// ckptStamp is the run key section of every checkpoint file: the digest of
+// the run that wrote it (RunKey). The key hashes the data, every
 // result-affecting option and the PRNG stream layout, so a checkpoint
-// resumes only the run that wrote it.
+// resumes only the run that wrote it. The format version is the wire
+// header's.
 type ckptStamp struct {
-	Version int    `json:"version"`
-	Key     string `json:"key"`
+	Key digest
 }
 
 func (st *ckptStamp) stamp() *ckptStamp { return st }
 
 // check refuses a checkpoint another run wrote: one of other data, other
 // result-affecting options or another stream layout.
-func (st *ckptStamp) check(name, key string) error {
+func (st *ckptStamp) check(name string, key digest) error {
 	if st.Key != key {
 		return fmt.Errorf("core: checkpoint %s was written by a different configuration (data, result-affecting options or stream layout) — delete the checkpoint directory to re-learn", name)
 	}
@@ -71,13 +59,13 @@ func (st *ckptStamp) check(name, key string) error {
 // ensemblesCheckpoint persists the GaneSH task's output.
 type ensemblesCheckpoint struct {
 	ckptStamp
-	Ensembles [][][]int `json:"ensembles"`
+	Ensembles [][][]int
 }
 
 // modulesCheckpoint persists the consensus task's output.
 type modulesCheckpoint struct {
 	ckptStamp
-	ModuleVars [][]int `json:"moduleVars"`
+	ModuleVars [][]int
 }
 
 // progressCheckpoint persists the per-module units completed so far inside
@@ -86,27 +74,11 @@ type modulesCheckpoint struct {
 // bit-identically.
 type progressCheckpoint struct {
 	ckptStamp
-	Units []*module.Unit `json:"units"`
+	Units []*module.Unit
 }
 
-// checkVersion rejects JSON checkpoint files written in another format.
-// A file where the version field is simply absent (nil) predates versioning
-// and is reported as such, not as the misleading "format v0".
-func checkVersion(name string, got *int) error {
-	if got == nil {
-		return fmt.Errorf("core: checkpoint %s has no version field (pre-versioning format), expected v%d — delete the checkpoint directory to re-learn",
-			name, checkpointVersion)
-	}
-	if *got != checkpointVersion {
-		return fmt.Errorf("core: checkpoint %s is format v%d, expected v%d — delete the checkpoint directory to re-learn",
-			name, *got, checkpointVersion)
-	}
-	return nil
-}
-
-// wireCheckpoint is the codec contract each checkpoint type implements for
-// the v3 binary format: its kind, its stamp (the run key section), and its
-// payload.
+// wireCheckpoint is the codec contract each checkpoint type implements: its
+// kind, its stamp (the run key section), and its payload.
 type wireCheckpoint interface {
 	wireKind() wire.Kind
 	stamp() *ckptStamp
@@ -115,20 +87,14 @@ type wireCheckpoint interface {
 }
 
 // loadCheckpoint reads a checkpoint file into v and refuses it unless the
-// run with this key wrote it; a missing file returns (false, nil). The
-// format is auto-detected by content: a v3 binary file starts with the wire
-// magic, anything else is v4 JSON.
-func loadCheckpoint(dir, name, key string, v wireCheckpoint) (bool, error) {
+// run with this key wrote it; a missing file returns (false, nil).
+func loadCheckpoint(dir, name string, key digest, v wireCheckpoint) (bool, error) {
 	data, err := os.ReadFile(filepath.Join(dir, name))
 	if errors.Is(err, fs.ErrNotExist) {
 		return false, nil
 	}
 	if err == nil {
-		if wire.IsWire(data) {
-			err = decodeCheckpoint(name, data, v)
-		} else {
-			err = decodeJSONCheckpoint(name, data, v)
-		}
+		err = decodeCheckpoint(name, data, v)
 	}
 	if err == nil {
 		err = v.stamp().check(name, key)
@@ -136,49 +102,12 @@ func loadCheckpoint(dir, name, key string, v wireCheckpoint) (bool, error) {
 	return err == nil, err
 }
 
-// decodeJSONCheckpoint parses the v4 JSON file data, found under name, into
-// v. The version is checked first, so a file of another format version is
-// refused as that version; the decode is then strict: unknown or misspelled
-// fields and trailing garbage (a concatenated or half-overwritten file) are
-// corruption, never a silent partial resume.
-func decodeJSONCheckpoint(name string, data []byte, v wireCheckpoint) error {
-	// A pointer tells an absent version field from an explicit 0.
-	var probe struct {
-		Version *int `json:"version"`
-	}
-	if err := json.NewDecoder(bytes.NewReader(data)).Decode(&probe); err != nil {
-		return fmt.Errorf("core: corrupt checkpoint %s: %w", name, err)
-	}
-	if err := checkVersion(name, probe.Version); err != nil {
-		return err
-	}
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return fmt.Errorf("core: corrupt checkpoint %s: %w", name, err)
-	}
-	if _, err := dec.Token(); err != io.EOF {
-		return fmt.Errorf("core: corrupt checkpoint %s: trailing data after the JSON document", name)
-	}
-	return nil
-}
-
 // saveCheckpoint writes v atomically and durably: create the directory,
 // write a temp file, fsync it, rename over the final name, and fsync the
 // directory. Without the fsyncs a crash can leave a renamed-but-truncated
-// file that loadCheckpoint rejects as corrupt on resume; a stale .tmp from
-// an earlier crash is simply overwritten. With binary set the v3 wire
-// format is written instead of v4 JSON; both resume interchangeably.
-func saveCheckpoint(dir, name string, v wireCheckpoint, binary bool) error {
-	var data []byte
-	if binary {
-		data = encodeCheckpoint(v)
-	} else {
-		var err error
-		if data, err = json.Marshal(v); err != nil {
-			return err
-		}
-	}
+// file that loadCheckpoint rejects on resume; a stale .tmp from an earlier
+// crash is simply overwritten.
+func saveCheckpoint(dir, name string, v wireCheckpoint) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
@@ -187,7 +116,7 @@ func saveCheckpoint(dir, name string, v wireCheckpoint, binary bool) error {
 	if err != nil {
 		return err
 	}
-	if _, err := f.Write(data); err != nil {
+	if _, err := f.Write(encodeCheckpoint(v)); err != nil {
 		f.Close()
 		return err
 	}
@@ -209,21 +138,58 @@ func saveCheckpoint(dir, name string, v wireCheckpoint, binary bool) error {
 	return d.Sync()
 }
 
+// checkVars refuses variable lists a run over n variables cannot have
+// written: an index outside [0, n) or one listed twice, and with cover set
+// also an index listed nowhere. The file carries the run's own key, so such
+// lists mean a damaged file, and learning from them would index past the
+// data.
+func checkVars(name string, sets [][]int, n int, cover bool) error {
+	seen := make([]bool, n)
+	for _, set := range sets {
+		for _, x := range set {
+			if x < 0 || x >= n {
+				return fmt.Errorf("core: checkpoint %s lists variable %d, outside [0, %d)", name, x, n)
+			}
+			if seen[x] {
+				return fmt.Errorf("core: checkpoint %s lists variable %d twice", name, x)
+			}
+			seen[x] = true
+		}
+	}
+	if x := slices.Index(seen, false); cover && x >= 0 {
+		return fmt.Errorf("core: checkpoint %s leaves variable %d unassigned", name, x)
+	}
+	return nil
+}
+
 // loadEnsembles returns the checkpointed GaneSH ensembles if present and
-// written by the run with this key.
-func loadEnsembles(dir, key string) ([][][]int, error) {
+// written by the run with this key: one partition of the n variables per
+// GaneSH run, as snapshotOf writes them.
+func loadEnsembles(dir string, key digest, runs, n int) ([][][]int, error) {
 	var ck ensemblesCheckpoint
 	if ok, err := loadCheckpoint(dir, ckptEnsembles, key, &ck); err != nil || !ok {
 		return nil, err
+	}
+	if len(ck.Ensembles) != runs {
+		return nil, fmt.Errorf("core: checkpoint %s holds %d GaneSH runs, want %d", ckptEnsembles, len(ck.Ensembles), runs)
+	}
+	for _, run := range ck.Ensembles {
+		if err := checkVars(ckptEnsembles, run, n, true); err != nil {
+			return nil, err
+		}
 	}
 	return ck.Ensembles, nil
 }
 
 // loadModules returns the checkpointed consensus modules if present and
-// written by the run with this key.
-func loadModules(dir, key string) ([][]int, bool, error) {
+// written by the run with this key; each of the n variables is in at most
+// one module.
+func loadModules(dir string, key digest, n int) ([][]int, bool, error) {
 	var ck modulesCheckpoint
 	if ok, err := loadCheckpoint(dir, ckptModules, key, &ck); err != nil || !ok {
+		return nil, false, err
+	}
+	if err := checkVars(ckptModules, ck.ModuleVars, n, false); err != nil {
 		return nil, false, err
 	}
 	return ck.ModuleVars, true, nil
@@ -234,7 +200,7 @@ func loadModules(dir, key string) ([][]int, bool, error) {
 // current module memberships. A unit whose module index or variables do not
 // match the consensus result indicates a foreign manifest and is an error,
 // not a silent partial resume.
-func loadProgress(dir, key string, moduleVars [][]int) (map[int]*module.Unit, error) {
+func loadProgress(dir string, key digest, moduleVars [][]int) (map[int]*module.Unit, error) {
 	var ck progressCheckpoint
 	if ok, err := loadCheckpoint(dir, ckptProgress, key, &ck); err != nil || !ok {
 		return nil, err
@@ -263,11 +229,11 @@ func loadProgress(dir, key string, moduleVars [][]int) (map[int]*module.Unit, er
 // saveProgress rewrites the whole progress manifest (units sorted by module
 // index) atomically via saveCheckpoint. Manifests are small relative to the
 // work a module represents, so whole-file rewrites keep the format trivial.
-func saveProgress(dir string, st ckptStamp, units map[int]*module.Unit, binary bool) error {
+func saveProgress(dir string, st ckptStamp, units map[int]*module.Unit) error {
 	ck := progressCheckpoint{ckptStamp: st}
 	for _, u := range units {
 		ck.Units = append(ck.Units, u)
 	}
 	sort.Slice(ck.Units, func(i, j int) bool { return ck.Units[i].Module < ck.Units[j].Module })
-	return saveCheckpoint(dir, ckptProgress, &ck, binary)
+	return saveCheckpoint(dir, ckptProgress, &ck)
 }

@@ -1,7 +1,9 @@
 package core
 
 import (
-	"encoding/json"
+	"bytes"
+	"encoding/hex"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -10,6 +12,7 @@ import (
 
 	"parsimone/internal/dataset"
 	"parsimone/internal/result"
+	"parsimone/internal/trace"
 )
 
 // writeCkpt drops raw bytes where loadCheckpoint will look for them.
@@ -20,64 +23,74 @@ func writeCkpt(t *testing.T, dir, name string, data []byte) {
 	}
 }
 
-// testStamp stamps a checkpoint with a fixed well-formed run key.
-var testStamp = ckptStamp{Version: checkpointVersion, Key: "db3d213d54d19ca3561b8a0e6e98773cedfbb9318779b0a97854cd1e6b7893c1"}
-
-// validEnsemblesJSON is a well-formed v4 ensembles checkpoint document.
-func validEnsemblesJSON(t *testing.T) []byte {
-	t.Helper()
-	ck := ensemblesCheckpoint{ckptStamp: testStamp,
-		Ensembles: [][][]int{{{0, 1}, {2, 3}}, {{0, 2}, {1, 3}}}}
-	data, err := json.Marshal(&ck)
-	if err != nil {
-		t.Fatal(err)
+// hexDigest decodes a run key written as 64 hex digits.
+func hexDigest(s string) (k digest) {
+	if n, err := hex.Decode(k[:], []byte(s)); err != nil || n != len(k) {
+		panic("core: bad test run key " + s)
 	}
-	return data
+	return k
 }
 
-// TestLoadCheckpointStrictJSON: the v4 JSON reader must reject anything that
-// is not exactly one well-formed document with exactly the known fields — a
-// truncated file, a misspelled or extra field, and concatenated documents
-// (a half-overwritten file) are corruption, not a silent partial resume.
-func TestLoadCheckpointStrictJSON(t *testing.T) {
-	valid := validEnsemblesJSON(t)
-	cases := map[string]struct {
-		data []byte
-		want string
-	}{
-		"truncated": {valid[:len(valid)/2], "corrupt checkpoint"},
-		"extra field": {[]byte(`{"version":4,"key":"k","ensembles":[],"extra":1}`),
-			`unknown field "extra"`},
-		"misspelled field": {[]byte(`{"version":4,"kee":"k","ensembles":[]}`),
-			`unknown field "kee"`},
-		"concatenated documents": {append(append([]byte{}, valid...), valid...),
-			"trailing data after the JSON document"},
-		"trailing garbage": {append(append([]byte{}, valid...), []byte("xx")...),
-			"trailing data after the JSON document"},
-		"empty file": {nil, "corrupt checkpoint"},
+// testStamp stamps a checkpoint with a fixed well-formed run key.
+var testStamp = ckptStamp{Key: hexDigest("db3d213d54d19ca3561b8a0e6e98773cedfbb9318779b0a97854cd1e6b7893c1")}
+
+// jsonRefusal is the phrase of the one refusal every non-wire checkpoint
+// file gets.
+const jsonRefusal = "JSON checkpoints of earlier builds are no longer read"
+
+// wantJSONRefusal asserts err is the non-wire refusal of file: the file is
+// named, the delete hint given, and the file is not called corrupt.
+func wantJSONRefusal(t *testing.T, err error, file string) {
+	t.Helper()
+	if err == nil {
+		t.Fatalf("%s resumed, want the refusal of a JSON checkpoint", file)
 	}
-	for name, tc := range cases {
+	for _, want := range []string{file, jsonRefusal, "delete the checkpoint directory"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("error %q does not mention %q", err, want)
+		}
+	}
+	if strings.Contains(err.Error(), "corrupt") {
+		t.Fatalf("refused as corrupt: %v", err)
+	}
+}
+
+// earlierJSON is an ensembles checkpoint as earlier builds wrote it: the v4
+// JSON document of the stamp and the payload.
+const earlierJSON = `{"version":4,"key":"db3d213d54d19ca3561b8a0e6e98773cedfbb9318779b0a97854cd1e6b7893c1","ensembles":[[[0,1],[2,3]],[[0,2],[1,3]]]}`
+
+// TestLoadCheckpointStrictJSON: JSON checkpoints are no longer read, and the
+// loader refuses every JSON document alike — one an earlier build wrote
+// intact, a truncated one, one with a misspelled or extra field,
+// concatenated documents, trailing garbage, an empty file — never as a
+// silent partial resume and never as corruption.
+func TestLoadCheckpointStrictJSON(t *testing.T) {
+	valid := []byte(earlierJSON)
+	cases := map[string][]byte{
+		"well-formed":            valid,
+		"truncated":              valid[:len(valid)/2],
+		"extra field":            []byte(`{"version":4,"key":"k","ensembles":[],"extra":1}`),
+		"misspelled field":       []byte(`{"version":4,"kee":"k","ensembles":[]}`),
+		"concatenated documents": append(append([]byte{}, valid...), valid...),
+		"trailing garbage":       append(append([]byte{}, valid...), []byte("xx")...),
+		"empty file":             nil,
+	}
+	for name, data := range cases {
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
-			writeCkpt(t, dir, ckptEnsembles, tc.data)
+			writeCkpt(t, dir, ckptEnsembles, data)
 			var ck ensemblesCheckpoint
-			_, err := loadCheckpoint(dir, ckptEnsembles, testStamp.Key, &ck)
-			if err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("got %v, want an error containing %q", err, tc.want)
+			ok, err := loadCheckpoint(dir, ckptEnsembles, testStamp.Key, &ck)
+			if ok {
+				t.Fatal("loaded a JSON checkpoint")
 			}
+			wantJSONRefusal(t, err, ckptEnsembles)
 		})
-	}
-	// Sanity: the valid document itself loads.
-	dir := t.TempDir()
-	writeCkpt(t, dir, ckptEnsembles, valid)
-	var ck ensemblesCheckpoint
-	if ok, err := loadCheckpoint(dir, ckptEnsembles, testStamp.Key, &ck); err != nil || !ok {
-		t.Fatalf("valid document rejected: ok=%v err=%v", ok, err)
 	}
 }
 
-// TestBinaryCheckpointRoundTrip: each checkpoint type survives a v3 binary
-// save/load cycle with its payload intact.
+// TestBinaryCheckpointRoundTrip: each checkpoint type survives a save/load
+// cycle with its payload intact.
 func TestBinaryCheckpointRoundTrip(t *testing.T) {
 	ens := &ensemblesCheckpoint{ckptStamp: testStamp,
 		Ensembles: [][][]int{{{0, 1, 2}, {3, 4, 5}}, {{0, 3}, {1, 2, 4, 5}}, {{5}}}}
@@ -85,7 +98,7 @@ func TestBinaryCheckpointRoundTrip(t *testing.T) {
 		ModuleVars: [][]int{{0, 2, 4}, {1, 3}, {5}}}
 	t.Run("ensembles", func(t *testing.T) {
 		dir := t.TempDir()
-		if err := saveCheckpoint(dir, ckptEnsembles, ens, true); err != nil {
+		if err := saveCheckpoint(dir, ckptEnsembles, ens); err != nil {
 			t.Fatal(err)
 		}
 		var got ensemblesCheckpoint
@@ -101,7 +114,7 @@ func TestBinaryCheckpointRoundTrip(t *testing.T) {
 	})
 	t.Run("modules", func(t *testing.T) {
 		dir := t.TempDir()
-		if err := saveCheckpoint(dir, ckptModules, mods, true); err != nil {
+		if err := saveCheckpoint(dir, ckptModules, mods); err != nil {
 			t.Fatal(err)
 		}
 		var got modulesCheckpoint
@@ -116,7 +129,7 @@ func TestBinaryCheckpointRoundTrip(t *testing.T) {
 		// A binary ensembles file loaded as a modules checkpoint must be
 		// rejected by kind, not misparsed.
 		dir := t.TempDir()
-		if err := saveCheckpoint(dir, ckptModules, ens, true); err != nil {
+		if err := saveCheckpoint(dir, ckptModules, ens); err != nil {
 			t.Fatal(err)
 		}
 		var got modulesCheckpoint
@@ -144,65 +157,97 @@ func TestBinaryCheckpointCorruptFailsCleanly(t *testing.T) {
 	}
 }
 
-// TestMixedFormatResume: checkpoints written under one format resume under
-// the other. The file names are stable and readers auto-detect by content,
-// so flipping Options.BinaryCheckpoints between runs is always safe.
+// TestMixedFormatResume: a directory holding binary checkpoints beside a
+// JSON one, as an earlier build left it when a run switched formats between
+// attempts, is refused at the JSON file — never resumed from the binary
+// files alone. json_then_binary kept its JSON modules.json, binary_then_json
+// rewrote progress.json as JSON.
 func TestMixedFormatResume(t *testing.T) {
 	d, _ := testData(t, 30, 24, 4)
 	opt := fastOptions(9)
-	want, err := Learn(d, opt)
-	if err != nil {
+	written := t.TempDir()
+	opt.CheckpointDir = written
+	if _, err := Learn(d, opt); err != nil {
 		t.Fatal(err)
 	}
-	for _, flip := range []struct {
-		name          string
-		first, second bool
-	}{{"json_then_binary", false, true}, {"binary_then_json", true, false}} {
-		t.Run(flip.name, func(t *testing.T) {
+	for _, tc := range []struct{ name, json string }{
+		{"json_then_binary", ckptModules},
+		{"binary_then_json", ckptProgress},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
-			first := opt
-			first.CheckpointDir = dir
-			first.BinaryCheckpoints = flip.first
-			if _, err := Learn(d, first); err != nil {
-				t.Fatal(err)
+			for _, name := range []string{ckptEnsembles, ckptModules, ckptProgress} {
+				data, err := os.ReadFile(filepath.Join(written, name))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if name == tc.json {
+					data = []byte(fmt.Sprintf(`{"version":4,"key":%q}`, RunKey(d, opt)))
+				}
+				writeCkpt(t, dir, name, data)
 			}
-			second := opt
-			second.CheckpointDir = dir
-			second.BinaryCheckpoints = flip.second
-			got, err := Learn(d, second)
-			if err != nil {
-				t.Fatalf("resume across formats failed: %v", err)
-			}
-			if !result.Equal(got.Network, want.Network) {
-				t.Fatal("cross-format resume differs from the uninterrupted run")
-			}
+			resumed := opt
+			resumed.CheckpointDir = dir
+			_, err := Learn(d, resumed)
+			wantJSONRefusal(t, err, tc.json)
 		})
 	}
 }
 
-// TestBinaryCheckpointSize pins the tentpole's size claim on the progress
-// manifest, the checkpoint that dominates disk traffic (it is rewritten
-// after every module): the v3 binary encoding is several times smaller than
-// the v4 JSON it replaces.
-func TestBinaryCheckpointSize(t *testing.T) {
-	d, _ := testData(t, 48, 24, 2)
-	sizes := map[bool]int64{}
-	for _, binary := range []bool{false, true} {
-		opt := fastOptions(3)
-		opt.CheckpointDir = t.TempDir()
-		opt.BinaryCheckpoints = binary
-		if _, err := Learn(d, opt); err != nil {
-			t.Fatal(err)
-		}
-		fi, err := os.Stat(filepath.Join(opt.CheckpointDir, ckptProgress))
-		if err != nil {
-			t.Fatal(err)
-		}
-		sizes[binary] = fi.Size()
+// TestResumedPartitionValidated: a checkpoint stamped with the run's own key
+// but holding variable lists that run cannot have written — a variable
+// index past the data, one listed twice, a GaneSH run that leaves one out or
+// the wrong number of runs — is refused with an error naming the file. The
+// refusal is an error the rank returns, so no world is restarted for it.
+func TestResumedPartitionValidated(t *testing.T) {
+	d, _ := testData(t, 20, 16, 1)
+	opt := fastOptions(3)
+	n := d.N
+	all := make([]int, n)
+	for i := range all {
+		all[i] = i
 	}
-	if ratio := float64(sizes[false]) / float64(sizes[true]); ratio < 5 {
-		t.Fatalf("binary progress checkpoint only %.1f× smaller than JSON (%d vs %d bytes), want ≥ 5×",
-			ratio, sizes[true], sizes[false])
+	runs := func(run [][]int) [][][]int {
+		out := make([][][]int, opt.GaneshRuns)
+		for r := range out {
+			out[r] = run
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		name string
+		file string
+		v    wireCheckpoint
+		want string
+	}{
+		{"modules_out_of_range", ckptModules,
+			&modulesCheckpoint{ModuleVars: [][]int{{0, 1}, {2, n + 400}}}, "outside [0, 20)"},
+		{"modules_duplicate", ckptModules,
+			&modulesCheckpoint{ModuleVars: [][]int{{0, 1}, {1, 2}}}, "variable 1 twice"},
+		{"ensembles_out_of_range", ckptEnsembles,
+			&ensemblesCheckpoint{Ensembles: runs([][]int{all, {n}})}, "outside [0, 20)"},
+		{"ensembles_duplicate", ckptEnsembles,
+			&ensemblesCheckpoint{Ensembles: runs([][]int{all, {3}})}, "variable 3 twice"},
+		{"ensembles_missing_variable", ckptEnsembles,
+			&ensemblesCheckpoint{Ensembles: runs([][]int{all[1:]})}, "variable 0 unassigned"},
+		{"ensembles_run_count", ckptEnsembles,
+			&ensemblesCheckpoint{Ensembles: append(runs([][]int{all}), [][]int{all})}, "GaneSH runs"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			resumed := opt
+			resumed.CheckpointDir = t.TempDir()
+			resumed.MaxRestarts = 2
+			tc.v.stamp().Key = runDigest(d, resumed)
+			writeCkpt(t, resumed.CheckpointDir, tc.file, encodeCheckpoint(tc.v))
+			var restarts int
+			_, err := Supervise(2, d, resumed, func(trace.RecoveryEvent) { restarts++ })
+			if err == nil || !strings.Contains(err.Error(), tc.file) || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("got %v, want a refusal naming %s and %q", err, tc.file, tc.want)
+			}
+			if restarts != 0 {
+				t.Fatalf("%d recovery events, want 0: a damaged checkpoint is not a crash", restarts)
+			}
+		})
 	}
 }
 
@@ -211,8 +256,9 @@ func TestBinaryCheckpointSize(t *testing.T) {
 // change to the data or to a result-affecting option is a different run: it
 // is refused, with an error naming the file, whichever of the three files is
 // present. A change to how the run executes — world shape, worker count,
-// split distribution, checkpoint format, supervision, observability — is the
-// same run and resumes to the bit-identical network.
+// split distribution, supervision, observability, and the deprecated
+// BinaryCheckpoints switch, which is ignored — is the same run and resumes
+// to the bit-identical network.
 func TestCheckpointResumesOnlyItsOwnRun(t *testing.T) {
 	d, _ := testData(t, 24, 20, 16)
 	base := fastOptions(31)
@@ -305,20 +351,21 @@ func TestCheckpointResumesOnlyItsOwnRun(t *testing.T) {
 }
 
 // FuzzWireCheckpoint feeds arbitrary bytes through the full checkpoint read
-// path — format auto-detection, wire decoding, strict JSON — for all three
-// checkpoint types. The property is simply that nothing panics and errors
-// are reported, not swallowed.
+// path — the refusal of a non-wire file, the wire framing and each payload
+// codec — for all three checkpoint types. The property is simply that
+// nothing panics and errors are reported, not swallowed. The JSON files in
+// the seed corpus stay as non-wire inputs.
 func FuzzWireCheckpoint(f *testing.F) {
 	ens := &ensemblesCheckpoint{ckptStamp: testStamp, Ensembles: [][][]int{{{0, 1}, {2, 3}}}}
 	mods := &modulesCheckpoint{ckptStamp: testStamp, ModuleVars: [][]int{{0, 1}, {2, 3}}}
 	prog := &progressCheckpoint{ckptStamp: testStamp}
 	for _, v := range []wireCheckpoint{ens, mods, prog} {
-		f.Add(encodeCheckpoint(v))
-		data, err := json.Marshal(v)
-		if err != nil {
-			f.Fatal(err)
-		}
+		data := encodeCheckpoint(v)
 		f.Add(data)
+		// The same file at the next wire version, refused by version.
+		next := bytes.Clone(data)
+		next[4]++
+		f.Add(next)
 	}
 	f.Add([]byte(`{"version":4}`))
 	f.Add([]byte{0xB7, 'P', 'M', 'W'})

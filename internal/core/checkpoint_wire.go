@@ -1,13 +1,11 @@
-// Checkpoint v3: the binary wire-format codecs for the three checkpoint
-// files (DESIGN §12). Every file is the wire header — magic, format version,
-// kind — followed by two required sections: the payload and the run key the
-// loaders check, as its raw 32-byte sha256 digest.
+// The binary wire-format codecs for the three checkpoint files, the one
+// checkpoint encoding (DESIGN §12). Every file is the wire header — magic,
+// format version, kind — followed by two required sections: the payload and
+// the run key the loaders check, as its raw 32-byte sha256 digest.
 
 package core
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 
 	"parsimone/internal/module"
@@ -29,20 +27,16 @@ func checkpointSections(v wireCheckpoint) []wire.SectionCodec {
 	}
 }
 
-// encodeKey writes the run key's digest; a RunKey is always 64 hex digits.
 func (st *ckptStamp) encodeKey(e *wire.Encoder) {
-	digest, _ := hex.DecodeString(st.Key)
-	for _, b := range digest {
+	for _, b := range st.Key {
 		e.Byte(b)
 	}
 }
 
 func (st *ckptStamp) decodeKey(d *wire.Decoder) {
-	var digest [sha256.Size]byte
-	for i := range digest {
-		digest[i] = d.Byte()
+	for i := range st.Key {
+		st.Key[i] = d.Byte()
 	}
-	st.Key = hex.EncodeToString(digest[:])
 }
 
 // encodeCheckpoint assembles v's wire file.
@@ -50,18 +44,21 @@ func encodeCheckpoint(v wireCheckpoint) []byte {
 	return wire.EncodeFile(wire.Header{Kind: v.wireKind()}, checkpointSections(v))
 }
 
-// decodeCheckpoint parses the wire file data, found under name, into v. A
-// file of another wire version is refused like a JSON file of another
-// checkpoint version.
+// decodeCheckpoint parses the file data, found under name, into v. A file
+// that is not a wire file — every JSON checkpoint an earlier build wrote —
+// and a wire file of another version are both refused with the delete hint;
+// there is no migration.
 func decodeCheckpoint(name string, data []byte, v wireCheckpoint) error {
+	if !wire.IsWire(data) {
+		return fmt.Errorf("core: checkpoint %s is not a binary checkpoint; JSON checkpoints of earlier builds are no longer read — delete the checkpoint directory to re-learn", name)
+	}
 	if _, err := wire.DecodeFile(data, v.wireKind(), checkpointSections(v)); err != nil {
 		return fmt.Errorf("core: checkpoint %s cannot be read (%w) — delete the checkpoint directory to re-learn", name, err)
 	}
-	v.stamp().Version = checkpointVersionBinary
 	return nil
 }
 
-// --- ensembles.json (v3): G runs × clusters × delta-coded member lists ---
+// --- ensembles.json: G runs × clusters × delta-coded member lists ---
 
 func (ck *ensemblesCheckpoint) wireKind() wire.Kind { return wire.KindEnsembles }
 
@@ -77,7 +74,7 @@ func (ck *ensemblesCheckpoint) decodePayload(d *wire.Decoder) {
 	})
 }
 
-// --- modules.json (v3): delta-coded consensus module member lists ---
+// --- modules.json: delta-coded consensus module member lists ---
 
 func (ck *modulesCheckpoint) wireKind() wire.Kind { return wire.KindModules }
 
@@ -89,7 +86,7 @@ func (ck *modulesCheckpoint) decodePayload(d *wire.Decoder) {
 	ck.ModuleVars = wire.DecodeList(d, 1, (*wire.Decoder).SortedInts)
 }
 
-// --- progress.json (v3): completed module units ---
+// --- progress.json: completed module units ---
 
 func (ck *progressCheckpoint) wireKind() wire.Kind { return wire.KindProgress }
 

@@ -89,12 +89,8 @@ type Options struct {
 	// resumed run learns exactly the network an uninterrupted run would.
 	// Only rank 0 writes, as in the paper.
 	CheckpointDir string
-	// BinaryCheckpoints selects the v3 binary wire format (internal/wire,
-	// DESIGN §12) for checkpoint writes: several times smaller and faster
-	// to save and load than the v4 JSON format, with bit-identical resume.
-	// Reading auto-detects either format, so flipping this switch between
-	// runs of the same configuration is safe — existing checkpoints still
-	// resume, and newly written files use the selected format.
+	// Deprecated: ignored; checkpoints are always binary. Deleted with its
+	// last setter, benchmark/layers.go (ROADMAP 2(d)).
 	BinaryCheckpoints bool
 	// MaxRestarts is how many times the supervised driver (LearnParallel,
 	// and Learn, which is LearnParallel on one rank), including under the job
@@ -293,11 +289,11 @@ func checkData(d *dataset.Data) error {
 
 // checkpointKey is the run key a checkpointing run stamps its checkpoints
 // with; a run that does not checkpoint never hashes its inputs.
-func checkpointKey(d *dataset.Data, opt Options) string {
-	if opt.CheckpointDir == "" {
-		return ""
+func checkpointKey(d *dataset.Data, opt Options) (key digest) {
+	if opt.CheckpointDir != "" {
+		key = runDigest(d, opt)
 	}
-	return RunKey(d, opt)
+	return key
 }
 
 // prepare standardizes (optionally) and quantizes a checked data set.
@@ -349,13 +345,13 @@ func snapshotOf(assign []int) [][]int {
 // rc, inside them. Rank 0 persists the checkpoints and emits the task-level
 // events, which keeps the merged stream single-sourced. Checkpoints are
 // stamped with key, and only checkpoints stamped with it are resumed.
-func run(rc rank.Context, d *dataset.Data, q *score.QData, key string, opt Options) (*Output, error) {
+func run(rc rank.Context, d *dataset.Data, q *score.QData, key digest, opt Options) (*Output, error) {
 	c, hooks, cancel := rc.Comm, rc.Hooks, rc.Cancel
 	master := prng.New(opt.Seed)
 	failpoint := failpointFn(opt, c.Rank())
 	timers := trace.NewTimers()
 	root := c.Rank() == 0
-	stamp := ckptStamp{Version: checkpointVersion, Key: key}
+	stamp := ckptStamp{Key: key}
 
 	// Per-rank data (pool costs, comm stats) is emitted elsewhere: by the
 	// tasks, through rc.
@@ -394,11 +390,11 @@ func run(rc rank.Context, d *dataset.Data, q *score.QData, key string, opt Optio
 				return nil, err
 			}
 		}
-		if resumedModules, haveModules, err = loadModules(opt.CheckpointDir, key); err != nil {
+		if resumedModules, haveModules, err = loadModules(opt.CheckpointDir, key, q.N); err != nil {
 			return nil, err
 		}
 		if !haveModules {
-			if ensembles, err = loadEnsembles(opt.CheckpointDir, key); err != nil {
+			if ensembles, err = loadEnsembles(opt.CheckpointDir, key, opt.GaneshRuns, q.N); err != nil {
 				return nil, err
 			}
 		}
@@ -410,7 +406,7 @@ func run(rc rank.Context, d *dataset.Data, q *score.QData, key string, opt Optio
 		})
 		if opt.CheckpointDir != "" && root {
 			ck := ensemblesCheckpoint{ckptStamp: stamp, Ensembles: ensembles}
-			if err := saveCheckpoint(opt.CheckpointDir, ckptEnsembles, &ck, opt.BinaryCheckpoints); err != nil {
+			if err := saveCheckpoint(opt.CheckpointDir, ckptEnsembles, &ck); err != nil {
 				return nil, err
 			}
 			checkpointEvent(ckptEnsembles)
@@ -442,7 +438,7 @@ func run(rc rank.Context, d *dataset.Data, q *score.QData, key string, opt Optio
 		}
 		if opt.CheckpointDir != "" && root {
 			ck := modulesCheckpoint{ckptStamp: stamp, ModuleVars: moduleVars}
-			if err := saveCheckpoint(opt.CheckpointDir, ckptModules, &ck, opt.BinaryCheckpoints); err != nil {
+			if err := saveCheckpoint(opt.CheckpointDir, ckptModules, &ck); err != nil {
 				return nil, err
 			}
 			checkpointEvent(ckptModules)
@@ -481,7 +477,7 @@ func run(rc rank.Context, d *dataset.Data, q *score.QData, key string, opt Optio
 		if root {
 			saveUnit = func(u *module.Unit) error {
 				units[u.Module] = u
-				return saveProgress(opt.CheckpointDir, stamp, units, opt.BinaryCheckpoints)
+				return saveProgress(opt.CheckpointDir, stamp, units)
 			}
 		}
 	}
@@ -558,7 +554,7 @@ func LearnWithComm(c *comm.Comm, d *dataset.Data, opt Options) (*Output, error) 
 // learn builds the run context of c's rank from the options — the one place
 // that says how a rank executes (DESIGN §21) — runs the pipeline on it over
 // the prepared data and collects the rank's side of the Output.
-func learn(c *comm.Comm, d *dataset.Data, q *score.QData, key string, opt Options) (*Output, error) {
+func learn(c *comm.Comm, d *dataset.Data, q *score.QData, key digest, opt Options) (*Output, error) {
 	var rec *obs.Recorder
 	if opt.Events {
 		rec = obs.NewRecorder(c.Rank())

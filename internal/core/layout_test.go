@@ -16,16 +16,17 @@ import (
 // carried a layout stamp) by Learn on testData(24, 20, 36) under
 // fastOptions(51), in both formats. The same data and options must refuse to
 // resume from any of them, so layout-1 units are never mixed into a layout-2
-// network. The files are of the format versions that carried no run key (v2
-// JSON, wire v1 binary), so they are refused by version, naming the file and
-// telling the user to delete the checkpoint directory.
+// network. The files are of formats that carried no run key: the v2 JSON
+// files get the one refusal of a non-wire file, the wire v1 file is refused
+// by version; each refusal names the file, tells the user to delete the
+// checkpoint directory and does not call the file corrupt.
 func TestUnstampedCheckpointNotResumed(t *testing.T) {
 	d, _ := testData(t, 24, 20, 36)
-	for _, tc := range []struct{ file, as string }{
-		{"progress_v2.json", ckptProgress},
-		{"progress_v3.bin", ckptProgress},
-		{"modules_v2.json", ckptModules},
-		{"ensembles_v2.json", ckptEnsembles},
+	for _, tc := range []struct{ file, as, want string }{
+		{"progress_v2.json", ckptProgress, jsonRefusal},
+		{"progress_v3.bin", ckptProgress, "format v1"},
+		{"modules_v2.json", ckptModules, jsonRefusal},
+		{"ensembles_v2.json", ckptEnsembles, jsonRefusal},
 	} {
 		t.Run(tc.file, func(t *testing.T) {
 			data, err := os.ReadFile(filepath.Join("testdata", "layout1", tc.file))
@@ -43,10 +44,13 @@ func TestUnstampedCheckpointNotResumed(t *testing.T) {
 				if err == nil {
 					t.Fatalf("%s: resumed from a checkpoint without a run key", name)
 				}
-				for _, want := range []string{tc.as, "delete the checkpoint directory"} {
+				for _, want := range []string{tc.as, tc.want, "delete the checkpoint directory"} {
 					if !strings.Contains(err.Error(), want) {
 						t.Fatalf("%s: error %q does not mention %q", name, err, want)
 					}
+				}
+				if strings.Contains(err.Error(), "corrupt") {
+					t.Fatalf("%s: refused as corrupt: %v", name, err)
 				}
 			}
 		})

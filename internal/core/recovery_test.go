@@ -10,6 +10,7 @@ import (
 
 	"parsimone/internal/comm"
 	"parsimone/internal/dataset"
+	"parsimone/internal/module"
 	"parsimone/internal/result"
 	"parsimone/internal/wire"
 )
@@ -35,11 +36,12 @@ func recoveryFixture(t *testing.T) (*dataset.Data, Options, *Output) {
 // fault-tolerance layer: a rank killed at each task boundary and at three
 // module-learning crash points, followed by an automatic supervised restart
 // from checkpoints, yields a network bit-identical to the uninterrupted run
-// for p ∈ {1, 2, 4} — under both the v4 JSON and the v3 binary checkpoint
-// formats, and under the segmented-scan exchange (the reference was learned
-// sequentially, so those rows also prove strategy invariance through a crash
-// and restart; their floor-pinned IDs still say "nobatch", after the deleted
-// knob they used to flip).
+// for p ∈ {1, 2, 4} — at one and at two workers per rank, and under the
+// segmented-scan exchange (the reference was learned sequentially, so those
+// rows also prove strategy invariance through a crash and restart). The
+// subtest prefixes are pinned by the test floor and name the knobs the rows
+// used to flip: "binary" rows, which chose the binary checkpoint format when
+// there were two, now run at two workers; "nobatch" rows run the scan.
 func TestFailpointRecoveryBitIdentical(t *testing.T) {
 	d, opt, want := recoveryFixture(t)
 	nm := len(want.Network.Modules)
@@ -50,18 +52,18 @@ func TestFailpointRecoveryBitIdentical(t *testing.T) {
 		fmt.Sprintf("module:%d", nm/2),
 		fmt.Sprintf("module:%d", nm-1),
 	}
-	for _, format := range []struct {
-		name   string
-		binary bool
-		scan   bool
-	}{{"json", false, false}, {"binary", true, false}, {"json_nobatch", false, true}} {
+	for _, row := range []struct {
+		name    string
+		workers int
+		scan    bool
+	}{{"json", 0, false}, {"binary", 2, false}, {"json_nobatch", 0, true}} {
 		for _, p := range []int{1, 2, 4} {
 			for _, fp := range failpoints {
-				t.Run(fmt.Sprintf("%s_p%d_%s", format.name, p, fp), func(t *testing.T) {
+				t.Run(fmt.Sprintf("%s_p%d_%s", row.name, p, fp), func(t *testing.T) {
 					injected := opt
 					injected.CheckpointDir = t.TempDir()
-					injected.BinaryCheckpoints = format.binary
-					injected.Module.Splits.ScanSelection = format.scan
+					injected.Workers = row.workers
+					injected.Module.Splits.ScanSelection = row.scan
 					injected.MaxRestarts = 1
 					injected.Inject = &FaultSpec{Task: fp, Rank: 0}
 					got, err := LearnParallel(p, d, injected)
@@ -268,12 +270,11 @@ func TestCrossEngineManifestResume(t *testing.T) {
 	}
 }
 
-// TestCheckpointVersionRejected: checkpoint files from another format version
-// are refused by version — before the strict decode, which would report a
-// file of another format as corrupt — with an error naming both versions and
-// telling the user to delete the checkpoint directory. A pre-versioning file,
-// where the version field is simply absent, is reported as exactly that, not
-// as the misleading "format v0".
+// TestCheckpointVersionRejected: checkpoint files of another format are
+// refused with an error naming the file and telling the user to delete the
+// checkpoint directory, never as corrupt. A JSON file of any version — or of
+// none — gets the one refusal of a non-wire file; a wire file of another
+// version is refused naming both versions.
 func TestCheckpointVersionRejected(t *testing.T) {
 	d, opt, _ := recoveryFixture(t)
 	for _, tc := range []struct {
@@ -281,16 +282,12 @@ func TestCheckpointVersionRejected(t *testing.T) {
 		data       []byte
 		want       string
 	}{
-		{"ensembles_missing_version", ckptEnsembles, []byte(`{"seed":3,"ganeshRuns":1,"n":48,"ensembles":[]}`),
-			"no version field (pre-versioning format), expected v4"},
-		{"ensembles_explicit_v0", ckptEnsembles, []byte(`{"version":0,"seed":3,"ganeshRuns":1,"n":48,"ensembles":[]}`),
-			"format v0, expected v4"},
-		{"progress_v1", ckptProgress, []byte(`{"version":1,"seed":3,"ganeshRuns":1,"n":48,"units":[]}`),
-			"format v1, expected v4"},
-		{"modules_v2", ckptModules, []byte(`{"version":2,"seed":3,"ganeshRuns":1,"n":48,"streamLayout":2,"moduleVars":[]}`),
-			"format v2, expected v4"},
+		{"ensembles_missing_version", ckptEnsembles, []byte(`{"seed":3,"ganeshRuns":1,"n":48,"ensembles":[]}`), jsonRefusal},
+		{"ensembles_explicit_v0", ckptEnsembles, []byte(`{"version":0,"seed":3,"ganeshRuns":1,"n":48,"ensembles":[]}`), jsonRefusal},
+		{"progress_v1", ckptProgress, []byte(`{"version":1,"seed":3,"ganeshRuns":1,"n":48,"units":[]}`), jsonRefusal},
+		{"modules_v2", ckptModules, []byte(`{"version":2,"seed":3,"ganeshRuns":1,"n":48,"streamLayout":2,"moduleVars":[]}`), jsonRefusal},
 		{"binary_future_version", ckptEnsembles, func() []byte {
-			data := encodeCheckpoint(&ensemblesCheckpoint{ckptStamp: ckptStamp{Key: RunKey(d, opt)}})
+			data := encodeCheckpoint(&ensemblesCheckpoint{ckptStamp: ckptStamp{Key: runDigest(d, opt)}})
 			data[4]++ // bump the wire version byte right after the magic
 			return data
 		}(), fmt.Sprintf("format v%d, this build expects v%d", wire.Version+1, wire.Version)},
@@ -322,9 +319,9 @@ func TestProgressManifestForeignRejected(t *testing.T) {
 	d, opt, _ := recoveryFixture(t)
 	resumed := opt
 	resumed.CheckpointDir = t.TempDir()
-	foreign := fmt.Sprintf(`{"version":%d,"key":%q,"units":[{"module":999,"vars":[0]}]}`,
-		checkpointVersion, RunKey(d, resumed))
-	writeCkpt(t, resumed.CheckpointDir, ckptProgress, []byte(foreign))
+	foreign := &progressCheckpoint{ckptStamp: ckptStamp{Key: runDigest(d, resumed)},
+		Units: []*module.Unit{{Module: 999, Vars: []int{0}}}}
+	writeCkpt(t, resumed.CheckpointDir, ckptProgress, encodeCheckpoint(foreign))
 	if _, err := Learn(d, resumed); err == nil || !strings.Contains(err.Error(), "module 999") {
 		t.Fatalf("got %v, want a foreign-manifest rejection", err)
 	}

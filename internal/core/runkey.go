@@ -107,6 +107,16 @@ func canonicalize(opt Options) canonicalOptions {
 // canonicalized result-affecting options (which carry the seed). Keys are
 // stable across processes and builds of the same stream layout.
 func RunKey(d *dataset.Data, opt Options) string {
+	key := runDigest(d, opt)
+	return hex.EncodeToString(key[:])
+}
+
+// digest is a run key as its raw sha256 digest, the form every checkpoint
+// carries.
+type digest = [sha256.Size]byte
+
+// runDigest is RunKey before its hex encoding.
+func runDigest(d *dataset.Data, opt Options) digest {
 	h := sha256.New()
 	hashDataset(h, d)
 	// The canonical struct has a fixed field order, so encoding/json gives
@@ -116,7 +126,7 @@ func RunKey(d *dataset.Data, opt Options) string {
 		panic("core: canonical options not marshalable: " + err.Error())
 	}
 	h.Write(cb)
-	return hex.EncodeToString(h.Sum(nil))
+	return digest(h.Sum(nil))
 }
 
 // hashDataset feeds the dataset's canonical bytes to h: the n×m shape,

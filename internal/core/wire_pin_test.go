@@ -16,7 +16,7 @@ import (
 
 // pinStamp is the stamp a decoded v3 checkpoint of the pinned values
 // carries.
-var pinStamp = ckptStamp{Version: checkpointVersionBinary, Key: "5eed5eed5eed5eed5eed5eed5eed5eed5eed5eed5eed5eed5eed5eed5eed5eed"}
+var pinStamp = ckptStamp{Key: hexDigest("5eed5eed5eed5eed5eed5eed5eed5eed5eed5eed5eed5eed5eed5eed5eed5eed")}
 
 // pinUnit is one module unit with a two-leaf tree and both split lists.
 func pinUnit() *module.Unit {

@@ -69,11 +69,11 @@ type Result struct {
 // needs recomputing. Parent scores are cheap and derived, so they are
 // recomputed rather than persisted.
 type Unit struct {
-	Module   int               `json:"module"`
-	Vars     []int             `json:"vars"`
-	Trees    []*tree.Tree      `json:"trees"`
-	Weighted []splits.Assigned `json:"weighted"`
-	Uniform  []splits.Assigned `json:"uniform"`
+	Module   int
+	Vars     []int
+	Trees    []*tree.Tree
+	Weighted []splits.Assigned
+	Uniform  []splits.Assigned
 }
 
 // Progress wires module-granular checkpointing and fault injection into

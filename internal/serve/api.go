@@ -52,8 +52,10 @@ type JobRequest struct {
 	N          int      `json:"n,omitempty"`
 	M          int      `json:"m,omitempty"`
 
-	DeadlineMS       int64  `json:"deadline_ms,omitempty"`
-	MaxRestarts      int    `json:"max_restarts,omitempty"`
+	DeadlineMS  int64 `json:"deadline_ms,omitempty"`
+	MaxRestarts int   `json:"max_restarts,omitempty"`
+	// CheckpointFormat may be absent or "binary", the one checkpoint
+	// format; anything else is refused. It stays for clients that send it.
 	CheckpointFormat string `json:"checkpoint_format,omitempty"`
 }
 

@@ -343,8 +343,8 @@ func (s *Server) loadDataset(req *JobRequest) (*dataset.Data, error) {
 // Options is the one mapping from a request's learning settings onto the
 // engine: the dataset subset to the first N variables × M observations, and
 // core.Options with the seed, the G/U/R/J/S counts, the split distribution,
-// the regulator names resolved to variable indices, Workers, MaxRestarts and
-// the checkpoint format set. Zero values keep the engine defaults. POST
+// the regulator names resolved to variable indices, Workers and MaxRestarts
+// set. Zero values keep the engine defaults. POST
 // /api/v1/jobs and the parsimone CLI (which fills a JobRequest from its
 // flags) both go through it, so a flag and the JSON field of the same name
 // cannot drift apart.
@@ -392,12 +392,8 @@ func (req *JobRequest) Options(d *dataset.Data) (*dataset.Data, core.Options, er
 	default:
 		return nil, core.Options{}, fmt.Errorf("dist %q not one of static, scan, dynamic", req.Dist)
 	}
-	switch req.CheckpointFormat {
-	case "", "json":
-	case "binary":
-		opt.BinaryCheckpoints = true
-	default:
-		return nil, core.Options{}, fmt.Errorf("checkpoint_format %q not one of json, binary", req.CheckpointFormat)
+	if req.CheckpointFormat != "" && req.CheckpointFormat != "binary" {
+		return nil, core.Options{}, fmt.Errorf("checkpoint_format %q: checkpoints are always binary (leave it out or send \"binary\")", req.CheckpointFormat)
 	}
 	if len(req.Regulators) > 0 {
 		index := make(map[string]int, d.N)
@@ -426,7 +422,7 @@ func (req *JobRequest) Options(d *dataset.Data) (*dataset.Data, core.Options, er
 }
 
 // buildJob loads the request's dataset and wraps its Options into a runner
-// spec — the restart budget and checkpoint format reach core inside them —
+// spec — the restart budget reaches core inside them —
 // plus the one thing the runner bounds itself, the deadline. An absent ranks
 // is one rank; a negative one is left for core.Check to refuse.
 func (s *Server) buildJob(req *JobRequest) (jobs.Spec, jobs.Budget, error) {

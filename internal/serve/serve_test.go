@@ -409,6 +409,7 @@ func TestBadRequests(t *testing.T) {
 		{"path without data dir", func(r *JobRequest) { r.Dataset = DatasetRequest{Path: "x.tsv"} }},
 		{"bad dist", func(r *JobRequest) { r.Dist = "chaotic" }},
 		{"bad checkpoint format", func(r *JobRequest) { r.CheckpointFormat = "yaml" }},
+		{"json checkpoint format", func(r *JobRequest) { r.CheckpointFormat = "json" }},
 		{"unknown regulator", func(r *JobRequest) { r.Regulators = []string{"nope"} }},
 		{"negative restarts", func(r *JobRequest) { r.MaxRestarts = -1 }},
 		// What core would refuse before starting a world is refused here,

@@ -41,8 +41,8 @@ import (
 )
 
 // Version is the wire-format version this package reads and writes. Files
-// carrying any other version are rejected up front (version negotiation as
-// in the JSON checkpoints); there is no cross-version migration.
+// carrying any other version are rejected up front; there is no
+// cross-version migration.
 const Version = 2
 
 // magic identifies a wire-format file. The first byte is outside ASCII so a
@@ -55,8 +55,7 @@ var magic = [4]byte{0xB7, 'P', 'M', 'W'}
 type Kind uint8
 
 const (
-	// KindEnsembles is the GaneSH task checkpoint (core ensembles.json's
-	// binary successor).
+	// KindEnsembles is the GaneSH task checkpoint (core's ensembles.json).
 	KindEnsembles Kind = 1
 	// KindModules is the consensus task checkpoint.
 	KindModules Kind = 2
