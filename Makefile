@@ -65,11 +65,13 @@ faults:
 soak:
 	PARSIMONE_SOAK_ITERS=$(SOAK_ITERS) $(GO) test -race -run 'TestSoakCancelFaultChaos' -v ./internal/core/
 
-# Short native-fuzzing pass over the TSV loader (the long-running campaign
-# is `go test -fuzz=FuzzReadTSV ./internal/dataset/` without -fuzztime),
-# plus the wire-format deserializers.
+# Short native-fuzzing pass over the TSV codec (the long-running campaign
+# is `go test -fuzz=FuzzReadTSV ./internal/dataset/` without -fuzztime) —
+# the reader against the one it replaced, and the writer's bytes and round
+# trip against the old writer — plus the wire-format deserializers.
 fuzz: fuzz-wire
-	$(GO) test -run '^$$' -fuzz FuzzReadTSV -fuzztime 10s ./internal/dataset/
+	$(GO) test -run '^$$' -fuzz 'FuzzReadTSV$$' -fuzztime 10s ./internal/dataset/
+	$(GO) test -run '^$$' -fuzz 'FuzzTSVRoundTrip$$' -fuzztime 10s ./internal/dataset/
 
 # Short native-fuzzing pass over the binary wire format (DESIGN §12): the
 # checkpoint read path (the refusal of non-wire files, the binary codecs)

@@ -52,10 +52,19 @@ type Params struct {
 	// select the default, 0.5.
 	SupportFrac float64
 	// MaxIter and Tol control the power iteration. Values ≤ 0 select the
-	// defaults, 1000 and 1e-10.
+	// defaults, DefaultMaxIter and 1e-10.
 	MaxIter int
 	Tol     float64
 }
+
+// DefaultMaxIter is the power-iteration cap when Params.MaxIter is unset.
+// Two comparably dense blocks in one connected component make λ₁ ≈ λ₂,
+// and plain power iteration then needs thousands of steps to meet Tol. The
+// cap is measured (DESIGN §17): the most steps any converging round took
+// over datagen grids up to 2000×250 at G=3 was 18 915, plus a 5 % margin.
+// Raising it changes no converged run: a round that met Tol in fewer steps
+// takes the same steps and yields the same bits.
+const DefaultMaxIter = 20000
 
 func (p Params) withDefaults() Params {
 	if p.MinClusterSize <= 0 {
@@ -69,7 +78,7 @@ func (p Params) withDefaults() Params {
 		p.SupportFrac = 0.5
 	}
 	if p.MaxIter <= 0 {
-		p.MaxIter = 1000
+		p.MaxIter = DefaultMaxIter
 	}
 	if p.Tol <= 0 {
 		p.Tol = 1e-10
@@ -129,7 +138,7 @@ func ClusterWithComm(rc rank.Context, n int, a []float64, par Params) ([][]int, 
 		res := matrix.PowerIteration(sub, par.MaxIter, par.Tol, x[:m], z[:m])
 		if !res.Converged {
 			hooks.Emit(obs.Event{Type: obs.TypeConsensus, Consensus: &obs.ConsensusInfo{
-				Remaining: m, Eigenvalue: res.Value, Iters: res.Iters,
+				Remaining: m, Eigenvalue: res.Value, Iters: res.Iters, Residual: res.Residual,
 			}})
 			return clusters, fmt.Errorf(
 				"consensus: power iteration did not converge within %d iterations on %d remaining variables (eigenvalue estimate %g, tol %g)",

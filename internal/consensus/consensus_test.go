@@ -196,8 +196,8 @@ func TestClusterNonConvergenceSurfaced(t *testing.T) {
 		t.Fatal("no events emitted")
 	}
 	last := evs[len(evs)-1]
-	if last.Type != obs.TypeConsensus || last.Consensus.Converged {
-		t.Fatalf("last event should record the unconverged step: %+v", last)
+	if last.Type != obs.TypeConsensus || last.Consensus.Converged || !(last.Consensus.Residual > 0) {
+		t.Fatalf("last event should record the unconverged step and its residual: %+v", last.Consensus)
 	}
 	if err := obs.Validate(evs); err != nil {
 		t.Fatal(err)
@@ -222,7 +222,7 @@ func TestClusterEmitsExtractionEvents(t *testing.T) {
 		t.Fatalf("extraction sizes wrong: %+v", evs)
 	}
 	for _, ev := range evs {
-		if !ev.Consensus.Converged || ev.Consensus.Iters <= 0 || ev.Consensus.Eigenvalue <= 0 {
+		if !ev.Consensus.Converged || ev.Consensus.Iters <= 0 || ev.Consensus.Eigenvalue <= 0 || ev.Consensus.Residual != 0 {
 			t.Fatalf("bad extraction event: %+v", ev)
 		}
 	}
@@ -320,13 +320,13 @@ func TestParamsWithDefaults(t *testing.T) {
 		want Params
 	}{
 		{"zero value", Params{},
-			Params{MinClusterSize: 2, MinEigenvalue: 1.0, SupportFrac: 0.5, MaxIter: 1000, Tol: 1e-10}},
+			Params{MinClusterSize: 2, MinEigenvalue: 1.0, SupportFrac: 0.5, MaxIter: DefaultMaxIter, Tol: 1e-10}},
 		{"negative counts fall back", Params{MinClusterSize: -3, MaxIter: -1},
-			Params{MinClusterSize: 2, MinEigenvalue: 1.0, SupportFrac: 0.5, MaxIter: 1000, Tol: 1e-10}},
+			Params{MinClusterSize: 2, MinEigenvalue: 1.0, SupportFrac: 0.5, MaxIter: DefaultMaxIter, Tol: 1e-10}},
 		{"negative eigenvalue honored", Params{MinEigenvalue: -1},
-			Params{MinClusterSize: 2, MinEigenvalue: -1, SupportFrac: 0.5, MaxIter: 1000, Tol: 1e-10}},
+			Params{MinClusterSize: 2, MinEigenvalue: -1, SupportFrac: 0.5, MaxIter: DefaultMaxIter, Tol: 1e-10}},
 		{"non-positive tol and support fall back", Params{Tol: -1e-3, SupportFrac: -0.1},
-			Params{MinClusterSize: 2, MinEigenvalue: 1.0, SupportFrac: 0.5, MaxIter: 1000, Tol: 1e-10}},
+			Params{MinClusterSize: 2, MinEigenvalue: 1.0, SupportFrac: 0.5, MaxIter: DefaultMaxIter, Tol: 1e-10}},
 		{"explicit values kept", Params{MinClusterSize: 5, MinEigenvalue: 2, SupportFrac: 0.7, MaxIter: 10, Tol: 1e-6},
 			Params{MinClusterSize: 5, MinEigenvalue: 2, SupportFrac: 0.7, MaxIter: 10, Tol: 1e-6}},
 	}

@@ -628,3 +628,41 @@ func TestCheckpointParallelWritesAndResumes(t *testing.T) {
 		t.Fatal("cross-engine resume differs")
 	}
 }
+
+// TestDefaultConsensusConvergesOnSweepCell: the smallest cell of the
+// N × seed sweep that once failed with the default configuration —
+// `datagen -n 200 -m 60 -seed 2`, learned with `-ganesh-runs 4 -updates 3`.
+// Its third peeling round, on 86 variables, needs 5 417 power steps: two
+// nearly equal leading eigenvalues. Under the default cap it learns; under
+// the former cap of 1 000, set explicitly, it is still refused, which keeps
+// the non-convergence error for input the cap cannot cover.
+func TestDefaultConsensusConvergesOnSweepCell(t *testing.T) {
+	d, _, err := synth.Generate(synth.Config{N: 200, M: 60, Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := DefaultOptions()
+	opt.GaneshRuns = 4
+	opt.Ganesh.Updates = 3
+	opt.Module.Splits.MaxSteps = 8
+	opt.Events = true
+	out, err := Learn(d, opt)
+	if err != nil {
+		t.Fatalf("default consensus cap: %v", err)
+	}
+	most := 0
+	for _, ev := range out.Events {
+		if ev.Consensus != nil {
+			most = max(most, ev.Consensus.Iters)
+		}
+	}
+	if most != 5417 || len(out.Network.Modules) == 0 {
+		t.Fatalf("longest power iteration %d steps (want 5417), %d modules", most, len(out.Network.Modules))
+	}
+
+	opt.Events = false
+	opt.Consensus.MaxIter = 1000
+	if _, err := Learn(d, opt); err == nil || !strings.Contains(err.Error(), "did not converge within 1000 iterations on 86 remaining variables") {
+		t.Fatalf("explicit cap 1000: error %v, want the non-convergence refusal", err)
+	}
+}

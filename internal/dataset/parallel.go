@@ -12,131 +12,90 @@
 package dataset
 
 import (
-	"bufio"
+	"bytes"
+	"errors"
 	"fmt"
-	"math"
 	"os"
-	"strconv"
-	"strings"
+	"slices"
 
 	"parsimone/internal/comm"
 )
 
-// parsedRow is one variable's parsed data, exchanged between ranks.
-type parsedRow struct {
-	Name   string
-	Values []float64
-}
-
 // LoadTSVParallel reads the named TSV file cooperatively on c's ranks and
-// returns the complete data set on every rank. Errors (missing file,
-// malformed rows) are detected collectively: every rank returns the same
-// error.
+// returns the complete data set on every rank. It accepts and refuses
+// exactly what LoadTSV does, with the same error: the lines, the header rule
+// and the row parser are ReadTSV's, and when several ranks' blocks hold a
+// bad row, the lowest rank's — the first bad line of the file — is the
+// error every rank returns.
 func LoadTSVParallel(c *comm.Comm, path string) (*Data, error) {
-	rows, localErr := readLines(path)
-	// Agree on failure and on the row count before touching content.
-	type header struct {
-		Err  string
-		Rows int
-	}
-	h := header{Rows: len(rows)}
-	if localErr != nil {
-		h.Err = localErr.Error()
-	}
-	hs := comm.AllGather(c, h)
-	for _, other := range hs {
-		if other.Err != "" {
-			return nil, fmt.Errorf("dataset: parallel load: %s", other.Err)
-		}
-		if other.Rows != h.Rows {
-			return nil, fmt.Errorf("dataset: ranks disagree on row count (%d vs %d)", other.Rows, h.Rows)
-		}
-	}
-	if len(rows) == 0 {
-		return nil, fmt.Errorf("dataset: %s: no data rows", path)
-	}
-
-	// Parse this rank's block of variables.
+	text, rows, readErr := readLines(path)
 	lo, hi := comm.BlockRange(len(rows), c.Size(), c.Rank())
-	local := make([]parsedRow, 0, hi-lo)
-	parseErr := ""
-	for i := lo; i < hi; i++ {
-		row, err := parseRow(rows[i])
-		if err != nil {
-			parseErr = fmt.Sprintf("row %d: %v", i, err)
+	t := table{m: -1}
+	if len(rows) > 0 {
+		// The first row fixes the value count, as in ReadTSV; the rank
+		// that holds it refuses it if it has no value.
+		t.m = bytes.Count(rows[0].of(text), []byte{'\t'})
+		t.names = make([]string, 0, hi-lo)
+		t.values = make([]float64, 0, (hi-lo)*t.m)
+	}
+	rowErr := ""
+	for _, r := range rows[lo:hi] {
+		if err := t.add(r.of(text), r.n); err != nil {
+			rowErr = fmt.Sprintf("%s: %v", path, err)
 			break
 		}
-		local = append(local, row)
 	}
-	errs := comm.AllGather(c, parseErr)
-	for _, e := range errs {
-		if e != "" {
-			return nil, fmt.Errorf("dataset: %s: %s", path, e)
+	// Agree on the row count (every rank scanned the same file, and the
+	// block partition relies on it) and on the first bad row.
+	type outcome struct {
+		Rows int
+		Err  string
+	}
+	for _, o := range comm.AllGather(c, outcome{len(rows), rowErr}) {
+		if o.Rows != len(rows) {
+			return nil, fmt.Errorf("dataset: %s: ranks disagree on row count (%d vs %d)", path, o.Rows, len(rows))
+		}
+		if o.Err != "" {
+			return nil, errors.New(o.Err)
 		}
 	}
-
-	all := comm.AllGatherv(c, local)
-	m := len(all[0].Values)
-	d := &Data{N: len(all), M: m}
-	d.Names = make([]string, 0, len(all))
-	d.Values = make([]float64, 0, len(all)*m)
-	for _, row := range all {
-		if len(row.Values) != m {
-			return nil, fmt.Errorf("dataset: %s: ragged rows (%d vs %d values)", path, len(row.Values), m)
-		}
-		d.Names = append(d.Names, row.Name)
-		d.Values = append(d.Values, row.Values...)
+	if readErr != nil {
+		return nil, readErr
 	}
-	return d, d.Validate()
+	// The gathered slices are shared by every rank; each keeps its own copy.
+	t.names = slices.Clone(comm.AllGatherv(c, t.names))
+	t.values = slices.Clone(comm.AllGatherv(c, t.values))
+	d, err := t.data()
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return d, nil
 }
 
-// readLines returns the raw data lines of the file (header skipped, blank
-// lines dropped).
-func readLines(path string) ([]string, error) {
+// span locates data line n of a file in the text readLines returns.
+type span struct{ lo, hi, n int }
+
+func (s span) of(text []byte) []byte { return text[s.lo:s.hi] }
+
+// readLines scans the file with ReadTSV's line reader and returns the data
+// lines, concatenated, with where each lies, and LoadTSV's error for a file
+// that does not open or read. On a read error it returns the lines before
+// it too: a bad row among them is reported first, as ReadTSV reports it.
+func readLines(path string) ([]byte, []span, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	defer f.Close()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 1<<20), 1<<26)
-	var out []string
-	first := true
-	for sc.Scan() {
-		text := strings.TrimRight(sc.Text(), "\r\n")
-		if text == "" {
-			continue
-		}
-		if first {
-			first = false
-			fields := strings.SplitN(text, "\t", 3)
-			if len(fields) >= 2 {
-				if _, err := strconv.ParseFloat(fields[1], 64); err != nil {
-					continue // header line
-				}
-			}
-		}
-		out = append(out, text)
+	lr := newLines(f)
+	text := []byte{}
+	var rows []span
+	for lr.next() {
+		rows = append(rows, span{len(text), len(text) + len(lr.text), lr.n})
+		text = append(text, lr.text...)
 	}
-	return out, sc.Err()
-}
-
-// parseRow parses one data line: name, then tab-separated values.
-func parseRow(line string) (parsedRow, error) {
-	fields := strings.Split(line, "\t")
-	if len(fields) < 2 {
-		return parsedRow{}, fmt.Errorf("need a name and at least one value")
+	if err := lr.err(); err != nil {
+		return text, rows, fmt.Errorf("%s: %w", path, err)
 	}
-	row := parsedRow{Name: fields[0], Values: make([]float64, 0, len(fields)-1)}
-	for _, f := range fields[1:] {
-		v, err := strconv.ParseFloat(f, 64)
-		if err != nil {
-			return parsedRow{}, err
-		}
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return parsedRow{}, fmt.Errorf("non-finite value %q", f)
-		}
-		row.Values = append(row.Values, v)
-	}
-	return row, nil
+	return text, rows, nil
 }

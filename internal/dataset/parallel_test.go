@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"parsimone/internal/comm"
@@ -116,5 +117,30 @@ func TestLoadTSVParallelEmpty(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestLoadTSVParallelAgreesWithLoadTSV: at every world size the parallel
+// loader returns what LoadTSV returns — the same data, or the same refusal
+// with the same text — on every FuzzReadTSV seed, and on a file whose
+// header follows blank lines. Only physical line 1 can be a header, so that
+// file is refused: its header is a data row with non-numeric values.
+func TestLoadTSVParallelAgreesWithLoadTSV(t *testing.T) {
+	inputs := append(slices.Clone(tsvSeeds), "\n\ngene\tobs0\tobs1\nG0\t1\t2\n")
+	for i, input := range inputs {
+		path := writeTestFile(t, input)
+		want, wantErr := LoadTSV(path)
+		for _, p := range []int{1, 2, 3} {
+			_, err := comm.Run(p, func(c *comm.Comm) error {
+				got, err := LoadTSVParallel(c, path)
+				if diff := sameOutcome(got, err, want, wantErr); diff != nil {
+					t.Errorf("input %d, p=%d, rank %d: %v", i, p, c.Rank(), diff)
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatalf("input %d, p=%d: %v", i, p, err)
+			}
+		}
 	}
 }

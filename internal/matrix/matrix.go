@@ -116,6 +116,10 @@ type PowerResult struct {
 	// whether the tolerance was met before the iteration cap.
 	Iters     int
 	Converged bool
+	// Residual is ‖S·v − λ·v‖ for the returned pair. Convergence is judged
+	// on λ alone, so this says how well the vector itself is resolved —
+	// poorly when the two leading eigenvalues nearly tie.
+	Residual float64
 }
 
 // PowerIteration estimates the dominant eigenpair of s, starting from the
@@ -167,8 +171,18 @@ func PowerIteration(s *CSR, maxIter int, tol float64, x, z []float64) PowerResul
 		lambda = rq
 		x, z = z, x
 		if done {
-			return PowerResult{Value: lambda, Vector: x, Iters: it, Converged: true}
+			return PowerResult{Value: lambda, Vector: x, Iters: it, Converged: true, Residual: residual(z, x, lambda)}
 		}
 	}
-	return PowerResult{Value: lambda, Vector: x, Iters: maxIter, Converged: false}
+	return PowerResult{Value: lambda, Vector: x, Iters: maxIter, Converged: false, Residual: residual(z, x, lambda)}
+}
+
+// residual returns ‖sv − λ·v‖, where sv holds S·v.
+func residual(sv, v []float64, lambda float64) float64 {
+	var ss float64
+	for i, w := range sv {
+		d := w - lambda*v[i]
+		ss += d * d
+	}
+	return math.Sqrt(ss)
 }

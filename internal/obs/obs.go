@@ -136,6 +136,10 @@ type ConsensusInfo struct {
 	Eigenvalue float64 `json:"eigenvalue"`
 	Iters      int     `json:"iters"`
 	Converged  bool    `json:"converged"`
+	// Residual is ‖Sx − λx‖ of the eigenpair on the round that did not
+	// converge — small when the vector settled while λ still drifted
+	// within Tol, large when it had not settled. Converged rounds omit it.
+	Residual float64 `json:"residual,omitempty"`
 	// Extracted is the extracted cluster size (0 when peeling stopped).
 	Extracted int `json:"extracted,omitempty"`
 }
