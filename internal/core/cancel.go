@@ -135,11 +135,11 @@ func DurableCheckpoints(dir string) []string {
 
 // sweepTempCheckpoints removes orphaned checkpoint temp files — the
 // leftovers of an atomic rename interrupted between write and rename. They
-// are never read (loads open only the final names, and saveCheckpoint
+// are never read (loads open only the final names, and writeCheckpointFile
 // truncates its temp file before writing), so the sweep is pure hygiene:
 // without it a killed run leaves a *.tmp in the directory forever. Called
-// at resume time by the checkpoint-writing rank only, before any load, so
-// it cannot race a writer.
+// at resume time by the checkpoint-writing rank only, before any load and
+// before its writer has a file queued, so it cannot race a write.
 func sweepTempCheckpoints(dir string) error {
 	for _, name := range []string{ckptEnsembles, ckptModules, ckptProgress} {
 		if err := os.Remove(filepath.Join(dir, name+".tmp")); err != nil && !errors.Is(err, fs.ErrNotExist) {

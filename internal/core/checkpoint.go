@@ -8,7 +8,8 @@
 // Three files live in Options.CheckpointDir: ensembles.json (task 1),
 // modules.json (task 2), and progress.json — the per-module manifest that
 // lets a crash inside module learning (>90 % of runtime, §5.2) resume at
-// the last completed module instead of the last task boundary.
+// the last completed module instead of the last task boundary. Rank 0
+// writes them through the run's checkpoint writer (checkpoint_writer.go).
 
 package core
 
@@ -19,7 +20,6 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
-	"sort"
 
 	"parsimone/internal/module"
 	"parsimone/internal/wire"
@@ -100,42 +100,6 @@ func loadCheckpoint(dir, name string, key digest, v wireCheckpoint) (bool, error
 		err = v.stamp().check(name, key)
 	}
 	return err == nil, err
-}
-
-// saveCheckpoint writes v atomically and durably: create the directory,
-// write a temp file, fsync it, rename over the final name, and fsync the
-// directory. Without the fsyncs a crash can leave a renamed-but-truncated
-// file that loadCheckpoint rejects on resume; a stale .tmp from an earlier
-// crash is simply overwritten.
-func saveCheckpoint(dir, name string, v wireCheckpoint) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	tmp := filepath.Join(dir, name+".tmp")
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(encodeCheckpoint(v)); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, filepath.Join(dir, name)); err != nil {
-		return err
-	}
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	return d.Sync()
 }
 
 // checkVars refuses variable lists a run over n variables cannot have
@@ -224,16 +188,4 @@ func loadProgress(dir string, key digest, moduleVars [][]int) (map[int]*module.U
 		units[u.Module] = u
 	}
 	return units, nil
-}
-
-// saveProgress rewrites the whole progress manifest (units sorted by module
-// index) atomically via saveCheckpoint. Manifests are small relative to the
-// work a module represents, so whole-file rewrites keep the format trivial.
-func saveProgress(dir string, st ckptStamp, units map[int]*module.Unit) error {
-	ck := progressCheckpoint{ckptStamp: st}
-	for _, u := range units {
-		ck.Units = append(ck.Units, u)
-	}
-	sort.Slice(ck.Units, func(i, j int) bool { return ck.Units[i].Module < ck.Units[j].Module })
-	return saveCheckpoint(dir, ckptProgress, &ck)
 }

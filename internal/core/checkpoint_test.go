@@ -98,7 +98,7 @@ func TestBinaryCheckpointRoundTrip(t *testing.T) {
 		ModuleVars: [][]int{{0, 2, 4}, {1, 3}, {5}}}
 	t.Run("ensembles", func(t *testing.T) {
 		dir := t.TempDir()
-		if err := saveCheckpoint(dir, ckptEnsembles, ens); err != nil {
+		if err := saveNow(dir, ckptEnsembles, ens); err != nil {
 			t.Fatal(err)
 		}
 		var got ensemblesCheckpoint
@@ -114,7 +114,7 @@ func TestBinaryCheckpointRoundTrip(t *testing.T) {
 	})
 	t.Run("modules", func(t *testing.T) {
 		dir := t.TempDir()
-		if err := saveCheckpoint(dir, ckptModules, mods); err != nil {
+		if err := saveNow(dir, ckptModules, mods); err != nil {
 			t.Fatal(err)
 		}
 		var got modulesCheckpoint
@@ -129,7 +129,7 @@ func TestBinaryCheckpointRoundTrip(t *testing.T) {
 		// A binary ensembles file loaded as a modules checkpoint must be
 		// rejected by kind, not misparsed.
 		dir := t.TempDir()
-		if err := saveCheckpoint(dir, ckptModules, ens); err != nil {
+		if err := saveNow(dir, ckptModules, ens); err != nil {
 			t.Fatal(err)
 		}
 		var got modulesCheckpoint

@@ -87,7 +87,8 @@ type Options struct {
 	// from whatever checkpoints exist. Because each task — and each module
 	// within task 3 — draws from its own numbered PRNG substream, a
 	// resumed run learns exactly the network an uninterrupted run would.
-	// Only rank 0 writes, as in the paper.
+	// Only rank 0 writes, as in the paper, through one background writer
+	// per run; every file is durable before the run returns.
 	CheckpointDir string
 	// Deprecated: ignored; checkpoints are always binary. Deleted with its
 	// last setter, benchmark/layers.go (ROADMAP 2(d)).
@@ -129,7 +130,7 @@ type Options struct {
 // address communication operations by (rank, op) — see comm.Fault — and are
 // honored by LearnParallel, which owns the world. Task, when non-empty,
 // crashes rank Rank at a pipeline failpoint: TaskGaneSH or TaskConsensus
-// (immediately after that task's checkpoint is written) or "module:<k>" (as
+// (immediately after that task's checkpoint is saved) or "module:<k>" (as
 // module k's learning starts). The supervised driver clears the spec after
 // the first attempt, so an injected failure fires exactly once.
 type FaultSpec struct {
@@ -342,10 +343,11 @@ func snapshotOf(assign []int) [][]int {
 
 // run is the pipeline on rc's rank. The rank's cancellation signal is polled
 // here at the task boundaries and module-unit edges and, by the tasks handed
-// rc, inside them. Rank 0 persists the checkpoints and emits the task-level
-// events, which keeps the merged stream single-sourced. Checkpoints are
-// stamped with key, and only checkpoints stamped with it are resumed.
-func run(rc rank.Context, d *dataset.Data, q *score.QData, key digest, opt Options) (*Output, error) {
+// rc, inside them. Rank 0 persists the checkpoints, through the run's one
+// checkpoint writer, and emits the task-level events, which keeps the merged
+// stream single-sourced. Checkpoints are stamped with key, and only
+// checkpoints stamped with it are resumed.
+func run(rc rank.Context, d *dataset.Data, q *score.QData, key digest, opt Options) (out *Output, err error) {
 	c, hooks, cancel := rc.Comm, rc.Hooks, rc.Cancel
 	master := prng.New(opt.Seed)
 	failpoint := failpointFn(opt, c.Rank())
@@ -381,11 +383,21 @@ func run(rc rank.Context, d *dataset.Data, q *score.QData, key digest, opt Optio
 	var resumedModules [][]int
 	haveModules := false
 	cancel.Check()
+	var ckpt *checkpointWriter
 	if opt.CheckpointDir != "" {
-		var err error
 		if root {
+			if ckpt, err = startCheckpointWriter(opt.CheckpointDir); err != nil {
+				return nil, err
+			}
+			// Every queued file is durable before the rank returns or
+			// unwinds, so the world ends only after its checkpoints do.
+			defer func() {
+				if cerr := ckpt.closeCheckpoints(); cerr != nil && err == nil {
+					out, err = nil, cerr
+				}
+			}()
 			// Resume entry: clear any orphaned temp files an interrupted
-			// atomic rename left behind before touching the directory.
+			// atomic rename left behind before anything is queued.
 			if err = sweepTempCheckpoints(opt.CheckpointDir); err != nil {
 				return nil, err
 			}
@@ -404,9 +416,9 @@ func run(rc rank.Context, d *dataset.Data, q *score.QData, key digest, opt Optio
 		timers.Time(TaskGaneSH, func() {
 			ensembles = sampleEnsembles(rc, q, opt, master)
 		})
-		if opt.CheckpointDir != "" && root {
+		if ckpt != nil {
 			ck := ensemblesCheckpoint{ckptStamp: stamp, Ensembles: ensembles}
-			if err := saveCheckpoint(opt.CheckpointDir, ckptEnsembles, &ck); err != nil {
+			if err := ckpt.queueCheckpoint(ckptEnsembles, &ck); err != nil {
 				return nil, err
 			}
 			checkpointEvent(ckptEnsembles)
@@ -417,7 +429,8 @@ func run(rc rank.Context, d *dataset.Data, q *score.QData, key digest, opt Optio
 		taskEvent(obs.TypeTaskResume, TaskGaneSH)
 	}
 	// Task-boundary cancellation point: the GaneSH checkpoint (when
-	// enabled) is durable by now, so a cancel here resumes from it.
+	// enabled) is queued by now, and the writer's close makes it durable
+	// before the world ends, so a cancel here resumes from it.
 	cancel.Check()
 
 	// Task 2: consensus clustering, sequential as in the paper (<0.04 %
@@ -436,9 +449,9 @@ func run(rc rank.Context, d *dataset.Data, q *score.QData, key digest, opt Optio
 		if consErr != nil {
 			return nil, consErr
 		}
-		if opt.CheckpointDir != "" && root {
+		if ckpt != nil {
 			ck := modulesCheckpoint{ckptStamp: stamp, ModuleVars: moduleVars}
-			if err := saveCheckpoint(opt.CheckpointDir, ckptModules, &ck); err != nil {
+			if err := ckpt.queueCheckpoint(ckptModules, &ck); err != nil {
 				return nil, err
 			}
 			checkpointEvent(ckptModules)
@@ -458,9 +471,10 @@ func run(rc rank.Context, d *dataset.Data, q *score.QData, key digest, opt Optio
 			}})
 			failpoint("module", mi)
 			// Module-unit cancellation edge: everything before module mi
-			// is durably checkpointed (when enabled), and unit mi has not
-			// drawn from its substream yet, so a cancel here loses no
-			// completed work and a resume recomputes mi bit-identically.
+			// is queued for the checkpoint writer (when enabled), whose
+			// close makes it durable before the world ends, and unit mi
+			// has not drawn from its substream yet, so a cancel here loses
+			// no completed work and a resume recomputes mi bit-identically.
 			cancel.Check()
 		},
 	}
@@ -474,10 +488,10 @@ func run(rc rank.Context, d *dataset.Data, q *score.QData, key digest, opt Optio
 			units = map[int]*module.Unit{}
 		}
 		prog.Completed = units
-		if root {
+		if ckpt != nil {
 			saveUnit = func(u *module.Unit) error {
 				units[u.Module] = u
-				return saveProgress(opt.CheckpointDir, stamp, units)
+				return ckpt.queueProgress(stamp, units)
 			}
 		}
 	}

@@ -132,6 +132,17 @@ func TestRunnerSlotAccounting(t *testing.T) {
 	}
 }
 
+// stalled returns opt with a 50 ms stall injected halfway through the
+// communication operations of the clean run want. The fixture learns in
+// about a millisecond; the stall makes a one-rank job outlast a 1 ms
+// deadline on any host, and a cancellation check after it sees the deadline.
+func stalled(opt core.Options, want *core.Output) core.Options {
+	opt.Inject = &core.FaultSpec{Comm: []comm.Fault{
+		{Rank: 0, Op: want.CommStats.Ops / 2, Kind: comm.FaultDelay, Delay: 50 * time.Millisecond},
+	}}
+	return opt
+}
+
 // TestJobDeadlineDrainsToResumableCheckpoint: a deadline stops the job as
 // StateCancelled with core.ErrDeadline, and the checkpoint directory it
 // drained to resumes to the bit-identical network.
@@ -139,7 +150,7 @@ func TestJobDeadlineDrainsToResumableCheckpoint(t *testing.T) {
 	d, opt, want := fixture(t)
 	dir := t.TempDir()
 	r := New(Config{MaxJobs: 1})
-	ckpt := opt
+	ckpt := stalled(opt, want)
 	ckpt.CheckpointDir = dir
 	j, err := r.Submit(Spec{Ranks: 1, Data: d, Options: ckpt}, Budget{Deadline: time.Millisecond})
 	if err != nil {
@@ -373,10 +384,11 @@ func TestDrainUnderFault(t *testing.T) {
 // TestCancelEventMetricAgreement: a cancelled job emits job.cancelled —
 // not job.failed — so the event stream agrees with jobs_cancelled_total.
 func TestCancelEventMetricAgreement(t *testing.T) {
-	d, opt, _ := fixture(t)
+	d, opt, want := fixture(t)
 	rec := obs.NewRecorder(0)
 	reg := obs.NewRegistry()
 	r := New(Config{MaxJobs: 1, Hooks: obs.NewHooks(rec, reg, nil)})
+	opt = stalled(opt, want)
 	opt.CheckpointDir = t.TempDir()
 	j, err := r.Submit(Spec{Name: "deadline", Ranks: 1, Data: d, Options: opt}, Budget{Deadline: time.Millisecond})
 	if err != nil {

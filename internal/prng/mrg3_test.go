@@ -153,6 +153,34 @@ func TestSubstreamMatchesJump(t *testing.T) {
 	}
 }
 
+// substreamByMatPow is the reference Substream: the jump matrix raised to
+// the substream index by binary exponentiation, then applied to the state.
+func substreamByMatPow(g *MRG3, i uint64) (s0, s1, s2 uint64) {
+	t := matPow(matPow(transition, SubstreamSpacing), i)
+	return (t[0]*g.s0 + t[1]*g.s1 + t[2]*g.s2) % Modulus,
+		(t[3]*g.s0 + t[4]*g.s1 + t[5]*g.s2) % Modulus,
+		(t[6]*g.s0 + t[7]*g.s1 + t[8]*g.s2) % Modulus
+}
+
+// TestSubstreamMatchesMatPow: the per-bit jump table lands on the state
+// the matrix power does, for every index below 5000 and for random 64-bit
+// indices.
+func TestSubstreamMatchesMatPow(t *testing.T) {
+	g := New(29)
+	g.Next()
+	idx := []uint64{1<<63 - 1, 1 << 63, ^uint64(0)}
+	for r, i := New(31), uint64(0); i < 5000; i++ {
+		idx = append(idx, i, r.Uint64())
+	}
+	for _, i := range idx {
+		a0, a1, a2 := g.Substream(i).State()
+		b0, b1, b2 := substreamByMatPow(g, i)
+		if a0 != b0 || a1 != b1 || a2 != b2 {
+			t.Fatalf("Substream(%d) = (%d, %d, %d), matrix power gives (%d, %d, %d)", i, a0, a1, a2, b0, b1, b2)
+		}
+	}
+}
+
 func TestSubstreamLargeIndexNoOverlap(t *testing.T) {
 	// Very large substream indices must still produce distinct streams
 	// (guards against overflow in the jump computation).
