@@ -108,7 +108,8 @@ bench-cluster:
 	$(GO) run ./benchmark -workload cluster -trace
 
 # The `hybrid` workload as a traced run: the same learns through the p=2
-# gather and scan exchanges, the p=3 dynamic coordinator and W=2 workers
+# static exchange (the `gather` and `scan` shapes, both the segmented scan),
+# the p=3 dynamic coordinator and W=2 workers
 # (splits.gather_s, splits.scan_s, splits.dynamic_s, pool.w2_s, speedup_2)
 # beside the messages each shape sent (comm.*_collectives, comm.*_sends).
 bench-hybrid:

@@ -131,10 +131,11 @@ func CrossVal(scale Scale) *Table {
 	return t
 }
 
-// CommVolume measures the real message traffic of the three split
+// CommVolume measures the real message traffic of the two split
 // distribution paths on the goroutine message-passing runtime — the
 // communication claim behind the paper's segmented-scan design (§3.2.3:
-// O(τ log p + µJKRL) instead of gathering every posterior).
+// O(τ log p + µJKRL) instead of gathering every posterior), which is the
+// static path.
 func CommVolume(scale Scale) *Table {
 	n, m := 80, 40
 	ranks := []int{2, 4, 8}
@@ -147,7 +148,7 @@ func CommVolume(scale Scale) *Table {
 		Header: []string{"p", "path", "elements", "messages", "identical"},
 		Notes: []string{
 			"elements = words moved through sends across all ranks during the full pipeline;",
-			"scan is the paper's Algorithm 5 communication structure; all paths learn the same network",
+			"static is the paper's Algorithm 5 segmented scan; both paths learn the same network",
 		},
 	}
 	d := genData(n, m, 777)
@@ -158,9 +159,8 @@ func CommVolume(scale Scale) *Table {
 		panic(err)
 	}
 	for _, p := range ranks {
-		for _, path := range []string{"static-gather", "scan", "dynamic"} {
+		for _, path := range []string{"static", "dynamic"} {
 			o := opt
-			o.Module.Splits.ScanSelection = path == "scan"
 			if path == "dynamic" {
 				o.Module.Splits.DynamicChunk = 64
 			}

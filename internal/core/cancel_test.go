@@ -40,17 +40,18 @@ type fixtureData struct {
 // cancelAndResume cancels a run at check index at (on rank 0), asserts the
 // documented *CancelledError, then resumes from the drained checkpoints and
 // returns the resumed output. The resume runs on resumeP ranks, and
-// scanRun/scanResume select the segmented-scan exchange independently on the
-// two legs: the stream layout is the same under every world size and
-// exchange strategy, so every combination — including a gathered run resumed
-// under scan — must land on the same network.
+// dynRun/dynResume select the dynamic exchange independently on the two legs
+// (a one-rank leg has no exchange): the stream layout is the same under
+// every world size and exchange strategy, so every combination — including a
+// static run resumed under the dynamic coordinator — must land on the same
+// network.
 func cancelAndResume(t *testing.T, f *fixtureData, p, resumeP int, at int64,
-	scanRun, scanResume bool) *Output {
+	dynRun, dynResume bool) *Output {
 	t.Helper()
 	dir := t.TempDir()
 	injected := f.opt
 	injected.CheckpointDir = dir
-	injected.Module.Splits.ScanSelection = scanRun
+	injected.Module.Splits.DynamicChunk = chunkIf(dynRun)
 	injected.MaxRestarts = 1 // must NOT be consumed: cancellation is not a failure
 	injected.Inject = &FaultSpec{CancelAt: at, Rank: 0}
 	out, err := LearnParallel(p, f.data, injected)
@@ -74,7 +75,7 @@ func cancelAndResume(t *testing.T, f *fixtureData, p, resumeP int, at int64,
 	}
 	resumed := f.opt
 	resumed.CheckpointDir = dir
-	resumed.Module.Splits.ScanSelection = scanResume
+	resumed.Module.Splits.DynamicChunk = chunkIf(dynResume)
 	got, err := LearnParallel(resumeP, f.data, resumed)
 	if err != nil {
 		t.Fatalf("resume after cancel at check %d failed: %v", at, err)
@@ -88,13 +89,15 @@ func cancelAndResume(t *testing.T, f *fixtureData, p, resumeP int, at int64,
 // checkpoints, learns a network bit-identical to the uninterrupted run.
 // Exhaustive over check indices at p=1; the p ∈ {2, 4} worlds cover five
 // spread indices each, mirroring the crash matrix's density, and so do the
-// rows that resume on another world size. The scan rows rerun spread indices
-// under the segmented-scan exchange — and one row resumes a gathered run
-// under scan — proving resume bit-identity on both exchange paths and across
+// rows that resume on another world size. The dynamic rows rerun spread
+// indices under the dynamic coordinator — a one-rank run resumed on three
+// ranks, a four-rank run resumed on four, and a static run resumed under the
+// coordinator — proving resume bit-identity on both exchange paths and across
 // them. The subtest prefixes are pinned by the test floor and name the knobs
 // the rows used to flip: "binary" rows, which chose the binary checkpoint
 // format when there were two, now resume on another world size; "nobatch"
-// rows flip the exchange.
+// rows, which once flipped split batching and then the gather/scan exchange,
+// now flip static ↔ dynamic (the two booleans: run leg, resume leg).
 func TestCancelMatrixBitIdentical(t *testing.T) {
 	f, checks := cancelFixture(t)
 	spread := []int64{1, checks / 4, checks / 2, 3 * checks / 4, checks}
@@ -102,7 +105,7 @@ func TestCancelMatrixBitIdentical(t *testing.T) {
 		id         string
 		p, resumeP int
 		at         []int64
-		scan       [2]bool // [run leg, resume leg]
+		dynamic    [2]bool // [run leg, resume leg]
 	}{
 		{"json", 1, 1, nil, [2]bool{}}, // nil → every check index
 		{"binary", 1, 2, spread, [2]bool{}},
@@ -110,9 +113,9 @@ func TestCancelMatrixBitIdentical(t *testing.T) {
 		{"binary", 2, 4, spread, [2]bool{}},
 		{"json", 4, 4, spread, [2]bool{}},
 		{"binary", 4, 1, spread, [2]bool{}},
-		{"json", 1, 1, spread, [2]bool{true, true}},
+		{"json", 1, 3, spread, [2]bool{true, true}},
 		{"binary", 4, 4, spread, [2]bool{true, true}},
-		{"json", 2, 2, spread, [2]bool{false, true}}, // cross: gathered run, scan resume
+		{"json", 2, 2, spread, [2]bool{false, true}}, // cross: static run, dynamic resume
 	}
 	for _, tc := range cases {
 		ats := tc.at
@@ -122,12 +125,12 @@ func TestCancelMatrixBitIdentical(t *testing.T) {
 			}
 		}
 		id := tc.id
-		if tc.scan[0] || tc.scan[1] {
-			id += fmt.Sprintf("_nobatch%v%v", tc.scan[0], tc.scan[1])
+		if tc.dynamic[0] || tc.dynamic[1] {
+			id += fmt.Sprintf("_nobatch%v%v", tc.dynamic[0], tc.dynamic[1])
 		}
 		for _, at := range ats {
 			t.Run(fmt.Sprintf("%s_p%d_check%d", id, tc.p, at), func(t *testing.T) {
-				got := cancelAndResume(t, f, tc.p, tc.resumeP, at, tc.scan[0], tc.scan[1])
+				got := cancelAndResume(t, f, tc.p, tc.resumeP, at, tc.dynamic[0], tc.dynamic[1])
 				if !result.Equal(got.Network, f.want.Network) {
 					t.Fatal("resumed network differs from the uninterrupted run")
 				}
@@ -298,13 +301,14 @@ func TestSweepOrphanedTempCheckpoints(t *testing.T) {
 }
 
 // TestSoakCancelFaultChaos is the seeded chaos soak behind `make soak`: a
-// deterministic MRG3 stream picks (p, cancel point, gather or scan exchange
-// per leg, and optionally a comm-fault crash) per
+// deterministic MRG3 stream picks (p, cancel point, static or dynamic
+// exchange per leg, and optionally a comm-fault crash) per
 // iteration; every iteration must end in the bit-identical network, either
 // directly (fault + supervised restart) or after a resume (cancellation).
 // The exchange draws are independent for the run and resume legs, so the
-// soak also exercises crossing the gather/scan boundary mid-job (the
-// "nobatch" in the subtest IDs is the floor-pinned name of those draws).
+// soak also exercises crossing the static/dynamic boundary mid-job (the
+// "nobatch" in the subtest IDs is the floor-pinned name of those draws,
+// which once chose split batching and then gather or scan).
 // PARSIMONE_SOAK_ITERS scales the iteration count (default 3, so the test
 // stays cheap in tier-1).
 func TestSoakCancelFaultChaos(t *testing.T) {
@@ -337,16 +341,16 @@ func TestSoakCancelFaultChaos(t *testing.T) {
 		_ = g.Intn(2)
 		at := int64(1 + g.Intn(int(checks)))
 		crash := g.Intn(2) == 1 && p > 1
-		scanRun := g.Intn(2) == 1
-		scanResume := g.Intn(2) == 1
-		t.Run(fmt.Sprintf("iter%d_p%d_at%d_crash%v_nobatch%v%v", i, p, at, crash, scanRun, scanResume), func(t *testing.T) {
+		dynRun := g.Intn(2) == 1
+		dynResume := g.Intn(2) == 1
+		t.Run(fmt.Sprintf("iter%d_p%d_at%d_crash%v_nobatch%v%v", i, p, at, crash, dynRun, dynResume), func(t *testing.T) {
 			if crash {
 				// Fault plan: crash a random rank at a random comm op, let
 				// the supervised restart recover.
 				dir := t.TempDir()
 				injected := f.opt
 				injected.CheckpointDir = dir
-				injected.Module.Splits.ScanSelection = scanRun
+				injected.Module.Splits.DynamicChunk = chunkIf(dynRun)
 				injected.MaxRestarts = 1
 				injected.Inject = &FaultSpec{Comm: []comm.Fault{
 					{Rank: g.Intn(p), Op: int64(1 + g.Intn(opsPerRank[p])), Kind: comm.FaultCrash},
@@ -360,7 +364,7 @@ func TestSoakCancelFaultChaos(t *testing.T) {
 				}
 				return
 			}
-			got := cancelAndResume(t, f, p, p, at, scanRun, scanResume)
+			got := cancelAndResume(t, f, p, p, at, dynRun, dynResume)
 			if !result.Equal(got.Network, f.want.Network) {
 				t.Fatal("soak resume differs from the uninterrupted run")
 			}

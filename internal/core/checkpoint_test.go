@@ -257,8 +257,8 @@ func TestResumedPartitionValidated(t *testing.T) {
 // is refused, with an error naming the file, whichever of the three files is
 // present. A change to how the run executes — world shape, worker count,
 // split distribution, supervision, observability, and the deprecated
-// BinaryCheckpoints switch, which is ignored — is the same run and resumes
-// to the bit-identical network.
+// BinaryCheckpoints and ScanSelection switches, which are ignored — is the
+// same run and resumes to the bit-identical network.
 func TestCheckpointResumesOnlyItsOwnRun(t *testing.T) {
 	d, _ := testData(t, 24, 20, 16)
 	base := fastOptions(31)

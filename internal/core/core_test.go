@@ -448,27 +448,6 @@ func TestPInvarianceGaneshGroups(t *testing.T) {
 	}
 }
 
-// TestPInvarianceScanSelection: the paper's segmented-scan selection wired
-// through the full pipeline must also reproduce the sequential network.
-func TestPInvarianceScanSelection(t *testing.T) {
-	d, _ := testData(t, 24, 20, 13)
-	opt := fastOptions(25)
-	want, err := Learn(d, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt.Module.Splits.ScanSelection = true
-	for _, p := range []int{2, 4} {
-		got, err := LearnParallel(p, d, opt)
-		if err != nil {
-			t.Fatalf("p=%d: %v", p, err)
-		}
-		if !result.Equal(got.Network, want.Network) {
-			t.Fatalf("p=%d: scan-selection network differs from sequential", p)
-		}
-	}
-}
-
 func TestLearnRejectsOverflowSizedData(t *testing.T) {
 	// A data set whose cell count exceeds the exact-statistics capacity
 	// must be rejected up front, not corrupt Σx² silently — and from its

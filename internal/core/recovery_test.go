@@ -32,16 +32,33 @@ func recoveryFixture(t *testing.T) (*dataset.Data, Options, *Output) {
 	return d, opt, want
 }
 
+// dynamicChunk is the chunk size of the test rows that run the dynamic
+// exchange: a prime above the fixture's 24 observations, hence a multiple of
+// no node's observation count — the coordinator rounds each deal up to a
+// pair edge.
+const dynamicChunk = 29
+
+// chunkIf is the Options.Module.Splits.DynamicChunk that selects the dynamic
+// exchange when dynamic is set and the static one otherwise.
+func chunkIf(dynamic bool) int {
+	if dynamic {
+		return dynamicChunk
+	}
+	return 0
+}
+
 // TestFailpointRecoveryBitIdentical is the acceptance property of the
 // fault-tolerance layer: a rank killed at each task boundary and at three
 // module-learning crash points, followed by an automatic supervised restart
 // from checkpoints, yields a network bit-identical to the uninterrupted run
 // for p ∈ {1, 2, 4} — at one and at two workers per rank, and under the
-// segmented-scan exchange (the reference was learned sequentially, so those
-// rows also prove strategy invariance through a crash and restart). The
-// subtest prefixes are pinned by the test floor and name the knobs the rows
-// used to flip: "binary" rows, which chose the binary checkpoint format when
-// there were two, now run at two workers; "nobatch" rows run the scan.
+// dynamic exchange (the reference was learned sequentially, so those rows
+// also prove strategy invariance through a crash and restart). The subtest
+// prefixes are pinned by the test floor and name the knobs the rows used to
+// flip: "binary" rows, which chose the binary checkpoint format when there
+// were two, now run at two workers; "nobatch" rows, which once flipped split
+// batching and then ran the segmented scan when gather was the default, now
+// run the dynamic coordinator (a one-rank world has no exchange).
 func TestFailpointRecoveryBitIdentical(t *testing.T) {
 	d, opt, want := recoveryFixture(t)
 	nm := len(want.Network.Modules)
@@ -55,7 +72,7 @@ func TestFailpointRecoveryBitIdentical(t *testing.T) {
 	for _, row := range []struct {
 		name    string
 		workers int
-		scan    bool
+		dynamic bool
 	}{{"json", 0, false}, {"binary", 2, false}, {"json_nobatch", 0, true}} {
 		for _, p := range []int{1, 2, 4} {
 			for _, fp := range failpoints {
@@ -63,7 +80,7 @@ func TestFailpointRecoveryBitIdentical(t *testing.T) {
 					injected := opt
 					injected.CheckpointDir = t.TempDir()
 					injected.Workers = row.workers
-					injected.Module.Splits.ScanSelection = row.scan
+					injected.Module.Splits.DynamicChunk = chunkIf(row.dynamic)
 					injected.MaxRestarts = 1
 					injected.Inject = &FaultSpec{Task: fp, Rank: 0}
 					got, err := LearnParallel(p, d, injected)

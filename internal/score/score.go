@@ -247,9 +247,9 @@ func QuantizeWeightsInto(ws []uint64, logScores []float64) []uint64 {
 // vector), NaN and non-positive values map to zero, and values ≥ 1 clamp
 // to MaxWeight (uint64 of an out-of-range float is platform-dependent in
 // Go, exactly the portability trap QuantizeWeights documents). Every split
-// selection path — the gather-based and segmented-scan parallel paths and
-// the naive baseline — must use this one helper so their weights, and
-// hence the learned networks, stay bit-identical.
+// selection path — selection over the full posterior vector, the
+// segmented scan and the naive baseline — must use this one helper so their
+// weights, and hence the learned networks, stay bit-identical.
 func QuantizeProb(p float64) uint64 {
 	if math.IsNaN(p) || p <= 0 {
 		return 0

@@ -385,12 +385,11 @@ func (req *JobRequest) Options(d *dataset.Data) (*dataset.Data, core.Options, er
 	}
 	switch req.Dist {
 	case "", "static":
-	case "scan":
-		opt.Module.Splits.ScanSelection = true
+	case "scan": // the segmented scan is the static exchange: same bytes
 	case "dynamic":
 		opt.Module.Splits.DynamicChunk = 64
 	default:
-		return nil, core.Options{}, fmt.Errorf("dist %q not one of static, scan, dynamic", req.Dist)
+		return nil, core.Options{}, fmt.Errorf("dist %q not one of static, dynamic", req.Dist)
 	}
 	if req.CheckpointFormat != "" && req.CheckpointFormat != "binary" {
 		return nil, core.Options{}, fmt.Errorf("checkpoint_format %q: checkpoints are always binary (leave it out or send \"binary\")", req.CheckpointFormat)

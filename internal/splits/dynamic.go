@@ -7,7 +7,7 @@
 //
 // Because every pair's bootstrap draws come from the substream numbered by
 // its global index, the computed posteriors — and therefore the learned
-// network — are identical to the static schemes' output; only the
+// network — are identical to the static scheme's output; only the
 // assignment of work to ranks changes. Dealt chunks end on pair boundaries,
 // so no pair is ever evaluated in two pieces on this path.
 
@@ -33,11 +33,11 @@ type valMsg struct {
 	P     float64
 }
 
-// LearnParallelDynamic is the dynamic-scheme counterpart of LearnWithComm:
+// LearnParallelDynamic is the dynamic-scheme counterpart of the static scan:
 // ranks 1…p−1 request chunks of par.DynamicChunk candidates from the rank-0
 // coordinator until the list is exhausted, so expensive splits no longer pin
-// a whole static block to one rank. It shares the evaluator and the selection
-// logic with the static path and returns the identical result. It needs what
+// a whole static block to one rank. It shares the evaluator with the static
+// path and a one-rank world's selection, and returns the identical result. It needs what
 // LearnWithComm checks before choosing it: a worker rank to deal to and a
 // positive chunk size.
 func LearnParallelDynamic(rc rank.Context, q *score.QData, pr score.Prior, modules [][]int,
@@ -81,7 +81,7 @@ func LearnParallelDynamic(rc rank.Context, q *score.QData, pr score.Prior, modul
 		// the gathered result. No cost events are emitted on this path:
 		// which rank computes which chunk is demand-driven, and per-rank
 		// cost events would break the event-stream determinism the static
-		// and scan paths guarantee. The metrics are sums over whatever this
+		// path guarantees. The metrics are sums over whatever this
 		// rank was dealt, so the registry totals stay schedule-invariant.
 		reg := rc.Hooks.Registry()
 		var steps []int

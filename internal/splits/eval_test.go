@@ -350,13 +350,10 @@ func TestCutPairInvariance(t *testing.T) {
 			t.Fatalf("p=%d: no block edge cuts a pair; the fixture does not exercise replay", p)
 		}
 		for wi, workers := range []int{1, 2, 3} {
-			for _, strategy := range []string{"gather", "scan", "dynamic"} {
+			for _, strategy := range []string{"static", "dynamic"} {
 				reg := obs.NewRegistry()
 				par := base
-				switch strategy {
-				case "scan":
-					par.ScanSelection = true
-				case "dynamic":
+				if strategy == "dynamic" {
 					par.DynamicChunk = chunks[wi]
 				}
 				name := fmt.Sprintf("%s W=%d", strategy, workers)

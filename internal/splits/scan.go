@@ -1,18 +1,20 @@
 // Segmented-scan split selection — the communication structure the paper
-// actually implements for Algorithm 5: "the contiguous arrangement of
-// candidate splits for every node allows us to compute the split weights
-// for random sampling for all the nodes using a single segmented parallel
-// scan over the distributed cand-probs. Then, the splits for all the nodes
-// are selected independently on each processor, followed by an all-gather
-// call to collect all the chosen splits" (§3.2.3).
+// implements for Algorithm 5 and the one static exchange of a world of more
+// than one rank: "the contiguous arrangement of candidate splits for every
+// node allows us to compute the split weights for random sampling for all
+// the nodes using a single segmented parallel scan over the distributed
+// cand-probs. Then, the splits for all the nodes are selected independently
+// on each processor, followed by an all-gather call to collect all the
+// chosen splits" (§3.2.3).
 //
-// LearnWithComm's static path gathers the full posterior vector — simple,
-// O(total) communication. This variant exchanges only per-node per-rank
-// weight partials and the chosen splits, O(p·nodes + J·nodes) — the paper's
-// O(τ log p + µJKRL) communication bound. Because sampling weights are
-// integers, the distributed prefix sums are exact, and the selection
-// consumes the shared PRNG stream identically to the gather-based path, so
-// the chosen splits are bit-identical.
+// Posteriors stay where they were scored. Two all-gathers carry the
+// per-node per-rank weight partials and the chosen splits, O(p·nodes +
+// J·nodes) elements — the paper's O(τ log p + µJKRL) communication bound —
+// where gathering the posterior vector would carry every candidate. Because
+// sampling weights are integers, the distributed prefix sums are exact, and
+// the selection consumes the shared PRNG stream exactly as selectSplits does
+// over the full vector, so the chosen splits are bit-identical to a one-rank
+// world's.
 
 package splits
 
@@ -45,19 +47,19 @@ type pickMsg struct {
 	A       Assigned
 }
 
-// LearnParallelScan computes the same Result as LearnWithComm's static path
-// using the paper's segmented-scan selection: posteriors stay distributed;
-// only per-node weight partials and the chosen splits travel.
-func LearnParallelScan(rc rank.Context, q *score.QData, pr score.Prior, modules [][]int,
+// learnScan is LearnWithComm's static exchange: each rank scores its block
+// of the global list, and the segmented scan selects the same Result
+// selectSplits would over the whole posterior vector.
+func learnScan(rc rank.Context, q *score.QData, pr score.Prior, modules [][]int,
 	trees [][]*tree.Tree, par Params, g *prng.MRG3) Result {
 	c := rc.Comm
 	ev := newEvaluator(rc, q, pr, modules, trees, par, g)
 	par, nodes := ev.par, ev.nodes
 
 	// Local posteriors over this rank's block, kept distributed. Weights
-	// come from score.QuantizeProb — the same grid as the gather-based
-	// path, bit for bit, or the two paths would consume the shared PRNG
-	// stream differently.
+	// come from score.QuantizeProb — the same grid as selectSplits, bit for
+	// bit, or the two selections would consume the shared PRNG stream
+	// differently.
 	lo, hi := comm.BlockRange(ev.total, c.Size(), c.Rank())
 	localP, localSteps, st := ev.eval(lo, hi)
 	ev.observe(st, localSteps)
@@ -97,8 +99,8 @@ func LearnParallelScan(rc rank.Context, q *score.QData, pr score.Prior, modules 
 		return ref.assigned(q, par.Candidates, ci-ref.offset, localP[ci-lo])
 	}
 
-	// Selection: identical draws to the gather-based path, but only the
-	// rank owning the crossing point materializes the pick.
+	// Selection: identical draws to selectSplits, but only the rank owning
+	// the crossing point materializes the pick.
 	var localPicks []pickMsg
 	for nodeIdx := range nodes {
 		var totalW uint64
