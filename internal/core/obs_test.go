@@ -253,7 +253,7 @@ func TestClusterShapedTelemetryPinned(t *testing.T) {
 	pinned := map[string]string{
 		"events":   "3ae41ce4fe48e4f0493ac43909139e24a1f80e9f55f27502167690d8008ebed2",
 		"registry": "cf28e64e5fd22ebbc7b6dd81183e8397015578cebfabd0e16cf061fdbd423347",
-		"workload": "cebc5e3465b302cef05720984f9d3a7abfe2b2b0c5bee524245200ee6fb8c74e",
+		"workload": "548ccd95249d82aaad406f814c6c204753f17ef94dbebca095802c6e27f34443",
 		"network":  "b9dcd0a65107d8d9ce2115b7ffcb372627e7b6121f85595b4a47413605d8fa46",
 	}
 	d, _, err := synth.Generate(synth.Config{N: 240, M: 24, Seed: 15})
