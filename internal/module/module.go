@@ -19,7 +19,6 @@ import (
 	"parsimone/internal/rank"
 	"parsimone/internal/score"
 	"parsimone/internal/splits"
-	"parsimone/internal/trace"
 	"parsimone/internal/tree"
 )
 
@@ -135,12 +134,6 @@ func LearnWithComm(rc rank.Context, q *score.QData, pr score.Prior, moduleVars [
 		mod.ParentsUniform = scoreParents(res.Splits.Uniform, mi)
 	}
 	return res, nil
-}
-
-// Learn is LearnWithComm on the one-rank world, recording into wl when
-// non-nil.
-func Learn(q *score.QData, pr score.Prior, moduleVars [][]int, par Params, g *prng.MRG3, wl *trace.Workload, prog *Progress) (*Result, error) {
-	return LearnWithComm(rank.Self(wl), q, pr, moduleVars, par, g, prog)
 }
 
 // renumber rewrites the module index of a single-module assignment (always

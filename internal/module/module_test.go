@@ -35,7 +35,7 @@ func fixture(t testing.TB, seed uint64) (*score.QData, [][]int, *synth.Truth) {
 
 func mustLearn(t testing.TB, q *score.QData, pr score.Prior, moduleVars [][]int, par Params, g *prng.MRG3, wl *trace.Workload) *Result {
 	t.Helper()
-	res, err := Learn(q, pr, moduleVars, par, g, wl, nil)
+	res, err := LearnWithComm(rank.Self(wl), q, pr, moduleVars, par, g, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

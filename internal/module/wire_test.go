@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"parsimone/internal/prng"
+	"parsimone/internal/rank"
 	"parsimone/internal/score"
 	"parsimone/internal/wire"
 )
@@ -29,7 +30,7 @@ func learnUnits(t *testing.T) (*score.QData, []*Unit) {
 		units = append(units, u)
 		return nil
 	}}
-	if _, err := Learn(q, score.DefaultPrior(), moduleVars, defaultParams(), prng.New(9), nil, prog); err != nil {
+	if _, err := LearnWithComm(rank.Self(nil), q, score.DefaultPrior(), moduleVars, defaultParams(), prng.New(9), prog); err != nil {
 		t.Fatal(err)
 	}
 	if len(units) == 0 {
