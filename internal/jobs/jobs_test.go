@@ -132,13 +132,27 @@ func TestRunnerSlotAccounting(t *testing.T) {
 	}
 }
 
-// stalled returns opt with a 50 ms stall injected halfway through the
-// communication operations of the clean run want. The fixture learns in
-// about a millisecond; the stall makes a one-rank job outlast a 1 ms
-// deadline on any host, and a cancellation check after it sees the deadline.
-func stalled(opt core.Options, want *core.Output) core.Options {
+// stalled returns opt observed into a fresh metrics registry, with a 50 ms
+// stall injected halfway through the communication operations of that
+// observed clean run. The fixture learns in about a millisecond; the stall
+// makes a one-rank job outlast a 1 ms deadline on any host, and a
+// cancellation check after it sees the deadline. An unobserved one-rank world
+// communicates nothing; an observed one gathers its split pool cost once per
+// module for the rank-imbalance event, and those are the ops the stall is
+// addressed to. Observation is result-invisible.
+func stalled(t *testing.T, d *dataset.Data, opt core.Options) core.Options {
+	t.Helper()
+	opt.Metrics = obs.NewRegistry()
+	clean, err := core.Learn(d, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if clean.CommStats.Ops < 2 {
+		t.Fatalf("observed clean run made %d communication operations; the stall needs one past the first", clean.CommStats.Ops)
+	}
+	opt.Metrics = obs.NewRegistry()
 	opt.Inject = &core.FaultSpec{Comm: []comm.Fault{
-		{Rank: 0, Op: want.CommStats.Ops / 2, Kind: comm.FaultDelay, Delay: 50 * time.Millisecond},
+		{Rank: 0, Op: clean.CommStats.Ops / 2, Kind: comm.FaultDelay, Delay: 50 * time.Millisecond},
 	}}
 	return opt
 }
@@ -150,7 +164,7 @@ func TestJobDeadlineDrainsToResumableCheckpoint(t *testing.T) {
 	d, opt, want := fixture(t)
 	dir := t.TempDir()
 	r := New(Config{MaxJobs: 1})
-	ckpt := stalled(opt, want)
+	ckpt := stalled(t, d, opt)
 	ckpt.CheckpointDir = dir
 	j, err := r.Submit(Spec{Ranks: 1, Data: d, Options: ckpt}, Budget{Deadline: time.Millisecond})
 	if err != nil {
@@ -384,11 +398,11 @@ func TestDrainUnderFault(t *testing.T) {
 // TestCancelEventMetricAgreement: a cancelled job emits job.cancelled —
 // not job.failed — so the event stream agrees with jobs_cancelled_total.
 func TestCancelEventMetricAgreement(t *testing.T) {
-	d, opt, want := fixture(t)
+	d, opt, _ := fixture(t)
 	rec := obs.NewRecorder(0)
 	reg := obs.NewRegistry()
 	r := New(Config{MaxJobs: 1, Hooks: obs.NewHooks(rec, reg, nil)})
-	opt = stalled(opt, want)
+	opt = stalled(t, d, opt)
 	opt.CheckpointDir = t.TempDir()
 	j, err := r.Submit(Spec{Name: "deadline", Ranks: 1, Data: d, Options: opt}, Budget{Deadline: time.Millisecond})
 	if err != nil {
