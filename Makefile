@@ -1,4 +1,5 @@
-# Tier-1 verification (ROADMAP.md): formatting, vet, the parsivet
+# Tier-1 verification (ROADMAP.md): formatting, vet (also cross-compiled for
+# arm64, which keeps the portable file set of internal/prng building), the parsivet
 # determinism lint, build, tests (shuffled so order dependence surfaces), a
 # race-detector pass over the concurrency-bearing packages (the goroutine
 # message-passing runtime, the split-scoring paths, the intra-rank worker
@@ -12,9 +13,9 @@ GO ?= go
 # Iterations of the seeded cancel/fault chaos soak (`make soak`).
 SOAK_ITERS ?= 25
 
-.PHONY: tier1 fmt vet lint build test race faults soak fuzz fuzz-score fuzz-wire bench bench-cluster bench-hybrid serve-smoke loc
+.PHONY: tier1 fmt vet cross lint build test race faults soak fuzz fuzz-score fuzz-wire bench bench-cluster bench-hybrid serve-smoke loc
 
-tier1: fmt vet lint build test race faults
+tier1: fmt vet cross lint build test race faults
 
 fmt:
 	@out="$$(gofmt -l .)"; \
@@ -24,6 +25,12 @@ fmt:
 
 vet:
 	$(GO) vet ./...
+
+# Vet for arm64: the platform without the vector draw kernel must compile
+# its portable path (internal/prng/draw_other.go) and nothing may leak an
+# amd64-only symbol into it.
+cross:
+	GOARCH=arm64 $(GO) vet ./...
 
 # The parsivet suite (cmd/parsivet): seven analyzers, one per contract —
 # map order, float comparison, worker pool and score kernel per package;
@@ -68,10 +75,13 @@ soak:
 # Short native-fuzzing pass over the TSV codec (the long-running campaign
 # is `go test -fuzz=FuzzReadTSV ./internal/dataset/` without -fuzztime) —
 # the reader against the one it replaced, and the writer's bytes and round
-# trip against the old writer — plus the wire-format deserializers.
+# trip against the old writer — plus the wire-format deserializers, and
+# Uniform.Fill against element-wise Draw on both batch generators (the
+# portable one and the vector kernel) over arbitrary states, bounds and sizes.
 fuzz: fuzz-wire
 	$(GO) test -run '^$$' -fuzz 'FuzzReadTSV$$' -fuzztime 10s ./internal/dataset/
 	$(GO) test -run '^$$' -fuzz 'FuzzTSVRoundTrip$$' -fuzztime 10s ./internal/dataset/
+	$(GO) test -run '^$$' -fuzz 'FuzzFillMatchesDraw$$' -fuzztime 10s ./internal/prng/
 
 # Short native-fuzzing pass over the binary wire format (DESIGN §12): the
 # checkpoint read path (the refusal of non-wire files, the binary codecs)

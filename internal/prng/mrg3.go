@@ -148,16 +148,13 @@ func (g *MRG3) Intn(n int) int {
 // changing any consumed bit.
 type Uniform struct {
 	n uint64
-	// pow2/mask mirror Uint64n's power-of-two fast path; limit its
-	// rejection threshold otherwise.
+	// pow2/mask mirror Uint64n's power-of-two fast path; limit is its
+	// rejection threshold otherwise, and m = ⌊2^64/n⌋ rem's Barrett
+	// multiplier.
 	pow2  bool
 	mask  uint64
 	limit uint64
-	// fast selects the multiply-based exact remainder for the hot Fill
-	// path; mhi/mlo hold ⌈2^128 / n⌉ (see fastmod). Bounds n ≤ 2^32 so the
-	// exactness margin is wide; larger bounds keep the hardware divide.
-	fast     bool
-	mhi, mlo uint64
+	m     uint64
 }
 
 // NewUniform returns the sampler for [0, n). It panics if n <= 0.
@@ -168,49 +165,28 @@ func NewUniform(n int) Uniform {
 	u := Uniform{n: uint64(n)}
 	if u.n&(u.n-1) == 0 {
 		u.pow2, u.mask = true, u.n-1
-	} else {
-		u.limit = math.MaxUint64 - math.MaxUint64%u.n
-		if u.n <= 1<<32 {
-			u.fast = true
-			u.mhi, u.mlo = magic128(u.n)
-		}
+		return u
 	}
+	// n is no power of two, so it does not divide 2^64 and
+	// ⌊(2^64 − 1)/n⌋ = ⌊2^64/n⌋. Uint64n's threshold MaxUint64 −
+	// MaxUint64 % n is then m·n.
+	u.m = math.MaxUint64 / u.n
+	u.limit = u.m * u.n
 	return u
 }
 
-// magic128 returns ⌈2^128 / d⌉ as a 128-bit value (hi, lo) for a
-// non-power-of-two d: 2^128 mod d ≠ 0, so the ceiling is
-// ⌊(2^128 − 1) / d⌋ + 1, computed by two-word long division.
-func magic128(d uint64) (hi, lo uint64) {
-	ones := ^uint64(0) // 2^64 − 1
-	qhi := ones / d
-	rem := ones % d
-	qlo, _ := bits.Div64(rem, ones, d)
-	lo, carry := bits.Add64(qlo, 1, 0)
-	return qhi + carry, lo
-}
-
-// fastmod returns v % u.n by Lemire–Kaser–Kurz direct remainder
-// computation: with c = ⌈2^128/n⌉, the remainder is ⌊((c·v mod 2^128)·n) /
-// 2^128⌋ — two multiplies instead of a hardware divide. Exact for every
-// v < 2^64 when n ≤ 2^32: writing v = q·n + r and c·n = 2^128 + e
-// (1 ≤ e < n), c·v mod 2^128 = q·e + c·r needs q·e + c·r < 2^128
-// (q·e < 2^64·2^32 and c·r < c·n ≤ 2^128 — the slack term q·e + e is
-// < 2^96 ≤ c, which is what the n ≤ 2^32 bound buys), and the final
-// product shifts out the error term because q·e·n + r·e < 2^128.
-// TestUniformFastmodExact checks it against the hardware divide across the
-// bound's edge cases.
-func (u Uniform) fastmod(v uint64) uint64 {
-	// lowbits = (mhi·2^64 + mlo)·v mod 2^128.
-	lbHi, lbLo := bits.Mul64(u.mlo, v)
-	lbHi += u.mhi * v
-	// remainder = (lowbits·n) >> 128. The low word of lbLo·n can never
-	// propagate into bit 128, so only the carry of the two middle words
-	// matters.
-	rhi, rlo := bits.Mul64(lbHi, u.n)
-	phi, _ := bits.Mul64(lbLo, u.n)
-	_, carry := bits.Add64(rlo, phi, 0)
-	return rhi + carry
+// rem returns v % n for a non-power-of-two n and m = ⌊2^64/n⌋ by Barrett
+// reduction. With 2^64 = m·n + e (1 ≤ e < n), v·m/2^64 = v/n − v·e/(n·2^64)
+// lies in (v/n − 1, v/n], so q = ⌊v·m/2^64⌋ is ⌊v/n⌋ or one less, r = v −
+// q·n is below 2n (< 2^64, as n < 2^63), and one correction is exact for
+// every v. TestUniformRemExact checks it against the hardware divide.
+func rem(v, n, m uint64) uint64 {
+	q, _ := bits.Mul64(v, m)
+	r := v - q*n
+	if r >= n {
+		r -= n
+	}
+	return r
 }
 
 // Draw returns a uniform value in [0, n), drawing from g bit-identically to
@@ -222,117 +198,42 @@ func (u Uniform) Draw(g *MRG3) int {
 	for {
 		v := g.Uint64()
 		if v < u.limit {
-			return int(v % u.n)
+			return int(rem(v, u.n, u.m))
 		}
 	}
 }
-
-// fillStep2…fillStep6 are transition² … transition⁶: the top row of
-// transition^k applied to state (s0,s1,s2) is the recurrence output k
-// steps ahead. Fill uses them to compute the raw outputs of two
-// consecutive Uint64s as six independent dot products.
-var (
-	fillStep2 = matPow(transition, 2)
-	fillStep3 = matPow(transition, 3)
-	fillStep4 = matPow(transition, 4)
-	fillStep5 = matPow(transition, 5)
-	fillStep6 = matPow(transition, 6)
-)
 
 // Fill fills dst with uniform values in [0, n), drawing from g exactly as
 // len(dst) successive Draw calls would — same values, same raw outputs
-// consumed. Batching keeps the generator state in locals across the whole
-// run of draws, so hot loops pay the state load/store and call overhead
-// once per batch instead of once per draw. The recurrence is linear over
-// Z_Modulus, so the output k steps ahead is the top row of transition^k
-// applied to the current state (the identity Jump exploits): Fill computes
-// the six raw outputs of two consecutive Uint64s as six *independent* dot
-// products of the same pre-advance state, replacing the serial
-// step-to-step dependency chain (one chain link per raw output) with one
-// chain link per two delivered values. If either value of a pair lands in
-// the rejection region — probability ≈ n/2^64 per draw — the pair is
-// re-derived by the one-step scalar path from the unadvanced state, so
-// consumed raw outputs match the element-wise Draw sequence exactly.
+// consumed. It is a filter over the batch generator's Uint64 stream
+// (draw.go), run in place: dst first receives the next len(dst) raw
+// values, then the ones below limit are kept, reduced and packed to the
+// front. A rejected value — probability < n/2^64 per draw — is skipped and
+// the shortfall drawn next, which is how Draw consumes the stream; each
+// round draws only as many values as are still missing, so the generator
+// never runs past the last kept one.
 func (u Uniform) Fill(g *MRG3, dst []int) {
-	s0, s1, s2 := g.s0, g.s1, g.s2
-	b0, b1, b2 := fillStep2[0], fillStep2[1], fillStep2[2]
-	c0, c1, c2 := fillStep3[0], fillStep3[1], fillStep3[2]
-	d0, d1, d2 := fillStep4[0], fillStep4[1], fillStep4[2]
-	e0, e1, e2 := fillStep5[0], fillStep5[1], fillStep5[2]
-	f0, f1, f2 := fillStep6[0], fillStep6[1], fillStep6[2]
-	i, n := 0, len(dst)
-	for i+1 < n {
-		// Each dot product: matrix entries and state words are reduced
-		// (< 2^31), so each three-term sum is < 3·2^62 < 2^64 and one final
-		// reduction is exact, as in Next and mulMat.
-		x1 := (A1*s0 + A2*s1 + A3*s2) % Modulus
-		y1 := (b0*s0 + b1*s1 + b2*s2) % Modulus
-		z1 := (c0*s0 + c1*s1 + c2*s2) % Modulus
-		x2 := (d0*s0 + d1*s1 + d2*s2) % Modulus
-		y2 := (e0*s0 + e1*s1 + e2*s2) % Modulus
-		z2 := (f0*s0 + f1*s1 + f2*s2) % Modulus
-		v1 := x1<<33 | y1<<2 | z1>>29
-		v2 := x2<<33 | y2<<2 | z2>>29
-		if u.pow2 {
-			s2, s1, s0 = x2, y2, z2
-			dst[i] = int(v1 & u.mask)
-			dst[i+1] = int(v2 & u.mask)
-			i += 2
-			continue
+	s := [3]uint64{g.s0, g.s1, g.s2}
+	if u.pow2 {
+		drawRaw(&s, dst)
+		for i, v := range dst {
+			dst[i] = v & int(u.mask)
 		}
-		if v1 < u.limit && v2 < u.limit {
-			s2, s1, s0 = x2, y2, z2
-			if u.fast {
-				dst[i] = int(u.fastmod(v1))
-				dst[i+1] = int(u.fastmod(v2))
-			} else {
-				dst[i] = int(v1 % u.n)
-				dst[i+1] = int(v2 % u.n)
-			}
-			i += 2
-			continue
-		}
-		// Rare rejection: redo this pair one draw at a time from the
-		// still-unadvanced state.
-		s0, s1, s2 = u.fillScalar(dst[i:i+2], s0, s1, s2)
-		i += 2
-	}
-	if i < n {
-		s0, s1, s2 = u.fillScalar(dst[i:], s0, s1, s2)
-	}
-	g.s0, g.s1, g.s2 = s0, s1, s2
-}
-
-// fillScalar is Fill's one-draw-at-a-time path (odd tail elements and
-// rejection retries): three dot products per attempted value, state
-// advanced per attempt, exactly Draw's consumption.
-func (u Uniform) fillScalar(dst []int, s0, s1, s2 uint64) (r0, r1, r2 uint64) {
-	b0, b1, b2 := fillStep2[0], fillStep2[1], fillStep2[2]
-	c0, c1, c2 := fillStep3[0], fillStep3[1], fillStep3[2]
-	for i := range dst {
-		var v uint64
-		for {
-			a := (A1*s0 + A2*s1 + A3*s2) % Modulus
-			b := (b0*s0 + b1*s1 + b2*s2) % Modulus
-			c := (c0*s0 + c1*s1 + c2*s2) % Modulus
-			s2, s1, s0 = a, b, c
-			v = a<<33 | b<<2 | c>>29
-			if u.pow2 {
-				v &= u.mask
-				break
-			}
-			if v < u.limit {
-				if u.fast {
-					v = u.fastmod(v)
-				} else {
-					v %= u.n
+	} else {
+		n, m, limit := u.n, u.m, u.limit
+		for len(dst) > 0 {
+			drawRaw(&s, dst)
+			k := 0
+			for _, v := range dst {
+				if uint64(v) < limit {
+					dst[k] = int(rem(uint64(v), n, m))
+					k++
 				}
-				break
 			}
+			dst = dst[k:]
 		}
-		dst[i] = int(v)
 	}
-	return s0, s1, s2
+	g.s0, g.s1, g.s2 = s[0], s[1], s[2]
 }
 
 // Normal returns a standard normal deviate using the Box-Muller transform.

@@ -3,6 +3,8 @@ package prng
 import (
 	"math"
 	"math/big"
+	"slices"
+	"strconv"
 	"testing"
 	"testing/quick"
 )
@@ -496,45 +498,155 @@ func TestUniformMatchesIntn(t *testing.T) {
 	}
 }
 
-// TestUniformFillMatchesDraw: the batched Fill must produce the exact draw
-// sequence of element-wise Draw calls, including ragged batch sizes and
-// rejection-path bounds, and leave the generator in the identical state.
-func TestUniformFillMatchesDraw(t *testing.T) {
-	for _, n := range []int{1, 2, 3, 7, 8, 30, 64, 100, 1 << 20, 1<<33 + 3} {
-		u := NewUniform(n)
-		a, b := New(uint64(n)+77), New(uint64(n)+77)
-		buf := make([]int, 37)
-		for _, size := range []int{0, 1, 2, 37, 5, 36} {
-			dst := buf[:size]
-			u.Fill(b, dst)
-			for i, got := range dst {
-				if want := u.Draw(a); got != want {
-					t.Fatalf("n=%d size=%d draw %d: Fill %d, Draw %d", n, size, i, got, want)
-				}
-			}
-			sa0, sa1, sa2 := a.State()
-			sb0, sb1, sb2 := b.State()
-			if sa0 != sb0 || sa1 != sb1 || sa2 != sb2 {
-				t.Fatalf("n=%d size=%d: generators diverged after identical draws", n, size)
-			}
-		}
+// paths runs fn once per batch-generator implementation present: the
+// portable one, and the vector kernel where the CPU has it. The switch is
+// package state, so callers must not run in parallel.
+func paths(t *testing.T, fn func(t *testing.T)) {
+	kernel := useKernel
+	t.Cleanup(func() { useKernel = kernel })
+	useKernel = false
+	t.Run("portable", fn)
+	if kernel {
+		useKernel = true
+		t.Run("kernel", fn)
 	}
 }
 
-// TestUniformFastmodExact: the multiply-based remainder must agree with the
-// hardware divide for every bound shape it is enabled for — small odd, near
-// the 2^32 enablement edge, and adversarial dividends (0, extremes, values
-// straddling multiples of n).
-func TestUniformFastmodExact(t *testing.T) {
-	bounds := []int{3, 5, 7, 15, 30, 100, 12345, (1 << 20) + 7, (1 << 31) + 3, 1<<32 - 5}
+// TestDrawMatchesUint64: every length from 0 to five kernel blocks — whole
+// blocks and every partial tail — yields the next Uint64 outputs of the
+// stream and the state after them, from ordinary and extreme states, and
+// writes nothing past the end of dst.
+func TestDrawMatchesUint64(t *testing.T) {
+	const sentinel = -12345
+	paths(t, func(t *testing.T) {
+		for _, g := range []*MRG3{New(3), NewFromState(Modulus-1, Modulus-1, Modulus-1), NewFromState(1, 0, 0)} {
+			for n := 0; n <= 5*kernelPicks; n++ {
+				buf := make([]int, n+kernelPicks)
+				for i := range buf {
+					buf[i] = sentinel
+				}
+				s := [3]uint64{g.s0, g.s1, g.s2}
+				drawRaw(&s, buf[:n])
+				for i, got := range buf[:n] {
+					if want := g.Uint64(); uint64(got) != want {
+						t.Fatalf("n=%d output %d: %#x, Uint64 %#x", n, i, got, want)
+					}
+				}
+				for i, v := range buf[n:] {
+					if v != sentinel {
+						t.Fatalf("n=%d: wrote %#x at dst[%d], past the end", n, v, n+i)
+					}
+				}
+				if s != [3]uint64{g.s0, g.s1, g.s2} {
+					t.Fatalf("n=%d: state %v, Uint64 left %v", n, s, [3]uint64{g.s0, g.s1, g.s2})
+				}
+			}
+		}
+	})
+}
+
+// TestUniformFillMatchesDraw: the batched Fill must produce the exact draw
+// sequence of element-wise Draw calls, including ragged batch sizes and
+// rejection-path bounds, and leave the generator in the identical state.
+// The sizes run one after another on one generator: the empty batch, small
+// ones, and 8k±1 around one, two, eight and sixteen kernel blocks. 2^62+1
+// rejects one value in four, so its batches come up short and are topped
+// up across block edges.
+func TestUniformFillMatchesDraw(t *testing.T) {
+	sizes := []int{0, 1, 2, 37, 5, 36, 7, 8, 9, 15, 16, 17, 23, 25, 63, 64, 65, 127, 128, 129}
+	paths(t, func(t *testing.T) {
+		for _, n := range []int{1, 2, 3, 7, 8, 21, 30, 64, 100, 1 << 20, 1<<33 + 3, 1<<62 + 1} {
+			u := NewUniform(n)
+			a, b := New(uint64(n)+77), New(uint64(n)+77)
+			buf := make([]int, slices.Max(sizes))
+			for _, size := range sizes {
+				dst := buf[:size]
+				u.Fill(b, dst)
+				for i, got := range dst {
+					if want := u.Draw(a); got != want {
+						t.Fatalf("n=%d size=%d draw %d: Fill %d, Draw %d", n, size, i, got, want)
+					}
+				}
+				sa0, sa1, sa2 := a.State()
+				sb0, sb1, sb2 := b.State()
+				if sa0 != sb0 || sa1 != sb1 || sa2 != sb2 {
+					t.Fatalf("n=%d size=%d: generators diverged after identical draws", n, size)
+				}
+			}
+		}
+	})
+}
+
+// FuzzFillMatchesDraw: for any state, bound and size, Fill on either
+// implementation yields Draw's values and leaves Draw's state.
+func FuzzFillMatchesDraw(f *testing.F) {
+	f.Add(uint64(1), uint64(2), uint64(3), uint64(21), uint16(21))
+	f.Add(Modulus-1, Modulus-1, Modulus-1, uint64(1<<62+1), uint16(65))
+	f.Add(uint64(0), uint64(0), uint64(0), uint64(32), uint16(7))
+	f.Fuzz(func(t *testing.T, s0, s1, s2, n uint64, size uint16) {
+		s0, s1, s2 = s0%Modulus, s1%Modulus, s2%Modulus
+		if s0 == 0 && s1 == 0 && s2 == 0 {
+			s0 = 1
+		}
+		bound := int(n & math.MaxInt64)
+		if bound == 0 {
+			bound = 1
+		}
+		u := NewUniform(bound)
+		ref := NewFromState(s0, s1, s2)
+		want := make([]int, int(size)%256)
+		for i := range want {
+			want[i] = u.Draw(ref)
+		}
+		paths(t, func(t *testing.T) {
+			g := NewFromState(s0, s1, s2)
+			got := make([]int, len(want))
+			u.Fill(g, got)
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("n=%d size=%d draw %d: Fill %d, Draw %d", bound, len(want), i, got[i], want[i])
+				}
+			}
+			if g.s0 != ref.s0 || g.s1 != ref.s1 || g.s2 != ref.s2 {
+				t.Fatalf("n=%d size=%d: Fill left another state than Draw", bound, len(want))
+			}
+		})
+	})
+}
+
+// TestKernelFoldBounds: the vector kernel's reduction (DESIGN §27) relies
+// on 2^32 and 2^31 being small modulo Modulus. A three-term sum below
+// 3·2^62 folded at bit 32 must land below 2^40, and that folded at bit 31
+// below 2·Modulus, so one conditional subtract finishes it.
+func TestKernelFoldBounds(t *testing.T) {
+	f32, f31 := uint64(1<<32)%Modulus, uint64(1<<31)%Modulus
+	if f32 != 210 || f31 != 105 {
+		t.Fatalf("2^32, 2^31 mod Modulus = %d, %d; the kernel's comments assume 210, 105", f32, f31)
+	}
+	if y := (3<<62-1)>>32*f32 + (1<<32 - 1); y >= 1<<40 {
+		t.Fatalf("first fold reaches %#x ≥ 2^40", y)
+	}
+	if z := (1<<40-1)>>31*f31 + (1<<31 - 1); z >= 2*Modulus {
+		t.Fatalf("second fold reaches %d ≥ 2·Modulus", z)
+	}
+}
+
+// TestUniformRemExact: the Barrett remainder must agree with the hardware
+// divide for every bound shape — small odd, around 2^32 (the old
+// multiply-based remainder stopped at 2^32), one that rejects a quarter of
+// all values, the largest int — and adversarial dividends (0, extremes,
+// values straddling multiples of n and the rejection threshold).
+func TestUniformRemExact(t *testing.T) {
+	bounds := []int{3, 5, 7, 15, 30, 100, 12345, (1 << 20) + 7, (1 << 31) + 3, 1<<32 - 5,
+		1<<32 + 3, 1<<62 + 1, math.MaxInt64}
 	g := New(99)
 	for _, n := range bounds {
 		u := NewUniform(n)
 		if u.pow2 {
 			t.Fatalf("n=%d: test bounds must be non-powers-of-two", n)
 		}
-		if !u.fast {
-			t.Fatalf("n=%d: fastmod not enabled within its bound", n)
+		if want := math.MaxUint64 - math.MaxUint64%uint64(n); u.limit != want {
+			t.Fatalf("n=%d: limit %d, Uint64n's threshold %d", n, u.limit, want)
 		}
 		vs := []uint64{0, 1, uint64(n) - 1, uint64(n), uint64(n) + 1, 2*uint64(n) - 1,
 			u.limit - 1, u.limit, math.MaxUint64, math.MaxUint64 - 1}
@@ -542,13 +654,36 @@ func TestUniformFastmodExact(t *testing.T) {
 			vs = append(vs, g.Uint64())
 		}
 		for _, v := range vs {
-			if got, want := u.fastmod(v), v%uint64(n); got != want {
-				t.Fatalf("n=%d v=%d: fastmod %d, want %d", n, v, got, want)
+			if got, want := rem(v, u.n, u.m), v%uint64(n); got != want {
+				t.Fatalf("n=%d v=%d: rem %d, want %d", n, v, got, want)
 			}
 		}
 	}
-	if NewUniform(1<<32 + 3).fast {
-		t.Fatal("fastmod enabled beyond its 2^32 exactness bound")
+}
+
+// BenchmarkUniformFill times the pair-step's shape: a Fill of n picks from
+// [0, n), at a non-power-of-two, a multiple of the kernel block and a power
+// of two, on each implementation present.
+func BenchmarkUniformFill(b *testing.B) {
+	kernel := useKernel
+	defer func() { useKernel = kernel }()
+	for _, impl := range []struct {
+		name string
+		on   bool
+	}{{"portable", false}, {"kernel", true}} {
+		if impl.on && !kernel {
+			continue
+		}
+		useKernel = impl.on
+		for _, n := range []int{21, 24, 32} {
+			b.Run(impl.name+"/n="+strconv.Itoa(n), func(b *testing.B) {
+				g, u, dst := New(1), NewUniform(n), make([]int, n)
+				for i := 0; i < b.N; i++ {
+					u.Fill(g, dst)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/draw")
+			})
+		}
 	}
 }
 

@@ -8,6 +8,7 @@ package serve
 import (
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"strconv"
 	"time"
@@ -139,6 +140,22 @@ func writeError(w http.ResponseWriter, code int, err error) {
 	writeJSON(w, code, map[string]string{"error": err.Error()})
 }
 
+// decodeBody decodes a request body holding exactly one JSON value into v.
+// A field v does not have is an error that names it — a misspelled
+// "max_step" must not learn with the default MaxSteps — and so is anything
+// but white space after the value.
+func decodeBody(body io.Reader, v any) error {
+	dec := json.NewDecoder(body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("request body continues after the JSON value")
+	}
+	return nil
+}
+
 // statusOf snapshots one job's JobStatus.
 func (s *Server) statusOf(sj *servedJob) JobStatus {
 	s.mu.Lock()
@@ -167,7 +184,7 @@ func (s *Server) statusOf(sj *servedJob) JobStatus {
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	var req JobRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := decodeBody(r.Body, &req); err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
@@ -400,7 +417,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	}
 	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	var req PredictRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := decodeBody(r.Body, &req); err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}

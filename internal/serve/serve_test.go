@@ -444,6 +444,55 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
+// TestUnknownFieldsAndTrailingBytesRejected: a misspelled field or bytes
+// after the JSON value fail the submit and predict requests with a 400 that
+// says what is wrong, instead of running with the defaults; no job is
+// admitted for a refused submit.
+func TestUnknownFieldsAndTrailingBytesRejected(t *testing.T) {
+	tsv, d, _ := fixture(t)
+	s := NewServer(Config{Jobs: jobs.Config{MaxJobs: 1}})
+	defer s.Close()
+
+	body := submitBody(tsv)
+	misspelled := strings.Replace(body, `"max_steps":16`, `"max_step":16`, 1)
+	if misspelled == body {
+		t.Fatal("submit body has no max_steps field to misspell")
+	}
+	refuse := func(name, target, body, want string) {
+		t.Helper()
+		w := call(t, s, "POST", target, body)
+		if w.Code != http.StatusBadRequest {
+			t.Errorf("%s: code %d, want 400 (body %s)", name, w.Code, w.Body)
+			return
+		}
+		if msg := decode[map[string]string](t, w)["error"]; !strings.Contains(msg, want) {
+			t.Errorf("%s: error %q does not say %q", name, msg, want)
+		}
+	}
+	refuse("misspelled field", "/api/v1/jobs", misspelled, `"max_step"`)
+	refuse("trailing value", "/api/v1/jobs", body+` {"seed": 4}`, "after the JSON value")
+	refuse("trailing garbage", "/api/v1/jobs", body+"x", "after the JSON value")
+	if list := decode[[]JobStatus](t, call(t, s, "GET", "/api/v1/jobs", "")); len(list) != 0 {
+		t.Fatalf("refused submits admitted %d jobs", len(list))
+	}
+
+	w := call(t, s, "POST", "/api/v1/jobs", body+"\n")
+	if w.Code != http.StatusAccepted {
+		t.Fatalf("submit with trailing newline: code %d (body %s)", w.Code, w.Body)
+	}
+	id := decode[JobStatus](t, w).ID
+	if st := waitDone(t, s, id); st.State != "done" {
+		t.Fatalf("job %s: %s", st.State, st.Error)
+	}
+	obs, _ := json.Marshal(make([]float64, d.N))
+	predict := fmt.Sprintf("/api/v1/jobs/%d/predict", id)
+	refuse("misspelled predict field", predict, `{"observations":`+string(obs)+`}`, `"observations"`)
+	refuse("trailing predict bytes", predict, `{"observation":`+string(obs)+`}}`, "after the JSON value")
+	if w := call(t, s, "POST", predict, `{"observation":`+string(obs)+`}`); w.Code != http.StatusOK {
+		t.Fatalf("well-formed predict: code %d (body %s)", w.Code, w.Body)
+	}
+}
+
 // TestDistScanIsStatic: "scan" names the static exchange it now is — the
 // same engine options, so the same run key and the same network bytes as
 // "static" and an absent dist.
