@@ -5,15 +5,16 @@
 # message-passing runtime, the split-scoring paths, the intra-rank worker
 # pool, the observability sinks, the core/GaneSH engines above them, the
 # clustering state whose stored block scores the pool's workers read, the
-# tree/module/dataset code that calls comm collectives, and the supervised
-# job runtime), and the fault-injection suite under the race detector.
+# tree/module code that calls comm collectives, the TSV codec every job's
+# data set is read with, and the supervised job runtime), and the
+# fault-injection suite under the race detector.
 
 GO ?= go
 
 # Iterations of the seeded cancel/fault chaos soak (`make soak`).
 SOAK_ITERS ?= 25
 
-.PHONY: tier1 fmt vet cross lint build test race faults soak fuzz fuzz-score fuzz-wire bench bench-cluster bench-hybrid serve-smoke loc
+.PHONY: tier1 fmt vet cross lint build test race faults soak fuzz fuzz-score fuzz-wire bench bench-core bench-cluster bench-hybrid serve-smoke loc
 
 tier1: fmt vet cross lint build test race faults
 
@@ -109,6 +110,13 @@ fuzz-score:
 # figures (minutes). Performance is the other harness: `go run ./benchmark`.
 bench:
 	$(GO) run ./cmd/benchtab all
+
+# The core layer witness: a cluster-shaped learn (480×32, three GaneSH runs)
+# through Learn's one-rank world (Seq), two ranks (P2) and two pool workers
+# (W2). P2 runs its GaneSH runs on two rank groups (DESIGN §3), a layout no
+# benchmark workload reaches: they all run at p=1 or G=1.
+bench-core:
+	$(GO) test -run '^$$' -bench 'LearnClusterShaped' -benchtime 10x -count 5 ./internal/core/
 
 # The repo benchmark's `cluster` workload (GaneSH + consensus ~80 % of the
 # learn) as a traced run: learn_s next to the per-layer clocks

@@ -320,6 +320,18 @@ func TestRunErrors(t *testing.T) {
 			t.Fatalf("-threads %s accepted", w)
 		}
 	}
+	// A negative count used to learn with the default (or all the data);
+	// the error names the request field the flag fills.
+	for _, c := range []struct{ flag, value, field string }{
+		{"-n", "-5", "n"}, {"-m", "-1", "m"}, {"-ganesh-runs", "-2", "ganesh_runs"},
+		{"-updates", "-4", "updates"}, {"-trees", "-3", "trees"}, {"-splits", "-1", "splits"},
+		{"-max-steps", "-5", "max_steps"},
+	} {
+		err := run([]string{"-in", in, "-quiet", "-out", filepath.Join(t.TempDir(), "net.xml"), c.flag, c.value}, new(bytes.Buffer))
+		if want := c.field + " " + c.value; err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s %s: got %v, want an error naming %q", c.flag, c.value, err, want)
+		}
+	}
 	// Checkpoints have one format, so there is no flag to choose it.
 	if err := run([]string{"-in", in, "-checkpoint-format", "binary"}, new(bytes.Buffer)); err == nil {
 		t.Fatal("-checkpoint-format accepted; it is not a flag")

@@ -41,8 +41,9 @@ type Stats struct {
 	Collectives int64 // collective operations entered
 	// Ops numbers every communication call this rank made (point-to-point
 	// and collective entries, including those nested inside composite
-	// collectives). For a fixed program and rank count the sequence is
-	// deterministic, which is what makes Fault.Op a reproducible address.
+	// collectives and those on a subworld Split derived). For a fixed
+	// program and rank count the sequence is deterministic, which is what
+	// makes Fault.Op a reproducible address.
 	Ops int64
 	// Retries counts messages retransmitted after an injected drop.
 	Retries int64
@@ -65,8 +66,9 @@ type World struct {
 	// communication — the MPI job-abort semantic.
 	aborted   chan struct{}
 	abortOnce sync.Once
-	// faults is the injection plan for this world (RunWithFaults). Empty in
-	// production runs and in subworlds created by Split.
+	// faults is the injection plan of the top-level world (RunWithFaults),
+	// which every subworld Split derives from it shares. Empty in
+	// production runs.
 	faults []Fault
 }
 
@@ -81,9 +83,10 @@ func newWorld(size int, aborted chan struct{}, faults []Fault) *World {
 	return w
 }
 
-// endpoint returns rank's endpoint into w.
-func (w *World) endpoint(rank int) *Comm {
-	return &Comm{world: w, rank: rank, pending: make(map[int][]any)}
+// endpoint returns the endpoint into w of rank, which is rank id of the
+// top-level world and counts its traffic into stats.
+func (w *World) endpoint(rank, id int, stats *Stats) *Comm {
+	return &Comm{world: w, rank: rank, id: id, pending: make(map[int][]any), stats: stats}
 }
 
 // abort releases every blocked rank.
@@ -96,10 +99,16 @@ var ErrAborted = errors.New("comm: world aborted because another rank failed")
 // Comm is one rank's endpoint into a World. A Comm must only be used from
 // the goroutine it was handed to.
 type Comm struct {
-	world   *World
-	rank    int
+	world *World
+	rank  int
+	// id is the rank's number in the top-level world, the address
+	// Fault.Rank names; it equals rank outside a subworld.
+	id      int
 	pending map[int][]any // messages received out of order, by sender
-	stats   Stats
+	// stats is the rank's one set of counters, shared with every endpoint
+	// Split derives from this one: a rank's traffic in its subworlds is its
+	// own, numbered in one op sequence.
+	stats *Stats
 }
 
 // Rank returns this rank's id in [0, Size).
@@ -108,8 +117,9 @@ func (c *Comm) Rank() int { return c.rank }
 // Size returns the number of ranks in the world.
 func (c *Comm) Size() int { return c.world.size }
 
-// Stats returns the traffic counters accumulated by this rank so far.
-func (c *Comm) Stats() Stats { return c.stats }
+// Stats returns the traffic counters accumulated by this rank so far,
+// including its traffic in any subworld Split derived from c.
+func (c *Comm) Stats() Stats { return *c.stats }
 
 // RankError reports a failure (error or panic) in a specific rank.
 type RankError struct {
@@ -138,9 +148,8 @@ func Run(p int, fn func(*Comm) error) ([]Stats, error) {
 
 // RunWithFaults is Run with a deterministic fault plan injected: each Fault
 // fires when its target rank reaches the fault's op index (see Fault and
-// Stats.Ops). Faults apply only to this top-level world — communicators
-// created by Split inherit the abort channel but no faults, and number
-// their ops independently.
+// Stats.Ops). A communicator created by Split shares its rank's faults and
+// op counter, so a fault addresses ops inside a subworld like any other.
 func RunWithFaults(p int, faults []Fault, fn func(*Comm) error) ([]Stats, error) {
 	if p <= 0 {
 		return nil, fmt.Errorf("comm: rank count %d must be positive", p)
@@ -153,9 +162,9 @@ func RunWithFaults(p int, faults []Fault, fn func(*Comm) error) ([]Stats, error)
 		wg.Add(1)
 		go func(rank int) {
 			defer wg.Done()
-			c := w.endpoint(rank)
+			c := w.endpoint(rank, rank, &Stats{})
 			defer func() {
-				stats[rank] = c.stats
+				stats[rank] = *c.stats
 				if r := recover(); r != nil {
 					if err, ok := r.(error); ok && errors.Is(err, ErrAborted) {
 						errs[rank] = &RankError{Rank: rank, Err: ErrAborted}
@@ -206,7 +215,7 @@ func RunWithFaults(p int, faults []Fault, fn func(*Comm) error) ([]Stats, error)
 // engine written against a *Comm has no second, comm-less code path. Nothing
 // recovers a panic raised on it; a caller that wants a rank failure, an
 // injected fault or a cancellation as an error uses Run(1, …).
-func Self() *Comm { return newWorld(1, make(chan struct{}), nil).endpoint(0) }
+func Self() *Comm { return newWorld(1, make(chan struct{}), nil).endpoint(0, 0, &Stats{}) }
 
 // elems estimates the number of elements (words) in a payload.
 func elems(v any) int64 {
@@ -381,7 +390,9 @@ func BlockRange(n, size, rank int) (lo, hi int) {
 // subgroup communicator (the MPI_Comm_split pattern): ranks sharing a color
 // form a new world, renumbered 0…k−1 in parent-rank order. The subworld
 // shares the parent's abort channel, so a failure anywhere still releases
-// every blocked rank. Collective over the parent communicator.
+// every blocked rank, and its fault plan; each endpoint counts into its
+// rank's Stats, so Fault{Rank, Op} keeps addressing the top-level rank's
+// one op sequence. Collective over the parent communicator.
 func Split(c *Comm, color int) *Comm {
 	colors := AllGather(c, color)
 	var members []int
@@ -398,12 +409,12 @@ func Split(c *Comm, color int) *Comm {
 	}
 	var w *World
 	if members[0] == c.rank {
-		w = newWorld(len(members), c.world.aborted, nil)
+		w = newWorld(len(members), c.world.aborted, c.world.faults)
 		for _, rank := range members[1:] {
 			Send(c, rank, w)
 		}
 	} else {
 		w = Recv[*World](c, members[0])
 	}
-	return w.endpoint(myNewRank)
+	return w.endpoint(myNewRank, c.id, c.stats)
 }

@@ -3,6 +3,7 @@ package comm
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -674,6 +675,71 @@ func TestSplitArbitraryColorsProperty(t *testing.T) {
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSplitCountsIntoRankStats: a rank's traffic inside a subworld is its
+// own — the subworld endpoint and the parent endpoint share one Stats, the
+// ops continue one sequence, and Run reports the total.
+func TestSplitCountsIntoRankStats(t *testing.T) {
+	const p = 4
+	final := make([]Stats, p)
+	stats, err := Run(p, func(c *Comm) error {
+		sub := Split(c, c.Rank()%2) // groups {0,2} and {1,3}
+		before := c.Stats()
+		AllReduce(sub, c.Rank(), func(a, b int) int { return a + b })
+		after := c.Stats()
+		if after != sub.Stats() {
+			return fmt.Errorf("rank %d: parent counts %+v, subworld counts %+v", c.Rank(), after, sub.Stats())
+		}
+		if got := after.Collectives - before.Collectives; got != 2 {
+			return fmt.Errorf("rank %d: the subworld all-reduce added %d collectives, want 2", c.Rank(), got)
+		}
+		if after.Sends != before.Sends+1 || after.Ops <= before.Ops {
+			return fmt.Errorf("rank %d: the subworld all-reduce moved sends %d→%d, ops %d→%d",
+				c.Rank(), before.Sends, after.Sends, before.Ops, after.Ops)
+		}
+		final[c.Rank()] = after
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := range stats {
+		if stats[k] != final[k] {
+			t.Errorf("Run reported %+v for rank %d, which counted %+v", stats[k], k, final[k])
+		}
+	}
+}
+
+// TestFaultFiresInsideSplit: a Fault addresses the top-level rank's one op
+// sequence, so an op the rank makes on a subworld is as reachable as any
+// other — here rank 1's first op after the split, which it makes as rank 0
+// of the group {1, 3}.
+func TestFaultFiresInsideSplit(t *testing.T) {
+	const p, victim = 4, 1
+	body := func(splitOps *int64) func(*Comm) error {
+		return func(c *Comm) error {
+			sub := Split(c, c.Rank()%2)
+			if c.Rank() == victim && splitOps != nil {
+				*splitOps = c.Stats().Ops
+			}
+			AllReduce(sub, c.Rank(), func(a, b int) int { return a + b })
+			return nil
+		}
+	}
+	var splitOps int64
+	if _, err := Run(p, body(&splitOps)); err != nil {
+		t.Fatal(err)
+	}
+	f := Fault{Rank: victim, Op: splitOps + 1, Kind: FaultCrash}
+	_, err := RunWithFaults(p, []Fault{f}, body(nil))
+	var re *RankError
+	if !errors.As(err, &re) || re.Rank != victim || !errors.Is(err, ErrInjected) {
+		t.Fatalf("%v inside the subworld: got %v, want an injected crash of rank %d", f, err, victim)
+	}
+	if want := fmt.Sprintf("rank %d killed at op %d", victim, f.Op); !strings.Contains(err.Error(), want) {
+		t.Fatalf("crash reads %q, want it to name %q", err, want)
 	}
 }
 

@@ -50,8 +50,9 @@ func (k FaultKind) String() string {
 // Fault is one injected failure, keyed by (Rank, Op): it fires when rank
 // Rank enters its Op-th communication operation (1-based; every
 // point-to-point call and collective entry advances the counter, including
-// calls nested inside composite collectives — see Stats.Ops). A Fault whose
-// Op is never reached does not fire.
+// calls nested inside composite collectives and calls on a subworld Split
+// derived — see Stats.Ops). Rank is the top-level world's rank number. A
+// Fault whose Op is never reached does not fire.
 type Fault struct {
 	Rank int
 	Op   int64
@@ -75,12 +76,12 @@ var ErrInjected = errors.New("comm: injected fault")
 func (c *Comm) tick() {
 	c.stats.Ops++
 	for _, f := range c.world.faults {
-		if f.Rank != c.rank || f.Op != c.stats.Ops {
+		if f.Rank != c.id || f.Op != c.stats.Ops {
 			continue
 		}
 		switch f.Kind {
 		case FaultCrash:
-			panic(fmt.Errorf("%w: rank %d killed at op %d", ErrInjected, c.rank, c.stats.Ops))
+			panic(fmt.Errorf("%w: rank %d killed at op %d", ErrInjected, c.id, c.stats.Ops))
 		case FaultDelay:
 			c.sleep(f.Delay)
 		case FaultDropRetry:

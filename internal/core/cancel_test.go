@@ -37,7 +37,7 @@ type fixtureData struct {
 	want *Output
 }
 
-// cancelAndResume cancels a run at check index at (on rank 0), asserts the
+// cancelAndResume cancels a run at rank victim's check index at, asserts the
 // documented *CancelledError, then resumes from the drained checkpoints and
 // returns the resumed output. The resume runs on resumeP ranks, and
 // dynRun/dynResume select the dynamic exchange independently on the two legs
@@ -45,7 +45,7 @@ type fixtureData struct {
 // every world size and exchange strategy, so every combination — including a
 // static run resumed under the dynamic coordinator — must land on the same
 // network.
-func cancelAndResume(t *testing.T, f *fixtureData, p, resumeP int, at int64,
+func cancelAndResume(t *testing.T, f *fixtureData, p, resumeP, victim int, at int64,
 	dynRun, dynResume bool) *Output {
 	t.Helper()
 	dir := t.TempDir()
@@ -53,7 +53,7 @@ func cancelAndResume(t *testing.T, f *fixtureData, p, resumeP int, at int64,
 	injected.CheckpointDir = dir
 	injected.Module.Splits.DynamicChunk = chunkIf(dynRun)
 	injected.MaxRestarts = 1 // must NOT be consumed: cancellation is not a failure
-	injected.Inject = &FaultSpec{CancelAt: at, Rank: 0}
+	injected.Inject = &FaultSpec{CancelAt: at, Rank: victim}
 	out, err := LearnParallel(p, f.data, injected)
 	if err == nil {
 		t.Fatalf("cancel at check %d returned no error (out=%v)", at, out != nil)
@@ -130,8 +130,52 @@ func TestCancelMatrixBitIdentical(t *testing.T) {
 		}
 		for _, at := range ats {
 			t.Run(fmt.Sprintf("%s_p%d_check%d", id, tc.p, at), func(t *testing.T) {
-				got := cancelAndResume(t, f, tc.p, tc.resumeP, at, tc.dynamic[0], tc.dynamic[1])
+				got := cancelAndResume(t, f, tc.p, tc.resumeP, 0, at, tc.dynamic[0], tc.dynamic[1])
 				if !result.Equal(got.Network, f.want.Network) {
+					t.Fatal("resumed network differs from the uninterrupted run")
+				}
+				if len(got.Recovery) != 0 {
+					t.Fatalf("resume recorded %d recovery events, want 0 (cancellation is not a failure)", len(got.Recovery))
+				}
+			})
+		}
+	}
+}
+
+// TestCancelMatrixRankGroups is the grouped row of the cancel matrix: at
+// p=2 with G=2 each rank executes one GaneSH run on its own rank group, so a
+// rank polls the update steps of its group's runs only and the check count
+// depends on the rank (Output.CancelChecks). Probed per rank at that p, a run
+// cancelled at every check index of rank 0 and of rank 1, then resumed from
+// its drained checkpoints, learns the uninterrupted network.
+func TestCancelMatrixRankGroups(t *testing.T) {
+	data, opt, _ := recoveryFixture(t)
+	opt.GaneshRuns = 2
+	want, err := Learn(data, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := &fixtureData{data: data, opt: opt, want: want}
+	const p = 2
+	checks := make([]int64, p)
+	if _, err := comm.Run(p, func(c *comm.Comm) error {
+		out, err := LearnWithComm(c, data, opt)
+		if err != nil {
+			return err
+		}
+		checks[c.Rank()] = out.CancelChecks
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for victim, n := range checks {
+		if n < 5 {
+			t.Fatalf("rank %d polled only %d cancellation checks, matrix needs more structure", victim, n)
+		}
+		for at := int64(1); at <= n; at++ {
+			t.Run(fmt.Sprintf("rank%d_check%d", victim, at), func(t *testing.T) {
+				got := cancelAndResume(t, f, p, p, victim, at, false, false)
+				if !result.Equal(got.Network, want.Network) {
 					t.Fatal("resumed network differs from the uninterrupted run")
 				}
 				if len(got.Recovery) != 0 {
@@ -364,7 +408,7 @@ func TestSoakCancelFaultChaos(t *testing.T) {
 				}
 				return
 			}
-			got := cancelAndResume(t, f, p, p, at, dynRun, dynResume)
+			got := cancelAndResume(t, f, p, p, 0, at, dynRun, dynResume)
 			if !result.Equal(got.Network, f.want.Network) {
 				t.Fatal("soak resume differs from the uninterrupted run")
 			}

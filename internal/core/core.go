@@ -48,13 +48,6 @@ type Options struct {
 	// GaneshRuns is G, the number of independent co-clustering runs
 	// sampled into the consensus ensemble.
 	GaneshRuns int
-	// GaneshGroups, when > 1, lets a world execute the G runs on disjoint
-	// rank groups of p/GaneshGroups ranks each — the paper's observation
-	// that "G runs of GaneSH can be executed in parallel on p/G processors
-	// each, without any communication" (§3.2.1). Because every run draws
-	// from its own numbered substream, the learned network is identical
-	// regardless of the grouping.
-	GaneshGroups int
 	// Ganesh configures each run (U update steps, K₀, L₀).
 	Ganesh ganesh.Params
 	// CoOccurrenceThreshold zeroes co-occurrence entries below it
@@ -206,8 +199,10 @@ type Output struct {
 	Recovery []trace.RecoveryEvent
 	// CancelChecks counts the cancellation checks this rank polled — the
 	// probe a cancel matrix uses to enumerate every cancellation point of
-	// a clean run. Identical on every rank and for every p: checks happen
-	// only at replicated program points.
+	// a clean run. A pure function of (options, p, rank): GaneSH polls once
+	// per update step of each run the rank's group executes, every other
+	// check sits at a replicated program point. So it is identical on every
+	// rank and for every p when G = 1 or p = 1 (one group).
 	CancelChecks int64
 	// Events is the merged structured event stream (Options.Events; on
 	// rank 0 only — other ranks return nil).
@@ -613,44 +608,40 @@ func BuildCPDs(d *dataset.Data, opt Options, out *Output) ([]*module.CPD, error)
 }
 
 // sampleEnsembles executes the G GaneSH runs on c's ranks and returns the
-// variable-partition snapshot of every run, indexed by run: all ranks per
-// run by default, or — with Options.GaneshGroups > 1 — on disjoint rank
-// groups, each group handling the runs r ≡ group (mod groups), followed by
-// an exchange of the sampled partitions (§3.2.1: the runs need no
-// communication between groups).
+// variable-partition snapshot of every run, indexed by run. The ranks form
+// min(p, G) contiguous groups of near-equal size, each handling the runs
+// r ≡ group (mod groups) on its own subworld, followed by an exchange of the
+// sampled partitions (§3.2.1: "G runs of GaneSH can be executed in parallel
+// on p/G processors each, without any communication"). Every run draws from
+// its own numbered substream, so the grouping never changes a partition; a
+// one-group world splits nothing and exchanges nothing.
 func sampleEnsembles(rc rank.Context, q *score.QData, opt Options, master *prng.MRG3) [][][]int {
 	c := rc.Comm
-	groups := min(opt.GaneshGroups, c.Size(), opt.GaneshRuns)
-	if groups <= 1 {
-		ensembles := make([][][]int, opt.GaneshRuns)
-		for r := 0; r < opt.GaneshRuns; r++ {
-			g := master.Substream(uint64(r + 1))
-			ensembles[r] = snapshotOf(ganesh.RunWithComm(rc, q, opt.Prior, opt.Ganesh, g).VarAssignment())
-		}
-		return ensembles
-	}
-	// Contiguous rank groups of near-equal size.
+	groups := min(c.Size(), opt.GaneshRuns)
 	color := c.Rank() * groups / c.Size()
 	sub := rc
-	sub.Comm = comm.Split(c, color)
+	if groups > 1 {
+		sub.Comm = comm.Split(c, color)
+	}
 	type runSnap struct {
 		R    int
 		Snap [][]int
 	}
+	ensembles := make([][][]int, opt.GaneshRuns)
 	var local []runSnap
 	for r := color; r < opt.GaneshRuns; r += groups {
 		g := master.Substream(uint64(r + 1))
-		snap := snapshotOf(ganesh.RunWithComm(sub, q, opt.Prior, opt.Ganesh, g).VarAssignment())
+		ensembles[r] = snapshotOf(ganesh.RunWithComm(sub, q, opt.Prior, opt.Ganesh, g).VarAssignment())
 		// Only the group's first rank contributes to the exchange, so
 		// each run appears exactly once.
-		if sub.Comm.Rank() == 0 {
-			local = append(local, runSnap{R: r, Snap: snap})
+		if groups > 1 && sub.Comm.Rank() == 0 {
+			local = append(local, runSnap{R: r, Snap: ensembles[r]})
 		}
 	}
-	all := comm.AllGatherv(c, local)
-	ensembles := make([][][]int, opt.GaneshRuns)
-	for _, rs := range all {
-		ensembles[rs.R] = rs.Snap
+	if groups > 1 {
+		for _, rs := range comm.AllGatherv(c, local) {
+			ensembles[rs.R] = rs.Snap
+		}
 	}
 	return ensembles
 }

@@ -376,9 +376,11 @@ func clusterShapedOptions(seed uint64) Options {
 
 // benchmarkLearnClusterShaped is the layer witness of the distribution rule
 // (DESIGN §19) outside benchmark/: a cluster-shaped learn at 480×32 through
-// Learn's one-rank world (ranks 0), two ranks, or two pool workers. Neither
-// parallel shape may be more than 5 % slower than Seq; with every decision
-// distributed (the constant at 0) both were 1.25–1.6× slower.
+// Learn's one-rank world (ranks 0), two ranks, or two pool workers (`make
+// bench-core`). Neither parallel shape may be more than 5 % slower than Seq;
+// with every decision distributed (the constant at 0) both were 1.25–1.6×
+// slower. Two ranks run the three GaneSH runs on two rank groups, so P2 is
+// the one witness of the group layout (§3.2.1).
 func benchmarkLearnClusterShaped(b *testing.B, ranks, workers int) {
 	d, _, err := synth.Generate(synth.Config{N: 480, M: 32, Seed: 1})
 	if err != nil {
@@ -424,26 +426,26 @@ func TestPInvarianceDynamicSplits(t *testing.T) {
 	}
 }
 
-// TestPInvarianceGaneshGroups: executing the G GaneSH runs on disjoint rank
-// groups (§3.2.1) must still learn exactly the sequential network.
+// TestPInvarianceGaneshGroups: a world of p ranks executes its G GaneSH runs
+// on min(p, G) disjoint rank groups (§3.2.1), with p > G, p = G and G > p
+// all swept, and must still learn exactly the sequential network.
 func TestPInvarianceGaneshGroups(t *testing.T) {
 	d, _ := testData(t, 24, 20, 12)
-	opt := fastOptions(23)
-	opt.GaneshRuns = 4
-	want, err := Learn(d, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tc := range []struct{ p, groups int }{
-		{2, 2}, {4, 2}, {4, 4}, {5, 3}, {3, 8}, // groups > p clamps
-	} {
-		opt.GaneshGroups = tc.groups
-		got, err := LearnParallel(tc.p, d, opt)
+	for _, g := range []int{2, 3, 4} {
+		opt := fastOptions(23)
+		opt.GaneshRuns = g
+		want, err := Learn(d, opt)
 		if err != nil {
-			t.Fatalf("p=%d groups=%d: %v", tc.p, tc.groups, err)
+			t.Fatal(err)
 		}
-		if !result.Equal(got.Network, want.Network) {
-			t.Fatalf("p=%d groups=%d: network differs from sequential", tc.p, tc.groups)
+		for _, p := range []int{2, 3, 4, 5} {
+			got, err := LearnParallel(p, d, opt)
+			if err != nil {
+				t.Fatalf("p=%d G=%d: %v", p, g, err)
+			}
+			if !result.Equal(got.Network, want.Network) {
+				t.Fatalf("p=%d G=%d: network differs from sequential", p, g)
+			}
 		}
 	}
 }

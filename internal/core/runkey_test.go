@@ -39,7 +39,7 @@ func TestRunKeyPinned(t *testing.T) {
 // must NOT enter the run key: the scheduling, supervision and observability
 // settings, each documented result-invisible where it is declared.
 var resultInvisible = []string{
-	"GaneshGroups", "RecordWork", "Workers", "CheckpointDir", "BinaryCheckpoints",
+	"RecordWork", "Workers", "CheckpointDir", "BinaryCheckpoints",
 	"MaxRestarts", "Inject", "Events", "Metrics", "Ctx",
 	"Module.Splits.DynamicChunk", "Module.Splits.ScanSelection", "Module.Splits.CoordTimeout",
 }

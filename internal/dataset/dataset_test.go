@@ -9,8 +9,6 @@ import (
 	"testing"
 	"testing/quick"
 	"unsafe"
-
-	"parsimone/internal/comm"
 )
 
 func fill(d *Data) {
@@ -197,8 +195,7 @@ func TestTSVRoundTripProperty(t *testing.T) {
 // line as a substring pins the whole line — at 96×32 some 60 KB of input
 // beyond the 24 KB of values, for as long as the data set (a serve cache
 // entry, say) lives. Parse, drop the input, collect, and require the retained
-// heap to stay within twice the values and names — for ReadTSV and for the
-// parallel loader, whose rows every rank receives from the others.
+// heap to stay within twice the values and names.
 func TestReadTSVRetainsOnlyParsedData(t *testing.T) {
 	const n, m, sets = 96, 32, 32
 	d := New(n, m)
@@ -208,24 +205,6 @@ func TestReadTSVRetainsOnlyParsedData(t *testing.T) {
 	var text bytes.Buffer
 	if err := d.WriteTSV(&text); err != nil {
 		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "d.tsv")
-	if err := d.SaveTSV(path); err != nil {
-		t.Fatal(err)
-	}
-	loaders := map[string]func() (*Data, error){
-		"ReadTSV": func() (*Data, error) { return ReadTSV(bytes.NewReader(text.Bytes())) },
-		"LoadTSVParallel": func() (*Data, error) {
-			var got *Data
-			_, err := comm.Run(2, func(c *comm.Comm) error {
-				d, err := LoadTSVParallel(c, path)
-				if c.Rank() == 1 {
-					got = d
-				}
-				return err
-			})
-			return got, err
-		},
 	}
 	heap := func() uint64 {
 		runtime.GC()
@@ -238,24 +217,22 @@ func TestReadTSVRetainsOnlyParsedData(t *testing.T) {
 	for _, name := range d.Names {
 		want += int64(unsafe.Sizeof(name)) + int64(len(name))
 	}
-	for _, loader := range []string{"ReadTSV", "LoadTSVParallel"} {
-		kept := make([]*Data, sets)
-		before := heap()
-		for i := range kept {
-			got, err := loaders[loader]()
-			if err != nil {
-				t.Fatal(err)
-			}
-			kept[i] = got
+	kept := make([]*Data, sets)
+	before := heap()
+	for i := range kept {
+		got, err := ReadTSV(bytes.NewReader(text.Bytes()))
+		if err != nil {
+			t.Fatal(err)
 		}
-		retained := int64(heap()-before) / sets
-		t.Logf("%s: retained %d bytes per data set, values and names %d, input text %d", loader, retained, want, text.Len())
-		if retained > 2*want {
-			t.Errorf("%s: a parsed %d×%d data set retains %d bytes; its values and names are %d (input text %d)",
-				loader, n, m, retained, want, text.Len())
-		}
-		runtime.KeepAlive(kept)
+		kept[i] = got
 	}
+	retained := int64(heap()-before) / sets
+	t.Logf("retained %d bytes per data set, values and names %d, input text %d", retained, want, text.Len())
+	if retained > 2*want {
+		t.Errorf("a parsed %d×%d data set retains %d bytes; its values and names are %d (input text %d)",
+			n, m, retained, want, text.Len())
+	}
+	runtime.KeepAlive(kept)
 }
 
 func TestReadTSVNoHeader(t *testing.T) {

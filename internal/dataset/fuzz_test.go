@@ -9,8 +9,7 @@ import (
 	"testing"
 )
 
-// tsvSeeds is the FuzzReadTSV seed corpus, which the parallel loader's
-// agreement test replays too.
+// tsvSeeds is the FuzzReadTSV seed corpus.
 var tsvSeeds = []string{
 	"gene\tobs0\tobs1\nG0\t1.5\t-2\nG1\t0\t3e-2\n", // well-formed
 	"G0\t1\t2\nG1\t3\n",                            // ragged row

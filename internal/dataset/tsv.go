@@ -1,7 +1,7 @@
 package dataset
 
-// The TSV codec (DESIGN §26): one streaming line reader and one row parser,
-// shared by ReadTSV and LoadTSVParallel, and a writer that formats each line
+// The TSV codec (DESIGN §26): one streaming line reader and one row parser
+// behind ReadTSV, and a writer that formats each line
 // into one reused buffer. A row costs one allocation — its name — and the
 // values are the bits strconv.ParseFloat returns, so a network learned from
 // a file does not depend on how the file was read.

@@ -8,8 +8,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"testing"
-
-	"parsimone/internal/comm"
 )
 
 // bitPatterns returns n float64 values from a fixed xorshift sequence of
@@ -59,8 +57,7 @@ func TestWriteTSVMatchesReference(t *testing.T) {
 }
 
 // TestReadTSVWideRows: rows several times wider than the reader's initial
-// buffer grow it and are read as the reference reader reads them, by
-// ReadTSV and by the parallel loader.
+// buffer grow it and are read as the reference reader reads them.
 func TestReadTSVWideRows(t *testing.T) {
 	d := New(3, 40000)
 	copy(d.Values, bitPatterns(len(d.Values)))
@@ -87,15 +84,6 @@ func TestReadTSVWideRows(t *testing.T) {
 	}
 	if diff := sameData(got, d); diff != nil {
 		t.Fatalf("round trip: %v", diff)
-	}
-	if _, err := comm.Run(2, func(c *comm.Comm) error {
-		got, err := LoadTSVParallel(c, path)
-		if diff := sameOutcome(got, err, want, wantErr); diff != nil {
-			t.Errorf("LoadTSVParallel rank %d: %v", c.Rank(), diff)
-		}
-		return nil
-	}); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -509,11 +509,11 @@ func TestMidBackoffCancelIgnoresForeignFiles(t *testing.T) {
 	injected := opt
 	// An op count addresses a task only while the task communicates, and a
 	// GaneSH run this small decides everything without a message (DESIGN
-	// §19). Two runs on two rank groups make the GaneSH task open with the
-	// communicator split, so rank 1's first comm op is inside it: rank 1
-	// dies before any run starts, long before the first checkpoint is
-	// written.
-	injected.GaneshRuns, injected.GaneshGroups = 2, 2
+	// §19). Two runs on two ranks make the GaneSH task open with the
+	// communicator split into one rank group per run, so rank 1's first
+	// comm op is inside it: rank 1 dies before any run starts, long before
+	// the first checkpoint is written.
+	injected.GaneshRuns = 2
 	injected.Inject = &core.FaultSpec{Comm: []comm.Fault{{Rank: 1, Op: 1, Kind: comm.FaultCrash}}}
 	injected.MaxRestarts, injected.CheckpointDir = 1, dir
 	j, err := r.Submit(Spec{Name: "foreign", Ranks: 2, Data: d, Options: injected}, Budget{})

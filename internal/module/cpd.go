@@ -9,9 +9,7 @@
 package module
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"math"
 
 	"parsimone/internal/score"
@@ -188,70 +186,4 @@ func BuildCPDs(res *Result, q *score.QData, pr score.Prior) ([]*CPD, error) {
 		out[mi] = cpd
 	}
 	return out, nil
-}
-
-// cpdNodeJSON is the serialized form of a CPDNode.
-type cpdNodeJSON struct {
-	Parent   int          `json:"parent"`
-	Value    int64        `json:"value,omitempty"`
-	Mean     float64      `json:"mean"`
-	Variance float64      `json:"variance"`
-	Obs      int          `json:"obs"`
-	Left     *cpdNodeJSON `json:"left,omitempty"`
-	Right    *cpdNodeJSON `json:"right,omitempty"`
-}
-
-func toJSON(n *CPDNode) *cpdNodeJSON {
-	if n == nil {
-		return nil
-	}
-	return &cpdNodeJSON{
-		Parent: n.Parent, Value: n.Value,
-		Mean: n.Mean, Variance: n.Variance, Obs: n.Obs,
-		Left: toJSON(n.Left), Right: toJSON(n.Right),
-	}
-}
-
-func fromJSON(j *cpdNodeJSON) *CPDNode {
-	if j == nil {
-		return nil
-	}
-	return &CPDNode{
-		Parent: j.Parent, Value: j.Value,
-		Mean: j.Mean, Variance: j.Variance, Obs: j.Obs,
-		Left: fromJSON(j.Left), Right: fromJSON(j.Right),
-	}
-}
-
-// WriteJSON serializes the CPD ensemble.
-func (c *CPD) WriteJSON(w io.Writer) error {
-	roots := make([]*cpdNodeJSON, len(c.Roots))
-	for i, r := range c.Roots {
-		roots[i] = toJSON(r)
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(struct {
-		Module int            `json:"module"`
-		Roots  []*cpdNodeJSON `json:"roots"`
-	}{Module: c.Module, Roots: roots})
-}
-
-// ReadCPDJSON parses a CPD written by WriteJSON.
-func ReadCPDJSON(r io.Reader) (*CPD, error) {
-	var j struct {
-		Module int            `json:"module"`
-		Roots  []*cpdNodeJSON `json:"roots"`
-	}
-	if err := json.NewDecoder(r).Decode(&j); err != nil {
-		return nil, err
-	}
-	if len(j.Roots) == 0 {
-		return nil, fmt.Errorf("module: CPD JSON has no trees")
-	}
-	c := &CPD{Module: j.Module}
-	for _, root := range j.Roots {
-		c.Roots = append(c.Roots, fromJSON(root))
-	}
-	return c, nil
 }

@@ -1,7 +1,6 @@
 package module
 
 import (
-	"bytes"
 	"math"
 	"testing"
 
@@ -218,43 +217,5 @@ func TestPredictiveMoments(t *testing.T) {
 	_, vt := pr.Predictive(tiny)
 	if vt < 0.1 {
 		t.Fatalf("tiny tight block overconfident: variance %v", vt)
-	}
-}
-
-func TestCPDJSONRoundTrip(t *testing.T) {
-	q, res := learnForCPD(t, 27)
-	cpds, err := BuildCPDs(res, q, score.DefaultPrior())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := cpds[0].WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadCPDJSON(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Module != cpds[0].Module || got.Depth() != cpds[0].Depth() {
-		t.Fatal("round trip changed structure")
-	}
-	// Round-tripped CPD must predict identically.
-	obs := make([]int64, q.N)
-	for x := 0; x < q.N; x++ {
-		obs[x] = q.At(x, 3)
-	}
-	m1, v1 := cpds[0].Predict(obs)
-	m2, v2 := got.Predict(obs)
-	if m1 != m2 || v1 != v2 {
-		t.Fatal("round-tripped CPD predicts differently")
-	}
-}
-
-func TestReadCPDJSONErrors(t *testing.T) {
-	if _, err := ReadCPDJSON(bytes.NewReader([]byte("not json"))); err == nil {
-		t.Fatal("garbage accepted")
-	}
-	if _, err := ReadCPDJSON(bytes.NewReader([]byte(`{"module":0}`))); err == nil {
-		t.Fatal("treeless CPD accepted")
 	}
 }

@@ -344,11 +344,22 @@ func (s *Server) loadDataset(req *JobRequest) (*dataset.Data, error) {
 // engine: the dataset subset to the first N variables × M observations, and
 // core.Options with the seed, the G/U/R/J/S counts, the split distribution,
 // the regulator names resolved to variable indices, Workers and MaxRestarts
-// set. Zero values keep the engine defaults. POST
-// /api/v1/jobs and the parsimone CLI (which fills a JobRequest from its
-// flags) both go through it, so a flag and the JSON field of the same name
-// cannot drift apart.
+// set. Zero values keep the engine defaults; a negative count is refused,
+// naming its field. POST /api/v1/jobs and the parsimone CLI (which fills a
+// JobRequest from its flags) both go through it, so a flag and the JSON
+// field of the same name cannot drift apart.
 func (req *JobRequest) Options(d *dataset.Data) (*dataset.Data, core.Options, error) {
+	for _, f := range []struct {
+		name string
+		v    int
+	}{
+		{"n", req.N}, {"m", req.M}, {"ganesh_runs", req.GaneshRuns}, {"updates", req.Updates},
+		{"trees", req.Trees}, {"splits", req.Splits}, {"max_steps", req.MaxSteps},
+	} {
+		if f.v < 0 {
+			return nil, core.Options{}, fmt.Errorf("%s %d is negative (0 keeps the default)", f.name, f.v)
+		}
+	}
 	if req.N > 0 || req.M > 0 {
 		n, m := d.N, d.M
 		if req.N > 0 {

@@ -425,6 +425,24 @@ func TestBadRequests(t *testing.T) {
 			t.Errorf("%s: code %d, want 400 (body %s)", tc.name, w.Code, w.Body)
 		}
 	}
+	// A negative count used to learn with the default (or all the data);
+	// the 400 names the field.
+	for _, tc := range []struct {
+		field  string
+		mutate func(*JobRequest)
+	}{
+		{"n -5", func(r *JobRequest) { r.N = -5 }},
+		{"m -1", func(r *JobRequest) { r.M = -1 }},
+		{"ganesh_runs -2", func(r *JobRequest) { r.GaneshRuns = -2 }},
+		{"updates -4", func(r *JobRequest) { r.Updates = -4 }},
+		{"trees -3", func(r *JobRequest) { r.Trees = -3 }},
+		{"splits -1", func(r *JobRequest) { r.Splits = -1 }},
+		{"max_steps -5", func(r *JobRequest) { r.MaxSteps = -5 }},
+	} {
+		if w := post(tc.mutate); w.Code != http.StatusBadRequest || !strings.Contains(w.Body.String(), tc.field) {
+			t.Errorf("%s: code %d, want a 400 naming the field (body %s)", tc.field, w.Code, w.Body)
+		}
+	}
 
 	if w := call(t, s, "GET", "/api/v1/jobs/99", ""); w.Code != http.StatusNotFound {
 		t.Errorf("unknown job: code %d, want 404", w.Code)
