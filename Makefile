@@ -1,5 +1,6 @@
 # Tier-1 verification (ROADMAP.md): formatting, vet (also cross-compiled for
-# arm64, which keeps the portable file set of internal/prng building), the parsivet
+# arm64, which keeps the portable file sets of internal/prng and internal/score
+# building), the parsivet
 # determinism lint, build, tests (shuffled so order dependence surfaces), a
 # race-detector pass over the concurrency-bearing packages (the goroutine
 # message-passing runtime, the split-scoring paths, the intra-rank worker
@@ -27,9 +28,10 @@ fmt:
 vet:
 	$(GO) vet ./...
 
-# Vet for arm64: the platform without the vector draw kernel must compile
-# its portable path (internal/prng/draw_other.go) and nothing may leak an
-# amd64-only symbol into it.
+# Vet for arm64: the platform without the vector kernels must compile their
+# portable paths (internal/prng/draw_other.go, internal/score/log_other.go,
+# internal/cpu/cpu_other.go) and nothing may leak an amd64-only symbol into
+# them.
 cross:
 	GOARCH=arm64 $(GO) vet ./...
 
@@ -96,13 +98,15 @@ fuzz-wire:
 # Short native-fuzzing pass over the score quantizers every selection path
 # shares — no panics on NaN/±Inf/subnormals, weights on [0, MaxWeight], and
 # monotone mappings — the precomputed scoring kernel's bit-identity with
-# Prior.LogML over arbitrary Stats and priors, and the certified split
+# Prior.LogML over arbitrary Stats and priors, its batched evaluation's with
+# Kernel.LogML on both logarithm paths (DESIGN §28), and the certified split
 # decision's agreement with the exact expression it stands for (DESIGN §23).
 # One invocation per target (go test allows a single -fuzz match per run).
 fuzz-score:
 	$(GO) test -run '^$$' -fuzz 'FuzzQuantizeWeights$$' -fuzztime 10s ./internal/score/
 	$(GO) test -run '^$$' -fuzz 'FuzzQuantizeProb$$' -fuzztime 10s ./internal/score/
 	$(GO) test -run '^$$' -fuzz 'FuzzKernelLogML$$' -fuzztime 10s ./internal/score/
+	$(GO) test -run '^$$' -fuzz 'FuzzKernelLogMLBatch$$' -fuzztime 10s ./internal/score/
 	$(GO) test -run '^$$' -fuzz 'FuzzMemoLogML$$' -fuzztime 10s ./internal/score/
 	$(GO) test -run '^$$' -fuzz 'FuzzSplitImproves$$' -fuzztime 10s ./internal/score/
 
@@ -114,9 +118,14 @@ bench:
 # The core layer witness: a cluster-shaped learn (480×32, three GaneSH runs)
 # through Learn's one-rank world (Seq), two ranks (P2) and two pool workers
 # (W2). P2 runs its GaneSH runs on two rank groups (DESIGN §3), a layout no
-# benchmark workload reaches: they all run at p=1 or G=1.
+# benchmark workload reaches: they all run at p=1 or G=1. Below it, the
+# layers of the batched gain kernel (DESIGN §28): one GaneSH run at 480×32,
+# and the batched logarithm in ns/log on the portable loop and on the AVX2
+# kernel.
 bench-core:
 	$(GO) test -run '^$$' -bench 'LearnClusterShaped' -benchtime 10x -count 5 ./internal/core/
+	$(GO) test -run '^$$' -bench 'Run480x32$$' -benchtime 10x -count 5 ./internal/ganesh/
+	$(GO) test -run '^$$' -bench 'LogBatch' -count 5 ./internal/score/
 
 # The repo benchmark's `cluster` workload (GaneSH + consensus ~80 % of the
 # learn) as a traced run: learn_s next to the per-layer clocks

@@ -1,0 +1,143 @@
+package cluster
+
+import "parsimone/internal/score"
+
+// Batch is the scratch of the batched gain evaluations (GainsAttachVar,
+// GainsMergeVar, GainsAttachObs, GainsMergeObs), which score every block of
+// a candidate range in one Kernel.LogMLBatch call and fold each candidate's
+// gain from the results (DESIGN §28). Each out[i] is bit-equal to the
+// matching scalar Gain* call: the blocks are the same exact statistics, each
+// score is the same bits (Kernel.LogMLBatch ≡ Kernel.LogML), and every fold
+// subtracts the same stored scores in the scalar call's order. The zero
+// value is ready; one Batch serves one goroutine.
+type Batch struct {
+	stats []score.Stats
+	vals  []float64
+}
+
+// score evaluates every gathered block with k, or with p where no kernel is
+// attached, and returns the scores in gathering order.
+func (b *Batch) score(k *score.Kernel, p score.Prior) []float64 {
+	if cap(b.vals) < len(b.stats) {
+		b.vals = make([]float64, len(b.stats), cap(b.stats))
+	}
+	vals := b.vals[:len(b.stats)]
+	if k != nil {
+		k.LogMLBatch(vals, b.stats)
+		return vals
+	}
+	for i, s := range b.stats {
+		vals[i] = p.LogML(s)
+	}
+	return vals
+}
+
+// GainsAttachVar stores GainAttachVar(x, lo+i) in out[i] for every i.
+func (cc *CoClustering) GainsAttachVar(b *Batch, x, lo int, out []float64) {
+	row := cc.Q.Row(x)
+	k := len(cc.Clusters)
+	b.stats = b.stats[:0]
+	for to := lo; to < lo+len(out); to++ {
+		if to == k {
+			b.stats = append(b.stats, score.StatsOf(row))
+			continue
+		}
+		for _, c := range cc.Clusters[to].Obs.Clusters {
+			var sum, sumsq int64
+			for _, j := range c.Obs {
+				v := row[j]
+				sum += v
+				sumsq += v * v
+			}
+			b.stats = append(b.stats, score.Stats{
+				N: c.Stats.N + int64(len(c.Obs)), Sum: c.Stats.Sum + sum, SumSq: c.Stats.SumSq + sumsq})
+		}
+	}
+	vals := b.score(cc.Kernel, cc.Prior)
+	for i := range out {
+		if lo+i == k {
+			out[i], vals = vals[0], vals[1:]
+			continue
+		}
+		var gain float64
+		for bi, c := range cc.Clusters[lo+i].Obs.Clusters {
+			gain += vals[bi] - c.logML
+		}
+		out[i], vals = gain, vals[len(cc.Clusters[lo+i].Obs.Clusters):]
+	}
+}
+
+// GainsMergeVar stores GainMergeVar(cols, src, lo+i) in out[i] for every i.
+func (cc *CoClustering) GainsMergeVar(b *Batch, cols []score.Stats, src, lo int, out []float64) {
+	b.stats = b.stats[:0]
+	for dst := lo; dst < lo+len(out); dst++ {
+		if dst == src {
+			continue
+		}
+		for _, c := range cc.Clusters[dst].Obs.Clusters {
+			part := c.Stats
+			for _, j := range c.Obs {
+				part.Merge(cols[j])
+			}
+			b.stats = append(b.stats, part)
+		}
+	}
+	vals := b.score(cc.Kernel, cc.Prior)
+	for i := range out {
+		dst := lo + i
+		if dst == src {
+			out[i] = 0
+			continue
+		}
+		var gain float64
+		for bi, c := range cc.Clusters[dst].Obs.Clusters {
+			gain += vals[bi] - c.logML
+		}
+		vals = vals[len(cc.Clusters[dst].Obs.Clusters):]
+		for _, c := range cc.Clusters[src].Obs.Clusters {
+			gain -= c.logML
+		}
+		out[i] = gain
+	}
+}
+
+// GainsAttachObs stores GainAttachObs(col, lo+i) in out[i] for every i.
+func (oc *ObsClusters) GainsAttachObs(b *Batch, col score.Stats, lo int, out []float64) {
+	l := len(oc.Clusters)
+	b.stats = b.stats[:0]
+	for to := lo; to < lo+len(out); to++ {
+		if to == l {
+			b.stats = append(b.stats, col)
+		} else {
+			b.stats = append(b.stats, oc.Clusters[to].Stats.Plus(col))
+		}
+	}
+	vals := b.score(oc.Kernel, oc.Prior)
+	for i := range out {
+		if lo+i == l {
+			out[i] = vals[i]
+		} else {
+			out[i] = vals[i] - oc.Clusters[lo+i].logML
+		}
+	}
+}
+
+// GainsMergeObs stores GainMergeObs(src, lo+i) in out[i] for every i.
+func (oc *ObsClusters) GainsMergeObs(b *Batch, src, lo int, out []float64) {
+	a := oc.Clusters[src]
+	b.stats = b.stats[:0]
+	for dst := lo; dst < lo+len(out); dst++ {
+		if dst != src {
+			b.stats = append(b.stats, a.Stats.Plus(oc.Clusters[dst].Stats))
+		}
+	}
+	vals := b.score(oc.Kernel, oc.Prior)
+	for i := range out {
+		dst := lo + i
+		if dst == src {
+			out[i] = 0
+			continue
+		}
+		out[i], vals = vals[0]-a.logML-oc.Clusters[dst].logML, vals[1:]
+	}
+}

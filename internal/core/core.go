@@ -370,6 +370,10 @@ func run(rc rank.Context, d *dataset.Data, q *score.QData, key digest, opt Optio
 	emit(obs.Event{Type: obs.TypeRunStart, Run: &obs.RunInfo{
 		Ranks: c.Size(), Workers: opt.Workers, Seed: opt.Seed, N: q.N, M: q.M,
 	}})
+	// The rank's one scoring kernel: every block a GaneSH run, module
+	// sampler or split evaluator scores spans at most N·M cells, so its
+	// table serves them all without a fallback.
+	kern := score.NewKernel(opt.Prior, q.N*q.M)
 
 	// Task 1: G GaneSH co-clustering runs, each on its own numbered
 	// substream, so the sampled ensemble is independent of the execution
@@ -409,7 +413,7 @@ func run(rc rank.Context, d *dataset.Data, q *score.QData, key digest, opt Optio
 	if !haveModules && ensembles == nil {
 		taskEvent(obs.TypeTaskStart, TaskGaneSH)
 		timers.Time(TaskGaneSH, func() {
-			ensembles = sampleEnsembles(rc, q, opt, master)
+			ensembles = sampleEnsembles(rc, q, kern, opt, master)
 		})
 		if ckpt != nil {
 			ck := ensemblesCheckpoint{ckptStamp: stamp, Ensembles: ensembles}
@@ -507,7 +511,7 @@ func run(rc rank.Context, d *dataset.Data, q *score.QData, key digest, opt Optio
 	taskEvent(obs.TypeTaskStart, TaskModules)
 	timers.Time(TaskModules, func() {
 		g := master.Substream(uint64(opt.GaneshRuns + 1))
-		modRes, modErr = module.LearnWithComm(rc, q, opt.Prior, moduleVars, opt.Module, g, prog)
+		modRes, modErr = module.LearnWithComm(rc, q, kern, moduleVars, opt.Module, g, prog)
 	})
 	if modErr != nil {
 		return nil, modErr
@@ -615,7 +619,7 @@ func BuildCPDs(d *dataset.Data, opt Options, out *Output) ([]*module.CPD, error)
 // on p/G processors each, without any communication"). Every run draws from
 // its own numbered substream, so the grouping never changes a partition; a
 // one-group world splits nothing and exchanges nothing.
-func sampleEnsembles(rc rank.Context, q *score.QData, opt Options, master *prng.MRG3) [][][]int {
+func sampleEnsembles(rc rank.Context, q *score.QData, kern *score.Kernel, opt Options, master *prng.MRG3) [][][]int {
 	c := rc.Comm
 	groups := min(c.Size(), opt.GaneshRuns)
 	color := c.Rank() * groups / c.Size()
@@ -631,7 +635,7 @@ func sampleEnsembles(rc rank.Context, q *score.QData, opt Options, master *prng.
 	var local []runSnap
 	for r := color; r < opt.GaneshRuns; r += groups {
 		g := master.Substream(uint64(r + 1))
-		ensembles[r] = snapshotOf(ganesh.RunWithComm(sub, q, opt.Prior, opt.Ganesh, g).VarAssignment())
+		ensembles[r] = snapshotOf(ganesh.RunWithComm(sub, q, kern, opt.Ganesh, g).VarAssignment())
 		// Only the group's first rank contributes to the exchange, so
 		// each run appears exactly once.
 		if groups > 1 && sub.Comm.Rank() == 0 {

@@ -647,3 +647,23 @@ func TestDefaultConsensusConvergesOnSweepCell(t *testing.T) {
 		t.Fatalf("explicit cap 1000: error %v, want the non-convergence refusal", err)
 	}
 }
+
+// TestThresholdOneLearnsModules: a co-occurrence threshold of 1 keeps the
+// pairs every run co-clusters, whatever G. At G = 6 the six additions of 1/6
+// end one ulp below 1, and the learn used to return no module and no error,
+// while G = 4 found modules on the same data.
+func TestThresholdOneLearnsModules(t *testing.T) {
+	d, _ := testData(t, 60, 24, 3)
+	for _, g := range []int{4, 6} {
+		opt := fastOptions(5)
+		opt.GaneshRuns = g
+		opt.CoOccurrenceThreshold = 1
+		out, err := Learn(d, opt)
+		if err != nil {
+			t.Fatalf("G=%d: %v", g, err)
+		}
+		if len(out.Modules) == 0 {
+			t.Fatalf("G=%d: threshold 1 learned no module", g)
+		}
+	}
+}

@@ -68,51 +68,9 @@ const (
 // balanced over the short candidate lists of one decision.
 const gainsChunk = 8
 
-// executor is where a decision's candidate gains are computed. The engines
-// run on commExec; the interface exists so a test can wrap it and check the
-// clustering state between every two mutations. An implementation must leave
-// exactly the same gains vector on every rank.
-type executor interface {
-	// width is the number of goroutines a distributed decision's evaluations
-	// are spread over (ranks × workers); at 1 there is nothing to distribute.
-	width() int
-	// gains stores eval(i) in out[i] for every i. A distributed decision
-	// (trace.Distributed of its total cost) is spread over the ranks and
-	// workers and returns the pool counters of this rank's share, weighted
-	// by cost(i); any other is evaluated inline on the calling goroutine of
-	// every rank, with no message, no spawn and zero Stats.
-	gains(out []float64, distributed bool, eval func(int) float64, cost func(int) float64) pool.Stats
-}
-
-// commExec block-partitions a distributed decision over c's ranks, fans each
-// block over the intra-rank worker pool and all-gathers the gains.
-type commExec struct {
-	c       *comm.Comm
-	workers int
-}
-
-func (e commExec) width() int { return e.c.Size() * max(1, e.workers) }
-
-func (e commExec) gains(out []float64, distributed bool, eval func(int) float64, cost func(int) float64) pool.Stats {
-	if !distributed {
-		// Gains are pure functions of the replicated clustering state, so
-		// every rank computes the same vector bit for bit.
-		for i := range out {
-			out[i] = eval(i)
-		}
-		return pool.Stats{}
-	}
-	lo, hi := comm.BlockRange(len(out), e.c.Size(), e.c.Rank())
-	local := out[lo:hi]
-	st := pool.For(hi-lo, e.workers, gainsChunk, func(k, w int) float64 {
-		local[k] = eval(lo + k)
-		return cost(lo + k)
-	})
-	// local is this rank's send buffer: overwritten only here, after the
-	// broadcast that follows the root's read of every block.
-	copy(out, comm.AllGatherv(e.c, local))
-	return st
-}
+// evalFunc stores the gains of candidates lo … lo+len(out)−1 in out,
+// scoring their blocks in one batch through b (a cluster.Gains* call).
+type evalFunc func(b *cluster.Batch, lo int, out []float64)
 
 // engine runs the sampler on one rank. Of the rank's hooks it feeds the
 // decision accounting only (the sampler makes thousands of decisions per
@@ -120,50 +78,57 @@ func (e commExec) gains(out []float64, distributed bool, eval func(int) float64,
 // cancellation signal once per update step — before any PRNG draw of the
 // step, so a check never perturbs the substream schedule.
 type engine struct {
-	rc    rank.Context
-	q     *score.QData
-	prior score.Prior
-	// kern is the precomputed scoring kernel of prior, attached to the
-	// clustering state so every gain evaluation hits the tables. A Gibbs
-	// block never exceeds the variables the engine samples over times the m
-	// observations, so the table is sized to that and never falls back.
+	rc rank.Context
+	q  *score.QData
+	// kern is the rank's scoring kernel, attached to the clustering state
+	// so every gain evaluation hits the tables; its prior is the score's.
 	kern *score.Kernel
 	g    *prng.MRG3
-	ex   executor
 	// gains and weights are the decision scratch: one decision's candidate
 	// gains and their quantized weights, grown to the widest decision seen.
 	gains   []float64
 	weights []uint64
+	// batches holds one block batch per pool worker; a decision evaluated
+	// inline uses the first.
+	batches []*cluster.Batch
+	// beforeGains, when non-nil, runs at every decision before its gains
+	// are evaluated, with the decision's candidate count, cost function and
+	// branch: a test's view of every decision, between every two mutations.
+	beforeGains func(count int, itemCost func(int) float64, distributed bool)
 }
 
-// newEngine builds an engine whose blocks span at most nVars variables: all
-// q.N for a co-clustering run, the pinned module's for the observation-only
-// sampler, which runs once per module and would otherwise fill a table
-// q.N/nVars times longer than any count it can ask for.
-func newEngine(rc rank.Context, q *score.QData, pr score.Prior, nVars int, g *prng.MRG3) *engine {
-	return &engine{rc: rc, q: q, prior: pr, kern: score.NewKernel(pr, nVars*q.M),
-		g: g, ex: commExec{c: rc.Comm, workers: rc.Workers}}
+// newEngine builds an engine scoring through kern.
+func newEngine(rc rank.Context, q *score.QData, kern *score.Kernel, g *prng.MRG3) *engine {
+	e := &engine{rc: rc, q: q, kern: kern, g: g, batches: make([]*cluster.Batch, max(1, rc.Workers))}
+	for w := range e.batches {
+		e.batches[w] = &cluster.Batch{}
+	}
+	return e
 }
 
-// decide evaluates count candidate gains through the executor, accounts the
-// decision, converts gains to quantized weights, and draws the collective
-// weighted choice. itemCost(i) reports the deterministic cost of evaluating
-// candidate i; the decision is distributed only when the costs sum to
-// trace.Distributed (DESIGN §19). The sum is a replicated value, so every
-// rank and every p×W takes the same branch and draws from the same weights.
-func (e *engine) decide(phaseName string, count int, eval func(int) float64, itemCost func(int) float64) int {
+// decide evaluates count candidate gains, accounts the decision, converts
+// gains to quantized weights, and draws the collective weighted choice.
+// itemCost(i) reports the deterministic cost of evaluating candidate i; the
+// decision is distributed only when the costs sum to trace.Distributed
+// (DESIGN §19). The sum is a replicated value, so every rank and every p×W
+// takes the same branch and draws from the same weights.
+func (e *engine) decide(phaseName string, count int, eval evalFunc, itemCost func(int) float64) int {
 	if cap(e.gains) < count {
 		e.gains, e.weights = make([]float64, count), make([]uint64, count)
 	}
 	gains := e.gains[:count]
 	// One unaccounted goroutine has nobody to tell the cost to.
 	var total float64
-	if e.ex.width() > 1 || e.rc.Hooks != nil {
+	if e.rc.Comm.Size()*max(1, e.rc.Workers) > 1 || e.rc.Hooks != nil {
 		for i := 0; i < count; i++ {
 			total += itemCost(i)
 		}
 	}
-	st := e.ex.gains(gains, trace.Distributed(total), eval, itemCost)
+	distributed := trace.Distributed(total)
+	if e.beforeGains != nil {
+		e.beforeGains(count, itemCost, distributed)
+	}
+	st := e.evaluate(gains, distributed, eval, itemCost)
 	e.rc.Hooks.Decision(phaseName, count, itemCost, total, int64(count), st) // words: the gains all-gather
 	s := e.g.WeightedIndex(score.QuantizeWeightsInto(e.weights[:count], gains))
 	if s < 0 {
@@ -172,6 +137,43 @@ func (e *engine) decide(phaseName string, count int, eval func(int) float64, ite
 		s = count - 1
 	}
 	return s
+}
+
+// evaluate stores every candidate's gain in out. A decision that is not
+// distributed is one batch over all candidates on the calling goroutine of
+// every rank — the gains are pure functions of the replicated clustering
+// state, so every rank computes the same vector bit for bit — with no
+// message, no spawn and zero Stats. A distributed one is block-partitioned
+// over the ranks, each rank's block dealt over its pool workers one batch
+// per chunk, and the gains all-gathered; it returns the pool counters of
+// this rank's share, weighted by cost(i).
+func (e *engine) evaluate(out []float64, distributed bool, eval evalFunc, cost func(int) float64) pool.Stats {
+	if !distributed {
+		eval(e.batches[0], 0, out)
+		return pool.Stats{}
+	}
+	c := e.rc.Comm
+	lo, hi := comm.BlockRange(len(out), c.Size(), c.Rank())
+	local := out[lo:hi]
+	// The pool hands each worker whole chunks of gainsChunk items, in
+	// ascending order, so a chunk's first item stands for the chunk: that
+	// call scores the whole chunk in one batch. When one worker takes the
+	// whole block, the block is one batch.
+	n := hi - lo
+	span := gainsChunk
+	if e.rc.Workers <= 1 || n <= gainsChunk {
+		span = n
+	}
+	st := pool.For(n, e.rc.Workers, gainsChunk, func(k, w int) float64 {
+		if k%span == 0 {
+			eval(e.batches[w], lo+k, local[k:min(k+span, n)])
+		}
+		return cost(lo + k)
+	})
+	// local is this rank's send buffer: overwritten only here, after the
+	// broadcast that follows the root's read of every block.
+	copy(out, comm.AllGatherv(c, local))
+	return st
 }
 
 // reassignVars performs the n variable-reassignment iterations of
@@ -190,7 +192,7 @@ func (e *engine) reassignVars(cc *cluster.CoClustering) {
 			return float64(e.q.M + trace.LogMLCost*2*l)
 		}
 		s := e.decide(PhaseVarReassign, k+1,
-			func(i int) float64 { return cc.GainAttachVar(r, i) }, cost)
+			func(b *cluster.Batch, lo int, out []float64) { cc.GainsAttachVar(b, r, lo, out) }, cost)
 		cc.AttachVar(r, s)
 		e.rc.Hooks.Serial(PhaseVarReassign, float64(2*e.q.M))
 	}
@@ -212,7 +214,7 @@ func (e *engine) mergeVars(cc *cluster.CoClustering) {
 			return float64(e.q.M + trace.LogMLCost*(2*len(cc.Clusters[j].Obs.Clusters)+srcL))
 		}
 		s := e.decide(PhaseVarMerge, k,
-			func(j int) float64 { return cc.GainMergeVar(cols, i, j) }, cost)
+			func(b *cluster.Batch, lo int, out []float64) { cc.GainsMergeVar(b, cols, i, lo, out) }, cost)
 		if s != i {
 			cc.MergeVar(i, s)
 			// The list shifted; position i now holds the next cluster.
@@ -234,7 +236,7 @@ func (e *engine) reassignObs(oc *cluster.ObsClusters) {
 		col := oc.DetachObs(r)
 		l := len(oc.Clusters)
 		s := e.decide(PhaseObsReassign, l+1,
-			func(i int) float64 { return oc.GainAttachObs(col, i) },
+			func(b *cluster.Batch, lo int, out []float64) { oc.GainsAttachObs(b, col, lo, out) },
 			func(int) float64 { return 2 * trace.LogMLCost })
 		oc.AttachObs(r, s)
 		e.rc.Hooks.Serial(PhaseObsReassign, float64(2*nv))
@@ -247,7 +249,7 @@ func (e *engine) mergeObs(oc *cluster.ObsClusters) {
 	for i := 0; i < len(oc.Clusters); {
 		l := len(oc.Clusters)
 		s := e.decide(PhaseObsMerge, l,
-			func(j int) float64 { return oc.GainMergeObs(i, j) },
+			func(b *cluster.Batch, lo int, out []float64) { oc.GainsMergeObs(b, i, lo, out) },
 			func(int) float64 { return 3 * trace.LogMLCost })
 		if s != i {
 			oc.MergeObs(i, s)
@@ -261,7 +263,7 @@ func (e *engine) mergeObs(oc *cluster.ObsClusters) {
 // steps.
 func (e *engine) run(par Params) *cluster.CoClustering {
 	par = par.withDefaults(e.q.N, e.q.M)
-	cc := cluster.NewRandomCoClustering(e.q, e.prior, par.InitVarClusters, par.InitObsClusters, e.g)
+	cc := cluster.NewRandomCoClustering(e.q, e.kern.Prior(), par.InitVarClusters, par.InitObsClusters, e.g)
 	cc.UseKernel(e.kern)
 	for u := 0; u < par.Updates; u++ {
 		e.rc.Cancel.Check()
@@ -283,17 +285,20 @@ func (e *engine) step(cc *cluster.CoClustering) {
 }
 
 // RunWithComm executes one GaneSH run across the ranks of rc's world and
-// returns the final co-clustering. Every rank must pass a PRNG in the same
-// state; every rank returns an identical co-clustering, bit-equal for every
-// world size and worker count: the Gain* evaluations are read-only on the
-// clustering state and each writes only its own gains slot.
-func RunWithComm(rc rank.Context, q *score.QData, pr score.Prior, par Params, g *prng.MRG3) *cluster.CoClustering {
-	return newEngine(rc, q, pr, q.N, g).run(par)
+// returns the final co-clustering, scored through kern (whose prior is the
+// score's; a table of q.N·q.M counts covers every block). Every rank must
+// pass a PRNG in the same state; every rank returns an identical
+// co-clustering, bit-equal for every world size and worker count: the
+// Gains* evaluations are read-only on the clustering state and each writes
+// only its own gains slots.
+func RunWithComm(rc rank.Context, q *score.QData, kern *score.Kernel, par Params, g *prng.MRG3) *cluster.CoClustering {
+	return newEngine(rc, q, kern, g).run(par)
 }
 
-// Run is RunWithComm on the one-rank world, recording into wl when non-nil.
+// Run is RunWithComm on the one-rank world with a kernel of its own for pr,
+// recording into wl when non-nil.
 func Run(q *score.QData, pr score.Prior, par Params, g *prng.MRG3, wl *trace.Workload) *cluster.CoClustering {
-	return RunWithComm(rank.Self(wl), q, pr, par, g)
+	return RunWithComm(rank.Self(wl), q, score.NewKernel(pr, q.N*q.M), par, g)
 }
 
 // ObsParams configures the observation-only sampler used by the
@@ -321,23 +326,24 @@ func (p ObsParams) withDefaults(m int) ObsParams {
 }
 
 // SampleObsClusteringsWithComm runs GaneSH constrained to a single pinned
-// variable cluster (the module's variables) across the ranks of rc's world
-// and returns the observation clusterings sampled after burn-in — one
-// snapshot per post-burn-in update step — plus the final partition state;
-// identical on every rank.
-func SampleObsClusteringsWithComm(rc rank.Context, q *score.QData, pr score.Prior, vars []int, par ObsParams, g *prng.MRG3) ([][][]int, *cluster.ObsClusters) {
-	return sampleObs(newEngine(rc, q, pr, len(vars), g), vars, par)
+// variable cluster (the module's variables) across the ranks of rc's world,
+// scored through kern, and returns the observation clusterings sampled
+// after burn-in — one snapshot per post-burn-in update step — plus the final
+// partition state; identical on every rank.
+func SampleObsClusteringsWithComm(rc rank.Context, q *score.QData, kern *score.Kernel, vars []int, par ObsParams, g *prng.MRG3) ([][][]int, *cluster.ObsClusters) {
+	return sampleObs(newEngine(rc, q, kern, g), vars, par)
 }
 
-// SampleObsClusterings is SampleObsClusteringsWithComm on the one-rank world,
-// recording into wl when non-nil.
+// SampleObsClusterings is SampleObsClusteringsWithComm on the one-rank world
+// with a kernel of its own for pr, sized to the module's blocks, recording
+// into wl when non-nil.
 func SampleObsClusterings(q *score.QData, pr score.Prior, vars []int, par ObsParams, g *prng.MRG3, wl *trace.Workload) ([][][]int, *cluster.ObsClusters) {
-	return SampleObsClusteringsWithComm(rank.Self(wl), q, pr, vars, par, g)
+	return SampleObsClusteringsWithComm(rank.Self(wl), q, score.NewKernel(pr, len(vars)*q.M), vars, par, g)
 }
 
 func sampleObs(e *engine, vars []int, par ObsParams) ([][][]int, *cluster.ObsClusters) {
 	par = par.withDefaults(e.q.M)
-	oc := cluster.NewRandomObsClusters(e.q, e.prior, vars, par.InitObsClusters, e.g)
+	oc := cluster.NewRandomObsClusters(e.q, e.kern.Prior(), vars, par.InitObsClusters, e.g)
 	oc.UseKernel(e.kern)
 	var samples [][][]int
 	for u := 1; u <= par.Updates; u++ {
@@ -355,31 +361,44 @@ func sampleObs(e *engine, vars []int, par ObsParams) ([][][]int, *cluster.ObsClu
 // the n×n co-occurrence frequency matrix of the consensus task (§2.2.2):
 // entry (i,j) is the fraction of sampled clusterings in which variables i
 // and j share a cluster. Entries below threshold are zeroed.
+//
+// The pairs are counted exactly (integer counts, held in the matrix itself).
+// An entry of count c holds v[c], where v[0] = 0 and v[c] = v[c−1] + 1/G —
+// the bits of c float additions of 1/G — clamped to 1, and it is zeroed iff
+// that frequency is below the threshold, except that a pair every run
+// co-clusters (c = G) is compared as 1: for G ∈ {6, 7, 10, …}, v[G] is
+// 1 − ulp, and a threshold of 1 would otherwise zero every entry, the
+// diagonal included.
 func CoOccurrence(n int, ensembles [][][]int, threshold float64) []float64 {
 	a := make([]float64, n*n)
 	if len(ensembles) == 0 {
 		return a
 	}
-	inc := 1 / float64(len(ensembles))
 	for _, snap := range ensembles {
 		for _, cl := range snap {
 			for _, i := range cl {
 				for _, j := range cl {
-					a[i*n+j] += inc
+					a[i*n+j]++
 				}
 			}
 		}
 	}
-	for i := range a {
-		if a[i] < threshold {
-			a[i] = 0
+	g := len(ensembles)
+	value := make([]float64, g+1)
+	inc := 1 / float64(g)
+	var v float64
+	for c := 1; c <= g; c++ {
+		v += inc
+		freq := v
+		if c == g {
+			freq = 1
+		}
+		if !(freq < threshold) {
+			value[c] = min(v, 1)
 		}
 	}
-	// Clamp accumulated rounding above 1.
-	for i := range a {
-		if a[i] > 1 {
-			a[i] = 1
-		}
+	for i, c := range a {
+		a[i] = value[int(c)]
 	}
 	return a
 }

@@ -9,7 +9,6 @@ import (
 
 	"parsimone/internal/cluster"
 	"parsimone/internal/comm"
-	"parsimone/internal/pool"
 	"parsimone/internal/prng"
 	"parsimone/internal/rank"
 	"parsimone/internal/score"
@@ -74,7 +73,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 	for _, p := range []int{1, 2, 3, 4, 7, 8} {
 		snaps := make([][][]int, p)
 		_, err := comm.Run(p, func(c *comm.Comm) error {
-			cc := RunWithComm(on(c, 1), q, pr, par, prng.New(11))
+			cc := RunWithComm(on(c, 1), q, score.NewKernel(pr, q.N*q.M), par, prng.New(11))
 			snaps[c.Rank()] = cc.VarSnapshot()
 			return nil
 		})
@@ -99,7 +98,7 @@ func TestParallelObsClusteringsMatchSequential(t *testing.T) {
 	wantSamples, wantFinal := SampleObsClusterings(q, pr, vars, par, prng.New(21), nil)
 	for _, p := range []int{1, 2, 5} {
 		_, err := comm.Run(p, func(c *comm.Comm) error {
-			samples, final := SampleObsClusteringsWithComm(on(c, 1), q, pr, vars, par, prng.New(21))
+			samples, final := SampleObsClusteringsWithComm(on(c, 1), q, score.NewKernel(pr, q.N*q.M), vars, par, prng.New(21))
 			if !reflect.DeepEqual(samples, wantSamples) {
 				return fmt.Errorf("rank %d samples differ", c.Rank())
 			}
@@ -125,11 +124,11 @@ func TestWorkersInvariance(t *testing.T) {
 	wantSamples, _ := SampleObsClusterings(q, pr, vars, ObsParams{Updates: 2}, prng.New(19), nil)
 	for _, workers := range []int{2, 4} {
 		par := Params{Updates: 2}
-		if got := RunWithComm(on(comm.Self(), workers), q, pr, par, prng.New(13)).VarSnapshot(); !reflect.DeepEqual(got, want) {
+		if got := RunWithComm(on(comm.Self(), workers), q, score.NewKernel(pr, q.N*q.M), par, prng.New(13)).VarSnapshot(); !reflect.DeepEqual(got, want) {
 			t.Fatalf("sequential W=%d clustering differs", workers)
 		}
 		_, err := comm.Run(3, func(c *comm.Comm) error {
-			if got := RunWithComm(on(c, workers), q, pr, par, prng.New(13)).VarSnapshot(); !reflect.DeepEqual(got, want) {
+			if got := RunWithComm(on(c, workers), q, score.NewKernel(pr, q.N*q.M), par, prng.New(13)).VarSnapshot(); !reflect.DeepEqual(got, want) {
 				return fmt.Errorf("rank %d W=%d clustering differs", c.Rank(), workers)
 			}
 			return nil
@@ -137,7 +136,7 @@ func TestWorkersInvariance(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		samples, _ := SampleObsClusteringsWithComm(on(comm.Self(), workers), q, pr, vars, ObsParams{Updates: 2}, prng.New(19))
+		samples, _ := SampleObsClusteringsWithComm(on(comm.Self(), workers), q, score.NewKernel(pr, q.N*q.M), vars, ObsParams{Updates: 2}, prng.New(19))
 		if !reflect.DeepEqual(samples, wantSamples) {
 			t.Fatalf("obs sampler W=%d samples differ", workers)
 		}
@@ -149,27 +148,26 @@ func TestWorkersInvariance(t *testing.T) {
 // total crosses it as the cluster count moves by one.
 func straddleData(t testing.TB) *score.QData { return testData(t, 136, 400, 4) }
 
-// tallyExec is commExec noting every decision's total cost and branch.
-type tallyExec struct {
-	commExec
+// tally notes every decision's total cost and branch through the engine's
+// beforeGains hook.
+type tally struct {
 	decisions, distributed             int64
 	maxInline, minDistributed, maxItem float64
 }
 
-func (e *tallyExec) gains(out []float64, distributed bool, eval func(int) float64, cost func(int) float64) pool.Stats {
+func (ta *tally) note(count int, cost func(int) float64, distributed bool) {
 	var total float64
-	for i := range out {
+	for i := range count {
 		total += cost(i)
-		e.maxItem = max(e.maxItem, cost(i))
+		ta.maxItem = max(ta.maxItem, cost(i))
 	}
-	e.decisions++
+	ta.decisions++
 	if distributed {
-		e.distributed++
-		e.minDistributed = min(e.minDistributed, total)
+		ta.distributed++
+		ta.minDistributed = min(ta.minDistributed, total)
 	} else {
-		e.maxInline = max(e.maxInline, total)
+		ta.maxInline = max(ta.maxInline, total)
 	}
-	return e.commExec.gains(out, distributed, eval, cost)
 }
 
 // TestDistributionRuleInvariance: a decision is distributed exactly when its
@@ -198,9 +196,9 @@ func TestDistributionRuleInvariance(t *testing.T) {
 	want := state(Run(q, pr, par, g, wl), g)
 
 	g = prng.New(11)
-	e := newEngine(on(comm.Self(), 2), q, pr, q.N, g)
-	tally := &tallyExec{commExec: e.ex.(commExec), minDistributed: math.Inf(1)}
-	e.ex = tally
+	e := newEngine(on(comm.Self(), 2), q, score.NewKernel(pr, q.N*q.M), g)
+	tally := &tally{minDistributed: math.Inf(1)}
+	e.beforeGains = tally.note
 	if got := state(e.run(par), g); got != want {
 		t.Fatal("tallied run left Run's path")
 	}
@@ -225,7 +223,7 @@ func TestDistributionRuleInvariance(t *testing.T) {
 			got := make([]string, p)
 			stats, err := comm.Run(p, func(c *comm.Comm) error {
 				g := prng.New(11)
-				got[c.Rank()] = state(RunWithComm(on(c, workers), q, pr, par, g), g)
+				got[c.Rank()] = state(RunWithComm(on(c, workers), q, score.NewKernel(pr, q.N*q.M), par, g), g)
 				return nil
 			})
 			if err != nil {
@@ -249,21 +247,16 @@ func TestDistributionRuleInvariance(t *testing.T) {
 	}
 }
 
-// checkedExec evaluates gains like commExec after verifying the clustering
-// state's invariants. A decision sits between every two mutations of a sweep
+// checkedBy returns a beforeGains hook verifying the clustering state's
+// invariants. A decision sits between every two mutations of a sweep
 // (detach → decide → attach, decide → merge), so together with a final check
 // this sees the state after every mutation.
-type checkedExec struct {
-	commExec
-	t     *testing.T
-	check func() error
-}
-
-func (e *checkedExec) gains(out []float64, distributed bool, eval func(int) float64, cost func(int) float64) pool.Stats {
-	if err := e.check(); err != nil {
-		e.t.Fatal(err)
+func checkedBy(t *testing.T, check func() error) func(int, func(int) float64, bool) {
+	return func(int, func(int) float64, bool) {
+		if err := check(); err != nil {
+			t.Fatal(err)
+		}
 	}
-	return e.commExec.gains(out, distributed, eval, cost)
 }
 
 // TestStoredBlockScoresExactThroughSampling: every block score the sampler's
@@ -280,13 +273,11 @@ func TestStoredBlockScoresExactThroughSampling(t *testing.T) {
 	want := Run(q, pr, Params{Updates: 2}, prng.New(13), nil).VarSnapshot()
 	_, wantObs := SampleObsClusterings(q, pr, vars, ObsParams{Updates: 2}, prng.New(19), nil)
 	for _, workers := range []int{1, 2} {
-		e := newEngine(on(comm.Self(), workers), q, pr, q.N, prng.New(13))
-		ex := &checkedExec{commExec: e.ex.(commExec), t: t}
-		e.ex = ex
+		e := newEngine(on(comm.Self(), workers), q, score.NewKernel(pr, q.N*q.M), prng.New(13))
 		par := Params{Updates: 2}.withDefaults(q.N, q.M)
 		cc := cluster.NewRandomCoClustering(q, pr, par.InitVarClusters, par.InitObsClusters, e.g)
 		cc.UseKernel(e.kern)
-		ex.check = cc.CheckInvariants
+		e.beforeGains = checkedBy(t, cc.CheckInvariants)
 		for u := 0; u < par.Updates; u++ {
 			e.step(cc)
 		}
@@ -297,13 +288,11 @@ func TestStoredBlockScoresExactThroughSampling(t *testing.T) {
 			t.Fatalf("W=%d: checked run left Run's path", workers)
 		}
 
-		e = newEngine(on(comm.Self(), workers), q, pr, len(vars), prng.New(19))
-		ex = &checkedExec{commExec: e.ex.(commExec), t: t}
-		e.ex = ex
+		e = newEngine(on(comm.Self(), workers), q, score.NewKernel(pr, len(vars)*q.M), prng.New(19))
 		opar := ObsParams{Updates: 2}.withDefaults(q.M)
 		oc := cluster.NewRandomObsClusters(q, pr, vars, opar.InitObsClusters, e.g)
 		oc.UseKernel(e.kern)
-		ex.check = oc.CheckInvariants
+		e.beforeGains = checkedBy(t, oc.CheckInvariants)
 		for u := 0; u < opar.Updates; u++ {
 			e.reassignObs(oc)
 			e.mergeObs(oc)
@@ -486,6 +475,57 @@ func TestCoOccurrenceThreshold(t *testing.T) {
 	}
 }
 
+// TestCoOccurrenceThresholdExact: a surviving entry holds the bits of count
+// additions of 1/G, and it survives iff that sum reaches the threshold —
+// except that a pair every run co-clusters has frequency 1, exactly. For
+// G = 6 and 10 the G additions end one ulp below 1, so a threshold of 1
+// used to zero the whole matrix, the diagonal included.
+func TestCoOccurrenceThresholdExact(t *testing.T) {
+	const n = 5
+	for _, g := range []int{3, 6, 10} {
+		// Snapshot s joins variable v to 0's cluster for the first v·G/4
+		// snapshots, so the pairs (0, v) co-occur 0, G/4, G/2, 3G/4 and G
+		// times (rounded down); variable 4 always shares 0's cluster.
+		ens := make([][][]int, g)
+		for s := range ens {
+			joined, alone := []int{0}, [][]int{}
+			for v := 1; v < n; v++ {
+				if s < v*g/4 {
+					joined = append(joined, v)
+				} else {
+					alone = append(alone, []int{v})
+				}
+			}
+			ens[s] = append([][]int{joined}, alone...)
+		}
+		for _, threshold := range []float64{0.5, 1} {
+			a := CoOccurrence(n, ens, threshold)
+			for v := 0; v < n; v++ {
+				count := g
+				if v > 0 {
+					count = v * g / 4
+				}
+				var sum float64
+				for range count {
+					sum += 1 / float64(g)
+				}
+				var want float64
+				if sum >= threshold || count == g {
+					want = sum
+				}
+				if got := a[v]; math.Float64bits(got) != math.Float64bits(want) {
+					t.Errorf("G=%d threshold %v: A(0,%d) (count %d) = %v, want %v", g, threshold, v, count, got, want)
+				}
+			}
+			for i := 0; i < n; i++ {
+				if a[i*n+i] == 0 {
+					t.Errorf("G=%d threshold %v: diagonal entry %d zeroed", g, threshold, i)
+				}
+			}
+		}
+	}
+}
+
 func TestCoOccurrenceEmptyEnsemble(t *testing.T) {
 	a := CoOccurrence(3, nil, 0)
 	for _, v := range a {
@@ -522,7 +562,7 @@ func BenchmarkRunParallelP4(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		comm.Run(4, func(c *comm.Comm) error {
-			RunWithComm(on(c, 1), q, pr, Params{Updates: 1}, prng.New(uint64(i)))
+			RunWithComm(on(c, 1), q, score.NewKernel(pr, q.N*q.M), Params{Updates: 1}, prng.New(uint64(i)))
 			return nil
 		})
 	}

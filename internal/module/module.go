@@ -92,10 +92,11 @@ type Progress struct {
 	OnUnit func(u *Unit) error
 }
 
-// LearnWithComm runs the task (Algorithm 6) across the ranks of rc's world;
-// the result is identical on every rank and for every world size and worker
+// LearnWithComm runs the task (Algorithm 6) across the ranks of rc's world,
+// scoring through kern (the rank's kernel, whose prior is the score's); the
+// result is identical on every rank and for every world size and worker
 // count.
-func LearnWithComm(rc rank.Context, q *score.QData, pr score.Prior, moduleVars [][]int, par Params, g *prng.MRG3, prog *Progress) (*Result, error) {
+func LearnWithComm(rc rank.Context, q *score.QData, kern *score.Kernel, moduleVars [][]int, par Params, g *prng.MRG3, prog *Progress) (*Result, error) {
 	res := &Result{}
 	for mi, vars := range moduleVars {
 		var u *Unit
@@ -112,11 +113,11 @@ func LearnWithComm(rc rank.Context, q *score.QData, pr score.Prior, moduleVars [
 			// resume bit-exact without persisting PRNG state.
 			gi := g.Substream(uint64(mi + 1))
 			u = &Unit{Module: mi, Vars: append([]int(nil), vars...)}
-			samples, _ := ganesh.SampleObsClusteringsWithComm(rc, q, pr, vars, par.Tree, gi)
+			samples, _ := ganesh.SampleObsClusteringsWithComm(rc, q, kern, vars, par.Tree, gi)
 			for _, clusters := range samples {
-				u.Trees = append(u.Trees, tree.BuildWithComm(rc, q, pr, vars, clusters))
+				u.Trees = append(u.Trees, tree.BuildWithComm(rc, q, kern.Prior(), vars, clusters))
 			}
-			sp := splits.LearnWithComm(rc, q, pr, [][]int{vars}, [][]*tree.Tree{u.Trees}, par.Splits, gi)
+			sp := splits.LearnWithComm(rc, q, kern, [][]int{vars}, [][]*tree.Tree{u.Trees}, par.Splits, gi)
 			u.Weighted = renumber(sp.Weighted, mi)
 			u.Uniform = renumber(sp.Uniform, mi)
 			if prog != nil && prog.OnUnit != nil {

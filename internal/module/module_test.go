@@ -35,7 +35,7 @@ func fixture(t testing.TB, seed uint64) (*score.QData, [][]int, *synth.Truth) {
 
 func mustLearn(t testing.TB, q *score.QData, pr score.Prior, moduleVars [][]int, par Params, g *prng.MRG3, wl *trace.Workload) *Result {
 	t.Helper()
-	res, err := LearnWithComm(rank.Self(wl), q, pr, moduleVars, par, g, nil)
+	res, err := LearnWithComm(rank.Self(wl), q, score.NewKernel(pr, q.N*q.M), moduleVars, par, g, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 	want := mustLearn(t, q, pr, moduleVars, par, prng.New(7), nil)
 	for _, p := range []int{1, 2, 3, 4, 7} {
 		_, err := comm.Run(p, func(c *comm.Comm) error {
-			got, err := LearnWithComm(rank.Context{Comm: c}, q, pr, moduleVars, par, prng.New(7), nil)
+			got, err := LearnWithComm(rank.Context{Comm: c}, q, score.NewKernel(pr, q.N*q.M), moduleVars, par, prng.New(7), nil)
 			if err != nil {
 				return err
 			}

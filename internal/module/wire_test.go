@@ -30,7 +30,7 @@ func learnUnits(t *testing.T) (*score.QData, []*Unit) {
 		units = append(units, u)
 		return nil
 	}}
-	if _, err := LearnWithComm(rank.Self(nil), q, score.DefaultPrior(), moduleVars, defaultParams(), prng.New(9), prog); err != nil {
+	if _, err := LearnWithComm(rank.Self(nil), q, score.NewKernel(score.DefaultPrior(), q.N*q.M), moduleVars, defaultParams(), prng.New(9), prog); err != nil {
 		t.Fatal(err)
 	}
 	if len(units) == 0 {

@@ -1,9 +1,11 @@
 package prng
 
+import "parsimone/internal/cpu"
+
 // useKernel reports that the vector kernel runs: the CPU has AVX2 and the
-// OS saves the YMM registers across context switches. Tests clear it to
-// force the portable path.
-var useKernel = hasAVX2()
+// OS saves the YMM registers across context switches (cpu.AVX2). Tests
+// clear it to force the portable path.
+var useKernel = cpu.AVX2
 
 // kernelTable is what the vector kernel reads besides the state; draw_amd64.s
 // addresses its fields by byte offset.
@@ -49,24 +51,3 @@ func drawKernel(s *[3]uint64, dst []int) { drawAVX2(&kernel, s, &dst[0], len(dst
 //
 //go:noescape
 func drawAVX2(t *kernelTable, s *[3]uint64, dst *int, n int)
-
-// hasAVX2 reports AVX2 (CPUID leaf 7 EBX bit 5) with AVX and OSXSAVE
-// (leaf 1 ECX bits 28, 27) and the XMM and YMM state enabled in XCR0.
-func hasAVX2() bool {
-	if maxLeaf, _, _, _ := cpuid(0, 0); maxLeaf < 7 {
-		return false
-	}
-	const osxsave, avx = 1 << 27, 1 << 28
-	if _, _, c, _ := cpuid(1, 0); c&osxsave == 0 || c&avx == 0 {
-		return false
-	}
-	if xcr0, _ := xgetbv(); xcr0&6 != 6 {
-		return false
-	}
-	_, b, _, _ := cpuid(7, 0)
-	return b&(1<<5) != 0
-}
-
-func cpuid(leaf, sub uint32) (a, b, c, d uint32)
-
-func xgetbv() (lo, hi uint32)

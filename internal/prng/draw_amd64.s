@@ -130,22 +130,3 @@ whole:
 	VMOVQ X8, 16(SI)
 	VZEROUPPER
 	RET
-
-// func cpuid(leaf, sub uint32) (a, b, c, d uint32)
-TEXT ·cpuid(SB), NOSPLIT, $0-24
-	MOVL leaf+0(FP), AX
-	MOVL sub+4(FP), CX
-	CPUID
-	MOVL AX, a+8(FP)
-	MOVL BX, b+12(FP)
-	MOVL CX, c+16(FP)
-	MOVL DX, d+20(FP)
-	RET
-
-// func xgetbv() (lo, hi uint32)
-TEXT ·xgetbv(SB), NOSPLIT, $0-8
-	MOVL $0, CX
-	XGETBV
-	MOVL AX, lo+0(FP)
-	MOVL DX, hi+4(FP)
-	RET

@@ -139,6 +139,63 @@ func (k *Kernel) LogML(s Stats) float64 {
 	return e.c1 - e.alphaN*math.Log(k.betaN(e, s)) + e.c2 - e.c3
 }
 
+// LogMLBatch stores k.LogML(stats[i]) in dst[i] for every i, bit for bit;
+// dst must have len(stats) elements. It is LogML's evaluation regrouped by
+// operation: every block's βN first (betaN, as LogML computes it), then
+// their logarithms in one call of the batched logarithm logs, then each
+// block's unchanged suffix, the same expression as LogML's. On amd64 the
+// batched logarithm is math.Log's own amd64 code four lanes at a time, and
+// elsewhere it is math.Log (DESIGN §28), so each lane's bits are the ones
+// LogML gets. Empty blocks score 0 and out-of-table counts take LogML's
+// fallback; their lanes log a placeholder 1.
+func (k *Kernel) LogMLBatch(dst []float64, stats []Stats) {
+	dst = dst[:len(stats)]
+	n := int64(len(k.tab))
+	for i, s := range stats {
+		if s.N <= 0 || s.N >= n {
+			dst[i] = 1
+			continue
+		}
+		dst[i] = k.betaN(&k.tab[s.N], s)
+	}
+	logs(dst, dst)
+	var fallbacks int64
+	for i, s := range stats {
+		switch {
+		case s.N == 0:
+			dst[i] = 0
+		case s.N < 0 || s.N >= n:
+			fallbacks++
+			dst[i] = k.prior.LogML(s)
+		default:
+			e := &k.tab[s.N]
+			dst[i] = e.c1 - e.alphaN*dst[i] + e.c2 - e.c3
+		}
+	}
+	if fallbacks > 0 {
+		k.fallbacks.Add(fallbacks)
+	}
+}
+
+// logs stores math.Log(src[i]) in dst[i] for every i, bit for bit; dst
+// must have len(src) elements and may be src. It runs the AVX2 kernel where
+// the CPU has one (useKernel) and the portable loop everywhere else.
+func logs(dst, src []float64) {
+	if useKernel && len(src) > 0 {
+		logKernel(dst[:len(src)], src)
+		return
+	}
+	logPortable(dst, src)
+}
+
+// logPortable is the batched logarithm's reference implementation.
+func logPortable(dst, src []float64) {
+	dst = dst[:len(src)]
+	for i, x := range src {
+		dst[i] = math.Log(x)
+	}
+}
+
 // betaN is the data-dependent βN of a non-empty in-table block, e its
 // count's entry: Prior.LogML's operations on the same operands. LogML and
 // SplitImproves both take βN from here, so the certified decision and the

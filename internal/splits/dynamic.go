@@ -40,13 +40,13 @@ type valMsg struct {
 // path and a one-rank world's selection, and returns the identical result. It needs what
 // LearnWithComm checks before choosing it: a worker rank to deal to and a
 // positive chunk size.
-func LearnParallelDynamic(rc rank.Context, q *score.QData, pr score.Prior, modules [][]int,
+func LearnParallelDynamic(rc rank.Context, q *score.QData, kern *score.Kernel, modules [][]int,
 	trees [][]*tree.Tree, par Params, g *prng.MRG3) Result {
 	c, chunk := rc.Comm, par.DynamicChunk
 	if c.Size() < 2 || chunk <= 0 {
 		panic(fmt.Sprintf("splits: the dynamic scheme needs a worker rank and a positive chunk size, got %d ranks and chunk %d", c.Size(), chunk))
 	}
-	ev := newEvaluator(rc, q, pr, modules, trees, par, g)
+	ev := newEvaluator(rc, q, kern, modules, trees, par, g)
 	par, total := ev.par, ev.total
 
 	var local []valMsg

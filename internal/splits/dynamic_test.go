@@ -23,7 +23,7 @@ func TestDynamicCoordTimeoutHarmless(t *testing.T) {
 	armed := par
 	armed.CoordTimeout = 10 * time.Second
 	_, err := comm.Run(3, func(c *comm.Comm) error {
-		got := LearnParallelDynamic(on(c, 1, nil), q, pr, modules, trees, armed, prng.New(17))
+		got := LearnParallelDynamic(on(c, 1, nil), q, kernelOf(q, pr), modules, trees, armed, prng.New(17))
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("rank %d: result differs with CoordTimeout armed", c.Rank())
 		}
@@ -48,7 +48,7 @@ func TestDynamicCoordTimeoutDetectsHungWorker(t *testing.T) {
 	faults := []comm.Fault{{Rank: 1, Op: 1, Kind: comm.FaultDelay, Delay: time.Hour}}
 	start := time.Now()
 	_, err := comm.RunWithFaults(3, faults, func(c *comm.Comm) error {
-		LearnParallelDynamic(on(c, 1, nil), q, pr, modules, trees, par, prng.New(17))
+		LearnParallelDynamic(on(c, 1, nil), q, kernelOf(q, pr), modules, trees, par, prng.New(17))
 		return nil
 	})
 	var re *comm.RankError
@@ -82,7 +82,7 @@ func TestDynamicCoordinatorReleasedByCancel(t *testing.T) {
 	start := time.Now()
 	_, err := comm.RunWithFaults(3, faults, func(c *comm.Comm) error {
 		rc := rank.Context{Comm: c, Cancel: comm.NewCanceler(done, func() error { return reason })}
-		LearnParallelDynamic(rc, q, pr, modules, trees, Params{NumSplits: 2, MaxSteps: 24, DynamicChunk: 7}, prng.New(17))
+		LearnParallelDynamic(rc, q, kernelOf(q, pr), modules, trees, Params{NumSplits: 2, MaxSteps: 24, DynamicChunk: 7}, prng.New(17))
 		return nil
 	})
 	var re *comm.RankError

@@ -131,23 +131,6 @@ func nodeIndexAt(nodes []*nodeRef, ci int) int {
 	})
 }
 
-// maxStatsN returns the largest sufficient-statistics count the bootstrap
-// can produce over these nodes — a full resample drawing one observation
-// column (one Stats value per module variable) |Obs| times — which sizes
-// the kernel tables so the hot loop never takes the fallback path.
-func maxStatsN(nodes []*nodeRef) int {
-	maxN := 0
-	for _, ref := range nodes {
-		if len(ref.colStats) == 0 {
-			continue
-		}
-		if n := len(ref.node.Obs) * int(ref.colStats[0].N); n > maxN {
-			maxN = n
-		}
-	}
-	return maxN
-}
-
 // stopTable hoists the early-termination rule out of the hot loop:
 // stop[s·(MaxSteps+1)+k] says whether a threshold with k successes after s
 // steps retires — at MaxSteps always, from MinSteps on once the
@@ -254,20 +237,24 @@ type evaluator struct {
 	nodes []*nodeRef
 	total int
 	// base is the stream the pair substreams are numbered from; kern the
-	// shared scoring kernel; stop the early-termination table.
-	base      *prng.MRG3
-	kern      *score.Kernel
-	stop      []bool
-	scratches []*scratch
+	// rank's scoring kernel, whose table must cover |Obs|·|module| counts
+	// so the hot loop never takes the fallback path, and fallbacks0 its
+	// fallback count when the evaluator was built; stop the
+	// early-termination table.
+	base       *prng.MRG3
+	kern       *score.Kernel
+	fallbacks0 int64
+	stop       []bool
+	scratches  []*scratch
 }
 
-func newEvaluator(rc rank.Context, q *score.QData, pr score.Prior, modules [][]int, trees [][]*tree.Tree, par Params, g *prng.MRG3) *evaluator {
+func newEvaluator(rc rank.Context, q *score.QData, kern *score.Kernel, modules [][]int, trees [][]*tree.Tree, par Params, g *prng.MRG3) *evaluator {
 	par = par.WithDefaults(q.N)
 	ev := &evaluator{rc: rc, q: q, par: par, nodes: enumerate(q, modules, trees, par.Candidates), base: g.Clone(), stop: stopTable(par)}
 	for _, ref := range ev.nodes {
 		ev.total += ref.count
 	}
-	ev.kern = score.NewKernel(pr, maxStatsN(ev.nodes))
+	ev.kern, ev.fallbacks0 = kern, kern.Fallbacks()
 	// One scratch per pool worker, allocated separately so workers never
 	// write into a shared cache line.
 	ev.scratches = make([]*scratch, max(1, rc.Workers))
@@ -473,7 +460,7 @@ func (ev *evaluator) recordMetrics(reg *obs.Registry, steps []int) {
 		repeated += sc.repeated
 		fallbacks += sc.exactFallbacks
 	}
-	misses := ev.kern.Fallbacks()
+	misses := ev.kern.Fallbacks() - ev.fallbacks0
 	counter := func(name, help string, v int64) { reg.Counter(name, help, "phase", PhaseAssign).Add(v) }
 	counter("split_pair_steps", "bootstrap resamples drawn, one per ⟨node,parent⟩ pair-step", pairSteps)
 	counter("split_draws_total", "bootstrap picks drawn by split scoring", draws)

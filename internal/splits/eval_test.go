@@ -76,6 +76,23 @@ func naivePair(q *score.QData, pr score.Prior, ref *nodeRef, parent int, sub *pr
 	return post, steps
 }
 
+// kernelOf is the rank kernel core builds for q: a table of q.N·q.M
+// counts, which covers every block a split can score.
+func kernelOf(q *score.QData, pr score.Prior) *score.Kernel { return score.NewKernel(pr, q.N*q.M) }
+
+// maxStatsN returns the largest sufficient-statistics count the bootstrap
+// can produce over these nodes — a full resample drawing one observation
+// column (one Stats value per module variable) |Obs| times.
+func maxStatsN(nodes []*nodeRef) int {
+	maxN := 0
+	for _, ref := range nodes {
+		if len(ref.colStats) > 0 {
+			maxN = max(maxN, len(ref.node.Obs)*int(ref.colStats[0].N))
+		}
+	}
+	return maxN
+}
+
 // TestPosteriorMatchesPreKernel: the evaluator — bucket/prefix resample
 // sums, threshold groups scored once, the certified split decision over the
 // kernel tables with its empty-side and repeated-neighbour shortcuts, the
@@ -86,7 +103,7 @@ func TestPosteriorMatchesPreKernel(t *testing.T) {
 	q, modules, trees, _ := fixture(t, 17)
 	pr := score.DefaultPrior()
 	g := prng.New(19)
-	ev := newEvaluator(rank.Self(nil), q, pr, modules, trees, Params{MaxSteps: 24}, g)
+	ev := newEvaluator(rank.Self(nil), q, kernelOf(q, pr), modules, trees, Params{MaxSteps: 24}, g)
 	gotP, gotS, _ := ev.eval(0, ev.total)
 	for _, ref := range ev.nodes {
 		nObs := len(ref.node.Obs)
@@ -102,7 +119,7 @@ func TestPosteriorMatchesPreKernel(t *testing.T) {
 		}
 	}
 	if ev.kern.Fallbacks() != 0 {
-		t.Fatalf("kernel fell back %d times; maxStatsN sized the table too small", ev.kern.Fallbacks())
+		t.Fatalf("kernel fell back %d times; the N·M table is too small", ev.kern.Fallbacks())
 	}
 }
 
@@ -114,9 +131,9 @@ func TestPosteriorMatchesPreKernel(t *testing.T) {
 func TestPosteriorBatchBitIdentical(t *testing.T) {
 	q, modules, trees, _ := fixture(t, 18)
 	pr := score.DefaultPrior()
-	batch := newEvaluator(rank.Self(nil), q, pr, modules, trees, Params{MaxSteps: 24}, prng.New(19))
+	batch := newEvaluator(rank.Self(nil), q, kernelOf(q, pr), modules, trees, Params{MaxSteps: 24}, prng.New(19))
 	wantP, wantS, _ := batch.eval(0, batch.total)
-	single := newEvaluator(rank.Self(nil), q, pr, modules, trees, Params{MaxSteps: 24}, prng.New(19))
+	single := newEvaluator(rank.Self(nil), q, kernelOf(q, pr), modules, trees, Params{MaxSteps: 24}, prng.New(19))
 	for ci := 0; ci < single.total; ci++ {
 		p, s, _ := single.eval(ci, ci+1)
 		if math.Float64bits(p[0]) != math.Float64bits(wantP[ci]) || s[0] != wantS[ci] {
@@ -129,7 +146,7 @@ func TestPosteriorBatchBitIdentical(t *testing.T) {
 	}
 	// Arbitrary cuts, three workers: ranges tile the list at edges that are
 	// not pair boundaries.
-	cut := newEvaluator(on(comm.Self(), 3, nil), q, pr, modules, trees, Params{MaxSteps: 24}, prng.New(19))
+	cut := newEvaluator(on(comm.Self(), 3, nil), q, kernelOf(q, pr), modules, trees, Params{MaxSteps: 24}, prng.New(19))
 	for lo := 0; lo < cut.total; {
 		hi := min(lo+37, cut.total)
 		p, s, _ := cut.eval(lo, hi)
@@ -145,8 +162,8 @@ func TestPosteriorBatchBitIdentical(t *testing.T) {
 // exact fallback, empty side or repeated neighbour, and the exact
 // Kernel.LogML calls follow: one for the resample total per pair-step and
 // two per fallback, each a table hit or a miss. The expected totals are
-// rebuilt here from the per-candidate step counts alone. With the table the
-// evaluator sizes there is no miss and — on this fixture — no near tie, so
+// rebuilt here from the per-candidate step counts alone. With the rank's N·M
+// table there is no miss and — on this fixture — no near tie, so
 // the second run halves the table: blocks beyond it cannot be certified,
 // which exercises the fallback and miss terms without moving a posterior.
 func TestKernelHitCounterExact(t *testing.T) {
@@ -154,7 +171,7 @@ func TestKernelHitCounterExact(t *testing.T) {
 	var wantPost []float64
 	for _, shrink := range []bool{false, true} {
 		reg := obs.NewRegistry()
-		ev := newEvaluator(on(comm.Self(), 1, reg), q, score.DefaultPrior(), modules, trees,
+		ev := newEvaluator(on(comm.Self(), 1, reg), q, kernelOf(q, score.DefaultPrior()), modules, trees,
 			Params{MaxSteps: 24}, prng.New(21))
 		if shrink {
 			ev.kern = score.NewKernel(score.DefaultPrior(), maxStatsN(ev.nodes)/2)
@@ -213,7 +230,7 @@ func TestKernelHitCounterExact(t *testing.T) {
 			t.Errorf("certified %d, empty %d, repeated %d, table hits %d: want all > 0", certified, empty, repeated, hits)
 		}
 		if !shrink && (fallbacks != 0 || misses != 0) {
-			t.Errorf("%d fallbacks, %d table misses, want 0 (maxStatsN sizes the table to cover every block, and no decision of this fixture is a near tie)", fallbacks, misses)
+			t.Errorf("%d fallbacks, %d table misses, want 0 (the N·M table covers every block, and no decision of this fixture is a near tie)", fallbacks, misses)
 		}
 		if shrink && (fallbacks <= 0 || misses <= 0) {
 			t.Errorf("half table: %d fallbacks, %d misses, want both > 0", fallbacks, misses)
@@ -249,7 +266,7 @@ func TestPairMarginalsMatchPerCandidateLayout(t *testing.T) {
 	par := Params{MaxSteps: ref.Steps, CIHalfWidth: -1}
 	sum, sumSq := make([]int64, ref.Candidates), make([]int64, ref.Candidates)
 	for seed := 0; seed < ref.Seeds; seed++ {
-		ev := newEvaluator(rank.Self(nil), q, pr, modules, trees, par, prng.New(uint64(1001+seed)))
+		ev := newEvaluator(rank.Self(nil), q, kernelOf(q, pr), modules, trees, par, prng.New(uint64(1001+seed)))
 		if ev.total != ref.Candidates {
 			t.Fatalf("fixture enumerates %d candidates, the record %d", ev.total, ref.Candidates)
 		}
@@ -327,10 +344,10 @@ func TestCutPairInvariance(t *testing.T) {
 	pr := score.DefaultPrior()
 	base := Params{NumSplits: 2, MaxSteps: 24}
 	seqReg := obs.NewRegistry()
-	want := LearnWithComm(on(comm.Self(), 1, seqReg), q, pr, modules, trees, base, prng.New(23))
+	want := LearnWithComm(on(comm.Self(), 1, seqReg), q, kernelOf(q, pr), modules, trees, base, prng.New(23))
 	wantSteps := splitStepsDump(t, seqReg)
 
-	ev := newEvaluator(rank.Self(nil), q, pr, modules, trees, base, prng.New(23))
+	ev := newEvaluator(rank.Self(nil), q, kernelOf(q, pr), modules, trees, base, prng.New(23))
 	chunks := []int{11, 29, 101}
 	for _, ref := range ev.nodes {
 		for _, chunk := range chunks {
@@ -358,7 +375,7 @@ func TestCutPairInvariance(t *testing.T) {
 				}
 				name := fmt.Sprintf("%s W=%d", strategy, workers)
 				onRanks(t, name, p, want, func(c *comm.Comm) Result {
-					return LearnWithComm(on(c, workers, reg), q, pr, modules, trees, par, prng.New(23))
+					return LearnWithComm(on(c, workers, reg), q, kernelOf(q, pr), modules, trees, par, prng.New(23))
 				})
 				if got := splitStepsDump(t, reg); got != wantSteps {
 					t.Errorf("%s p=%d: split_steps differ from the sequential run:\n got %s\nwant %s", name, p, got, wantSteps)
@@ -373,7 +390,7 @@ func TestCutPairInvariance(t *testing.T) {
 // per pair now, and part of the cost being measured).
 func BenchmarkPosterior(b *testing.B) {
 	q, modules, trees, _ := fixture(b, 1)
-	ev := newEvaluator(rank.Self(nil), q, score.DefaultPrior(), modules, trees, Params{MaxSteps: 32, CIHalfWidth: -1}, prng.New(11))
+	ev := newEvaluator(rank.Self(nil), q, kernelOf(q, score.DefaultPrior()), modules, trees, Params{MaxSteps: 32, CIHalfWidth: -1}, prng.New(11))
 	b.Run("eval", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			ev.eval(0, ev.total)

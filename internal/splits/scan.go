@@ -50,10 +50,10 @@ type pickMsg struct {
 // learnScan is LearnWithComm's static exchange: each rank scores its block
 // of the global list, and the segmented scan selects the same Result
 // selectSplits would over the whole posterior vector.
-func learnScan(rc rank.Context, q *score.QData, pr score.Prior, modules [][]int,
+func learnScan(rc rank.Context, q *score.QData, kern *score.Kernel, modules [][]int,
 	trees [][]*tree.Tree, par Params, g *prng.MRG3) Result {
 	c := rc.Comm
-	ev := newEvaluator(rc, q, pr, modules, trees, par, g)
+	ev := newEvaluator(rc, q, kern, modules, trees, par, g)
 	par, nodes := ev.par, ev.nodes
 
 	// Local posteriors over this rank's block, kept distributed. Weights

@@ -192,15 +192,15 @@ func selectSplits(q *score.QData, nodes []*nodeRef, posteriors []float64, par Pa
 // slot. No cancellation check is polled here — a module's splits are
 // recomputed wholesale on resume, so the module edge is the granularity — but
 // the dynamic coordinator's wait honors rc.Cancel.
-func LearnWithComm(rc rank.Context, q *score.QData, pr score.Prior, modules [][]int,
+func LearnWithComm(rc rank.Context, q *score.QData, kern *score.Kernel, modules [][]int,
 	trees [][]*tree.Tree, par Params, g *prng.MRG3) Result {
 	if rc.Comm.Size() > 1 {
 		if par.DynamicChunk > 0 {
-			return LearnParallelDynamic(rc, q, pr, modules, trees, par, g)
+			return LearnParallelDynamic(rc, q, kern, modules, trees, par, g)
 		}
-		return learnScan(rc, q, pr, modules, trees, par, g)
+		return learnScan(rc, q, kern, modules, trees, par, g)
 	}
-	ev := newEvaluator(rc, q, pr, modules, trees, par, g)
+	ev := newEvaluator(rc, q, kern, modules, trees, par, g)
 	post, steps, st := ev.eval(0, ev.total)
 	ev.observe(st, steps)
 	res := selectSplits(q, ev.nodes, post, ev.par, g)
@@ -208,9 +208,14 @@ func LearnWithComm(rc rank.Context, q *score.QData, pr score.Prior, modules [][]
 	return res
 }
 
-// Learn is LearnWithComm on the one-rank world, recording the per-candidate
+// Learn is LearnWithComm on the one-rank world with a kernel of its own for
+// pr, sized to the largest module's blocks, recording the per-candidate
 // costs into wl when non-nil.
 func Learn(q *score.QData, pr score.Prior, modules [][]int, trees [][]*tree.Tree,
 	par Params, g *prng.MRG3, wl *trace.Workload) Result {
-	return LearnWithComm(rank.Self(wl), q, pr, modules, trees, par, g)
+	vars := 0
+	for _, mod := range modules {
+		vars = max(vars, len(mod))
+	}
+	return LearnWithComm(rank.Self(wl), q, score.NewKernel(pr, vars*q.M), modules, trees, par, g)
 }

@@ -141,7 +141,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 	want := Learn(q, pr, modules, trees, par, prng.New(9), nil)
 	for _, p := range []int{1, 2, 3, 5, 8} {
 		onRanks(t, "static", p, want, func(c *comm.Comm) Result {
-			return LearnWithComm(on(c, 1, nil), q, pr, modules, trees, par, prng.New(9))
+			return LearnWithComm(on(c, 1, nil), q, kernelOf(q, pr), modules, trees, par, prng.New(9))
 		})
 	}
 }
@@ -171,7 +171,7 @@ func TestTrueRegulatorsScoreHighly(t *testing.T) {
 
 func TestPosteriorDegenerateSplit(t *testing.T) {
 	q, modules, trees, _ := fixture(t, 6)
-	ev := newEvaluator(rank.Self(nil), q, score.DefaultPrior(), modules, trees, Params{}, prng.New(1))
+	ev := newEvaluator(rank.Self(nil), q, kernelOf(q, score.DefaultPrior()), modules, trees, Params{}, prng.New(1))
 	ref := ev.nodes[0]
 	// Find the candidate whose value is the node's maximum for parent 0:
 	// everything goes left → degenerate → posterior 0, zero steps, no draws.
@@ -190,7 +190,7 @@ func TestPosteriorDegenerateSplit(t *testing.T) {
 
 func TestPosteriorStepBounds(t *testing.T) {
 	q, modules, trees, _ := fixture(t, 7)
-	ev := newEvaluator(rank.Self(nil), q, score.DefaultPrior(), modules, trees, Params{MinSteps: 8, MaxSteps: 32}, prng.New(3))
+	ev := newEvaluator(rank.Self(nil), q, kernelOf(q, score.DefaultPrior()), modules, trees, Params{MinSteps: 8, MaxSteps: 32}, prng.New(3))
 	_, steps, _ := ev.eval(0, ev.total)
 	early := 0
 	for ci, s := range steps {
@@ -268,7 +268,7 @@ func TestRecordWorkChargesScan(t *testing.T) {
 	wl := &trace.Workload{}
 	res := Learn(q, score.DefaultPrior(), modules, trees, Params{}, prng.New(15), wl)
 	ph := wl.Phase(PhaseAssign)
-	ev := newEvaluator(rank.Self(nil), q, score.DefaultPrior(), modules, trees, Params{}, prng.New(15))
+	ev := newEvaluator(rank.Self(nil), q, kernelOf(q, score.DefaultPrior()), modules, trees, Params{}, prng.New(15))
 	if want := int64(len(ev.nodes) + len(res.Weighted) + len(res.Uniform)); ph.Words != want {
 		t.Errorf("words %d, want nodes + picks = %d", ph.Words, want)
 	}
@@ -308,7 +308,7 @@ func TestParamsWithDefaults(t *testing.T) {
 // MaxSteps bootstrap resamples (or one degenerate scan).
 func TestNegativeCIHalfWidthRunsToMaxSteps(t *testing.T) {
 	q, modules, trees, _ := fixture(t, 3)
-	ev := newEvaluator(rank.Self(nil), q, score.DefaultPrior(), modules, trees, Params{MaxSteps: 12, CIHalfWidth: -1}, prng.New(9))
+	ev := newEvaluator(rank.Self(nil), q, kernelOf(q, score.DefaultPrior()), modules, trees, Params{MaxSteps: 12, CIHalfWidth: -1}, prng.New(9))
 	_, steps, _ := ev.eval(0, ev.total)
 	if len(steps) == 0 {
 		t.Fatal("no candidates checked")
@@ -383,7 +383,7 @@ func TestDynamicMatchesStatic(t *testing.T) {
 		for _, chunk := range []int{0, 1, 7, 1000000} {
 			par.DynamicChunk = chunk
 			onRanks(t, fmt.Sprintf("dynamic chunk=%d", chunk), p, want, func(c *comm.Comm) Result {
-				return LearnWithComm(on(c, 1, nil), q, pr, modules, trees, par, prng.New(17))
+				return LearnWithComm(on(c, 1, nil), q, kernelOf(q, pr), modules, trees, par, prng.New(17))
 			})
 		}
 	}
@@ -398,15 +398,15 @@ func TestScanSelectionMatchesGather(t *testing.T) {
 	q, modules, trees, _ := fixture(t, 12)
 	pr := score.DefaultPrior()
 	par := Params{NumSplits: 3, MaxSteps: 24}
-	ev := newEvaluator(rank.Self(nil), q, pr, modules, trees, par, prng.New(31))
+	ev := newEvaluator(rank.Self(nil), q, kernelOf(q, pr), modules, trees, par, prng.New(31))
 	post, _, _ := ev.eval(0, ev.total)
 	want := selectSplits(q, ev.nodes, post, ev.par, prng.New(31))
-	if got := LearnWithComm(rank.Self(nil), q, pr, modules, trees, par, prng.New(31)); !reflect.DeepEqual(got, want) {
+	if got := LearnWithComm(rank.Self(nil), q, kernelOf(q, pr), modules, trees, par, prng.New(31)); !reflect.DeepEqual(got, want) {
 		t.Fatal("one-rank world: splits differ from selectSplits on its posteriors")
 	}
 	for _, p := range []int{2, 3, 5, 8} {
 		onRanks(t, "scan", p, want, func(c *comm.Comm) Result {
-			return LearnWithComm(on(c, 1, nil), q, pr, modules, trees, par, prng.New(31))
+			return LearnWithComm(on(c, 1, nil), q, kernelOf(q, pr), modules, trees, par, prng.New(31))
 		})
 	}
 }
@@ -420,7 +420,7 @@ func TestWorkersInvariance(t *testing.T) {
 	want := Learn(q, pr, modules, trees, Params{NumSplits: 2, MaxSteps: 24}, prng.New(23), nil)
 	for _, workers := range []int{2, 3, 8} {
 		par := Params{NumSplits: 2, MaxSteps: 24}
-		if got := LearnWithComm(on(comm.Self(), workers, nil), q, pr, modules, trees, par, prng.New(23)); !reflect.DeepEqual(got, want) {
+		if got := LearnWithComm(on(comm.Self(), workers, nil), q, kernelOf(q, pr), modules, trees, par, prng.New(23)); !reflect.DeepEqual(got, want) {
 			t.Fatalf("sequential W=%d: splits differ", workers)
 		}
 	}
@@ -434,11 +434,11 @@ func TestWorkersTraceDeterministic(t *testing.T) {
 	pr := score.DefaultPrior()
 	par := Params{MaxSteps: 24}
 	unobserved := comm.Self()
-	LearnWithComm(on(unobserved, 1, nil), q, pr, modules, trees, par, prng.New(29))
+	LearnWithComm(on(unobserved, 1, nil), q, kernelOf(q, pr), modules, trees, par, prng.New(29))
 	record := func(workers int) *trace.Phase {
 		wl := &trace.Workload{}
 		c := comm.Self()
-		LearnWithComm(rank.Context{Comm: c, Workers: workers, Hooks: obs.NewHooks(nil, nil, wl)}, q, pr, modules, trees, par, prng.New(29))
+		LearnWithComm(rank.Context{Comm: c, Workers: workers, Hooks: obs.NewHooks(nil, nil, wl)}, q, kernelOf(q, pr), modules, trees, par, prng.New(29))
 		if got, want := c.Stats(), unobserved.Stats(); got != want {
 			t.Fatalf("W=%d: work recording communicated %+v, unobserved %+v", workers, got, want)
 		}
@@ -464,7 +464,7 @@ func BenchmarkLearnWorkers(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("W%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				LearnWithComm(on(comm.Self(), workers, nil), q, pr, modules, trees, Params{MaxSteps: 32}, prng.New(uint64(i)))
+				LearnWithComm(on(comm.Self(), workers, nil), q, kernelOf(q, pr), modules, trees, Params{MaxSteps: 32}, prng.New(uint64(i)))
 			}
 		})
 	}
@@ -481,11 +481,11 @@ func TestScanUsesLessCommunication(t *testing.T) {
 	q, modules, trees, _ := fixture(t, 13)
 	pr := score.DefaultPrior()
 	par := Params{NumSplits: 2, MaxSteps: 16}
-	ev := newEvaluator(rank.Self(nil), q, pr, modules, trees, par, prng.New(3))
+	ev := newEvaluator(rank.Self(nil), q, kernelOf(q, pr), modules, trees, par, prng.New(3))
 	nodes, j := len(ev.nodes), ev.par.NumSplits
 	for _, p := range []int{2, 4, 8} {
 		stats, err := comm.Run(p, func(c *comm.Comm) error {
-			LearnWithComm(on(c, 1, nil), q, pr, modules, trees, par, prng.New(3))
+			LearnWithComm(on(c, 1, nil), q, kernelOf(q, pr), modules, trees, par, prng.New(3))
 			return nil
 		})
 		if err != nil {
@@ -531,7 +531,7 @@ func TestScanMetricsParity(t *testing.T) {
 		reg := obs.NewRegistry()
 		par := Params{NumSplits: 2, MaxSteps: 24, DynamicChunk: chunk}
 		_, err := comm.Run(p, func(c *comm.Comm) error {
-			LearnWithComm(on(c, 1, reg), q, pr, modules, trees, par, prng.New(21))
+			LearnWithComm(on(c, 1, reg), q, kernelOf(q, pr), modules, trees, par, prng.New(21))
 			return nil
 		})
 		if err != nil {
