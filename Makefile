@@ -60,7 +60,7 @@ race:
 		./internal/tree/ ./internal/module/ ./internal/dataset/
 
 # The fault-injection, crash-recovery, and cancellation suite, race-enabled:
-# injected crashes/delays/drops in comm, the dynamic-coordinator watchdog,
+# injected crashes/delays/drops in comm and in the dynamic split exchange,
 # the supervised restart-from-checkpoint acceptance tests and the restart
 # seam (core.Supervise), the cancel-at-every-check matrix, and the job
 # runtime's retry, backoff and drain-under-fault races.
@@ -136,7 +136,7 @@ bench-cluster:
 
 # The `hybrid` workload as a traced run: the same learns through the p=2
 # static exchange (the `gather` and `scan` shapes, both the segmented scan),
-# the p=3 dynamic coordinator and W=2 workers
+# the p=3 dynamic exchange and W=2 workers
 # (splits.gather_s, splits.scan_s, splits.dynamic_s, pool.w2_s, speedup_2)
 # beside the messages each shape sent (comm.*_collectives, comm.*_sends).
 bench-hybrid:

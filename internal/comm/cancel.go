@@ -15,18 +15,14 @@
 
 package comm
 
-import (
-	"fmt"
-	"time"
-)
+import "fmt"
 
 // Canceler polls a cancellation signal at deterministic program points.
 // Each rank holds its own Canceler (the checks counter, like a Comm, must
 // only be touched from the rank's goroutine); all ranks of a world share
 // the underlying done channel.
 //
-// A nil *Canceler is a valid no-op: Check returns immediately and Done
-// returns a nil channel (which blocks forever in a select).
+// A nil *Canceler is a valid no-op: Check returns immediately.
 type Canceler struct {
 	done   <-chan struct{}
 	reason func() error
@@ -62,20 +58,8 @@ func (cl *Canceler) Checks() int64 {
 	return cl.checks
 }
 
-// Done exposes the underlying signal channel for select-based waits
-// (RecvAnyCtx); nil when the Canceler is nil or counting-only.
-func (cl *Canceler) Done() <-chan struct{} {
-	if cl == nil {
-		return nil
-	}
-	return cl.done
-}
-
 // cause resolves the error to fail with.
 func (cl *Canceler) cause() error {
-	if cl == nil {
-		return fmt.Errorf("comm: run cancelled")
-	}
 	if cl.reason != nil {
 		if err := cl.reason(); err != nil {
 			return err
@@ -101,54 +85,5 @@ func (cl *Canceler) Check() {
 	case <-cl.done:
 		panic(fmt.Errorf("cancelled at check %d: %w", cl.checks, cl.cause()))
 	default:
-	}
-}
-
-// RecvAnyCtx blocks until a message whose payload is assignable to T
-// arrives from any sender, and returns the sender's rank and the message.
-// The payload type acts as a lightweight MPI tag: messages of other types
-// are stashed for later typed Recv calls, so a coordinator matching requests
-// is not confused by peers that have already moved on to a later exchange.
-// Stashed messages are scanned lowest sender rank first; per-sender order
-// among same-type messages is preserved.
-//
-// The wait honors both a deadline and the run's cancel signal. If no
-// message of type T arrives within d it returns (-1, zero, false), which
-// lets a coordinator turn a hung peer into a detectable failure (the dynamic
-// split-distribution watchdog); d ≤ 0 waits without bound. When the cancel
-// signal fires first it panics with the Canceler's reason error, aborting
-// the world like any rank failure; a nil cl never fires.
-func RecvAnyCtx[T any](c *Comm, cl *Canceler, d time.Duration) (int, T, bool) {
-	c.tick()
-	for from := 0; from < c.world.size; from++ {
-		q := c.pending[from]
-		for i, v := range q {
-			if tv, ok := v.(T); ok {
-				c.pending[from] = append(q[:i:i], q[i+1:]...)
-				return from, tv, true
-			}
-		}
-	}
-	var timeout <-chan time.Time
-	if d > 0 {
-		t := time.NewTimer(d)
-		defer t.Stop()
-		timeout = t.C
-	}
-	for {
-		select {
-		case env := <-c.world.inbox[c.rank]:
-			if tv, ok := env.v.(T); ok {
-				return env.from, tv, true
-			}
-			c.pending[env.from] = append(c.pending[env.from], env.v)
-		case <-timeout:
-			var zero T
-			return -1, zero, false
-		case <-cl.Done():
-			panic(fmt.Errorf("comm: wait cancelled: %w", cl.cause()))
-		case <-c.world.aborted:
-			panic(ErrAborted)
-		}
 	}
 }

@@ -163,40 +163,6 @@ func TestPlanFaultDeterministicAndInRange(t *testing.T) {
 	}
 }
 
-func TestRecvAnyTimeout(t *testing.T) {
-	_, err := Run(2, func(c *Comm) error {
-		if c.Rank() == 0 {
-			// Phase 1: nothing in flight — the deadline must fire.
-			if from, v, ok := RecvAnyCtx[int](c, nil, 20*time.Millisecond); ok || from != -1 || v != 0 {
-				return fmt.Errorf("empty timeout returned (%d, %d, %v), want (-1, 0, false)", from, v, ok)
-			}
-			Barrier(c)
-			// Phase 2: a message is coming — it must be delivered.
-			from, v, ok := RecvAnyCtx[int](c, nil, 10*time.Second)
-			if !ok || from != 1 || v != 42 {
-				return fmt.Errorf("delivery returned (%d, %d, %v), want (1, 42, true)", from, v, ok)
-			}
-			// Phase 3: a message of the wanted type already sent is found
-			// with no deadline set.
-			Send(c, 0, "stash")
-			Send(c, 0, 7)
-			if got := Recv[string](c, 0); got != "stash" {
-				return fmt.Errorf("stash recv got %q", got)
-			}
-			if from, v, ok := RecvAnyCtx[int](c, nil, 0); !ok || from != 0 || v != 7 {
-				return fmt.Errorf("pending scan returned (%d, %d, %v), want (0, 7, true)", from, v, ok)
-			}
-			return nil
-		}
-		Barrier(c)
-		Send(c, 0, 42)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestCollectiveAbortPropagation (one row per collective): when a rank dies
 // instead of entering a collective, every rank blocked inside that collective
 // must be released with ErrAborted, and the originating failure — not a
@@ -250,5 +216,56 @@ func TestCollectiveAbortPropagation(t *testing.T) {
 				t.Fatalf("no rank was blocked in %s; the test exercises nothing", tc.name)
 			}
 		})
+	}
+}
+
+// counterOps is the number of ops a rank makes in NewCounter on a world of
+// two: the broadcast's entry, and rank 1's receive of the counter or rank
+// 0's send of it. A rank's first Next is its op counterOps+1.
+const counterOps = 2
+
+// TestFaultCrashAtCounterNext: Next is an addressable op — a crash fault
+// at a rank's first Next kills that rank there, and the abort releases its
+// peer from the collective it waits in.
+func TestFaultCrashAtCounterNext(t *testing.T) {
+	faults := []Fault{{Rank: 1, Op: counterOps + 1, Kind: FaultCrash}}
+	_, err := RunWithFaults(2, faults, func(c *Comm) error {
+		ct := NewCounter(c)
+		ct.Next(c)
+		Barrier(c)
+		return nil
+	})
+	var re *RankError
+	if !errors.As(err, &re) || re.Rank != 1 || !errors.Is(err, ErrInjected) {
+		t.Fatalf("got %v, want an injected crash of rank 1", err)
+	}
+	if want := fmt.Sprintf("killed at op %d", counterOps+1); !strings.Contains(err.Error(), want) {
+		t.Fatalf("crash reads %q, want it to name %q", err, want)
+	}
+}
+
+// TestFaultDelayAtCounterNextReleasedByAbort: a rank stalled an hour in
+// Next is released as soon as another rank fails, and the world reports the
+// failure, not the cascade.
+func TestFaultDelayAtCounterNextReleasedByAbort(t *testing.T) {
+	boom := errors.New("peer failed while rank 1 was stalled")
+	faults := []Fault{{Rank: 1, Op: counterOps + 1, Kind: FaultDelay, Delay: time.Hour}}
+	start := time.Now()
+	_, err := RunWithFaults(2, faults, func(c *Comm) error {
+		ct := NewCounter(c)
+		if c.Rank() == 0 {
+			time.Sleep(10 * time.Millisecond) // let rank 1 enter its stall
+			return boom
+		}
+		ct.Next(c)
+		t.Error("the stalled Next returned instead of being released by the abort")
+		return nil
+	})
+	var re *RankError
+	if !errors.As(err, &re) || re.Rank != 0 || !errors.Is(err, boom) {
+		t.Fatalf("got %v, want rank 0's failure", err)
+	}
+	if elapsed := time.Since(start); elapsed > 30*time.Second {
+		t.Fatalf("world took %v to abort; the stalled Next was not released", elapsed)
 	}
 }

@@ -43,7 +43,7 @@ type fixtureData struct {
 // dynRun/dynResume select the dynamic exchange independently on the two legs
 // (a one-rank leg has no exchange): the stream layout is the same under
 // every world size and exchange strategy, so every combination — including a
-// static run resumed under the dynamic coordinator — must land on the same
+// static run resumed under the dynamic exchange — must land on the same
 // network.
 func cancelAndResume(t *testing.T, f *fixtureData, p, resumeP, victim int, at int64,
 	dynRun, dynResume bool) *Output {
@@ -90,9 +90,9 @@ func cancelAndResume(t *testing.T, f *fixtureData, p, resumeP, victim int, at in
 // Exhaustive over check indices at p=1; the p ∈ {2, 4} worlds cover five
 // spread indices each, mirroring the crash matrix's density, and so do the
 // rows that resume on another world size. The dynamic rows rerun spread
-// indices under the dynamic coordinator — a one-rank run resumed on three
+// indices under the dynamic exchange — a one-rank run resumed on three
 // ranks, a four-rank run resumed on four, and a static run resumed under the
-// coordinator — proving resume bit-identity on both exchange paths and across
+// dynamic one — proving resume bit-identity on both exchange paths and across
 // them. The subtest prefixes are pinned by the test floor and name the knobs
 // the rows used to flip: "binary" rows, which chose the binary checkpoint
 // format when there were two, now resume on another world size; "nobatch"

@@ -660,8 +660,8 @@ func LearnParallel(p int, d *dataset.Data, opt Options) (*Output, error) {
 // Supervise is the one supervised driver of the fault-tolerance layer.
 // Options and data are checked, the data quantized once for all ranks to
 // read and the run key of a checkpointing run computed, before any world
-// starts. When a rank crashes — an organic panic, a watchdog abort, a fault
-// injected via Options.Inject — the whole world is torn down MPI-style, the
+// starts. When a rank crashes — an organic panic or a fault injected via
+// Options.Inject — the whole world is torn down MPI-style, the
 // failure is recorded as a recovery event, and — up to Options.MaxRestarts
 // times — a fresh world is started that resumes from the newest checkpoints
 // in Options.CheckpointDir (or from scratch without checkpointing).

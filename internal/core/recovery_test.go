@@ -34,8 +34,8 @@ func recoveryFixture(t *testing.T) (*dataset.Data, Options, *Output) {
 
 // dynamicChunk is the chunk size of the test rows that run the dynamic
 // exchange: a prime above the fixture's 24 observations, hence a multiple of
-// no node's observation count — the coordinator rounds each deal up to a
-// pair edge.
+// no node's observation count — each chunk bound is rounded up to a pair
+// edge.
 const dynamicChunk = 29
 
 // chunkIf is the Options.Module.Splits.DynamicChunk that selects the dynamic
@@ -58,7 +58,7 @@ func chunkIf(dynamic bool) int {
 // flip: "binary" rows, which chose the binary checkpoint format when there
 // were two, now run at two workers; "nobatch" rows, which once flipped split
 // batching and then ran the segmented scan when gather was the default, now
-// run the dynamic coordinator (a one-rank world has no exchange).
+// run the dynamic exchange (a one-rank world has no exchange).
 func TestFailpointRecoveryBitIdentical(t *testing.T) {
 	d, opt, want := recoveryFixture(t)
 	nm := len(want.Network.Modules)

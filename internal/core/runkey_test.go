@@ -41,7 +41,7 @@ func TestRunKeyPinned(t *testing.T) {
 var resultInvisible = []string{
 	"RecordWork", "Workers", "CheckpointDir", "BinaryCheckpoints",
 	"MaxRestarts", "Inject", "Events", "Metrics", "Ctx",
-	"Module.Splits.DynamicChunk", "Module.Splits.ScanSelection", "Module.Splits.CoordTimeout",
+	"Module.Splits.DynamicChunk", "Module.Splits.ScanSelection",
 }
 
 // TestRunKeyClassifiesEveryOption guards the hand-written canonicalOptions

@@ -335,7 +335,7 @@ func splitStepsDump(t *testing.T, reg *obs.Registry) string {
 
 // TestCutPairInvariance: p × W × strategy where pairs are cut. Static block
 // edges land inside pairs, the dynamic chunk sizes are multiples of no
-// node's observation count (the coordinator rounds each deal up to a pair
+// node's observation count (each chunk bound is rounded up to a pair
 // boundary), and W workers deal pairs among themselves — every combination
 // must return the sequential Result and record the sequential per-candidate
 // split_steps.

@@ -24,7 +24,6 @@ package splits
 
 import (
 	"fmt"
-	"time"
 
 	"parsimone/internal/prng"
 	"parsimone/internal/rank"
@@ -61,19 +60,14 @@ type Params struct {
 	// variable (the paper's genome-scale setting).
 	Candidates []int
 	// DynamicChunk, when positive, makes a world of more than one rank use
-	// the dynamic coordinator/worker distribution (the paper's §6 future
-	// work) with this chunk size instead of the static block partition and
-	// its segmented scan. The learned result is identical either way.
+	// the dynamic distribution (the paper's §6 future work) — every rank
+	// takes chunks of this many candidates from a shared counter — instead
+	// of the static block partition and its segmented scan. The learned
+	// result is identical either way.
 	DynamicChunk int
 	// Deprecated: ignored; the segmented scan is the one static exchange.
 	// Deleted with its last setter, benchmark/batch.go (ROADMAP 2(d)).
 	ScanSelection bool
-	// CoordTimeout, when positive, bounds how long the dynamic
-	// coordinator waits for a worker's next request: a hung worker then
-	// aborts the world (detectably, via the usual RankError) instead of
-	// deadlocking the coordinator in RecvAnyCtx forever. 0 waits without
-	// bound.
-	CoordTimeout time.Duration
 }
 
 // WithDefaults returns p with every unset field replaced by its documented
@@ -182,21 +176,20 @@ func selectSplits(q *score.QData, nodes []*nodeRef, posteriors []float64, par Pa
 // LearnWithComm computes posteriors over the ranks of rc's world and selects
 // splits identically on every rank. A world of more than one rank scores
 // fine-grained static blocks (Algorithm 5 line 5) and selects with the
-// paper's segmented scan (scan.go), or, when par.DynamicChunk is set, deals
-// chunks from a coordinator (dynamic.go). A one-rank world has nobody to
+// paper's segmented scan (scan.go), or, when par.DynamicChunk is set, takes
+// chunks from a shared counter on every rank (dynamic.go). A one-rank world has nobody to
 // exchange with: it scores the whole list, records its work and selects on
 // its own posterior vector. Each rank's share is fanned over its rc.Workers
 // pool workers. Posteriors, trace items and the selected splits are
 // bit-identical for every (rank count, W, exchange): each pair draws only
 // from its own numbered substream and each candidate writes only its own
-// slot. No cancellation check is polled here — a module's splits are
-// recomputed wholesale on resume, so the module edge is the granularity — but
-// the dynamic coordinator's wait honors rc.Cancel.
+// slot. No cancellation check is polled here: a module's splits are
+// recomputed wholesale on resume, so the module edge is the granularity.
 func LearnWithComm(rc rank.Context, q *score.QData, kern *score.Kernel, modules [][]int,
 	trees [][]*tree.Tree, par Params, g *prng.MRG3) Result {
 	if rc.Comm.Size() > 1 {
 		if par.DynamicChunk > 0 {
-			return LearnParallelDynamic(rc, q, kern, modules, trees, par, g)
+			return learnDynamic(rc, q, kern, modules, trees, par, g)
 		}
 		return learnScan(rc, q, kern, modules, trees, par, g)
 	}

@@ -370,7 +370,7 @@ func BenchmarkLearn(b *testing.B) {
 	}
 }
 
-// TestDynamicMatchesStatic: the dynamic coordinator/worker distribution
+// TestDynamicMatchesStatic: the dynamic shared-counter distribution
 // (the paper's §6 future work) must return exactly the static scheme's
 // result — per-pair substreams make posteriors independent of which rank
 // computes them.

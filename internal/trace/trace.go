@@ -231,7 +231,10 @@ const (
 	// "simple parallelization scheme" §3.2.3 rejects for load imbalance.
 	StaticCoarse
 	// Dynamic deals items to ranks greedily in chunks, least-loaded rank
-	// first — the dynamic load balancing named as future work in §6.
+	// first — the dynamic load balancing named as future work in §6. It
+	// models the engine's dynamic split exchange, where all p ranks take
+	// chunks from one shared counter, so the rank that frees up first
+	// takes the next chunk.
 	Dynamic
 )
 
@@ -310,7 +313,8 @@ func (m Model) PerRankWork(ph *Phase, p int, scheme Scheme) []float64 {
 			chunk = 64
 		}
 		// Greedy on-line dealing: each chunk goes to the currently
-		// least-loaded rank, approximating a work queue.
+		// least-loaded rank, as the shared counter hands it to the first
+		// rank to ask.
 		for lo := 0; lo < len(ph.Items); lo += chunk {
 			hi := min(lo+chunk, len(ph.Items))
 			var c float64
