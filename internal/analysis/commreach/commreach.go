@@ -38,6 +38,8 @@ var Analyzer = &analysis.Analyzer{
 }
 
 // collectives are the comm entry points every rank must reach in lockstep.
+// Counter.Next is not one: how often a rank takes from a shared counter
+// depends on scheduling by design.
 var collectives = map[string]bool{
 	"Bcast":      true,
 	"Gather":     true,
@@ -47,6 +49,7 @@ var collectives = map[string]bool{
 	"AllReduce":  true,
 	"Barrier":    true,
 	"Split":      true,
+	"NewCounter": true,
 }
 
 // isCollective reports whether fn is one of the comm collectives every

@@ -38,6 +38,23 @@ func symmetricCollectives(c *comm.Comm, v int) int {
 	return comm.Bcast(c, 0, v)
 }
 
+func guardedCounter(c *comm.Comm) *comm.Counter {
+	if c.Rank() == 0 {
+		return comm.NewCounter(c) // want "rank-dependent conditional"
+	}
+	return nil
+}
+
+// counterNextIsFine: a rank takes from a shared counter as often as its
+// schedule lets it; only creating the counter is collective.
+func counterNextIsFine(c *comm.Comm) int {
+	ct := comm.NewCounter(c)
+	if c.Rank() == 0 {
+		return ct.Next(c)
+	}
+	return 0
+}
+
 func pointToPointIsFine(c *comm.Comm, v int) int {
 	if c.Rank() == 0 {
 		comm.Send(c, 1, v)
