@@ -229,15 +229,37 @@ func treeParents(n *TreeNode) []int {
 	return out
 }
 
-// engine holds the per-run state shared by the sequential and parallel
-// variants.
+// engine holds the per-run state: the world the M-step and E-step are
+// partitioned over, and the data they score.
 type engine struct {
+	c  *comm.Comm
 	q  *score.QData
 	pr score.Prior
-	// mStep learns the trees of every module (possibly partitioned over
-	// ranks); eStep returns every variable's best module given the trees.
-	mStep func(members [][]int, par Params) []*TreeNode
-	eStep func(members [][]int, treesK []*TreeNode, par Params) []int
+}
+
+// mStep learns every module's tree, the modules block-partitioned over the
+// ranks and the trees all-gathered.
+func (e *engine) mStep(members [][]int, par Params) []*TreeNode {
+	lo, hi := comm.BlockRange(len(members), e.c.Size(), e.c.Rank())
+	local := make([]*TreeNode, 0, hi-lo)
+	for k := lo; k < hi; k++ {
+		local = append(local, induceTree(e.q, e.pr, members[k], allObs(e.q.M), 0, par))
+	}
+	return comm.AllGatherv(e.c, local)
+}
+
+// eStep returns every variable's best module given the trees, the
+// variables block-partitioned over the ranks and the choices all-gathered.
+func (e *engine) eStep(members [][]int, treesK []*TreeNode) []int {
+	leaves := make([][]*TreeNode, len(treesK))
+	leafStats := make([][]score.Stats, len(treesK))
+	prepLeafStats(e.q, members, treesK, leaves, leafStats)
+	lo, hi := comm.BlockRange(e.q.N, e.c.Size(), e.c.Rank())
+	local := make([]int, 0, hi-lo)
+	for x := lo; x < hi; x++ {
+		local = append(local, bestModuleFor(e.q, e.pr, leaves, leafStats, x))
+	}
+	return comm.AllGatherv(e.c, local)
 }
 
 func (e *engine) run(par Params, g *prng.MRG3) (*Result, error) {
@@ -265,7 +287,7 @@ func (e *engine) run(par Params, g *prng.MRG3) (*Result, error) {
 		res.Iters = it
 		members = membersOf(assign)
 		treesK = e.mStep(members, par)
-		next := e.eStep(members, treesK, par)
+		next := e.eStep(members, treesK)
 		moved := 0
 		for x := range next {
 			if next[x] != assign[x] {
@@ -304,27 +326,9 @@ func allObs(m int) []int {
 	return obs
 }
 
-// Learn runs GENOMICA sequentially.
+// Learn runs GENOMICA sequentially: LearnParallel on the one-rank world.
 func Learn(q *score.QData, pr score.Prior, par Params, g *prng.MRG3) (*Result, error) {
-	e := &engine{q: q, pr: pr}
-	e.mStep = func(members [][]int, par Params) []*TreeNode {
-		trees := make([]*TreeNode, len(members))
-		for k, vars := range members {
-			trees[k] = induceTree(q, pr, vars, allObs(q.M), 0, par)
-		}
-		return trees
-	}
-	e.eStep = func(members [][]int, treesK []*TreeNode, par Params) []int {
-		leaves := make([][]*TreeNode, len(treesK))
-		leafStats := make([][]score.Stats, len(treesK))
-		prepLeafStats(q, members, treesK, leaves, leafStats)
-		next := make([]int, q.N)
-		for x := 0; x < q.N; x++ {
-			next[x] = bestModuleFor(q, pr, leaves, leafStats, x)
-		}
-		return next
-	}
-	return e.run(par, g)
+	return LearnParallel(comm.Self(), q, pr, par, g)
 }
 
 // LearnParallel runs GENOMICA across c's ranks: the M-step partitions
@@ -333,27 +337,7 @@ func Learn(q *score.QData, pr score.Prior, par Params, g *prng.MRG3) (*Result, e
 // Every rank must pass a PRNG in the same state; results are identical to
 // Learn.
 func LearnParallel(c *comm.Comm, q *score.QData, pr score.Prior, par Params, g *prng.MRG3) (*Result, error) {
-	e := &engine{q: q, pr: pr}
-	e.mStep = func(members [][]int, par Params) []*TreeNode {
-		lo, hi := comm.BlockRange(len(members), c.Size(), c.Rank())
-		local := make([]*TreeNode, 0, hi-lo)
-		for k := lo; k < hi; k++ {
-			local = append(local, induceTree(q, pr, members[k], allObs(q.M), 0, par))
-		}
-		return comm.AllGatherv(c, local)
-	}
-	e.eStep = func(members [][]int, treesK []*TreeNode, par Params) []int {
-		leaves := make([][]*TreeNode, len(treesK))
-		leafStats := make([][]score.Stats, len(treesK))
-		prepLeafStats(q, members, treesK, leaves, leafStats)
-		lo, hi := comm.BlockRange(q.N, c.Size(), c.Rank())
-		local := make([]int, 0, hi-lo)
-		for x := lo; x < hi; x++ {
-			local = append(local, bestModuleFor(q, pr, leaves, leafStats, x))
-		}
-		return comm.AllGatherv(c, local)
-	}
-	return e.run(par, g)
+	return (&engine{c: c, q: q, pr: pr}).run(par, g)
 }
 
 // prepLeafStats fills the per-module leaf lists and leaf block statistics.
