@@ -363,12 +363,11 @@ func sampleObs(e *engine, vars []int, par ObsParams) ([][][]int, *cluster.ObsClu
 // and j share a cluster. Entries below threshold are zeroed.
 //
 // The pairs are counted exactly (integer counts, held in the matrix itself).
-// An entry of count c holds v[c], where v[0] = 0 and v[c] = v[c−1] + 1/G —
-// the bits of c float additions of 1/G — clamped to 1, and it is zeroed iff
-// that frequency is below the threshold, except that a pair every run
-// co-clusters (c = G) is compared as 1: for G ∈ {6, 7, 10, …}, v[G] is
-// 1 − ulp, and a threshold of 1 would otherwise zero every entry, the
-// diagonal included.
+// An entry of count c is kept iff its exact frequency, the correctly rounded
+// c/G, is at least the threshold, and then holds v[c], where v[0] = 0 and
+// v[c] = v[c−1] + 1/G — the bits of c float additions of 1/G — clamped to 1.
+// The decision is not taken on v[c], which can round below c/G: at G = 10,
+// v[9] is 0.8999999999999999, and v[G] is 1 − ulp for G ∈ {6, 7, 10, …}.
 func CoOccurrence(n int, ensembles [][][]int, threshold float64) []float64 {
 	a := make([]float64, n*n)
 	if len(ensembles) == 0 {
@@ -389,11 +388,7 @@ func CoOccurrence(n int, ensembles [][][]int, threshold float64) []float64 {
 	var v float64
 	for c := 1; c <= g; c++ {
 		v += inc
-		freq := v
-		if c == g {
-			freq = 1
-		}
-		if !(freq < threshold) {
+		if float64(c)/float64(g) >= threshold {
 			value[c] = min(v, 1)
 		}
 	}

@@ -510,7 +510,7 @@ func TestCoOccurrenceThresholdExact(t *testing.T) {
 					sum += 1 / float64(g)
 				}
 				var want float64
-				if sum >= threshold || count == g {
+				if float64(count)/float64(g) >= threshold {
 					want = sum
 				}
 				if got := a[v]; math.Float64bits(got) != math.Float64bits(want) {
@@ -523,6 +523,28 @@ func TestCoOccurrenceThresholdExact(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestCoOccurrenceKeepsExactThresholdFrequency: a pair co-clustered in 9 of
+// G = 10 runs has frequency exactly 0.9, so a threshold of 0.9 keeps it,
+// holding v[9] — although nine additions of 0.1 give 0.8999999999999999.
+func TestCoOccurrenceKeepsExactThresholdFrequency(t *testing.T) {
+	const g = 10
+	ens := make([][][]int, g)
+	for s := range ens {
+		if s < 9 {
+			ens[s] = [][]int{{0, 1}}
+		} else {
+			ens[s] = [][]int{{0}, {1}}
+		}
+	}
+	var v9 float64
+	for range 9 {
+		v9 += 1.0 / g
+	}
+	if got := CoOccurrence(2, ens, 0.9)[1]; math.Float64bits(got) != math.Float64bits(v9) {
+		t.Fatalf("A(0,1) at count 9 of 10, threshold 0.9 = %v, want %v (kept)", got, v9)
 	}
 }
 
