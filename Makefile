@@ -78,13 +78,18 @@ soak:
 # Short native-fuzzing pass over the TSV codec (the long-running campaign
 # is `go test -fuzz=FuzzReadTSV ./internal/dataset/` without -fuzztime) —
 # the reader against the one it replaced, and the writer's bytes and round
-# trip against the old writer — plus the wire-format deserializers, and
+# trip against the old writer — plus the wire-format deserializers,
 # Uniform.Fill against element-wise Draw on both batch generators (the
-# portable one and the vector kernel) over arbitrary states, bounds and sizes.
+# portable one and the vector kernel) over arbitrary states, bounds and
+# sizes, and the daemon's JSON request bodies: any submit or predict body
+# is answered 200, 400 or (submit, on a drained server) 503, and none
+# panics.
 fuzz: fuzz-wire
 	$(GO) test -run '^$$' -fuzz 'FuzzReadTSV$$' -fuzztime 10s ./internal/dataset/
 	$(GO) test -run '^$$' -fuzz 'FuzzTSVRoundTrip$$' -fuzztime 10s ./internal/dataset/
 	$(GO) test -run '^$$' -fuzz 'FuzzFillMatchesDraw$$' -fuzztime 10s ./internal/prng/
+	$(GO) test -run '^$$' -fuzz 'FuzzJobRequest$$' -fuzztime 10s ./internal/serve/
+	$(GO) test -run '^$$' -fuzz 'FuzzPredictRequest$$' -fuzztime 10s ./internal/serve/
 
 # Short native-fuzzing pass over the binary wire format (DESIGN §12): the
 # checkpoint read path (the refusal of non-wire files, the binary codecs)
@@ -99,8 +104,9 @@ fuzz-wire:
 # shares — no panics on NaN/±Inf/subnormals, weights on [0, MaxWeight], and
 # monotone mappings — the precomputed scoring kernel's bit-identity with
 # Prior.LogML over arbitrary Stats and priors, its batched evaluation's with
-# Kernel.LogML on both logarithm paths (DESIGN §28), and the certified split
-# decision's agreement with the exact expression it stands for (DESIGN §23).
+# Kernel.LogML on both logarithm paths (DESIGN §28), the certified split
+# decision's agreement with the exact expression it stands for (DESIGN §23),
+# and the split kernel's lanes against that decision on both paths (§29).
 # One invocation per target (go test allows a single -fuzz match per run).
 fuzz-score:
 	$(GO) test -run '^$$' -fuzz 'FuzzQuantizeWeights$$' -fuzztime 10s ./internal/score/
@@ -109,6 +115,7 @@ fuzz-score:
 	$(GO) test -run '^$$' -fuzz 'FuzzKernelLogMLBatch$$' -fuzztime 10s ./internal/score/
 	$(GO) test -run '^$$' -fuzz 'FuzzMemoLogML$$' -fuzztime 10s ./internal/score/
 	$(GO) test -run '^$$' -fuzz 'FuzzSplitImproves$$' -fuzztime 10s ./internal/score/
+	$(GO) test -run '^$$' -fuzz 'FuzzSplitsImprove$$' -fuzztime 10s ./internal/score/
 
 # Regenerate the full reduced-scale reproduction of the paper's tables and
 # figures (minutes). Performance is the other harness: `go run ./benchmark`.
@@ -121,11 +128,14 @@ bench:
 # benchmark workload reaches: they all run at p=1 or G=1. Below it, the
 # layers of the batched gain kernel (DESIGN §28): one GaneSH run at 480×32,
 # and the batched logarithm in ns/log on the portable loop and on the AVX2
-# kernel.
+# kernel; then the split layer (DESIGN §29): one evaluator sweep over every
+# candidate, and a pair-step's decisions in ns/decision on each path.
 bench-core:
 	$(GO) test -run '^$$' -bench 'LearnClusterShaped' -benchtime 10x -count 5 ./internal/core/
 	$(GO) test -run '^$$' -bench 'Run480x32$$' -benchtime 10x -count 5 ./internal/ganesh/
 	$(GO) test -run '^$$' -bench 'LogBatch' -count 5 ./internal/score/
+	$(GO) test -run '^$$' -bench 'Posterior' -count 5 ./internal/splits/
+	$(GO) test -run '^$$' -bench 'SplitImproves/batch' -count 5 ./internal/score/
 
 # The repo benchmark's `cluster` workload (GaneSH + consensus ~80 % of the
 # learn) as a traced run: learn_s next to the per-layer clocks

@@ -71,7 +71,7 @@ func submitBody(tsv string) string {
 }
 
 // call routes one request through the server and returns the response.
-func call(t *testing.T, s *Server, method, target, body string) *httptest.ResponseRecorder {
+func call(t testing.TB, s *Server, method, target, body string) *httptest.ResponseRecorder {
 	t.Helper()
 	var rd *strings.Reader
 	if body == "" {
@@ -86,7 +86,7 @@ func call(t *testing.T, s *Server, method, target, body string) *httptest.Respon
 }
 
 // decode unmarshals a JSON response body.
-func decode[T any](t *testing.T, w *httptest.ResponseRecorder) T {
+func decode[T any](t testing.TB, w *httptest.ResponseRecorder) T {
 	t.Helper()
 	var v T
 	if err := json.Unmarshal(w.Body.Bytes(), &v); err != nil {
@@ -96,7 +96,7 @@ func decode[T any](t *testing.T, w *httptest.ResponseRecorder) T {
 }
 
 // waitDone long-polls the status endpoint until the job is terminal.
-func waitDone(t *testing.T, s *Server, id int) JobStatus {
+func waitDone(t testing.TB, s *Server, id int) JobStatus {
 	t.Helper()
 	for i := 0; i < 600; i++ {
 		w := call(t, s, "GET", fmt.Sprintf("/api/v1/jobs/%d?wait_ms=1000", id), "")
