@@ -1,7 +1,8 @@
 // Package cpu reports the instruction-set features the repo's vector
-// kernels need: the draw kernel of internal/prng (DESIGN §27) and the
-// batched logarithm of internal/score (DESIGN §28). Both choose their path
-// once, at init, from AVX2; this is the one place that asks the CPU.
+// kernels need: the draw kernel of internal/prng (DESIGN §27), and the
+// batched logarithm (DESIGN §28) and the split kernel (DESIGN §29) of
+// internal/score. All three choose their path once, at init, from AVX2;
+// this is the one place that asks the CPU.
 package cpu
 
 // AVX2 reports that AVX2 kernels may run: the CPU has AVX2 and the OS saves
