@@ -24,7 +24,7 @@
 //     The one exception is the dynamic split distribution, whose
 //     work-to-rank assignment is scheduling-dependent by design; its
 //     per-rank cost events are therefore not emitted (see splits'
-//     dynamic.go).
+//     learnRanks).
 //
 // Each rank records into its own Recorder (a Comm
 // must only be used from its own goroutine, and the same holds here); the

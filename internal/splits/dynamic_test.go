@@ -31,7 +31,7 @@ func TestFaultDelayedNextLeavesListToRankZero(t *testing.T) {
 	regs := []*obs.Registry{obs.NewRegistry(), obs.NewRegistry()}
 	start := time.Now()
 	_, err := comm.RunWithFaults(2, faults, func(c *comm.Comm) error {
-		got := learnDynamic(on(c, 1, regs[c.Rank()]), q, kernelOf(q, pr), modules, trees, par, prng.New(17))
+		got := learnRanks(on(c, 1, regs[c.Rank()]), q, kernelOf(q, pr), modules, trees, par, prng.New(17))
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("rank %d: result differs from the one-rank Learn", c.Rank())
 		}
@@ -59,7 +59,7 @@ func TestDynamicTrafficScheduleInvariant(t *testing.T) {
 	par := Params{NumSplits: 2, MaxSteps: 24, DynamicChunk: 7}
 	total := func(faults []comm.Fault) comm.Stats {
 		stats, err := comm.RunWithFaults(3, faults, func(c *comm.Comm) error {
-			learnDynamic(on(c, 1, nil), q, kernelOf(q, pr), modules, trees, par, prng.New(17))
+			learnRanks(on(c, 1, nil), q, kernelOf(q, pr), modules, trees, par, prng.New(17))
 			return nil
 		})
 		if err != nil {

@@ -237,7 +237,7 @@ func (sc *scratch) fillPair(q *score.QData, ref *nodeRef, parent int) int {
 }
 
 // evaluator scores ranges of one learn call's global candidate list on one
-// rank. A one-rank world and both exchanges evaluate through it.
+// rank. A one-rank world and both schedules evaluate through it.
 type evaluator struct {
 	rc    rank.Context
 	q     *score.QData
@@ -288,6 +288,17 @@ func (ev *evaluator) alignUp(ci int) int {
 	ref := ev.nodes[nodeIndexAt(ev.nodes, ci)]
 	nObs := len(ref.node.Obs)
 	return ref.offset + (ci-ref.offset+nObs-1)/nObs*nObs
+}
+
+// chunkStart is the first candidate of chunk k of the dynamic schedule,
+// alignUp(k·chunk), or the list's end once that is past it: a chunk's
+// bounds depend on k alone and end on pair boundaries. k·chunk is only
+// formed while it is below the list's end, so it cannot overflow.
+func (ev *evaluator) chunkStart(chunk, k int) int {
+	if k > (ev.total-1)/chunk {
+		return ev.total
+	}
+	return ev.alignUp(k * chunk)
 }
 
 // eval scores the candidates [lo, hi) of the global list on the intra-rank
@@ -499,10 +510,12 @@ func (ev *evaluator) recordMetrics(reg *obs.Registry, steps []int) {
 
 // recordWork appends the full list's per-candidate cost items to the work
 // record's assignment phase, in canonical candidate order, so the record is
-// identical for every worker count, and charges the exchange a world of more
-// than one rank makes: the segmented scan's two all-gathers, carrying one
-// weight partial per node and one element per split in res. steps must cover
-// the whole list, which is why only a one-rank world records.
+// identical for every worker count, and charges the exchange of the paper's
+// algorithm on more than one rank: the segmented scan's two all-gathers,
+// carrying one weight partial per node and one element per split in res
+// (the model charges the paper's exchange, not the per-rank broadcasts
+// scan.go sends). steps must cover the whole list, which is why only a
+// one-rank world records.
 func (ev *evaluator) recordWork(steps []int, res Result) {
 	ph := ev.rc.Hooks.Phase(PhaseAssign, false)
 	if ph == nil {

@@ -1,25 +1,38 @@
 // Segmented-scan split selection — the communication structure the paper
-// implements for Algorithm 5 and the one static exchange of a world of more
-// than one rank: "the contiguous arrangement of candidate splits for every
-// node allows us to compute the split weights for random sampling for all
-// the nodes using a single segmented parallel scan over the distributed
+// implements for Algorithm 5 and the one exchange of a world of more than
+// one rank: "the contiguous arrangement of candidate splits for every node
+// allows us to compute the split weights for random sampling for all the
+// nodes using a single segmented parallel scan over the distributed
 // cand-probs. Then, the splits for all the nodes are selected independently
 // on each processor, followed by an all-gather call to collect all the
 // chosen splits" (§3.2.3).
 //
-// Posteriors stay where they were scored. Two all-gathers carry the
-// per-node per-rank weight partials and the chosen splits, O(p·nodes +
+// The schedule decides only which spans of the global candidate list a rank
+// scores. The static schedule gives each rank one BlockRange block
+// (Algorithm 5 line 5). The dynamic schedule — the paper's stated future
+// work (§6: "implementing a dynamic load balancing scheme for computing the
+// posterior probabilities for all the candidate parent splits") — has every
+// rank, rank 0 included, take the next chunk number from one world-shared
+// counter and score that chunk, so slow (high-step-count) splits no longer
+// pin a whole block to one rank. Chunk k is the range
+// [alignUp(k·chunk), alignUp((k+1)·chunk)): its bounds depend on k alone and
+// end on pair boundaries, so no pair is evaluated in two pieces on that
+// schedule.
+//
+// Posteriors stay where they were scored. Two exchanges carry the per-span
+// per-node weight partials and the chosen splits, O(spans + nodes +
 // J·nodes) elements — the paper's O(τ log p + µJKRL) communication bound —
 // where gathering the posterior vector would carry every candidate. Because
 // sampling weights are integers, the distributed prefix sums are exact, and
 // the selection consumes the shared PRNG stream exactly as selectSplits does
 // over the full vector, so the chosen splits are bit-identical to a one-rank
-// world's.
+// world's whichever rank scored which span.
 
 package splits
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"parsimone/internal/comm"
 	"parsimone/internal/prng"
@@ -28,171 +41,173 @@ import (
 	"parsimone/internal/tree"
 )
 
-// nodePartial is one rank's contribution to one node's weight totals.
-type nodePartial struct {
-	Rank int
-	// Node is the global node index.
-	Node int
-	// Weight is the sum of this rank's quantized weights for the node;
-	// Retained the count of non-zero-posterior candidates.
-	Weight   uint64
-	Retained int
+// span is a range [lo, hi) of the global candidate list this rank scored:
+// its posteriors, and per pick kind the sampling weight of each candidate —
+// w[0] the quantized posterior (the weighted picks), w[1] one per retained
+// candidate (the uniform picks).
+type span struct {
+	lo, hi int
+	post   []float64
+	w      [2][]uint64
 }
 
-// pickMsg is one chosen split, sent to all ranks by its owner.
-type pickMsg struct {
-	Node int
-	// Kind 0 = weighted, 1 = uniform; S is the pick's sequence number.
-	Kind, S int
-	A       Assigned
+// newSpan wraps the posteriors of [lo, lo+len(post)) with their weights.
+// Weights come from score.QuantizeProb — the same grid as selectSplits, bit
+// for bit, or the two selections would consume the shared PRNG stream
+// differently.
+func newSpan(lo int, post []float64) span {
+	sp := span{lo: lo, hi: lo + len(post), post: post}
+	sp.w = [2][]uint64{make([]uint64, len(post)), make([]uint64, len(post))}
+	for k, p := range post {
+		sp.w[0][k] = score.QuantizeProb(p)
+		sp.w[1][k] = uint64(b2i(p > 0))
+	}
+	return sp
 }
 
-// learnScan is LearnWithComm's static exchange: each rank scores its block
-// of the global list, and the segmented scan selects the same Result
-// selectSplits would over the whole posterior vector.
-func learnScan(rc rank.Context, q *score.QData, kern *score.Kernel, modules [][]int,
-	trees [][]*tree.Tree, par Params, g *prng.MRG3) Result {
-	c := rc.Comm
-	ev := newEvaluator(rc, q, kern, modules, trees, par, g)
-	par, nodes := ev.par, ev.nodes
-
-	// Local posteriors over this rank's block, kept distributed. Weights
-	// come from score.QuantizeProb — the same grid as selectSplits, bit for
-	// bit, or the two selections would consume the shared PRNG stream
-	// differently.
-	lo, hi := comm.BlockRange(ev.total, c.Size(), c.Rank())
-	localP, localSteps, st := ev.eval(lo, hi)
-	ev.observe(st, localSteps)
-	localW := make([]uint64, hi-lo)
-	for k, p := range localP {
-		localW[k] = score.QuantizeProb(p)
-	}
-
-	// Per-node partial sums of this rank's block (the local half of the
-	// segmented scan).
-	var partials []nodePartial
-	ni := 0
-	for ci := lo; ci < hi; ci++ {
-		for nodes[ni].offset+nodes[ni].count <= ci {
-			ni++
-		}
-		if len(partials) == 0 || partials[len(partials)-1].Node != ni {
-			partials = append(partials, nodePartial{Rank: c.Rank(), Node: ni})
-		}
-		p := &partials[len(partials)-1]
-		p.Weight += localW[ci-lo]
-		if localP[ci-lo] > 0 {
-			p.Retained++
-		}
-	}
-	// All-gather the partials: entries arrive rank-major and node-ascending
-	// within a rank, giving every rank the full segmented prefix structure.
-	allPartials := comm.AllGatherv(c, partials)
-	byNode := make([][]nodePartial, len(nodes))
-	for _, p := range allPartials {
-		byNode[p.Node] = append(byNode[p.Node], p)
-	}
-
-	// mkLocal materializes the Assigned for a candidate this rank owns.
-	mkLocal := func(nodeIdx, ci int) Assigned {
-		ref := nodes[nodeIdx]
-		return ref.assigned(q, par.Candidates, ci-ref.offset, localP[ci-lo])
-	}
-
-	// Selection: identical draws to selectSplits, but only the rank owning
-	// the crossing point materializes the pick.
-	var localPicks []pickMsg
-	for nodeIdx := range nodes {
-		var totalW uint64
-		retained := 0
-		for _, p := range byNode[nodeIdx] {
-			totalW += p.Weight
-			retained += p.Retained
-		}
-		if retained == 0 {
-			continue
-		}
-		for s := 0; s < par.NumSplits; s++ {
-			u := g.Uint64n(totalW)
-			var cum uint64
-			for _, p := range byNode[nodeIdx] {
-				if u < cum+p.Weight {
-					if p.Rank == c.Rank() {
-						ci := findWeighted(nodes[nodeIdx], lo, hi, localW, u-cum)
-						localPicks = append(localPicks, pickMsg{Node: nodeIdx, Kind: 0, S: s, A: mkLocal(nodeIdx, ci)})
-					}
-					break
-				}
-				cum += p.Weight
-			}
-		}
-		for s := 0; s < par.NumSplits; s++ {
-			u := g.Uint64n(uint64(retained))
-			var cum uint64
-			for _, p := range byNode[nodeIdx] {
-				if u < cum+uint64(p.Retained) {
-					if p.Rank == c.Rank() {
-						ci := findRetained(nodes[nodeIdx], lo, hi, localP, int(u-cum))
-						localPicks = append(localPicks, pickMsg{Node: nodeIdx, Kind: 1, S: s, A: mkLocal(nodeIdx, ci)})
-					}
-					break
-				}
-				cum += uint64(p.Retained)
-			}
-		}
-	}
-
-	// Collect the picks (the paper's final all-gather) and restore the
-	// canonical (node, kind, sequence) order. Received collective payloads
-	// are shared between ranks (comm passes references), so sort a copy.
-	all := append([]pickMsg(nil), comm.AllGatherv(c, localPicks)...)
-	sort.Slice(all, func(a, b int) bool {
-		if all[a].Node != all[b].Node {
-			return all[a].Node < all[b].Node
-		}
-		if all[a].Kind != all[b].Kind {
-			return all[a].Kind < all[b].Kind
-		}
-		return all[a].S < all[b].S
-	})
-	var res Result
-	for _, p := range all {
-		if p.Kind == 0 {
-			res.Weighted = append(res.Weighted, p.A)
-		} else {
-			res.Uniform = append(res.Uniform, p.A)
-		}
-	}
-	return res
-}
-
-// findWeighted locates the candidate index within this rank's slice of the
-// node whose local weight prefix crosses rem.
-func findWeighted(ref *nodeRef, lo, hi int, localW []uint64, rem uint64) int {
-	start := max(ref.offset, lo)
-	end := min(ref.offset+ref.count, hi)
+// find returns the global index of the candidate of node ref within the
+// span at which the running kind weight first exceeds rem.
+func (sp *span) find(ref *nodeRef, kind int, rem uint64) int {
 	var cum uint64
-	for ci := start; ci < end; ci++ {
-		cum += localW[ci-lo]
+	for ci := max(ref.offset, sp.lo); ci < min(ref.offset+ref.count, sp.hi); ci++ {
+		cum += sp.w[kind][ci-sp.lo]
 		if rem < cum {
 			return ci
 		}
 	}
-	panic("splits: weighted crossing not found in local block")
+	panic("splits: crossing not found in span")
 }
 
-// findRetained locates the rem-th retained (positive-posterior) candidate
-// within this rank's slice of the node.
-func findRetained(ref *nodeRef, lo, hi int, localP []float64, rem int) int {
-	start := max(ref.offset, lo)
-	end := min(ref.offset+ref.count, hi)
-	for ci := start; ci < end; ci++ {
-		if localP[ci-lo] > 0 {
-			if rem == 0 {
-				return ci
+// nodePartial is one span's contribution to one node's weight totals.
+type nodePartial struct {
+	// Start is the global index of the partial's first candidate: spans are
+	// disjoint, so sorting by it restores the global segmented order.
+	Start int
+	// Node is the global node index; Rank and Span locate the span that
+	// scored the partial.
+	Node, Rank, Span int
+	// Sum is the span's weight for the node per pick kind: the sum of its
+	// quantized weights, and its count of non-zero-posterior candidates.
+	Sum [2]uint64
+}
+
+// exchange broadcasts v from every rank in turn and returns the ranks'
+// slices in rank order. Each element reaches the p−1 other ranks once,
+// whoever holds it, so the traffic — (p−1)·len elements in p·(p−1) sends —
+// does not depend on the schedule; a gather to a root would not send the
+// root's own share.
+func exchange[T any](c *comm.Comm, v []T) [][]T {
+	all := make([][]T, c.Size())
+	for root := range all {
+		all[root] = comm.Bcast(c, root, v)
+	}
+	return all
+}
+
+// learnRanks is LearnWithComm on a world of more than one rank: each rank
+// scores its spans of the global list — one static block, or the chunks of
+// par.DynamicChunk candidates it takes from a shared counter until the list
+// is exhausted — and the segmented scan selects the Result selectSplits
+// would over the whole posterior vector. The dynamic schedule emits no cost
+// events: which rank scores which chunk depends on scheduling, and per-rank
+// cost events would break the event-stream determinism the static schedule
+// guarantees. Its metrics are sums over whatever chunks this rank took, so
+// the registry totals stay schedule-invariant.
+func learnRanks(rc rank.Context, q *score.QData, kern *score.Kernel, modules [][]int,
+	trees [][]*tree.Tree, par Params, g *prng.MRG3) Result {
+	c := rc.Comm
+	ev := newEvaluator(rc, q, kern, modules, trees, par, g)
+
+	var spans []span
+	if chunk := ev.par.DynamicChunk; chunk > 0 {
+		next := comm.NewCounter(c)
+		var steps []int
+		for k := next.Next(c); ev.chunkStart(chunk, k) < ev.total; k = next.Next(c) {
+			lo := ev.chunkStart(chunk, k)
+			post, s, _ := ev.eval(lo, ev.chunkStart(chunk, k+1))
+			spans = append(spans, newSpan(lo, post))
+			steps = append(steps, s...)
+		}
+		ev.recordMetrics(rc.Hooks.Registry(), steps)
+	} else {
+		lo, hi := comm.BlockRange(ev.total, c.Size(), c.Rank())
+		post, steps, st := ev.eval(lo, hi)
+		ev.observe(st, steps)
+		spans = append(spans, newSpan(lo, post))
+	}
+	return selectScan(c, q, ev.nodes, spans, ev.par, g)
+}
+
+// selectScan is the segmented scan over the spans each rank of c holds,
+// which together tile the candidate list of nodes: it returns on every rank
+// the Result selectSplits returns over the whole posterior vector.
+func selectScan(c *comm.Comm, q *score.QData, nodes []*nodeRef, spans []span, par Params, g *prng.MRG3) Result {
+	// Per-node partial sums of each span (the local half of the segmented
+	// scan), exchanged and sorted into the global segmented order.
+	var partials []nodePartial
+	for si, sp := range spans {
+		for ci := sp.lo; ci < sp.hi; {
+			ni := nodeIndexAt(nodes, ci)
+			p := nodePartial{Start: ci, Node: ni, Rank: c.Rank(), Span: si}
+			for end := min(nodes[ni].offset+nodes[ni].count, sp.hi); ci < end; ci++ {
+				p.Sum[0] += sp.w[0][ci-sp.lo]
+				p.Sum[1] += sp.w[1][ci-sp.lo]
 			}
-			rem--
+			partials = append(partials, p)
 		}
 	}
-	panic("splits: retained crossing not found in local block")
+	all := slices.Concat(exchange(c, partials)...)
+	slices.SortFunc(all, func(a, b nodePartial) int { return cmp.Compare(a.Start, b.Start) })
+
+	// Selection: identical draws to selectSplits, node by node, weighted
+	// picks before uniform ones, but only the rank owning the crossing point
+	// materializes the pick. owners records whose pick each one is, which is
+	// the same on every rank.
+	var mine []Assigned
+	var owners []int
+	for i, j := 0, 0; i < len(all); i = j {
+		var total [2]uint64
+		for j = i; j < len(all) && all[j].Node == all[i].Node; j++ {
+			total[0] += all[j].Sum[0]
+			total[1] += all[j].Sum[1]
+		}
+		if total[1] == 0 {
+			continue
+		}
+		ref := nodes[all[i].Node]
+		for kind := range 2 {
+			for range par.NumSplits {
+				u := g.Uint64n(total[kind])
+				for _, p := range all[i:j] {
+					if u < p.Sum[kind] {
+						if p.Rank == c.Rank() {
+							sp := &spans[p.Span]
+							ci := sp.find(ref, kind, u)
+							mine = append(mine, ref.assigned(q, par.Candidates, ci-ref.offset, sp.post[ci-sp.lo]))
+						}
+						owners = append(owners, p.Rank)
+						break
+					}
+					u -= p.Sum[kind]
+				}
+			}
+		}
+	}
+
+	// Collect the picks (the paper's final all-gather) and lay them out in
+	// canonical (node, kind, sequence) order by taking each from its owner's
+	// list in turn. Every selecting node made J weighted, then J uniform
+	// picks.
+	picks := exchange(c, mine)
+	var res Result
+	for i, owner := range owners {
+		a := picks[owner][0]
+		picks[owner] = picks[owner][1:]
+		if i/par.NumSplits%2 == 0 {
+			res.Weighted = append(res.Weighted, a)
+		} else {
+			res.Uniform = append(res.Uniform, a)
+		}
+	}
+	return res
 }

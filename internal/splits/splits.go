@@ -15,11 +15,14 @@
 // significantly across splits".
 //
 // The candidate list is flattened globally and block-partitioned over ranks
-// (the paper's fine-grained distribution; Algorithm 5 line 5). The nObs
-// thresholds of a ⟨node, parent⟩ pair share one bootstrap resample per step,
-// drawn from a numbered PRNG substream indexed by the pair's *global*
-// position, so posteriors are identical for every rank count and for the
-// sequential run (§4.2's block-split PRNG discipline; eval.go, DESIGN §18).
+// (the paper's fine-grained distribution; Algorithm 5 line 5), or dealt in
+// chunks from a shared counter (the dynamic schedule); either way the ranks
+// select with one segmented scan over the posteriors where they were scored
+// (scan.go). The nObs thresholds of a ⟨node, parent⟩ pair share one bootstrap
+// resample per step, drawn from a numbered PRNG substream indexed by the
+// pair's *global* position, so posteriors are identical for every rank count
+// and for the sequential run (§4.2's block-split PRNG discipline; eval.go,
+// DESIGN §18).
 package splits
 
 import (
@@ -62,8 +65,8 @@ type Params struct {
 	// DynamicChunk, when positive, makes a world of more than one rank use
 	// the dynamic distribution (the paper's §6 future work) — every rank
 	// takes chunks of this many candidates from a shared counter — instead
-	// of the static block partition and its segmented scan. The learned
-	// result is identical either way.
+	// of the static block partition. Both schedules select with the same
+	// segmented scan, and the learned result is identical either way.
 	DynamicChunk int
 	// Deprecated: ignored; the segmented scan is the one static exchange.
 	// Deleted with its last setter, benchmark/batch.go (ROADMAP 2(d)).
@@ -140,8 +143,7 @@ const PhaseAssign = "splits/assign"
 // vector: J weighted + J uniform picks over the retained (non-zero
 // posterior) candidates per node, in canonical node order, consuming the
 // shared stream identically on every rank. It is the selection of a one-rank
-// world and of the dynamic path, and the reference the segmented scan
-// reproduces without the vector.
+// world, and the reference the segmented scan reproduces without the vector.
 func selectSplits(q *score.QData, nodes []*nodeRef, posteriors []float64, par Params, g *prng.MRG3) Result {
 	var res Result
 	for _, ref := range nodes {
@@ -175,11 +177,11 @@ func selectSplits(q *score.QData, nodes []*nodeRef, posteriors []float64, par Pa
 
 // LearnWithComm computes posteriors over the ranks of rc's world and selects
 // splits identically on every rank. A world of more than one rank scores
-// fine-grained static blocks (Algorithm 5 line 5) and selects with the
-// paper's segmented scan (scan.go), or, when par.DynamicChunk is set, takes
-// chunks from a shared counter on every rank (dynamic.go). A one-rank world has nobody to
-// exchange with: it scores the whole list, records its work and selects on
-// its own posterior vector. Each rank's share is fanned over its rc.Workers
+// fine-grained static blocks (Algorithm 5 line 5), or, when par.DynamicChunk
+// is set, chunks it takes from a shared counter, and selects with the
+// paper's segmented scan either way (scan.go). A one-rank world has nobody
+// to exchange with: it scores the whole list, records its work and selects
+// on its own posterior vector. Each rank's share is fanned over its rc.Workers
 // pool workers. Posteriors, trace items and the selected splits are
 // bit-identical for every (rank count, W, exchange): each pair draws only
 // from its own numbered substream and each candidate writes only its own
@@ -188,10 +190,7 @@ func selectSplits(q *score.QData, nodes []*nodeRef, posteriors []float64, par Pa
 func LearnWithComm(rc rank.Context, q *score.QData, kern *score.Kernel, modules [][]int,
 	trees [][]*tree.Tree, par Params, g *prng.MRG3) Result {
 	if rc.Comm.Size() > 1 {
-		if par.DynamicChunk > 0 {
-			return learnDynamic(rc, q, kern, modules, trees, par, g)
-		}
-		return learnScan(rc, q, kern, modules, trees, par, g)
+		return learnRanks(rc, q, kern, modules, trees, par, g)
 	}
 	ev := newEvaluator(rc, q, kern, modules, trees, par, g)
 	post, steps, st := ev.eval(0, ev.total)

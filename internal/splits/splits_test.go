@@ -259,10 +259,10 @@ func TestWorkloadRecordsImbalanceSource(t *testing.T) {
 	}
 }
 
-// TestRecordWorkChargesScan: the work record charges the exchange a world of
-// more than one rank runs — the segmented scan's two all-gathers of one
-// weight partial per node and the picks made — not a posterior all-gather of
-// every candidate.
+// TestRecordWorkChargesScan: the work record charges the paper's exchange on
+// more than one rank — the segmented scan's two all-gathers of one weight
+// partial per node and the picks made — not a posterior all-gather of every
+// candidate.
 func TestRecordWorkChargesScan(t *testing.T) {
 	q, modules, trees, _ := fixture(t, 10)
 	wl := &trace.Workload{}
@@ -320,13 +320,16 @@ func TestNegativeCIHalfWidthRunsToMaxSteps(t *testing.T) {
 	}
 }
 
-// TestSelectSplitsPosteriorExtremes is the satellite regression test for the
-// shared quantizer: selection must stay well-defined (and p-invariant, via
-// the shared grid) when posteriors sit at the extremes — exactly 0,
-// sub-ULP positive, and exactly 1. Before score.QuantizeProb, a sub-ULP
-// posterior quantized to weight 0 while staying "retained", so a node whose
-// only retained candidates were sub-ULP handed WeightedIndex an all-zero
-// vector, which returns -1 and crashed the selection.
+// TestSelectSplitsPosteriorExtremes is the regression test for the shared
+// quantizer: selection must stay well-defined (and p-invariant, via the
+// shared grid) when posteriors sit at the extremes — exactly 0, sub-ULP
+// positive, and exactly 1. Before score.QuantizeProb, a sub-ULP posterior
+// quantized to weight 0 while staying "retained", so a node whose only
+// retained candidates were sub-ULP handed WeightedIndex an all-zero vector,
+// which returns -1 and crashed the selection. The same posteriors, cut into
+// spans as static blocks or as chunks of 1 and 7 dealt round the ranks, go
+// through the segmented scan on 2 and 3 ranks, whose span-local find must
+// land where selectSplits does on all-zero and sub-ULP nodes too.
 func TestSelectSplitsPosteriorExtremes(t *testing.T) {
 	q, modules, trees, _ := fixture(t, 5)
 	par := Params{NumSplits: 2}.WithDefaults(q.N)
@@ -357,6 +360,21 @@ func TestSelectSplitsPosteriorExtremes(t *testing.T) {
 		}
 		if name != "all zero" && len(res.Weighted) == 0 {
 			t.Fatalf("%s: no splits selected", name)
+		}
+		for _, p := range []int{2, 3} {
+			for _, chunk := range []int{0, 1, 7} {
+				onRanks(t, fmt.Sprintf("%s chunk=%d", name, chunk), p, res, func(c *comm.Comm) Result {
+					var spans []span
+					if chunk == 0 {
+						lo, hi := comm.BlockRange(total, p, c.Rank())
+						spans = append(spans, newSpan(lo, posteriors[lo:hi]))
+					}
+					for lo := c.Rank() * chunk; chunk > 0 && lo < total; lo += p * chunk {
+						spans = append(spans, newSpan(lo, posteriors[lo:min(lo+chunk, total)]))
+					}
+					return selectScan(c, q, nodes, spans, par, prng.New(21))
+				})
+			}
 		}
 	}
 }
@@ -470,37 +488,59 @@ func BenchmarkLearnWorkers(b *testing.B) {
 	}
 }
 
-// TestScanUsesLessCommunication: the static exchange moves what scan.go's
-// two all-gathers carry and no more. Each all-gathers P elements by a gather
-// to rank 0 (at most P sent) and a broadcast of the P to the p−1 other ranks,
-// so it sends at most p·P; the partials number at most nodes + p − 1 (a
-// block boundary splits one node's partial in two) and the picks at most
-// 2J per node. The total must stay within that O(p·nodes + J·nodes) bound,
-// and below the candidate count a posterior all-gather would carry.
+// TestScanUsesLessCommunication: both schedules move what the segmented
+// scan's two exchanges carry and no more. Each exchange broadcasts every
+// rank's slice to the p−1 others, so it moves (p−1)·len elements: one
+// partial per node piece of a scored span, and at most 2J picks per node.
+// The dynamic schedule adds one element per Next — one per chunk and one
+// more per rank, which finds the list exhausted — and the counter's
+// broadcast. The total must stay within that bound, and below the
+// candidate count a posterior all-gather would carry.
 func TestScanUsesLessCommunication(t *testing.T) {
 	q, modules, trees, _ := fixture(t, 13)
 	pr := score.DefaultPrior()
-	par := Params{NumSplits: 2, MaxSteps: 16}
-	ev := newEvaluator(rank.Self(nil), q, kernelOf(q, pr), modules, trees, par, prng.New(3))
+	ev := newEvaluator(rank.Self(nil), q, kernelOf(q, pr), modules, trees, Params{NumSplits: 2}, prng.New(3))
 	nodes, j := len(ev.nodes), ev.par.NumSplits
-	for _, p := range []int{2, 4, 8} {
-		stats, err := comm.Run(p, func(c *comm.Comm) error {
-			LearnWithComm(on(c, 1, nil), q, kernelOf(q, pr), modules, trees, par, prng.New(3))
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
+	// pieces counts the partials of the span [lo, hi): the nodes it meets.
+	pieces := func(lo, hi int) int {
+		if hi <= lo {
+			return 0
 		}
-		var elems int64
-		for _, s := range stats {
-			elems += s.Elems
-		}
-		bound := int64(p * (nodes + p - 1 + 2*j*nodes))
-		if elems > bound {
-			t.Errorf("p=%d: %d elements moved, bound p·(nodes+p−1+2J·nodes) = %d", p, elems, bound)
-		}
-		if elems >= int64(ev.total) {
-			t.Errorf("p=%d: %d elements moved, not below the %d candidates a posterior gather carries", p, elems, ev.total)
+		return nodeIndexAt(ev.nodes, hi-1) - nodeIndexAt(ev.nodes, lo) + 1
+	}
+	for _, chunk := range []int{0, 7} {
+		for _, p := range []int{2, 4, 8} {
+			par := Params{NumSplits: 2, MaxSteps: 16, DynamicChunk: chunk}
+			stats, err := comm.Run(p, func(c *comm.Comm) error {
+				LearnWithComm(on(c, 1, nil), q, kernelOf(q, pr), modules, trees, par, prng.New(3))
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var elems int64
+			for _, s := range stats {
+				elems += s.Elems
+			}
+			partials, extra := 0, 0
+			if chunk == 0 {
+				for r := range p {
+					partials += pieces(comm.BlockRange(ev.total, p, r))
+				}
+			} else {
+				chunks := (ev.total-1)/chunk + 1
+				for k := range chunks {
+					partials += pieces(ev.chunkStart(chunk, k), ev.chunkStart(chunk, k+1))
+				}
+				extra = chunks + p + p - 1
+			}
+			bound := int64((p-1)*(partials+2*j*nodes) + extra)
+			if elems > bound {
+				t.Errorf("chunk=%d p=%d: %d elements moved, bound (p−1)·(partials+2J·nodes)+%d = %d", chunk, p, elems, extra, bound)
+			}
+			if elems >= int64(ev.total) {
+				t.Errorf("chunk=%d p=%d: %d elements moved, not below the %d candidates a posterior gather carries", chunk, p, elems, ev.total)
+			}
 		}
 	}
 }
@@ -520,10 +560,10 @@ func TestParamsValidate(t *testing.T) {
 	}
 }
 
-// TestScanMetricsParity: the static exchange records the split_steps
+// TestScanMetricsParity: the static schedule records the split_steps
 // histogram and the kernel counters like a one-rank world — it once skipped
 // them — and its split_steps entry is byte-identical to the one-rank and the
-// dynamic exchange's, as recordMetrics promises for every strategy.
+// dynamic schedule's, as recordMetrics promises for every strategy.
 func TestScanMetricsParity(t *testing.T) {
 	q, modules, trees, _ := fixture(t, 16)
 	pr := score.DefaultPrior()
