@@ -159,7 +159,10 @@ bench-hybrid:
 serve-smoke:
 	$(GO) run ./cmd/parsimoned -addr 127.0.0.1:0 -smoke
 
-# Non-test Go lines outside benchmark/ — the size count CHANGES.md quotes
-# before and after each change.
+# Non-test source lines outside benchmark/ — the size count CHANGES.md
+# quotes before and after each change: Go, the assembly kernels (.s and
+# their .h include files), and their total, one per line.
 loc:
-	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' | xargs cat | wc -l
+	@go=$$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' | xargs cat | wc -l); \
+	asm=$$(find . \( -name '*.s' -o -name '*.h' \) ! -path './benchmark/*' | xargs cat | wc -l); \
+	echo "go $$go"; echo "asm $$asm"; echo "total $$((go + asm))"

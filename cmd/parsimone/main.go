@@ -107,7 +107,7 @@ func learnFlags(fs *flag.FlagSet) *serve.JobRequest {
 	fs.IntVar(&req.Trees, "trees", 1, "regression trees per module (R)")
 	fs.IntVar(&req.Splits, "splits", 2, "splits chosen per tree node (J)")
 	fs.IntVar(&req.MaxSteps, "max-steps", 64, "bootstrap sampling cap per split (S)")
-	fs.StringVar(&req.Dist, "dist", "static", "parallel split distribution: static (the paper's segmented scan; scan is an alias) or dynamic")
+	fs.StringVar(&req.Dist, "dist", "static", "parallel split distribution: static blocks (scan is an alias) or dynamic chunks; both select with the paper's segmented scan")
 	fs.IntVar(&req.MaxRestarts, "max-restarts", 0, "restart the world up to this many times after a rank failure, resuming from -checkpoint if set")
 	fs.Func("regulators", "comma-separated candidate regulator names (default: all variables)", func(s string) error {
 		if s != "" {

@@ -132,10 +132,11 @@ func CrossVal(scale Scale) *Table {
 }
 
 // CommVolume measures the real message traffic of the two split
-// distribution paths on the goroutine message-passing runtime — the
+// distribution schedules on the goroutine message-passing runtime — the
 // communication claim behind the paper's segmented-scan design (§3.2.3:
-// O(τ log p + µJKRL) instead of gathering every posterior), which is the
-// static path.
+// O(τ log p + µJKRL) instead of gathering every posterior). Both schedules
+// select with that scan; they differ only in which rank scores which span
+// of the candidate list, and the dynamic one adds its counter's traffic.
 func CommVolume(scale Scale) *Table {
 	n, m := 80, 40
 	ranks := []int{2, 4, 8}
@@ -148,7 +149,8 @@ func CommVolume(scale Scale) *Table {
 		Header: []string{"p", "path", "elements", "messages", "identical"},
 		Notes: []string{
 			"elements = words moved through sends across all ranks during the full pipeline;",
-			"static is the paper's Algorithm 5 segmented scan; both paths learn the same network",
+			"both paths select with the paper's Algorithm 5 segmented scan: static scores one block per rank, dynamic takes chunks from a shared counter, one message per chunk request;",
+			"each exchange is one broadcast per rank, p·(p−1) messages; both paths learn the same network",
 		},
 	}
 	d := genData(n, m, 777)

@@ -48,7 +48,7 @@ type JobRequest struct {
 	Trees      int      `json:"trees,omitempty"`
 	Splits     int      `json:"splits,omitempty"`
 	MaxSteps   int      `json:"max_steps,omitempty"`
-	Dist       string   `json:"dist,omitempty"` // "static" (the segmented scan; "scan" is an alias) or "dynamic"
+	Dist       string   `json:"dist,omitempty"` // "static" blocks ("scan" is an alias) or "dynamic" chunks, both selected by the segmented scan
 	Regulators []string `json:"regulators,omitempty"`
 	N          int      `json:"n,omitempty"`
 	M          int      `json:"m,omitempty"`
