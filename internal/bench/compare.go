@@ -148,7 +148,7 @@ func CommVolume(scale Scale) *Table {
 		Title:  fmt.Sprintf("Communication volume — split distribution paths (n=%d, m=%d, measured)", n, m),
 		Header: []string{"p", "path", "elements", "messages", "identical"},
 		Notes: []string{
-			"elements = words moved through sends across all ranks during the full pipeline;",
+			"elements = payload items sent across all ranks during the full pipeline (a slice counts its length, any other value 1);",
 			"both paths select with the paper's Algorithm 5 segmented scan: static scores one block per rank, dynamic takes chunks from a shared counter, one message per chunk request;",
 			"each exchange is one broadcast per rank, p·(p−1) messages; both paths learn the same network",
 		},

@@ -13,7 +13,15 @@ import "parsimone/internal/score"
 type Batch struct {
 	stats []score.Stats
 	vals  []float64
+	// pre and preSq are the gather kernel's running sums.
+	pre   []int32
+	preSq []int64
 }
+
+// maxKernelObs is the largest observation count the gather kernel takes:
+// it sums cells mod 2³², which is exact while every block's sum, at most
+// m·MaxAbsCell in magnitude, fits an int32.
+const maxKernelObs = 1<<31/score.MaxAbsCell - 1
 
 // score evaluates every gathered block with k, or with p where no kernel is
 // attached, and returns the scores in gathering order.
@@ -32,25 +40,36 @@ func (b *Batch) score(k *score.Kernel, p score.Prior) []float64 {
 	return vals
 }
 
-// GainsAttachVar stores GainAttachVar(x, lo+i) in out[i] for every i.
+// GainsAttachVar stores GainAttachVar(x, lo+i) in out[i] for every i. On
+// amd64 with AVX2 each candidate's blocks are gathered by the kernel over
+// its observation layout (DESIGN §30); elsewhere, and for more than
+// maxKernelObs observations, by the portable loop, which is the reference.
 func (cc *CoClustering) GainsAttachVar(b *Batch, x, lo int, out []float64) {
 	row := cc.Q.Row(x)
 	k := len(cc.Clusters)
+	hi := lo + len(out)
 	b.stats = b.stats[:0]
-	for to := lo; to < lo+len(out); to++ {
-		if to == k {
+	if useKernel && cc.Q.M <= maxKernelObs {
+		gatherKernel(b, cc, row, min(lo, k), min(hi, k))
+		if hi > k {
 			b.stats = append(b.stats, score.StatsOf(row))
-			continue
 		}
-		for _, c := range cc.Clusters[to].Obs.Clusters {
-			var sum, sumsq int64
-			for _, j := range c.Obs {
-				v := row[j]
-				sum += v
-				sumsq += v * v
+	} else {
+		for to := lo; to < hi; to++ {
+			if to == k {
+				b.stats = append(b.stats, score.StatsOf(row))
+				continue
 			}
-			b.stats = append(b.stats, score.Stats{
-				N: c.Stats.N + int64(len(c.Obs)), Sum: c.Stats.Sum + sum, SumSq: c.Stats.SumSq + sumsq})
+			for _, c := range cc.Clusters[to].Obs.Clusters {
+				var sum, sumsq int64
+				for _, j := range c.Obs {
+					v := int64(row[j])
+					sum += v
+					sumsq += v * v
+				}
+				b.stats = append(b.stats, score.Stats{
+					N: c.Stats.N + int64(len(c.Obs)), Sum: c.Stats.Sum + sum, SumSq: c.Stats.SumSq + sumsq})
+			}
 		}
 	}
 	vals := b.score(cc.Kernel, cc.Prior)

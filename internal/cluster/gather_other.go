@@ -1,0 +1,11 @@
+//go:build !amd64
+
+package cluster
+
+// useKernel is false: this platform has no gather kernel, and
+// GainsAttachVar runs the portable loop.
+var useKernel = false
+
+func gatherKernel(*Batch, *CoClustering, []int32, int, int) {
+	panic("cluster: no gather kernel on this platform")
+}

@@ -218,7 +218,9 @@ func RunWithFaults(p int, faults []Fault, fn func(*Comm) error) ([]Stats, error)
 // injected fault or a cancellation as an error uses Run(1, …).
 func Self() *Comm { return newWorld(1, make(chan struct{}), nil).endpoint(0, 0, &Stats{}) }
 
-// elems estimates the number of elements (words) in a payload.
+// elems counts the elements of a payload: payload items, where a slice,
+// array or string counts its length and any other value 1. It does not
+// count words: a slice of structs counts one element per struct.
 func elems(v any) int64 {
 	rv := reflect.ValueOf(v)
 	switch rv.Kind() {

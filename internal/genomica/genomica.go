@@ -117,7 +117,7 @@ func rowPartStats(q *score.QData, x int, obs []int) score.Stats {
 	var s score.Stats
 	row := q.Row(x)
 	for _, j := range obs {
-		s.Add(row[j])
+		s.Add(int64(row[j]))
 	}
 	return s
 }
@@ -140,7 +140,7 @@ func bestSplit(q *score.QData, pr score.Prior, vars, obs []int, par Params) (par
 	for _, x := range par.Candidates {
 		row := q.Row(x)
 		for i, j := range obs {
-			vals[i] = row[j]
+			vals[i] = int64(row[j])
 		}
 		sort.Slice(vals, func(a, b int) bool { return vals[a] < vals[b] })
 		// Quantile grid of distinct candidate thresholds.
@@ -156,15 +156,15 @@ func bestSplit(q *score.QData, pr score.Prior, vars, obs []int, par Params) (par
 			for _, xx := range vars {
 				rowx := q.Row(xx)
 				for _, j := range obs {
-					if row[j] <= v {
-						le.Add(rowx[j])
+					if int64(row[j]) <= v {
+						le.Add(int64(rowx[j]))
 					} else {
-						gt.Add(rowx[j])
+						gt.Add(int64(rowx[j]))
 					}
 				}
 			}
 			for _, j := range obs {
-				if row[j] <= v {
+				if int64(row[j]) <= v {
 					nle++
 				}
 			}
@@ -193,7 +193,7 @@ func induceTree(q *score.QData, pr score.Prior, vars, obs []int, depth int, par 
 	var le, gt []int
 	row := q.Row(parent)
 	for _, j := range obs {
-		if row[j] <= value {
+		if int64(row[j]) <= value {
 			le = append(le, j)
 		} else {
 			gt = append(gt, j)

@@ -42,7 +42,7 @@ func blockStats(q *score.QData, vars, obs []int) score.Stats {
 	for _, x := range vars {
 		row := q.Row(x)
 		for _, j := range obs {
-			s.Add(row[j])
+			s.Add(int64(row[j]))
 		}
 	}
 	return s
@@ -53,7 +53,7 @@ func rowPart(q *score.QData, x int, obs []int) score.Stats {
 	var s score.Stats
 	row := q.Row(x)
 	for _, j := range obs {
-		s.Add(row[j])
+		s.Add(int64(row[j]))
 	}
 	return s
 }

@@ -132,7 +132,7 @@ func statsOfModule(q *score.QData, vars []int) score.Stats {
 	var s score.Stats
 	for _, x := range vars {
 		for _, v := range q.Row(x) {
-			s.Add(v)
+			s.Add(int64(v))
 		}
 	}
 	return s

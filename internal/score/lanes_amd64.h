@@ -1,0 +1,129 @@
+// The lane code shared by the split kernel (split_amd64.s, DESIGN §29) and
+// the fused block scoring (batch_amd64.s, DESIGN §30): the lane constants,
+// the exact int64 → float64 conversions, a table entry's c1 and c2, and βN
+// with Kernel.betaN's operations.
+//
+// BX points at a kernelLanes: row r (one constant per lane) at byte 32·r,
+// the spread table at byte 992.
+#define S_MAGIC   0(BX)
+#define S_TWO52   32(BX)
+#define S_TWO32   64(BX)
+#define S_LO32    96(BX)
+#define S_HIDW    128(BX)
+#define S_NMAX    160(BX)
+#define S_SCALE   192(BX)
+#define S_SCALE2  224(BX)
+#define S_MU0     256(BX)
+#define S_LAMBDA0 288(BX)
+#define S_ALPHA0  320(BX)
+#define S_BETA0   352(BX)
+#define S_LOG2PI  384(BX)
+#define S_HALF    416(BX)
+#define S_ABS     448(BX)
+#define S_EXPLO   480(BX)
+#define S_EXPHI   512(BX)
+#define S_KMAGIC  544(BX)
+#define S_TIDX    576(BX)
+#define S_MLOW    608(BX)
+#define S_MMAGIC  640(BX)
+#define S_QUARTER 672(BX)
+#define S_THIRD   704(BX)
+#define S_LN2     736(BX)
+#define S_NAN     768(BX)
+#define S_EPS     800(BX)
+#define S_SLACK   832(BX)
+#define S_SIGN    864(BX)
+#define S_HALFR   896(BX)
+#define S_ODD     928(BX)
+#define S_ONE     960(BX)
+#define S_SPREAD  992
+
+// CVTQ converts the four int64 lanes of y to float64, rounding once as
+// CVTSQ2SD does: the high words, signed, convert exactly (VCVTDQ2PD) and
+// scale by 2³², the low words, unsigned, convert exactly as
+// (2⁵² | lo) − 2⁵², and their sum is the one rounding. Uses a and b.
+#define CVTQ(y, a, xa, b) \
+	VMOVDQU   S_HIDW, a; \
+	VPERMD    y, a, a; \
+	VCVTDQ2PD xa, a; \
+	VMULPD    S_TWO32, a, a; \
+	VPAND     S_LO32, y, b; \
+	VPOR      S_TWO52, b, b; \
+	VSUBPD    S_TWO52, b, b; \
+	VADDPD    b, a, y
+
+// CVTM converts the four int64 lanes of y, each in [−2⁵¹, 2⁵¹), to
+// float64 exactly as (1.5·2⁵² + y) − 1.5·2⁵².
+#define CVTM(y) \
+	VPADDQ S_MAGIC, y, y; \
+	VSUBPD S_MAGIC, y, y
+
+// LANES moves the four qwords of y (x its low half) into AX, DX, R12 and
+// R13, using xt.
+#define LANES(y, x, xt) \
+	VMOVQ        x, AX; \
+	VPEXTRQ      $1, x, DX; \
+	VEXTRACTI128 $1, y, xt; \
+	VMOVQ        xt, R12; \
+	VPEXTRQ      $1, xt, R13
+
+// PAIRS loads the 16 bytes at each of m0…m3 — two adjacent float64 — and
+// leaves the first of each in lo and the second in hi, lane by lane. Uses
+// y0 and y1 (x0, x1 their low halves).
+#define PAIRS(m0, m1, m2, m3, x0, y0, x1, y1, lo, hi) \
+	VMOVUPD     m0, x0; \
+	VMOVUPD     m1, x1; \
+	VINSERTF128 $1, m2, y0, y0; \
+	VINSERTF128 $1, m3, y1, y1; \
+	VUNPCKLPD   y1, y0, lo; \
+	VUNPCKHPD   y1, y0, hi
+
+// ENTRY takes a block count in Y0 and leaves in Y7 the lanes with
+// 1 ≤ N < len(tab), in Y12 and Y13 the c1 and c2 of their table entries
+// (56 bytes each; the other lanes read entry 0) and in Y0 the count as a
+// float64. Uses Y14, Y15, AX, DX, R12 and R13.
+#define ENTRY \
+	VPXOR    Y15, Y15, Y15; \
+	VPCMPGTQ Y15, Y0, Y7; \
+	VMOVDQU  S_NMAX, Y14; \
+	VPCMPGTQ Y0, Y14, Y14; \
+	VPAND    Y14, Y7, Y7; \
+	VPAND    Y7, Y0, Y0; \
+	LANES(Y0, X0, X14); \
+	IMUL3Q   $56, AX, AX; \
+	IMUL3Q   $56, DX, DX; \
+	IMUL3Q   $56, R12, R12; \
+	IMUL3Q   $56, R13, R13; \
+	PAIRS((R9)(AX*1), (R9)(DX*1), (R9)(R12*1), (R9)(R13*1), X14, Y14, X15, Y15, Y12, Y13); \
+	CVTM(Y0)
+
+// BETAN takes a block's n (a float64) in Y0 and its Sum and SumSq, as
+// float64, in Y1 and Y2, and leaves, in the operations of Kernel.betaN and
+// NewKernel: Y5 = αN = α₀ + n/2, Y6 = c3 = n/2·ln 2π and
+// Y8 = βN = (β₀ + 0.5·ss) + λ₀n·dm·dm/(2·(λ₀+n)), with sum and sumsq
+// scaled by 2⁻¹⁶ and 2⁻³², mean = sum/n, ss = sumsq − sum·sum/n (0 where
+// it is negative) and dm = mean − μ₀. Uses Y0–Y6, Y8 and Y14.
+#define BETAN \
+	VMULPD  S_SCALE, Y1, Y1; \
+	VMULPD  S_SCALE2, Y2, Y2; \
+	VDIVPD  Y0, Y1, Y3; \
+	VMULPD  Y1, Y1, Y1; \
+	VDIVPD  Y0, Y1, Y1; \
+	VSUBPD  Y1, Y2, Y2; \
+	VXORPD  Y14, Y14, Y14; \
+	VCMPPD  $1, Y14, Y2, Y14; \
+	VANDNPD Y2, Y14, Y2; \
+	VSUBPD  S_MU0, Y3, Y3; \
+	VMULPD  S_LAMBDA0, Y0, Y1; \
+	VMULPD  Y3, Y1, Y1; \
+	VMULPD  Y3, Y1, Y1; \
+	VADDPD  S_LAMBDA0, Y0, Y4; \
+	VADDPD  Y4, Y4, Y4; \
+	VDIVPD  Y4, Y1, Y1; \
+	VMULPD  S_HALF, Y2, Y2; \
+	VADDPD  S_BETA0, Y2, Y2; \
+	VADDPD  Y1, Y2, Y8; \
+	VMULPD  S_HALF, Y0, Y0; \
+	VMULPD  S_LOG2PI, Y0, Y6; \
+	VADDPD  S_ALPHA0, Y0, Y5
+

@@ -27,6 +27,53 @@ func TestQuantizeClips(t *testing.T) {
 	}
 }
 
+// TestQuantizeFitsInt32: every value Quantize returns lies within
+// ±MaxAbsCell, so QData's int32 cells hold it exactly — at the clipping
+// bounds ±MaxAbsValue and just inside and past them, for ±Inf, for NaN
+// (which maps to 0 on every platform), and for the extremes of float64 —
+// and QuantizeData stores each cell as Quantize's value.
+func TestQuantizeFitsInt32(t *testing.T) {
+	inside := math.Nextafter(MaxAbsValue, 0)
+	want := map[float64]int64{
+		MaxAbsValue:                    MaxAbsCell,
+		-MaxAbsValue:                   -MaxAbsCell,
+		math.Nextafter(MaxAbsValue, 9): MaxAbsCell,
+		inside:                         int64(math.RoundToEven(inside * ValueScale)),
+		math.Inf(1):                    MaxAbsCell,
+		math.Inf(-1):                   -MaxAbsCell,
+		math.MaxFloat64:                MaxAbsCell,
+		-math.MaxFloat64:               -MaxAbsCell,
+		math.SmallestNonzeroFloat64:    0,
+	}
+	for x, w := range want {
+		if got := Quantize(x); got != w {
+			t.Fatalf("Quantize(%v) = %d, want %d", x, got, w)
+		}
+	}
+	for _, nan := range []float64{math.NaN(), -math.NaN(), math.Float64frombits(0x7FF0000000000001)} {
+		if got := Quantize(nan); got != 0 {
+			t.Fatalf("Quantize(NaN %#x) = %d, want 0", math.Float64bits(nan), got)
+		}
+	}
+	check := func(x float64) bool {
+		q := Quantize(x)
+		return q >= -MaxAbsCell && q <= MaxAbsCell && int64(int32(q)) == q
+	}
+	if err := quick.Check(check, nil); err != nil {
+		t.Fatal(err)
+	}
+	d := dataset.New(1, 4)
+	for j, x := range []float64{MaxAbsValue, -MaxAbsValue, 1e300, -0.5} {
+		d.Set(0, j, x)
+	}
+	q := QuantizeData(d)
+	for j := range q.M {
+		if q.At(0, j) != Quantize(d.At(0, j)) {
+			t.Fatalf("cell %d stored as %d, Quantize gives %d", j, q.At(0, j), Quantize(d.At(0, j)))
+		}
+	}
+}
+
 func TestQuantizeMonotone(t *testing.T) {
 	check := func(a, b float64) bool {
 		if math.IsNaN(a) || math.IsNaN(b) {
@@ -52,7 +99,7 @@ func TestQuantizeData(t *testing.T) {
 	if q.At(1, 2) != 3<<(FracBits-1) {
 		t.Fatalf("At(1,2) = %d", q.At(1, 2))
 	}
-	if len(q.Row(1)) != 3 || q.Row(1)[2] != q.At(1, 2) {
+	if len(q.Row(1)) != 3 || int64(q.Row(1)[2]) != q.At(1, 2) {
 		t.Fatal("Row broken")
 	}
 }

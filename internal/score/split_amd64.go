@@ -2,10 +2,10 @@ package score
 
 import "math"
 
-// splitLanes is what splitsAVX2 reads besides the tables it loads from;
-// split_amd64.s addresses it by byte offset. Each row holds one constant
-// once per lane.
-type splitLanes struct {
+// kernelLanes is what splitsAVX2 and logmlAVX2 read besides the tables
+// they load from; lanes_amd64.h names its rows by byte offset. Each row
+// holds one constant once per lane.
+type kernelLanes struct {
 	// rows: the conversion magics 1.5·2⁵² and 2⁵², 2³², the low-word mask
 	// and the high-word permutation; the table length; the fixed-point
 	// scales 2⁻¹⁶ and 2⁻³²; the prior's μ₀, λ₀, α₀, β₀ and ln 2π; 0.5 and
@@ -20,9 +20,9 @@ type splitLanes struct {
 	spread [16]uint16
 }
 
-// newSplitLanes builds a kernel's splitLanes from its prior, the ln 2π its
+// newKernelLanes builds a kernel's kernelLanes from its prior, the ln 2π its
 // table was built with, and the table's length.
-func newSplitLanes(p Prior, log2Pi float64, tabLen int) (l splitLanes) {
+func newKernelLanes(p Prior, log2Pi float64, tabLen int) (l kernelLanes) {
 	const lowBits = 52 - logTabBits
 	bits := []uint64{
 		0x4338000000000000,
@@ -81,4 +81,4 @@ func splitsKernel(k *Kernel, dst []Decision, bkt []Stats, idx []int32, tot *Stat
 // time, both sides of both lanes in one vector.
 //
 //go:noescape
-func splitsAVX2(lanes *splitLanes, lt *logTable, tab *kernelEntry, ltab *logTabEntry, dst *Decision, bkt *Stats, idx *int32, n int, tot *Stats) (totML float64, fallbacks int)
+func splitsAVX2(lanes *kernelLanes, lt *logTable, tab *kernelEntry, ltab *logTabEntry, dst *Decision, bkt *Stats, idx *int32, n int, tot *Stats) (totML float64, fallbacks int)

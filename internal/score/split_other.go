@@ -2,12 +2,17 @@
 
 package score
 
-// splitLanes is empty: this platform has no split kernel, and
-// SplitsImprove runs the loop over SplitImproves.
-type splitLanes struct{}
+// kernelLanes is empty: this platform has no lane kernels, so
+// SplitsImprove runs the loop over SplitImproves and LogMLBatch its
+// portable evaluation.
+type kernelLanes struct{}
 
-func newSplitLanes(Prior, float64, int) splitLanes { return splitLanes{} }
+func newKernelLanes(Prior, float64, int) kernelLanes { return kernelLanes{} }
 
 func splitsKernel(*Kernel, []Decision, []Stats, []int32, *Stats) (float64, int) {
 	panic("score: no split kernel on this platform")
+}
+
+func logmlKernel(*Kernel, []float64, []Stats) int {
+	panic("score: no block scoring kernel on this platform")
 }

@@ -1,6 +1,7 @@
 package score
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -355,9 +356,10 @@ func BenchmarkSplitImproves(b *testing.B) {
 			sink, _ = k.SplitImproves(l, r, tie)
 		}
 	})
-	// The decisions of one pair-step as SplitsImprove takes them: six lanes
-	// (the evaluator averages 5.5) of a 64-group resample, the total's
-	// score included, in ns per decision on each path.
+	// The decisions of one pair-step as SplitsImprove takes them, the
+	// total's score included, in ns per decision on each path: steps of 1,
+	// 2, 3, 6 (the evaluator averages 5.5) and 64 lanes of a 65-group
+	// resample.
 	b.Run("batch", func(b *testing.B) {
 		kernel := useKernel
 		b.Cleanup(func() { useKernel = kernel })
@@ -368,10 +370,8 @@ func BenchmarkSplitImproves(b *testing.B) {
 			cols[i] = randStats(g, 4)
 			cols[i].Add(Quantize(g.Normal()))
 		}
-		bkt := make([]Stats, 64)
+		bkt := make([]Stats, 65)
 		laneResample(g, bkt, cols)
-		idx := []int32{3, 11, 20, 31, 42, 57}
-		dst := make([]Decision, len(idx))
 		paths := []bool{false}
 		if kernel {
 			paths = append(paths, true)
@@ -382,14 +382,28 @@ func BenchmarkSplitImproves(b *testing.B) {
 				name = "kernel"
 			}
 			b.Run(name, func(b *testing.B) {
-				useKernel = on
-				if k.SplitsImprove(dst, bkt, idx, bkt[63]) != 0 {
-					b.Fatal("not the certified path")
+				for _, lanes := range []int{1, 2, 3, 6, 64} {
+					idx := make([]int32, lanes)
+					for i := range idx {
+						idx[i] = int32(3 + i*60/lanes)
+					}
+					if lanes == 64 {
+						for i := range idx {
+							idx[i] = int32(i)
+						}
+					}
+					dst := make([]Decision, lanes)
+					b.Run(fmt.Sprintf("lanes=%d", lanes), func(b *testing.B) {
+						useKernel = on
+						if k.SplitsImprove(dst, bkt, idx, bkt[64]) != 0 {
+							b.Fatal("not the certified path")
+						}
+						for range b.N {
+							k.SplitsImprove(dst, bkt, idx, bkt[64])
+						}
+						b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*lanes), "ns/decision")
+					})
 				}
-				for range b.N {
-					k.SplitsImprove(dst, bkt, idx, bkt[63])
-				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(idx)), "ns/decision")
 			})
 		}
 	})

@@ -221,7 +221,7 @@ func (sc *scratch) fillPair(q *score.QData, ref *nodeRef, parent int) int {
 	sc.grow(len(ref.node.Obs))
 	prow := q.Row(parent)
 	for k, j := range ref.node.Obs {
-		sc.pobs[k] = prow[j]
+		sc.pobs[k] = int64(prow[j])
 		sc.order[k] = int32(k)
 	}
 	pobs := sc.pobs

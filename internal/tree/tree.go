@@ -92,7 +92,7 @@ func (t *Tree) CheckInvariants(q *score.QData) error {
 		for _, x := range t.Vars {
 			row := q.Row(x)
 			for _, j := range n.Obs {
-				want.Add(row[j])
+				want.Add(int64(row[j]))
 			}
 		}
 		if n.Stats != want {
@@ -148,7 +148,7 @@ func leafNodes(q *score.QData, vars []int, clusters [][]int) []*Node {
 		for _, x := range vars {
 			row := q.Row(x)
 			for _, j := range obs {
-				s.Add(row[j])
+				s.Add(int64(row[j]))
 			}
 		}
 		leaves[i] = &Node{Obs: obs, Stats: s}
