@@ -11,11 +11,11 @@
 //
 // Inside internal/score itself the check is sharper: the data-dependent
 // Log(βN) suffix (and every other math.Log/math.Lgamma of the score) may be
-// spelled only in Prior.LogML, Kernel.LogML, the table builder NewKernel,
-// newLogTable, which fills the approximate logarithm's table from
-// math.Log, and the batched evaluation Kernel.LogMLBatch with its portable
-// logarithm logPortable (DESIGN.md §28), pinned bit for bit against
-// Kernel.LogML and math.Log. The approximate logarithm itself (fastLog) may be called only
+// spelled only in Prior.LogML, Kernel.LogML, the table builder NewKernel
+// and newLogTable, which fills the approximate logarithm's table from
+// math.Log. The batched evaluation Kernel.LogMLBatch spells none: its
+// portable path calls Kernel.LogML and its AVX2 pass is pinned bit for bit
+// against it (DESIGN.md §30). The approximate logarithm itself (fastLog) may be called only
 // from Kernel.SplitImproves: its error is budgeted there and nowhere else
 // (DESIGN.md §23), so a second caller would be a score that is merely close.
 // The memo cache (Memo.LogML) is permitted to SERVE logML values precisely
@@ -47,9 +47,6 @@ var scoreAllowed = map[string]bool{
 	"Prior.LogML":  true,
 	"Kernel.LogML": true,
 	"NewKernel":    true,
-	// The batched evaluation (DESIGN §28) and its portable logarithm.
-	"Kernel.LogMLBatch": true,
-	"logPortable":       true,
 	// The certified split decision (DESIGN §23): the one caller of fastLog,
 	// and the initialiser of its table.
 	"Kernel.SplitImproves": true,
@@ -95,7 +92,7 @@ func run(pass *analysis.Pass) error {
 				case "math.Log":
 					if inScore {
 						pass.Reportf(call.Pos(),
-							"math.Log in package score outside Prior.LogML/Kernel.LogML/Kernel.LogMLBatch/logPortable/NewKernel/newLogTable: the Log(βN) suffix is spelled only in the pinned kernels, and the memo stays exact only by computing none — move the arithmetic into the kernel or annotate //parsivet:scorekernel")
+							"math.Log in package score outside Prior.LogML/Kernel.LogML/NewKernel/newLogTable: the Log(βN) suffix is spelled only in the pinned kernels, and the memo stays exact only by computing none — move the arithmetic into the kernel or annotate //parsivet:scorekernel")
 					}
 				case pass.Pkg.Path() + ".fastLog":
 					if inScore {

@@ -14,7 +14,7 @@ func TestScoreKernel(t *testing.T) { analysistest.Run(t, scorekernel.Analyzer, "
 
 // TestScoreInternalRules proves the sharper in-score rule in both
 // directions: math.Log and math.Lgamma pass inside Prior.LogML,
-// Kernel.LogML, Kernel.LogMLBatch, logPortable, NewKernel and newLogTable,
-// and fastLog inside Kernel.SplitImproves; a logarithm of either kind in the
-// memo, a third batched spelling or any other helper is flagged.
+// Kernel.LogML, NewKernel and newLogTable, and fastLog inside
+// Kernel.SplitImproves; a logarithm of either kind in the memo, in a
+// batched evaluation or in any other helper is flagged.
 func TestScoreInternalRules(t *testing.T) { analysistest.Run(t, scorekernel.Analyzer, "score") }

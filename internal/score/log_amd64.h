@@ -1,8 +1,8 @@
-// The batched logarithm's lane code (DESIGN §28), shared by log_amd64.s
+// The lane code of math.Log's amd64 code (DESIGN §28), shared by batch_amd64.s
 // and split_amd64.s.
 //
 // AX points at a logTable: row r (32 bytes, one constant per lane) at byte
-// 32·r, the tail masks at byte 672.
+// 32·r.
 #define MANT   0(AX)
 #define HALF   32(AX)
 #define EXP    64(AX)
