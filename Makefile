@@ -109,7 +109,8 @@ fuzz-wire:
 # portable loop), the certified split decision's agreement with the exact
 # expression it stands for (DESIGN §23), the split kernel's lanes against
 # that decision on both paths (§29), and the attach-var gains on both
-# gather paths against the scalar GainAttachVar (§30).
+# gather paths, read off the observation layout that is every partition's
+# membership record, against the scalar GainAttachVar (§30).
 # One invocation per target (go test allows a single -fuzz match per run).
 fuzz-score:
 	$(GO) test -run '^$$' -fuzz 'FuzzQuantizeWeights$$' -fuzztime 10s ./internal/score/
@@ -131,14 +132,16 @@ bench:
 # (W2). P2 runs its GaneSH runs on two rank groups (DESIGN §3), a layout no
 # benchmark workload reaches: they all run at p=1 or G=1. Below it, the
 # layers of the batched gain kernel (DESIGN §28, §30): one GaneSH run at
-# 480×32; one attach-var decision at its measured shape in ns/gain and
-# ns/cell on each gather path; the block scoring in ns/block on the portable
-# loop and on the AVX2 pass; then the split layer (DESIGN §29): one evaluator sweep over every
-# candidate, and a pair-step's decisions in ns/decision on each path at 1,
-# 2, 3, 6 and 64 lanes.
+# 480×32, and at yeast's m = 2577 one run on 32 variables and the module
+# sampler over 2, 8 and 32 (the observation layout's upkeep, whose moves
+# and merges weigh most there); one attach-var decision at its measured
+# shape in ns/gain and ns/cell on each gather path; the block scoring in
+# ns/block on the portable loop and on the AVX2 pass; then the split layer
+# (DESIGN §29): one evaluator sweep over every candidate, and a pair-step's
+# decisions in ns/decision on each path at 1, 2, 3, 6 and 64 lanes.
 bench-core:
 	$(GO) test -run '^$$' -bench 'LearnClusterShaped' -benchtime 10x -count 5 ./internal/core/
-	$(GO) test -run '^$$' -bench 'Run480x32$$' -benchtime 10x -count 5 ./internal/ganesh/
+	$(GO) test -run '^$$' -bench 'Run480x32$$|Run32x2577$$|SampleObs32x2577' -benchtime 10x -count 5 ./internal/ganesh/
 	$(GO) test -run '^$$' -bench 'GainsAttachVar' -count 5 ./internal/cluster/
 	$(GO) test -run '^$$' -bench 'LogMLBatch' -count 5 ./internal/score/
 	$(GO) test -run '^$$' -bench 'Posterior' -count 5 ./internal/splits/

@@ -23,20 +23,14 @@ type Batch struct {
 // m·MaxAbsCell in magnitude, fits an int32.
 const maxKernelObs = 1<<31/score.MaxAbsCell - 1
 
-// score evaluates every gathered block with k, or with p where no kernel is
-// attached, and returns the scores in gathering order.
-func (b *Batch) score(k *score.Kernel, p score.Prior) []float64 {
+// score evaluates every gathered block with k and returns the scores in
+// gathering order.
+func (b *Batch) score(k *score.Kernel) []float64 {
 	if cap(b.vals) < len(b.stats) {
 		b.vals = make([]float64, len(b.stats), cap(b.stats))
 	}
 	vals := b.vals[:len(b.stats)]
-	if k != nil {
-		k.LogMLBatch(vals, b.stats)
-		return vals
-	}
-	for i, s := range b.stats {
-		vals[i] = p.LogML(s)
-	}
+	k.LogMLBatch(vals, b.stats)
 	return vals
 }
 
@@ -60,29 +54,31 @@ func (cc *CoClustering) GainsAttachVar(b *Batch, x, lo int, out []float64) {
 				b.stats = append(b.stats, score.StatsOf(row))
 				continue
 			}
-			for _, c := range cc.Clusters[to].Obs.Clusters {
+			vc := cc.Clusters[to]
+			for ci, c := range vc.Clusters {
 				var sum, sumsq int64
-				for _, j := range c.Obs {
+				obs := vc.Obs(ci)
+				for _, j := range obs {
 					v := int64(row[j])
 					sum += v
 					sumsq += v * v
 				}
 				b.stats = append(b.stats, score.Stats{
-					N: c.Stats.N + int64(len(c.Obs)), Sum: c.Stats.Sum + sum, SumSq: c.Stats.SumSq + sumsq})
+					N: c.Stats.N + int64(len(obs)), Sum: c.Stats.Sum + sum, SumSq: c.Stats.SumSq + sumsq})
 			}
 		}
 	}
-	vals := b.score(cc.Kernel, cc.Prior)
+	vals := b.score(cc.Kernel)
 	for i := range out {
 		if lo+i == k {
 			out[i], vals = vals[0], vals[1:]
 			continue
 		}
 		var gain float64
-		for bi, c := range cc.Clusters[lo+i].Obs.Clusters {
+		for bi, c := range cc.Clusters[lo+i].Clusters {
 			gain += vals[bi] - c.logML
 		}
-		out[i], vals = gain, vals[len(cc.Clusters[lo+i].Obs.Clusters):]
+		out[i], vals = gain, vals[len(cc.Clusters[lo+i].Clusters):]
 	}
 }
 
@@ -93,15 +89,16 @@ func (cc *CoClustering) GainsMergeVar(b *Batch, cols []score.Stats, src, lo int,
 		if dst == src {
 			continue
 		}
-		for _, c := range cc.Clusters[dst].Obs.Clusters {
+		dc := cc.Clusters[dst]
+		for ci, c := range dc.Clusters {
 			part := c.Stats
-			for _, j := range c.Obs {
+			for _, j := range dc.Obs(ci) {
 				part.Merge(cols[j])
 			}
 			b.stats = append(b.stats, part)
 		}
 	}
-	vals := b.score(cc.Kernel, cc.Prior)
+	vals := b.score(cc.Kernel)
 	for i := range out {
 		dst := lo + i
 		if dst == src {
@@ -109,11 +106,11 @@ func (cc *CoClustering) GainsMergeVar(b *Batch, cols []score.Stats, src, lo int,
 			continue
 		}
 		var gain float64
-		for bi, c := range cc.Clusters[dst].Obs.Clusters {
+		for bi, c := range cc.Clusters[dst].Clusters {
 			gain += vals[bi] - c.logML
 		}
-		vals = vals[len(cc.Clusters[dst].Obs.Clusters):]
-		for _, c := range cc.Clusters[src].Obs.Clusters {
+		vals = vals[len(cc.Clusters[dst].Clusters):]
+		for _, c := range cc.Clusters[src].Clusters {
 			gain -= c.logML
 		}
 		out[i] = gain
@@ -131,7 +128,7 @@ func (oc *ObsClusters) GainsAttachObs(b *Batch, col score.Stats, lo int, out []f
 			b.stats = append(b.stats, oc.Clusters[to].Stats.Plus(col))
 		}
 	}
-	vals := b.score(oc.Kernel, oc.Prior)
+	vals := b.score(oc.Kernel)
 	for i := range out {
 		if lo+i == l {
 			out[i] = vals[i]
@@ -150,7 +147,7 @@ func (oc *ObsClusters) GainsMergeObs(b *Batch, src, lo int, out []float64) {
 			b.stats = append(b.stats, a.Stats.Plus(oc.Clusters[dst].Stats))
 		}
 	}
-	vals := b.score(oc.Kernel, oc.Prior)
+	vals := b.score(oc.Kernel)
 	for i := range out {
 		dst := lo + i
 		if dst == src {

@@ -11,8 +11,8 @@ import (
 )
 
 // TestBatchedGainsMatchScalar: every batched gain is bit-equal to the scalar
-// Gain* call it stands for, on both gather paths, on random co-clusterings
-// with and without a scoring kernel attached, over every candidate range
+// Gain* call it stands for, on both gather paths, on random co-clusterings,
+// over every candidate range
 // [lo, hi) of each decision — ranges that start, end or both inside the
 // candidate list, the empty range, and the full one, the new-cluster
 // candidate to == k included — with one Batch reused throughout, as a pool
@@ -26,13 +26,12 @@ func TestBatchedGainsMatchScalar(t *testing.T) {
 		name          string
 		n, m, k0, obs int
 		extreme       int // the share of cells at ±MaxAbsCell, in 256ths
-		kernels       bool
 		seeds, iters  int
 	}{
 		{name: "small", n: 18, m: 14, seeds: 6, iters: 4},
-		{name: "measured shape", n: 480, m: 32, k0: 95, obs: 6, kernels: true, seeds: 1, iters: 1},
-		{name: "m=33 extreme cells", n: 40, m: 33, k0: 8, obs: 5, extreme: 85, kernels: true, seeds: 2, iters: 3},
-		{name: "m=37 singletons", n: 30, m: 37, k0: 6, obs: 37, kernels: true, seeds: 2, iters: 3},
+		{name: "measured shape", n: 480, m: 32, k0: 95, obs: 6, seeds: 1, iters: 1},
+		{name: "m=33 extreme cells", n: 40, m: 33, k0: 8, obs: 5, extreme: 85, seeds: 2, iters: 3},
+		{name: "m=37 singletons", n: 30, m: 37, k0: 6, obs: 37, seeds: 2, iters: 3},
 	}
 	gatherPaths(t, func(t *testing.T) {
 		var b Batch
@@ -43,15 +42,11 @@ func TestBatchedGainsMatchScalar(t *testing.T) {
 				if tc.extreme > 0 {
 					q = randomData(g, tc.n, tc.m, tc.extreme)
 				}
-				pr := score.DefaultPrior()
 				k0, obs := 1+int(seed%5), 1+int(seed%4)
 				if tc.k0 > 0 {
 					k0, obs = tc.k0, tc.obs
 				}
-				cc := NewRandomCoClustering(q, pr, k0, obs, g)
-				if tc.kernels || seed%2 == 0 {
-					cc.UseKernel(score.NewKernel(pr, q.N*q.M))
-				}
+				cc := NewRandomCoClustering(q, testKernel(q), k0, obs, g)
 				checkBatchedGains(t, fmt.Sprintf("%s seed %d", tc.name, seed), &b, cc, g, tc.iters)
 			}
 		}
@@ -118,7 +113,7 @@ func checkBatchedGains(t *testing.T, what string, b *Batch, cc *CoClustering, g 
 			func(lo int, out []float64) { cc.GainsMergeVar(b, cols, src, lo, out) },
 			func(j int) float64 { return cc.GainMergeVar(cols, src, j) })
 
-		oc := cc.Clusters[g.Intn(len(cc.Clusters))].Obs
+		oc := cc.Clusters[g.Intn(len(cc.Clusters))]
 		j := g.Intn(q.M)
 		col := oc.DetachObs(j)
 		l := len(oc.Clusters)
@@ -169,7 +164,7 @@ func TestGatherKernelMatchesPortable(t *testing.T) {
 	}
 	q := testData(t, 480, 32, 3)
 	g := prng.New(77)
-	cc := NewRandomCoClustering(q, score.DefaultPrior(), 95, 6, g)
+	cc := NewRandomCoClustering(q, testKernel(q), 95, 6, g)
 	cells := 0
 	for d := 0; cells < 10_000_000; d++ {
 		x := g.Intn(q.N)
@@ -179,7 +174,7 @@ func TestGatherKernelMatchesPortable(t *testing.T) {
 		cc.AttachVar(x, g.Intn(len(cc.Clusters)+1))
 		// Move a few observations, so the layouts change between decisions.
 		for range 3 {
-			oc := cc.Clusters[g.Intn(len(cc.Clusters))].Obs
+			oc := cc.Clusters[g.Intn(len(cc.Clusters))]
 			j := g.Intn(q.M)
 			oc.DetachObs(j)
 			oc.AttachObs(j, g.Intn(len(oc.Clusters)+1))
@@ -187,7 +182,7 @@ func TestGatherKernelMatchesPortable(t *testing.T) {
 	}
 	for m := 1; m <= 40; m++ {
 		q := randomData(g, 12, m, 85)
-		cc := NewRandomCoClustering(q, score.DefaultPrior(), 3, 1+m/3, g)
+		cc := NewRandomCoClustering(q, testKernel(q), 3, 1+m/3, g)
 		cc.DetachVar(5)
 		same(fmt.Sprintf("m=%d", m), cc, 5)
 	}
@@ -206,9 +201,7 @@ func FuzzGainsAttachVar(f *testing.F) {
 		nn, mm := 2+int(n%96), 1+int(m%70)
 		g := prng.New(seed)
 		q := randomData(g, nn, mm, int(extreme))
-		pr := score.DefaultPrior()
-		cc := NewRandomCoClustering(q, pr, 1+int(k0)%nn, 1+int(obs), g)
-		cc.UseKernel(score.NewKernel(pr, q.N*q.M))
+		cc := NewRandomCoClustering(q, testKernel(q), 1+int(k0)%nn, 1+int(obs), g)
 		x := g.Intn(nn)
 		cc.DetachVar(x)
 		k := len(cc.Clusters)
@@ -241,8 +234,7 @@ func FuzzGainsAttachVar(f *testing.F) {
 // cell (M per candidate, the new-cluster candidate included).
 func BenchmarkGainsAttachVar(b *testing.B) {
 	q := testData(b, 480, 32, 1)
-	cc := NewRandomCoClustering(q, score.DefaultPrior(), 95, 6, prng.New(1))
-	cc.UseKernel(score.NewKernel(cc.Prior, q.N*q.M))
+	cc := NewRandomCoClustering(q, testKernel(q), 95, 6, prng.New(1))
 	cc.DetachVar(240)
 	out := make([]float64, len(cc.Clusters)+1)
 	var batch Batch

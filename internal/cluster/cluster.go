@@ -6,6 +6,12 @@
 // statistics (see package score), so move and merge operations update the
 // decomposable Bayesian score incrementally and reproducibly.
 //
+// A variable cluster is its observation partition (ObsClusters), whose
+// variable list is the cluster's one list. A partition's only membership
+// record is its observation layout: each cluster's observations in one run
+// of a permutation, the layout the attach-var gather kernel reads (DESIGN
+// §30). Every block is scored through the rank's score.Kernel.
+//
 // Every mutating operation is deterministic given its arguments. The
 // engines replicate this state on all ranks and apply the same
 // operations everywhere; only the *scoring* of candidate operations is
@@ -22,11 +28,11 @@ import (
 	"parsimone/internal/score"
 )
 
-// ObsCluster is one observation cluster inside a variable cluster, together
-// with the sufficient statistics of its block (parent cluster's variables ×
-// this cluster's observations) and the block's score.
+// ObsCluster is one observation cluster inside a variable cluster: the
+// sufficient statistics of its block (parent cluster's variables × this
+// cluster's observations) and the block's score. Its observations are its
+// run of the partition's layout (ObsClusters.Obs).
 type ObsCluster struct {
-	Obs   []int
 	Stats score.Stats
 	// logML is the block score logML(Stats), re-evaluated by every mutation
 	// that changes Stats (ObsClusters.rescore) so the read-only Gain* and
@@ -38,14 +44,12 @@ type ObsCluster struct {
 
 // ObsClusters is a partition of all m observations relative to a fixed set
 // of variables. It is used both inside CoClustering (one per variable
-// cluster) and standalone for the module-learning task, where GaneSH runs
-// with the variable clusters pinned (Algorithm 4, lines 3–9).
+// cluster, which it is) and standalone for the module-learning task, where
+// GaneSH runs with the variable clusters pinned (Algorithm 4, lines 3–9).
 type ObsClusters struct {
-	Q     *score.QData
-	Prior score.Prior
-	// Kernel, when non-nil, serves LogML evaluations from the precomputed
-	// score kernel — bit-identical to Prior.LogML (score.Kernel), so gains
-	// and scores are unchanged. Must be built for the same Prior.
+	Q *score.QData
+	// Kernel scores every block: the rank's kernel, whose prior is the
+	// score's.
 	Kernel *score.Kernel
 	// Vars are the variables whose cells the blocks cover.
 	Vars []int
@@ -53,55 +57,50 @@ type ObsClusters struct {
 	// observation is detached.
 	Assign   []int
 	Clusters []*ObsCluster
-	// perm lists all m observations: cluster i's in the run
-	// [ends[i−1], ends[i]) (ends[−1] = 0), in any order, and a detached
-	// one past the last run. It is the layout the attach-var gather kernel
-	// reads (DESIGN §30), kept only where layout is set: by the partitions
-	// nested in a CoClustering, not by the standalone ones of module
-	// learning, which nothing gathers from. Every mutator keeps it current,
-	// so the read path — which pool workers and ranks run concurrently —
-	// never builds it. An observation move swaps it across the run
-	// boundaries between its clusters, O(len(Clusters)), and moves no run.
+	// perm and ends are the partition's only membership record, the layout
+	// the attach-var gather kernel reads (DESIGN §30): perm lists all m
+	// observations, cluster i's in the run [ends[i−1], ends[i]) (ends[−1] =
+	// 0), in any order, and a detached one past the last run. Every mutator
+	// keeps it current, so the read path — which pool workers and ranks run
+	// concurrently — never builds it. An observation move swaps it across
+	// the run boundaries between its clusters, O(len(Clusters)), and moves
+	// no run; a merge rotates the runs between its two clusters.
 	perm, ends []int32
-	layout     bool
 }
-
-// logML evaluates the prior's marginal log-likelihood, through the kernel
-// when one is attached.
-func (oc *ObsClusters) logML(s score.Stats) float64 {
-	if oc.Kernel != nil {
-		return oc.Kernel.LogML(s)
-	}
-	return oc.Prior.LogML(s)
-}
-
-// UseKernel attaches k (which must be built for oc.Prior) so every
-// subsequent LogML evaluation goes through the precomputed tables.
-func (oc *ObsClusters) UseKernel(k *score.Kernel) { oc.Kernel = k }
 
 // rescore stores c's block score after a mutation changed c.Stats.
-func (oc *ObsClusters) rescore(c *ObsCluster) { c.logML = oc.logML(c.Stats) }
+func (oc *ObsClusters) rescore(c *ObsCluster) { c.logML = oc.Kernel.LogML(c.Stats) }
 
 // NewRandomObsClusters partitions the m observations of q into `count`
 // clusters uniformly at random (consuming m draws from g in observation
-// order), relative to the given variables. Empty clusters are removed.
-func NewRandomObsClusters(q *score.QData, pr score.Prior, vars []int, count int, g *prng.MRG3) *ObsClusters {
+// order), relative to the given variables, scored through kern. Empty
+// clusters are removed, shifting later indices down — the canonical
+// compaction every rank performs identically.
+func NewRandomObsClusters(q *score.QData, kern *score.Kernel, vars []int, count int, g *prng.MRG3) *ObsClusters {
 	if count < 1 {
 		count = 1
 	}
 	if count > q.M {
 		count = q.M
 	}
-	oc := &ObsClusters{Q: q, Prior: pr, Vars: append([]int(nil), vars...), Assign: make([]int, q.M)}
-	for c := 0; c < count; c++ {
-		oc.Clusters = append(oc.Clusters, &ObsCluster{})
-	}
-	for j := 0; j < q.M; j++ {
+	oc := &ObsClusters{Q: q, Kernel: kern, Vars: append([]int(nil), vars...), Assign: make([]int, q.M)}
+	size := make([]int, count)
+	for j := range oc.Assign {
 		c := g.Intn(count)
 		oc.Assign[j] = c
-		oc.Clusters[c].Obs = append(oc.Clusters[c].Obs, j)
+		size[c]++
 	}
-	oc.dropEmpty()
+	index := make([]int, count)
+	for c := range size {
+		index[c] = len(oc.Clusters)
+		if size[c] > 0 {
+			oc.Clusters = append(oc.Clusters, &ObsCluster{})
+		}
+	}
+	for j, c := range oc.Assign {
+		oc.Assign[j] = index[c]
+	}
+	oc.lay()
 	oc.rebuildStats()
 	return oc
 }
@@ -109,53 +108,32 @@ func NewRandomObsClusters(q *score.QData, pr score.Prior, vars []int, count int,
 // newSingleObsCluster returns an ObsClusters with every observation in one
 // cluster — the initial observation partition of a freshly created singleton
 // variable cluster.
-func newSingleObsCluster(q *score.QData, pr score.Prior, kern *score.Kernel, vars []int) *ObsClusters {
-	oc := &ObsClusters{Q: q, Prior: pr, Kernel: kern, Vars: append([]int(nil), vars...), Assign: make([]int, q.M), layout: true}
-	c := &ObsCluster{Obs: make([]int, q.M)}
-	for j := 0; j < q.M; j++ {
-		c.Obs[j] = j
-	}
-	oc.Clusters = []*ObsCluster{c}
-	oc.relayout()
+func newSingleObsCluster(q *score.QData, kern *score.Kernel, vars []int) *ObsClusters {
+	oc := &ObsClusters{Q: q, Kernel: kern, Vars: append([]int(nil), vars...), Assign: make([]int, q.M),
+		Clusters: []*ObsCluster{{}}}
+	oc.lay()
 	oc.rebuildStats()
 	return oc
 }
 
-// dropEmpty removes empty clusters, shifting later indices down — the
-// canonical compaction every rank performs identically.
-func (oc *ObsClusters) dropEmpty() {
-	out := oc.Clusters[:0]
-	for _, c := range oc.Clusters {
-		if len(c.Obs) > 0 {
-			out = append(out, c)
+// lay builds the layout of a partition with every observation attached,
+// each run in observation order.
+func (oc *ObsClusters) lay() {
+	// ends holds each run's start first; placing the observations advances
+	// it to the run's end.
+	oc.ends = make([]int32, len(oc.Clusters))
+	for _, ci := range oc.Assign {
+		if ci+1 < len(oc.ends) {
+			oc.ends[ci+1]++
 		}
 	}
-	oc.Clusters = out
-	for idx, c := range oc.Clusters {
-		for _, j := range c.Obs {
-			oc.Assign[j] = idx
-		}
+	for ci := 1; ci < len(oc.ends); ci++ {
+		oc.ends[ci] += oc.ends[ci-1]
 	}
-	oc.relayout()
-}
-
-// relayout rebuilds the observation layout (perm, ends) from the clusters,
-// where the partition keeps one.
-func (oc *ObsClusters) relayout() {
-	if !oc.layout {
-		return
-	}
-	oc.perm, oc.ends = slices.Grow(oc.perm[:0], len(oc.Assign)), slices.Grow(oc.ends[:0], len(oc.Clusters))
-	for _, c := range oc.Clusters {
-		for _, j := range c.Obs {
-			oc.perm = append(oc.perm, int32(j))
-		}
-		oc.ends = append(oc.ends, int32(len(oc.perm)))
-	}
+	oc.perm = make([]int32, len(oc.Assign))
 	for j, ci := range oc.Assign {
-		if ci < 0 {
-			oc.perm = append(oc.perm, int32(j))
-		}
+		oc.perm[oc.ends[ci]] = int32(j)
+		oc.ends[ci]++
 	}
 }
 
@@ -168,13 +146,18 @@ func (oc *ObsClusters) runStart(ci int) int {
 	return int(oc.ends[ci-1])
 }
 
+// Obs returns cluster ci's observations, in no particular order. The slice
+// is the partition's own, valid until the next mutation; the caller must not
+// modify it.
+func (oc *ObsClusters) Obs(ci int) []int32 { return oc.perm[oc.runStart(ci):oc.ends[ci]] }
+
 // rebuildStats recomputes every block's statistics from the raw cells.
 func (oc *ObsClusters) rebuildStats() {
-	for _, c := range oc.Clusters {
+	for ci, c := range oc.Clusters {
 		c.Stats = score.Stats{}
 		for _, x := range oc.Vars {
 			row := oc.Q.Row(x)
-			for _, j := range c.Obs {
+			for _, j := range oc.Obs(ci) {
 				c.Stats.Add(int64(row[j]))
 			}
 		}
@@ -204,8 +187,8 @@ func (oc *ObsClusters) Score() float64 {
 // AddVar extends every block with variable x's cells.
 func (oc *ObsClusters) AddVar(x int) {
 	row := oc.Q.Row(x)
-	for _, c := range oc.Clusters {
-		for _, j := range c.Obs {
+	for ci, c := range oc.Clusters {
+		for _, j := range oc.Obs(ci) {
 			c.Stats.Add(int64(row[j]))
 		}
 		oc.rescore(c)
@@ -216,20 +199,14 @@ func (oc *ObsClusters) AddVar(x int) {
 // RemoveVar deletes variable x's cells from every block. It panics if x is
 // not a member.
 func (oc *ObsClusters) RemoveVar(x int) {
-	found := false
-	for i, v := range oc.Vars {
-		if v == x {
-			oc.Vars = append(oc.Vars[:i], oc.Vars[i+1:]...)
-			found = true
-			break
-		}
-	}
-	if !found {
+	i := slices.Index(oc.Vars, x)
+	if i < 0 {
 		panic(fmt.Sprintf("cluster: RemoveVar(%d): not a member", x))
 	}
+	oc.Vars = slices.Delete(oc.Vars, i, i+1)
 	row := oc.Q.Row(x)
-	for _, c := range oc.Clusters {
-		for _, j := range c.Obs {
+	for ci, c := range oc.Clusters {
+		for _, j := range oc.Obs(ci) {
 			c.Stats.Remove(int64(row[j]))
 		}
 		oc.rescore(c)
@@ -249,39 +226,35 @@ func (oc *ObsClusters) DetachObs(j int) score.Stats {
 	col := oc.ColumnStats(j)
 	c.Stats.Unmerge(col)
 	oc.rescore(c)
-	for i, o := range c.Obs {
-		if o == j {
-			c.Obs = append(c.Obs[:i], c.Obs[i+1:]...)
-			break
-		}
+	// j leaves each run from ci on by trading places with its last
+	// observation and shrinking it, which ends with j past the last run.
+	p := oc.runStart(ci)
+	for int(oc.perm[p]) != j {
+		p++
 	}
-	if oc.layout {
-		// j leaves each run from ci on by trading places with its last
-		// observation and shrinking it, which ends with j past the last run.
-		p := oc.runStart(ci)
-		for int(oc.perm[p]) != j {
-			p++
-		}
-		for k := ci; k < len(oc.ends); k++ {
-			last := int(oc.ends[k]) - 1
-			oc.perm[p], oc.perm[last] = oc.perm[last], oc.perm[p]
-			oc.ends[k] = int32(last)
-			p = last
-		}
-		if len(c.Obs) == 0 {
-			oc.ends = append(oc.ends[:ci], oc.ends[ci+1:]...)
-		}
+	for k := ci; k < len(oc.ends); k++ {
+		last := int(oc.ends[k]) - 1
+		oc.perm[p], oc.perm[last] = oc.perm[last], oc.perm[p]
+		oc.ends[k] = int32(last)
+		p = last
 	}
 	oc.Assign[j] = -1
-	if len(c.Obs) == 0 {
-		oc.Clusters = append(oc.Clusters[:ci], oc.Clusters[ci+1:]...)
-		for idx := ci; idx < len(oc.Clusters); idx++ {
-			for _, o := range oc.Clusters[idx].Obs {
-				oc.Assign[o] = idx
-			}
-		}
+	if oc.runStart(ci) == int(oc.ends[ci]) {
+		oc.ends = slices.Delete(oc.ends, ci, ci+1)
+		oc.Clusters = slices.Delete(oc.Clusters, ci, ci+1)
+		oc.renumber(ci)
 	}
 	return col
+}
+
+// renumber points Assign at the clusters' indices from ci on, after a
+// cluster before them was removed or cluster ci's run took another's.
+func (oc *ObsClusters) renumber(ci int) {
+	for ; ci < len(oc.Clusters); ci++ {
+		for _, o := range oc.Obs(ci) {
+			oc.Assign[o] = ci
+		}
+	}
 }
 
 // GainAttachObs returns the score gain of attaching a detached observation
@@ -289,10 +262,10 @@ func (oc *ObsClusters) DetachObs(j int) score.Stats {
 // placing it in a new singleton cluster.
 func (oc *ObsClusters) GainAttachObs(col score.Stats, to int) float64 {
 	if to == len(oc.Clusters) {
-		return oc.logML(col)
+		return oc.Kernel.LogML(col)
 	}
 	c := oc.Clusters[to]
-	return oc.logML(c.Stats.Plus(col)) - c.logML
+	return oc.Kernel.LogML(c.Stats.Plus(col)) - c.logML
 }
 
 // AttachObs places a detached observation j into cluster `to`;
@@ -301,31 +274,25 @@ func (oc *ObsClusters) AttachObs(j, to int) {
 	if oc.Assign[j] != -1 {
 		panic(fmt.Sprintf("cluster: AttachObs(%d): not detached", j))
 	}
-	col := oc.ColumnStats(j)
-	if oc.layout {
-		// j enters the runs from the last down to `to` by trading places
-		// with each run's first observation, which shifts the run up by one.
-		p := oc.runStart(len(oc.Clusters))
-		for int(oc.perm[p]) != j {
-			p++
-		}
-		if to == len(oc.Clusters) {
-			oc.ends = append(oc.ends, int32(p))
-		}
-		for k := len(oc.ends) - 1; k > to; k-- {
-			first := oc.runStart(k)
-			oc.perm[p], oc.perm[first] = oc.perm[first], oc.perm[p]
-			oc.ends[k]++
-			p = first
-		}
-		oc.ends[to]++
+	// j enters the runs from the last down to `to` by trading places with
+	// each run's first observation, which shifts the run up by one.
+	p := oc.runStart(len(oc.Clusters))
+	for int(oc.perm[p]) != j {
+		p++
 	}
 	if to == len(oc.Clusters) {
+		oc.ends = append(oc.ends, int32(p))
 		oc.Clusters = append(oc.Clusters, &ObsCluster{})
 	}
+	for k := len(oc.ends) - 1; k > to; k-- {
+		first := oc.runStart(k)
+		oc.perm[p], oc.perm[first] = oc.perm[first], oc.perm[p]
+		oc.ends[k]++
+		p = first
+	}
+	oc.ends[to]++
 	c := oc.Clusters[to]
-	c.Obs = append(c.Obs, j)
-	c.Stats.Merge(col)
+	c.Stats.Merge(oc.ColumnStats(j))
 	oc.rescore(c)
 	oc.Assign[j] = to
 }
@@ -337,97 +304,76 @@ func (oc *ObsClusters) GainMergeObs(src, dst int) float64 {
 		return 0
 	}
 	a, b := oc.Clusters[src], oc.Clusters[dst]
-	return oc.logML(a.Stats.Plus(b.Stats)) - a.logML - b.logML
+	return oc.Kernel.LogML(a.Stats.Plus(b.Stats)) - a.logML - b.logML
 }
 
-// MergeObs merges cluster src into dst and removes src.
+// MergeObs merges cluster src into dst and removes src. The runs between
+// the two rotate so that src's run lies next to dst's, and the two become
+// one: the merge moves that span of perm and no other.
 func (oc *ObsClusters) MergeObs(src, dst int) {
 	if src == dst {
 		panic("cluster: MergeObs with src == dst")
 	}
 	a, b := oc.Clusters[src], oc.Clusters[dst]
-	b.Obs = append(b.Obs, a.Obs...)
 	b.Stats.Merge(a.Stats)
 	oc.rescore(b)
-	for _, j := range a.Obs {
-		oc.Assign[j] = dst
-	}
-	oc.Clusters = append(oc.Clusters[:src], oc.Clusters[src+1:]...)
-	for idx := src; idx < len(oc.Clusters); idx++ {
-		for _, o := range oc.Clusters[idx].Obs {
-			oc.Assign[o] = idx
+	size := int32(len(oc.Obs(src)))
+	if src < dst {
+		// src's run moves up past the runs src+1 … dst−1 to the start of
+		// dst's, which lower by its length.
+		rotate(oc.perm[oc.runStart(src):oc.runStart(dst)], int(size))
+		for k := src + 1; k < dst; k++ {
+			oc.ends[k] -= size
+		}
+	} else {
+		// src's run moves down past the runs dst+1 … src−1 to the end of
+		// dst's, which rise by its length.
+		span := oc.perm[oc.ends[dst]:oc.ends[src]]
+		rotate(span, len(span)-int(size))
+		for k := dst; k < src; k++ {
+			oc.ends[k] += size
 		}
 	}
-	oc.relayout()
+	oc.ends = slices.Delete(oc.ends, src, src+1)
+	oc.Clusters = slices.Delete(oc.Clusters, src, src+1)
+	oc.renumber(min(src, dst))
+}
+
+// rotate moves s's first k elements to its end, keeping both parts'
+// orders.
+func rotate(s []int32, k int) {
+	slices.Reverse(s[:k])
+	slices.Reverse(s[k:])
+	slices.Reverse(s)
 }
 
 // Snapshot returns the observation partition as cluster-index slices with
 // canonically sorted contents (clusters ordered by smallest member).
 func (oc *ObsClusters) Snapshot() [][]int {
 	out := make([][]int, len(oc.Clusters))
-	for i, c := range oc.Clusters {
-		out[i] = append([]int(nil), c.Obs...)
-		sort.Ints(out[i])
+	for ci := range oc.Clusters {
+		for _, j := range oc.Obs(ci) {
+			out[ci] = append(out[ci], int(j))
+		}
+		sort.Ints(out[ci])
 	}
 	sort.Slice(out, func(a, b int) bool { return out[a][0] < out[b][0] })
 	return out
 }
 
-// CheckInvariants verifies assignment/membership consistency, that every
-// cell of the blocks lies within ±score.MaxAbsCell, that all block
-// statistics equal a from-scratch recomputation, that every stored block
-// score is bit-equal to a fresh evaluation of those statistics, and the
-// observation layout where the partition keeps one. Used by tests and
-// available for debugging.
+// CheckInvariants verifies the membership record — the layout lists every
+// observation once, each run holds exactly the observations assigned its
+// cluster and is not empty, and the tail holds the detached ones — that
+// every cell of the blocks lies within ±score.MaxAbsCell, that all block
+// statistics equal a from-scratch recomputation, and that every stored
+// block score is bit-equal to a fresh evaluation of those statistics. Used
+// by tests and available for debugging.
 func (oc *ObsClusters) CheckInvariants() error {
-	seen := make([]int, oc.Q.M)
-	for i := range seen {
-		seen[i] = -1
-	}
-	for ci, c := range oc.Clusters {
-		if len(c.Obs) == 0 {
-			return fmt.Errorf("cluster: empty obs cluster %d retained", ci)
-		}
-		var want score.Stats
-		for _, x := range oc.Vars {
-			row := oc.Q.Row(x)
-			for _, j := range c.Obs {
-				if v := row[j]; v < -score.MaxAbsCell || v > score.MaxAbsCell {
-					return fmt.Errorf("cluster: cell (%d, %d) = %d lies outside ±MaxAbsCell", x, j, v)
-				}
-				want.Add(int64(row[j]))
-			}
-		}
-		if c.Stats != want {
-			return fmt.Errorf("cluster: obs cluster %d stats %+v, recomputed %+v", ci, c.Stats, want)
-		}
-		if fresh := oc.logML(want); math.Float64bits(c.logML) != math.Float64bits(fresh) {
-			return fmt.Errorf("cluster: obs cluster %d stored score %v (%#x), fresh evaluation %v (%#x)",
-				ci, c.logML, math.Float64bits(c.logML), fresh, math.Float64bits(fresh))
-		}
-		for _, j := range c.Obs {
-			if seen[j] != -1 {
-				return fmt.Errorf("cluster: observation %d in clusters %d and %d", j, seen[j], ci)
-			}
-			seen[j] = ci
-			if oc.Assign[j] != ci {
-				return fmt.Errorf("cluster: observation %d assigned %d, member of %d", j, oc.Assign[j], ci)
-			}
-		}
-	}
-	for j, ci := range oc.Assign {
-		if ci >= 0 && seen[j] != ci {
-			return fmt.Errorf("cluster: observation %d assignment %d has no membership", j, ci)
-		}
-	}
-	if !oc.layout {
-		return nil
-	}
 	if len(oc.ends) != len(oc.Clusters) {
 		return fmt.Errorf("cluster: layout has %d runs for %d obs clusters", len(oc.ends), len(oc.Clusters))
 	}
-	if len(oc.perm) != len(oc.Assign) {
-		return fmt.Errorf("cluster: layout lists %d observations, want %d", len(oc.perm), len(oc.Assign))
+	if len(oc.perm) != len(oc.Assign) || len(oc.Assign) != oc.Q.M {
+		return fmt.Errorf("cluster: layout lists %d observations and assigns %d, want %d", len(oc.perm), len(oc.Assign), oc.Q.M)
 	}
 	listed := make([]bool, len(oc.Assign))
 	for _, j := range oc.perm {
@@ -439,8 +385,25 @@ func (oc *ObsClusters) CheckInvariants() error {
 	start := 0
 	for ci, c := range oc.Clusters {
 		end := int(oc.ends[ci])
-		if end-start != len(c.Obs) {
-			return fmt.Errorf("cluster: layout run %d is [%d, %d) for %d observations", ci, start, end, len(c.Obs))
+		if end <= start || end > len(oc.perm) {
+			return fmt.Errorf("cluster: layout run %d is [%d, %d): empty or out of range", ci, start, end)
+		}
+		var want score.Stats
+		for _, x := range oc.Vars {
+			row := oc.Q.Row(x)
+			for _, j := range oc.perm[start:end] {
+				if v := row[j]; v < -score.MaxAbsCell || v > score.MaxAbsCell {
+					return fmt.Errorf("cluster: cell (%d, %d) = %d lies outside ±MaxAbsCell", x, j, v)
+				}
+				want.Add(int64(row[j]))
+			}
+		}
+		if c.Stats != want {
+			return fmt.Errorf("cluster: obs cluster %d stats %+v, recomputed %+v", ci, c.Stats, want)
+		}
+		if fresh := oc.Kernel.LogML(want); math.Float64bits(c.logML) != math.Float64bits(fresh) {
+			return fmt.Errorf("cluster: obs cluster %d stored score %v (%#x), fresh evaluation %v (%#x)",
+				ci, c.logML, math.Float64bits(c.logML), fresh, math.Float64bits(fresh))
 		}
 		for _, j := range oc.perm[start:end] {
 			if oc.Assign[j] != ci {
@@ -457,57 +420,33 @@ func (oc *ObsClusters) CheckInvariants() error {
 	return nil
 }
 
-// VarCluster is one variable cluster with its observation partition.
-type VarCluster struct {
-	Vars []int
-	Obs  *ObsClusters
-}
-
-// CoClustering is the full two-way clustering state of Algorithm 3.
+// CoClustering is the full two-way clustering state of Algorithm 3: a
+// partition of the variables into variable clusters, each of them the
+// observation partition over its variables.
 type CoClustering struct {
-	Q     *score.QData
-	Prior score.Prior
-	// Kernel, when non-nil, serves LogML evaluations from the precomputed
-	// score kernel — bit-identical to Prior.LogML (score.Kernel). Propagated
-	// to every nested observation partition by UseKernel and AttachVar.
+	Q *score.QData
+	// Kernel scores every block, as in ObsClusters; every nested partition
+	// holds the same one.
 	Kernel *score.Kernel
 	// Assign maps each variable to its cluster index, or -1 while
 	// detached.
 	Assign   []int
-	Clusters []*VarCluster
-}
-
-// logML evaluates the prior's marginal log-likelihood, through the kernel
-// when one is attached.
-func (cc *CoClustering) logML(s score.Stats) float64 {
-	if cc.Kernel != nil {
-		return cc.Kernel.LogML(s)
-	}
-	return cc.Prior.LogML(s)
-}
-
-// UseKernel attaches k (which must be built for cc.Prior) to the
-// co-clustering and every nested observation partition.
-func (cc *CoClustering) UseKernel(k *score.Kernel) {
-	cc.Kernel = k
-	for _, vc := range cc.Clusters {
-		vc.Obs.Kernel = k
-	}
+	Clusters []*ObsClusters
 }
 
 // NewRandomCoClustering assigns each variable to one of k0 clusters
 // uniformly at random (n draws in variable order), then partitions each
 // cluster's observations into obsCount random clusters (m draws per cluster,
-// in cluster order). Empty variable clusters are removed. This is the random
-// initialization of Algorithm 3, lines 3–5.
-func NewRandomCoClustering(q *score.QData, pr score.Prior, k0, obsCount int, g *prng.MRG3) *CoClustering {
+// in cluster order), scored through kern. Empty variable clusters are
+// removed. This is the random initialization of Algorithm 3, lines 3–5.
+func NewRandomCoClustering(q *score.QData, kern *score.Kernel, k0, obsCount int, g *prng.MRG3) *CoClustering {
 	if k0 < 1 {
 		k0 = 1
 	}
 	if k0 > q.N {
 		k0 = q.N
 	}
-	cc := &CoClustering{Q: q, Prior: pr, Assign: make([]int, q.N)}
+	cc := &CoClustering{Q: q, Kernel: kern, Assign: make([]int, q.N)}
 	members := make([][]int, k0)
 	for x := 0; x < q.N; x++ {
 		c := g.Intn(k0)
@@ -517,18 +456,10 @@ func NewRandomCoClustering(q *score.QData, pr score.Prior, k0, obsCount int, g *
 		if len(vars) == 0 {
 			continue
 		}
-		vc := &VarCluster{
-			Vars: vars,
-			Obs:  NewRandomObsClusters(q, pr, vars, obsCount, g),
+		for _, x := range vars {
+			cc.Assign[x] = len(cc.Clusters)
 		}
-		vc.Obs.layout = true
-		vc.Obs.relayout()
-		cc.Clusters = append(cc.Clusters, vc)
-	}
-	for idx, vc := range cc.Clusters {
-		for _, x := range vc.Vars {
-			cc.Assign[x] = idx
-		}
+		cc.Clusters = append(cc.Clusters, NewRandomObsClusters(q, kern, vars, obsCount, g))
 	}
 	return cc
 }
@@ -537,7 +468,7 @@ func NewRandomCoClustering(q *score.QData, pr score.Prior, k0, obsCount int, g *
 func (cc *CoClustering) Score() float64 {
 	var total float64
 	for _, vc := range cc.Clusters {
-		total += vc.Obs.Score()
+		total += vc.Score()
 	}
 	return total
 }
@@ -551,20 +482,20 @@ func (cc *CoClustering) DetachVar(x int) {
 		panic(fmt.Sprintf("cluster: DetachVar(%d): already detached", x))
 	}
 	vc := cc.Clusters[ci]
-	vc.Obs.RemoveVar(x)
-	for i, v := range vc.Vars {
-		if v == x {
-			vc.Vars = append(vc.Vars[:i], vc.Vars[i+1:]...)
-			break
-		}
-	}
+	vc.RemoveVar(x)
 	cc.Assign[x] = -1
 	if len(vc.Vars) == 0 {
-		cc.Clusters = append(cc.Clusters[:ci], cc.Clusters[ci+1:]...)
-		for idx := ci; idx < len(cc.Clusters); idx++ {
-			for _, v := range cc.Clusters[idx].Vars {
-				cc.Assign[v] = idx
-			}
+		cc.Clusters = slices.Delete(cc.Clusters, ci, ci+1)
+		cc.renumber(ci)
+	}
+}
+
+// renumber points Assign at the clusters' indices from ci on, after a
+// cluster before them was removed or cluster ci gained variables.
+func (cc *CoClustering) renumber(ci int) {
+	for ; ci < len(cc.Clusters); ci++ {
+		for _, x := range cc.Clusters[ci].Vars {
+			cc.Assign[x] = ci
 		}
 	}
 }
@@ -575,16 +506,16 @@ func (cc *CoClustering) DetachVar(x int) {
 func (cc *CoClustering) GainAttachVar(x, to int) float64 {
 	row := cc.Q.Row(x)
 	if to == len(cc.Clusters) {
-		return cc.logML(score.StatsOf(row))
+		return cc.Kernel.LogML(score.StatsOf(row))
 	}
 	vc := cc.Clusters[to]
 	var gain float64
-	for _, c := range vc.Obs.Clusters {
+	for ci, c := range vc.Clusters {
 		var part score.Stats
-		for _, j := range c.Obs {
+		for _, j := range vc.Obs(ci) {
 			part.Add(int64(row[j]))
 		}
-		gain += cc.logML(c.Stats.Plus(part)) - c.logML
+		gain += cc.Kernel.LogML(c.Stats.Plus(part)) - c.logML
 	}
 	return gain
 }
@@ -596,17 +527,10 @@ func (cc *CoClustering) AttachVar(x, to int) {
 		panic(fmt.Sprintf("cluster: AttachVar(%d): not detached", x))
 	}
 	if to == len(cc.Clusters) {
-		vc := &VarCluster{
-			Vars: []int{x},
-			Obs:  newSingleObsCluster(cc.Q, cc.Prior, cc.Kernel, []int{x}),
-		}
-		cc.Clusters = append(cc.Clusters, vc)
-		cc.Assign[x] = to
-		return
+		cc.Clusters = append(cc.Clusters, newSingleObsCluster(cc.Q, cc.Kernel, []int{x}))
+	} else {
+		cc.Clusters[to].AddVar(x)
 	}
-	vc := cc.Clusters[to]
-	vc.Vars = append(vc.Vars, x)
-	vc.Obs.AddVar(x)
 	cc.Assign[x] = to
 }
 
@@ -631,15 +555,16 @@ func (cc *CoClustering) GainMergeVar(cols []score.Stats, src, dst int) float64 {
 	if src == dst {
 		return 0
 	}
+	dc := cc.Clusters[dst]
 	var gain float64
-	for _, c := range cc.Clusters[dst].Obs.Clusters {
+	for ci, c := range dc.Clusters {
 		var part score.Stats
-		for _, j := range c.Obs {
+		for _, j := range dc.Obs(ci) {
 			part.Merge(cols[j])
 		}
-		gain += cc.logML(c.Stats.Plus(part)) - c.logML
+		gain += cc.Kernel.LogML(c.Stats.Plus(part)) - c.logML
 	}
-	for _, c := range cc.Clusters[src].Obs.Clusters {
+	for _, c := range cc.Clusters[src].Clusters {
 		gain -= c.logML
 	}
 	return gain
@@ -651,18 +576,11 @@ func (cc *CoClustering) MergeVar(src, dst int) {
 	if src == dst {
 		panic("cluster: MergeVar with src == dst")
 	}
-	sc, dc := cc.Clusters[src], cc.Clusters[dst]
-	for _, x := range sc.Vars {
-		dc.Obs.AddVar(x)
-		dc.Vars = append(dc.Vars, x)
-		cc.Assign[x] = dst
+	for _, x := range cc.Clusters[src].Vars {
+		cc.Clusters[dst].AddVar(x)
 	}
-	cc.Clusters = append(cc.Clusters[:src], cc.Clusters[src+1:]...)
-	for idx := src; idx < len(cc.Clusters); idx++ {
-		for _, v := range cc.Clusters[idx].Vars {
-			cc.Assign[v] = idx
-		}
-	}
+	cc.Clusters = slices.Delete(cc.Clusters, src, src+1)
+	cc.renumber(min(src, dst))
 }
 
 // VarAssignment returns a copy of the variable → cluster index assignment.
@@ -694,10 +612,6 @@ func (cc *CoClustering) CheckInvariants() error {
 		if len(vc.Vars) == 0 {
 			return fmt.Errorf("cluster: empty variable cluster %d retained", ci)
 		}
-		if len(vc.Vars) != len(vc.Obs.Vars) {
-			return fmt.Errorf("cluster: cluster %d has %d vars but obs partition covers %d",
-				ci, len(vc.Vars), len(vc.Obs.Vars))
-		}
 		for _, x := range vc.Vars {
 			if seen[x] != -1 {
 				return fmt.Errorf("cluster: variable %d in clusters %d and %d", x, seen[x], ci)
@@ -707,7 +621,7 @@ func (cc *CoClustering) CheckInvariants() error {
 				return fmt.Errorf("cluster: variable %d assigned %d, member of %d", x, cc.Assign[x], ci)
 			}
 		}
-		if err := vc.Obs.CheckInvariants(); err != nil {
+		if err := vc.CheckInvariants(); err != nil {
 			return fmt.Errorf("cluster %d: %w", ci, err)
 		}
 	}

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -27,16 +28,22 @@ func testData(t testing.TB, n, m int, seed uint64) *score.QData {
 	return score.QuantizeData(d)
 }
 
+// testKernel is the scoring kernel of the default prior for every block of
+// q, as a rank builds it.
+func testKernel(q *score.QData) *score.Kernel {
+	return score.NewKernel(score.DefaultPrior(), q.N*q.M)
+}
+
 func TestNewRandomObsClusters(t *testing.T) {
 	q := testData(t, 10, 20, 1)
 	g := prng.New(1)
-	oc := NewRandomObsClusters(q, score.DefaultPrior(), []int{0, 1, 2}, 4, g)
+	oc := NewRandomObsClusters(q, testKernel(q), []int{0, 1, 2}, 4, g)
 	if err := oc.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 	total := 0
-	for _, c := range oc.Clusters {
-		total += len(c.Obs)
+	for ci := range oc.Clusters {
+		total += len(oc.Obs(ci))
 	}
 	if total != 20 {
 		t.Fatalf("clusters cover %d of 20 observations", total)
@@ -46,28 +53,20 @@ func TestNewRandomObsClusters(t *testing.T) {
 func TestNewRandomObsClustersClampsCount(t *testing.T) {
 	q := testData(t, 10, 5, 2)
 	g := prng.New(2)
-	oc := NewRandomObsClusters(q, score.DefaultPrior(), []int{0}, 100, g)
+	oc := NewRandomObsClusters(q, testKernel(q), []int{0}, 100, g)
 	if len(oc.Clusters) > 5 {
 		t.Fatalf("%d clusters for 5 observations", len(oc.Clusters))
 	}
-	oc2 := NewRandomObsClusters(q, score.DefaultPrior(), []int{0}, 0, prng.New(3))
+	oc2 := NewRandomObsClusters(q, testKernel(q), []int{0}, 0, prng.New(3))
 	if len(oc2.Clusters) != 1 {
 		t.Fatalf("count 0 should clamp to 1, got %d", len(oc2.Clusters))
 	}
 }
 
-// withLayout gives oc the observation layout that the partitions nested in
-// a CoClustering keep, so that a test of the obs moves checks its upkeep.
-func withLayout(oc *ObsClusters) *ObsClusters {
-	oc.layout = true
-	oc.relayout()
-	return oc
-}
-
 func TestObsDetachAttachRoundTrip(t *testing.T) {
 	q := testData(t, 8, 12, 3)
 	g := prng.New(4)
-	oc := withLayout(NewRandomObsClusters(q, score.DefaultPrior(), []int{1, 3, 5}, 3, g))
+	oc := NewRandomObsClusters(q, testKernel(q), []int{1, 3, 5}, 3, g)
 	before := oc.Score()
 	home := oc.Assign[7]
 	col := oc.DetachObs(7)
@@ -85,7 +84,7 @@ func TestObsDetachAttachRoundTrip(t *testing.T) {
 
 func TestObsAttachNewCluster(t *testing.T) {
 	q := testData(t, 8, 12, 5)
-	oc := withLayout(NewRandomObsClusters(q, score.DefaultPrior(), []int{0, 2}, 2, prng.New(5)))
+	oc := NewRandomObsClusters(q, testKernel(q), []int{0, 2}, 2, prng.New(5))
 	col := oc.DetachObs(3)
 	if err := oc.CheckInvariants(); err != nil {
 		t.Fatalf("while 3 is detached: %v", err)
@@ -99,23 +98,22 @@ func TestObsAttachNewCluster(t *testing.T) {
 	if got := oc.Score() - preScore; !approxEqual(got, want) {
 		t.Fatalf("new-cluster gain %v, realized %v", want, got)
 	}
-	last := oc.Clusters[len(oc.Clusters)-1]
-	if len(last.Obs) != 1 || last.Obs[0] != 3 {
-		t.Fatalf("new cluster contents %v", last.Obs)
+	if last := oc.Obs(len(oc.Clusters) - 1); len(last) != 1 || last[0] != 3 {
+		t.Fatalf("new cluster contents %v", last)
 	}
 }
 
 func TestObsDetachRemovesEmptyCluster(t *testing.T) {
 	q := testData(t, 6, 8, 6)
-	oc := withLayout(NewRandomObsClusters(q, score.DefaultPrior(), []int{0, 1}, 2, prng.New(6)))
+	oc := NewRandomObsClusters(q, testKernel(q), []int{0, 1}, 2, prng.New(6))
 	// Move everything out of cluster 0 except one observation, then detach it.
-	for len(oc.Clusters[0].Obs) > 1 {
-		j := oc.Clusters[0].Obs[0]
+	for len(oc.Obs(0)) > 1 {
+		j := int(oc.Obs(0)[0])
 		oc.DetachObs(j)
 		oc.AttachObs(j, 1%len(oc.Clusters))
 	}
 	before := len(oc.Clusters)
-	j := oc.Clusters[0].Obs[0]
+	j := int(oc.Obs(0)[0])
 	oc.DetachObs(j)
 	if len(oc.Clusters) != before-1 {
 		t.Fatal("empty cluster not removed")
@@ -131,10 +129,11 @@ func TestObsDetachRemovesEmptyCluster(t *testing.T) {
 
 // TestObsLayoutFollowsMoves: the observation layout lists every cluster's
 // observations in its run, and a detached one past the runs, after every
-// move of a random sequence into old and new clusters, with merges between.
+// move of a random sequence into old and new clusters, with merges between
+// (a standalone partition keeps the same layout as a nested one).
 func TestObsLayoutFollowsMoves(t *testing.T) {
 	q := testData(t, 6, 40, 12)
-	oc := withLayout(NewRandomObsClusters(q, score.DefaultPrior(), []int{0, 1, 2}, 5, prng.New(12)))
+	oc := NewRandomObsClusters(q, testKernel(q), []int{0, 1, 2}, 5, prng.New(12))
 	g := prng.New(13)
 	for step := range 400 {
 		j := g.Intn(q.M)
@@ -156,12 +155,12 @@ func TestObsLayoutFollowsMoves(t *testing.T) {
 // QData built by hand can hold, fails the invariants.
 func TestCheckInvariantsBoundsCells(t *testing.T) {
 	q := testData(t, 4, 10, 14)
-	cc := NewRandomCoClustering(q, score.DefaultPrior(), 2, 2, prng.New(14))
+	cc := NewRandomCoClustering(q, testKernel(q), 2, 2, prng.New(14))
 	if err := cc.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 	q.Cells[17] = score.MaxAbsCell + 1
-	cc = NewRandomCoClustering(q, score.DefaultPrior(), 2, 2, prng.New(14))
+	cc = NewRandomCoClustering(q, testKernel(q), 2, 2, prng.New(14))
 	if err := cc.CheckInvariants(); err == nil {
 		t.Fatal("a cell past MaxAbsCell passed the invariants")
 	}
@@ -169,7 +168,7 @@ func TestCheckInvariantsBoundsCells(t *testing.T) {
 
 func TestObsMergeGainRealized(t *testing.T) {
 	q := testData(t, 8, 15, 7)
-	oc := withLayout(NewRandomObsClusters(q, score.DefaultPrior(), []int{0, 1, 2, 3}, 4, prng.New(7)))
+	oc := NewRandomObsClusters(q, testKernel(q), []int{0, 1, 2, 3}, 4, prng.New(7))
 	if len(oc.Clusters) < 2 {
 		t.Skip("random init produced one cluster")
 	}
@@ -184,9 +183,71 @@ func TestObsMergeGainRealized(t *testing.T) {
 	}
 }
 
+// TestMergeObsRotates: a merge leaves dst's run holding both clusters'
+// observations and every other run its own, and moves no entry of the
+// layout outside the runs from src to dst — for dst before and after src,
+// the first and last runs, adjacent runs, and merges right after a move.
+func TestMergeObsRotates(t *testing.T) {
+	cases := []struct {
+		name     string
+		src, dst int
+		// move, when set, detaches observation move[0] and attaches it to
+		// cluster move[1] (len(Clusters) opens one) before the merge.
+		move []int
+	}{
+		{name: "dst before src", src: 3, dst: 1},
+		{name: "dst after src", src: 1, dst: 3},
+		{name: "first into last", src: 0, dst: 4},
+		{name: "last into first", src: 4, dst: 0},
+		{name: "adjacent up", src: 2, dst: 3},
+		{name: "adjacent down", src: 3, dst: 2},
+		{name: "new cluster into another", move: []int{7, 5}, src: 5, dst: 1},
+		{name: "into the cluster just joined", move: []int{11, 0}, src: 2, dst: 0},
+	}
+	for _, tc := range cases {
+		q := testData(t, 6, 40, 15)
+		oc := NewRandomObsClusters(q, testKernel(q), []int{0, 1, 2}, 5, prng.New(15))
+		if len(oc.Clusters) != 5 {
+			t.Fatalf("fixture has %d clusters, want 5", len(oc.Clusters))
+		}
+		if tc.move != nil {
+			oc.DetachObs(tc.move[0])
+			oc.AttachObs(tc.move[0], tc.move[1])
+		}
+		var want [][]int32
+		for ci := range oc.Clusters {
+			if ci != tc.src {
+				want = append(want, slices.Clone(oc.Obs(ci)))
+			}
+		}
+		at := tc.dst
+		if tc.src < tc.dst {
+			at--
+		}
+		want[at] = append(want[at], oc.Obs(tc.src)...)
+		lo, hi := oc.runStart(min(tc.src, tc.dst)), int(oc.ends[max(tc.src, tc.dst)])
+		perm := slices.Clone(oc.perm)
+		oc.MergeObs(tc.src, tc.dst)
+		if err := oc.CheckInvariants(); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		for ci := range want {
+			got := slices.Clone(oc.Obs(ci))
+			slices.Sort(got)
+			slices.Sort(want[ci])
+			if !slices.Equal(got, want[ci]) {
+				t.Fatalf("%s: run %d holds %v, want %v", tc.name, ci, got, want[ci])
+			}
+		}
+		if !slices.Equal(oc.perm[:lo], perm[:lo]) || !slices.Equal(oc.perm[hi:], perm[hi:]) {
+			t.Fatalf("%s: the merge moved entries outside [%d, %d)", tc.name, lo, hi)
+		}
+	}
+}
+
 func TestObsMergeGainRetainIsZero(t *testing.T) {
 	q := testData(t, 6, 10, 8)
-	oc := NewRandomObsClusters(q, score.DefaultPrior(), []int{0}, 3, prng.New(8))
+	oc := NewRandomObsClusters(q, testKernel(q), []int{0}, 3, prng.New(8))
 	if oc.GainMergeObs(0, 0) != 0 {
 		t.Fatal("retain gain must be zero")
 	}
@@ -194,7 +255,7 @@ func TestObsMergeGainRetainIsZero(t *testing.T) {
 
 func TestAddRemoveVarExact(t *testing.T) {
 	q := testData(t, 8, 10, 9)
-	oc := NewRandomObsClusters(q, score.DefaultPrior(), []int{0, 1}, 2, prng.New(9))
+	oc := NewRandomObsClusters(q, testKernel(q), []int{0, 1}, 2, prng.New(9))
 	before := oc.Score()
 	oc.AddVar(5)
 	oc.RemoveVar(5)
@@ -208,7 +269,7 @@ func TestAddRemoveVarExact(t *testing.T) {
 
 func TestRemoveVarPanicsOnNonMember(t *testing.T) {
 	q := testData(t, 6, 6, 10)
-	oc := NewRandomObsClusters(q, score.DefaultPrior(), []int{0, 1}, 2, prng.New(10))
+	oc := NewRandomObsClusters(q, testKernel(q), []int{0, 1}, 2, prng.New(10))
 	defer func() {
 		if recover() == nil {
 			t.Fatal("no panic")
@@ -219,7 +280,7 @@ func TestRemoveVarPanicsOnNonMember(t *testing.T) {
 
 func TestObsSnapshotCanonical(t *testing.T) {
 	q := testData(t, 6, 9, 11)
-	oc := NewRandomObsClusters(q, score.DefaultPrior(), []int{0}, 3, prng.New(11))
+	oc := NewRandomObsClusters(q, testKernel(q), []int{0}, 3, prng.New(11))
 	snap := oc.Snapshot()
 	covered := map[int]bool{}
 	prevFirst := -1
@@ -244,7 +305,7 @@ func newCC(t *testing.T, n, m, k0 int, seed uint64) (*CoClustering, *score.QData
 	t.Helper()
 	q := testData(t, n, m, seed)
 	g := prng.New(seed + 100)
-	cc := NewRandomCoClustering(q, score.DefaultPrior(), k0, 3, g)
+	cc := NewRandomCoClustering(q, testKernel(q), k0, 3, g)
 	if err := cc.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +364,7 @@ func TestVarAttachNewClusterSingleObsCluster(t *testing.T) {
 	if len(vc.Vars) != 1 || vc.Vars[0] != 2 {
 		t.Fatalf("singleton cluster vars %v", vc.Vars)
 	}
-	if len(vc.Obs.Clusters) != 1 || len(vc.Obs.Clusters[0].Obs) != q.M {
+	if len(vc.Clusters) != 1 || len(vc.Obs(0)) != q.M {
 		t.Fatal("new variable cluster must start with one observation cluster over all observations")
 	}
 	if err := cc.CheckInvariants(); err != nil {
@@ -378,56 +439,50 @@ func TestVarSnapshotCanonical(t *testing.T) {
 // TestRandomOpSequenceInvariants drives the state through random mixed
 // operations and verifies, after every one of them, the exact-statistics
 // invariant and that each stored block score is bit-equal to a fresh
-// evaluation — scored by the prior, then by the kernel, which takes over
-// blocks the prior scored at construction.
+// evaluation.
 func TestRandomOpSequenceInvariants(t *testing.T) {
-	for _, kernel := range []bool{false, true} {
-		cc, q := newCC(t, 16, 12, 4, 20)
-		if kernel {
-			cc.UseKernel(score.NewKernel(cc.Prior, q.N*q.M))
+	cc, q := newCC(t, 16, 12, 4, 20)
+	check := func(step int) {
+		t.Helper()
+		if err := cc.CheckInvariants(); err != nil {
+			t.Fatalf("step %d: %v", step, err)
 		}
-		check := func(step int) {
-			t.Helper()
-			if err := cc.CheckInvariants(); err != nil {
-				t.Fatalf("kernel=%v step %d: %v", kernel, step, err)
-			}
-		}
-		g := prng.New(999)
-		for step := 0; step < 200; step++ {
-			switch g.Intn(4) {
-			case 0: // move a variable
-				x := g.Intn(q.N)
-				cc.DetachVar(x)
-				check(step)
-				to := g.Intn(len(cc.Clusters) + 1)
-				cc.AttachVar(x, to)
-			case 1: // merge two variable clusters
-				if len(cc.Clusters) >= 2 {
-					src := g.Intn(len(cc.Clusters))
-					dst := g.Intn(len(cc.Clusters))
-					if src != dst {
-						cc.MergeVar(src, dst)
-					}
-				}
-			case 2: // move an observation within a random cluster
-				vc := cc.Clusters[g.Intn(len(cc.Clusters))]
-				j := g.Intn(q.M)
-				vc.Obs.DetachObs(j)
-				check(step)
-				to := g.Intn(len(vc.Obs.Clusters) + 1)
-				vc.Obs.AttachObs(j, to)
-			case 3: // merge two observation clusters
-				vc := cc.Clusters[g.Intn(len(cc.Clusters))]
-				if len(vc.Obs.Clusters) >= 2 {
-					src := g.Intn(len(vc.Obs.Clusters))
-					dst := g.Intn(len(vc.Obs.Clusters))
-					if src != dst {
-						vc.Obs.MergeObs(src, dst)
-					}
-				}
-			}
+	}
+	g := prng.New(999)
+	for step := 0; step < 200; step++ {
+		switch g.Intn(4) {
+		case 0: // move a variable
+			x := g.Intn(q.N)
+			cc.DetachVar(x)
 			check(step)
+			to := g.Intn(len(cc.Clusters) + 1)
+			cc.AttachVar(x, to)
+		case 1: // merge two variable clusters
+			if len(cc.Clusters) >= 2 {
+				src := g.Intn(len(cc.Clusters))
+				dst := g.Intn(len(cc.Clusters))
+				if src != dst {
+					cc.MergeVar(src, dst)
+				}
+			}
+		case 2: // move an observation within a random cluster
+			oc := cc.Clusters[g.Intn(len(cc.Clusters))]
+			j := g.Intn(q.M)
+			oc.DetachObs(j)
+			check(step)
+			to := g.Intn(len(oc.Clusters) + 1)
+			oc.AttachObs(j, to)
+		case 3: // merge two observation clusters
+			oc := cc.Clusters[g.Intn(len(cc.Clusters))]
+			if len(oc.Clusters) >= 2 {
+				src := g.Intn(len(oc.Clusters))
+				dst := g.Intn(len(oc.Clusters))
+				if src != dst {
+					oc.MergeObs(src, dst)
+				}
+			}
 		}
+		check(step)
 	}
 }
 
@@ -435,7 +490,7 @@ func TestRandomOpSequenceInvariants(t *testing.T) {
 // without its stored score following is reported.
 func TestCheckInvariantsCatchesStaleScore(t *testing.T) {
 	q := testData(t, 6, 8, 4)
-	oc := NewRandomObsClusters(q, score.DefaultPrior(), []int{0, 1, 2}, 2, prng.New(5))
+	oc := NewRandomObsClusters(q, testKernel(q), []int{0, 1, 2}, 2, prng.New(5))
 	if err := oc.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
@@ -452,10 +507,10 @@ func TestScoreDecomposable(t *testing.T) {
 	pr := score.DefaultPrior()
 	check := func(seed uint16) bool {
 		g := prng.New(uint64(seed))
-		cc := NewRandomCoClustering(q, pr, 3, 2, g)
+		cc := NewRandomCoClustering(q, score.NewKernel(pr, q.N*q.M), 3, 2, g)
 		var total float64
 		for _, vc := range cc.Clusters {
-			for _, c := range vc.Obs.Clusters {
+			for _, c := range vc.Clusters {
 				total += pr.LogML(c.Stats)
 			}
 		}
@@ -470,7 +525,7 @@ func BenchmarkGainAttachVar(b *testing.B) {
 	d, _, _ := synth.Generate(synth.Config{N: 100, M: 100, Seed: 1})
 	d.Standardize()
 	q := score.QuantizeData(d)
-	cc := NewRandomCoClustering(q, score.DefaultPrior(), 10, 5, prng.New(1))
+	cc := NewRandomCoClustering(q, testKernel(q), 10, 5, prng.New(1))
 	cc.DetachVar(50)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -482,7 +537,7 @@ func BenchmarkMergeGains(b *testing.B) {
 	d, _, _ := synth.Generate(synth.Config{N: 100, M: 100, Seed: 1})
 	d.Standardize()
 	q := score.QuantizeData(d)
-	cc := NewRandomCoClustering(q, score.DefaultPrior(), 10, 5, prng.New(1))
+	cc := NewRandomCoClustering(q, testKernel(q), 10, 5, prng.New(1))
 	cols := cc.VarColumnStats(0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

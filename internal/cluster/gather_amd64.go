@@ -13,15 +13,14 @@ import (
 var useKernel = cpu.AVX2
 
 // gatherOffsets are the byte offsets the kernel reads the clustering state
-// at: VarCluster.Obs, and ObsClusters.perm, .ends and .Clusters (slice
-// headers: the pointer, then the length), and ObsCluster.Stats. Passing
-// them keeps gather_amd64.s independent of the field order.
+// at: ObsClusters.perm, .ends and .Clusters (slice headers: the pointer,
+// then the length), and ObsCluster.Stats. Passing them keeps
+// gather_amd64.s independent of the field order.
 type gatherOffsets struct {
-	obs, perm, ends, clusters, stats uintptr
+	perm, ends, clusters, stats uintptr
 }
 
 var gatherOffs = gatherOffsets{
-	obs:      unsafe.Offsetof(VarCluster{}.Obs),
 	perm:     unsafe.Offsetof(ObsClusters{}.perm),
 	ends:     unsafe.Offsetof(ObsClusters{}.ends),
 	clusters: unsafe.Offsetof(ObsClusters{}.Clusters),
@@ -30,7 +29,7 @@ var gatherOffs = gatherOffsets{
 
 // gatherKernel appends to b.stats, for every candidate cluster lo … hi−1
 // of cc and each of its obs clusters c in order, c.Stats with row's cells
-// over c.Obs added; the co-clustering has at most maxKernelObs
+// over c's run added; the co-clustering has at most maxKernelObs
 // observations.
 func gatherKernel(b *Batch, cc *CoClustering, row []int32, lo, hi int) {
 	if lo == hi {
@@ -41,7 +40,7 @@ func gatherKernel(b *Batch, cc *CoClustering, row []int32, lo, hi int) {
 	}
 	blocks := 0
 	for _, vc := range cc.Clusters[lo:hi] {
-		blocks += len(vc.Obs.Clusters)
+		blocks += len(vc.Clusters)
 	}
 	n := len(b.stats)
 	b.stats = slices.Grow(b.stats, blocks)[:n+blocks]
@@ -53,4 +52,4 @@ func gatherKernel(b *Batch, cc *CoClustering, row []int32, lo, hi int) {
 // len(row)+9 entries, the first of them 0.
 //
 //go:noescape
-func gatherAVX2(row *int32, vcs **VarCluster, nc int, pre *int32, preSq *int64, dst *score.Stats, offs *gatherOffsets)
+func gatherAVX2(row *int32, vcs **ObsClusters, nc int, pre *int32, preSq *int64, dst *score.Stats, offs *gatherOffsets)

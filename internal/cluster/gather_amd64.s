@@ -72,7 +72,7 @@ GLOBL lanemask<>(SB), RODATA|NOPTR, $64
 #define F_RUNS     8(SP)
 #define F_CLUSTERS 16(SP)
 
-// func gatherAVX2(row *int32, vcs **VarCluster, nc int, pre *int32, preSq *int64, dst *score.Stats, offs *gatherOffsets)
+// func gatherAVX2(row *int32, vcs **ObsClusters, nc int, pre *int32, preSq *int64, dst *score.Stats, offs *gatherOffsets)
 TEXT ·gatherAVX2(SB), NOSPLIT, $24-56
 	MOVQ vcs+8(FP), R12
 	MOVQ pre+24(FP), R8
@@ -84,17 +84,15 @@ cand:
 	// reads, at the offsets in offs.
 	MOVQ offs+48(FP), BX
 	MOVQ (R12), AX
-	ADDQ 0(BX), AX
-	MOVQ (AX), AX
-	MOVQ 16(BX), CX
+	MOVQ 8(BX), CX
 	MOVQ (AX)(CX*1), DX
 	MOVQ DX, F_ENDS
 	MOVQ 8(AX)(CX*1), DX
 	MOVQ DX, F_RUNS
-	MOVQ 24(BX), CX
+	MOVQ 16(BX), CX
 	MOVQ (AX)(CX*1), DX
 	MOVQ DX, F_CLUSTERS
-	MOVQ 8(BX), CX
+	MOVQ 0(BX), CX
 	MOVQ (AX)(CX*1), DX
 	MOVQ 8(AX)(CX*1), CX
 	MOVQ row+0(FP), SI
@@ -137,7 +135,7 @@ runs:
 	// cluster's stored statistics plus the run's count and the differences
 	// of the running sums at its ends.
 	MOVQ offs+48(FP), BX
-	MOVQ 32(BX), R13
+	MOVQ 24(BX), R13
 	MOVQ F_ENDS, DX
 	MOVQ F_RUNS, CX
 	MOVQ F_CLUSTERS, SI

@@ -43,16 +43,22 @@ func (p Params) withDefaults(n, m int) Params {
 		p.InitVarClusters = max(1, n/2)
 	}
 	if p.InitObsClusters == 0 {
-		c := 1
-		for c*c < m {
-			c++
-		}
-		p.InitObsClusters = c
+		p.InitObsClusters = defaultObsClusters(m)
 	}
 	if p.Updates == 0 {
 		p.Updates = 1
 	}
 	return p
+}
+
+// defaultObsClusters is ⌈√m⌉, the Lemon-Tree default initial number of
+// observation clusters.
+func defaultObsClusters(m int) int {
+	c := 1
+	for c*c < m {
+		c++
+	}
+	return c
 }
 
 // Phase names used for work recording.
@@ -80,8 +86,8 @@ type evalFunc func(b *cluster.Batch, lo int, out []float64)
 type engine struct {
 	rc rank.Context
 	q  *score.QData
-	// kern is the rank's scoring kernel, attached to the clustering state
-	// so every gain evaluation hits the tables; its prior is the score's.
+	// kern is the rank's scoring kernel, which the clustering state scores
+	// every block through; its prior is the score's.
 	kern *score.Kernel
 	g    *prng.MRG3
 	// gains and weights are the decision scratch: one decision's candidate
@@ -187,7 +193,7 @@ func (e *engine) reassignVars(cc *cluster.CoClustering) {
 		cost := func(i int) float64 {
 			l := 1
 			if i < k {
-				l = len(cc.Clusters[i].Obs.Clusters)
+				l = len(cc.Clusters[i].Clusters)
 			}
 			return float64(e.q.M + trace.LogMLCost*2*l)
 		}
@@ -206,12 +212,12 @@ func (e *engine) mergeVars(cc *cluster.CoClustering) {
 		cols := cc.VarColumnStats(i)
 		e.rc.Hooks.Serial(PhaseVarMerge, float64(len(cc.Clusters[i].Vars)*e.q.M))
 		k := len(cc.Clusters)
-		srcL := len(cc.Clusters[i].Obs.Clusters)
+		srcL := len(cc.Clusters[i].Clusters)
 		cost := func(j int) float64 {
 			if j == i {
 				return 1
 			}
-			return float64(e.q.M + trace.LogMLCost*(2*len(cc.Clusters[j].Obs.Clusters)+srcL))
+			return float64(e.q.M + trace.LogMLCost*(2*len(cc.Clusters[j].Clusters)+srcL))
 		}
 		s := e.decide(PhaseVarMerge, k,
 			func(b *cluster.Batch, lo int, out []float64) { cc.GainsMergeVar(b, cols, i, lo, out) }, cost)
@@ -263,8 +269,7 @@ func (e *engine) mergeObs(oc *cluster.ObsClusters) {
 // steps.
 func (e *engine) run(par Params) *cluster.CoClustering {
 	par = par.withDefaults(e.q.N, e.q.M)
-	cc := cluster.NewRandomCoClustering(e.q, e.kern.Prior(), par.InitVarClusters, par.InitObsClusters, e.g)
-	cc.UseKernel(e.kern)
+	cc := cluster.NewRandomCoClustering(e.q, e.kern, par.InitVarClusters, par.InitObsClusters, e.g)
 	for u := 0; u < par.Updates; u++ {
 		e.rc.Cancel.Check()
 		e.step(cc)
@@ -278,9 +283,8 @@ func (e *engine) step(cc *cluster.CoClustering) {
 	e.reassignVars(cc)
 	e.mergeVars(cc)
 	for vi := 0; vi < len(cc.Clusters); vi++ {
-		oc := cc.Clusters[vi].Obs
-		e.reassignObs(oc)
-		e.mergeObs(oc)
+		e.reassignObs(cc.Clusters[vi])
+		e.mergeObs(cc.Clusters[vi])
 	}
 }
 
@@ -313,11 +317,7 @@ type ObsParams struct {
 
 func (p ObsParams) withDefaults(m int) ObsParams {
 	if p.InitObsClusters == 0 {
-		c := 1
-		for c*c < m {
-			c++
-		}
-		p.InitObsClusters = c
+		p.InitObsClusters = defaultObsClusters(m)
 	}
 	if p.Updates == 0 {
 		p.Updates = 1
@@ -343,8 +343,7 @@ func SampleObsClusterings(q *score.QData, pr score.Prior, vars []int, par ObsPar
 
 func sampleObs(e *engine, vars []int, par ObsParams) ([][][]int, *cluster.ObsClusters) {
 	par = par.withDefaults(e.q.M)
-	oc := cluster.NewRandomObsClusters(e.q, e.kern.Prior(), vars, par.InitObsClusters, e.g)
-	oc.UseKernel(e.kern)
+	oc := cluster.NewRandomObsClusters(e.q, e.kern, vars, par.InitObsClusters, e.g)
 	var samples [][][]int
 	for u := 1; u <= par.Updates; u++ {
 		e.rc.Cancel.Check()

@@ -186,7 +186,7 @@ func TestDistributionRuleInvariance(t *testing.T) {
 	state := func(cc *cluster.CoClustering, g *prng.MRG3) string {
 		obs := make([][][]int, len(cc.Clusters))
 		for i, vc := range cc.Clusters {
-			obs[i] = vc.Obs.Snapshot()
+			obs[i] = vc.Snapshot()
 		}
 		s0, s1, s2 := g.State()
 		return fmt.Sprint(cc.VarSnapshot(), obs, cc.Score(), s0, s1, s2)
@@ -275,8 +275,7 @@ func TestStoredBlockScoresExactThroughSampling(t *testing.T) {
 	for _, workers := range []int{1, 2} {
 		e := newEngine(on(comm.Self(), workers), q, score.NewKernel(pr, q.N*q.M), prng.New(13))
 		par := Params{Updates: 2}.withDefaults(q.N, q.M)
-		cc := cluster.NewRandomCoClustering(q, pr, par.InitVarClusters, par.InitObsClusters, e.g)
-		cc.UseKernel(e.kern)
+		cc := cluster.NewRandomCoClustering(q, e.kern, par.InitVarClusters, par.InitObsClusters, e.g)
 		e.beforeGains = checkedBy(t, cc.CheckInvariants)
 		for u := 0; u < par.Updates; u++ {
 			e.step(cc)
@@ -290,8 +289,7 @@ func TestStoredBlockScoresExactThroughSampling(t *testing.T) {
 
 		e = newEngine(on(comm.Self(), workers), q, score.NewKernel(pr, len(vars)*q.M), prng.New(19))
 		opar := ObsParams{Updates: 2}.withDefaults(q.M)
-		oc := cluster.NewRandomObsClusters(q, pr, vars, opar.InitObsClusters, e.g)
-		oc.UseKernel(e.kern)
+		oc := cluster.NewRandomObsClusters(q, e.kern, vars, opar.InitObsClusters, e.g)
 		e.beforeGains = checkedBy(t, oc.CheckInvariants)
 		for u := 0; u < opar.Updates; u++ {
 			e.reassignObs(oc)
@@ -317,7 +315,7 @@ func TestGibbsImprovesScore(t *testing.T) {
 	pr := score.DefaultPrior()
 	// Reconstruct the exact random initialization the run starts from.
 	par := Params{Updates: 3}.withDefaults(q.N, q.M)
-	init := cluster.NewRandomCoClustering(q, pr, par.InitVarClusters, par.InitObsClusters, prng.New(9))
+	init := cluster.NewRandomCoClustering(q, score.NewKernel(pr, q.N*q.M), par.InitVarClusters, par.InitObsClusters, prng.New(9))
 	final := Run(q, pr, par, prng.New(9), nil)
 	if final.Score() <= init.Score() {
 		t.Fatalf("sampling did not improve the score: init %v, final %v",
@@ -575,6 +573,39 @@ func BenchmarkRun480x32(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Run(q, pr, Params{Updates: 2}, prng.New(uint64(i)), nil)
+	}
+}
+
+// BenchmarkRun32x2577 is one GaneSH run (two update steps) on 32
+// variables over yeast's observation count, where the observation sweeps'
+// moves and merges, and the layout they keep, weigh most.
+func BenchmarkRun32x2577(b *testing.B) {
+	q := testData(b, 32, 2577, 1)
+	pr := score.DefaultPrior()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		Run(q, pr, Params{Updates: 2}, prng.New(uint64(i)), nil)
+	}
+}
+
+// BenchmarkSampleObs32x2577 is the module sampler (two update steps) over
+// the first 2, 8 and 32 variables of a 32 × 2577 data set, scored through
+// one kernel built ahead, as a rank's is.
+func BenchmarkSampleObs32x2577(b *testing.B) {
+	q := testData(b, 32, 2577, 1)
+	kern := score.NewKernel(score.DefaultPrior(), q.N*q.M)
+	for _, nv := range []int{2, 8, 32} {
+		vars := make([]int, nv)
+		for x := range vars {
+			vars[x] = x
+		}
+		b.Run(fmt.Sprintf("vars=%d", nv), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				SampleObsClusteringsWithComm(rank.Self(nil), q, kern, vars, ObsParams{Updates: 2}, prng.New(uint64(i)))
+			}
+		})
 	}
 }
 

@@ -37,7 +37,7 @@ import (
 )
 
 // blockStats rescans the raw cells of a (vars × obs) block.
-func blockStats(q *score.QData, vars, obs []int) score.Stats {
+func blockStats[J int | int32](q *score.QData, vars []int, obs []J) score.Stats {
 	var s score.Stats
 	for _, x := range vars {
 		row := q.Row(x)
@@ -49,7 +49,7 @@ func blockStats(q *score.QData, vars, obs []int) score.Stats {
 }
 
 // rowPart rescans variable x's cells over obs.
-func rowPart(q *score.QData, x int, obs []int) score.Stats {
+func rowPart(q *score.QData, x int, obs []int32) score.Stats {
 	var s score.Stats
 	row := q.Row(x)
 	for _, j := range obs {
@@ -87,9 +87,9 @@ func (e *gibbs) gainAttachVar(cc *cluster.CoClustering, x, to int) float64 {
 	}
 	vc := cc.Clusters[to]
 	var gain float64
-	for _, oc := range vc.Obs.Clusters {
-		b := blockStats(e.q, vc.Vars, oc.Obs)
-		part := rowPart(e.q, x, oc.Obs)
+	for ci := range vc.Clusters {
+		b := blockStats(e.q, vc.Vars, vc.Obs(ci))
+		part := rowPart(e.q, x, vc.Obs(ci))
 		gain += e.k.LogML(b.Plus(part)) - e.k.LogML(b)
 	}
 	return gain
@@ -101,13 +101,13 @@ func (e *gibbs) gainMergeVar(cc *cluster.CoClustering, src, dst int) float64 {
 	}
 	sc, dc := cc.Clusters[src], cc.Clusters[dst]
 	var gain float64
-	for _, oc := range dc.Obs.Clusters {
-		b := blockStats(e.q, dc.Vars, oc.Obs)
-		part := blockStats(e.q, sc.Vars, oc.Obs)
+	for ci := range dc.Clusters {
+		b := blockStats(e.q, dc.Vars, dc.Obs(ci))
+		part := blockStats(e.q, sc.Vars, dc.Obs(ci))
 		gain += e.k.LogML(b.Plus(part)) - e.k.LogML(b)
 	}
-	for _, oc := range sc.Obs.Clusters {
-		gain -= e.k.LogML(blockStats(e.q, sc.Vars, oc.Obs))
+	for ci := range sc.Clusters {
+		gain -= e.k.LogML(blockStats(e.q, sc.Vars, sc.Obs(ci)))
 	}
 	return gain
 }
@@ -117,7 +117,7 @@ func (e *gibbs) gainAttachObs(oc *cluster.ObsClusters, j, to int) float64 {
 	if to == len(oc.Clusters) {
 		return e.k.LogML(col)
 	}
-	b := blockStats(e.q, oc.Vars, oc.Clusters[to].Obs)
+	b := blockStats(e.q, oc.Vars, oc.Obs(to))
 	return e.k.LogML(b.Plus(col)) - e.k.LogML(b)
 }
 
@@ -125,8 +125,8 @@ func (e *gibbs) gainMergeObs(oc *cluster.ObsClusters, i, j int) float64 {
 	if i == j {
 		return 0
 	}
-	a := blockStats(e.q, oc.Vars, oc.Clusters[i].Obs)
-	b := blockStats(e.q, oc.Vars, oc.Clusters[j].Obs)
+	a := blockStats(e.q, oc.Vars, oc.Obs(i))
+	b := blockStats(e.q, oc.Vars, oc.Obs(j))
 	return e.k.LogML(a.Plus(b)) - e.k.LogML(a) - e.k.LogML(b)
 }
 
@@ -216,14 +216,13 @@ func (e *gibbs) runGaneSH(par ganesh.Params) *cluster.CoClustering {
 	if updates == 0 {
 		updates = 1
 	}
-	cc := cluster.NewRandomCoClustering(e.q, e.k.Prior(), k0, l0, e.g)
+	cc := cluster.NewRandomCoClustering(e.q, e.k, k0, l0, e.g)
 	for u := 0; u < updates; u++ {
 		e.reassignVars(cc)
 		e.mergeVars(cc)
 		for vi := 0; vi < len(cc.Clusters); vi++ {
-			oc := cc.Clusters[vi].Obs
-			e.reassignObs(oc)
-			e.mergeObs(oc)
+			e.reassignObs(cc.Clusters[vi])
+			e.mergeObs(cc.Clusters[vi])
 		}
 	}
 	return cc
@@ -242,7 +241,7 @@ func (e *gibbs) sampleObs(vars []int, par ganesh.ObsParams) [][][]int {
 	if updates == 0 {
 		updates = 1
 	}
-	oc := cluster.NewRandomObsClusters(e.q, e.k.Prior(), vars, l0, e.g)
+	oc := cluster.NewRandomObsClusters(e.q, e.k, vars, l0, e.g)
 	var samples [][][]int
 	for u := 1; u <= updates; u++ {
 		e.reassignObs(oc)

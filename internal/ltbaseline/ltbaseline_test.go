@@ -153,8 +153,8 @@ func BenchmarkAblationScore(b *testing.B) {
 	work.Standardize()
 	q := score.QuantizeData(work)
 	pr := score.DefaultPrior()
-	cc := cluster.NewRandomCoClustering(q, pr, 10, 5, prng.New(1))
 	e := &gibbs{q: q, k: score.NewKernel(pr, q.N*q.M), g: prng.New(2)}
+	cc := cluster.NewRandomCoClustering(q, e.k, 10, 5, prng.New(1))
 	cc.DetachVar(50)
 	b.Run("incremental", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {

@@ -115,7 +115,7 @@ func LearnWithComm(rc rank.Context, q *score.QData, kern *score.Kernel, moduleVa
 			u = &Unit{Module: mi, Vars: append([]int(nil), vars...)}
 			samples, _ := ganesh.SampleObsClusteringsWithComm(rc, q, kern, vars, par.Tree, gi)
 			for _, clusters := range samples {
-				u.Trees = append(u.Trees, tree.BuildWithComm(rc, q, kern.Prior(), vars, clusters))
+				u.Trees = append(u.Trees, tree.BuildWithComm(rc, q, kern, vars, clusters))
 			}
 			sp := splits.LearnWithComm(rc, q, kern, [][]int{vars}, [][]*tree.Tree{u.Trees}, par.Splits, gi)
 			u.Weighted = renumber(sp.Weighted, mi)

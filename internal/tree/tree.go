@@ -157,8 +157,8 @@ func leafNodes(q *score.QData, vars []int, clusters [][]int) []*Node {
 }
 
 // mergeGain is the Bayesian merge score of consecutive subtrees a and b.
-func mergeGain(pr score.Prior, a, b *Node) float64 {
-	return pr.LogML(a.Stats.Plus(b.Stats)) - pr.LogML(a.Stats) - pr.LogML(b.Stats)
+func mergeGain(kern *score.Kernel, a, b *Node) float64 {
+	return kern.LogML(a.Stats.Plus(b.Stats)) - kern.LogML(a.Stats) - kern.LogML(b.Stats)
 }
 
 // merge creates the parent of two consecutive subtrees.
@@ -192,10 +192,10 @@ func better(a, b scoredIndex) scoredIndex {
 }
 
 // bestMerge returns the best merge candidate among pair indices [lo, hi).
-func bestMerge(pr score.Prior, subtrees []*Node, lo, hi int) scoredIndex {
+func bestMerge(kern *score.Kernel, subtrees []*Node, lo, hi int) scoredIndex {
 	best := scoredIndex{Index: -1}
 	for i := lo; i < hi; i++ {
-		best = better(best, scoredIndex{Score: mergeGain(pr, subtrees[i], subtrees[i+1]), Index: i})
+		best = better(best, scoredIndex{Score: mergeGain(kern, subtrees[i], subtrees[i+1]), Index: i})
 	}
 	return best
 }
@@ -206,7 +206,7 @@ func bestMerge(pr score.Prior, subtrees []*Node, lo, hi int) scoredIndex {
 // three logML each, in practice never: every rank scores all pairs and no
 // message moves. A distributed round's merge scores are partitioned over the
 // ranks and combined with an all-reduce max (Algorithm 4 lines 13–17).
-func BuildWithComm(rc rank.Context, q *score.QData, pr score.Prior, vars []int, clusters [][]int) *Tree {
+func BuildWithComm(rc rank.Context, q *score.QData, kern *score.Kernel, vars []int, clusters [][]int) *Tree {
 	if len(clusters) == 0 {
 		panic("tree: no observation clusters")
 	}
@@ -214,7 +214,7 @@ func BuildWithComm(rc rank.Context, q *score.QData, pr score.Prior, vars []int, 
 	for len(subtrees) > 1 {
 		pairs := len(subtrees) - 1
 		cost := float64(pairs * mergeCost)
-		best, st := pick(rc.Comm, pr, subtrees, trace.Distributed(cost))
+		best, st := pick(rc.Comm, kern, subtrees, trace.Distributed(cost))
 		rc.Hooks.Decision(PhaseBuild, pairs, func(int) float64 { return mergeCost }, cost, 2, st)
 		rc.Hooks.Serial(PhaseBuild, float64(len(subtrees[0].Obs))) // merge bookkeeping
 		subtrees[best] = merge(subtrees[best], subtrees[best+1])
@@ -226,16 +226,20 @@ func BuildWithComm(rc rank.Context, q *score.QData, pr score.Prior, vars []int, 
 // pick returns a round's best pair index: this rank's block of a distributed
 // round reduced across ranks, with the block's work counters, or the whole
 // round scored here, with zero Stats.
-func pick(c *comm.Comm, pr score.Prior, subtrees []*Node, distributed bool) (int, pool.Stats) {
+func pick(c *comm.Comm, kern *score.Kernel, subtrees []*Node, distributed bool) (int, pool.Stats) {
 	if !distributed {
-		return bestMerge(pr, subtrees, 0, len(subtrees)-1).Index, pool.Stats{}
+		return bestMerge(kern, subtrees, 0, len(subtrees)-1).Index, pool.Stats{}
 	}
 	lo, hi := comm.BlockRange(len(subtrees)-1, c.Size(), c.Rank())
 	st := pool.Stats{Workers: 1, Items: []int64{int64(hi - lo)}, Cost: []float64{float64((hi - lo) * mergeCost)}}
-	return comm.AllReduce(c, bestMerge(pr, subtrees, lo, hi), better).Index, st
+	return comm.AllReduce(c, bestMerge(kern, subtrees, lo, hi), better).Index, st
 }
 
-// Build is BuildWithComm on the one-rank world, recording into wl when non-nil.
+// Build is BuildWithComm on the one-rank world with a kernel of its own for
+// pr, recording into wl when non-nil. The kernel has no table: one build
+// scores a few hundred blocks, fewer than the len(vars)·M counts a table
+// would cost to fill, and every count takes the kernel's Prior.LogML
+// fallback, the same bits.
 func Build(q *score.QData, pr score.Prior, vars []int, clusters [][]int, wl *trace.Workload) *Tree {
-	return BuildWithComm(rank.Self(wl), q, pr, vars, clusters)
+	return BuildWithComm(rank.Self(wl), q, score.NewKernel(pr, 0), vars, clusters)
 }

@@ -159,9 +159,10 @@ func TestBuildParallelMatchesSequential(t *testing.T) {
 	vars := []int{1, 4, 7}
 	clusters := evenClusters(24, 8)
 	want := shape(Build(q, pr, vars, clusters, nil).Root)
+	kern := score.NewKernel(pr, q.N*q.M)
 	for _, p := range []int{1, 2, 3, 5, 8} {
 		_, err := comm.Run(p, func(c *comm.Comm) error {
-			tr := BuildWithComm(rank.Context{Comm: c}, q, pr, vars, clusters)
+			tr := BuildWithComm(rank.Context{Comm: c}, q, kern, vars, clusters)
 			if !reflect.DeepEqual(shape(tr.Root), want) {
 				t.Errorf("p=%d rank %d tree differs", p, c.Rank())
 			}
@@ -190,15 +191,16 @@ func TestBuildParallelDistributionRule(t *testing.T) {
 		t.Fatalf("recording of replicated rounds: %d items, %d collectives, %d words, serial cost %v",
 			len(ph.Items), ph.Collectives, ph.Words, ph.SerialCost)
 	}
+	kern := score.NewKernel(pr, q.N*q.M)
 	for _, forced := range []bool{false, true} {
 		for _, p := range []int{2, 3} {
 			evaluated := make([]int64, p)
 			stats, err := comm.Run(p, func(c *comm.Comm) error {
-				tr := BuildWithComm(rank.Context{Comm: c}, q, pr, vars, clusters)
+				tr := BuildWithComm(rank.Context{Comm: c}, q, kern, vars, clusters)
 				if forced {
 					subtrees := leafNodes(q, vars, clusters)
 					for len(subtrees) > 1 {
-						best, st := pick(c, pr, subtrees, true)
+						best, st := pick(c, kern, subtrees, true)
 						if st.Cost[0] != float64(st.Items[0]*mergeCost) {
 							t.Errorf("p=%d rank %d: block of %d pairs costs %v", p, c.Rank(), st.Items[0], st.Cost[0])
 						}
