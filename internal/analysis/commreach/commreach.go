@@ -42,10 +42,8 @@ var Analyzer = &analysis.Analyzer{
 // depends on scheduling by design.
 var collectives = map[string]bool{
 	"Bcast":      true,
-	"Gather":     true,
 	"AllGather":  true,
 	"AllGatherv": true,
-	"Reduce":     true,
 	"AllReduce":  true,
 	"Barrier":    true,
 	"Split":      true,

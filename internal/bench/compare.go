@@ -139,7 +139,7 @@ func CrossVal(scale Scale) *Table {
 // of the candidate list, and the dynamic one adds its counter's traffic.
 func CommVolume(scale Scale) *Table {
 	n, m := 80, 40
-	ranks := []int{2, 4, 8}
+	ranks := []int{2, 4, 8, 16}
 	if scale == Quick {
 		n, m = 40, 24
 		ranks = []int{2, 4}
@@ -150,7 +150,7 @@ func CommVolume(scale Scale) *Table {
 		Notes: []string{
 			"elements = payload items sent across all ranks during the full pipeline (a slice counts its length, any other value 1);",
 			"both paths select with the paper's Algorithm 5 segmented scan: static scores one block per rank, dynamic takes chunks from a shared counter, one message per chunk request;",
-			"each exchange is one broadcast per rank, p·(p−1) messages; both paths learn the same network",
+			"each exchange is one all-gather, p·⌈log₂ p⌉ messages; both paths learn the same network",
 		},
 	}
 	d := genData(n, m, 777)

@@ -1,14 +1,16 @@
 // Package comm provides an MPI-like message-passing runtime for the
 // networked distributed-memory model the paper's algorithms are designed for
 // (§3.1). Ranks run as goroutines with private state and communicate only
-// through point-to-point sends, the standard collectives used by the
-// parallel algorithms — bcast, reduce, all-reduce, gather, all-gather and
-// barrier — and one one-sided operation, a world-shared counter (Counter).
+// through point-to-point sends, the collectives used by the parallel
+// algorithms, and one one-sided operation, a world-shared counter (Counter).
+// Every collective takes ⌈log₂ p⌉ rounds: Bcast is a binomial tree, and
+// AllGather is Bruck's all-gather, under which AllGatherv, AllReduce,
+// Barrier and Split are a few lines each.
 //
-// Collectives fold contributions in rank order, so reductions over
-// floating-point or integer values are bitwise-independent of the number of
-// in-flight interleavings, and the engines built on top produce identical
-// results for every rank count.
+// Every rank folds a reduction's contributions itself, in rank order, so
+// reductions over floating-point or integer values are bitwise-independent
+// of the number of in-flight interleavings, and the engines built on top
+// produce identical results for every rank count.
 //
 // # Payload immutability
 //
@@ -16,7 +18,9 @@
 // address space). A value received from Recv or from any collective may be
 // aliased by every other rank: treat received payloads as immutable, and
 // copy before mutating (sorting a gathered slice in place, for example, is
-// a data race).
+// a data race). The same holds for what a rank sends: a peer may read it
+// after the sender's call has returned, so a sender that reuses a buffer
+// sends a copy of it.
 package comm
 
 import (
@@ -24,6 +28,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -41,8 +46,8 @@ type Stats struct {
 	Elems       int64 // elements sent
 	Collectives int64 // collective operations entered
 	// Ops numbers every communication call this rank made (point-to-point
-	// and collective entries, including those nested inside composite
-	// collectives and those on a subworld Split derived). For a fixed
+	// and collective entries, including the sends and receives a collective
+	// makes and those on a subworld Split derived). For a fixed
 	// program and rank count the sequence is deterministic, which is what
 	// makes Fault.Op a reproducible address.
 	Ops int64
@@ -77,8 +82,11 @@ type World struct {
 func newWorld(size int, aborted chan struct{}, faults []Fault) *World {
 	w := &World{size: size, inbox: make([]chan envelope, size), aborted: aborted, faults: faults}
 	for i := range w.inbox {
-		// Buffer enough that tree exchanges never deadlock on slow
-		// receivers; gathers may still block, which is fine.
+		// A send blocks only while its receiver's inbox is full, and every
+		// round of an all-gather sends before it receives, so those sends
+		// must find room. No rank finishes an all-gather before every rank
+		// has entered it, so at most two all-gathers' messages, 2·⌈log₂ p⌉,
+		// wait for one receiver.
 		w.inbox[i] = make(chan envelope, size+8)
 	}
 	return w
@@ -233,13 +241,16 @@ func elems(v any) int64 {
 
 // Send delivers v to rank `to`. Sending to oneself is allowed and is received
 // by a matching Recv.
-func Send[T any](c *Comm, to int, v T) {
+func Send[T any](c *Comm, to int, v T) { send(c, to, v, elems(v)) }
+
+// send delivers v to rank `to` as one message of n elements.
+func send(c *Comm, to int, v any, n int64) {
 	if to < 0 || to >= c.world.size {
 		panic(fmt.Sprintf("comm: send to invalid rank %d of %d", to, c.world.size))
 	}
 	c.tick()
 	c.stats.Sends++
-	c.stats.Elems += elems(v)
+	c.stats.Elems += n
 	select {
 	case c.world.inbox[to] <- envelope{from: c.rank, v: v}:
 	case <-c.world.aborted:
@@ -296,42 +307,41 @@ func Bcast[T any](c *Comm, root int, v T) T {
 	return v
 }
 
-// Gather collects one value from every rank at root, ordered by rank.
-// Non-root ranks receive nil.
-func Gather[T any](c *Comm, root int, v T) []T {
+// AllGather collects one value from every rank on every rank, ordered by
+// rank, in Bruck's ⌈log₂ p⌉ rounds: rank r holds the values of ranks r,
+// r+1, … (mod p), and at distance d = 1, 2, 4, … it sends the first
+// min(d, p−d) of them to rank r−d and appends as many from rank r+d. Every
+// value reaches every other rank exactly once, so the world makes
+// p·⌈log₂ p⌉ sends carrying (p−1)·Σ elems elements, whatever the values'
+// sizes; a message counts the elements of the values it carries.
+func AllGather[T any](c *Comm, v T) []T {
 	c.tick()
 	c.stats.Collectives++
-	if c.rank != root {
-		Send(c, root, v)
-		return nil
-	}
-	out := make([]T, c.world.size)
-	for k := 0; k < c.world.size; k++ {
-		if k == root {
-			out[k] = v
-			continue
+	p, r := c.world.size, c.rank
+	held := make([]T, 1, p)
+	held[0] = v
+	for d := 1; d < p; d <<= 1 {
+		out := held[:min(d, p-d)]
+		var n int64
+		for _, x := range out {
+			n += elems(x)
 		}
-		out[k] = Recv[T](c, k)
+		send(c, (r-d+p)%p, out, n)
+		held = append(held, Recv[[]T](c, (r+d)%p)...)
 	}
-	return out
+	all := make([]T, p)
+	for i, x := range held {
+		all[(r+i)%p] = x
+	}
+	return all
 }
 
-// AllGather collects one value from every rank on every rank, ordered by
-// rank.
-func AllGather[T any](c *Comm, v T) []T {
-	vs := Gather(c, 0, v)
-	return Bcast(c, 0, vs)
-}
-
-// Reduce folds the per-rank values with op in ascending rank order and
-// returns the result at root (the zero value of T elsewhere). Folding in
-// rank order keeps floating-point reductions deterministic.
-func Reduce[T any](c *Comm, root int, v T, op func(T, T) T) T {
-	vs := Gather(c, root, v)
-	if c.rank != root {
-		var zero T
-		return zero
-	}
+// AllReduce folds the per-rank values with op in ascending rank order and
+// returns the result on every rank. Every rank folds the gathered values
+// itself, left to right, so op need not be associative, and floating-point
+// reductions are deterministic.
+func AllReduce[T any](c *Comm, v T, op func(T, T) T) T {
+	vs := AllGather(c, v)
 	acc := vs[0]
 	for _, x := range vs[1:] {
 		acc = op(acc, x)
@@ -339,38 +349,13 @@ func Reduce[T any](c *Comm, root int, v T, op func(T, T) T) T {
 	return acc
 }
 
-// AllReduce folds the per-rank values with op in ascending rank order and
-// returns the result on every rank.
-func AllReduce[T any](c *Comm, v T, op func(T, T) T) T {
-	return Bcast(c, 0, Reduce(c, 0, v, op))
-}
+// Barrier blocks until all ranks have entered it: an all-gather of nothing.
+func Barrier(c *Comm) { AllGather(c, struct{}{}) }
 
-// Barrier blocks until all ranks have entered it.
-func Barrier(c *Comm) {
-	c.tick()
-	c.stats.Collectives++
-	token := Gather(c, 0, struct{}{})
-	_ = token
-	Bcast(c, 0, struct{}{})
-}
-
-// AllGatherv concatenates the per-rank slices in rank order on every rank.
+// AllGatherv concatenates the per-rank slices in rank order on every rank;
+// it returns nil when every slice is empty.
 func AllGatherv[T any](c *Comm, v []T) []T {
-	parts := Gather(c, 0, v)
-	var out []T
-	if c.rank == 0 {
-		n := 0
-		for _, part := range parts {
-			n += len(part)
-		}
-		if n > 0 { // all-empty stays nil, as an unsized append leaves it
-			out = make([]T, 0, n)
-		}
-		for _, part := range parts {
-			out = append(out, part...)
-		}
-	}
-	return Bcast(c, 0, out)
+	return slices.Concat(AllGather(c, v)...)
 }
 
 // BlockRange returns the half-open index range [lo, hi) of block `rank` when

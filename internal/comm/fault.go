@@ -50,7 +50,7 @@ func (k FaultKind) String() string {
 // Fault is one injected failure, keyed by (Rank, Op): it fires when rank
 // Rank enters its Op-th communication operation (1-based; every
 // point-to-point call and collective entry advances the counter, including
-// calls nested inside composite collectives and calls on a subworld Split
+// the sends and receives a collective makes and calls on a subworld Split
 // derived — see Stats.Ops). Rank is the top-level world's rank number. A
 // Fault whose Op is never reached does not fire.
 type Fault struct {

@@ -174,10 +174,12 @@ func TestCollectiveAbortPropagation(t *testing.T) {
 		op   func(c *Comm)
 	}{
 		{"Bcast", func(c *Comm) { Bcast(c, 0, c.Rank()) }},
-		{"Gather", func(c *Comm) { Gather(c, 0, c.Rank()) }},
+		{"AllGather", func(c *Comm) { AllGather(c, c.Rank()) }},
+		{"AllGatherv", func(c *Comm) { AllGatherv(c, []int{c.Rank()}) }},
 		{"AllReduce", func(c *Comm) { AllReduce(c, c.Rank(), func(a, b int) int { return a + b }) }},
 		{"Barrier", func(c *Comm) { Barrier(c) }},
 		{"Split", func(c *Comm) { Split(c, c.Rank()%2) }},
+		{"NewCounter", func(c *Comm) { NewCounter(c) }},
 	}
 	const p, victim = 4, 2
 	for _, tc := range cases {

@@ -591,8 +591,7 @@ func learn(c *comm.Comm, d *dataset.Data, q *score.QData, key digest, opt Option
 		hooks.CommStats(c.Rank(), out.CommStats)
 	}
 	if rec != nil {
-		perRank := comm.Gather(c, 0, rec.Events())
-		if c.Rank() == 0 {
+		if perRank := comm.AllGather(c, rec.Events()); c.Rank() == 0 {
 			out.Events = obs.Merge(perRank)
 		}
 	}

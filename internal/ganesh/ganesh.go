@@ -17,6 +17,8 @@
 package ganesh
 
 import (
+	"slices"
+
 	"parsimone/internal/cluster"
 	"parsimone/internal/comm"
 	"parsimone/internal/pool"
@@ -176,9 +178,9 @@ func (e *engine) evaluate(out []float64, distributed bool, eval evalFunc, cost f
 		}
 		return cost(lo + k)
 	})
-	// local is this rank's send buffer: overwritten only here, after the
-	// broadcast that follows the root's read of every block.
-	copy(out, comm.AllGatherv(c, local))
+	// Peers may still read the sent block after the all-gather returns
+	// here, and the next decision overwrites out: send a copy.
+	copy(out, comm.AllGatherv(c, slices.Clone(local)))
 	return st
 }
 

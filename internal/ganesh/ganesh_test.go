@@ -176,8 +176,8 @@ func (ta *tally) note(count int, cost func(int) float64, distributed bool) {
 // the costliest replicated and the cheapest distributed decision are within
 // one candidate of each other — every p×W ends on the sequential run's
 // co-clustering and PRNG state, and each rank enters exactly one all-gather
-// (a gather and a broadcast) per decision at or above the constant, none for
-// the rest. Under `make race` the W=2 legs are the pool workers reading the
+// per decision at or above the constant, none for the rest — the
+// collectives the work record charges. Under `make race` the W=2 legs are the pool workers reading the
 // clustering state concurrently.
 func TestDistributionRuleInvariance(t *testing.T) {
 	q := straddleData(t)
@@ -229,8 +229,10 @@ func TestDistributionRuleInvariance(t *testing.T) {
 			if err != nil {
 				t.Fatalf("p=%d W=%d: %v", p, workers, err)
 			}
-			// One goroutine has nothing to distribute over and sums no costs.
-			wantCollectives := 2 * distributed
+			// Every distributed decision is the one all-gather the work
+			// record charges for it. One goroutine has nothing to distribute
+			// over and sums no costs.
+			wantCollectives := recorded
 			if p*workers == 1 {
 				wantCollectives = 0
 			}

@@ -454,7 +454,7 @@ func (ev *evaluator) observe(st pool.Stats, steps []int) {
 	for _, cost := range st.Cost {
 		localCost += cost
 	}
-	if perRank := comm.AllGatherv(c, []float64{localCost}); c.Rank() == 0 {
+	if perRank := comm.AllGather(c, localCost); c.Rank() == 0 {
 		h.RankImbalance(PhaseAssign, perRank)
 	}
 }
@@ -512,10 +512,9 @@ func (ev *evaluator) recordMetrics(reg *obs.Registry, steps []int) {
 // record's assignment phase, in canonical candidate order, so the record is
 // identical for every worker count, and charges the exchange of the paper's
 // algorithm on more than one rank: the segmented scan's two all-gathers,
-// carrying one weight partial per node and one element per split in res
-// (the model charges the paper's exchange, not the per-rank broadcasts
-// scan.go sends). steps must cover the whole list, which is why only a
-// one-rank world records.
+// carrying one weight partial per node and one element per split in res,
+// which is what scan.go sends. steps must cover the whole list, which is
+// why only a one-rank world records.
 func (ev *evaluator) recordWork(steps []int, res Result) {
 	ph := ev.rc.Hooks.Phase(PhaseAssign, false)
 	if ph == nil {

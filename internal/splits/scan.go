@@ -19,14 +19,17 @@
 // end on pair boundaries, so no pair is evaluated in two pieces on that
 // schedule.
 //
-// Posteriors stay where they were scored. Two exchanges carry the per-span
-// per-node weight partials and the chosen splits, O(spans + nodes +
+// Posteriors stay where they were scored. Two all-gathers carry the
+// per-span per-node weight partials and the chosen splits, O(spans + nodes +
 // J·nodes) elements — the paper's O(τ log p + µJKRL) communication bound —
-// where gathering the posterior vector would carry every candidate. Because
-// sampling weights are integers, the distributed prefix sums are exact, and
-// the selection consumes the shared PRNG stream exactly as selectSplits does
-// over the full vector, so the chosen splits are bit-identical to a one-rank
-// world's whichever rank scored which span.
+// where gathering the posterior vector would carry every candidate. Each is
+// one comm all-gather, ⌈log₂ p⌉ sends per rank, in which every element
+// reaches the p−1 other ranks once whoever holds it, so the traffic does not
+// depend on the schedule. Because sampling weights are integers, the
+// distributed prefix sums are exact, and the selection consumes the shared
+// PRNG stream exactly as selectSplits does over the full vector, so the
+// chosen splits are bit-identical to a one-rank world's whichever rank
+// scored which span.
 
 package splits
 
@@ -91,19 +94,6 @@ type nodePartial struct {
 	Sum [2]uint64
 }
 
-// exchange broadcasts v from every rank in turn and returns the ranks'
-// slices in rank order. Each element reaches the p−1 other ranks once,
-// whoever holds it, so the traffic — (p−1)·len elements in p·(p−1) sends —
-// does not depend on the schedule; a gather to a root would not send the
-// root's own share.
-func exchange[T any](c *comm.Comm, v []T) [][]T {
-	all := make([][]T, c.Size())
-	for root := range all {
-		all[root] = comm.Bcast(c, root, v)
-	}
-	return all
-}
-
 // learnRanks is LearnWithComm on a world of more than one rank: each rank
 // scores its spans of the global list — one static block, or the chunks of
 // par.DynamicChunk candidates it takes from a shared counter until the list
@@ -156,7 +146,7 @@ func selectScan(c *comm.Comm, q *score.QData, nodes []*nodeRef, spans []span, pa
 			partials = append(partials, p)
 		}
 	}
-	all := slices.Concat(exchange(c, partials)...)
+	all := comm.AllGatherv(c, partials)
 	slices.SortFunc(all, func(a, b nodePartial) int { return cmp.Compare(a.Start, b.Start) })
 
 	// Selection: identical draws to selectSplits, node by node, weighted
@@ -198,7 +188,7 @@ func selectScan(c *comm.Comm, q *score.QData, nodes []*nodeRef, spans []span, pa
 	// canonical (node, kind, sequence) order by taking each from its owner's
 	// list in turn. Every selecting node made J weighted, then J uniform
 	// picks.
-	picks := exchange(c, mine)
+	picks := comm.AllGather(c, mine)
 	var res Result
 	for i, owner := range owners {
 		a := picks[owner][0]

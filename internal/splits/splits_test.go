@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math/bits"
 	"reflect"
 	"strings"
 	"testing"
@@ -489,13 +490,15 @@ func BenchmarkLearnWorkers(b *testing.B) {
 }
 
 // TestScanUsesLessCommunication: both schedules move what the segmented
-// scan's two exchanges carry and no more. Each exchange broadcasts every
-// rank's slice to the p−1 others, so it moves (p−1)·len elements: one
-// partial per node piece of a scored span, and at most 2J picks per node.
-// The dynamic schedule adds one element per Next — one per chunk and one
-// more per rank, which finds the list exhausted — and the counter's
-// broadcast. The total must stay within that bound, and below the
-// candidate count a posterior all-gather would carry.
+// scan's two exchanges carry and no more. Each exchange is one all-gather,
+// in which every rank's slice reaches the p−1 others once, so it moves
+// (p−1)·len elements: one partial per node piece of a scored span, and at
+// most 2J picks per node. The dynamic schedule adds one element per Next —
+// one per chunk and one more per rank, which finds the list exhausted — and
+// the counter's broadcast. The total must stay within that bound, and below
+// the candidate count a posterior all-gather would carry. The static
+// schedule sends nothing else: its two all-gathers are exactly
+// 2·p·⌈log₂ p⌉ messages.
 func TestScanUsesLessCommunication(t *testing.T) {
 	q, modules, trees, _ := fixture(t, 13)
 	pr := score.DefaultPrior()
@@ -509,7 +512,7 @@ func TestScanUsesLessCommunication(t *testing.T) {
 		return nodeIndexAt(ev.nodes, hi-1) - nodeIndexAt(ev.nodes, lo) + 1
 	}
 	for _, chunk := range []int{0, 7} {
-		for _, p := range []int{2, 4, 8} {
+		for _, p := range []int{2, 3, 4, 5, 8} {
 			par := Params{NumSplits: 2, MaxSteps: 16, DynamicChunk: chunk}
 			stats, err := comm.Run(p, func(c *comm.Comm) error {
 				LearnWithComm(on(c, 1, nil), q, kernelOf(q, pr), modules, trees, par, prng.New(3))
@@ -518,9 +521,13 @@ func TestScanUsesLessCommunication(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var elems int64
+			var elems, sends int64
 			for _, s := range stats {
 				elems += s.Elems
+				sends += s.Sends
+			}
+			if want := int64(2 * p * bits.Len(uint(p-1))); chunk == 0 && sends != want {
+				t.Errorf("p=%d: the static schedule sent %d messages, want 2·p·⌈log₂ p⌉ = %d", p, sends, want)
 			}
 			partials, extra := 0, 0
 			if chunk == 0 {

@@ -178,8 +178,8 @@ func TestBuildParallelMatchesSequential(t *testing.T) {
 // only when its pairs cost trace.Distributed, which real leaf counts (~√m)
 // never do: BuildWithComm is Build on every rank with zero collectives, and
 // the recording charges none (DESIGN §19). With the rule's answer forced the
-// other way, every round enters one all-reduce (a gather and a broadcast) and
-// still picks the same pair.
+// other way, every round enters one all-reduce, the one collective the
+// recording charges a distributed round, and still picks the same pair.
 func TestBuildParallelDistributionRule(t *testing.T) {
 	q := testData(t, 10, 24, 7)
 	pr := score.DefaultPrior()
@@ -218,9 +218,11 @@ func TestBuildParallelDistributionRule(t *testing.T) {
 			if err != nil {
 				t.Fatalf("forced=%v p=%d: %v", forced, p, err)
 			}
-			wantCollectives := int64(0)
+			// The work record charges one collective per distributed round:
+			// none for the rule's answer, one per round when it is forced.
+			wantCollectives := wl.Phase(PhaseBuild).Collectives
 			if forced {
-				wantCollectives = 2 * int64(len(clusters)-1)
+				wantCollectives = int64(len(clusters) - 1)
 				// The ranks' blocks cover every pair of every round once.
 				var sum int64
 				for _, n := range evaluated {
