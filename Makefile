@@ -136,7 +136,10 @@ bench:
 # sampler over 2, 8 and 32 (the observation layout's upkeep, whose moves
 # and merges weigh most there); one attach-var decision at its measured
 # shape in ns/gain and ns/cell on each gather path; the block scoring in
-# ns/block on the portable loop and on the AVX2 pass; then the split layer
+# ns/block on the portable loop and on the AVX2 pass; the scoring kernel's
+# table build at 2²⁰ counts in ns/count and bytes/count beside one scalar
+# Kernel.LogML, which derives αN, λ₀·n, 2·(λ₀+n) and c3 from the count
+# (DESIGN §11); then the split layer
 # (DESIGN §29): one evaluator sweep over every candidate, and a pair-step's
 # decisions in ns/decision on each path at 1, 2, 3, 6 and 64 lanes.
 bench-core:
@@ -144,6 +147,7 @@ bench-core:
 	$(GO) test -run '^$$' -bench 'Run480x32$$|Run32x2577$$|SampleObs32x2577' -benchtime 10x -count 5 ./internal/ganesh/
 	$(GO) test -run '^$$' -bench 'GainsAttachVar' -count 5 ./internal/cluster/
 	$(GO) test -run '^$$' -bench 'LogMLBatch' -count 5 ./internal/score/
+	$(GO) test -run '^$$' -bench 'NewKernel$$|LogML$$' -count 5 ./internal/score/
 	$(GO) test -run '^$$' -bench 'Posterior' -count 5 ./internal/splits/
 	$(GO) test -run '^$$' -bench 'SplitImproves/batch' -count 5 ./internal/score/
 

@@ -188,6 +188,44 @@ func TestGatherKernelMatchesPortable(t *testing.T) {
 	}
 }
 
+// TestGatherKernelBound pins the gather kernel's bound at maxKernelObs ± 1
+// observations. Every cell is +MaxAbsCell and there is one observation
+// cluster, so the gathered run sums to m·MaxAbsCell: up to the bound that
+// fits the kernel's 32-bit running sums and both paths give the exact
+// block; one past it the sum is 2³¹, which the kernel called directly
+// wraps, and GainsAttachVar takes the portable loop with the same bits.
+func TestGatherKernelBound(t *testing.T) {
+	if !useKernel {
+		t.Skip("no gather kernel on this platform")
+	}
+	t.Cleanup(func() { useKernel = true })
+	for _, m := range []int{maxKernelObs - 1, maxKernelObs, maxKernelObs + 1} {
+		q := &score.QData{Cells: make([]int32, 2*m), N: 2, M: m}
+		for i := range q.Cells {
+			q.Cells[i] = score.MaxAbsCell
+		}
+		cc := NewRandomCoClustering(q, testKernel(q), 1, 1, prng.New(5))
+		cc.DetachVar(1)
+		n := int64(2 * m)
+		want := score.Stats{N: n, Sum: n * score.MaxAbsCell, SumSq: n * score.MaxAbsCell * score.MaxAbsCell}
+		out := make([]float64, 1)
+		for _, on := range []bool{true, false} {
+			useKernel = on
+			var b Batch
+			cc.GainsAttachVar(&b, 1, 0, out)
+			if len(b.stats) != 1 || b.stats[0] != want {
+				t.Fatalf("m = maxKernelObs%+d, %s: gathered %+v, want %+v", m-maxKernelObs, pathName(on), b.stats, want)
+			}
+		}
+		var b Batch
+		gatherKernel(&b, cc, q.Row(1), 0, 1)
+		if wraps := b.stats[0] != want; wraps != (m > maxKernelObs) {
+			t.Fatalf("m = maxKernelObs%+d: the kernel called directly gathered %+v, want it exact only up to the bound (%+v)",
+				m-maxKernelObs, b.stats[0], want)
+		}
+	}
+}
+
 // FuzzGainsAttachVar: on a co-clustering of arbitrary shape, partition and
 // cells — every cell drawn from the fuzzed seed, a fuzzed share of them at
 // ±MaxAbsCell — the attach-var gains are bit-equal on both gather paths to

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"slices"
-	"unsafe"
 
 	"parsimone/internal/cpu"
 	"parsimone/internal/score"
@@ -11,21 +10,6 @@ import (
 // useKernel reports that GainsAttachVar gathers its blocks with the AVX2
 // kernel (cpu.AVX2). Tests clear it to force the portable loop.
 var useKernel = cpu.AVX2
-
-// gatherOffsets are the byte offsets the kernel reads the clustering state
-// at: ObsClusters.perm, .ends and .Clusters (slice headers: the pointer,
-// then the length), and ObsCluster.Stats. Passing them keeps
-// gather_amd64.s independent of the field order.
-type gatherOffsets struct {
-	perm, ends, clusters, stats uintptr
-}
-
-var gatherOffs = gatherOffsets{
-	perm:     unsafe.Offsetof(ObsClusters{}.perm),
-	ends:     unsafe.Offsetof(ObsClusters{}.ends),
-	clusters: unsafe.Offsetof(ObsClusters{}.Clusters),
-	stats:    unsafe.Offsetof(ObsCluster{}.Stats),
-}
 
 // gatherKernel appends to b.stats, for every candidate cluster lo … hi−1
 // of cc and each of its obs clusters c in order, c.Stats with row's cells
@@ -44,12 +28,15 @@ func gatherKernel(b *Batch, cc *CoClustering, row []int32, lo, hi int) {
 	}
 	n := len(b.stats)
 	b.stats = slices.Grow(b.stats, blocks)[:n+blocks]
-	gatherAVX2(&row[0], &cc.Clusters[lo], hi-lo, &b.pre[0], &b.preSq[0], &b.stats[n], &gatherOffs)
+	gatherAVX2(&row[0], &cc.Clusters[lo], hi-lo, &b.pre[0], &b.preSq[0], &b.stats[n])
 }
 
 // gatherAVX2 runs the gather over the nc > 0 candidate clusters at vcs into
 // dst, which has room for their blocks; pre and preSq have room for
-// len(row)+9 entries, the first of them 0.
+// len(row)+9 entries, the first of them 0. It reads ObsClusters and
+// ObsCluster at the offsets go_asm.h gives, and score.Stats, which go_asm.h
+// does not describe, as N, Sum and SumSq at bytes 0, 8 and 16 of 24
+// (TestStatsLayout pins that layout).
 //
 //go:noescape
-func gatherAVX2(row *int32, vcs **ObsClusters, nc int, pre *int32, preSq *int64, dst *score.Stats, offs *gatherOffsets)
+func gatherAVX2(row *int32, vcs **ObsClusters, nc int, pre *int32, preSq *int64, dst *score.Stats)

@@ -1,4 +1,5 @@
 #include "textflag.h"
+#include "go_asm.h"
 
 // The attach-var gather (DESIGN §30): for every candidate variable cluster,
 // the statistics of each of its blocks with one row's cells added. A
@@ -72,8 +73,8 @@ GLOBL lanemask<>(SB), RODATA|NOPTR, $64
 #define F_RUNS     8(SP)
 #define F_CLUSTERS 16(SP)
 
-// func gatherAVX2(row *int32, vcs **ObsClusters, nc int, pre *int32, preSq *int64, dst *score.Stats, offs *gatherOffsets)
-TEXT ·gatherAVX2(SB), NOSPLIT, $24-56
+// func gatherAVX2(row *int32, vcs **ObsClusters, nc int, pre *int32, preSq *int64, dst *score.Stats)
+TEXT ·gatherAVX2(SB), NOSPLIT, $24-48
 	MOVQ vcs+8(FP), R12
 	MOVQ pre+24(FP), R8
 	MOVQ preSq+32(FP), R9
@@ -81,20 +82,16 @@ TEXT ·gatherAVX2(SB), NOSPLIT, $24-56
 
 cand:
 	// The candidate's ObsClusters, and from it the slices the kernel
-	// reads, at the offsets in offs.
-	MOVQ offs+48(FP), BX
+	// reads: a slice header is the pointer, then the length.
 	MOVQ (R12), AX
-	MOVQ 8(BX), CX
-	MOVQ (AX)(CX*1), DX
+	MOVQ ObsClusters_ends(AX), DX
 	MOVQ DX, F_ENDS
-	MOVQ 8(AX)(CX*1), DX
+	MOVQ (ObsClusters_ends+8)(AX), DX
 	MOVQ DX, F_RUNS
-	MOVQ 16(BX), CX
-	MOVQ (AX)(CX*1), DX
+	MOVQ ObsClusters_Clusters(AX), DX
 	MOVQ DX, F_CLUSTERS
-	MOVQ 0(BX), CX
-	MOVQ (AX)(CX*1), DX
-	MOVQ 8(AX)(CX*1), CX
+	MOVQ ObsClusters_perm(AX), DX
+	MOVQ (ObsClusters_perm+8)(AX), CX
 	MOVQ row+0(FP), SI
 	// Entry 0 of both running sums is 0; the kernel writes from entry 1.
 	LEAQ  4(R8), R10
@@ -134,8 +131,6 @@ runs:
 	// Run i is [ends[i−1], ends[i]), ends[−1] = 0: its block is the obs
 	// cluster's stored statistics plus the run's count and the differences
 	// of the running sums at its ends.
-	MOVQ offs+48(FP), BX
-	MOVQ 24(BX), R13
 	MOVQ F_ENDS, DX
 	MOVQ F_RUNS, CX
 	MOVQ F_CLUSTERS, SI
@@ -144,19 +139,18 @@ runs:
 run:
 	MOVLQSX (DX), BX
 	MOVQ    (SI), R11
-	ADDQ    R13, R11
 	MOVQ    BX, R10
 	SUBQ    AX, R10
-	ADDQ    0(R11), R10
+	ADDQ    ObsCluster_Stats(R11), R10
 	MOVQ    R10, 0(DI)
 	MOVL    (R8)(BX*4), R10
 	SUBL    (R8)(AX*4), R10
 	MOVLQSX R10, R10
-	ADDQ    8(R11), R10
+	ADDQ    (ObsCluster_Stats+8)(R11), R10
 	MOVQ    R10, 8(DI)
 	MOVQ    (R9)(BX*8), R10
 	SUBQ    (R9)(AX*8), R10
-	ADDQ    16(R11), R10
+	ADDQ    (ObsCluster_Stats+16)(R11), R10
 	MOVQ    R10, 16(DI)
 	MOVQ    BX, AX
 	ADDQ    $4, DX

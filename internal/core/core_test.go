@@ -12,6 +12,7 @@ import (
 	"parsimone/internal/ganesh"
 	"parsimone/internal/obs"
 	"parsimone/internal/result"
+	"parsimone/internal/score"
 	"parsimone/internal/splits"
 	"parsimone/internal/synth"
 )
@@ -457,6 +458,26 @@ func TestLearnRejectsOverflowSizedData(t *testing.T) {
 	d := &dataset.Data{N: 1 << 13, M: 1 << 13} // 2^26 cells > 2^25
 	if _, err := Learn(d, fastOptions(1)); err == nil || !strings.Contains(err.Error(), "exceeds the exact-statistics capacity") {
 		t.Fatalf("oversized data set: got %v, want the capacity refusal", err)
+	}
+}
+
+// TestCheckDataCapacityBound pins the capacity bound at MaxBlockCells ± 1
+// cells: one cell past it is refused from the shape alone, and at or below
+// it the shape passes and the cells are checked next (these headers carry
+// no names or cells, so that check fails instead).
+func TestCheckDataCapacityBound(t *testing.T) {
+	for _, c := range []struct{ n, m int }{
+		{31, 1082401}, // MaxBlockCells − 1
+		{4096, 8192},  // MaxBlockCells
+		{3, 11184811}, // MaxBlockCells + 1
+	} {
+		cells := c.n * c.m
+		err := checkData(&dataset.Data{N: c.n, M: c.m})
+		refused := err != nil && strings.Contains(err.Error(), "exceeds the exact-statistics capacity")
+		if want := cells > score.MaxBlockCells; refused != want || err == nil {
+			t.Fatalf("%d×%d = MaxBlockCells%+d cells: checkData = %v, want a capacity refusal %v",
+				c.n, c.m, cells-score.MaxBlockCells, err, want)
+		}
 	}
 }
 

@@ -8,7 +8,7 @@ import "parsimone/internal/cpu"
 var useKernel = cpu.AVX2
 
 // kernelTable is what the vector kernel reads besides the state; draw_amd64.s
-// addresses its fields by byte offset.
+// addresses its fields at the offsets go_asm.h gives.
 type kernelTable struct {
 	// coef is the coefficient table in the kernel's lane order. The kernel
 	// holds a block's 24 raw outputs in six 4-lane registers: row r lane l

@@ -1,4 +1,5 @@
 #include "textflag.h"
+#include "go_asm.h"
 
 // The vector draw kernel (DESIGN §27). Registers:
 //   Y0–Y5   a block's 24 raw outputs, in kernelTable.coef's lane order
@@ -7,8 +8,7 @@
 //   Y11     210 ≡ 2^32    Y12  105 ≡ 2^31 (mod Modulus)
 //   Y13     Modulus
 //   Y14–Y15 scratch
-// AX points at the kernelTable: coef at byte 0, fold at 576, tailMask at
-// 616.
+// AX points at the kernelTable, whose field offsets go_asm.h gives.
 
 // DOT computes four lanes of raw outputs into R: three 32×32→64 products
 // summed (< 3·2^62), folded at bit 32 by 2^32 ≡ 210 (< 2^40), folded at
@@ -16,20 +16,20 @@
 // as an unsigned 32-bit minimum of x and x − Modulus (the latter wraps
 // above x exactly when x < Modulus; both fit in the low half of the lane).
 #define DOT(c0, c1, c2, R) \
-	VPMULUDQ c0(AX), Y6, R;  \
-	VPMULUDQ c1(AX), Y7, Y14; \
-	VPADDQ   Y14, R, R;       \
-	VPMULUDQ c2(AX), Y8, Y15; \
-	VPADDQ   Y15, R, R;       \
-	VPSRLQ   $32, R, Y14;     \
-	VPAND    Y9, R, R;        \
-	VPMULUDQ Y11, Y14, Y14;   \
-	VPADDQ   Y14, R, R;       \
-	VPSRLQ   $31, R, Y15;     \
-	VPAND    Y10, R, R;       \
-	VPMULUDQ Y12, Y15, Y15;   \
-	VPADDQ   Y15, R, R;       \
-	VPSUBD   Y13, R, Y14;     \
+	VPMULUDQ (kernelTable_coef+c0)(AX), Y6, R;   \
+	VPMULUDQ (kernelTable_coef+c1)(AX), Y7, Y14; \
+	VPADDQ   Y14, R, R;                          \
+	VPMULUDQ (kernelTable_coef+c2)(AX), Y8, Y15; \
+	VPADDQ   Y15, R, R;                          \
+	VPSRLQ   $32, R, Y14;                        \
+	VPAND    Y9, R, R;                           \
+	VPMULUDQ Y11, Y14, Y14;                      \
+	VPADDQ   Y14, R, R;                          \
+	VPSRLQ   $31, R, Y15;                        \
+	VPAND    Y10, R, R;                          \
+	VPMULUDQ Y12, Y15, Y15;                      \
+	VPADDQ   Y15, R, R;                          \
+	VPSUBD   Y13, R, Y14;                        \
 	VPMINUD  Y14, R, R
 
 // BLOCK computes the 24 raw outputs of the state in Y6–Y8, the three that
@@ -60,11 +60,11 @@ TEXT ·drawAVX2(SB), NOSPLIT, $192-32
 	VPBROADCASTQ 0(SI), Y6
 	VPBROADCASTQ 8(SI), Y7
 	VPBROADCASTQ 16(SI), Y8
-	VPBROADCASTQ 576(AX), Y9
-	VPBROADCASTQ 584(AX), Y10
-	VPBROADCASTQ 592(AX), Y11
-	VPBROADCASTQ 600(AX), Y12
-	VPBROADCASTQ 608(AX), Y13
+	VPBROADCASTQ kernelTable_fold(AX), Y9
+	VPBROADCASTQ (kernelTable_fold+8)(AX), Y10
+	VPBROADCASTQ (kernelTable_fold+16)(AX), Y11
+	VPBROADCASTQ (kernelTable_fold+24)(AX), Y12
+	VPBROADCASTQ (kernelTable_fold+32)(AX), Y13
 
 	SUBQ $8, CX
 	JLT  tail
@@ -93,8 +93,8 @@ tail:
 	// Store picks 0 … r−1 through the lane masks.
 	MOVQ       $8, DX
 	SUBQ       CX, DX
-	VMOVDQU    616(AX)(DX*8), Y9
-	VMOVDQU    648(AX)(DX*8), Y10
+	VMOVDQU    kernelTable_tailMask(AX)(DX*8), Y9
+	VMOVDQU    (kernelTable_tailMask+32)(AX)(DX*8), Y10
 	PICKS(Y0, Y1, Y2)
 	VPMASKMOVQ Y14, Y9, 0(DI)
 	PICKS(Y3, Y4, Y5)

@@ -1,4 +1,5 @@
 #include "textflag.h"
+#include "go_asm.h"
 #include "log_amd64.h"
 #include "lanes_amd64.h"
 

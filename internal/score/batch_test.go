@@ -77,8 +77,9 @@ func TestLogMatchesMath(t *testing.T) {
 // TestLogMLBatchMatchesLogML: Kernel.LogMLBatch is Kernel.LogML element by
 // element, bit for bit, on both paths — over every test prior, batches of
 // every length 0…17 mixing empty blocks, in-table counts and counts past the
-// table (whose fallbacks it counts like LogML), and 10⁷ blocks of the kinds
-// sweepStats draws — and writes nothing past len(stats).
+// table (whose fallbacks it counts like LogML, and where Kernel.LogML is
+// also checked against Prior.LogML), and 10⁷ blocks of the kinds sweepStats
+// draws — and writes nothing past len(stats).
 func TestLogMLBatchMatchesLogML(t *testing.T) {
 	logPaths(t, func(t *testing.T) {
 		g := prng.New(43)
@@ -106,8 +107,12 @@ func TestLogMLBatchMatchesLogML(t *testing.T) {
 						t.Fatalf("prior %d: batch counted %d fallbacks, want %d", pi, got, wantFallbacks)
 					}
 					for i, s := range stats {
-						if want := k.LogML(s); math.Float64bits(dst[i]) != math.Float64bits(want) {
+						want := k.LogML(s)
+						if math.Float64bits(dst[i]) != math.Float64bits(want) {
 							t.Fatalf("prior %d, stats %+v: batch %x, LogML %x", pi, s, math.Float64bits(dst[i]), math.Float64bits(want))
+						}
+						if ref := pr.LogML(s); math.Float64bits(want) != math.Float64bits(ref) {
+							t.Fatalf("prior %d, stats %+v: Kernel.LogML %x, Prior.LogML %x", pi, s, math.Float64bits(want), math.Float64bits(ref))
 						}
 					}
 					for i := n; i < len(dst); i++ {

@@ -2,9 +2,9 @@
 // parent-split bootstrap evaluates LogML millions of times against one
 // fixed prior, and every call pays two Lgamma and three Log evaluations —
 // yet four of those five transcendentals depend only on the block's integer
-// count N, not on its data. Kernel tables them per count once — folded
-// together with every other count-only float64 operation of the score —
-// so the hot path keeps a single count-and-data-dependent Log(βN).
+// count N, not on its data. Kernel tables them per count once, as two
+// values, so the hot path keeps a single count-and-data-dependent Log(βN)
+// beside a few arithmetic operations on the count.
 //
 // # Exactness
 //
@@ -15,8 +15,13 @@
 //  1. each table entry is produced at construction by the *same* float64
 //     operation sequence, on the same operand bits, that Prior.LogML would
 //     perform at call time — a float64 operation has one correctly-rounded
-//     result, so the entry holds the identical bits; and
-//  2. the data-dependent operations that remain at call time are an
+//     result, so the entry holds the identical bits;
+//  2. the count-only terms that need no transcendental (αN, λ₀·n,
+//     2·(λ₀+n), n/2·ln 2π) are recomputed at call time by those same
+//     operations on the same operands, each product rounded explicitly
+//     (float64(…)) so that no architecture fuses it into a later addition;
+//     and
+//  3. the data-dependent operations that remain at call time are an
 //     unchanged suffix of Prior.LogML's left-to-right evaluation, written
 //     with the same expression shape so the compiler makes the same
 //     contraction (FMA) choices in both bodies.
@@ -39,37 +44,34 @@ import (
 // cap only guards against pathological constructor arguments.
 const MaxKernelTableN = MaxBlockCells
 
-// kernelEntry holds every count-only intermediate of Prior.LogML for one
-// block count n, each computed at construction with the exact operation
-// sequence the direct evaluation performs.
+// kernelEntry holds the count-only terms of Prior.LogML for one block count
+// n that need a transcendental, each computed at construction with the
+// exact operation sequence the direct evaluation performs. It is the one
+// declaration of the table's format: the amd64 kernels take its size and
+// offsets from go_asm.h.
 type kernelEntry struct {
 	// c1 = (lnΓ(α₀+n/2) − lnΓ(α₀)) + α₀·ln β₀ — the score's count-only
 	// leading terms, folded left to right exactly as Prior.LogML folds them.
 	c1 float64
-	// c2 = 0.5·(ln λ₀ − ln(λ₀+n)); c3 = (n/2)·ln 2π.
-	c2, c3 float64
-	// alphaN = α₀ + n/2, the multiplier of the data-dependent ln βN.
-	alphaN float64
-	// lamN = λ₀·n and twoLam = 2·(λ₀+n), the count-only factors of βN's
-	// shrinkage term λ₀·n·(mean−μ₀)² / (2·λN).
-	lamN, twoLam float64
-	// mag = |c1|+|c2|+|c3|, the count-only part of the magnitude that
-	// SplitImproves' rounding margin is proportional to. Not part of the
-	// score.
-	mag float64
+	// c2 = 0.5·(ln λ₀ − ln(λ₀+n)).
+	c2 float64
 }
 
 // Kernel is a precomputed, exact re-expression of one Prior's LogML:
 // Kernel.LogML(s) is bit-equal to Prior.LogML(s) for every Stats value,
-// with the count-only terms served from tables instead of recomputed per
-// call. Safe for concurrent use.
+// with the count-only terms that need a transcendental served from a table
+// of two float64 per count and the others (αN, λ₀·n, 2·(λ₀+n), n/2·ln 2π)
+// recomputed from the count with Prior.LogML's operations. Safe for
+// concurrent use.
 type Kernel struct {
 	prior Prior
-	tab   []kernelEntry
+	// log2Pi is ln 2π, the factor of the count-only term c3 = n/2·ln 2π.
+	log2Pi float64
+	tab    []kernelEntry
 	// lanes holds the prior and the table length once per lane for the
 	// split kernel (split_amd64.s) and the fused block scoring
-	// (batch_amd64.s), which recompute an entry's αN, λ₀·n, 2·(λ₀+n) and c3
-	// from the count with the operations below and load only c1 and c2.
+	// (batch_amd64.s), which recompute αN, λ₀·n, 2·(λ₀+n) and c3 from the
+	// count as Kernel.LogML does.
 	lanes kernelLanes
 	// fallbacks counts LogML calls whose N fell outside the table (served
 	// by Prior.LogML, still exact). Atomic: the splits pool shares one
@@ -87,33 +89,25 @@ func NewKernel(p Prior, maxN int) *Kernel {
 		maxN = MaxKernelTableN
 	}
 	k := &Kernel{
-		prior: p,
-		tab:   make([]kernelEntry, maxN+1),
+		prior:  p,
+		log2Pi: math.Log(2 * math.Pi),
+		tab:    make([]kernelEntry, maxN+1),
 	}
 	lg0, _ := math.Lgamma(p.Alpha0)
 	logBeta0 := math.Log(p.Beta0)
 	logLambda0 := math.Log(p.Lambda0)
-	log2Pi := math.Log(2 * math.Pi)
 	for i := range k.tab {
 		n := float64(i)
 		// Every expression below mirrors the corresponding Prior.LogML
 		// intermediate exactly — same operands, same operation order — so
 		// each entry is the bit the direct computation would have produced.
-		lambdaN := p.Lambda0 + n
-		alphaN := p.Alpha0 + n/2
-		lgA, _ := math.Lgamma(alphaN)
-		e := kernelEntry{
-			c1:     lgA - lg0 + p.Alpha0*logBeta0,
-			c2:     0.5 * (logLambda0 - math.Log(lambdaN)),
-			c3:     n / 2 * log2Pi,
-			alphaN: alphaN,
-			lamN:   p.Lambda0 * n,
-			twoLam: 2 * lambdaN,
+		lgA, _ := math.Lgamma(p.Alpha0 + n/2)
+		k.tab[i] = kernelEntry{
+			c1: lgA - lg0 + p.Alpha0*logBeta0,
+			c2: 0.5 * (logLambda0 - math.Log(p.Lambda0+n)),
 		}
-		e.mag = math.Abs(e.c1) + math.Abs(e.c2) + math.Abs(e.c3)
-		k.tab[i] = e
 	}
-	k.lanes = newKernelLanes(p, log2Pi, len(k.tab))
+	k.lanes = newKernelLanes(p, k.log2Pi, len(k.tab))
 	return k
 }
 
@@ -142,7 +136,18 @@ func (k *Kernel) LogML(s Stats) float64 {
 		return k.prior.LogML(s)
 	}
 	e := &k.tab[s.N]
-	return e.c1 - e.alphaN*math.Log(k.betaN(e, s)) + e.c2 - e.c3
+	alphaN, c3 := k.counted(s.N)
+	return e.c1 - alphaN*math.Log(k.betaN(s)) + e.c2 - c3
+}
+
+// counted returns the count-only terms of a block of n cells that need no
+// transcendental, αN = α₀ + n/2 and c3 = n/2·ln 2π, with Prior.LogML's
+// operations; the product is rounded explicitly, as a table entry would
+// hold it, so that no architecture fuses it into the subtraction that uses
+// it.
+func (k *Kernel) counted(n int64) (alphaN, c3 float64) {
+	half := float64(n) / 2
+	return k.prior.Alpha0 + half, float64(half * k.log2Pi)
 }
 
 // LogMLBatch stores k.LogML(stats[i]) in dst[i] for every i, bit for bit;
@@ -172,13 +177,14 @@ func (k *Kernel) LogMLBatch(dst []float64, stats []Stats) {
 	}
 }
 
-// betaN is the data-dependent βN of a non-empty in-table block, e its
-// count's entry: Prior.LogML's operations on the same operands. LogML and
+// betaN is the data-dependent βN of a non-empty in-table block: Prior.LogML's
+// operations on the same operands, with the count-only factors λ₀·n and
+// 2·(λ₀+n) rounded explicitly as a table entry would hold them. LogML and
 // SplitImproves both take βN from here, so the certified decision and the
 // exact score it stands for differ in one value only, the logarithm of this
 // result — in particular the cancellation in sumsq − sum²/n is common to
 // both and costs the decision's error budget nothing.
-func (k *Kernel) betaN(e *kernelEntry, s Stats) float64 {
+func (k *Kernel) betaN(s Stats) float64 {
 	n := float64(s.N)
 	sum := float64(s.Sum) / ValueScale
 	sumsq := float64(s.SumSq) / (ValueScale * ValueScale)
@@ -188,5 +194,6 @@ func (k *Kernel) betaN(e *kernelEntry, s Stats) float64 {
 		ss = 0 // guard the analytic non-negativity against rounding
 	}
 	dm := mean - k.prior.Mu0
-	return k.prior.Beta0 + 0.5*ss + e.lamN*dm*dm/e.twoLam
+	lamN, twoLam := float64(k.prior.Lambda0*n), float64(2*(k.prior.Lambda0+n))
+	return k.prior.Beta0 + 0.5*ss + lamN*dm*dm/twoLam
 }

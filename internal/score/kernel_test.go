@@ -3,6 +3,7 @@ package score
 import (
 	"math"
 	"testing"
+	"unsafe"
 
 	"parsimone/internal/prng"
 )
@@ -44,24 +45,73 @@ func randomStats(g *prng.MRG3, n int64) Stats {
 // TestKernelLogMLBitIdentical is the kernel's differential table test:
 // Kernel.LogML must agree with Prior.LogML to the bit over randomized Stats,
 // including N=0, counts at the table edge, counts beyond it (fallback), and
-// N at MaxBlockCells, for every test prior.
+// N at MaxBlockCells, for every test prior. A second table of 2²⁰ counts
+// adds in-table counts near its top, where the recomputed count-only terms
+// λ₀·n and n/2·ln 2π are large and round most coarsely, and checks those
+// terms at every count of it against Prior.LogML's expressions, spelled
+// here: αN and c3, and βN of a block of equal cells at +MaxAbsValue, whose
+// spread is 0 so that βN is β₀ plus the shrinkage term λ₀·n·dm²/(2·λN)
+// alone — a score rounds away most one-unit changes of βN, this does not.
 func TestKernelLogMLBitIdentical(t *testing.T) {
 	g := prng.New(41)
+	log2Pi := math.Log(2 * math.Pi)
 	for pi, pr := range kernelTestPriors() {
-		const maxN = 4096
-		k := NewKernel(pr, maxN)
-		counts := []int64{0, 1, 2, 3, 17, 64, 1000, maxN - 1, maxN, maxN + 1, maxN * 3, MaxBlockCells}
-		for _, n := range counts {
-			for rep := 0; rep < 20; rep++ {
-				s := randomStats(g, n)
-				want := pr.LogML(s)
-				got := k.LogML(s)
-				if math.Float64bits(got) != math.Float64bits(want) {
-					t.Fatalf("prior %d, stats %+v: Kernel.LogML = %x (%v), Prior.LogML = %x (%v)",
-						pi, s, math.Float64bits(got), got, math.Float64bits(want), want)
+		const maxN, bigN = 4096, 1 << 20
+		big := NewKernel(pr, bigN)
+		dm := MaxAbsValue - pr.Mu0
+		for i := int64(1); i < bigN; i++ {
+			n := float64(i)
+			wantBeta := pr.Beta0 + pr.Lambda0*n*dm*dm/(2*(pr.Lambda0+n))
+			alphaN, c3 := big.counted(i)
+			got := [3]float64{alphaN, c3, big.betaN(Stats{N: i, Sum: i * MaxAbsCell, SumSq: i * MaxAbsCell * MaxAbsCell})}
+			want := [3]float64{pr.Alpha0 + n/2, float64(n / 2 * log2Pi), wantBeta}
+			for j, name := range []string{"αN", "c3", "βN"} {
+				if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+					t.Fatalf("prior %d, n = %d: %s = %v, Prior.LogML's expression gives %v", pi, i, name, got[j], want[j])
 				}
 			}
 		}
+		for _, c := range []struct {
+			k      *Kernel
+			counts []int64
+		}{
+			{NewKernel(pr, maxN), []int64{0, 1, 2, 3, 17, 64, 1000, maxN - 1, maxN, maxN + 1, maxN * 3, MaxBlockCells}},
+			{big, []int64{bigN/2 + 1, bigN - 4097, bigN - 1000, bigN - 3, bigN - 2, bigN - 1, bigN, bigN + 1}},
+		} {
+			for _, n := range c.counts {
+				for rep := 0; rep < 20; rep++ {
+					s := randomStats(g, n)
+					want := pr.LogML(s)
+					got := c.k.LogML(s)
+					if math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("prior %d, table %d, stats %+v: Kernel.LogML = %x (%v), Prior.LogML = %x (%v)",
+							pi, c.k.TableLen(), s, math.Float64bits(got), got, math.Float64bits(want), want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestKernelEntryLayout pins the table format the amd64 kernels assume
+// beyond what go_asm.h tells them: ENTRY reads c1 and c2 with one 16-byte
+// load, so an entry is the two words c1, c2 and nothing else.
+func TestKernelEntryLayout(t *testing.T) {
+	var e kernelEntry
+	if size, c1, c2 := unsafe.Sizeof(e), unsafe.Offsetof(e.c1), unsafe.Offsetof(e.c2); size != 16 || c1 != 0 || c2 != 8 {
+		t.Fatalf("kernelEntry is %d bytes with c1 at %d and c2 at %d, want 16 bytes at 0 and 8", size, c1, c2)
+	}
+}
+
+// TestStatsLayout pins the Stats layout the vector kernels read without
+// go_asm.h: the batch scoring loads four Stats as 96 bytes, the split kernel
+// strides them as 3·8 bytes, and cluster's gather, in another package,
+// writes N, Sum and SumSq at bytes 0, 8 and 16.
+func TestStatsLayout(t *testing.T) {
+	var s Stats
+	got := [4]uintptr{unsafe.Sizeof(s), unsafe.Offsetof(s.N), unsafe.Offsetof(s.Sum), unsafe.Offsetof(s.SumSq)}
+	if want := [4]uintptr{24, 0, 8, 16}; got != want {
+		t.Fatalf("Stats size and N, Sum, SumSq offsets = %v, want %v", got, want)
 	}
 }
 
@@ -130,4 +180,16 @@ func FuzzKernelLogML(f *testing.F) {
 			}
 		}
 	})
+}
+
+// BenchmarkNewKernel builds a table of 2²⁰ counts, as a rank does for its
+// N·M cells, and reports the build time and the table's bytes per count.
+func BenchmarkNewKernel(b *testing.B) {
+	const counts = 1 << 20
+	var k *Kernel
+	for i := 0; i < b.N; i++ {
+		k = NewKernel(DefaultPrior(), counts-1)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/counts, "ns/count")
+	b.ReportMetric(float64(uintptr(cap(k.tab))*unsafe.Sizeof(k.tab[0]))/counts, "bytes/count")
 }

@@ -1,10 +1,11 @@
 // The lane code shared by the split kernel (split_amd64.s, DESIGN §29) and
 // the fused block scoring (batch_amd64.s, DESIGN §30): the lane constants,
 // the exact int64 → float64 conversions, a table entry's c1 and c2, and βN
-// with Kernel.betaN's operations.
+// with Kernel.betaN's operations. The including file includes go_asm.h
+// first.
 //
 // BX points at a kernelLanes: row r (one constant per lane) at byte 32·r,
-// the spread table at byte 992.
+// the spread table at kernelLanes_spread (go_asm.h).
 #define S_MAGIC   0(BX)
 #define S_TWO52   32(BX)
 #define S_TWO32   64(BX)
@@ -36,7 +37,7 @@
 #define S_HALFR   896(BX)
 #define S_ODD     928(BX)
 #define S_ONE     960(BX)
-#define S_SPREAD  992
+#define S_SPREAD  kernelLanes_spread
 
 // CVTQ converts the four int64 lanes of y to float64, rounding once as
 // CVTSQ2SD does: the high words, signed, convert exactly (VCVTDQ2PD) and
@@ -80,8 +81,10 @@
 
 // ENTRY takes a block count in Y0 and leaves in Y7 the lanes with
 // 1 ≤ N < len(tab), in Y12 and Y13 the c1 and c2 of their table entries
-// (56 bytes each; the other lanes read entry 0) and in Y0 the count as a
-// float64. Uses Y14, Y15, AX, DX, R12 and R13.
+// (kernelEntry's layout from go_asm.h; c2 is the word after c1, which
+// TestKernelEntryLayout pins, so one 16-byte load reads both; the other
+// lanes read entry 0) and in Y0 the count as a float64. Uses Y14, Y15,
+// AX, DX, R12 and R13.
 #define ENTRY \
 	VPXOR    Y15, Y15, Y15; \
 	VPCMPGTQ Y15, Y0, Y7; \
@@ -90,11 +93,11 @@
 	VPAND    Y14, Y7, Y7; \
 	VPAND    Y7, Y0, Y0; \
 	LANES(Y0, X0, X14); \
-	IMUL3Q   $56, AX, AX; \
-	IMUL3Q   $56, DX, DX; \
-	IMUL3Q   $56, R12, R12; \
-	IMUL3Q   $56, R13, R13; \
-	PAIRS((R9)(AX*1), (R9)(DX*1), (R9)(R12*1), (R9)(R13*1), X14, Y14, X15, Y15, Y12, Y13); \
+	IMUL3Q   $kernelEntry__size, AX, AX; \
+	IMUL3Q   $kernelEntry__size, DX, DX; \
+	IMUL3Q   $kernelEntry__size, R12, R12; \
+	IMUL3Q   $kernelEntry__size, R13, R13; \
+	PAIRS(kernelEntry_c1(R9)(AX*1), kernelEntry_c1(R9)(DX*1), kernelEntry_c1(R9)(R12*1), kernelEntry_c1(R9)(R13*1), X14, Y14, X15, Y15, Y12, Y13); \
 	CVTM(Y0)
 
 // BETAN takes a block's n (a float64) in Y0 and its Sum and SumSq, as

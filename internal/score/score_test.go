@@ -74,6 +74,55 @@ func TestQuantizeFitsInt32(t *testing.T) {
 	}
 }
 
+// TestQuantizationEnvelope pins today's quantization envelope at each
+// documented bound and one step either side: Quantize clips at
+// ±MaxAbsValue and rounds to the 2⁻¹⁶ grid, ties to even; a sampling
+// weight, round(exp(s − max)·2^WeightBits) with ties to even, is 0 once
+// s − max drops below −(WeightBits+1)·ln 2, where the scaled weight is ½.
+// core and cluster pin MaxBlockCells and the gather's maxKernelObs.
+func TestQuantizationEnvelope(t *testing.T) {
+	const step = 1.0 / ValueScale
+	for _, c := range []struct {
+		what string
+		x    float64
+		want int64
+	}{
+		{"one step inside +MaxAbsValue", MaxAbsValue - step, MaxAbsCell - 1},
+		{"+MaxAbsValue", MaxAbsValue, MaxAbsCell},
+		{"one step past +MaxAbsValue clips", MaxAbsValue + step, MaxAbsCell},
+		{"one step inside −MaxAbsValue", -MaxAbsValue + step, -MaxAbsCell + 1},
+		{"−MaxAbsValue", -MaxAbsValue, -MaxAbsCell},
+		{"one step past −MaxAbsValue clips", -MaxAbsValue - step, -MaxAbsCell},
+		{"one grid step", step, 1},
+		{"minus one grid step", -step, -1},
+		{"two grid steps", 2 * step, 2},
+		{"half a step ties to even", step / 2, 0},
+		{"just past half a step", math.Nextafter(step/2, 1), 1},
+		{"minus half a step ties to even", -step / 2, 0},
+		{"just under one and a half steps", math.Nextafter(1.5*step, 0), 1},
+		{"one and a half steps tie to even", 1.5 * step, 2},
+	} {
+		if got := Quantize(c.x); got != c.want {
+			t.Errorf("%s: Quantize(%v) = %d, want %d", c.what, c.x, got, c.want)
+		}
+	}
+	floor := -(WeightBits + 1) * math.Ln2
+	for _, c := range []struct {
+		what string
+		d    float64
+		want uint64
+	}{
+		{"one bit above the floor", floor + math.Ln2, 1},
+		{"just above the floor", floor + 1e-9, 1},
+		{"just below the floor", floor - 1e-9, 0},
+		{"one bit below the floor", floor - math.Ln2, 0},
+	} {
+		if got := QuantizeWeights([]float64{0, c.d})[1]; got != c.want {
+			t.Errorf("%s: weight of s − max = %v is %d, want %d", c.what, c.d, got, c.want)
+		}
+	}
+}
+
 func TestQuantizeMonotone(t *testing.T) {
 	check := func(a, b float64) bool {
 		if math.IsNaN(a) || math.IsNaN(b) {

@@ -109,9 +109,13 @@ func (k *Kernel) SplitImproves(l, r Stats, totML float64) (improves, certified b
 	// 1 ≤ N < len(tab), both sides, as one unsigned compare each.
 	if n := uint64(len(k.tab)) - 1; uint64(l.N)-1 < n && uint64(r.N)-1 < n {
 		el, er := &k.tab[l.N], &k.tab[r.N]
-		pl, pr := el.alphaN*fastLog(k.betaN(el, l)), er.alphaN*fastLog(k.betaN(er, r))
-		delta := (el.c1 - pl + el.c2 - el.c3) + (er.c1 - pr + er.c2 - er.c3) - totML
-		margin := fastLogEps*(el.alphaN+er.alphaN) + sumSlack*(el.mag+math.Abs(pl)+er.mag+math.Abs(pr))
+		al, c3l := k.counted(l.N)
+		ar, c3r := k.counted(r.N)
+		pl, pr := al*fastLog(k.betaN(l)), ar*fastLog(k.betaN(r))
+		delta := (el.c1 - pl + el.c2 - c3l) + (er.c1 - pr + er.c2 - c3r) - totML
+		magL := math.Abs(el.c1) + math.Abs(el.c2) + math.Abs(c3l)
+		magR := math.Abs(er.c1) + math.Abs(er.c2) + math.Abs(c3r)
+		margin := fastLogEps*(al+ar) + sumSlack*(magL+math.Abs(pl)+magR+math.Abs(pr))
 		if delta > margin {
 			return true, true
 		}

@@ -1,4 +1,5 @@
 #include "textflag.h"
+#include "go_asm.h"
 #include "log_amd64.h"
 #include "lanes_amd64.h"
 
@@ -193,9 +194,9 @@ TEXT ·splitsAVX2(SB), NOSPLIT, $352-88
 	VMULSD       S_HALF, X0, X0
 	VMULSD       S_LOG2PI, X0, X15
 	VADDSD       S_ALPHA0, X0, X14
-	IMUL3Q       $56, AX, AX
-	VMOVSD       0(R9)(AX*1), X12
-	VMOVSD       8(R9)(AX*1), X13
+	IMUL3Q       $kernelEntry__size, AX, AX
+	VMOVSD       kernelEntry_c1(R9)(AX*1), X12
+	VMOVSD       kernelEntry_c2(R9)(AX*1), X13
 	VMOVSD       X2, F_TB
 	VMOVSD       X14, F_TA
 	VMOVSD       X12, F_TC1

@@ -88,21 +88,25 @@ func exactImproves(pr Prior, l, r Stats, totML float64) bool {
 }
 
 // refDelta recomputes the approximate δ̃ and its margin from the kernel's
-// tables with this file's constants, or ok = false where SplitImproves must
+// table, the prior's αN and c3 and this file's constants, or ok = false
+// where SplitImproves must
 // take the exact path whatever δ̃ is.
 func refDelta(k *Kernel, l, r Stats, totML float64) (delta, margin float64, ok bool) {
 	if l.N < 1 || r.N < 1 || l.N >= int64(len(k.tab)) || r.N >= int64(len(k.tab)) {
 		return 0, 0, false
 	}
 	el, er := &k.tab[l.N], &k.tab[r.N]
-	pl, pr := el.alphaN*fastLog(k.betaN(el, l)), er.alphaN*fastLog(k.betaN(er, r))
+	nl, nr := float64(l.N), float64(r.N)
+	al, ar := k.prior.Alpha0+nl/2, k.prior.Alpha0+nr/2
+	c3l, c3r := float64(nl/2*math.Log(2*math.Pi)), float64(nr/2*math.Log(2*math.Pi))
+	pl, pr := al*fastLog(k.betaN(l)), ar*fastLog(k.betaN(r))
 	if math.IsNaN(pl + pr) {
 		return 0, 0, false
 	}
-	delta = (el.c1 - pl + el.c2 - el.c3) + (er.c1 - pr + er.c2 - er.c3) - totML
-	gl := math.Abs(el.c1) + math.Abs(pl) + math.Abs(el.c2) + math.Abs(el.c3)
-	gr := math.Abs(er.c1) + math.Abs(pr) + math.Abs(er.c2) + math.Abs(er.c3)
-	return delta, refEps*(el.alphaN+er.alphaN) + refSlack*(gl+gr), true
+	delta = (el.c1 - pl + el.c2 - c3l) + (er.c1 - pr + er.c2 - c3r) - totML
+	gl := math.Abs(el.c1) + math.Abs(pl) + math.Abs(el.c2) + math.Abs(c3l)
+	gr := math.Abs(er.c1) + math.Abs(pr) + math.Abs(er.c2) + math.Abs(c3r)
+	return delta, refEps*(al+ar) + refSlack*(gl+gr), true
 }
 
 // checkSplit compares one decision with the exact expression and its path
