@@ -82,15 +82,18 @@ soak:
 # trip against the old writer — plus the wire-format deserializers,
 # Uniform.Fill against element-wise Draw on both batch generators (the
 # portable one and the vector kernel) over arbitrary states, bounds and
-# sizes, and the daemon's JSON request bodies: any submit or predict body
+# sizes, the daemon's JSON request bodies: any submit or predict body
 # is answered 200, 400 or (submit, on a drained server) 503, and none
-# panics.
+# panics; and the data envelope: a data set of any shape and cells (±Inf,
+# NaN, ±10³⁰⁰, subnormals, the clipping bound ± one ulp) is refused by the
+# engine's data check or prepared into cells within ±score.MaxAbsCell.
 fuzz: fuzz-wire
 	$(GO) test -run '^$$' -fuzz 'FuzzReadTSV$$' -fuzztime 10s ./internal/dataset/
 	$(GO) test -run '^$$' -fuzz 'FuzzTSVRoundTrip$$' -fuzztime 10s ./internal/dataset/
 	$(GO) test -run '^$$' -fuzz 'FuzzFillMatchesDraw$$' -fuzztime 10s ./internal/prng/
 	$(GO) test -run '^$$' -fuzz 'FuzzJobRequest$$' -fuzztime 10s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz 'FuzzPredictRequest$$' -fuzztime 10s ./internal/serve/
+	$(GO) test -run '^$$' -fuzz 'FuzzPrepare$$' -fuzztime 10s ./internal/core/
 
 # Short native-fuzzing pass over the binary wire format (DESIGN §12): the
 # checkpoint read path (the refusal of non-wire files, the binary codecs)

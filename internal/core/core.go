@@ -336,13 +336,15 @@ func snapshotOf(assign []int) [][]int {
 	return snap
 }
 
-// run is the pipeline on rc's rank. The rank's cancellation signal is polled
-// here at the task boundaries and module-unit edges and, by the tasks handed
-// rc, inside them. Rank 0 persists the checkpoints, through the run's one
-// checkpoint writer, and emits the task-level events, which keeps the merged
-// stream single-sourced. Checkpoints are stamped with key, and only
-// checkpoints stamped with it are resumed.
-func run(rc rank.Context, d *dataset.Data, q *score.QData, key digest, opt Options) (out *Output, err error) {
+// run is the pipeline on rc's rank over the prepared data q and the learn's
+// read-only kernel, tabled at N·M counts, which no block exceeds. The rank's
+// cancellation signal is polled here at the task boundaries and module-unit
+// edges and, by the tasks handed rc, inside them. Rank 0 persists the
+// checkpoints, through the run's one checkpoint writer, and emits the
+// task-level events, which keeps the merged stream single-sourced.
+// Checkpoints are stamped with key, and only checkpoints stamped with it are
+// resumed.
+func run(rc rank.Context, d *dataset.Data, q *score.QData, kern *score.Kernel, key digest, opt Options) (out *Output, err error) {
 	c, hooks, cancel := rc.Comm, rc.Hooks, rc.Cancel
 	master := prng.New(opt.Seed)
 	failpoint := failpointFn(opt, c.Rank())
@@ -370,11 +372,6 @@ func run(rc rank.Context, d *dataset.Data, q *score.QData, key digest, opt Optio
 	emit(obs.Event{Type: obs.TypeRunStart, Run: &obs.RunInfo{
 		Ranks: c.Size(), Workers: opt.Workers, Seed: opt.Seed, N: q.N, M: q.M,
 	}})
-	// The rank's one scoring kernel: every block a GaneSH run, module
-	// sampler or split evaluator scores spans at most N·M cells, so its
-	// table serves them all without a fallback.
-	kern := score.NewKernel(opt.Prior, q.N*q.M)
-
 	// Task 1: G GaneSH co-clustering runs, each on its own numbered
 	// substream, so the sampled ensemble is independent of the execution
 	// layout (all ranks per run, or disjoint rank groups per §3.2.1).
@@ -551,23 +548,25 @@ func run(rc rank.Context, d *dataset.Data, q *score.QData, key digest, opt Optio
 // with its supervision, fault injection and cancellation (DESIGN §20).
 func Learn(d *dataset.Data, opt Options) (*Output, error) { return LearnParallel(1, d, opt) }
 
-// LearnWithComm runs the full pipeline on an existing communicator; every
-// rank returns an identical network. When Options.Ctx fires, the first rank
-// to poll it panics with an ErrCancelled/ErrDeadline-wrapped error, tearing
-// the world down through the usual abort path — callers driving their own
-// comm.Run see it as a RankError; LearnParallel distills it into a
-// *CancelledError.
+// LearnWithComm runs the full pipeline on an existing communicator, each
+// rank with data and a scoring kernel of its own; every rank returns an
+// identical network. When Options.Ctx fires, the first rank to poll it
+// panics with an ErrCancelled/ErrDeadline-wrapped error, tearing the world
+// down through the usual abort path — callers driving their own comm.Run
+// see it as a RankError; LearnParallel distills it into a *CancelledError.
 func LearnWithComm(c *comm.Comm, d *dataset.Data, opt Options) (*Output, error) {
 	if err := Check(c.Size(), d, opt); err != nil {
 		return nil, err
 	}
-	return learn(c, d, prepare(d, opt), checkpointKey(d, opt), opt)
+	q := prepare(d, opt)
+	return learn(c, d, q, score.NewKernel(opt.Prior, q.N*q.M), checkpointKey(d, opt), opt)
 }
 
 // learn builds the run context of c's rank from the options — the one place
 // that says how a rank executes (DESIGN §21) — runs the pipeline on it over
-// the prepared data and collects the rank's side of the Output.
-func learn(c *comm.Comm, d *dataset.Data, q *score.QData, key digest, opt Options) (*Output, error) {
+// the prepared data and the learn's kernel, and collects the rank's side of
+// the Output.
+func learn(c *comm.Comm, d *dataset.Data, q *score.QData, kern *score.Kernel, key digest, opt Options) (*Output, error) {
 	var rec *obs.Recorder
 	if opt.Events {
 		rec = obs.NewRecorder(c.Rank())
@@ -578,7 +577,7 @@ func learn(c *comm.Comm, d *dataset.Data, q *score.QData, key digest, opt Option
 	}
 	hooks := obs.NewHooks(rec, opt.Metrics, wl)
 	rc := rank.Context{Comm: c, Workers: opt.Workers, Hooks: hooks, Cancel: newCanceler(opt, c.Rank())}
-	out, err := run(rc, d, q, key, opt)
+	out, err := run(rc, d, q, kern, key, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -657,13 +656,14 @@ func LearnParallel(p int, d *dataset.Data, opt Options) (*Output, error) {
 }
 
 // Supervise is the one supervised driver of the fault-tolerance layer.
-// Options and data are checked, the data quantized once for all ranks to
-// read and the run key of a checkpointing run computed, before any world
-// starts. When a rank crashes — an organic panic or a fault injected via
-// Options.Inject — the whole world is torn down MPI-style, the
-// failure is recorded as a recovery event, and — up to Options.MaxRestarts
-// times — a fresh world is started that resumes from the newest checkpoints
-// in Options.CheckpointDir (or from scratch without checkpointing).
+// Options and data are checked, the data quantized and the scoring kernel
+// built once for every rank of every world to read, and the run key of a
+// checkpointing run computed, before any world starts. When a rank crashes
+// — an organic panic or a fault injected via Options.Inject — the whole
+// world is torn down MPI-style, the failure is recorded as a recovery event,
+// and — up to Options.MaxRestarts times — a fresh world is started that
+// resumes from the newest checkpoints in Options.CheckpointDir (or from
+// scratch without checkpointing).
 // Determinism (DESIGN §6) makes the recovered network bit-identical to an
 // uninterrupted run's. An error a rank returned (a stale checkpoint
 // directory, a consensus that did not converge) would be returned again by
@@ -682,6 +682,7 @@ func Supervise(p int, d *dataset.Data, opt Options, between func(trace.RecoveryE
 		return nil, err
 	}
 	q, key := prepare(d, opt), checkpointKey(d, opt)
+	kern := score.NewKernel(opt.Prior, q.N*q.M)
 	attempt := opt
 	var recovery []trace.RecoveryEvent
 	for {
@@ -691,7 +692,7 @@ func Supervise(p int, d *dataset.Data, opt Options, between func(trace.RecoveryE
 			faults = attempt.Inject.Comm
 		}
 		stats, err := comm.RunWithFaults(p, faults, func(c *comm.Comm) error {
-			out, err := learn(c, d, q, key, attempt)
+			out, err := learn(c, d, q, kern, key, attempt)
 			if err != nil {
 				return err
 			}

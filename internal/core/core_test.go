@@ -2,8 +2,10 @@ package core
 
 import (
 	"bytes"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -479,6 +481,69 @@ func TestCheckDataCapacityBound(t *testing.T) {
 				c.n, c.m, cells-score.MaxBlockCells, err, want)
 		}
 	}
+}
+
+// FuzzPrepare: a data set of any small shape, its cells cycling through four
+// arbitrary floats (±Inf, NaN, ±10³⁰⁰, subnormals, values at the clipping
+// bound and a grid step either side of it), is refused by checkData exactly
+// when its shape is below 2×2 or a cell is not finite. Otherwise prepare
+// returns every cell within ±MaxAbsCell, and, unstandardized, equal to
+// score.Quantize of the raw value; standardizing leaves the caller's cells
+// as they were. Nothing panics. The seeds are the quantization envelope's
+// pins (score.TestQuantizationEnvelope) and the edges above.
+func FuzzPrepare(f *testing.F) {
+	const step = 1.0 / score.ValueScale
+	eps := math.Ldexp(1, -52)
+	for _, v := range [][4]float64{
+		{score.MaxAbsValue - step, score.MaxAbsValue, score.MaxAbsValue + step, -score.MaxAbsValue},
+		{-score.MaxAbsValue + step, -score.MaxAbsValue - step, step, -step},
+		{2 * step, step / 2, math.Nextafter(step/2, 1), -step / 2},
+		{math.Nextafter(1.5*step, 0), 1.5 * step, 0, 1},
+		{score.MaxAbsValue * (1 + eps), score.MaxAbsValue * (1 - eps), -score.MaxAbsValue * (1 + eps), -score.MaxAbsValue * (1 - eps)},
+		{1e300, -1e300, 5e-324, -0x1p-1030},
+		{math.Inf(1), 0, 0, 0},
+		{0, math.Inf(-1), 0, 0},
+		{0, 0, math.NaN(), 0},
+	} {
+		f.Add(uint8(3), uint8(4), v[0], v[1], v[2], v[3], false)
+		f.Add(uint8(2), uint8(2), v[0], v[1], v[2], v[3], true)
+	}
+	f.Add(uint8(1), uint8(5), 0.5, -0.5, 1.0, 2.0, false)
+	f.Add(uint8(5), uint8(1), 0.5, -0.5, 1.0, 2.0, true)
+	f.Add(uint8(0), uint8(0), 0.0, 0.0, 0.0, 0.0, false)
+	f.Fuzz(func(t *testing.T, nb, mb uint8, a, b, c, e float64, standardize bool) {
+		d := dataset.New(int(nb%7), int(mb%7))
+		vals := [4]float64{a, b, c, e}
+		finite := true
+		for i := range d.Values {
+			v := vals[i%4]
+			if i/4%2 == 1 {
+				v = -v
+			}
+			d.Values[i] = v
+			finite = finite && !math.IsNaN(v) && !math.IsInf(v, 0)
+		}
+		err := checkData(d)
+		if refuse := d.N < 2 || d.M < 2 || !finite; (err != nil) != refuse {
+			t.Fatalf("%d×%d, cells %v: checkData = %v, want a refusal %v", d.N, d.M, vals, err, refuse)
+		}
+		if err != nil {
+			return
+		}
+		raw := slices.Clone(d.Values)
+		q := prepare(d, Options{Standardize: standardize})
+		if q.N != d.N || q.M != d.M || len(q.Cells) != len(raw) || !slices.Equal(d.Values, raw) {
+			t.Fatalf("%d×%d: prepare gave %d×%d with %d cells, or changed the caller's cells", d.N, d.M, q.N, q.M, len(q.Cells))
+		}
+		for i, cell := range q.Cells {
+			if cell < -score.MaxAbsCell || cell > score.MaxAbsCell {
+				t.Fatalf("cell %d (raw %v) quantized to %d, outside ±%d", i, raw[i], cell, int64(score.MaxAbsCell))
+			}
+			if want := score.Quantize(raw[i]); !standardize && int64(cell) != want {
+				t.Fatalf("cell %d: raw %v quantized to %d, score.Quantize gives %d", i, raw[i], cell, want)
+			}
+		}
+	})
 }
 
 // TestCheckpointResume: interrupting after any task boundary and resuming

@@ -34,10 +34,7 @@
 
 package score
 
-import (
-	"math"
-	"sync/atomic"
-)
+import "math"
 
 // MaxKernelTableN caps the kernel's table length (one kernelEntry per
 // count). MaxBlockCells bounds every count the engines can produce, so the
@@ -61,8 +58,9 @@ type kernelEntry struct {
 // Kernel.LogML(s) is bit-equal to Prior.LogML(s) for every Stats value,
 // with the count-only terms that need a transcendental served from a table
 // of two float64 per count and the others (αN, λ₀·n, 2·(λ₀+n), n/2·ln 2π)
-// recomputed from the count with Prior.LogML's operations. Safe for
-// concurrent use.
+// recomputed from the count with Prior.LogML's operations. It is read-only
+// once NewKernel returns, so one learn builds one for every rank, worker and
+// restarted world; it counts nothing, and SplitsImprove returns its misses.
 type Kernel struct {
 	prior Prior
 	// log2Pi is ln 2π, the factor of the count-only term c3 = n/2·ln 2π.
@@ -73,10 +71,6 @@ type Kernel struct {
 	// (batch_amd64.s), which recompute αN, λ₀·n, 2·(λ₀+n) and c3 from the
 	// count as Kernel.LogML does.
 	lanes kernelLanes
-	// fallbacks counts LogML calls whose N fell outside the table (served
-	// by Prior.LogML, still exact). Atomic: the splits pool shares one
-	// kernel across workers. The table-hit path never touches it.
-	fallbacks atomic.Int64
 }
 
 // NewKernel precomputes the scoring kernel of p for block counts 0…maxN.
@@ -117,10 +111,6 @@ func (k *Kernel) Prior() Prior { return k.prior }
 // TableLen returns the number of tabled counts (maxN+1 after clamping).
 func (k *Kernel) TableLen() int { return len(k.tab) }
 
-// Fallbacks returns how many LogML calls fell outside the table since
-// construction — the cache-miss counter the observability layer exposes.
-func (k *Kernel) Fallbacks() int64 { return k.fallbacks.Load() }
-
 // LogML returns the normal-gamma marginal log-likelihood of the block whose
 // sufficient statistics are s, bit-equal to Prior.LogML(s). The remaining
 // operations are the data-dependent suffix of Prior.LogML's evaluation,
@@ -131,8 +121,7 @@ func (k *Kernel) LogML(s Stats) float64 {
 	if s.N == 0 {
 		return 0
 	}
-	if s.N < 0 || s.N >= int64(len(k.tab)) {
-		k.fallbacks.Add(1)
+	if k.miss(s) != 0 {
 		return k.prior.LogML(s)
 	}
 	e := &k.tab[s.N]
@@ -167,14 +156,21 @@ func (k *Kernel) LogMLBatch(dst []float64, stats []Stats) {
 		return
 	}
 	if fallbacks := logmlKernel(k, dst, stats); fallbacks > 0 {
-		n := int64(len(k.tab))
 		for i, s := range stats {
-			if s.N < 0 || s.N >= n {
+			if k.miss(s) != 0 {
 				dst[i] = k.prior.LogML(s)
 			}
 		}
-		k.fallbacks.Add(int64(fallbacks))
 	}
+}
+
+// miss is 1 when LogML scores s through Prior.LogML, a count below zero or
+// past the table, and 0 otherwise; an empty block is no miss.
+func (k *Kernel) miss(s Stats) int {
+	if uint64(s.N) >= uint64(len(k.tab)) {
+		return 1
+	}
+	return 0
 }
 
 // betaN is the data-dependent βN of a non-empty in-table block: Prior.LogML's

@@ -115,25 +115,26 @@ func TestStatsLayout(t *testing.T) {
 	}
 }
 
-// TestKernelFallbackCounter pins the cache-miss accounting: in-table calls
-// never touch the counter, out-of-table calls increment it once each, and
-// N=0 short-circuits without counting.
-func TestKernelFallbackCounter(t *testing.T) {
+// TestKernelMiss pins what a table miss is: an in-table count and an empty
+// block are none, a count past the table or below zero is one, and a miss
+// scores Prior.LogML's bits.
+func TestKernelMiss(t *testing.T) {
 	k := NewKernel(DefaultPrior(), 10)
 	if k.TableLen() != 11 {
 		t.Fatalf("TableLen = %d, want 11", k.TableLen())
 	}
-	s := randomStats(prng.New(7), 5)
-	k.LogML(s)
-	k.LogML(Stats{})
-	if got := k.Fallbacks(); got != 0 {
-		t.Fatalf("fallbacks after in-table calls = %d, want 0", got)
-	}
-	big := randomStats(prng.New(8), 100)
-	k.LogML(big)
-	k.LogML(big)
-	if got := k.Fallbacks(); got != 2 {
-		t.Fatalf("fallbacks after two out-of-table calls = %d, want 2", got)
+	for _, c := range []struct {
+		n    int64
+		miss int
+	}{{0, 0}, {1, 0}, {5, 0}, {10, 0}, {11, 1}, {100, 1}, {-1, 1}, {-1 << 63, 1}} {
+		s := randomStats(prng.New(7), max(c.n, 0))
+		s.N = c.n
+		if got := k.miss(s); got != c.miss {
+			t.Fatalf("miss(N = %d) = %d, want %d", c.n, got, c.miss)
+		}
+		if c.n != 0 && c.miss == 1 && math.Float64bits(k.LogML(s)) != math.Float64bits(k.prior.LogML(s)) {
+			t.Fatalf("N = %d: Kernel.LogML %v, Prior.LogML %v", c.n, k.LogML(s), k.prior.LogML(s))
+		}
 	}
 }
 

@@ -4,39 +4,39 @@
 // with Kernel.betaN's operations. The including file includes go_asm.h
 // first.
 //
-// BX points at a kernelLanes: row r (one constant per lane) at byte 32·r,
-// the spread table at kernelLanes_spread (go_asm.h).
-#define S_MAGIC   0(BX)
-#define S_TWO52   32(BX)
-#define S_TWO32   64(BX)
-#define S_LO32    96(BX)
-#define S_HIDW    128(BX)
-#define S_NMAX    160(BX)
-#define S_SCALE   192(BX)
-#define S_SCALE2  224(BX)
-#define S_MU0     256(BX)
-#define S_LAMBDA0 288(BX)
-#define S_ALPHA0  320(BX)
-#define S_BETA0   352(BX)
-#define S_LOG2PI  384(BX)
-#define S_HALF    416(BX)
-#define S_ABS     448(BX)
-#define S_EXPLO   480(BX)
-#define S_EXPHI   512(BX)
-#define S_KMAGIC  544(BX)
-#define S_TIDX    576(BX)
-#define S_MLOW    608(BX)
-#define S_MMAGIC  640(BX)
-#define S_QUARTER 672(BX)
-#define S_THIRD   704(BX)
-#define S_LN2     736(BX)
-#define S_NAN     768(BX)
-#define S_EPS     800(BX)
-#define S_SLACK   832(BX)
-#define S_SIGN    864(BX)
-#define S_HALFR   896(BX)
-#define S_ODD     928(BX)
-#define S_ONE     960(BX)
+// BX points at a kernelLanes: each constant (once per lane) and the spread
+// table at their fields' offsets from go_asm.h.
+#define S_MAGIC   kernelLanes_magic(BX)
+#define S_TWO52   kernelLanes_two52(BX)
+#define S_TWO32   kernelLanes_two32(BX)
+#define S_LO32    kernelLanes_lo32(BX)
+#define S_HIDW    kernelLanes_hidw(BX)
+#define S_NMAX    kernelLanes_nmax(BX)
+#define S_SCALE   kernelLanes_scale(BX)
+#define S_SCALE2  kernelLanes_scale2(BX)
+#define S_MU0     kernelLanes_mu0(BX)
+#define S_LAMBDA0 kernelLanes_lambda0(BX)
+#define S_ALPHA0  kernelLanes_alpha0(BX)
+#define S_BETA0   kernelLanes_beta0(BX)
+#define S_LOG2PI  kernelLanes_log2Pi(BX)
+#define S_HALF    kernelLanes_half(BX)
+#define S_ABS     kernelLanes_abs(BX)
+#define S_EXPLO   kernelLanes_expLo(BX)
+#define S_EXPHI   kernelLanes_expHi(BX)
+#define S_KMAGIC  kernelLanes_kMagic(BX)
+#define S_TIDX    kernelLanes_tIdx(BX)
+#define S_MLOW    kernelLanes_mLow(BX)
+#define S_MMAGIC  kernelLanes_mMagic(BX)
+#define S_QUARTER kernelLanes_quarter(BX)
+#define S_THIRD   kernelLanes_third(BX)
+#define S_LN2     kernelLanes_ln2(BX)
+#define S_NAN     kernelLanes_nan(BX)
+#define S_EPS     kernelLanes_eps(BX)
+#define S_SLACK   kernelLanes_slack(BX)
+#define S_SIGN    kernelLanes_sign(BX)
+#define S_HALFR   kernelLanes_halfR(BX)
+#define S_ODD     kernelLanes_odd(BX)
+#define S_ONE     kernelLanes_one(BX)
 #define S_SPREAD  kernelLanes_spread
 
 // CVTQ converts the four int64 lanes of y to float64, rounding once as

@@ -1,29 +1,29 @@
 // The lane code of math.Log's amd64 code (DESIGN §28), shared by batch_amd64.s
 // and split_amd64.s.
 //
-// AX points at a logTable: row r (32 bytes, one constant per lane) at byte
-// 32·r.
-#define MANT   0(AX)
-#define HALF   32(AX)
-#define EXP    64(AX)
-#define BIAS   96(AX)
-#define MAGIC  128(AX)
-#define HSQRT2 160(AX)
-#define ONE    192(AX)
-#define TWO    224(AX)
-#define L7     256(AX)
-#define L5     288(AX)
-#define L3     320(AX)
-#define L1     352(AX)
-#define L6     384(AX)
-#define L4     416(AX)
-#define L2     448(AX)
-#define LN2LO  480(AX)
-#define LN2HI  512(AX)
-#define ABS    544(AX)
-#define NAN    576(AX)
-#define NEGINF 608(AX)
-#define POSINF 640(AX)
+// AX points at a logTable: each constant, once per lane, at its field's
+// offset from go_asm.h, which the including file includes first.
+#define MANT   logTable_mant(AX)
+#define HALF   logTable_half(AX)
+#define EXP    logTable_exp(AX)
+#define BIAS   logTable_bias(AX)
+#define MAGIC  logTable_magic(AX)
+#define HSQRT2 logTable_hsqrt2(AX)
+#define ONE    logTable_one(AX)
+#define TWO    logTable_two(AX)
+#define L7     logTable_l7(AX)
+#define L5     logTable_l5(AX)
+#define L3     logTable_l3(AX)
+#define L1     logTable_l1(AX)
+#define L6     logTable_l6(AX)
+#define L4     logTable_l4(AX)
+#define L2     logTable_l2(AX)
+#define LN2LO  logTable_ln2Lo(AX)
+#define LN2HI  logTable_ln2Hi(AX)
+#define ABS    logTable_abs(AX)
+#define NAN    logTable_nan(AX)
+#define NEGINF logTable_negInf(AX)
+#define POSINF logTable_posInf(AX)
 
 // LOG4 takes four inputs in Y0 and leaves their logarithms in Y1, using
 // Y0–Y11. In log_amd64.s's names, step by step:

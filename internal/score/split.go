@@ -143,30 +143,34 @@ const (
 //
 //	k.SplitImproves(l, r, k.LogML(tot))
 //
-// returns, Improves for its bit and Certified for its path, and the result
-// counts the lanes that were not certified. dst must have len(idx) elements,
-// and every idx[i] must index bkt. On amd64 with AVX2 one call of
-// splitsAVX2 scores tot, with LOG4 (math.Log's amd64 code in lanes), and
-// certifies the lanes two to a vector with SplitImproves' operations in its
-// order (DESIGN §29); the lanes it cannot certify are decided here by the exact
-// expression. Everywhere else, and for a total outside the table, it is the
-// loop over SplitImproves, which is the reference.
-func (k *Kernel) SplitsImprove(dst []Decision, bkt []Stats, idx []int32, tot Stats) (fallbacks int) {
+// returns, Improves for its bit and Certified for its path; fallbacks counts
+// the uncertified lanes, and misses its Kernel.LogML calls outside the
+// table: tot's, and each uncertified lane's l and r, whose count is outside.
+// dst must have len(idx) elements, and every idx[i] must index bkt. On amd64
+// with AVX2 one call of splitsAVX2 scores tot, with LOG4 (math.Log's amd64
+// code in lanes), and certifies the lanes two to a vector with
+// SplitImproves' operations in its order (DESIGN §29); the lanes it cannot
+// certify are decided here by the exact expression. Everywhere else, and
+// for a total outside the table, it is the loop over SplitImproves, which
+// is the reference.
+func (k *Kernel) SplitsImprove(dst []Decision, bkt []Stats, idx []int32, tot Stats) (fallbacks, misses int) {
 	dst = dst[:len(idx)]
 	if !useKernel || tot.N <= 0 || tot.N >= int64(len(k.tab)) {
 		totML := k.LogML(tot)
+		misses = k.miss(tot)
 		for i, d := range idx {
 			l := bkt[d]
 			improves, certified := k.SplitImproves(l, tot.minus(l), totML)
 			dst[i] = decision(improves, certified)
 			if !certified {
 				fallbacks++
+				misses += k.miss(l) + k.miss(tot.minus(l))
 			}
 		}
-		return fallbacks
+		return fallbacks, misses
 	}
 	if len(idx) == 0 {
-		return 0
+		return 0, 0
 	}
 	for _, d := range idx {
 		_ = bkt[d] // the kernel loads without bounds checks
@@ -177,10 +181,11 @@ func (k *Kernel) SplitsImprove(dst []Decision, bkt []Stats, idx []int32, tot Sta
 			if d&Certified == 0 {
 				l := bkt[idx[i]]
 				dst[i] = decision(k.LogML(l)+k.LogML(tot.minus(l))-totML > 0, false)
+				misses += k.miss(l) + k.miss(tot.minus(l))
 			}
 		}
 	}
-	return fallbacks
+	return fallbacks, misses
 }
 
 // decision packs SplitImproves' two results.

@@ -399,7 +399,7 @@ func BenchmarkSplitImproves(b *testing.B) {
 					dst := make([]Decision, lanes)
 					b.Run(fmt.Sprintf("lanes=%d", lanes), func(b *testing.B) {
 						useKernel = on
-						if k.SplitsImprove(dst, bkt, idx, bkt[64]) != 0 {
+						if fallbacks, _ := k.SplitsImprove(dst, bkt, idx, bkt[64]); fallbacks != 0 {
 							b.Fatal("not the certified path")
 						}
 						for range b.N {
@@ -430,8 +430,9 @@ func BenchmarkSplitImproves(b *testing.B) {
 // checkLanes runs SplitsImprove over the lanes idx of one resample — its
 // blocks bkt and total tot — and requires of every lane both bits of
 // SplitImproves on the same blocks with totML = k.LogML(tot), of the result
-// the number of uncertified lanes, of the kernel's table-miss counter the
-// count the scalar calls add, and of the elements past the lanes their
+// the number of uncertified lanes and the table misses counted here — the
+// total's when its count is outside the table, and each uncertified lane's
+// l and r whose count is — and of the elements past the lanes their
 // sentinel. It returns how many lanes were certified.
 func checkLanes(t *testing.T, k *Kernel, bkt []Stats, idx []int32, tot Stats) (certified int) {
 	t.Helper()
@@ -440,11 +441,15 @@ func checkLanes(t *testing.T, k *Kernel, bkt []Stats, idx []int32, tot Stats) (c
 	for i := range dst {
 		dst[i] = sentinel
 	}
-	before := k.Fallbacks()
-	fallbacks := k.SplitsImprove(dst[:len(idx)], bkt, idx, tot)
-	misses := k.Fallbacks() - before
+	fallbacks, misses := k.SplitsImprove(dst[:len(idx)], bkt, idx, tot)
 	totML := k.LogML(tot)
-	want := 0
+	outside := func(s Stats) int {
+		if s.N < 0 || s.N >= int64(k.TableLen()) {
+			return 1
+		}
+		return 0
+	}
+	want, wantMisses := 0, outside(tot)
 	for i, d := range idx {
 		l := bkt[d]
 		improves, cert := k.SplitImproves(l, tot.minus(l), totML)
@@ -456,10 +461,11 @@ func checkLanes(t *testing.T, k *Kernel, bkt []Stats, idx []int32, tot Stats) (c
 			certified++
 		} else {
 			want++
+			wantMisses += outside(l) + outside(tot.minus(l))
 		}
 	}
-	if scalar := k.Fallbacks() - before - misses; misses != scalar {
-		t.Fatalf("prior %+v, tot %+v: SplitsImprove counted %d table misses, the scalar calls %d", k.prior, tot, misses, scalar)
+	if misses != wantMisses {
+		t.Fatalf("prior %+v, tot %+v: SplitsImprove reports %d table misses, want %d", k.prior, tot, misses, wantMisses)
 	}
 	if fallbacks != want {
 		t.Fatalf("prior %+v, tot %+v: SplitsImprove reports %d uncertified lanes of %d, SplitImproves %d", k.prior, tot, fallbacks, len(idx), want)
@@ -635,7 +641,7 @@ func TestSplitsImproveMatchesScalar(t *testing.T) {
 // FuzzSplitsImprove: for arbitrary integer triples as the left blocks and
 // the total — in-table counts and not, blocks or not — and any valid prior,
 // every lane of SplitsImprove, of every length below 24, is SplitImproves'
-// answer on both paths.
+// answer on both paths, and its fallbacks and misses are checkLanes' counts.
 func FuzzSplitsImprove(f *testing.F) {
 	f.Add(int64(8), int64(1000), int64(250000), int64(20), int64(-1000), int64(900000), 0.0, 0.1, 0.1, 0.1, uint8(5))
 	f.Add(int64(30), int64(30)<<16, int64(30)<<32, int64(60), int64(30)<<16, int64(60)<<32, 0.0, 0.1, 0.1, 0.1, uint8(17))

@@ -182,10 +182,11 @@ type scratch struct {
 	// threshold-steps (one per live threshold per pair-step), of which empty
 	// had nothing on one side, repeated had the previous live threshold's
 	// left block, and exactFallbacks were scored exactly because the
-	// certified test could not tell — the rest were certified. cands is the candidates
-	// scored in the current eval call.
-	pairSteps, draws, cands                    int64
-	decisions, empty, repeated, exactFallbacks int64
+	// certified test could not tell — the rest were certified; tableMisses
+	// is the Kernel.LogML calls SplitsImprove made outside the table. cands
+	// is the candidates scored in the current eval call.
+	pairSteps, draws, cands                                 int64
+	decisions, empty, repeated, exactFallbacks, tableMisses int64
 }
 
 // group is one distinct threshold of the pair being evaluated: whether the
@@ -245,24 +246,21 @@ type evaluator struct {
 	nodes []*nodeRef
 	total int
 	// base is the stream the pair substreams are numbered from; kern the
-	// rank's scoring kernel, whose table must cover |Obs|·|module| counts
-	// so the hot loop never takes the fallback path, and fallbacks0 its
-	// fallback count when the evaluator was built; stop the
-	// early-termination table.
-	base       *prng.MRG3
-	kern       *score.Kernel
-	fallbacks0 int64
-	stop       []bool
-	scratches  []*scratch
+	// learn's read-only scoring kernel, which other ranks may read at the
+	// same time and whose table must cover |Obs|·|module| counts so the hot
+	// loop never takes the fallback path; stop the early-termination table.
+	base      *prng.MRG3
+	kern      *score.Kernel
+	stop      []bool
+	scratches []*scratch
 }
 
 func newEvaluator(rc rank.Context, q *score.QData, kern *score.Kernel, modules [][]int, trees [][]*tree.Tree, par Params, g *prng.MRG3) *evaluator {
 	par = par.WithDefaults(q.N)
-	ev := &evaluator{rc: rc, q: q, par: par, nodes: enumerate(q, modules, trees, par.Candidates), base: g.Clone(), stop: stopTable(par)}
+	ev := &evaluator{rc: rc, q: q, par: par, nodes: enumerate(q, modules, trees, par.Candidates), base: g.Clone(), kern: kern, stop: stopTable(par)}
 	for _, ref := range ev.nodes {
 		ev.total += ref.count
 	}
-	ev.kern, ev.fallbacks0 = kern, kern.Fallbacks()
 	// One scratch per pool worker, allocated separately so workers never
 	// write into a shared cache line.
 	ev.scratches = make([]*scratch, max(1, rc.Workers))
@@ -406,7 +404,9 @@ func (ev *evaluator) evalPair(sc *scratch, ref *nodeRef, pi, from, to int, post 
 		sc.empty += int64(empty)
 		sc.repeated += int64(len(live) - empty - lanes)
 		dec := sc.dec[:1+lanes]
-		sc.exactFallbacks += int64(kern.SplitsImprove(dec[1:], bkt, idx[:lanes], tot))
+		fallbacks, misses := kern.SplitsImprove(dec[1:], bkt, idx[:lanes], tot)
+		sc.exactFallbacks += int64(fallbacks)
+		sc.tableMisses += int64(misses)
 		n := 0
 		for j, d := range live {
 			g := &gs[d]
@@ -466,11 +466,12 @@ func (ev *evaluator) observe(st pool.Stats, steps []int) {
 // live threshold in one pair-step — is exactly one of certified, exact
 // fallback, empty side or repeated neighbour, counted per worker; the exact
 // Kernel.LogML calls follow from them, one for the resample total of every
-// pair-step and two per fallback, so the table counters are derived,
+// pair-step and two per fallback, and SplitsImprove returns the misses
+// among them, summed per worker like the fallbacks, so
 //
 //	hits = pairSteps + 2·fallbacks − misses
 //
-// and the table-hit path stays free of atomics. split_steps is the
+// and nothing on the kernel counts. split_steps is the
 // per-candidate count and identical for every p × W × strategy; the pair,
 // draw and decision counters are the work actually done, replay at cut pairs
 // included, and depend on where the ranges were cut.
@@ -487,7 +488,7 @@ func (ev *evaluator) recordMetrics(reg *obs.Registry, steps []int) {
 	for s, n := range counts {
 		hist.ObserveN(float64(s), n)
 	}
-	var pairSteps, draws, decisions, empty, repeated, fallbacks int64
+	var pairSteps, draws, decisions, empty, repeated, fallbacks, misses int64
 	for _, sc := range ev.scratches {
 		pairSteps += sc.pairSteps
 		draws += sc.draws
@@ -495,8 +496,8 @@ func (ev *evaluator) recordMetrics(reg *obs.Registry, steps []int) {
 		empty += sc.empty
 		repeated += sc.repeated
 		fallbacks += sc.exactFallbacks
+		misses += sc.tableMisses
 	}
-	misses := ev.kern.Fallbacks() - ev.fallbacks0
 	counter := func(name, help string, v int64) { reg.Counter(name, help, "phase", PhaseAssign).Add(v) }
 	counter("split_pair_steps", "bootstrap resamples drawn, one per ⟨node,parent⟩ pair-step", pairSteps)
 	counter("split_draws_total", "bootstrap picks drawn by split scoring", draws)

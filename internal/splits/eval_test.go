@@ -118,8 +118,10 @@ func TestPosteriorMatchesPreKernel(t *testing.T) {
 			}
 		}
 	}
-	if ev.kern.Fallbacks() != 0 {
-		t.Fatalf("kernel fell back %d times; the N·M table is too small", ev.kern.Fallbacks())
+	for _, sc := range ev.scratches {
+		if sc.tableMisses != 0 {
+			t.Fatalf("%d table misses; the N·M table is too small", sc.tableMisses)
+		}
 	}
 }
 
@@ -166,25 +168,81 @@ func TestPosteriorBatchBitIdentical(t *testing.T) {
 // table there is no miss and — on this fixture — no near tie, so
 // the second run halves the table: blocks beyond it cannot be certified,
 // which exercises the fallback and miss terms without moving a posterior.
+// A half table's misses are known too: a pair-step misses once for its
+// total when the total lies outside, and never otherwise, since its sides
+// are then inside and decided as the full table decides them; and each of
+// its fallbacks misses once more, for the one side that lies outside (both
+// cannot, as the total would exceed twice the table). The third run hands
+// one half table to both ranks of a two-rank world, whose ranks score at
+// the same time: each rank's counters must still be its own.
 func TestKernelHitCounterExact(t *testing.T) {
 	q, modules, trees, _ := fixture(t, 16)
+	par := Params{MaxSteps: 24}
+	counter := func(reg *obs.Registry, metric string) int64 {
+		return reg.Counter(metric, "", "phase", PhaseAssign).Value()
+	}
+	// checkMisses requires of one rank's registry the table identity and,
+	// for a table of tabLen counts, the misses of the pair-steps of
+	// candidates [lo, hi), given every candidate's step count.
+	checkMisses := func(name string, reg *obs.Registry, nodes []*nodeRef, steps []int, lo, hi, tabLen int) (fallbacks, misses int64) {
+		var pairSteps, draws, outside int64
+		for _, ref := range nodes {
+			nObs := len(ref.node.Obs)
+			for first := ref.offset; first < ref.offset+ref.count; first += nObs {
+				// A pair steps until its longest candidate in range stops.
+				longest := 0
+				for ci := max(first, lo); ci < min(first+nObs, hi); ci++ {
+					longest = max(longest, steps[ci])
+				}
+				pairSteps += int64(longest)
+				draws += int64(longest * nObs)
+				if nObs*int(ref.colStats[0].N) >= tabLen {
+					outside += int64(longest)
+				}
+			}
+		}
+		if got := counter(reg, "split_pair_steps"); got != pairSteps {
+			t.Errorf("%s: split_pair_steps %d, want %d", name, got, pairSteps)
+		}
+		if got := counter(reg, "split_draws_total"); got != draws {
+			t.Errorf("%s: split_draws_total %d, want %d", name, got, draws)
+		}
+		fallbacks = counter(reg, "split_decisions_fallback_total")
+		hits, misses := counter(reg, "kernel_table_hits_total"), counter(reg, "kernel_table_misses_total")
+		if got, want := hits+misses, pairSteps+2*fallbacks; got != want {
+			t.Errorf("%s: table hits %d + misses %d = %d exact logML calls, want pair-steps + 2·fallbacks = %d", name, hits, misses, got, want)
+		}
+		if want := outside + fallbacks; misses != want {
+			t.Errorf("%s: kernel_table_misses_total %d, want %d pair-steps with the total outside the table + %d fallbacks = %d",
+				name, misses, outside, fallbacks, want)
+		}
+		if hits <= 0 {
+			t.Errorf("%s: %d table hits, want > 0", name, hits)
+		}
+		return fallbacks, misses
+	}
+
 	var wantPost []float64
+	var wantSteps []int
+	var half *score.Kernel
+	var nodes []*nodeRef
+	total := 0
 	for _, shrink := range []bool{false, true} {
 		reg := obs.NewRegistry()
-		ev := newEvaluator(on(comm.Self(), 1, reg), q, kernelOf(q, score.DefaultPrior()), modules, trees,
-			Params{MaxSteps: 24}, prng.New(21))
+		ev := newEvaluator(on(comm.Self(), 1, reg), q, kernelOf(q, score.DefaultPrior()), modules, trees, par, prng.New(21))
 		if shrink {
-			ev.kern = score.NewKernel(score.DefaultPrior(), maxStatsN(ev.nodes)/2)
+			half = score.NewKernel(score.DefaultPrior(), maxStatsN(ev.nodes)/2)
+			ev.kern, nodes, total = half, ev.nodes, ev.total
 		}
 		post, steps, st := ev.eval(0, ev.total)
 		ev.observe(st, steps)
 		if wantPost == nil {
-			wantPost = post
-		} else if !reflect.DeepEqual(post, wantPost) {
-			t.Fatal("half table: posteriors differ from the full table's")
+			wantPost, wantSteps = post, steps
+		} else if !reflect.DeepEqual(post, wantPost) || !reflect.DeepEqual(steps, wantSteps) {
+			t.Fatal("half table: posteriors or steps differ from the full table's")
 		}
 
-		var pairSteps, thresholdSteps, draws int64
+		var thresholdSteps int64
 		for _, ref := range ev.nodes {
 			nObs := len(ref.node.Obs)
 			for pi, parent := range ev.par.Candidates {
@@ -194,46 +252,49 @@ func TestKernelHitCounterExact(t *testing.T) {
 				for k, j := range ref.node.Obs {
 					byValue[q.At(parent, j)] = steps[first+k]
 				}
-				longest := 0
 				for _, s := range byValue {
 					thresholdSteps += int64(s)
-					longest = max(longest, s)
 				}
-				pairSteps += int64(longest)
-				draws += int64(longest * nObs)
 			}
 		}
-		counter := func(metric string) int64 {
-			return reg.Counter(metric, "", "phase", PhaseAssign).Value()
-		}
-		if got := counter("split_pair_steps"); got != pairSteps {
-			t.Errorf("split_pair_steps %d, want %d", got, pairSteps)
-		}
-		if got := counter("split_draws_total"); got != draws {
-			t.Errorf("split_draws_total %d, want %d", got, draws)
-		}
-		certified, fallbacks := counter("split_decisions_certified_total"), counter("split_decisions_fallback_total")
-		empty, repeated := counter("split_decisions_empty_total"), counter("split_decisions_repeated_total")
+		certified, fallbacks := counter(reg, "split_decisions_certified_total"), counter(reg, "split_decisions_fallback_total")
+		empty, repeated := counter(reg, "split_decisions_empty_total"), counter(reg, "split_decisions_repeated_total")
 		if got := certified + fallbacks + empty + repeated; got != thresholdSteps {
 			t.Errorf("certified %d + fallbacks %d + empty %d + repeated %d = %d threshold-steps, want one per live threshold per pair-step = %d",
 				certified, fallbacks, empty, repeated, got, thresholdSteps)
 		}
-		hits, misses := counter("kernel_table_hits_total"), counter("kernel_table_misses_total")
-		if got, want := hits+misses, pairSteps+2*fallbacks; got != want {
-			t.Errorf("table hits %d + misses %d = %d exact logML calls, want pair-steps + 2·fallbacks = %d", hits, misses, got, want)
-		}
-		if misses != ev.kern.Fallbacks() {
-			t.Errorf("kernel_table_misses_total %d, the kernel counted %d", misses, ev.kern.Fallbacks())
-		}
+		_, misses := checkMisses(fmt.Sprintf("shrink %v", shrink), reg, ev.nodes, steps, 0, ev.total, ev.kern.TableLen())
 		// The premise of naming the cases: each occurs on this fixture.
-		if certified <= 0 || empty <= 0 || repeated <= 0 || hits <= 0 {
-			t.Errorf("certified %d, empty %d, repeated %d, table hits %d: want all > 0", certified, empty, repeated, hits)
+		if certified <= 0 || empty <= 0 || repeated <= 0 {
+			t.Errorf("certified %d, empty %d, repeated %d: want all > 0", certified, empty, repeated)
 		}
 		if !shrink && (fallbacks != 0 || misses != 0) {
 			t.Errorf("%d fallbacks, %d table misses, want 0 (the N·M table covers every block, and no decision of this fixture is a near tie)", fallbacks, misses)
 		}
 		if shrink && (fallbacks <= 0 || misses <= 0) {
 			t.Errorf("half table: %d fallbacks, %d misses, want both > 0", fallbacks, misses)
+		}
+	}
+
+	// Two ranks, one half table: the static schedule scores one block of
+	// the candidate list per rank. A world takes a few milliseconds; four
+	// of them make it near certain that the ranks score at the same time in
+	// at least one.
+	for world := range 4 {
+		regs := []*obs.Registry{obs.NewRegistry(), obs.NewRegistry()}
+		if _, err := comm.Run(2, func(c *comm.Comm) error {
+			comm.Barrier(c)
+			LearnWithComm(on(c, 1, regs[c.Rank()]), q, half, modules, trees, par, prng.New(21))
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		for r, reg := range regs {
+			lo, hi := comm.BlockRange(total, 2, r)
+			name := fmt.Sprintf("world %d, p=2 rank %d", world, r)
+			if fallbacks, misses := checkMisses(name, reg, nodes, wantSteps, lo, hi, half.TableLen()); fallbacks <= 0 || misses <= 0 {
+				t.Errorf("%s: %d fallbacks, %d misses, want both > 0", name, fallbacks, misses)
+			}
 		}
 	}
 }
