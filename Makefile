@@ -15,7 +15,7 @@ GO ?= go
 # Iterations of the seeded cancel/fault chaos soak (`make soak`).
 SOAK_ITERS ?= 25
 
-.PHONY: tier1 fmt vet cross lint build test race faults soak fuzz fuzz-score fuzz-wire bench bench-core bench-cluster bench-hybrid serve-smoke loc
+.PHONY: tier1 fmt vet cross lint build test race faults pins soak fuzz fuzz-score fuzz-wire bench bench-core bench-cluster bench-hybrid serve-smoke loc
 
 tier1: fmt vet cross lint build test race faults
 
@@ -68,6 +68,15 @@ race:
 faults:
 	$(GO) test -race -run 'Fault|Recovery|Abort|Timeout|Failpoint|Restart|Checkpoint|Cancel|Drain|Deadline|Supervis|Retry|Backoff' \
 		./internal/comm/ ./internal/splits/ ./internal/core/ ./internal/jobs/
+
+# The pins a result-preserving change must leave green, by name: the split
+# marginals of the stream layout (splits), the regulator recovery, the four
+# telemetry digests, the run key and the wire bytes (core), the consensus
+# golden record and the reference engine's exact match. `make pins` green
+# is "no pin moved"; a change that moves one says which and why.
+pins:
+	$(GO) test -count=1 -v -run '^(TestPairMarginalsMatchPerCandidateLayout|TestRegulatorRecoveryNoWorse|TestClusterShapedTelemetryPinned|TestRunKeyPinned|TestWireBytesPinned|TestGolden|TestExactMatchWithOptimizedEngine)$$' \
+		./internal/splits/ ./internal/core/ ./internal/consensus/ ./internal/ltbaseline/
 
 # Seeded chaos soak: the deterministic MRG3-driven matrix of (world size,
 # cancel point, exchange per leg, injected comm crash) combinations, each

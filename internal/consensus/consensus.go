@@ -26,64 +26,54 @@ import (
 )
 
 // Params configures consensus clustering.
-//
-// # Zero-value sentinels
-//
-// Every zero-valued field selects its documented default — an explicit zero
-// cannot be configured. Count fields (MinClusterSize, MaxIter) and the
-// positivity-requiring knobs (SupportFrac, Tol) treat any value ≤ 0 as "use
-// the default". MinEigenvalue is different: 0 selects the default 1.0, but
-// a *negative* value is honored and disables the eigenvalue stopping rule —
-// peeling then continues until an extraction comes up short (the dominant
-// eigenvalue of a non-negative matrix is never below a negative cutoff).
-// TestParamsWithDefaults pins all of this.
 type Params struct {
-	// MinClusterSize is the smallest cluster kept as a module; smaller
-	// extractions stop the peeling. Values ≤ 0 select the default, 2.
-	MinClusterSize int
-	// MinEigenvalue stops peeling once the dominant eigenvalue of the
-	// remaining matrix drops below it. 0 selects the default, 1.0 (an
-	// isolated variable contributes exactly 1 through its unit diagonal);
-	// a negative value disables this stopping rule.
-	MinEigenvalue float64
-	// SupportFrac is the eigenvector support cut: only variables whose
-	// Perron-vector component is at least SupportFrac times the largest
-	// component are candidates for the extracted cluster. Values ≤ 0
-	// select the default, 0.5.
-	SupportFrac float64
-	// MaxIter and Tol control the power iteration. Values ≤ 0 select the
-	// defaults, DefaultMaxIter and 1e-10.
+	// MaxIter caps the power iteration of each peeling round. Values ≤ 0
+	// select DefaultMaxIter.
 	MaxIter int
-	Tol     float64
 }
 
 // DefaultMaxIter is the power-iteration cap when Params.MaxIter is unset.
 // Two comparably dense blocks in one connected component make λ₁ ≈ λ₂,
-// and plain power iteration then needs thousands of steps to meet Tol. The
+// and plain power iteration then needs thousands of steps to meet tol. The
 // cap is measured (DESIGN §17): the most steps any converging round took
 // over datagen grids up to 2000×250 at G=3 was 18 915, plus a 5 % margin.
-// Raising it changes no converged run: a round that met Tol in fewer steps
+// Raising it changes no converged run: a round that met tol in fewer steps
 // takes the same steps and yields the same bits.
 const DefaultMaxIter = 20000
 
-func (p Params) withDefaults() Params {
-	if p.MinClusterSize <= 0 {
-		p.MinClusterSize = 2
+// The peeling's cut-offs, Lemon-Tree's and the same in every run
+// (DESIGN §17).
+const (
+	// minClusterSize is the smallest cluster kept as a module; a smaller
+	// extraction stops the peeling.
+	minClusterSize = 2
+	// minEigenvalue stops the peeling once the dominant eigenvalue of the
+	// remaining matrix drops below it: an isolated variable contributes
+	// exactly 1 through its unit diagonal.
+	minEigenvalue = 1.0
+	// supportFrac is the eigenvector support cut: only variables whose
+	// Perron-vector component is at least supportFrac times the largest
+	// component are candidates for the extracted cluster.
+	supportFrac = 0.5
+	// tol is the power iteration's convergence tolerance.
+	tol = 1e-10
+)
+
+// peeling is what one clustering runs with: the cut-offs above and the
+// iteration cap of its Params. The package's tests peel with other
+// cut-offs through it.
+type peeling struct {
+	minClusterSize                  int
+	minEigenvalue, supportFrac, tol float64
+	maxIter                         int
+}
+
+func peelingOf(par Params) peeling {
+	pl := peeling{minClusterSize, minEigenvalue, supportFrac, tol, par.MaxIter}
+	if pl.maxIter <= 0 {
+		pl.maxIter = DefaultMaxIter
 	}
-	//parsivet:floateq — zero-value sentinel for "option unset", never a computed float
-	if p.MinEigenvalue == 0 {
-		p.MinEigenvalue = 1.0
-	}
-	if p.SupportFrac <= 0 {
-		p.SupportFrac = 0.5
-	}
-	if p.MaxIter <= 0 {
-		p.MaxIter = DefaultMaxIter
-	}
-	if p.Tol <= 0 {
-		p.Tol = 1e-10
-	}
-	return p
+	return pl
 }
 
 // Cluster extracts consensus clusters from the n×n co-occurrence matrix a
@@ -113,7 +103,11 @@ func Cluster(n int, a []float64, par Params) ([][]int, error) {
 // — while only rank 0 emits the consensus.extract event of each round, which
 // keeps the merged event stream free of p-fold duplicates.
 func ClusterWithComm(rc rank.Context, n int, a []float64, par Params) ([][]int, error) {
-	par = par.withDefaults()
+	return peel(rc, n, a, peelingOf(par))
+}
+
+// peel is ClusterWithComm under the cut-offs and cap of pl.
+func peel(rc rank.Context, n int, a []float64, pl peeling) ([][]int, error) {
 	var hooks *obs.Hooks
 	if rc.Comm.Rank() == 0 {
 		hooks = rc.Hooks
@@ -132,23 +126,23 @@ func ClusterWithComm(rc rank.Context, n int, a []float64, par Params) ([][]int, 
 	order, relabel := make([]int, n), make([]int, n)
 	row := make([]float64, n)
 	var clusters [][]int
-	for len(remaining) >= par.MinClusterSize {
+	for len(remaining) >= pl.minClusterSize {
 		rc.Cancel.Check()
 		m := len(remaining)
-		res := matrix.PowerIteration(sub, par.MaxIter, par.Tol, x[:m], z[:m])
+		res := matrix.PowerIteration(sub, pl.maxIter, pl.tol, x[:m], z[:m])
 		if !res.Converged {
 			hooks.Emit(obs.Event{Type: obs.TypeConsensus, Consensus: &obs.ConsensusInfo{
 				Remaining: m, Eigenvalue: res.Value, Iters: res.Iters, Residual: res.Residual,
 			}})
 			return clusters, fmt.Errorf(
 				"consensus: power iteration did not converge within %d iterations on %d remaining variables (eigenvalue estimate %g, tol %g)",
-				par.MaxIter, m, res.Value, par.Tol)
+				pl.maxIter, m, res.Value, pl.tol)
 		}
 		extracted := 0
 		var members []int
-		if res.Value >= par.MinEigenvalue {
-			members = extract(sub, res.Vector, par.MinClusterSize, par.SupportFrac, order[:m], row[:m])
-			if len(members) >= par.MinClusterSize {
+		if res.Value >= pl.minEigenvalue {
+			members = extract(sub, res.Vector, pl.minClusterSize, pl.supportFrac, order[:m], row[:m])
+			if len(members) >= pl.minClusterSize {
 				extracted = len(members)
 			}
 		}

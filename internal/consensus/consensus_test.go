@@ -31,6 +31,19 @@ func mustCluster(t *testing.T, n int, a []float64, par Params) [][]int {
 	return got
 }
 
+// peelWith runs the one-rank peeling with the default cut-offs as set
+// changes them, failing the test on any error.
+func peelWith(t *testing.T, n int, a []float64, set func(*peeling)) [][]int {
+	t.Helper()
+	pl := peelingOf(Params{})
+	set(&pl)
+	got, err := peel(rank.Self(nil), n, a, pl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return got
+}
+
 // block builds a co-occurrence matrix with perfect blocks.
 func block(n int, groups [][]int) []float64 {
 	a := make([]float64, n*n)
@@ -125,7 +138,7 @@ func TestClusterSingletonsNotEmitted(t *testing.T) {
 
 func TestClusterMinSizeRespected(t *testing.T) {
 	a := block(6, [][]int{{0, 1, 2, 3}, {4, 5}})
-	got := mustCluster(t, 6, a, Params{MinClusterSize: 3})
+	got := peelWith(t, 6, a, func(pl *peeling) { pl.minClusterSize = 3 })
 	for _, c := range got {
 		if len(c) < 3 {
 			t.Fatalf("cluster %v below min size", c)
@@ -309,37 +322,29 @@ func TestEndToEndWithGaneSH(t *testing.T) {
 	}
 }
 
-// TestParamsWithDefaults pins the zero-value sentinel semantics documented
-// on Params: zero and negative counts select defaults, negative
-// MinEigenvalue is honored (disables the eigenvalue stop), negative
-// Tol/SupportFrac fall back to defaults (they must be positive).
+// TestParamsWithDefaults: a clustering peels with the package's cut-offs
+// and the cap its Params sets, DefaultMaxIter when that is ≤ 0.
 func TestParamsWithDefaults(t *testing.T) {
 	cases := []struct {
-		name string
-		in   Params
-		want Params
+		name    string
+		in      Params
+		maxIter int
 	}{
-		{"zero value", Params{},
-			Params{MinClusterSize: 2, MinEigenvalue: 1.0, SupportFrac: 0.5, MaxIter: DefaultMaxIter, Tol: 1e-10}},
-		{"negative counts fall back", Params{MinClusterSize: -3, MaxIter: -1},
-			Params{MinClusterSize: 2, MinEigenvalue: 1.0, SupportFrac: 0.5, MaxIter: DefaultMaxIter, Tol: 1e-10}},
-		{"negative eigenvalue honored", Params{MinEigenvalue: -1},
-			Params{MinClusterSize: 2, MinEigenvalue: -1, SupportFrac: 0.5, MaxIter: DefaultMaxIter, Tol: 1e-10}},
-		{"non-positive tol and support fall back", Params{Tol: -1e-3, SupportFrac: -0.1},
-			Params{MinClusterSize: 2, MinEigenvalue: 1.0, SupportFrac: 0.5, MaxIter: DefaultMaxIter, Tol: 1e-10}},
-		{"explicit values kept", Params{MinClusterSize: 5, MinEigenvalue: 2, SupportFrac: 0.7, MaxIter: 10, Tol: 1e-6},
-			Params{MinClusterSize: 5, MinEigenvalue: 2, SupportFrac: 0.7, MaxIter: 10, Tol: 1e-6}},
+		{"zero value", Params{}, DefaultMaxIter},
+		{"negative cap falls back", Params{MaxIter: -1}, DefaultMaxIter},
+		{"explicit cap kept", Params{MaxIter: 10}, 10},
 	}
 	for _, tc := range cases {
-		if got := tc.in.withDefaults(); !reflect.DeepEqual(got, tc.want) {
-			t.Errorf("%s: got %+v, want %+v", tc.name, got, tc.want)
+		want := peeling{minClusterSize: 2, minEigenvalue: 1.0, supportFrac: 0.5, tol: 1e-10, maxIter: tc.maxIter}
+		if got := peelingOf(tc.in); got != want {
+			t.Errorf("%s: got %+v, want %+v", tc.name, got, want)
 		}
 	}
 }
 
-// TestClusterNegativeMinEigenvalueDisablesStop pins the documented
-// "disabled" semantics: with MinEigenvalue < 0 peeling continues past the
-// default cutoff and stops only when an extraction comes up short.
+// TestClusterNegativeMinEigenvalueDisablesStop: the eigenvalue cut-off is
+// what stops the peeling of weak blocks; below zero it never stops it, and
+// peeling continues until an extraction comes up short.
 func TestClusterNegativeMinEigenvalueDisablesStop(t *testing.T) {
 	// Two weak blocks whose dominant eigenvalues sit below the default
 	// cutoff of 1.0 once the diagonal is down-weighted.
@@ -353,10 +358,7 @@ func TestClusterNegativeMinEigenvalueDisablesStop(t *testing.T) {
 	if got := mustCluster(t, n, a, Params{}); len(got) != 0 {
 		t.Fatalf("default cutoff should reject weak blocks, got %v", got)
 	}
-	got, err := Cluster(n, a, Params{MinEigenvalue: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := peelWith(t, n, a, func(pl *peeling) { pl.minEigenvalue = -1 })
 	if len(got) == 0 {
 		t.Fatal("disabled eigenvalue stop still rejected every cluster")
 	}

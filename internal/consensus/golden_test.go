@@ -93,7 +93,7 @@ type goldenInput struct {
 	name string
 	n    int
 	a    []float64
-	par  Params
+	pl   peeling
 }
 
 // goldenInputs is the seeded grid the golden file pins: every regime the
@@ -122,27 +122,32 @@ func goldenInputs() []goldenInput {
 		}
 	}
 	identity := block(9, nil)
+	def := peelingOf(Params{})
+	capped := func(maxIter int) peeling { return peelingOf(Params{MaxIter: maxIter}) }
+	noEigenStop := def
+	noEigenStop.minEigenvalue = -1
+	min6 := noEigenStop
+	min6.minClusterSize, min6.supportFrac = 6, 0.8
 	return []goldenInput{
-		{"perfect-7", 7, block(7, [][]int{{0, 1, 2, 3}, {4, 5, 6}}), Params{}},
-		{"perfect-10-interleaved", 10, block(10, [][]int{{0, 3, 5}, {1, 2, 8}, {4, 6, 7, 9}}), Params{}},
-		{"noisy-60-t0.25", 60, ganesh.CoOccurrence(60, noisy, 0.25), Params{}},
-		{"noisy-60-t0.9", 60, ganesh.CoOccurrence(60, noisy, 0.9), Params{}},
-		{"noisy-60-t0.25-min6-support0.8", 60, ganesh.CoOccurrence(60, noisy, 0.25),
-			Params{MinClusterSize: 6, SupportFrac: 0.8, MinEigenvalue: -1}},
-		{"blocks-480-t0.9", 480, strict480(), Params{}},
-		{"blocks-480-t0.25", 480, ganesh.CoOccurrence(480, loose480, 0.25), Params{MaxIter: 400}},
-		{"isolated-9", 9, identity, Params{}},
-		{"isolated-around-blocks-12", 12, block(12, [][]int{{2, 3, 4}, {8, 9}}), Params{}},
-		{"zero-6", 6, make([]float64, 36), Params{}},
-		{"zero-6-no-eigen-stop", 6, make([]float64, 36), Params{MinEigenvalue: -1}},
-		{"capped-first-peel", 60, ganesh.CoOccurrence(60, noisy, 0.25), Params{MaxIter: 3}},
-		{"capped-after-extraction", 14, tied, Params{MaxIter: 120}},
+		{"perfect-7", 7, block(7, [][]int{{0, 1, 2, 3}, {4, 5, 6}}), def},
+		{"perfect-10-interleaved", 10, block(10, [][]int{{0, 3, 5}, {1, 2, 8}, {4, 6, 7, 9}}), def},
+		{"noisy-60-t0.25", 60, ganesh.CoOccurrence(60, noisy, 0.25), def},
+		{"noisy-60-t0.9", 60, ganesh.CoOccurrence(60, noisy, 0.9), def},
+		{"noisy-60-t0.25-min6-support0.8", 60, ganesh.CoOccurrence(60, noisy, 0.25), min6},
+		{"blocks-480-t0.9", 480, strict480(), def},
+		{"blocks-480-t0.25", 480, ganesh.CoOccurrence(480, loose480, 0.25), capped(400)},
+		{"isolated-9", 9, identity, def},
+		{"isolated-around-blocks-12", 12, block(12, [][]int{{2, 3, 4}, {8, 9}}), def},
+		{"zero-6", 6, make([]float64, 36), def},
+		{"zero-6-no-eigen-stop", 6, make([]float64, 36), noEigenStop},
+		{"capped-first-peel", 60, ganesh.CoOccurrence(60, noisy, 0.25), capped(3)},
+		{"capped-after-extraction", 14, tied, capped(120)},
 	}
 }
 
-func runGolden(n int, a []float64, par Params) goldenCase {
+func runGolden(n int, a []float64, pl peeling) goldenCase {
 	rec := obs.NewRecorder(0)
-	clusters, err := ClusterWithComm(recording(rec), n, a, par)
+	clusters, err := peel(recording(rec), n, a, pl)
 	gc := goldenCase{Clusters: clusters, Peels: []goldenPeel{}}
 	if gc.Clusters == nil {
 		gc.Clusters = [][]int{}
@@ -169,7 +174,7 @@ func TestGolden(t *testing.T) {
 	path := filepath.Join("testdata", "golden.json")
 	var got []goldenCase
 	for _, in := range goldenInputs() {
-		gc := runGolden(in.n, in.a, in.par)
+		gc := runGolden(in.n, in.a, in.pl)
 		gc.Name = in.name
 		got = append(got, gc)
 	}

@@ -14,6 +14,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -48,7 +49,7 @@ type Options struct {
 	// GaneshRuns is G, the number of independent co-clustering runs
 	// sampled into the consensus ensemble.
 	GaneshRuns int
-	// Ganesh configures each run (U update steps, K₀, L₀).
+	// Ganesh configures each run (U update steps).
 	Ganesh ganesh.Params
 	// CoOccurrenceThreshold zeroes co-occurrence entries below it
 	// (§2.2.2).
@@ -267,12 +268,15 @@ func Check(p int, d *dataset.Data, opt Options) error {
 	if err := opt.validate(p); err != nil {
 		return err
 	}
-	return checkData(d)
+	return checkData(d, opt.Standardize)
 }
 
 // checkData checks the O(1) shape and capacity bounds before scanning the
-// cells, so an oversized data set is refused without being read.
-func checkData(d *dataset.Data) error {
+// cells, so an oversized data set is refused without being read. A data set
+// to be standardized must also have a finite mean and standard deviation in
+// every variable: a row whose sums overflow float64 (|x| ≳ 10¹⁵⁴) would
+// otherwise standardize to all zeros or to NaN without a word.
+func checkData(d *dataset.Data, standardize bool) error {
 	if d.N < 2 || d.M < 2 {
 		return fmt.Errorf("core: need at least a 2×2 data set, got %d×%d", d.N, d.M)
 	}
@@ -280,8 +284,20 @@ func checkData(d *dataset.Data) error {
 		return fmt.Errorf("core: %d×%d = %d cells exceeds the exact-statistics capacity of %d (see score.MaxBlockCells)",
 			d.N, d.M, d.N*d.M, score.MaxBlockCells)
 	}
-	return d.Validate()
+	if err := d.Validate(); err != nil || !standardize {
+		return err
+	}
+	mean, sd := d.Moments()
+	for i := range mean {
+		if !finite(mean[i]) || !finite(sd[i]) {
+			return fmt.Errorf("core: variable %q (row %d) cannot be standardized: its mean %g or standard deviation %g overflows float64; rescale it or learn without Standardize",
+				d.Names[i], i, mean[i], sd[i])
+		}
+	}
+	return nil
 }
+
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 // checkpointKey is the run key a checkpointing run stamps its checkpoints
 // with; a run that does not checkpoint never hashes its inputs.
@@ -602,7 +618,7 @@ func learn(c *comm.Comm, d *dataset.Data, q *score.QData, kern *score.Kernel, ke
 // variables), from a learning output and the data set it was learned from.
 // The same Options must be passed so preprocessing matches.
 func BuildCPDs(d *dataset.Data, opt Options, out *Output) ([]*module.CPD, error) {
-	if err := checkData(d); err != nil {
+	if err := checkData(d, opt.Standardize); err != nil {
 		return nil, err
 	}
 	res := &module.Result{Modules: out.Modules, Splits: out.Splits}

@@ -474,7 +474,7 @@ func TestCheckDataCapacityBound(t *testing.T) {
 		{3, 11184811}, // MaxBlockCells + 1
 	} {
 		cells := c.n * c.m
-		err := checkData(&dataset.Data{N: c.n, M: c.m})
+		err := checkData(&dataset.Data{N: c.n, M: c.m}, true)
 		refused := err != nil && strings.Contains(err.Error(), "exceeds the exact-statistics capacity")
 		if want := cells > score.MaxBlockCells; refused != want || err == nil {
 			t.Fatalf("%d×%d = MaxBlockCells%+d cells: checkData = %v, want a capacity refusal %v",
@@ -483,14 +483,48 @@ func TestCheckDataCapacityBound(t *testing.T) {
 	}
 }
 
+// overflowRows are finite rows whose moments overflow float64: the squared
+// deviations of the first sum to +Inf (it used to standardize to all
+// zeros), the second's sum itself overflows (it used to standardize to NaN).
+var overflowRows = [][]float64{{1e300, -1e300, 3e299}, {1e308, 1e308, 0}}
+
+// TestCheckRefusesOverflowingMoments: a variable whose mean or standard
+// deviation is not finite is refused by Check and by Learn under
+// Standardize, with the variable named, and is accepted unstandardized.
+func TestCheckRefusesOverflowingMoments(t *testing.T) {
+	for _, row := range overflowRows {
+		d := dataset.New(3, 3)
+		copy(d.Values, []float64{1, 2, 3, 3, 1, 2})
+		copy(d.Values[6:], row)
+		d.Names[2] = "overflow"
+		opt := fastOptions(1)
+		_, learnErr := Learn(d, opt)
+		for _, c := range []struct {
+			name string
+			err  error
+		}{{"Check", Check(1, d, opt)}, {"Learn", learnErr}} {
+			if c.err == nil || !strings.Contains(c.err.Error(), `"overflow"`) {
+				t.Errorf("%v: %s = %v, want a refusal naming the variable", row, c.name, c.err)
+			}
+		}
+		opt.Standardize = false
+		if err := Check(1, d, opt); err != nil {
+			t.Errorf("%v unstandardized: %v", row, err)
+		}
+	}
+}
+
 // FuzzPrepare: a data set of any small shape, its cells cycling through four
 // arbitrary floats (±Inf, NaN, ±10³⁰⁰, subnormals, values at the clipping
 // bound and a grid step either side of it), is refused by checkData exactly
-// when its shape is below 2×2 or a cell is not finite. Otherwise prepare
-// returns every cell within ±MaxAbsCell, and, unstandardized, equal to
-// score.Quantize of the raw value; standardizing leaves the caller's cells
-// as they were. Nothing panics. The seeds are the quantization envelope's
-// pins (score.TestQuantizationEnvelope) and the edges above.
+// when its shape is below 2×2, a cell is not finite, or — standardized — a
+// variable's mean or standard deviation is not. Otherwise prepare returns
+// every cell within ±MaxAbsCell, and, unstandardized, equal to
+// score.Quantize of the raw value; standardized, every cell is a finite
+// value first; standardizing leaves the caller's cells as they were.
+// Nothing panics. The seeds are the quantization envelope's pins
+// (score.TestQuantizationEnvelope), the edges above and the overflowing
+// rows.
 func FuzzPrepare(f *testing.F) {
 	const step = 1.0 / score.ValueScale
 	eps := math.Ldexp(1, -52)
@@ -508,6 +542,9 @@ func FuzzPrepare(f *testing.F) {
 		f.Add(uint8(3), uint8(4), v[0], v[1], v[2], v[3], false)
 		f.Add(uint8(2), uint8(2), v[0], v[1], v[2], v[3], true)
 	}
+	for _, r := range overflowRows {
+		f.Add(uint8(2), uint8(3), r[0], r[1], r[2], 0.0, true)
+	}
 	f.Add(uint8(1), uint8(5), 0.5, -0.5, 1.0, 2.0, false)
 	f.Add(uint8(5), uint8(1), 0.5, -0.5, 1.0, 2.0, true)
 	f.Add(uint8(0), uint8(0), 0.0, 0.0, 0.0, 0.0, false)
@@ -523,7 +560,15 @@ func FuzzPrepare(f *testing.F) {
 			d.Values[i] = v
 			finite = finite && !math.IsNaN(v) && !math.IsInf(v, 0)
 		}
-		err := checkData(d)
+		if finite && standardize {
+			mean, sd := d.Moments()
+			for i := range mean {
+				for _, v := range []float64{mean[i], sd[i]} {
+					finite = finite && !math.IsNaN(v) && !math.IsInf(v, 0)
+				}
+			}
+		}
+		err := checkData(d, standardize)
 		if refuse := d.N < 2 || d.M < 2 || !finite; (err != nil) != refuse {
 			t.Fatalf("%d×%d, cells %v: checkData = %v, want a refusal %v", d.N, d.M, vals, err, refuse)
 		}
@@ -531,6 +576,15 @@ func FuzzPrepare(f *testing.F) {
 			return
 		}
 		raw := slices.Clone(d.Values)
+		if standardize {
+			work := d.Clone()
+			work.Standardize()
+			for i, v := range work.Values {
+				if math.IsNaN(v) || math.IsInf(v, 0) {
+					t.Fatalf("cell %d (raw %v) standardized to %v", i, raw[i], v)
+				}
+			}
+		}
 		q := prepare(d, Options{Standardize: standardize})
 		if q.N != d.N || q.M != d.M || len(q.Cells) != len(raw) || !slices.Equal(d.Values, raw) {
 			t.Fatalf("%d×%d: prepare gave %d×%d with %d cells, or changed the caller's cells", d.N, d.M, q.N, q.M, len(q.Cells))

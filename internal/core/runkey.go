@@ -39,27 +39,18 @@ type canonicalOptions struct {
 	Seed       uint64 `json:"seed"`
 	GaneshRuns int    `json:"ganesh_runs"`
 
-	GaneshInitVarClusters int `json:"ganesh_init_var_clusters"`
-	GaneshInitObsClusters int `json:"ganesh_init_obs_clusters"`
-	GaneshUpdates         int `json:"ganesh_updates"`
+	GaneshUpdates int `json:"ganesh_updates"`
 
 	CoOccurrenceThreshold float64 `json:"co_occurrence_threshold"`
 
-	ConsensusMinClusterSize int     `json:"consensus_min_cluster_size"`
-	ConsensusMinEigenvalue  float64 `json:"consensus_min_eigenvalue"`
-	ConsensusSupportFrac    float64 `json:"consensus_support_frac"`
-	ConsensusMaxIter        int     `json:"consensus_max_iter"`
-	ConsensusTol            float64 `json:"consensus_tol"`
+	ConsensusMaxIter int `json:"consensus_max_iter"`
 
-	TreeInitObsClusters int `json:"tree_init_obs_clusters"`
-	TreeUpdates         int `json:"tree_updates"`
-	TreeBurnin          int `json:"tree_burnin"`
+	TreeUpdates int `json:"tree_updates"`
+	TreeBurnin  int `json:"tree_burnin"`
 
-	SplitsNumSplits   int     `json:"splits_num"`
-	SplitsMaxSteps    int     `json:"splits_max_steps"`
-	SplitsMinSteps    int     `json:"splits_min_steps"`
-	SplitsCIHalfWidth float64 `json:"splits_ci_half_width"`
-	Candidates        []int   `json:"candidates,omitempty"`
+	SplitsNumSplits int   `json:"splits_num"`
+	SplitsMaxSteps  int   `json:"splits_max_steps"`
+	Candidates      []int `json:"candidates,omitempty"`
 
 	Standardize bool `json:"standardize"`
 }
@@ -76,27 +67,18 @@ func canonicalize(opt Options) canonicalOptions {
 		Seed:       opt.Seed,
 		GaneshRuns: opt.GaneshRuns,
 
-		GaneshInitVarClusters: opt.Ganesh.InitVarClusters,
-		GaneshInitObsClusters: opt.Ganesh.InitObsClusters,
-		GaneshUpdates:         opt.Ganesh.Updates,
+		GaneshUpdates: opt.Ganesh.Updates,
 
 		CoOccurrenceThreshold: opt.CoOccurrenceThreshold,
 
-		ConsensusMinClusterSize: opt.Consensus.MinClusterSize,
-		ConsensusMinEigenvalue:  opt.Consensus.MinEigenvalue,
-		ConsensusSupportFrac:    opt.Consensus.SupportFrac,
-		ConsensusMaxIter:        opt.Consensus.MaxIter,
-		ConsensusTol:            opt.Consensus.Tol,
+		ConsensusMaxIter: opt.Consensus.MaxIter,
 
-		TreeInitObsClusters: opt.Module.Tree.InitObsClusters,
-		TreeUpdates:         opt.Module.Tree.Updates,
-		TreeBurnin:          opt.Module.Tree.Burnin,
+		TreeUpdates: opt.Module.Tree.Updates,
+		TreeBurnin:  opt.Module.Tree.Burnin,
 
-		SplitsNumSplits:   opt.Module.Splits.NumSplits,
-		SplitsMaxSteps:    opt.Module.Splits.MaxSteps,
-		SplitsMinSteps:    opt.Module.Splits.MinSteps,
-		SplitsCIHalfWidth: opt.Module.Splits.CIHalfWidth,
-		Candidates:        opt.Module.Splits.Candidates,
+		SplitsNumSplits: opt.Module.Splits.NumSplits,
+		SplitsMaxSteps:  opt.Module.Splits.MaxSteps,
+		Candidates:      opt.Module.Splits.Candidates,
 
 		Standardize: opt.Standardize,
 	}

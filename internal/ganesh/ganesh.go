@@ -30,32 +30,24 @@ import (
 
 // Params configures a GaneSH run.
 type Params struct {
-	// InitVarClusters is K₀, the initial number of variable clusters;
-	// 0 means n/2, the Lemon-Tree default.
-	InitVarClusters int
-	// InitObsClusters is the initial number of observation clusters per
-	// variable cluster; 0 means ⌈√m⌉, the Lemon-Tree default.
-	InitObsClusters int
-	// Updates is U, the number of update steps.
+	// Updates is U, the number of update steps; 0 means 1.
 	Updates int
 }
 
-func (p Params) withDefaults(n, m int) Params {
-	if p.InitVarClusters == 0 {
-		p.InitVarClusters = max(1, n/2)
-	}
-	if p.InitObsClusters == 0 {
-		p.InitObsClusters = defaultObsClusters(m)
-	}
+func (p Params) withDefaults() Params {
 	if p.Updates == 0 {
 		p.Updates = 1
 	}
 	return p
 }
 
-// defaultObsClusters is ⌈√m⌉, the Lemon-Tree default initial number of
-// observation clusters.
-func defaultObsClusters(m int) int {
+// initVarClusters is K₀ = max(1, n/2), Lemon-Tree's initial number of
+// variable clusters over n variables.
+func initVarClusters(n int) int { return max(1, n/2) }
+
+// initObsClusters is L₀ = ⌈√m⌉, Lemon-Tree's initial number of observation
+// clusters per variable cluster over m observations.
+func initObsClusters(m int) int {
 	c := 1
 	for c*c < m {
 		c++
@@ -270,8 +262,8 @@ func (e *engine) mergeObs(oc *cluster.ObsClusters) {
 // run executes Algorithm 3: random initialization followed by U update
 // steps.
 func (e *engine) run(par Params) *cluster.CoClustering {
-	par = par.withDefaults(e.q.N, e.q.M)
-	cc := cluster.NewRandomCoClustering(e.q, e.kern, par.InitVarClusters, par.InitObsClusters, e.g)
+	par = par.withDefaults()
+	cc := cluster.NewRandomCoClustering(e.q, e.kern, initVarClusters(e.q.N), initObsClusters(e.q.M), e.g)
 	for u := 0; u < par.Updates; u++ {
 		e.rc.Cancel.Check()
 		e.step(cc)
@@ -310,17 +302,12 @@ func Run(q *score.QData, pr score.Prior, par Params, g *prng.MRG3, wl *trace.Wor
 // ObsParams configures the observation-only sampler used by the
 // module-learning task (Algorithm 4, lines 3–9).
 type ObsParams struct {
-	// InitObsClusters as in Params.
-	InitObsClusters int
 	// Updates is U, the number of update steps; Burnin is B, the number
 	// of initial steps whose states are discarded.
 	Updates, Burnin int
 }
 
-func (p ObsParams) withDefaults(m int) ObsParams {
-	if p.InitObsClusters == 0 {
-		p.InitObsClusters = defaultObsClusters(m)
-	}
+func (p ObsParams) withDefaults() ObsParams {
 	if p.Updates == 0 {
 		p.Updates = 1
 	}
@@ -344,8 +331,8 @@ func SampleObsClusterings(q *score.QData, pr score.Prior, vars []int, par ObsPar
 }
 
 func sampleObs(e *engine, vars []int, par ObsParams) ([][][]int, *cluster.ObsClusters) {
-	par = par.withDefaults(e.q.M)
-	oc := cluster.NewRandomObsClusters(e.q, e.kern, vars, par.InitObsClusters, e.g)
+	par = par.withDefaults()
+	oc := cluster.NewRandomObsClusters(e.q, e.kern, vars, initObsClusters(e.q.M), e.g)
 	var samples [][][]int
 	for u := 1; u <= par.Updates; u++ {
 		e.rc.Cancel.Check()

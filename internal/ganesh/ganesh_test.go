@@ -276,8 +276,8 @@ func TestStoredBlockScoresExactThroughSampling(t *testing.T) {
 	_, wantObs := SampleObsClusterings(q, pr, vars, ObsParams{Updates: 2}, prng.New(19), nil)
 	for _, workers := range []int{1, 2} {
 		e := newEngine(on(comm.Self(), workers), q, score.NewKernel(pr, q.N*q.M), prng.New(13))
-		par := Params{Updates: 2}.withDefaults(q.N, q.M)
-		cc := cluster.NewRandomCoClustering(q, e.kern, par.InitVarClusters, par.InitObsClusters, e.g)
+		par := Params{Updates: 2}
+		cc := cluster.NewRandomCoClustering(q, e.kern, initVarClusters(q.N), initObsClusters(q.M), e.g)
 		e.beforeGains = checkedBy(t, cc.CheckInvariants)
 		for u := 0; u < par.Updates; u++ {
 			e.step(cc)
@@ -290,8 +290,8 @@ func TestStoredBlockScoresExactThroughSampling(t *testing.T) {
 		}
 
 		e = newEngine(on(comm.Self(), workers), q, score.NewKernel(pr, len(vars)*q.M), prng.New(19))
-		opar := ObsParams{Updates: 2}.withDefaults(q.M)
-		oc := cluster.NewRandomObsClusters(q, e.kern, vars, opar.InitObsClusters, e.g)
+		opar := ObsParams{Updates: 2}
+		oc := cluster.NewRandomObsClusters(q, e.kern, vars, initObsClusters(q.M), e.g)
 		e.beforeGains = checkedBy(t, oc.CheckInvariants)
 		for u := 0; u < opar.Updates; u++ {
 			e.reassignObs(oc)
@@ -316,8 +316,8 @@ func TestGibbsImprovesScore(t *testing.T) {
 	q := testData(t, 40, 30, 6)
 	pr := score.DefaultPrior()
 	// Reconstruct the exact random initialization the run starts from.
-	par := Params{Updates: 3}.withDefaults(q.N, q.M)
-	init := cluster.NewRandomCoClustering(q, score.NewKernel(pr, q.N*q.M), par.InitVarClusters, par.InitObsClusters, prng.New(9))
+	par := Params{Updates: 3}
+	init := cluster.NewRandomCoClustering(q, score.NewKernel(pr, q.N*q.M), initVarClusters(q.N), initObsClusters(q.M), prng.New(9))
 	final := Run(q, pr, par, prng.New(9), nil)
 	if final.Score() <= init.Score() {
 		t.Fatalf("sampling did not improve the score: init %v, final %v",
@@ -395,18 +395,21 @@ func TestWorkloadRecordingDoesNotChangeResult(t *testing.T) {
 }
 
 func TestParamsDefaults(t *testing.T) {
-	p := Params{}.withDefaults(100, 49)
-	if p.InitVarClusters != 50 {
-		t.Fatalf("K0 = %d, want 50", p.InitVarClusters)
+	if k0 := initVarClusters(100); k0 != 50 {
+		t.Fatalf("K0 = %d, want 50", k0)
 	}
-	if p.InitObsClusters != 7 {
-		t.Fatalf("L0 = %d, want 7", p.InitObsClusters)
+	if k0 := initVarClusters(1); k0 != 1 {
+		t.Fatalf("K0 over one variable = %d, want 1", k0)
 	}
-	if p.Updates != 1 {
+	for m, want := range map[int]int{49: 7, 50: 8, 100: 10, 1: 1} {
+		if l0 := initObsClusters(m); l0 != want {
+			t.Fatalf("L0 over %d observations = %d, want %d", m, l0, want)
+		}
+	}
+	if p := (Params{}).withDefaults(); p.Updates != 1 {
 		t.Fatalf("U = %d, want 1", p.Updates)
 	}
-	op := ObsParams{}.withDefaults(100)
-	if op.InitObsClusters != 10 || op.Updates != 1 {
+	if op := (ObsParams{}).withDefaults(); op.Updates != 1 {
 		t.Fatalf("obs defaults: %+v", op)
 	}
 }

@@ -199,24 +199,31 @@ func (e *gibbs) mergeObs(oc *cluster.ObsClusters) {
 	}
 }
 
-// runGaneSH mirrors ganesh.Run.
+// Lemon-Tree's bootstrap early stop, as splits runs it: a threshold may
+// retire from minSteps resamples on, once its posterior's confidence
+// half-width is below ciHalfWidth.
+const (
+	minSteps    = 8
+	ciHalfWidth = 0.08
+)
+
+// initObsClusters is L₀ = ⌈√m⌉, Lemon-Tree's initial number of observation
+// clusters per variable cluster.
+func initObsClusters(m int) int {
+	l0 := 1
+	for l0*l0 < m {
+		l0++
+	}
+	return l0
+}
+
+// runGaneSH mirrors ganesh.Run, from K₀ = max(1, n/2) variable clusters.
 func (e *gibbs) runGaneSH(par ganesh.Params) *cluster.CoClustering {
-	k0 := par.InitVarClusters
-	if k0 == 0 {
-		k0 = max(1, e.q.N/2)
-	}
-	l0 := par.InitObsClusters
-	if l0 == 0 {
-		l0 = 1
-		for l0*l0 < e.q.M {
-			l0++
-		}
-	}
 	updates := par.Updates
 	if updates == 0 {
 		updates = 1
 	}
-	cc := cluster.NewRandomCoClustering(e.q, e.k, k0, l0, e.g)
+	cc := cluster.NewRandomCoClustering(e.q, e.k, max(1, e.q.N/2), initObsClusters(e.q.M), e.g)
 	for u := 0; u < updates; u++ {
 		e.reassignVars(cc)
 		e.mergeVars(cc)
@@ -230,18 +237,11 @@ func (e *gibbs) runGaneSH(par ganesh.Params) *cluster.CoClustering {
 
 // sampleObs mirrors ganesh.SampleObsClusterings.
 func (e *gibbs) sampleObs(vars []int, par ganesh.ObsParams) [][][]int {
-	l0 := par.InitObsClusters
-	if l0 == 0 {
-		l0 = 1
-		for l0*l0 < e.q.M {
-			l0++
-		}
-	}
 	updates := par.Updates
 	if updates == 0 {
 		updates = 1
 	}
-	oc := cluster.NewRandomObsClusters(e.q, e.k, vars, l0, e.g)
+	oc := cluster.NewRandomObsClusters(e.q, e.k, vars, initObsClusters(e.q.M), e.g)
 	var samples [][][]int
 	for u := 1; u <= updates; u++ {
 		e.reassignObs(oc)
@@ -317,7 +317,7 @@ func (e *gibbs) learnSplits(moduleVars [][]int, trees [][]*tree.Tree, par splits
 		for pi, parent := range cands {
 			sub := base.Substream(uint64(ref.offset + pi*nObs))
 			posteriors = append(posteriors, e.pairPosteriors(moduleVars[ref.module], ref.node, parent,
-				sub, par.MinSteps, par.MaxSteps, par.CIHalfWidth)...)
+				sub, par.MaxSteps)...)
 		}
 	}
 
@@ -366,7 +366,7 @@ func (e *gibbs) learnSplits(moduleVars [][]int, trees [][]*tree.Tree, par splits
 // where the optimized engine bucket-sums the resample once. Thresholds retire
 // individually on the confidence rule; drawing stops with the last one.
 func (e *gibbs) pairPosteriors(vars []int, node *tree.Node, parent int,
-	sub *prng.MRG3, minSteps, maxSteps int, ciHW float64) []float64 {
+	sub *prng.MRG3, maxSteps int) []float64 {
 	nObs := len(node.Obs)
 	prow := e.q.Row(parent)
 	post := make([]float64, nObs)
@@ -408,7 +408,7 @@ func (e *gibbs) pairPosteriors(vars []int, node *tree.Node, parent int,
 			if !done && steps >= minSteps {
 				phat := float64(successes[k]) / float64(steps)
 				hw := 1.96 * math.Sqrt(phat*(1-phat)/float64(steps))
-				done = hw < ciHW
+				done = hw < ciHalfWidth
 			}
 			if done {
 				post[k] = float64(successes[k]) / float64(steps)

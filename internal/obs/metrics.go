@@ -106,7 +106,7 @@ func (h *Histogram) Count() int64 {
 	return h.n
 }
 
-// DefaultStepBuckets suits bootstrap step counts (MinSteps…MaxSteps).
+// DefaultStepBuckets suits bootstrap step counts (8 to MaxSteps).
 var DefaultStepBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256}
 
 // series is one named+labeled metric in the registry.

@@ -444,6 +444,16 @@ func TestBadRequests(t *testing.T) {
 		}
 	}
 
+	// A variable whose mean or standard deviation overflows float64 cannot
+	// be standardized (core.Check); the 400 names the variable.
+	for _, row := range []string{"1e300\t-1e300\t3e299", "1e308\t1e308\t0"} {
+		tsv := "gene\to1\to2\to3\ng1\t1\t2\t3\ng2\t3\t1\t2\nhuge\t" + row + "\n"
+		w := post(func(r *JobRequest) { r.Dataset = DatasetRequest{TSV: tsv} })
+		if w.Code != http.StatusBadRequest || !strings.Contains(w.Body.String(), "huge") {
+			t.Errorf("overflowing row %q: code %d, want a 400 naming the variable (body %s)", row, w.Code, w.Body)
+		}
+	}
+
 	if w := call(t, s, "GET", "/api/v1/jobs/99", ""); w.Code != http.StatusNotFound {
 		t.Errorf("unknown job: code %d, want 404", w.Code)
 	}

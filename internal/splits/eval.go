@@ -132,19 +132,19 @@ func nodeIndexAt(nodes []*nodeRef, ci int) int {
 }
 
 // stopTable hoists the early-termination rule out of the hot loop:
-// stop[s·(MaxSteps+1)+k] says whether a threshold with k successes after s
-// steps retires — at MaxSteps always, from MinSteps on once the
-// normal-approximation confidence half-width drops below CIHalfWidth.
-func stopTable(par Params) []bool {
-	w := par.MaxSteps + 1
+// stop[s·(maxSteps+1)+k] says whether a threshold with k successes after s
+// steps retires — at maxSteps always, from minSteps on once the
+// normal-approximation confidence half-width drops below ciHalfWidth.
+func stopTable(maxSteps int) []bool {
+	w := maxSteps + 1
 	stop := make([]bool, w*w)
-	for s := 1; s <= par.MaxSteps; s++ {
+	for s := 1; s <= maxSteps; s++ {
 		for k := 0; k <= s; k++ {
-			done := s == par.MaxSteps
-			if !done && s >= par.MinSteps {
+			done := s == maxSteps
+			if !done && s >= minSteps {
 				phat := float64(k) / float64(s)
 				hw := 1.96 * math.Sqrt(phat*(1-phat)/float64(s))
-				done = hw < par.CIHalfWidth
+				done = hw < ciHalfWidth
 			}
 			stop[s*w+k] = done
 		}
@@ -257,7 +257,7 @@ type evaluator struct {
 
 func newEvaluator(rc rank.Context, q *score.QData, kern *score.Kernel, modules [][]int, trees [][]*tree.Tree, par Params, g *prng.MRG3) *evaluator {
 	par = par.WithDefaults(q.N)
-	ev := &evaluator{rc: rc, q: q, par: par, nodes: enumerate(q, modules, trees, par.Candidates), base: g.Clone(), kern: kern, stop: stopTable(par)}
+	ev := &evaluator{rc: rc, q: q, par: par, nodes: enumerate(q, modules, trees, par.Candidates), base: g.Clone(), kern: kern, stop: stopTable(par.MaxSteps)}
 	for _, ref := range ev.nodes {
 		ev.total += ref.count
 	}

@@ -62,9 +62,9 @@ func naivePair(q *score.QData, pr score.Prior, ref *nodeRef, parent int, sub *pr
 				succ[k]++
 			}
 			done := step >= par.MaxSteps
-			if !done && step >= par.MinSteps {
+			if !done && step >= minSteps {
 				phat := float64(succ[k]) / float64(step)
-				done = 1.96*math.Sqrt(phat*(1-phat)/float64(step)) < par.CIHalfWidth
+				done = 1.96*math.Sqrt(phat*(1-phat)/float64(step)) < ciHalfWidth
 			}
 			if done {
 				live[k] = false
@@ -74,6 +74,17 @@ func naivePair(q *score.QData, pr score.Prior, ref *nodeRef, parent int, sub *pr
 		}
 	}
 	return post, steps
+}
+
+// fixedSteps is the stop table of a rule without early termination: every
+// live threshold runs to maxSteps resamples.
+func fixedSteps(maxSteps int) []bool {
+	w := maxSteps + 1
+	stop := make([]bool, w*w)
+	for k := 0; k <= maxSteps; k++ {
+		stop[maxSteps*w+k] = true
+	}
+	return stop
 }
 
 // kernelOf is the rank kernel core builds for q: a table of q.N·q.M
@@ -303,7 +314,7 @@ func TestKernelHitCounterExact(t *testing.T) {
 // stream-layout change. testdata/marginals.json was recorded at the parent
 // commit (1bb2f8d, layout 1: a substream and a private resample per
 // candidate): per candidate of fixture(1), the sum and sum of squares over
-// seeds 1…200 of its success count in 32 fixed steps (CIHalfWidth −1).
+// seeds 1…200 of its success count in 32 fixed steps (the fixedSteps table).
 // Layout 2 shares a pair's resample among its thresholds, which correlates
 // candidates within a pair but must leave every candidate's own marginal the
 // same estimator. Over 200 fresh seeds, the per-candidate z-scores of the
@@ -324,10 +335,11 @@ func TestPairMarginalsMatchPerCandidateLayout(t *testing.T) {
 	}
 	q, modules, trees, _ := fixture(t, 1)
 	pr := score.DefaultPrior()
-	par := Params{MaxSteps: ref.Steps, CIHalfWidth: -1}
+	par := Params{MaxSteps: ref.Steps}
 	sum, sumSq := make([]int64, ref.Candidates), make([]int64, ref.Candidates)
 	for seed := 0; seed < ref.Seeds; seed++ {
 		ev := newEvaluator(rank.Self(nil), q, kernelOf(q, pr), modules, trees, par, prng.New(uint64(1001+seed)))
+		ev.stop = fixedSteps(ref.Steps)
 		if ev.total != ref.Candidates {
 			t.Fatalf("fixture enumerates %d candidates, the record %d", ev.total, ref.Candidates)
 		}
@@ -451,7 +463,8 @@ func TestCutPairInvariance(t *testing.T) {
 // per pair now, and part of the cost being measured).
 func BenchmarkPosterior(b *testing.B) {
 	q, modules, trees, _ := fixture(b, 1)
-	ev := newEvaluator(rank.Self(nil), q, kernelOf(q, score.DefaultPrior()), modules, trees, Params{MaxSteps: 32, CIHalfWidth: -1}, prng.New(11))
+	ev := newEvaluator(rank.Self(nil), q, kernelOf(q, score.DefaultPrior()), modules, trees, Params{MaxSteps: 32}, prng.New(11))
+	ev.stop = fixedSteps(32)
 	b.Run("eval", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			ev.eval(0, ev.total)

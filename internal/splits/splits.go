@@ -7,9 +7,9 @@
 // Xᵢ, observation Dⱼ at N⟩ is a candidate split. Its posterior — the
 // probability that splitting N's observations on Xᵢ ≤ Dᵢⱼ improves the
 // Bayesian score — is estimated by bootstrap resampling with early
-// termination: at least MinSteps and at most MaxSteps resamples of the
+// termination: at least minSteps and at most MaxSteps resamples of the
 // node's observations, each costing O(|N|) work, stopping once the estimate
-// is confidently resolved. Clear splits resolve in MinSteps; ambiguous ones
+// is confidently resolved. Clear splits resolve in minSteps; ambiguous ones
 // run to MaxSteps, which reproduces the paper's observation that "the time
 // required for this phase cannot be estimated a priori and varies
 // significantly across splits".
@@ -36,29 +36,13 @@ import (
 )
 
 // Params configures split assignment.
-//
-// # Zero-value sentinels
-//
-// The zero value of every field selects its documented default — an
-// *explicit* zero cannot be configured. Count fields (NumSplits, MaxSteps,
-// MinSteps) treat any value ≤ 0 as "use the default": a negative count is
-// never meaningful, and silently accepting one would make the evaluator run
-// zero bootstrap steps and divide by zero. For CIHalfWidth a negative
-// value IS meaningful and is honored: it disables early termination, so
-// every split runs to MaxSteps (the half-width test `hw < CIHalfWidth`
-// can then never pass). TestParamsWithDefaults pins all of this.
 type Params struct {
 	// NumSplits is J: how many weighted and how many uniform splits are
 	// chosen per node. Values ≤ 0 select the default, 2.
 	NumSplits int
-	// MaxSteps is S, the bootstrap resampling cap per split; MinSteps the
-	// floor before early termination is allowed. Values ≤ 0 select the
-	// defaults, 64 and 8.
-	MaxSteps, MinSteps int
-	// CIHalfWidth is the normal-approximation confidence half-width below
-	// which sampling stops early. 0 selects the default, 0.08; a negative
-	// value disables early termination entirely.
-	CIHalfWidth float64
+	// MaxSteps is S, the bootstrap resampling cap per split. Values ≤ 0
+	// select the default, 64.
+	MaxSteps int
 	// Candidates is the candidate-parent list P; nil means every
 	// variable (the paper's genome-scale setting).
 	Candidates []int
@@ -73,6 +57,15 @@ type Params struct {
 	ScanSelection bool
 }
 
+// The bootstrap's early-termination rule, Lemon-Tree's and the same in every
+// run (DESIGN §18): a threshold may retire from minSteps resamples on, once
+// the normal-approximation confidence half-width of its posterior drops
+// below ciHalfWidth.
+const (
+	minSteps    = 8
+	ciHalfWidth = 0.08
+)
+
 // WithDefaults returns p with every unset field replaced by its documented
 // default, for a data set of n variables.
 func (p Params) WithDefaults(n int) Params {
@@ -81,13 +74,6 @@ func (p Params) WithDefaults(n int) Params {
 	}
 	if p.MaxSteps <= 0 {
 		p.MaxSteps = 64
-	}
-	if p.MinSteps <= 0 {
-		p.MinSteps = 8
-	}
-	//parsivet:floateq — zero-value sentinel for "option unset", never a computed float
-	if p.CIHalfWidth == 0 {
-		p.CIHalfWidth = 0.08
 	}
 	if p.Candidates == nil {
 		p.Candidates = make([]int, n)

@@ -191,12 +191,12 @@ func TestPosteriorDegenerateSplit(t *testing.T) {
 
 func TestPosteriorStepBounds(t *testing.T) {
 	q, modules, trees, _ := fixture(t, 7)
-	ev := newEvaluator(rank.Self(nil), q, kernelOf(q, score.DefaultPrior()), modules, trees, Params{MinSteps: 8, MaxSteps: 32}, prng.New(3))
+	ev := newEvaluator(rank.Self(nil), q, kernelOf(q, score.DefaultPrior()), modules, trees, Params{MaxSteps: 32}, prng.New(3))
 	_, steps, _ := ev.eval(0, ev.total)
 	early := 0
 	for ci, s := range steps {
-		if s != 0 && (s < ev.par.MinSteps || s > ev.par.MaxSteps) {
-			t.Fatalf("candidate %d: steps %d outside [%d, %d]", ci, s, ev.par.MinSteps, ev.par.MaxSteps)
+		if s != 0 && (s < minSteps || s > ev.par.MaxSteps) {
+			t.Fatalf("candidate %d: steps %d outside [%d, %d]", ci, s, minSteps, ev.par.MaxSteps)
 		}
 		if s != 0 && s < ev.par.MaxSteps {
 			early++
@@ -278,45 +278,25 @@ func TestRecordWorkChargesScan(t *testing.T) {
 	}
 }
 
-// TestParamsWithDefaults pins the zero-value sentinel semantics documented
-// on Params: zero and negative counts select defaults; negative CIHalfWidth
-// is honored and disables early termination.
+// TestParamsWithDefaults: zero and negative counts select their defaults,
+// and nil Candidates means every variable.
 func TestParamsWithDefaults(t *testing.T) {
 	cases := []struct {
-		name                       string
-		in                         Params
-		splits, maxSteps, minSteps int
-		ciHW                       float64
+		name             string
+		in               Params
+		splits, maxSteps int
 	}{
-		{"zero value", Params{}, 2, 64, 8, 0.08},
-		{"negative counts fall back", Params{NumSplits: -1, MaxSteps: -64, MinSteps: -8}, 2, 64, 8, 0.08},
-		{"negative half-width honored", Params{CIHalfWidth: -1}, 2, 64, 8, -1},
-		{"explicit values kept", Params{NumSplits: 3, MaxSteps: 32, MinSteps: 4, CIHalfWidth: 0.2}, 3, 32, 4, 0.2},
+		{"zero value", Params{}, 2, 64},
+		{"negative counts fall back", Params{NumSplits: -1, MaxSteps: -64}, 2, 64},
+		{"explicit values kept", Params{NumSplits: 3, MaxSteps: 32}, 3, 32},
 	}
 	for _, tc := range cases {
 		p := tc.in.WithDefaults(10)
-		if p.NumSplits != tc.splits || p.MaxSteps != tc.maxSteps || p.MinSteps != tc.minSteps || p.CIHalfWidth != tc.ciHW {
+		if p.NumSplits != tc.splits || p.MaxSteps != tc.maxSteps {
 			t.Errorf("%s: got %+v", tc.name, p)
 		}
 		if len(p.Candidates) != 10 || p.Candidates[9] != 9 {
 			t.Errorf("%s: candidate default: %v", tc.name, p.Candidates)
-		}
-	}
-}
-
-// TestNegativeCIHalfWidthRunsToMaxSteps pins the "disabled early
-// termination" semantics end to end: every posterior consumes exactly
-// MaxSteps bootstrap resamples (or one degenerate scan).
-func TestNegativeCIHalfWidthRunsToMaxSteps(t *testing.T) {
-	q, modules, trees, _ := fixture(t, 3)
-	ev := newEvaluator(rank.Self(nil), q, kernelOf(q, score.DefaultPrior()), modules, trees, Params{MaxSteps: 12, CIHalfWidth: -1}, prng.New(9))
-	_, steps, _ := ev.eval(0, ev.total)
-	if len(steps) == 0 {
-		t.Fatal("no candidates checked")
-	}
-	for ci, s := range steps {
-		if s != 0 && s != ev.par.MaxSteps {
-			t.Fatalf("candidate %d stopped early at %d steps despite disabled CI", ci, s)
 		}
 	}
 }

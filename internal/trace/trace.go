@@ -23,6 +23,8 @@ package trace
 import (
 	"fmt"
 	"time"
+
+	"parsimone/internal/comm"
 )
 
 // Timers accumulates named wall-clock durations in first-use order, matching
@@ -298,7 +300,7 @@ func (m Model) PerRankWork(ph *Phase, p int, scheme Scheme) []float64 {
 		}
 		n := len(ph.Items)
 		for k := 0; k < p; k++ {
-			lo, hi := blockRange(n, p, k)
+			lo, hi := comm.BlockRange(n, p, k)
 			for i := lo; i < hi; i++ {
 				work[k] += ph.Items[i].Cost
 			}
@@ -343,7 +345,7 @@ func perSegmentWork(items []Item, p int, work []float64) {
 		}
 		n := hi - lo
 		for k := 0; k < p; k++ {
-			a, b := blockRange(n, p, k)
+			a, b := comm.BlockRange(n, p, k)
 			for i := a; i < b; i++ {
 				work[k] += items[lo+i].Cost
 			}
@@ -405,18 +407,4 @@ func ceilLog2(p int) float64 {
 		l++
 	}
 	return float64(l)
-}
-
-// blockRange mirrors comm.BlockRange; duplicated to keep trace free of a
-// dependency on the runtime package (comm depends on nothing, trace depends
-// on nothing — engines depend on both).
-func blockRange(n, size, rank int) (lo, hi int) {
-	base := n / size
-	rem := n % size
-	lo = rank*base + min(rank, rem)
-	hi = lo + base
-	if rank < rem {
-		hi++
-	}
-	return lo, hi
 }
