@@ -14,11 +14,13 @@ import (
 // another layout never matches. The key this build computes is pinned: it
 // names the service's cache entries and checkpoint directories
 // (root/key[:16]) and stamps every checkpoint file, which all stay valid only
-// while its value does not move.
+// while its value does not move. It last moved when the nine algorithm
+// constants (K₀, L₀, the peeling cut-offs, the bootstrap's early stop) left
+// the canonical options.
 func TestRunKeyPinned(t *testing.T) {
 	const (
 		layout1Key = "93d570dd5bf7ed82ed851fa6d8e4748884b8ffe13cae09cbde1b6431c9af7a62"
-		pinnedKey  = "db3d213d54d19ca3561b8a0e6e98773cedfbb9318779b0a97854cd1e6b7893c1"
+		pinnedKey  = "7eb8167b0bec6977b0c13edca8dd7a20a7b6f7b102f6691a1de408f33ebc6328"
 	)
 	d, _, err := synth.Generate(synth.Config{N: 12, M: 8, Seed: 3})
 	if err != nil {
