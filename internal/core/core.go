@@ -290,7 +290,7 @@ func checkData(d *dataset.Data, standardize bool) error {
 	mean, sd := d.Moments()
 	for i := range mean {
 		if !finite(mean[i]) || !finite(sd[i]) {
-			return fmt.Errorf("core: variable %q (row %d) cannot be standardized: its mean %g or standard deviation %g overflows float64; rescale it or learn without Standardize",
+			return fmt.Errorf("core: variable %q (row %d) cannot be standardized: its mean %g or standard deviation %g overflows float64; rescale its values",
 				d.Names[i], i, mean[i], sd[i])
 		}
 	}
