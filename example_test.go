@@ -32,9 +32,10 @@ func ExampleLearn() {
 	// parallel identical: true
 }
 
-// ExampleBuildCPDs demonstrates turning a learned network into executable
-// conditional distributions and predicting a module's expression.
-func ExampleBuildCPDs() {
+// ExampleNewPredictor demonstrates turning a learned network into an
+// executable model and predicting every module's expression under a raw
+// observation.
+func ExampleNewPredictor() {
 	data, _, err := parsimone.GenerateSynthetic(parsimone.SynthConfig{
 		N: 30, M: 24, Modules: 2, Regulators: 3, Seed: 7,
 	})
@@ -49,19 +50,21 @@ func ExampleBuildCPDs() {
 	if err != nil {
 		panic(err)
 	}
-	cpds, err := parsimone.BuildCPDs(data, opt, out)
+	pred, err := parsimone.NewPredictor(data, opt, out)
 	if err != nil {
 		panic(err)
 	}
-	// Predict module 0's distribution under the first observed condition.
-	std := data.Clone()
-	std.Standardize()
-	obs := make([]float64, std.N)
-	for x := 0; x < std.N; x++ {
-		obs[x] = std.At(x, 0)
+	// Predict every module's distribution under the first observed
+	// condition, given on its raw scale.
+	obs := make([]float64, data.N)
+	for x := range obs {
+		obs[x] = data.At(x, 0)
 	}
-	mean, variance := cpds[0].Predict(parsimone.QuantizeObservation(obs))
-	fmt.Println("finite prediction:", !isNaN(mean) && variance > 0)
+	preds, err := pred.Predict(obs)
+	if err != nil {
+		panic(err)
+	}
+	fmt.Println("finite prediction:", !isNaN(preds[0].Mean) && preds[0].Variance > 0)
 	// Output:
 	// finite prediction: true
 }

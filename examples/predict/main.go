@@ -39,56 +39,53 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	cpds, err := parsimone.BuildCPDs(train, opt, out)
+	pred, err := parsimone.NewPredictor(train, opt, out)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("learned %d modules with executable CPDs\n\n", len(cpds))
+	fmt.Printf("learned %d modules with executable CPDs\n\n", len(pred.CPDs))
 
-	// Standardize held-out observations with the training statistics is
-	// approximated here by reusing the generator's scale (unit-ish); for
-	// a real pipeline, persist the training transform.
-	std := data.Clone()
-	std.Standardize()
+	// Every condition reaches the CPDs through the training transform:
+	// standardized with the training conditions' moments, then quantized.
+	cols := make([][]int64, data.M)
+	for j := range cols {
+		raw := make([]float64, data.N)
+		for x := range raw {
+			raw[x] = data.At(x, j)
+		}
+		if cols[j], err = pred.Transform.Observation(raw); err != nil {
+			log.Fatal(err)
+		}
+	}
 
 	fmt.Printf("%-8s %-10s %-14s %-14s\n", "module", "genes", "CPD RMSE", "baseline RMSE")
 	var cpdTotal, baseTotal float64
-	rows := 0
-	for _, cpd := range cpds {
+	for _, cpd := range pred.CPDs {
 		vars := out.Modules[cpd.Module].Vars
-		// Training global mean of the module (standardized scale).
+		// Each condition's module mean, and the training conditions' global
+		// mean, on the CPDs' scale.
+		actual := make([]float64, data.M)
 		var trainMean float64
-		for _, x := range vars {
-			for j := 0; j < train.M; j++ {
-				trainMean += std.At(x, j)
-			}
-		}
-		trainMean /= float64(len(vars) * train.M)
-
-		var seCPD, seBase float64
-		count := 0
-		for j := data.M - holdout; j < data.M; j++ {
-			obs := make([]float64, data.N)
-			for x := 0; x < data.N; x++ {
-				obs[x] = std.At(x, j)
-			}
-			pred, _ := cpd.Predict(parsimone.QuantizeObservation(obs))
-			var actual float64
+		for j, obs := range cols {
 			for _, x := range vars {
-				actual += std.At(x, j)
+				actual[j] += parsimone.Dequantize(obs[x]) / float64(len(vars))
 			}
-			actual /= float64(len(vars))
-			seCPD += (pred - actual) * (pred - actual)
-			seBase += (trainMean - actual) * (trainMean - actual)
-			count++
+			if j < train.M {
+				trainMean += actual[j] / float64(train.M)
+			}
 		}
-		rmseCPD := math.Sqrt(seCPD / float64(count))
-		rmseBase := math.Sqrt(seBase / float64(count))
+		var seCPD, seBase float64
+		for j := train.M; j < data.M; j++ {
+			mean, _ := cpd.Predict(cols[j])
+			seCPD += (mean - actual[j]) * (mean - actual[j])
+			seBase += (trainMean - actual[j]) * (trainMean - actual[j])
+		}
+		rmseCPD, rmseBase := math.Sqrt(seCPD/float64(holdout)), math.Sqrt(seBase/float64(holdout))
 		cpdTotal += rmseCPD
 		baseTotal += rmseBase
-		rows++
 		fmt.Printf("%-8d %-10d %-14.3f %-14.3f\n", cpd.Module, len(vars), rmseCPD, rmseBase)
 	}
+	rows := len(pred.CPDs)
 	if rows == 0 {
 		log.Fatal("no modules learned")
 	}

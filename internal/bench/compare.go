@@ -59,9 +59,10 @@ func CompareGenomica(scale Scale) *Table {
 			ltDur += time.Since(start)
 			ltARI += result.AdjustedRandIndex(truth.ModuleOf, ltOut.Network.ModuleOf())
 
-			work := d.Clone()
-			work.Standardize()
-			q := score.QuantizeData(work)
+			_, q, err := core.Fit(d, opt)
+			if err != nil {
+				panic(err)
+			}
 			start = time.Now()
 			genOut, err := genomica.Learn(q, score.DefaultPrior(),
 				genomica.Params{Modules: truth.NumModules, MaxIters: 8}, prng.New(seed+200))

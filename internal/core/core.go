@@ -14,7 +14,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"strconv"
 	"strings"
 
@@ -184,7 +183,7 @@ type Output struct {
 	// scores).
 	Modules []*module.Module
 	// Splits is the raw split assignment behind the parent scores; CPDs
-	// are assembled from it (see BuildCPDs).
+	// are assembled from it (see NewPredictor).
 	Splits splits.Result
 	// Timers holds the per-task wall-clock breakdown of this rank.
 	Timers *trace.Timers
@@ -262,42 +261,20 @@ func (o Options) validate(p int) error {
 // so a caller that queues runs (internal/serve) can refuse at the door what
 // the engine would refuse later.
 func Check(p int, d *dataset.Data, opt Options) error {
+	_, err := check(p, d, opt)
+	return err
+}
+
+// check is Check returning the training transform it fitted on the way.
+func check(p int, d *dataset.Data, opt Options) (*Transform, error) {
 	if p < 1 {
-		return fmt.Errorf("core: a world of %d ranks cannot exist (need p ≥ 1)", p)
+		return nil, fmt.Errorf("core: a world of %d ranks cannot exist (need p ≥ 1)", p)
 	}
 	if err := opt.validate(p); err != nil {
-		return err
+		return nil, err
 	}
-	return checkData(d, opt.Standardize)
+	return fit(d, opt.Standardize)
 }
-
-// checkData checks the O(1) shape and capacity bounds before scanning the
-// cells, so an oversized data set is refused without being read. A data set
-// to be standardized must also have a finite mean and standard deviation in
-// every variable: a row whose sums overflow float64 (|x| ≳ 10¹⁵⁴) would
-// otherwise standardize to all zeros or to NaN without a word.
-func checkData(d *dataset.Data, standardize bool) error {
-	if d.N < 2 || d.M < 2 {
-		return fmt.Errorf("core: need at least a 2×2 data set, got %d×%d", d.N, d.M)
-	}
-	if d.N*d.M > score.MaxBlockCells {
-		return fmt.Errorf("core: %d×%d = %d cells exceeds the exact-statistics capacity of %d (see score.MaxBlockCells)",
-			d.N, d.M, d.N*d.M, score.MaxBlockCells)
-	}
-	if err := d.Validate(); err != nil || !standardize {
-		return err
-	}
-	mean, sd := d.Moments()
-	for i := range mean {
-		if !finite(mean[i]) || !finite(sd[i]) {
-			return fmt.Errorf("core: variable %q (row %d) cannot be standardized: its mean %g or standard deviation %g overflows float64; rescale its values",
-				d.Names[i], i, mean[i], sd[i])
-		}
-	}
-	return nil
-}
-
-func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 // checkpointKey is the run key a checkpointing run stamps its checkpoints
 // with; a run that does not checkpoint never hashes its inputs.
@@ -306,16 +283,6 @@ func checkpointKey(d *dataset.Data, opt Options) (key digest) {
 		key = runDigest(d, opt)
 	}
 	return key
-}
-
-// prepare standardizes (optionally) and quantizes a checked data set.
-func prepare(d *dataset.Data, opt Options) *score.QData {
-	work := d
-	if opt.Standardize {
-		work = d.Clone()
-		work.Standardize()
-	}
-	return score.QuantizeData(work)
 }
 
 // failpointFn returns the task-boundary crash hook of rank: a no-op unless
@@ -571,10 +538,11 @@ func Learn(d *dataset.Data, opt Options) (*Output, error) { return LearnParallel
 // down through the usual abort path — callers driving their own comm.Run
 // see it as a RankError; LearnParallel distills it into a *CancelledError.
 func LearnWithComm(c *comm.Comm, d *dataset.Data, opt Options) (*Output, error) {
-	if err := Check(c.Size(), d, opt); err != nil {
+	t, err := check(c.Size(), d, opt)
+	if err != nil {
 		return nil, err
 	}
-	q := prepare(d, opt)
+	q := t.prepare(d)
 	return learn(c, d, q, score.NewKernel(opt.Prior, q.N*q.M), checkpointKey(d, opt), opt)
 }
 
@@ -611,18 +579,6 @@ func learn(c *comm.Comm, d *dataset.Data, q *score.QData, kern *score.Kernel, ke
 		}
 	}
 	return out, nil
-}
-
-// BuildCPDs assembles the executable regression-tree CPD of every learned
-// module (§2.1: the shared conditional distribution of a module's
-// variables), from a learning output and the data set it was learned from.
-// The same Options must be passed so preprocessing matches.
-func BuildCPDs(d *dataset.Data, opt Options, out *Output) ([]*module.CPD, error) {
-	if err := checkData(d, opt.Standardize); err != nil {
-		return nil, err
-	}
-	res := &module.Result{Modules: out.Modules, Splits: out.Splits}
-	return module.BuildCPDs(res, prepare(d, opt), opt.Prior)
 }
 
 // sampleEnsembles executes the G GaneSH runs on c's ranks and returns the
@@ -694,10 +650,11 @@ func LearnParallel(p int, d *dataset.Data, opt Options) (*Output, error) {
 // restarted, no restart budget is consumed, and the driver returns a
 // *CancelledError naming the durable checkpoints the run drained to.
 func Supervise(p int, d *dataset.Data, opt Options, between func(trace.RecoveryEvent)) (*Output, error) {
-	if err := Check(p, d, opt); err != nil {
+	t, err := check(p, d, opt)
+	if err != nil {
 		return nil, err
 	}
-	q, key := prepare(d, opt), checkpointKey(d, opt)
+	q, key := t.prepare(d), checkpointKey(d, opt)
 	kern := score.NewKernel(opt.Prior, q.N*q.M)
 	attempt := opt
 	var recovery []trace.RecoveryEvent

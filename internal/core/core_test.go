@@ -474,10 +474,10 @@ func TestCheckDataCapacityBound(t *testing.T) {
 		{3, 11184811}, // MaxBlockCells + 1
 	} {
 		cells := c.n * c.m
-		err := checkData(&dataset.Data{N: c.n, M: c.m}, true)
+		_, err := fit(&dataset.Data{N: c.n, M: c.m}, true)
 		refused := err != nil && strings.Contains(err.Error(), "exceeds the exact-statistics capacity")
 		if want := cells > score.MaxBlockCells; refused != want || err == nil {
-			t.Fatalf("%d×%d = MaxBlockCells%+d cells: checkData = %v, want a capacity refusal %v",
+			t.Fatalf("%d×%d = MaxBlockCells%+d cells: fit = %v, want a capacity refusal %v",
 				c.n, c.m, cells-score.MaxBlockCells, err, want)
 		}
 	}
@@ -516,15 +516,17 @@ func TestCheckRefusesOverflowingMoments(t *testing.T) {
 
 // FuzzPrepare: a data set of any small shape, its cells cycling through four
 // arbitrary floats (±Inf, NaN, ±10³⁰⁰, subnormals, values at the clipping
-// bound and a grid step either side of it), is refused by checkData exactly
-// when its shape is below 2×2, a cell is not finite, or — standardized — a
-// variable's mean or standard deviation is not. Otherwise prepare returns
-// every cell within ±MaxAbsCell, and, unstandardized, equal to
-// score.Quantize of the raw value; standardized, every cell is a finite
-// value first; standardizing leaves the caller's cells as they were.
-// Nothing panics. The seeds are the quantization envelope's pins
-// (score.TestQuantizationEnvelope), the edges above and the overflowing
-// rows.
+// bound and a grid step either side of it), is refused by Fit exactly when
+// its shape is below 2×2, a cell is not finite, or — standardized — a
+// variable's mean or standard deviation is not. Otherwise Fit returns every
+// cell within ±MaxAbsCell and bit-equal to score.QuantizeData of the
+// dataset.Standardize'd copy (of the raw cells, unstandardized); every
+// standardized value is finite; Fit leaves the caller's cells as they were.
+// The observation path maps every training column onto exactly its
+// prepared cells, and refuses a column of the wrong length or with a
+// non-finite value. Nothing panics. The seeds are the quantization
+// envelope's pins (score.TestQuantizationEnvelope), the edges above and the
+// overflowing rows.
 func FuzzPrepare(f *testing.F) {
 	const step = 1.0 / score.ValueScale
 	eps := math.Ldexp(1, -52)
@@ -568,34 +570,53 @@ func FuzzPrepare(f *testing.F) {
 				}
 			}
 		}
-		err := checkData(d, standardize)
+		raw := slices.Clone(d.Values)
+		tr, q, err := Fit(d, Options{Standardize: standardize})
 		if refuse := d.N < 2 || d.M < 2 || !finite; (err != nil) != refuse {
-			t.Fatalf("%d×%d, cells %v: checkData = %v, want a refusal %v", d.N, d.M, vals, err, refuse)
+			t.Fatalf("%d×%d, cells %v: Fit = %v, want a refusal %v", d.N, d.M, vals, err, refuse)
 		}
 		if err != nil {
 			return
 		}
-		raw := slices.Clone(d.Values)
-		if standardize {
-			work := d.Clone()
-			work.Standardize()
-			for i, v := range work.Values {
-				if math.IsNaN(v) || math.IsInf(v, 0) {
-					t.Fatalf("cell %d (raw %v) standardized to %v", i, raw[i], v)
-				}
-			}
-		}
-		q := prepare(d, Options{Standardize: standardize})
 		if q.N != d.N || q.M != d.M || len(q.Cells) != len(raw) || !slices.Equal(d.Values, raw) {
-			t.Fatalf("%d×%d: prepare gave %d×%d with %d cells, or changed the caller's cells", d.N, d.M, q.N, q.M, len(q.Cells))
+			t.Fatalf("%d×%d: Fit gave %d×%d with %d cells, or changed the caller's cells", d.N, d.M, q.N, q.M, len(q.Cells))
 		}
 		for i, cell := range q.Cells {
 			if cell < -score.MaxAbsCell || cell > score.MaxAbsCell {
 				t.Fatalf("cell %d (raw %v) quantized to %d, outside ±%d", i, raw[i], cell, int64(score.MaxAbsCell))
 			}
-			if want := score.Quantize(raw[i]); !standardize && int64(cell) != want {
-				t.Fatalf("cell %d: raw %v quantized to %d, score.Quantize gives %d", i, raw[i], cell, want)
+			if v := tr.scale(i/d.M, raw[i]); math.IsNaN(v) || math.IsInf(v, 0) {
+				t.Fatalf("cell %d (raw %v) standardized to %v", i, raw[i], v)
 			}
+		}
+		ref := d.Clone()
+		if standardize {
+			ref.Standardize()
+		}
+		if want := score.QuantizeData(ref); !slices.Equal(q.Cells, want.Cells) {
+			t.Fatalf("%d×%d: Fit's cells %v, dataset.Standardize and score.QuantizeData give %v", d.N, d.M, q.Cells, want.Cells)
+		}
+		col := make([]float64, d.N)
+		for j := 0; j < d.M; j++ {
+			for i := range col {
+				col[i] = d.At(i, j)
+			}
+			obs, err := tr.Observation(col)
+			if err != nil {
+				t.Fatalf("training column %d refused: %v", j, err)
+			}
+			for i, v := range obs {
+				if v != q.At(i, j) {
+					t.Fatalf("column %d, variable %d: observation %d, prepared cell %d", j, i, v, q.At(i, j))
+				}
+			}
+		}
+		if _, err := tr.Observation(col[1:]); err == nil {
+			t.Fatalf("%d×%d: a %d-value observation was accepted", d.N, d.M, d.N-1)
+		}
+		col[d.N-1] = math.NaN()
+		if _, err := tr.Observation(col); err == nil {
+			t.Fatal("an observation with a NaN value was accepted")
 		}
 	})
 }

@@ -99,9 +99,8 @@ func (d *Data) Standardize() {
 	}
 }
 
-// Moments returns each variable's mean and population standard deviation —
-// the statistics Standardize rescales by, and the ones a raw observation
-// must be mapped with to land on the standardized training scale.
+// Moments returns each variable's mean and population standard deviation:
+// the statistics Standardize rescales by, and core's training transform.
 func (d *Data) Moments() (mean, sd []float64) {
 	mean, sd = make([]float64, d.N), make([]float64, d.N)
 	for i := 0; i < d.N; i++ {

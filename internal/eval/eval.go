@@ -13,7 +13,6 @@ import (
 
 	"parsimone/internal/core"
 	"parsimone/internal/dataset"
-	"parsimone/internal/module"
 	"parsimone/internal/score"
 )
 
@@ -39,10 +38,8 @@ type CVResult struct {
 
 // CrossValidate learns a module network on each of k training folds
 // (observations held out round-robin) and evaluates the fold's CPDs on the
-// held-out observations. The data set is standardized once up front so
-// train and test share the transform (a slight information leak through the
-// scaling constants, acceptable for a model-comparison harness and noted
-// here for transparency); opt.Standardize is therefore forced off.
+// held-out observations. A fold's network and training transform come from
+// its training columns alone, as in Segal et al.'s held-out protocol.
 func CrossValidate(d *dataset.Data, opt core.Options, k int) (*CVResult, error) {
 	if k < 2 {
 		return nil, fmt.Errorf("eval: need at least 2 folds, got %d", k)
@@ -50,33 +47,13 @@ func CrossValidate(d *dataset.Data, opt core.Options, k int) (*CVResult, error) 
 	if d.M < 2*k {
 		return nil, fmt.Errorf("eval: %d observations cannot support %d folds", d.M, k)
 	}
-	std := d.Clone()
-	std.Standardize()
-	opt.Standardize = false
-
 	cv := &CVResult{}
 	for f := 0; f < k; f++ {
-		var trainCols, testCols []int
-		for j := 0; j < d.M; j++ {
-			if j%k == f {
-				testCols = append(testCols, j)
-			} else {
-				trainCols = append(trainCols, j)
-			}
-		}
-		train, err := std.SelectObservations(trainCols)
-		if err != nil {
-			return nil, err
-		}
-		out, err := core.Learn(train, opt)
+		trainCols, testCols := foldColumns(d.M, k, f)
+		fr, _, err := fold(d, opt, trainCols, testCols)
 		if err != nil {
 			return nil, fmt.Errorf("eval: fold %d: %w", f, err)
 		}
-		cpds, err := core.BuildCPDs(train, opt, out)
-		if err != nil {
-			return nil, fmt.Errorf("eval: fold %d: %w", f, err)
-		}
-		fr := evaluateFold(std, train, out, cpds, testCols)
 		fr.Fold = f
 		cv.Folds = append(cv.Folds, fr)
 	}
@@ -94,48 +71,75 @@ func CrossValidate(d *dataset.Data, opt core.Options, k int) (*CVResult, error) 
 	return cv, nil
 }
 
-// evaluateFold scores one fold's CPDs on the held-out columns of std.
-// prPrior provides the baseline's posterior-predictive conversion, matching
-// the CPDs' leaf distributions.
-var prPrior = score.DefaultPrior()
-
-func evaluateFold(std, train *dataset.Data, out *core.Output, cpds []*module.CPD, testCols []int) FoldResult {
-	fr := FoldResult{Modules: len(cpds)}
-	if len(cpds) == 0 {
-		return fr
+// foldColumns splits observations 0…m−1 into fold f's training and
+// held-out columns: column j is held out in fold j mod k.
+func foldColumns(m, k, f int) (trainCols, testCols []int) {
+	for j := 0; j < m; j++ {
+		if j%k == f {
+			testCols = append(testCols, j)
+		} else {
+			trainCols = append(trainCols, j)
+		}
 	}
+	return trainCols, testCols
+}
+
+// fold learns a network and its predictor on d's training columns and
+// scores the CPDs on the held-out columns, mapped by the fold's transform,
+// against the baseline of each module's training distribution.
+func fold(d *dataset.Data, opt core.Options, trainCols, testCols []int) (FoldResult, *core.Output, error) {
+	train, err := d.SelectObservations(trainCols)
+	if err != nil {
+		return FoldResult{}, nil, err
+	}
+	out, err := core.Learn(train, opt)
+	if err != nil {
+		return FoldResult{}, nil, err
+	}
+	p, err := core.NewPredictor(train, opt, out)
+	if err != nil {
+		return FoldResult{}, nil, err
+	}
+	cols := make([][]int64, d.M)
+	raw := make([]float64, d.N)
+	for j := range cols {
+		for x := range raw {
+			raw[x] = d.At(x, j)
+		}
+		if cols[j], err = p.Transform.Observation(raw); err != nil {
+			return FoldResult{}, nil, err
+		}
+	}
+	fr := FoldResult{Modules: len(p.CPDs)}
 	var sumRMSEc, sumRMSEb, sumLLc, sumLLb float64
 	cells := 0
-	for _, cpd := range cpds {
+	for _, cpd := range p.CPDs {
 		vars := out.Modules[cpd.Module].Vars
-		// Training global distribution of the module.
+		// Training global distribution of the module, converted under the
+		// CPDs' own prior.
 		var tr score.Stats
-		for _, x := range vars {
-			for j := 0; j < train.M; j++ {
-				tr.Add(score.Quantize(train.At(x, j)))
+		for _, j := range trainCols {
+			for _, x := range vars {
+				tr.Add(cols[j][x])
 			}
 		}
-		gMean, gVar := prPrior.Predictive(tr)
+		gMean, gVar := opt.Prior.Predictive(tr)
 
 		var seC, seB float64
 		var llC, llB float64
 		for _, j := range testCols {
-			obs := make([]int64, std.N)
-			for x := 0; x < std.N; x++ {
-				obs[x] = score.Quantize(std.At(x, j))
-			}
+			obs := cols[j]
 			pred, _ := cpd.Predict(obs)
 			var actual float64
 			for _, x := range vars {
-				actual += std.At(x, j)
+				actual += score.Dequantize(obs[x])
 			}
 			actual /= float64(len(vars))
 			seC += (pred - actual) * (pred - actual)
 			seB += (gMean - actual) * (gMean - actual)
 			for _, x := range vars {
-				v := score.Quantize(std.At(x, j))
-				llC += cpd.LogLikelihood(obs, v)
-				llB += gaussLogLik(score.Dequantize(v), gMean, gVar)
+				llC += cpd.LogLikelihood(obs, obs[x])
+				llB += gaussLogLik(score.Dequantize(obs[x]), gMean, gVar)
 				cells++
 			}
 		}
@@ -144,14 +148,15 @@ func evaluateFold(std, train *dataset.Data, out *core.Output, cpds []*module.CPD
 		sumLLc += llC
 		sumLLb += llB
 	}
-	k := float64(len(cpds))
-	fr.CPDRMSE = sumRMSEc / k
-	fr.BaselineRMSE = sumRMSEb / k
+	if k := float64(len(p.CPDs)); k > 0 {
+		fr.CPDRMSE = sumRMSEc / k
+		fr.BaselineRMSE = sumRMSEb / k
+	}
 	if cells > 0 {
 		fr.CPDLogLik = sumLLc / float64(cells)
 		fr.BaselineLogLik = sumLLb / float64(cells)
 	}
-	return fr
+	return fr, out, nil
 }
 
 func gaussLogLik(x, mean, variance float64) float64 {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"parsimone/internal/core"
+	"parsimone/internal/result"
 	"parsimone/internal/splits"
 	"parsimone/internal/synth"
 )
@@ -110,20 +111,52 @@ func TestCrossValidateDeterministic(t *testing.T) {
 }
 
 // TestFoldsPartitionObservations: the k folds' held-out sets must be
-// disjoint and cover every observation exactly once.
+// disjoint and cover every observation exactly once, and each fold trains
+// on the rest.
 func TestFoldsPartitionObservations(t *testing.T) {
 	m, k := 23, 4
 	seen := make([]int, m)
 	for f := 0; f < k; f++ {
-		for j := 0; j < m; j++ {
-			if j%k == f {
-				seen[j]++
-			}
+		trainCols, testCols := foldColumns(m, k, f)
+		if len(trainCols)+len(testCols) != m {
+			t.Fatalf("fold %d: %d training and %d held-out columns of %d", f, len(trainCols), len(testCols), m)
+		}
+		for _, j := range testCols {
+			seen[j]++
 		}
 	}
 	for j, c := range seen {
 		if c != 1 {
 			t.Fatalf("observation %d held out %d times", j, c)
 		}
+	}
+}
+
+// TestHeldOutColumnsDoNotReachTheFold: rewriting a fold's held-out columns
+// leaves the fold's learned network unchanged — no held-out value reaches
+// the moments the fold standardizes its training columns by.
+func TestHeldOutColumnsDoNotReachTheFold(t *testing.T) {
+	d, _, err := synth.Generate(synth.Config{N: 40, M: 30, Modules: 3, Regulators: 4, Noise: 0.3, Seed: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := cvOptions()
+	trainCols, testCols := foldColumns(d.M, 3, 0)
+	_, want, err := fold(d, opt, trainCols, testCols)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := d.Clone()
+	for _, j := range testCols {
+		for x := 0; x < e.N; x++ {
+			e.Values[x*e.M+j] = 4*e.At(x, j) + 3
+		}
+	}
+	_, got, err := fold(e, opt, trainCols, testCols)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !result.Equal(got.Network, want.Network) {
+		t.Fatal("rewriting the held-out columns changed the fold's network")
 	}
 }

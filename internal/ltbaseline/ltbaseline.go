@@ -461,21 +461,13 @@ func scoreParents(assigned []splits.Assigned, mi int) []module.ParentScore {
 // step. The returned network is bit-identical to the optimized engines'
 // output for the same data and options.
 func Learn(d *dataset.Data, opt core.Options) (*core.Output, error) {
-	if err := opt.Prior.Validate(); err != nil {
+	if err := core.Check(1, d, opt); err != nil {
 		return nil, err
 	}
-	if err := opt.Module.Splits.Validate(); err != nil {
+	_, q, err := core.Fit(d, opt)
+	if err != nil {
 		return nil, err
 	}
-	if err := d.Validate(); err != nil {
-		return nil, err
-	}
-	work := d
-	if opt.Standardize {
-		work = d.Clone()
-		work.Standardize()
-	}
-	q := score.QuantizeData(work)
 	// One kernel for the whole run: the rescanned blocks never exceed the
 	// full data matrix, so n·m tables every count the baseline can score.
 	kern := score.NewKernel(opt.Prior, q.N*q.M)

@@ -113,12 +113,12 @@ type PowerResult struct {
 	Value  float64
 	Vector []float64
 	// Iters is the number of iterations performed; Converged reports
-	// whether the tolerance was met before the iteration cap.
+	// whether both stop conditions were met before the iteration cap.
 	Iters     int
 	Converged bool
-	// Residual is ‖S·v − λ·v‖ for the returned pair. Convergence is judged
-	// on λ alone, so this says how well the vector itself is resolved —
-	// poorly when the two leading eigenvalues nearly tie.
+	// Residual is ‖S·v − λ·v‖ for the returned pair, at most 10⁻⁴·(1+|λ|)
+	// when Converged: a stationary λ alone is not a pair (on a bipartite
+	// matrix the iterate oscillates).
 	Residual float64
 }
 
@@ -166,12 +166,14 @@ func PowerIteration(s *CSR, maxIter int, tol float64, x, z []float64) PowerResul
 		for i := range z {
 			rq += z[i] * x[i]
 		}
-		// Convergence on the eigenvalue estimate.
+		// Convergence on the eigenvalue estimate, then on the pair.
 		done := math.Abs(rq-lambda) <= tol*(1+math.Abs(rq))
 		lambda = rq
 		x, z = z, x
 		if done {
-			return PowerResult{Value: lambda, Vector: x, Iters: it, Converged: true, Residual: residual(z, x, lambda)}
+			if r := residual(z, x, lambda); r <= 1e-4*(1+math.Abs(lambda)) {
+				return PowerResult{Value: lambda, Vector: x, Iters: it, Converged: true, Residual: r}
+			}
 		}
 	}
 	return PowerResult{Value: lambda, Vector: x, Iters: maxIter, Converged: false, Residual: residual(z, x, lambda)}

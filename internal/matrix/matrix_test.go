@@ -329,6 +329,15 @@ func TestPowerIterationResidual(t *testing.T) {
 		// ‖Sv − λv‖ should be small relative to λ.
 		return res.Residual <= 1e-4*(1+res.Value)
 	}
+	// A bipartite input (eigenvalues ±√43) on which λ is stationary after
+	// two steps while the vector still oscillates: it must not converge.
+	bipartite := make([]uint8, 16)
+	for i, v := range []uint8{0, 0, 3, 0, 0, 0, 5, 0, 0, 0, 0, 3, 0, 0, 0, 0} {
+		bipartite[i] = v
+	}
+	if !check(bipartite, false) {
+		t.Fatal("the bipartite input converged to a pair whose residual exceeds the bound")
+	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}

@@ -48,9 +48,6 @@ type CPD struct {
 	Roots  []*CPDNode
 }
 
-// Root returns the first tree's root (the single-tree view).
-func (c *CPD) Root() *CPDNode { return c.Roots[0] }
-
 // BuildCPD assembles the executable CPD of module mi from its regression
 // tree ensemble and the weighted splits assigned to the trees' nodes (the
 // highest-posterior split per node is installed as the node's test).
@@ -156,23 +153,6 @@ func (c *CPD) LogLikelihood(obs []int64, x int64) float64 {
 	mean, variance := c.Predict(obs)
 	d := score.Dequantize(x) - mean
 	return -0.5*math.Log(2*math.Pi*variance) - d*d/(2*variance)
-}
-
-// Depth returns the longest root-to-leaf path length over all trees of the
-// ensemble (a single leaf has depth 0).
-func (c *CPD) Depth() int {
-	var walk func(n *CPDNode) int
-	walk = func(n *CPDNode) int {
-		if n == nil || n.IsLeaf() {
-			return 0
-		}
-		return 1 + max(walk(n.Left), walk(n.Right))
-	}
-	depth := 0
-	for _, root := range c.Roots {
-		depth = max(depth, walk(root))
-	}
-	return depth
 }
 
 // BuildCPDs builds one CPD per module from a learning result.

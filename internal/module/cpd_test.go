@@ -53,13 +53,13 @@ func TestCPDStructureMatchesTree(t *testing.T) {
 	}
 	src := res.Modules[0].Trees[0]
 	want := len(src.InternalNodes()) + len(src.Leaves())
-	if got := count(cpd.Root()); got != want {
+	if got := count(cpd.Roots[0]); got != want {
 		t.Fatalf("CPD tree 0 has %d nodes, tree has %d", got, want)
 	}
 	if len(cpd.Roots) != len(res.Modules[0].Trees) {
 		t.Fatalf("CPD has %d trees, module has %d", len(cpd.Roots), len(res.Modules[0].Trees))
 	}
-	if cpd.Depth() < 1 {
+	if cpd.Roots[0].IsLeaf() {
 		t.Fatal("expected a non-trivial tree")
 	}
 }

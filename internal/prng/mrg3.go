@@ -92,15 +92,6 @@ func (g *MRG3) Next() uint64 {
 	return x
 }
 
-// Uint32 returns a uniform 32-bit value. Two raw outputs contribute 31 bits
-// each; the top 32 of the combined 62 bits are returned so the slight
-// non-uniformity of a single modular output is diluted below detectability.
-func (g *MRG3) Uint32() uint32 {
-	hi := g.Next()
-	lo := g.Next()
-	return uint32((hi<<31 | lo) >> 30)
-}
-
 // Uint64 returns a uniform 64-bit value built from three raw outputs.
 func (g *MRG3) Uint64() uint64 {
 	a := g.Next() // 31 bits

@@ -71,9 +71,6 @@ func TestSerializedNetworkStable(t *testing.T) {
 		if err := n.WriteJSON(&buf); err != nil {
 			t.Fatal(err)
 		}
-		if err := n.WriteDOT(&buf, edges); err != nil {
-			t.Fatal(err)
-		}
 		for _, e := range EnforceAcyclic(edges, len(n.Modules)) {
 			buf.WriteString("\n")
 			buf.WriteString(string(rune('0' + e.From%10)))

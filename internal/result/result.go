@@ -223,10 +223,14 @@ func (n *Network) WriteXML(w io.Writer) error {
 	return err
 }
 
-// ReadXML parses a network written by WriteXML.
+// ReadXML parses a network written by WriteXML and, like ReadJSON and
+// ReadBinary, refuses one that fails checkLoaded.
 func ReadXML(r io.Reader) (*Network, error) {
 	var n Network
 	if err := xml.NewDecoder(r).Decode(&n); err != nil {
+		return nil, fmt.Errorf("result: %w", err)
+	}
+	if err := checkLoaded(&n); err != nil {
 		return nil, err
 	}
 	return &n, nil
@@ -369,23 +373,4 @@ func MeanAveragePrecision(ranked []int, truth map[int]bool) float64 {
 		return 0
 	}
 	return sum / float64(len(truth))
-}
-
-// WriteDOT renders the module graph in GraphViz DOT format: one box per
-// module (sized label) and one edge per module-graph edge, weighted by
-// score. Pass the output of ModuleGraph or EnforceAcyclic.
-func (n *Network) WriteDOT(w io.Writer, edges []Edge) error {
-	if _, err := fmt.Fprintln(w, "digraph modulenetwork {"); err != nil {
-		return err
-	}
-	fmt.Fprintln(w, "  rankdir=LR;")
-	fmt.Fprintln(w, "  node [shape=box];")
-	for _, mod := range n.Modules {
-		fmt.Fprintf(w, "  M%d [label=\"M%d\\n%d genes\"];\n", mod.ID, mod.ID, len(mod.Variables))
-	}
-	for _, e := range edges {
-		fmt.Fprintf(w, "  M%d -> M%d [label=\"%.2f\"];\n", e.From, e.To, e.Score)
-	}
-	_, err := fmt.Fprintln(w, "}")
-	return err
 }

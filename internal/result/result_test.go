@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"math"
 	"reflect"
-	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -272,19 +271,5 @@ func TestMeanAveragePrecision(t *testing.T) {
 	}
 	if !math.IsNaN(MeanAveragePrecision([]int{1}, nil)) {
 		t.Fatal("empty truth must be NaN")
-	}
-}
-
-func TestWriteDOT(t *testing.T) {
-	n := sample()
-	var buf bytes.Buffer
-	if err := n.WriteDOT(&buf, n.ModuleGraph()); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{"digraph", "M0", "M1", "M0 -> M1", "2 genes"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("DOT missing %q:\n%s", want, out)
-		}
 	}
 }

@@ -224,6 +224,16 @@ func FuzzWireNetwork(f *testing.F) {
 		f.Add(bin.Bytes())
 		f.Add(js.Bytes())
 	}
+	for _, n := range roundTripCases() {
+		var x bytes.Buffer
+		if err := n.WriteXML(&x); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(x.Bytes())
+	}
+	for _, data := range invalidXML {
+		f.Add([]byte(data))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if n, err := ReadBinary(bytes.NewReader(data)); err == nil {
 			if verr := checkLoaded(n); verr != nil {
@@ -235,5 +245,30 @@ func FuzzWireNetwork(f *testing.F) {
 				t.Fatalf("ReadJSON returned an invalid network: %v", verr)
 			}
 		}
+		if n, err := ReadXML(bytes.NewReader(data)); err == nil {
+			if verr := checkLoaded(n); verr != nil {
+				t.Fatalf("ReadXML returned an invalid network: %v", verr)
+			}
+		}
 	})
+}
+
+// invalidXML are well-formed XML networks no learn produces, each with the
+// refusal ReadXML must give.
+var invalidXML = map[string]string{
+	`<moduleNetwork variables="3" observations="2"><module id="0"><variables><var>7</var></variables></module></moduleNetwork>`:                                                                     "outside [0,3)",
+	`<moduleNetwork variables="3" observations="2"><module id="0"><variables><var>0</var></variables><parents><parent index="-4" score="1" count="1"></parent></parents></module></moduleNetwork>`:  "out of range",
+	`<moduleNetwork variables="3" observations="2"><module id="0"><variables><var>0</var></variables><parents><parent index="1" score="NaN" count="1"></parent></parents></module></moduleNetwork>`: "non-finite score",
+	`<moduleNetwork variables="-1" observations="2"></moduleNetwork>`: "negative data shape",
+	`<moduleNetwork variables="3" observations="2"><module id="0"><variables><var>0</var></variables><randomParents><parent index="9" score="1" count="1"></parent></randomParents></module></moduleNetwork>`: "out of range",
+}
+
+// TestReadXMLRejects: ReadXML refuses an out-of-range variable or parent,
+// a non-finite score and a negative shape, as the other two readers do.
+func TestReadXMLRejects(t *testing.T) {
+	for data, want := range invalidXML {
+		if _, err := ReadXML(strings.NewReader(data)); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: got %v, want an error containing %q", data, err, want)
+		}
+	}
 }

@@ -92,16 +92,9 @@ type PredictRequest struct {
 	Observation []float64 `json:"observation"`
 }
 
-// ModulePrediction is one module's CPD evaluated on the observation.
-type ModulePrediction struct {
-	Module   int     `json:"module"`
-	Mean     float64 `json:"mean"`
-	Variance float64 `json:"variance"`
-}
-
 // PredictResponse carries one prediction per learned module.
 type PredictResponse struct {
-	Predictions []ModulePrediction `json:"predictions"`
+	Predictions []core.Prediction `json:"predictions"`
 }
 
 // moduleSummary is one row of the module list endpoint.
@@ -421,14 +414,14 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	if len(req.Observation) != e.data.N {
-		writeError(w, http.StatusBadRequest,
-			errors.New("observation has "+strconv.Itoa(len(req.Observation))+" values, dataset has "+strconv.Itoa(e.data.N)+" variables"))
-		return
-	}
-	preds, err := e.predict(req.Observation)
+	p, err := e.predictor()
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err)
+		return
+	}
+	preds, err := p.Predict(req.Observation)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, PredictResponse{Predictions: preds})

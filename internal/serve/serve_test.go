@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -19,6 +18,7 @@ import (
 	"parsimone/internal/jobs"
 	"parsimone/internal/obs"
 	"parsimone/internal/result"
+	"parsimone/internal/score"
 	"parsimone/internal/splits"
 	"parsimone/internal/synth"
 )
@@ -44,15 +44,20 @@ func fixture(t *testing.T) (string, *dataset.Data, *core.Output) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := core.DefaultOptions()
-	opt.Seed = 3
-	opt.Ganesh.Updates = 1
-	opt.Module.Splits = splits.Params{NumSplits: 2, MaxSteps: 16}
-	want, err := core.Learn(d, opt)
+	want, err := core.Learn(d, fixtureOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 	return tsv, d, want
+}
+
+// fixtureOptions are the options the fixture's reference was learned with.
+func fixtureOptions() core.Options {
+	opt := core.DefaultOptions()
+	opt.Seed = 3
+	opt.Ganesh.Updates = 1
+	opt.Module.Splits = splits.Params{NumSplits: 2, MaxSteps: 16}
+	return opt
 }
 
 // submitBody is the standard request the fixture's reference corresponds to.
@@ -184,54 +189,73 @@ func TestSubmitWaitFetchRoundTrip(t *testing.T) {
 		}
 	}
 
-	// A prediction on the first training observation: one (mean, variance)
-	// per module.
-	obsVec := make([]float64, d.N)
-	for i := 0; i < d.N; i++ {
-		obsVec[i] = d.At(i, 0)
+	// Predictions on the first training observation and on an observation
+	// off the training scale: one (mean, variance) per module, exactly the
+	// library predictor's answer for the same raw values.
+	lib, err := core.NewPredictor(d, fixtureOptions(), want)
+	if err != nil {
+		t.Fatal(err)
 	}
-	body, _ := json.Marshal(PredictRequest{Observation: obsVec})
-	w = call(t, s, "POST", "/api/v1/jobs/0/predict", string(body))
-	if w.Code != http.StatusOK {
-		t.Fatalf("predict: code %d body %s", w.Code, w.Body)
-	}
-	pr := decode[PredictResponse](t, w)
-	if len(pr.Predictions) != len(want.Network.Modules) {
-		t.Fatalf("predict: %d predictions, want %d", len(pr.Predictions), len(want.Network.Modules))
-	}
-	for _, p := range pr.Predictions {
-		if p.Variance <= 0 {
-			t.Fatalf("prediction %+v has non-positive variance", p)
+	for _, shift := range []float64{0, 1.7} {
+		obsVec := make([]float64, d.N)
+		for i := 0; i < d.N; i++ {
+			obsVec[i] = d.At(i, 0)*(1+shift) + shift
+		}
+		body, _ := json.Marshal(PredictRequest{Observation: obsVec})
+		w = call(t, s, "POST", "/api/v1/jobs/0/predict", string(body))
+		if w.Code != http.StatusOK {
+			t.Fatalf("predict: code %d body %s", w.Code, w.Body)
+		}
+		pr := decode[PredictResponse](t, w)
+		if len(pr.Predictions) != len(want.Network.Modules) {
+			t.Fatalf("predict: %d predictions, want %d", len(pr.Predictions), len(want.Network.Modules))
+		}
+		for _, p := range pr.Predictions {
+			if p.Variance <= 0 {
+				t.Fatalf("prediction %+v has non-positive variance", p)
+			}
+		}
+		libPreds, err := lib.Predict(obsVec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(pr.Predictions, libPreds) {
+			t.Fatalf("shift %v: the daemon predicts %+v, the library predictor %+v", shift, pr.Predictions, libPreds)
 		}
 	}
 }
 
-// TestPredictStandardizesLikeTraining: a training column standardized on the
-// predict side lands on exactly the values dataset.Standardize gave the
-// learner, bit for bit, so a training observation reaches the CPDs as it was
-// learned from. The data gets a constant variable, which both map to 0.
+// TestPredictStandardizesLikeTraining: a training column mapped by the
+// entry's predictor lands on exactly the cells the learner scored —
+// dataset.Standardize, then score.QuantizeData — bit for bit, so a training
+// observation reaches the CPDs as it was learned from. The data gets a
+// constant variable, which both map to 0.
 func TestPredictStandardizesLikeTraining(t *testing.T) {
 	_, d, want := fixture(t)
 	d = d.Clone()
 	for j := 0; j < d.M; j++ {
 		d.Values[5*d.M+j] = 2.5
 	}
-	opt := core.DefaultOptions()
-	e := &cacheEntry{data: d, opt: opt, out: want}
-	if _, err := e.predictors(); err != nil {
+	e := &cacheEntry{data: d, opt: core.DefaultOptions(), out: want}
+	p, err := e.predictor()
+	if err != nil {
 		t.Fatal(err)
 	}
 	trained := d.Clone()
 	trained.Standardize()
+	q := score.QuantizeData(trained)
 	for _, j := range []int{0, d.M / 2, d.M - 1} {
 		col := make([]float64, d.N)
 		for i := range col {
 			col[i] = d.At(i, j)
 		}
-		e.standardize(col)
-		for i, v := range col {
-			if math.Float64bits(v) != math.Float64bits(trained.At(i, j)) {
-				t.Fatalf("observation %d, variable %d: predict side %v, Standardize %v", j, i, v, trained.At(i, j))
+		got, err := p.Transform.Observation(col)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, v := range got {
+			if v != q.At(i, j) {
+				t.Fatalf("observation %d, variable %d: predict side %d, trained on %d", j, i, v, q.At(i, j))
 			}
 		}
 	}

@@ -244,13 +244,3 @@ func Generate(cfg Config) (*dataset.Data, *Truth, error) {
 	}
 	return d, truth, nil
 }
-
-// MustGenerate is Generate for known-good configurations; it panics on
-// configuration errors.
-func MustGenerate(cfg Config) (*dataset.Data, *Truth) {
-	d, truth, err := Generate(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return d, truth
-}

@@ -239,15 +239,6 @@ func TestDefaultDerivation(t *testing.T) {
 	}
 }
 
-func TestMustGeneratePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MustGenerate did not panic on bad config")
-		}
-	}()
-	MustGenerate(Config{N: 1, M: 1})
-}
-
 // TestGenerateManyModulesFewPatterns: when modules vastly outnumber the
 // distinguishable sign patterns, generation must still terminate (the
 // signature-retry budget is finite) and produce a valid data set.

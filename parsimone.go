@@ -101,21 +101,22 @@ func Equal(a, b *Network) bool { return result.Equal(a, b) }
 // CPD is a module's executable regression-tree conditional distribution.
 type CPD = module.CPD
 
-// BuildCPDs assembles one executable CPD per learned module, enabling
-// prediction and held-out likelihood scoring with the learned network.
-func BuildCPDs(d *Data, opt Options, out *Output) ([]*CPD, error) {
-	return core.BuildCPDs(d, opt, out)
+// Predictor is a learned network as an executable model: the training
+// transform and one CPD per module.
+type Predictor = core.Predictor
+
+// Prediction is one module's predicted mean and variance.
+type Prediction = core.Prediction
+
+// NewPredictor builds the predictor of a learning output from the data set
+// and Options it was learned with. Predict takes raw observations;
+// Transform.Observation gives the CPD input itself.
+func NewPredictor(d *Data, opt Options, out *Output) (*Predictor, error) {
+	return core.NewPredictor(d, opt, out)
 }
 
-// QuantizeObservation maps a raw observation vector onto the fixed-point
-// grid the CPDs consume.
-func QuantizeObservation(values []float64) []int64 {
-	out := make([]int64, len(values))
-	for i, v := range values {
-		out[i] = score.Quantize(v)
-	}
-	return out
-}
+// Dequantize maps a CPD input value back to the scale the CPDs predict on.
+func Dequantize(q int64) float64 { return score.Dequantize(q) }
 
 // GenomicaParams configures the GENOMICA (Segal et al.) two-step learner,
 // provided as a comparison system (paper §1.1, §6).
@@ -124,13 +125,16 @@ type GenomicaParams = genomica.Params
 // GenomicaResult is a GENOMICA-learned module network.
 type GenomicaResult = genomica.Result
 
-// LearnGenomica runs the GENOMICA two-step algorithm on the data set
-// (standardized and quantized like the Lemon-Tree engines).
+// LearnGenomica runs the GENOMICA two-step algorithm on the data set,
+// checked, standardized and quantized by the Lemon-Tree engines' training
+// transform under DefaultOptions.
 func LearnGenomica(d *Data, par GenomicaParams, seed uint64) (*GenomicaResult, error) {
-	work := d.Clone()
-	work.Standardize()
-	q := score.QuantizeData(work)
-	return genomica.Learn(q, score.DefaultPrior(), par, prng.New(seed))
+	opt := core.DefaultOptions()
+	_, q, err := core.Fit(d, opt)
+	if err != nil {
+		return nil, err
+	}
+	return genomica.Learn(q, opt.Prior, par, prng.New(seed))
 }
 
 // CrossValidate runs k-fold cross-validation over observations, scoring

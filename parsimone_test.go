@@ -68,3 +68,21 @@ func TestPublicAPITSV(t *testing.T) {
 		t.Fatal("TSV round trip failed")
 	}
 }
+
+// TestLearnGenomicaRefusesLikeLearn: a variable whose standard deviation
+// overflows float64 is refused by LearnGenomica with Learn's own message,
+// instead of being learned as a constant.
+func TestLearnGenomicaRefusesLikeLearn(t *testing.T) {
+	data, _, err := GenerateSynthetic(SynthConfig{N: 12, M: 10, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for j := 0; j < data.M; j++ {
+		data.Values[2*data.M+j] = 1e200 * float64(j+1)
+	}
+	_, learnErr := Learn(data, DefaultOptions())
+	_, genErr := LearnGenomica(data, GenomicaParams{Modules: 2, MaxIters: 2}, 1)
+	if learnErr == nil || genErr == nil || genErr.Error() != learnErr.Error() {
+		t.Fatalf("LearnGenomica = %v, want Learn's refusal %v", genErr, learnErr)
+	}
+}
