@@ -59,7 +59,7 @@ func CompareGenomica(scale Scale) *Table {
 			ltDur += time.Since(start)
 			ltARI += result.AdjustedRandIndex(truth.ModuleOf, ltOut.Network.ModuleOf())
 
-			_, q, err := core.Fit(d, opt)
+			_, q, err := core.Fit(d)
 			if err != nil {
 				panic(err)
 			}

@@ -157,18 +157,9 @@ func TestCancelMatrixRankGroups(t *testing.T) {
 	}
 	f := &fixtureData{data: data, opt: opt, want: want}
 	const p = 2
-	checks := make([]int64, p)
-	if _, err := comm.Run(p, func(c *comm.Comm) error {
-		out, err := LearnWithComm(c, data, opt)
-		if err != nil {
-			return err
-		}
-		checks[c.Rank()] = out.CancelChecks
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	for victim, n := range checks {
+	outs, _ := worldOutputs(t, p, data, opt)
+	for victim, out := range outs {
+		n := out.CancelChecks
 		if n < 5 {
 			t.Fatalf("rank %d polled only %d cancellation checks, matrix needs more structure", victim, n)
 		}

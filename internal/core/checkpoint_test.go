@@ -301,7 +301,6 @@ func TestCheckpointResumesOnlyItsOwnRun(t *testing.T) {
 		{"Module.Splits.MaxSteps", d, func(o *Options) { o.Module.Splits.MaxSteps = 32 }},
 		{"Module.Splits.Candidates", d, func(o *Options) { o.Module.Splits.Candidates = []int{0, 1, 2, 3} }},
 		{"CoOccurrenceThreshold", d, func(o *Options) { o.CoOccurrenceThreshold = 0.5 }},
-		{"Standardize", d, func(o *Options) { o.Standardize = !o.Standardize }},
 		{"Prior.Alpha0", d, func(o *Options) { o.Prior.Alpha0 += 0.5 }},
 		{"Subset", fewerObs, func(*Options) {}},
 		{"OneValue", oneValue, func(*Options) {}},

@@ -57,13 +57,9 @@ type Options struct {
 	Consensus consensus.Params
 	// Module configures tree learning and split assignment.
 	Module module.Params
-	// Standardize rescales each variable to zero mean and unit variance
-	// before quantization.
-	Standardize bool
 	// RecordWork enables work recording; the recorded workload drives the
-	// strong-scaling time model. Accepted on a one-rank world only, however
-	// it was launched (Learn, LearnParallel(1, …), LearnWithComm): with more
-	// ranks each would see only its own block's steps.
+	// strong-scaling time model. Accepted on a one-rank world only: with
+	// more ranks each would see only its own block's steps.
 	RecordWork bool
 	// Workers is W, the number of intra-rank worker goroutines each rank
 	// uses to evaluate its block of score computations — the thread level
@@ -171,7 +167,6 @@ func DefaultOptions() Options {
 		Module: module.Params{
 			Tree: ganesh.ObsParams{Updates: 2, Burnin: 1},
 		},
-		Standardize: true,
 	}
 }
 
@@ -185,27 +180,27 @@ type Output struct {
 	// Splits is the raw split assignment behind the parent scores; CPDs
 	// are assembled from it (see NewPredictor).
 	Splits splits.Result
-	// Timers holds the per-task wall-clock breakdown of this rank.
+	// Timers holds rank 0's per-task wall-clock breakdown.
 	Timers *trace.Timers
 	// Workload is the recorded parallelizable work (nil unless
 	// Options.RecordWork was set).
 	Workload *trace.Workload
-	// CommStats is this rank's message traffic; from LearnParallel and
-	// Learn, the total over all ranks. A one-rank world enters collectives
-	// but sends nothing.
+	// CommStats is the message traffic of every rank of the world that
+	// finished the run, summed. A one-rank world enters collectives but
+	// sends nothing.
 	CommStats comm.Stats
 	// Recovery lists the supervised restarts the run survived (empty for
 	// an uninterrupted run).
 	Recovery []trace.RecoveryEvent
-	// CancelChecks counts the cancellation checks this rank polled — the
+	// CancelChecks counts the cancellation checks rank 0 polled — the
 	// probe a cancel matrix uses to enumerate every cancellation point of
-	// a clean run. A pure function of (options, p, rank): GaneSH polls once
-	// per update step of each run the rank's group executes, every other
-	// check sits at a replicated program point. So it is identical on every
-	// rank and for every p when G = 1 or p = 1 (one group).
+	// a clean run. A pure function of (options, p): GaneSH polls once per
+	// update step of each run rank 0's group executes, and every other
+	// check sits at a replicated program point, so it is the same for
+	// every p when G = 1.
 	CancelChecks int64
-	// Events is the merged structured event stream (Options.Events; on
-	// rank 0 only — other ranks return nil).
+	// Events is the structured event stream of every rank, merged
+	// (Options.Events), led by one event per supervised restart.
 	Events []obs.Event
 }
 
@@ -273,16 +268,7 @@ func check(p int, d *dataset.Data, opt Options) (*Transform, error) {
 	if err := opt.validate(p); err != nil {
 		return nil, err
 	}
-	return fit(d, opt.Standardize)
-}
-
-// checkpointKey is the run key a checkpointing run stamps its checkpoints
-// with; a run that does not checkpoint never hashes its inputs.
-func checkpointKey(d *dataset.Data, opt Options) (key digest) {
-	if opt.CheckpointDir != "" {
-		key = runDigest(d, opt)
-	}
-	return key
+	return fit(d)
 }
 
 // failpointFn returns the task-boundary crash hook of rank: a no-op unless
@@ -531,21 +517,6 @@ func run(rc rank.Context, d *dataset.Data, q *score.QData, kern *score.Kernel, k
 // with its supervision, fault injection and cancellation (DESIGN §20).
 func Learn(d *dataset.Data, opt Options) (*Output, error) { return LearnParallel(1, d, opt) }
 
-// LearnWithComm runs the full pipeline on an existing communicator, each
-// rank with data and a scoring kernel of its own; every rank returns an
-// identical network. When Options.Ctx fires, the first rank to poll it
-// panics with an ErrCancelled/ErrDeadline-wrapped error, tearing the world
-// down through the usual abort path — callers driving their own comm.Run
-// see it as a RankError; LearnParallel distills it into a *CancelledError.
-func LearnWithComm(c *comm.Comm, d *dataset.Data, opt Options) (*Output, error) {
-	t, err := check(c.Size(), d, opt)
-	if err != nil {
-		return nil, err
-	}
-	q := t.prepare(d)
-	return learn(c, d, q, score.NewKernel(opt.Prior, q.N*q.M), checkpointKey(d, opt), opt)
-}
-
 // learn builds the run context of c's rank from the options — the one place
 // that says how a rank executes (DESIGN §21) — runs the pipeline on it over
 // the prepared data and the learn's kernel, and collects the rank's side of
@@ -654,24 +625,18 @@ func Supervise(p int, d *dataset.Data, opt Options, between func(trace.RecoveryE
 	if err != nil {
 		return nil, err
 	}
-	q, key := t.prepare(d), checkpointKey(d, opt)
+	q := t.prepare(d)
 	kern := score.NewKernel(opt.Prior, q.N*q.M)
+	// The key checkpoints are stamped with; a run that does not checkpoint
+	// never hashes its inputs.
+	var key digest
+	if opt.CheckpointDir != "" {
+		key = runDigest(d, opt)
+	}
 	attempt := opt
 	var recovery []trace.RecoveryEvent
 	for {
-		outs := make([]*Output, p)
-		var faults []comm.Fault
-		if attempt.Inject != nil {
-			faults = attempt.Inject.Comm
-		}
-		stats, err := comm.RunWithFaults(p, faults, func(c *comm.Comm) error {
-			out, err := learn(c, d, q, kern, key, attempt)
-			if err != nil {
-				return err
-			}
-			outs[c.Rank()] = out
-			return nil
-		})
+		outs, stats, err := runWorld(p, d, q, kern, key, attempt)
 		if err != nil {
 			if isCancel(err) {
 				return nil, cancelledError(err, opt)
@@ -722,4 +687,27 @@ func Supervise(p int, d *dataset.Data, opt Options, between func(trace.RecoveryE
 		}
 		return out, nil
 	}
+}
+
+// runWorld is one attempt of Supervise: a world of p ranks learns over the
+// prepared data q and the learn's kernel, with opt's comm faults injected, and
+// every rank's output and message traffic is returned. When Options.Ctx
+// fires, the first rank to poll it panics with an ErrCancelled- or
+// ErrDeadline-wrapped error, which tears the world down through the usual
+// abort path.
+func runWorld(p int, d *dataset.Data, q *score.QData, kern *score.Kernel, key digest, opt Options) ([]*Output, []comm.Stats, error) {
+	outs := make([]*Output, p)
+	var faults []comm.Fault
+	if opt.Inject != nil {
+		faults = opt.Inject.Comm
+	}
+	stats, err := comm.RunWithFaults(p, faults, func(c *comm.Comm) error {
+		out, err := learn(c, d, q, kern, key, opt)
+		if err != nil {
+			return err
+		}
+		outs[c.Rank()] = out
+		return nil
+	})
+	return outs, stats, err
 }

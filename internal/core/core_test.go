@@ -39,6 +39,27 @@ func fastOptions(seed uint64) Options {
 	return opt
 }
 
+// worldOutputs runs one unsupervised world of p ranks through runWorld, the
+// single attempt Supervise's loop makes, over inputs prepared as Supervise
+// prepares them, and returns every rank's output and message traffic.
+func worldOutputs(t testing.TB, p int, d *dataset.Data, opt Options) ([]*Output, []comm.Stats) {
+	t.Helper()
+	tr, err := check(p, d, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := tr.prepare(d)
+	var key digest
+	if opt.CheckpointDir != "" {
+		key = runDigest(d, opt)
+	}
+	outs, stats, err := runWorld(p, d, q, score.NewKernel(opt.Prior, q.N*q.M), key, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return outs, stats
+}
+
 func TestLearnEndToEnd(t *testing.T) {
 	d, _ := testData(t, 30, 24, 1)
 	out, err := Learn(d, fastOptions(3))
@@ -142,20 +163,18 @@ func TestLearnRecordsWork(t *testing.T) {
 }
 
 // TestLearnIsOneRankWorld: there is one engine, and a sequential run is it on
-// a one-rank world (DESIGN §20) — Learn, LearnParallel(1, …) and LearnWithComm
-// under comm.Run(1, …) report the same network, event stream, registry,
-// recorded workload and cancellation checks, with every sink attached.
+// a one-rank world (DESIGN §20) — Learn, LearnParallel(1, …) and one
+// unsupervised world of one rank (runWorld) report the same network, event
+// stream, registry, recorded workload and cancellation checks, with every
+// sink attached.
 func TestLearnIsOneRankWorld(t *testing.T) {
 	d, _ := testData(t, 24, 20, 4)
 	launch := map[string]func(Options) (*Output, error){
 		"Learn":         func(opt Options) (*Output, error) { return Learn(d, opt) },
 		"LearnParallel": func(opt Options) (*Output, error) { return LearnParallel(1, d, opt) },
-		"LearnWithComm": func(opt Options) (out *Output, err error) {
-			_, err = comm.Run(1, func(c *comm.Comm) (err error) {
-				out, err = LearnWithComm(c, d, opt)
-				return err
-			})
-			return out, err
+		"runWorld": func(opt Options) (*Output, error) {
+			outs, _ := worldOutputs(t, 1, d, opt)
+			return outs[0], nil
 		},
 	}
 	type report struct {
@@ -189,7 +208,7 @@ func TestLearnIsOneRankWorld(t *testing.T) {
 	if len(want.out.Events) == 0 || want.workload == "" || want.out.CancelChecks == 0 {
 		t.Fatalf("Learn reported %d events, workload %q, %d cancel checks", len(want.out.Events), want.workload, want.out.CancelChecks)
 	}
-	for _, name := range []string{"LearnParallel", "LearnWithComm"} {
+	for _, name := range []string{"LearnParallel", "runWorld"} {
 		got := reports[name]
 		if !bytes.Equal(got.network.Bytes(), want.network.Bytes()) {
 			t.Errorf("%s: binary network differs from Learn's", name)
@@ -474,7 +493,7 @@ func TestCheckDataCapacityBound(t *testing.T) {
 		{3, 11184811}, // MaxBlockCells + 1
 	} {
 		cells := c.n * c.m
-		_, err := fit(&dataset.Data{N: c.n, M: c.m}, true)
+		_, err := fit(&dataset.Data{N: c.n, M: c.m})
 		refused := err != nil && strings.Contains(err.Error(), "exceeds the exact-statistics capacity")
 		if want := cells > score.MaxBlockCells; refused != want || err == nil {
 			t.Fatalf("%d×%d = MaxBlockCells%+d cells: fit = %v, want a capacity refusal %v",
@@ -489,8 +508,8 @@ func TestCheckDataCapacityBound(t *testing.T) {
 var overflowRows = [][]float64{{1e300, -1e300, 3e299}, {1e308, 1e308, 0}}
 
 // TestCheckRefusesOverflowingMoments: a variable whose mean or standard
-// deviation is not finite is refused by Check and by Learn under
-// Standardize, with the variable named, and is accepted unstandardized.
+// deviation is not finite is refused by Check and by Learn, with the
+// variable named.
 func TestCheckRefusesOverflowingMoments(t *testing.T) {
 	for _, row := range overflowRows {
 		d := dataset.New(3, 3)
@@ -507,26 +526,25 @@ func TestCheckRefusesOverflowingMoments(t *testing.T) {
 				t.Errorf("%v: %s = %v, want a refusal naming the variable", row, c.name, c.err)
 			}
 		}
-		opt.Standardize = false
-		if err := Check(1, d, opt); err != nil {
-			t.Errorf("%v unstandardized: %v", row, err)
-		}
 	}
 }
 
 // FuzzPrepare: a data set of any small shape, its cells cycling through four
 // arbitrary floats (±Inf, NaN, ±10³⁰⁰, subnormals, values at the clipping
 // bound and a grid step either side of it), is refused by Fit exactly when
-// its shape is below 2×2, a cell is not finite, or — standardized — a
-// variable's mean or standard deviation is not. Otherwise Fit returns every
-// cell within ±MaxAbsCell and bit-equal to score.QuantizeData of the
-// dataset.Standardize'd copy (of the raw cells, unstandardized); every
-// standardized value is finite; Fit leaves the caller's cells as they were.
-// The observation path maps every training column onto exactly its
-// prepared cells, and refuses a column of the wrong length or with a
-// non-finite value. Nothing panics. The seeds are the quantization
-// envelope's pins (score.TestQuantizationEnvelope), the edges above and the
-// overflowing rows.
+// its shape is below 2×2, a cell is not finite, or a variable's mean or
+// standard deviation is not. Otherwise Fit returns every cell within
+// ±MaxAbsCell and bit-equal to score.QuantizeData of the
+// dataset.Standardize'd copy; every standardized value is finite; Fit leaves
+// the caller's cells as they were. The observation path maps every training
+// column onto exactly its prepared cells, refuses a column of the wrong
+// length or with a non-finite value, and refuses an observation repeating
+// one float (one of the four, or a fifth arbitrary one) exactly when that
+// float, or its standardized value in some variable, is not finite. Nothing
+// panics. The seeds are the quantization envelope's pins
+// (score.TestQuantizationEnvelope), the edges above and the overflowing rows,
+// each observed at 10³⁰⁰, and the all-10³⁰⁰ observation against a variable
+// of standard deviation 5·10⁻¹¹, whose standardized value overflows.
 func FuzzPrepare(f *testing.F) {
 	const step = 1.0 / score.ValueScale
 	eps := math.Ldexp(1, -52)
@@ -541,39 +559,36 @@ func FuzzPrepare(f *testing.F) {
 		{0, math.Inf(-1), 0, 0},
 		{0, 0, math.NaN(), 0},
 	} {
-		f.Add(uint8(3), uint8(4), v[0], v[1], v[2], v[3], false)
-		f.Add(uint8(2), uint8(2), v[0], v[1], v[2], v[3], true)
+		f.Add(uint8(3), uint8(4), v[0], v[1], v[2], v[3], 1e300)
+		f.Add(uint8(2), uint8(2), v[0], v[1], v[2], v[3], 1e300)
 	}
 	for _, r := range overflowRows {
-		f.Add(uint8(2), uint8(3), r[0], r[1], r[2], 0.0, true)
+		f.Add(uint8(2), uint8(3), r[0], r[1], r[2], 0.0, 1e300)
 	}
-	f.Add(uint8(1), uint8(5), 0.5, -0.5, 1.0, 2.0, false)
-	f.Add(uint8(5), uint8(1), 0.5, -0.5, 1.0, 2.0, true)
-	f.Add(uint8(0), uint8(0), 0.0, 0.0, 0.0, 0.0, false)
-	f.Fuzz(func(t *testing.T, nb, mb uint8, a, b, c, e float64, standardize bool) {
+	f.Add(uint8(2), uint8(2), 1.0, 2.0, 0.0, 1e-10, 1e300)
+	f.Add(uint8(1), uint8(5), 0.5, -0.5, 1.0, 2.0, 1e300)
+	f.Add(uint8(5), uint8(1), 0.5, -0.5, 1.0, 2.0, 1e300)
+	f.Add(uint8(0), uint8(0), 0.0, 0.0, 0.0, 0.0, 1e300)
+	f.Fuzz(func(t *testing.T, nb, mb uint8, a, b, c, e, o float64) {
 		d := dataset.New(int(nb%7), int(mb%7))
 		vals := [4]float64{a, b, c, e}
-		finite := true
+		accept := d.N >= 2 && d.M >= 2
 		for i := range d.Values {
 			v := vals[i%4]
 			if i/4%2 == 1 {
 				v = -v
 			}
 			d.Values[i] = v
-			finite = finite && !math.IsNaN(v) && !math.IsInf(v, 0)
+			accept = accept && finite(v)
 		}
-		if finite && standardize {
-			mean, sd := d.Moments()
-			for i := range mean {
-				for _, v := range []float64{mean[i], sd[i]} {
-					finite = finite && !math.IsNaN(v) && !math.IsInf(v, 0)
-				}
-			}
+		mean, sd := d.Moments()
+		for i := range mean {
+			accept = accept && finite(mean[i]) && finite(sd[i])
 		}
 		raw := slices.Clone(d.Values)
-		tr, q, err := Fit(d, Options{Standardize: standardize})
-		if refuse := d.N < 2 || d.M < 2 || !finite; (err != nil) != refuse {
-			t.Fatalf("%d×%d, cells %v: Fit = %v, want a refusal %v", d.N, d.M, vals, err, refuse)
+		tr, q, err := Fit(d)
+		if (err == nil) != accept {
+			t.Fatalf("%d×%d, cells %v: Fit = %v, want a refusal %v", d.N, d.M, vals, err, !accept)
 		}
 		if err != nil {
 			return
@@ -585,14 +600,12 @@ func FuzzPrepare(f *testing.F) {
 			if cell < -score.MaxAbsCell || cell > score.MaxAbsCell {
 				t.Fatalf("cell %d (raw %v) quantized to %d, outside ±%d", i, raw[i], cell, int64(score.MaxAbsCell))
 			}
-			if v := tr.scale(i/d.M, raw[i]); math.IsNaN(v) || math.IsInf(v, 0) {
+			if v := tr.scale(i/d.M, raw[i]); !finite(v) {
 				t.Fatalf("cell %d (raw %v) standardized to %v", i, raw[i], v)
 			}
 		}
 		ref := d.Clone()
-		if standardize {
-			ref.Standardize()
-		}
+		ref.Standardize()
 		if want := score.QuantizeData(ref); !slices.Equal(q.Cells, want.Cells) {
 			t.Fatalf("%d×%d: Fit's cells %v, dataset.Standardize and score.QuantizeData give %v", d.N, d.M, q.Cells, want.Cells)
 		}
@@ -617,6 +630,16 @@ func FuzzPrepare(f *testing.F) {
 		col[d.N-1] = math.NaN()
 		if _, err := tr.Observation(col); err == nil {
 			t.Fatal("an observation with a NaN value was accepted")
+		}
+		for _, v := range append(vals[:], o) {
+			ok := finite(v)
+			for i := range col {
+				col[i] = v
+				ok = ok && finite(dataset.Standardized(v, mean[i], sd[i]))
+			}
+			if _, err := tr.Observation(col); (err == nil) != ok {
+				t.Fatalf("%d×%d, moments %v, %v: observation of all %v = %v, want a refusal %v", d.N, d.M, mean, sd, v, err, !ok)
+			}
 		}
 	})
 }

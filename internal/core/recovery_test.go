@@ -133,13 +133,7 @@ func TestCommFaultRecoveryBitIdentical(t *testing.T) {
 	d, opt, want := recoveryFixture(t)
 	for _, p := range []int{2, 4} {
 		victim := p - 1
-		probe, err := comm.Run(p, func(c *comm.Comm) error {
-			_, err := LearnWithComm(c, d, opt)
-			return err
-		})
-		if err != nil {
-			t.Fatalf("p=%d probe: %v", p, err)
-		}
+		_, probe := worldOutputs(t, p, d, opt)
 		maxOp := probe[victim].Ops
 		if maxOp < 4 {
 			t.Fatalf("p=%d: probe counted only %d ops on rank %d", p, maxOp, victim)

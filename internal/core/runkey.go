@@ -51,8 +51,6 @@ type canonicalOptions struct {
 	SplitsNumSplits int   `json:"splits_num"`
 	SplitsMaxSteps  int   `json:"splits_max_steps"`
 	Candidates      []int `json:"candidates,omitempty"`
-
-	Standardize bool `json:"standardize"`
 }
 
 func canonicalize(opt Options) canonicalOptions {
@@ -79,8 +77,6 @@ func canonicalize(opt Options) canonicalOptions {
 		SplitsNumSplits: opt.Module.Splits.NumSplits,
 		SplitsMaxSteps:  opt.Module.Splits.MaxSteps,
 		Candidates:      opt.Module.Splits.Candidates,
-
-		Standardize: opt.Standardize,
 	}
 }
 

@@ -464,7 +464,7 @@ func Learn(d *dataset.Data, opt core.Options) (*core.Output, error) {
 	if err := core.Check(1, d, opt); err != nil {
 		return nil, err
 	}
-	_, q, err := core.Fit(d, opt)
+	_, q, err := core.Fit(d)
 	if err != nil {
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package score
 
 import (
 	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -59,7 +60,7 @@ func TestQuantizeFitsInt32(t *testing.T) {
 		q := Quantize(x)
 		return q >= -MaxAbsCell && q <= MaxAbsCell && int64(int32(q)) == q
 	}
-	if err := quick.Check(check, nil); err != nil {
+	if err := quick.Check(check, &quick.Config{Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Fatal(err)
 	}
 	d := dataset.New(1, 4)
@@ -133,7 +134,7 @@ func TestQuantizeMonotone(t *testing.T) {
 		}
 		return Quantize(a) <= Quantize(b)
 	}
-	if err := quick.Check(check, nil); err != nil {
+	if err := quick.Check(check, &quick.Config{Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -213,7 +214,7 @@ func TestStatsIncrementalEqualsRecomputedProperty(t *testing.T) {
 		}
 		return inc == StatsOf(remaining)
 	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 200}); err != nil {
+	if err := quick.Check(check, &quick.Config{MaxCount: 200, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -256,7 +257,7 @@ func TestLogMLFinite(t *testing.T) {
 		ml := pr.LogML(StatsOf(vals))
 		return !math.IsNaN(ml) && !math.IsInf(ml, 0)
 	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 300}); err != nil {
+	if err := quick.Check(check, &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -360,7 +361,7 @@ func TestQuantizeWeightsMaxAlwaysPositive(t *testing.T) {
 		}
 		return total > 0
 	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 200}); err != nil {
+	if err := quick.Check(check, &quick.Config{MaxCount: 200, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Fatal(err)
 	}
 }

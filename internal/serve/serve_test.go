@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -499,7 +500,8 @@ func TestBadRequests(t *testing.T) {
 // TestUnknownFieldsAndTrailingBytesRejected: a misspelled field or bytes
 // after the JSON value fail the submit and predict requests with a 400 that
 // says what is wrong, instead of running with the defaults; no job is
-// admitted for a refused submit.
+// admitted for a refused submit. A predict observation with a value that
+// overflows float64 once standardized is refused too.
 func TestUnknownFieldsAndTrailingBytesRejected(t *testing.T) {
 	tsv, d, _ := fixture(t)
 	s := NewServer(Config{Jobs: jobs.Config{MaxJobs: 1}})
@@ -540,6 +542,23 @@ func TestUnknownFieldsAndTrailingBytesRejected(t *testing.T) {
 	predict := fmt.Sprintf("/api/v1/jobs/%d/predict", id)
 	refuse("misspelled predict field", predict, `{"observations":`+string(obs)+`}`, `"observations"`)
 	refuse("trailing predict bytes", predict, `{"observation":`+string(obs)+`}}`, "after the JSON value")
+	// A finite value whose standardized value overflows float64 would reach
+	// the CPDs clipped to ±MaxAbsValue; the 400 names its index and value.
+	_, sd := d.Moments()
+	v := 0
+	for i := range sd {
+		if sd[i] < sd[v] {
+			v = i
+		}
+	}
+	if sd[v] >= 1 {
+		t.Fatalf("the fixture's smallest standard deviation is %v: no finite value overflows", sd[v])
+	}
+	huge := make([]float64, d.N)
+	huge[v] = math.MaxFloat64
+	hugeObs, _ := json.Marshal(huge)
+	refuse("overflowing observation", predict, `{"observation":`+string(hugeObs)+`}`,
+		fmt.Sprintf("observation value %d is %g", v, math.MaxFloat64))
 	if w := call(t, s, "POST", predict, `{"observation":`+string(obs)+`}`); w.Code != http.StatusOK {
 		t.Fatalf("well-formed predict: code %d (body %s)", w.Code, w.Body)
 	}

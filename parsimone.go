@@ -125,16 +125,15 @@ type GenomicaParams = genomica.Params
 // GenomicaResult is a GENOMICA-learned module network.
 type GenomicaResult = genomica.Result
 
-// LearnGenomica runs the GENOMICA two-step algorithm on the data set,
-// checked, standardized and quantized by the Lemon-Tree engines' training
-// transform under DefaultOptions.
+// LearnGenomica runs the GENOMICA two-step algorithm, under the default
+// prior, on the data set checked, standardized and quantized by the
+// Lemon-Tree engines' training transform.
 func LearnGenomica(d *Data, par GenomicaParams, seed uint64) (*GenomicaResult, error) {
-	opt := core.DefaultOptions()
-	_, q, err := core.Fit(d, opt)
+	_, q, err := core.Fit(d)
 	if err != nil {
 		return nil, err
 	}
-	return genomica.Learn(q, opt.Prior, par, prng.New(seed))
+	return genomica.Learn(q, score.DefaultPrior(), par, prng.New(seed))
 }
 
 // CrossValidate runs k-fold cross-validation over observations, scoring
