@@ -44,15 +44,22 @@ cross:
 # `parsivet -json ./...` emits machine-readable findings.
 # -strict-suppressions keeps //parsivet: audit comments honest by failing on
 # stale ones; -time records the lint wall time on stderr.
-# The grep step keeps tier-1 a function of the commit: a testing/quick
+# The first grep step keeps tier-1 a function of the commit: a testing/quick
 # property seeded from the clock (a nil Config, or a one-line Config literal
 # without Rand) tests different inputs on every run, and a failure cannot be
-# replayed from its log.
+# replayed from its log. The second keeps the distribution rule's executor
+# single (DESIGN §19): outside the rule itself (internal/trace), its one
+# executor (rank.Context.Evaluate) and the accounting (internal/obs), no
+# product code asks trace.Distributed.
 lint:
 	$(GO) run ./cmd/parsivet -time -strict-suppressions ./...
 	@out="$$(grep -rnE --include='*_test.go' 'quick\.Check(Equal)?\(.*, nil\)|quick\.Config\{' . | grep -v 'Rand:')"; \
 	if [ -n "$$out" ]; then \
 		echo "testing/quick seeded from the clock; give its Config a fixed Rand:"; echo "$$out"; exit 1; \
+	fi
+	@out="$$(grep -rnF --include='*.go' --exclude='*_test.go' 'trace.Distributed(' . | grep -vE '^\./internal/(trace|rank|obs)/')"; \
+	if [ -n "$$out" ]; then \
+		echo "trace.Distributed asked outside its executor; score the decision through rank.Context.Evaluate:"; echo "$$out"; exit 1; \
 	fi
 
 build:

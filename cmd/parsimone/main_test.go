@@ -302,6 +302,16 @@ func TestRunErrors(t *testing.T) {
 	if err := run([]string{"-in", in, "-regulators", "NOPE"}, new(bytes.Buffer)); err == nil {
 		t.Fatal("unknown regulator accepted")
 	}
+	// A repeated regulator used to learn with that parent scored twice.
+	d, _, err := synth.Generate(synth.Config{N: 30, M: 20, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := filepath.Join(t.TempDir(), "net.xml")
+	regs := d.Names[1] + "," + d.Names[1]
+	if err := run([]string{"-in", in, "-quiet", "-out", out, "-regulators", regs}, new(bytes.Buffer)); err == nil || !strings.Contains(err.Error(), "repeats") {
+		t.Fatalf("-regulators %s: %v, want a refusal of the repeat", regs, err)
+	}
 	// A -regulators value of only separators must fail fast, not reach Learn
 	// with a non-nil empty candidate list.
 	for _, regs := range []string{",", " , ", ",,"} {

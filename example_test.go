@@ -60,13 +60,15 @@ func ExampleNewPredictor() {
 	for x := range obs {
 		obs[x] = data.At(x, 0)
 	}
-	preds, err := pred.Predict(obs)
+	preds, clipped, err := pred.Predict(obs)
 	if err != nil {
 		panic(err)
 	}
 	fmt.Println("finite prediction:", !isNaN(preds[0].Mean) && preds[0].Variance > 0)
+	fmt.Println("values clipped to ±8 sd:", clipped)
 	// Output:
 	// finite prediction: true
+	// values clipped to ±8 sd: 0
 }
 
 func isNaN(x float64) bool { return x != x }

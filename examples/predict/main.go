@@ -53,7 +53,7 @@ func main() {
 		for x := range raw {
 			raw[x] = data.At(x, j)
 		}
-		if cols[j], err = pred.Transform.Observation(raw); err != nil {
+		if cols[j], _, err = pred.Transform.Observation(raw); err != nil {
 			log.Fatal(err)
 		}
 	}

@@ -204,12 +204,12 @@ type Output struct {
 	Events []obs.Event
 }
 
-// validate checks the options for a world of p ranks.
-func (o Options) validate(p int) error {
+// validate checks the options for a world of p ranks over n variables.
+func (o Options) validate(p, n int) error {
 	if err := o.Prior.Validate(); err != nil {
 		return err
 	}
-	if err := o.Module.Splits.Validate(); err != nil {
+	if err := o.Module.Splits.Validate(n); err != nil {
 		return fmt.Errorf("core: invalid split params: %w", err)
 	}
 	if o.GaneshRuns < 1 {
@@ -265,7 +265,7 @@ func check(p int, d *dataset.Data, opt Options) (*Transform, error) {
 	if p < 1 {
 		return nil, fmt.Errorf("core: a world of %d ranks cannot exist (need p ≥ 1)", p)
 	}
-	if err := opt.validate(p); err != nil {
+	if err := opt.validate(p, d.N); err != nil {
 		return nil, err
 	}
 	return fit(d)

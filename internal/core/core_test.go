@@ -502,6 +502,39 @@ func TestCheckDataCapacityBound(t *testing.T) {
 	}
 }
 
+// TestCheckRefusesBadCandidates: a candidate parent that is not a variable,
+// or is listed twice, is refused by Check and by Learn with the entry named,
+// before any world starts. The first used to panic inside every world the
+// restart budget allowed (a slice bound), the second to learn another
+// network than the list without the repeat, scoring the parent twice.
+func TestCheckRefusesBadCandidates(t *testing.T) {
+	d, _ := testData(t, 60, 30, 3)
+	for _, c := range []struct {
+		candidates []int
+		named      string
+	}{
+		{[]int{99}, "Candidates[0] = 99"},
+		{[]int{-1}, "Candidates[0] = -1"},
+		{[]int{3, 3, 4}, "Candidates[1] = 3 repeats Candidates[0]"},
+	} {
+		opt := fastOptions(1)
+		opt.MaxRestarts = 2
+		opt.Module.Splits.Candidates = c.candidates
+		out, learnErr := Learn(d, opt)
+		for _, r := range []struct {
+			name string
+			err  error
+		}{{"Check", Check(1, d, opt)}, {"Learn", learnErr}} {
+			if r.err == nil || !strings.Contains(r.err.Error(), c.named) || strings.Contains(r.err.Error(), "panic") {
+				t.Errorf("Candidates %v: %s = %v, want a refusal naming %q", c.candidates, r.name, r.err, c.named)
+			}
+		}
+		if out != nil {
+			t.Errorf("Candidates %v: Learn returned a network", c.candidates)
+		}
+	}
+}
+
 // overflowRows are finite rows whose moments overflow float64: the squared
 // deviations of the first sum to +Inf (it used to standardize to all
 // zeros), the second's sum itself overflows (it used to standardize to NaN).
@@ -609,12 +642,23 @@ func FuzzPrepare(f *testing.F) {
 		if want := score.QuantizeData(ref); !slices.Equal(q.Cells, want.Cells) {
 			t.Fatalf("%d×%d: Fit's cells %v, dataset.Standardize and score.QuantizeData give %v", d.N, d.M, q.Cells, want.Cells)
 		}
+		// recount counts the values of an observation whose standardized
+		// value lies beyond the quantization bound.
+		recount := func(obs []float64) int {
+			n := 0
+			for i, v := range obs {
+				if z := dataset.Standardized(v, mean[i], sd[i]); z < -score.MaxAbsValue || z > score.MaxAbsValue {
+					n++
+				}
+			}
+			return n
+		}
 		col := make([]float64, d.N)
 		for j := 0; j < d.M; j++ {
 			for i := range col {
 				col[i] = d.At(i, j)
 			}
-			obs, err := tr.Observation(col)
+			obs, clipped, err := tr.Observation(col)
 			if err != nil {
 				t.Fatalf("training column %d refused: %v", j, err)
 			}
@@ -623,12 +667,15 @@ func FuzzPrepare(f *testing.F) {
 					t.Fatalf("column %d, variable %d: observation %d, prepared cell %d", j, i, v, q.At(i, j))
 				}
 			}
+			if want := recount(col); clipped != want {
+				t.Fatalf("column %d: %d values clipped, %d lie beyond ±%v", j, clipped, want, score.MaxAbsValue)
+			}
 		}
-		if _, err := tr.Observation(col[1:]); err == nil {
+		if _, _, err := tr.Observation(col[1:]); err == nil {
 			t.Fatalf("%d×%d: a %d-value observation was accepted", d.N, d.M, d.N-1)
 		}
 		col[d.N-1] = math.NaN()
-		if _, err := tr.Observation(col); err == nil {
+		if _, _, err := tr.Observation(col); err == nil {
 			t.Fatal("an observation with a NaN value was accepted")
 		}
 		for _, v := range append(vals[:], o) {
@@ -637,8 +684,12 @@ func FuzzPrepare(f *testing.F) {
 				col[i] = v
 				ok = ok && finite(dataset.Standardized(v, mean[i], sd[i]))
 			}
-			if _, err := tr.Observation(col); (err == nil) != ok {
+			_, clipped, err := tr.Observation(col)
+			if (err == nil) != ok {
 				t.Fatalf("%d×%d, moments %v, %v: observation of all %v = %v, want a refusal %v", d.N, d.M, mean, sd, v, err, !ok)
+			}
+			if want := recount(col); ok && clipped != want {
+				t.Fatalf("observation of all %v: %d values clipped, %d lie beyond ±%v", v, clipped, want, score.MaxAbsValue)
 			}
 		}
 	})

@@ -77,26 +77,31 @@ func (t *Transform) prepare(d *dataset.Data) *score.QData {
 }
 
 // Observation maps one raw observation, a value per variable, onto the CPD
-// input. A wrong-length observation is refused, and so is one with a value
-// that is not finite raw or standardized: a finite value far enough from its
-// variable's mean, against a small standard deviation, overflows to ±Inf,
-// which Quantize would clip to ±MaxAbsValue without a word.
-func (t *Transform) Observation(obs []float64) ([]int64, error) {
+// input, and counts the values it clipped: those whose standardized value
+// lies beyond ±score.MaxAbsValue, which Quantize maps to the bound as it
+// does training cells. A wrong-length observation is refused, and so is one
+// with a value that is not finite raw or standardized: a finite value far
+// enough from its variable's mean, against a small standard deviation,
+// overflows to ±Inf.
+func (t *Transform) Observation(obs []float64) (q []int64, clipped int, err error) {
 	if len(obs) != len(t.mean) {
-		return nil, fmt.Errorf("observation has %d values, dataset has %d variables", len(obs), len(t.mean))
+		return nil, 0, fmt.Errorf("observation has %d values, dataset has %d variables", len(obs), len(t.mean))
 	}
-	q := make([]int64, len(obs))
+	q = make([]int64, len(obs))
 	for i, v := range obs {
 		if !finite(v) {
-			return nil, fmt.Errorf("observation value %d is %v, not finite", i, v)
+			return nil, 0, fmt.Errorf("observation value %d is %v, not finite", i, v)
 		}
 		z := t.scale(i, v)
 		if !finite(z) {
-			return nil, fmt.Errorf("observation value %d is %g, which standardizes to %v, not finite", i, v, z)
+			return nil, 0, fmt.Errorf("observation value %d is %g, which standardizes to %v, not finite", i, v, z)
+		}
+		if math.Abs(z) > score.MaxAbsValue {
+			clipped++
 		}
 		q[i] = score.Quantize(z)
 	}
-	return q, nil
+	return q, clipped, nil
 }
 
 // Predictor is a learned network as an executable model (§2.1): the
@@ -128,16 +133,17 @@ func NewPredictor(d *dataset.Data, opt Options, out *Output) (*Predictor, error)
 }
 
 // Predict returns every module's predicted mean and variance, on the scale
-// the CPDs were learned on, for one raw observation.
-func (p *Predictor) Predict(obs []float64) ([]Prediction, error) {
-	q, err := p.Transform.Observation(obs)
+// the CPDs were learned on, for one raw observation, and how many of its
+// values were clipped to the quantization bound (Transform.Observation).
+func (p *Predictor) Predict(obs []float64) ([]Prediction, int, error) {
+	q, clipped, err := p.Transform.Observation(obs)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	preds := make([]Prediction, len(p.CPDs))
 	for k, cpd := range p.CPDs {
 		mean, variance := cpd.Predict(q)
 		preds[k] = Prediction{Module: cpd.Module, Mean: mean, Variance: variance}
 	}
-	return preds, nil
+	return preds, clipped, nil
 }

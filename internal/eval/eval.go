@@ -106,7 +106,7 @@ func fold(d *dataset.Data, opt core.Options, trainCols, testCols []int) (FoldRes
 		for x := range raw {
 			raw[x] = d.At(x, j)
 		}
-		if cols[j], err = p.Transform.Observation(raw); err != nil {
+		if cols[j], _, err = p.Transform.Observation(raw); err != nil {
 			return FoldResult{}, nil, err
 		}
 	}

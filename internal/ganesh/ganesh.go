@@ -6,22 +6,18 @@
 // Each update step performs four sweeps: n variable reassignments, a
 // variable-cluster merge pass, and — per variable cluster — m observation
 // reassignments and an observation-cluster merge pass. Every individual
-// decision is a collective weighted random choice over score gains. The
-// candidate evaluations of a decision are partitioned over ranks
-// (Algorithms 1–2) and the gains all-gathered — when the decision outweighs
-// the message (trace.Distributed, DESIGN §19); a cheaper one every rank
-// evaluates in full, which yields the same gains because they are functions
-// of replicated state. Either way every rank then draws the same choice from
+// decision is a collective weighted random choice over score gains, scored
+// by the rank's one decision executor (rank.Context.Evaluate, DESIGN §19):
+// partitioned over ranks (Algorithms 1–2) and the gains all-gathered when
+// the decision outweighs the message, evaluated in full on every rank
+// otherwise, which yields the same gains because they are functions of
+// replicated state. Either way every rank then draws the same choice from
 // the replicated PRNG stream; state transitions are applied redundantly on
 // all ranks, so the clustering state never needs to be communicated.
 package ganesh
 
 import (
-	"slices"
-
 	"parsimone/internal/cluster"
-	"parsimone/internal/comm"
-	"parsimone/internal/pool"
 	"parsimone/internal/prng"
 	"parsimone/internal/rank"
 	"parsimone/internal/score"
@@ -63,15 +59,6 @@ const (
 	PhaseObsMerge    = "ganesh/obs-merge"
 )
 
-// gainsChunk is the pool chunk size for gain evaluations, which are much
-// cheaper than split posteriors; small chunks keep the round-robin deal
-// balanced over the short candidate lists of one decision.
-const gainsChunk = 8
-
-// evalFunc stores the gains of candidates lo … lo+len(out)−1 in out,
-// scoring their blocks in one batch through b (a cluster.Gains* call).
-type evalFunc func(b *cluster.Batch, lo int, out []float64)
-
 // engine runs the sampler on one rank. Of the rank's hooks it feeds the
 // decision accounting only (the sampler makes thousands of decisions per
 // update step, so it never emits per-decision events) and polls the
@@ -92,9 +79,9 @@ type engine struct {
 	// inline uses the first.
 	batches []*cluster.Batch
 	// beforeGains, when non-nil, runs at every decision before its gains
-	// are evaluated, with the decision's candidate count, cost function and
-	// branch: a test's view of every decision, between every two mutations.
-	beforeGains func(count int, itemCost func(int) float64, distributed bool)
+	// are evaluated, with the decision's candidate count and cost function:
+	// a test's view of every decision, between every two mutations.
+	beforeGains func(count int, itemCost func(int) float64)
 }
 
 // newEngine builds an engine scoring through kern.
@@ -106,30 +93,23 @@ func newEngine(rc rank.Context, q *score.QData, kern *score.Kernel, g *prng.MRG3
 	return e
 }
 
-// decide evaluates count candidate gains, accounts the decision, converts
-// gains to quantized weights, and draws the collective weighted choice.
-// itemCost(i) reports the deterministic cost of evaluating candidate i; the
-// decision is distributed only when the costs sum to trace.Distributed
-// (DESIGN §19). The sum is a replicated value, so every rank and every p×W
-// takes the same branch and draws from the same weights.
-func (e *engine) decide(phaseName string, count int, eval evalFunc, itemCost func(int) float64) int {
+// decide scores count candidates through the rank's one decision executor
+// (rank.Context.Evaluate, DESIGN §19), converts their gains to quantized
+// weights, and draws the collective weighted choice. eval stores the gains
+// of candidates lo … lo+len(out)−1 in out, one batch through pool worker
+// w's batch (a cluster.Gains* call); itemCost(i) is the deterministic cost
+// of evaluating candidate i. The gains are pure functions of the replicated
+// clustering state, so every rank draws the same choice from the same
+// weights.
+func (e *engine) decide(phaseName string, count int, eval func(w, lo int, out []float64), itemCost func(int) float64) int {
 	if cap(e.gains) < count {
 		e.gains, e.weights = make([]float64, count), make([]uint64, count)
 	}
 	gains := e.gains[:count]
-	// One unaccounted goroutine has nobody to tell the cost to.
-	var total float64
-	if e.rc.Comm.Size()*max(1, e.rc.Workers) > 1 || e.rc.Hooks != nil {
-		for i := 0; i < count; i++ {
-			total += itemCost(i)
-		}
-	}
-	distributed := trace.Distributed(total)
 	if e.beforeGains != nil {
-		e.beforeGains(count, itemCost, distributed)
+		e.beforeGains(count, itemCost)
 	}
-	st := e.evaluate(gains, distributed, eval, itemCost)
-	e.rc.Hooks.Decision(phaseName, count, itemCost, total, int64(count), st) // words: the gains all-gather
+	e.rc.Evaluate(phaseName, gains, itemCost, eval)
 	s := e.g.WeightedIndex(score.QuantizeWeightsInto(e.weights[:count], gains))
 	if s < 0 {
 		// All gains were −Inf/NaN, which finite statistics cannot
@@ -137,43 +117,6 @@ func (e *engine) decide(phaseName string, count int, eval evalFunc, itemCost fun
 		s = count - 1
 	}
 	return s
-}
-
-// evaluate stores every candidate's gain in out. A decision that is not
-// distributed is one batch over all candidates on the calling goroutine of
-// every rank — the gains are pure functions of the replicated clustering
-// state, so every rank computes the same vector bit for bit — with no
-// message, no spawn and zero Stats. A distributed one is block-partitioned
-// over the ranks, each rank's block dealt over its pool workers one batch
-// per chunk, and the gains all-gathered; it returns the pool counters of
-// this rank's share, weighted by cost(i).
-func (e *engine) evaluate(out []float64, distributed bool, eval evalFunc, cost func(int) float64) pool.Stats {
-	if !distributed {
-		eval(e.batches[0], 0, out)
-		return pool.Stats{}
-	}
-	c := e.rc.Comm
-	lo, hi := comm.BlockRange(len(out), c.Size(), c.Rank())
-	local := out[lo:hi]
-	// The pool hands each worker whole chunks of gainsChunk items, in
-	// ascending order, so a chunk's first item stands for the chunk: that
-	// call scores the whole chunk in one batch. When one worker takes the
-	// whole block, the block is one batch.
-	n := hi - lo
-	span := gainsChunk
-	if e.rc.Workers <= 1 || n <= gainsChunk {
-		span = n
-	}
-	st := pool.For(n, e.rc.Workers, gainsChunk, func(k, w int) float64 {
-		if k%span == 0 {
-			eval(e.batches[w], lo+k, local[k:min(k+span, n)])
-		}
-		return cost(lo + k)
-	})
-	// Peers may still read the sent block after the all-gather returns
-	// here, and the next decision overwrites out: send a copy.
-	copy(out, comm.AllGatherv(c, slices.Clone(local)))
-	return st
 }
 
 // reassignVars performs the n variable-reassignment iterations of
@@ -192,7 +135,7 @@ func (e *engine) reassignVars(cc *cluster.CoClustering) {
 			return float64(e.q.M + trace.LogMLCost*2*l)
 		}
 		s := e.decide(PhaseVarReassign, k+1,
-			func(b *cluster.Batch, lo int, out []float64) { cc.GainsAttachVar(b, r, lo, out) }, cost)
+			func(w, lo int, out []float64) { cc.GainsAttachVar(e.batches[w], r, lo, out) }, cost)
 		cc.AttachVar(r, s)
 		e.rc.Hooks.Serial(PhaseVarReassign, float64(2*e.q.M))
 	}
@@ -214,7 +157,7 @@ func (e *engine) mergeVars(cc *cluster.CoClustering) {
 			return float64(e.q.M + trace.LogMLCost*(2*len(cc.Clusters[j].Clusters)+srcL))
 		}
 		s := e.decide(PhaseVarMerge, k,
-			func(b *cluster.Batch, lo int, out []float64) { cc.GainsMergeVar(b, cols, i, lo, out) }, cost)
+			func(w, lo int, out []float64) { cc.GainsMergeVar(e.batches[w], cols, i, lo, out) }, cost)
 		if s != i {
 			cc.MergeVar(i, s)
 			// The list shifted; position i now holds the next cluster.
@@ -236,7 +179,7 @@ func (e *engine) reassignObs(oc *cluster.ObsClusters) {
 		col := oc.DetachObs(r)
 		l := len(oc.Clusters)
 		s := e.decide(PhaseObsReassign, l+1,
-			func(b *cluster.Batch, lo int, out []float64) { oc.GainsAttachObs(b, col, lo, out) },
+			func(w, lo int, out []float64) { oc.GainsAttachObs(e.batches[w], col, lo, out) },
 			func(int) float64 { return 2 * trace.LogMLCost })
 		oc.AttachObs(r, s)
 		e.rc.Hooks.Serial(PhaseObsReassign, float64(2*nv))
@@ -249,7 +192,7 @@ func (e *engine) mergeObs(oc *cluster.ObsClusters) {
 	for i := 0; i < len(oc.Clusters); {
 		l := len(oc.Clusters)
 		s := e.decide(PhaseObsMerge, l,
-			func(b *cluster.Batch, lo int, out []float64) { oc.GainsMergeObs(b, i, lo, out) },
+			func(w, lo int, out []float64) { oc.GainsMergeObs(e.batches[w], i, lo, out) },
 			func(int) float64 { return 3 * trace.LogMLCost })
 		if s != i {
 			oc.MergeObs(i, s)

@@ -149,21 +149,21 @@ func TestWorkersInvariance(t *testing.T) {
 // total crosses it as the cluster count moves by one.
 func straddleData(t testing.TB) *score.QData { return testData(t, 136, 400, 4) }
 
-// tally notes every decision's total cost and branch through the engine's
-// beforeGains hook.
+// tally notes every decision's total cost through the engine's beforeGains
+// hook, and the branch the distribution rule gives it.
 type tally struct {
 	decisions, distributed             int64
 	maxInline, minDistributed, maxItem float64
 }
 
-func (ta *tally) note(count int, cost func(int) float64, distributed bool) {
+func (ta *tally) note(count int, cost func(int) float64) {
 	var total float64
 	for i := range count {
 		total += cost(i)
 		ta.maxItem = max(ta.maxItem, cost(i))
 	}
 	ta.decisions++
-	if distributed {
+	if trace.Distributed(total) {
 		ta.distributed++
 		ta.minDistributed = min(ta.minDistributed, total)
 	} else {
@@ -254,8 +254,8 @@ func TestDistributionRuleInvariance(t *testing.T) {
 // invariants. A decision sits between every two mutations of a sweep
 // (detach → decide → attach, decide → merge), so together with a final check
 // this sees the state after every mutation.
-func checkedBy(t *testing.T, check func() error) func(int, func(int) float64, bool) {
-	return func(int, func(int) float64, bool) {
+func checkedBy(t *testing.T, check func() error) func(int, func(int) float64) {
+	return func(int, func(int) float64) {
 		if err := check(); err != nil {
 			t.Fatal(err)
 		}

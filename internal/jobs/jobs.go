@@ -53,6 +53,9 @@ const (
 	StateCancelled
 )
 
+// failedHelp describes jobs_failed_total: every job that ends in StateFailed.
+const failedHelp = "jobs failed: refused by the engine, out of restart budget, or still queued when a drain began"
+
 // String names the state for reports and logs.
 func (s State) String() string {
 	switch s {
@@ -390,7 +393,7 @@ func (r *Runner) finish(j *Job, st State, out *core.Output, err error) {
 		r.count("jobs_cancelled_total", "jobs stopped by deadline or drain", 1)
 	default:
 		r.emit(obs.TypeJobFailed, j)
-		r.count("jobs_failed_total", "jobs that exhausted their restart budget", 1)
+		r.count("jobs_failed_total", failedHelp, 1)
 	}
 	r.gauges()
 	close(j.done)
@@ -411,7 +414,7 @@ func (r *Runner) Drain() []Report {
 		j.state = StateFailed
 		j.err = ErrDrained
 		r.emit(obs.TypeJobFailed, j)
-		r.count("jobs_failed_total", "jobs that exhausted their restart budget", 1)
+		r.count("jobs_failed_total", failedHelp, 1)
 		close(j.done)
 	}
 	r.queue = nil

@@ -327,7 +327,7 @@ func (e *gibbs) learnSplits(moduleVars [][]int, trees [][]*tree.Tree, par splits
 		weights := make([]uint64, len(ps))
 		var retained []int
 		for i, p := range ps {
-			// Shared grid with splits.selectSplits (score.QuantizeProb): the
+			// Shared grid with the splits package's scan (score.QuantizeProb): the
 			// baseline must consume the PRNG stream identically to the
 			// optimized engines or the bit-identity check is meaningless.
 			weights[i] = score.QuantizeProb(p)

@@ -23,8 +23,8 @@
 //     clock fields, so a test — or an operator — can diff two runs' logs.
 //     The one exception is the dynamic split distribution, whose
 //     work-to-rank assignment is scheduling-dependent by design; its
-//     per-rank cost events are therefore not emitted (see splits'
-//     learnRanks).
+//     per-rank cost events are therefore not emitted (see
+//     splits.LearnWithComm).
 //
 // Each rank records into its own Recorder (a Comm
 // must only be used from its own goroutine, and the same holds here); the

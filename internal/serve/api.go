@@ -92,9 +92,12 @@ type PredictRequest struct {
 	Observation []float64 `json:"observation"`
 }
 
-// PredictResponse carries one prediction per learned module.
+// PredictResponse carries one prediction per learned module, and how many
+// of the observation's values lay beyond the quantization bound and were
+// clipped to it (as training cells are) — a count, not a refusal.
 type PredictResponse struct {
 	Predictions []core.Prediction `json:"predictions"`
+	Clipped     int               `json:"clipped"`
 }
 
 // moduleSummary is one row of the module list endpoint.
@@ -419,12 +422,12 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
-	preds, err := p.Predict(req.Observation)
+	preds, clipped, err := p.Predict(req.Observation)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, PredictResponse{Predictions: preds})
+	writeJSON(w, http.StatusOK, PredictResponse{Predictions: preds, Clipped: clipped})
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {

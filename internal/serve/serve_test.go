@@ -190,17 +190,22 @@ func TestSubmitWaitFetchRoundTrip(t *testing.T) {
 		}
 	}
 
-	// Predictions on the first training observation and on an observation
-	// off the training scale: one (mean, variance) per module, exactly the
-	// library predictor's answer for the same raw values.
+	// Predictions on the first training observation, on an observation off
+	// the training scale and on one of 10³⁰⁰ everywhere: one (mean,
+	// variance) per module, exactly the library predictor's answer for the
+	// same raw values, with its count of clipped values — every value of the
+	// last, which is a 200 like the rest.
 	lib, err := core.NewPredictor(d, fixtureOptions(), want)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, shift := range []float64{0, 1.7} {
+	for _, shift := range []float64{0, 1.7, math.Inf(1)} {
 		obsVec := make([]float64, d.N)
 		for i := 0; i < d.N; i++ {
 			obsVec[i] = d.At(i, 0)*(1+shift) + shift
+			if math.IsInf(shift, 1) {
+				obsVec[i] = 1e300
+			}
 		}
 		body, _ := json.Marshal(PredictRequest{Observation: obsVec})
 		w = call(t, s, "POST", "/api/v1/jobs/0/predict", string(body))
@@ -216,12 +221,16 @@ func TestSubmitWaitFetchRoundTrip(t *testing.T) {
 				t.Fatalf("prediction %+v has non-positive variance", p)
 			}
 		}
-		libPreds, err := lib.Predict(obsVec)
+		libPreds, libClipped, err := lib.Predict(obsVec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(pr.Predictions, libPreds) {
-			t.Fatalf("shift %v: the daemon predicts %+v, the library predictor %+v", shift, pr.Predictions, libPreds)
+		if !reflect.DeepEqual(pr.Predictions, libPreds) || pr.Clipped != libClipped {
+			t.Fatalf("shift %v: the daemon predicts %+v clipping %d, the library predictor %+v clipping %d",
+				shift, pr.Predictions, pr.Clipped, libPreds, libClipped)
+		}
+		if math.IsInf(shift, 1) && pr.Clipped != d.N {
+			t.Fatalf("all-10³⁰⁰ observation: %d of %d values clipped", pr.Clipped, d.N)
 		}
 	}
 }
@@ -250,7 +259,7 @@ func TestPredictStandardizesLikeTraining(t *testing.T) {
 		for i := range col {
 			col[i] = d.At(i, j)
 		}
-		got, err := p.Transform.Observation(col)
+		got, _, err := p.Transform.Observation(col)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -437,6 +446,8 @@ func TestBadRequests(t *testing.T) {
 		{"bad checkpoint format", func(r *JobRequest) { r.CheckpointFormat = "yaml" }},
 		{"json checkpoint format", func(r *JobRequest) { r.CheckpointFormat = "json" }},
 		{"unknown regulator", func(r *JobRequest) { r.Regulators = []string{"nope"} }},
+		// A repeated name used to learn with that parent scored twice.
+		{"repeated regulator", func(r *JobRequest) { r.Regulators = []string{"R0001", "R0002", "R0001"} }},
 		{"negative restarts", func(r *JobRequest) { r.MaxRestarts = -1 }},
 		// What core would refuse before starting a world is refused here,
 		// not accepted as a job that fails (and used to be retried).

@@ -238,7 +238,7 @@ func (sc *scratch) fillPair(q *score.QData, ref *nodeRef, parent int) int {
 }
 
 // evaluator scores ranges of one learn call's global candidate list on one
-// rank. A one-rank world and both schedules evaluate through it.
+// rank. Both schedules evaluate through it.
 type evaluator struct {
 	rc    rank.Context
 	q     *score.QData
@@ -514,8 +514,9 @@ func (ev *evaluator) recordMetrics(reg *obs.Registry, steps []int) {
 // identical for every worker count, and charges the exchange of the paper's
 // algorithm on more than one rank: the segmented scan's two all-gathers,
 // carrying one weight partial per node and one element per split in res,
-// which is what scan.go sends. steps must cover the whole list, which is
-// why only a one-rank world records.
+// which is what scan.go sends. steps must cover the whole list, as a
+// one-rank world's do: a work record is for a one-rank world only
+// (obs.Hooks.Work), where a rank's share is all of it.
 func (ev *evaluator) recordWork(steps []int, res Result) {
 	ph := ev.rc.Hooks.Phase(PhaseAssign, false)
 	if ph == nil {

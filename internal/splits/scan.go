@@ -1,9 +1,9 @@
 // Segmented-scan split selection — the communication structure the paper
-// implements for Algorithm 5 and the one exchange of a world of more than
-// one rank: "the contiguous arrangement of candidate splits for every node
-// allows us to compute the split weights for random sampling for all the
-// nodes using a single segmented parallel scan over the distributed
-// cand-probs. Then, the splits for all the nodes are selected independently
+// implements for Algorithm 5 and the one selection of every world, the
+// one-rank world included (DESIGN §20): "the contiguous arrangement of
+// candidate splits for every node allows us to compute the split weights for
+// random sampling for all the nodes using a single segmented parallel scan
+// over the distributed cand-probs. Then, the splits for all the nodes are selected independently
 // on each processor, followed by an all-gather call to collect all the
 // chosen splits" (§3.2.3).
 //
@@ -27,9 +27,11 @@
 // reaches the p−1 other ranks once whoever holds it, so the traffic does not
 // depend on the schedule. Because sampling weights are integers, the
 // distributed prefix sums are exact, and the selection consumes the shared
-// PRNG stream exactly as selectSplits does over the full vector, so the
-// chosen splits are bit-identical to a one-rank world's whichever rank
-// scored which span.
+// PRNG stream exactly as a selection over the whole posterior vector would —
+// node by node, J weighted picks over the quantized posteriors, then J
+// uniform picks over the retained (non-zero) candidates — so the chosen
+// splits are bit-identical for every world size, whichever rank scored which
+// span. splits_test.go keeps that full-vector selection as the reference.
 
 package splits
 
@@ -39,9 +41,7 @@ import (
 
 	"parsimone/internal/comm"
 	"parsimone/internal/prng"
-	"parsimone/internal/rank"
 	"parsimone/internal/score"
-	"parsimone/internal/tree"
 )
 
 // span is a range [lo, hi) of the global candidate list this rank scored:
@@ -55,9 +55,9 @@ type span struct {
 }
 
 // newSpan wraps the posteriors of [lo, lo+len(post)) with their weights.
-// Weights come from score.QuantizeProb — the same grid as selectSplits, bit
-// for bit, or the two selections would consume the shared PRNG stream
-// differently.
+// Weights come from score.QuantizeProb — a retained (positive-posterior)
+// candidate must map to a positive weight, or a node whose retained
+// candidates all round to zero would have nothing to draw from.
 func newSpan(lo int, post []float64) span {
 	sp := span{lo: lo, hi: lo + len(post), post: post}
 	sp.w = [2][]uint64{make([]uint64, len(post)), make([]uint64, len(post))}
@@ -94,43 +94,9 @@ type nodePartial struct {
 	Sum [2]uint64
 }
 
-// learnRanks is LearnWithComm on a world of more than one rank: each rank
-// scores its spans of the global list — one static block, or the chunks of
-// par.DynamicChunk candidates it takes from a shared counter until the list
-// is exhausted — and the segmented scan selects the Result selectSplits
-// would over the whole posterior vector. The dynamic schedule emits no cost
-// events: which rank scores which chunk depends on scheduling, and per-rank
-// cost events would break the event-stream determinism the static schedule
-// guarantees. Its metrics are sums over whatever chunks this rank took, so
-// the registry totals stay schedule-invariant.
-func learnRanks(rc rank.Context, q *score.QData, kern *score.Kernel, modules [][]int,
-	trees [][]*tree.Tree, par Params, g *prng.MRG3) Result {
-	c := rc.Comm
-	ev := newEvaluator(rc, q, kern, modules, trees, par, g)
-
-	var spans []span
-	if chunk := ev.par.DynamicChunk; chunk > 0 {
-		next := comm.NewCounter(c)
-		var steps []int
-		for k := next.Next(c); ev.chunkStart(chunk, k) < ev.total; k = next.Next(c) {
-			lo := ev.chunkStart(chunk, k)
-			post, s, _ := ev.eval(lo, ev.chunkStart(chunk, k+1))
-			spans = append(spans, newSpan(lo, post))
-			steps = append(steps, s...)
-		}
-		ev.recordMetrics(rc.Hooks.Registry(), steps)
-	} else {
-		lo, hi := comm.BlockRange(ev.total, c.Size(), c.Rank())
-		post, steps, st := ev.eval(lo, hi)
-		ev.observe(st, steps)
-		spans = append(spans, newSpan(lo, post))
-	}
-	return selectScan(c, q, ev.nodes, spans, ev.par, g)
-}
-
 // selectScan is the segmented scan over the spans each rank of c holds,
 // which together tile the candidate list of nodes: it returns on every rank
-// the Result selectSplits returns over the whole posterior vector.
+// the Result of the full-vector selection.
 func selectScan(c *comm.Comm, q *score.QData, nodes []*nodeRef, spans []span, par Params, g *prng.MRG3) Result {
 	// Per-node partial sums of each span (the local half of the segmented
 	// scan), exchanged and sorted into the global segmented order.
@@ -149,7 +115,7 @@ func selectScan(c *comm.Comm, q *score.QData, nodes []*nodeRef, spans []span, pa
 	all := comm.AllGatherv(c, partials)
 	slices.SortFunc(all, func(a, b nodePartial) int { return cmp.Compare(a.Start, b.Start) })
 
-	// Selection: identical draws to selectSplits, node by node, weighted
+	// Selection: identical draws to the full-vector one, node by node, weighted
 	// picks before uniform ones, but only the rank owning the crossing point
 	// materializes the pick. owners records whose pick each one is, which is
 	// the same on every rank.

@@ -28,6 +28,7 @@ package splits
 import (
 	"fmt"
 
+	"parsimone/internal/comm"
 	"parsimone/internal/prng"
 	"parsimone/internal/rank"
 	"parsimone/internal/score"
@@ -84,15 +85,24 @@ func (p Params) WithDefaults(n int) Params {
 	return p
 }
 
-// Validate reports configuration errors withDefaults cannot repair. A
-// non-nil empty Candidates slice is rejected: nil means "all variables",
-// but an explicitly empty candidate-parent list enumerates zero candidate
-// splits and silently yields an empty Result with no diagnostic. Core
-// Options validation and the parsimone CLI surface this before any
-// learning runs.
-func (p Params) Validate() error {
+// Validate reports what WithDefaults cannot repair, for a data set of n
+// variables, before any learning runs (core's Options validation): a non-nil
+// empty Candidates (nil means every variable; an empty list would yield an
+// empty Result without a word), an index outside [0, n), which would fail
+// inside a world, or a repeated one, whose parent would be scored twice.
+func (p Params) Validate(n int) error {
 	if p.Candidates != nil && len(p.Candidates) == 0 {
 		return fmt.Errorf("splits: Candidates must be nil (all variables) or non-empty — an empty list yields zero candidate splits and an empty Result")
+	}
+	first := make(map[int]int, len(p.Candidates)) // a variable's first position
+	for i, v := range p.Candidates {
+		if v < 0 || v >= n {
+			return fmt.Errorf("splits: Candidates[%d] = %d is not one of the %d variables [0, %d)", i, v, n, n)
+		}
+		if j, ok := first[v]; ok {
+			return fmt.Errorf("splits: Candidates[%d] = %d repeats Candidates[%d]; list each candidate parent once", i, v, j)
+		}
+		first[v] = i
 	}
 	return nil
 }
@@ -125,63 +135,42 @@ type Result struct {
 // PhaseAssign is the work-recording phase name for posterior computation.
 const PhaseAssign = "splits/assign"
 
-// selectSplits performs the per-node selection over the full posterior
-// vector: J weighted + J uniform picks over the retained (non-zero
-// posterior) candidates per node, in canonical node order, consuming the
-// shared stream identically on every rank. It is the selection of a one-rank
-// world, and the reference the segmented scan reproduces without the vector.
-func selectSplits(q *score.QData, nodes []*nodeRef, posteriors []float64, par Params, g *prng.MRG3) Result {
-	var res Result
-	for _, ref := range nodes {
-		ps := posteriors[ref.offset : ref.offset+ref.count]
-		weights := make([]uint64, len(ps))
-		var retained []int
-		for i, p := range ps {
-			// score.QuantizeProb, not an ad-hoc rounding: a retained
-			// (positive-posterior) candidate must map to a positive weight
-			// or WeightedIndex could face an all-zero vector and return -1.
-			weights[i] = score.QuantizeProb(p)
-			if p > 0 {
-				retained = append(retained, i)
-			}
-		}
-		if len(retained) == 0 {
-			continue
-		}
-		mk := func(local int) Assigned { return ref.assigned(q, par.Candidates, local, ps[local]) }
-		for s := 0; s < par.NumSplits; s++ {
-			wi := g.WeightedIndex(weights)
-			res.Weighted = append(res.Weighted, mk(wi))
-		}
-		for s := 0; s < par.NumSplits; s++ {
-			ui := retained[g.Intn(len(retained))]
-			res.Uniform = append(res.Uniform, mk(ui))
-		}
-	}
-	return res
-}
-
 // LearnWithComm computes posteriors over the ranks of rc's world and selects
-// splits identically on every rank. A world of more than one rank scores
-// fine-grained static blocks (Algorithm 5 line 5), or, when par.DynamicChunk
-// is set, chunks it takes from a shared counter, and selects with the
-// paper's segmented scan either way (scan.go). A one-rank world has nobody
-// to exchange with: it scores the whole list, records its work and selects
-// on its own posterior vector. Each rank's share is fanned over its rc.Workers
-// pool workers. Posteriors, trace items and the selected splits are
-// bit-identical for every (rank count, W, exchange): each pair draws only
-// from its own numbered substream and each candidate writes only its own
-// slot. No cancellation check is polled here: a module's splits are
-// recomputed wholesale on resume, so the module edge is the granularity.
+// splits identically on every rank, with one body for every world size: each
+// rank scores its spans of the global candidate list, fanned over its
+// rc.Workers pool workers, and the paper's segmented scan selects where they
+// were scored (scan.go). The static schedule scores one block per rank
+// (Algorithm 5 line 5; a one-rank world's is the whole list). With
+// par.DynamicChunk set, the ranks of a larger world instead take chunks from
+// a shared counter; one rank has nobody to balance against. Which rank
+// scored which chunk depends on scheduling, so that schedule emits no
+// per-rank cost events, and its metrics sum over this rank's chunks.
+// Posteriors, trace items and the selected splits are bit-identical for
+// every (rank count, W, schedule): each pair draws only from its own
+// numbered substream. No cancellation check is polled here: a module's
+// splits are recomputed wholesale on resume.
 func LearnWithComm(rc rank.Context, q *score.QData, kern *score.Kernel, modules [][]int,
 	trees [][]*tree.Tree, par Params, g *prng.MRG3) Result {
-	if rc.Comm.Size() > 1 {
-		return learnRanks(rc, q, kern, modules, trees, par, g)
-	}
+	c := rc.Comm
 	ev := newEvaluator(rc, q, kern, modules, trees, par, g)
-	post, steps, st := ev.eval(0, ev.total)
-	ev.observe(st, steps)
-	res := selectSplits(q, ev.nodes, post, ev.par, g)
+	var spans []span
+	var steps []int
+	if chunk := ev.par.DynamicChunk; chunk > 0 && c.Size() > 1 {
+		next := comm.NewCounter(c)
+		for k := next.Next(c); ev.chunkStart(chunk, k) < ev.total; k = next.Next(c) {
+			lo := ev.chunkStart(chunk, k)
+			post, s, _ := ev.eval(lo, ev.chunkStart(chunk, k+1))
+			spans = append(spans, newSpan(lo, post))
+			steps = append(steps, s...)
+		}
+		ev.recordMetrics(rc.Hooks.Registry(), steps)
+	} else {
+		lo, hi := comm.BlockRange(ev.total, c.Size(), c.Rank())
+		post, s, st := ev.eval(lo, hi)
+		ev.observe(st, s)
+		spans, steps = []span{newSpan(lo, post)}, s
+	}
+	res := selectScan(c, q, ev.nodes, spans, ev.par, g)
 	ev.recordWork(steps, res)
 	return res
 }

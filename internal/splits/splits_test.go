@@ -84,6 +84,42 @@ func onRanks(t *testing.T, name string, p int, want Result, learn func(c *comm.C
 	}
 }
 
+// selectSplits is the per-node selection over the full posterior vector: J
+// weighted + J uniform picks over the retained (non-zero posterior)
+// candidates per node, in canonical node order, consuming the shared stream
+// identically on every rank. It is the reference the segmented scan
+// (selectScan) reproduces without the vector, on every world size.
+func selectSplits(q *score.QData, nodes []*nodeRef, posteriors []float64, par Params, g *prng.MRG3) Result {
+	var res Result
+	for _, ref := range nodes {
+		ps := posteriors[ref.offset : ref.offset+ref.count]
+		weights := make([]uint64, len(ps))
+		var retained []int
+		for i, p := range ps {
+			// score.QuantizeProb, not an ad-hoc rounding: a retained
+			// (positive-posterior) candidate must map to a positive weight
+			// or WeightedIndex could face an all-zero vector and return -1.
+			weights[i] = score.QuantizeProb(p)
+			if p > 0 {
+				retained = append(retained, i)
+			}
+		}
+		if len(retained) == 0 {
+			continue
+		}
+		mk := func(local int) Assigned { return ref.assigned(q, par.Candidates, local, ps[local]) }
+		for s := 0; s < par.NumSplits; s++ {
+			wi := g.WeightedIndex(weights)
+			res.Weighted = append(res.Weighted, mk(wi))
+		}
+		for s := 0; s < par.NumSplits; s++ {
+			ui := retained[g.Intn(len(retained))]
+			res.Uniform = append(res.Uniform, mk(ui))
+		}
+	}
+	return res
+}
+
 func TestLearnBasic(t *testing.T) {
 	q, modules, trees, _ := fixture(t, 1)
 	res := Learn(q, score.DefaultPrior(), modules, trees, Params{NumSplits: 2}, prng.New(5), nil)
@@ -342,7 +378,7 @@ func TestSelectSplitsPosteriorExtremes(t *testing.T) {
 		if name != "all zero" && len(res.Weighted) == 0 {
 			t.Fatalf("%s: no splits selected", name)
 		}
-		for _, p := range []int{2, 3} {
+		for _, p := range []int{1, 2, 3} {
 			for _, chunk := range []int{0, 1, 7} {
 				onRanks(t, fmt.Sprintf("%s chunk=%d", name, chunk), p, res, func(c *comm.Comm) Result {
 					var spans []span
@@ -388,11 +424,10 @@ func TestDynamicMatchesStatic(t *testing.T) {
 	}
 }
 
-// TestScanSelectionMatchesGather: the paper's segmented-scan selection must
-// choose bit-identical splits to selectSplits over the gathered posterior
-// vector — integer weights make the distributed prefix sums exact. The
-// expected value is the one-rank world's result, which is selectSplits on
-// the same posteriors.
+// TestScanSelectionMatchesGather: the paper's segmented-scan selection, the
+// one selection of every world, must choose bit-identical splits to
+// selectSplits over the gathered posterior vector — integer weights make the
+// distributed prefix sums exact — on one rank as on many.
 func TestScanSelectionMatchesGather(t *testing.T) {
 	q, modules, trees, _ := fixture(t, 12)
 	pr := score.DefaultPrior()
@@ -400,10 +435,7 @@ func TestScanSelectionMatchesGather(t *testing.T) {
 	ev := newEvaluator(rank.Self(nil), q, kernelOf(q, pr), modules, trees, par, prng.New(31))
 	post, _, _ := ev.eval(0, ev.total)
 	want := selectSplits(q, ev.nodes, post, ev.par, prng.New(31))
-	if got := LearnWithComm(rank.Self(nil), q, kernelOf(q, pr), modules, trees, par, prng.New(31)); !reflect.DeepEqual(got, want) {
-		t.Fatal("one-rank world: splits differ from selectSplits on its posteriors")
-	}
-	for _, p := range []int{2, 3, 5, 8} {
+	for _, p := range []int{1, 2, 3, 5, 8} {
 		onRanks(t, "scan", p, want, func(c *comm.Comm) Result {
 			return LearnWithComm(on(c, 1, nil), q, kernelOf(q, pr), modules, trees, par, prng.New(31))
 		})
@@ -534,16 +566,31 @@ func TestScanUsesLessCommunication(t *testing.T) {
 
 // TestParamsValidate: nil Candidates means "all variables" and is fine; a
 // non-nil empty slice enumerates zero candidate splits and must be rejected
-// instead of silently yielding an empty Result.
+// instead of silently yielding an empty Result; an index that is not a
+// variable, or one listed twice, is rejected with its position named.
 func TestParamsValidate(t *testing.T) {
-	if err := (Params{}).Validate(); err != nil {
-		t.Fatalf("nil Candidates rejected: %v", err)
-	}
-	if err := (Params{Candidates: []int{0, 2}}).Validate(); err != nil {
-		t.Fatalf("non-empty Candidates rejected: %v", err)
-	}
-	if err := (Params{Candidates: []int{}}).Validate(); err == nil {
-		t.Fatal("empty non-nil Candidates accepted")
+	const n = 30
+	for _, tc := range []struct {
+		candidates []int
+		refused    string // "" when accepted
+	}{
+		{nil, ""},
+		{[]int{0, 2}, ""},
+		{[]int{n - 1, 0}, ""},
+		{[]int{}, "non-empty"},
+		{[]int{99}, "Candidates[0] = 99 is not one of the 30 variables"},
+		{[]int{4, -1}, "Candidates[1] = -1 is not one of the 30 variables"},
+		{[]int{2, n}, "Candidates[1] = 30 is not one of the 30 variables"},
+		{[]int{3, 3, 4}, "Candidates[1] = 3 repeats Candidates[0]"},
+		{[]int{5, 3, 4, 5}, "Candidates[3] = 5 repeats Candidates[0]"},
+	} {
+		err := (Params{Candidates: tc.candidates}).Validate(n)
+		if tc.refused == "" && err != nil {
+			t.Errorf("Candidates %v refused: %v", tc.candidates, err)
+		}
+		if tc.refused != "" && (err == nil || !strings.Contains(err.Error(), tc.refused)) {
+			t.Errorf("Candidates %v: error %v, want one naming %q", tc.candidates, err, tc.refused)
+		}
 	}
 }
 

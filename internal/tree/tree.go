@@ -5,21 +5,19 @@
 // merging the pair of *consecutive* subtrees whose merged block has the best
 // score gain, until a single root remains.
 //
-// A round's merge-score evaluations are partitioned over the world's ranks
-// and combined with an all-reduce max (score, then lowest index on ties),
-// exactly mirroring Algorithm 4 — when the round outweighs the message
-// (trace.Distributed); a cheaper round is scored in full on every rank. The
-// tree is identical for every rank count, the sequential one-rank world
-// included, because every candidate score is a function of replicated state,
-// compared exactly.
+// A round's merge scores are partitioned over the world's ranks and pool
+// workers and all-gathered, mirroring Algorithm 4, when the round outweighs
+// the message (DESIGN §19); a cheaper round is scored in full on every rank.
+// Either way every rank merges the first pair of maximal score. The tree is
+// identical for every rank count, the sequential one-rank world included,
+// because every candidate score is a function of replicated state, compared
+// exactly.
 package tree
 
 import (
 	"fmt"
 	"sort"
 
-	"parsimone/internal/comm"
-	"parsimone/internal/pool"
 	"parsimone/internal/rank"
 	"parsimone/internal/score"
 	"parsimone/internal/trace"
@@ -170,69 +168,40 @@ func merge(a, b *Node) *Node {
 	return &Node{Obs: obs, Stats: a.Stats.Plus(b.Stats), Left: a, Right: b}
 }
 
-// scoredIndex pairs a merge score with its pair index for exact max
-// reduction (higher score wins; lower index on ties).
-type scoredIndex struct {
-	Score float64
-	Index int
-}
-
-func better(a, b scoredIndex) scoredIndex {
-	if b.Index < 0 {
-		return a
-	}
-	if a.Index < 0 {
-		return b
-	}
-	//parsivet:floateq — Algorithm 4's exact max reduction: equal bits tie-break on index
-	if a.Score > b.Score || (a.Score == b.Score && a.Index < b.Index) {
-		return a
-	}
-	return b
-}
-
-// bestMerge returns the best merge candidate among pair indices [lo, hi).
-func bestMerge(kern *score.Kernel, subtrees []*Node, lo, hi int) scoredIndex {
-	best := scoredIndex{Index: -1}
-	for i := lo; i < hi; i++ {
-		best = better(best, scoredIndex{Score: mergeGain(kern, subtrees[i], subtrees[i+1]), Index: i})
-	}
-	return best
-}
-
 // BuildWithComm constructs the regression tree across the ranks of rc's
-// world, identically on every rank. A round is distributed only when its
-// pairs cost trace.Distributed (DESIGN §19) — with at most ~√m clusters of
-// three logML each, in practice never: every rank scores all pairs and no
-// message moves. A distributed round's merge scores are partitioned over the
-// ranks and combined with an all-reduce max (Algorithm 4 lines 13–17).
+// world, identically on every rank. Each round scores its pair gains through
+// the rank's decision executor (rank.Context.Evaluate, DESIGN §19) — with at
+// most ~√m clusters of three logML each, in practice inline on every rank,
+// no message moved — and merges the first pair of maximal gain.
 func BuildWithComm(rc rank.Context, q *score.QData, kern *score.Kernel, vars []int, clusters [][]int) *Tree {
+	return build(rc, q, kern, vars, clusters, mergeCost)
+}
+
+// build is BuildWithComm with the cost charged for each pair's gain.
+func build(rc rank.Context, q *score.QData, kern *score.Kernel, vars []int, clusters [][]int, pairCost float64) *Tree {
 	if len(clusters) == 0 {
 		panic("tree: no observation clusters")
 	}
 	subtrees := leafNodes(q, vars, clusters)
+	gains := make([]float64, len(subtrees)-1)
 	for len(subtrees) > 1 {
-		pairs := len(subtrees) - 1
-		cost := float64(pairs * mergeCost)
-		best, st := pick(rc.Comm, kern, subtrees, trace.Distributed(cost))
-		rc.Hooks.Decision(PhaseBuild, pairs, func(int) float64 { return mergeCost }, cost, 2, st)
+		gains = gains[:len(subtrees)-1]
+		rc.Evaluate(PhaseBuild, gains, func(int) float64 { return pairCost }, func(_, lo int, out []float64) {
+			for k := range out {
+				out[k] = mergeGain(kern, subtrees[lo+k], subtrees[lo+k+1])
+			}
+		})
 		rc.Hooks.Serial(PhaseBuild, float64(len(subtrees[0].Obs))) // merge bookkeeping
+		best := 0
+		for i, g := range gains {
+			if g > gains[best] {
+				best = i
+			}
+		}
 		subtrees[best] = merge(subtrees[best], subtrees[best+1])
 		subtrees = append(subtrees[:best+1], subtrees[best+2:]...)
 	}
 	return &Tree{Root: subtrees[0], Vars: append([]int(nil), vars...)}
-}
-
-// pick returns a round's best pair index: this rank's block of a distributed
-// round reduced across ranks, with the block's work counters, or the whole
-// round scored here, with zero Stats.
-func pick(c *comm.Comm, kern *score.Kernel, subtrees []*Node, distributed bool) (int, pool.Stats) {
-	if !distributed {
-		return bestMerge(kern, subtrees, 0, len(subtrees)-1).Index, pool.Stats{}
-	}
-	lo, hi := comm.BlockRange(len(subtrees)-1, c.Size(), c.Rank())
-	st := pool.Stats{Workers: 1, Items: []int64{int64(hi - lo)}, Cost: []float64{float64((hi - lo) * mergeCost)}}
-	return comm.AllReduce(c, bestMerge(kern, subtrees, lo, hi), better).Index, st
 }
 
 // Build is BuildWithComm on the one-rank world with a kernel of its own for

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"parsimone/internal/comm"
+	"parsimone/internal/obs"
 	"parsimone/internal/prng"
 	"parsimone/internal/rank"
 	"parsimone/internal/score"
@@ -177,9 +178,11 @@ func TestBuildParallelMatchesSequential(t *testing.T) {
 // TestBuildParallelDistributionRule: a merge round is partitioned over ranks
 // only when its pairs cost trace.Distributed, which real leaf counts (~√m)
 // never do: BuildWithComm is Build on every rank with zero collectives, and
-// the recording charges none (DESIGN §19). With the rule's answer forced the
-// other way, every round enters one all-reduce, the one collective the
-// recording charges a distributed round, and still picks the same pair.
+// the recording charges none (DESIGN §19). With every pair charged enough to
+// force the executor's rule the other way, every round enters one all-gather
+// of its pair gains — the one collective, of one word a pair, the recording
+// charges a distributed round — the ranks' blocks, dealt over W pool
+// workers, score every pair of every round once, and the same pair merges.
 func TestBuildParallelDistributionRule(t *testing.T) {
 	q := testData(t, 10, 24, 7)
 	pr := score.DefaultPrior()
@@ -192,49 +195,48 @@ func TestBuildParallelDistributionRule(t *testing.T) {
 			len(ph.Items), ph.Collectives, ph.Words, ph.SerialCost)
 	}
 	kern := score.NewKernel(pr, q.N*q.M)
-	for _, forced := range []bool{false, true} {
+	rounds, pairs := int64(len(clusters)-1), int64(len(clusters)*(len(clusters)-1)/2)
+	const forced = 1 << 20 // a pair's charge that outweighs any message alone
+
+	wl = &trace.Workload{}
+	if got := shape(build(rank.Self(wl), q, kern, vars, clusters, forced).Root); !reflect.DeepEqual(got, want) {
+		t.Fatal("forced one-rank build differs")
+	}
+	if ph := wl.Phase(PhaseBuild); ph.Collectives != rounds || ph.Words != pairs || int64(len(ph.Items)) != pairs {
+		t.Fatalf("recording of forced rounds: %d items, %d collectives, %d words; want %d pairs over %d rounds",
+			len(ph.Items), ph.Collectives, ph.Words, pairs, rounds)
+	}
+
+	for _, pairCost := range []float64{mergeCost, forced} {
 		for _, p := range []int{2, 3} {
-			evaluated := make([]int64, p)
-			stats, err := comm.Run(p, func(c *comm.Comm) error {
-				tr := BuildWithComm(rank.Context{Comm: c}, q, kern, vars, clusters)
-				if forced {
-					subtrees := leafNodes(q, vars, clusters)
-					for len(subtrees) > 1 {
-						best, st := pick(c, kern, subtrees, true)
-						if st.Cost[0] != float64(st.Items[0]*mergeCost) {
-							t.Errorf("p=%d rank %d: block of %d pairs costs %v", p, c.Rank(), st.Items[0], st.Cost[0])
-						}
-						evaluated[c.Rank()] += st.Items[0]
-						subtrees[best] = merge(subtrees[best], subtrees[best+1])
-						subtrees = append(subtrees[:best+1], subtrees[best+2:]...)
+			for _, workers := range []int{1, 2} {
+				reg := obs.NewRegistry()
+				stats, err := comm.Run(p, func(c *comm.Comm) error {
+					rc := rank.Context{Comm: c, Workers: workers, Hooks: obs.NewHooks(nil, reg, nil)}
+					if got := shape(build(rc, q, kern, vars, clusters, pairCost).Root); !reflect.DeepEqual(got, want) {
+						t.Errorf("cost %v p=%d W=%d rank %d tree differs", pairCost, p, workers, c.Rank())
 					}
-					tr = &Tree{Root: subtrees[0]}
+					return nil
+				})
+				if err != nil {
+					t.Fatalf("cost %v p=%d W=%d: %v", pairCost, p, workers, err)
 				}
-				if !reflect.DeepEqual(shape(tr.Root), want) {
-					t.Errorf("forced=%v p=%d rank %d tree differs", forced, p, c.Rank())
+				// Every rank counts what it scored: all pairs of a
+				// replicated round, its block of a distributed one.
+				wantCollectives, wantItems := int64(0), int64(p)*pairs
+				if pairCost == forced {
+					wantCollectives, wantItems = rounds, pairs
 				}
-				return nil
-			})
-			if err != nil {
-				t.Fatalf("forced=%v p=%d: %v", forced, p, err)
-			}
-			// The work record charges one collective per distributed round:
-			// none for the rule's answer, one per round when it is forced.
-			wantCollectives := wl.Phase(PhaseBuild).Collectives
-			if forced {
-				wantCollectives = int64(len(clusters) - 1)
-				// The ranks' blocks cover every pair of every round once.
-				var sum int64
-				for _, n := range evaluated {
-					sum += n
+				cost, items := reg.PoolCounters(PhaseBuild)
+				if items.Value() != wantItems || cost.Value() != int64(pairCost)*wantItems {
+					t.Fatalf("cost %v p=%d W=%d: ranks scored %d pairs at cost %d, want %d",
+						pairCost, p, workers, items.Value(), cost.Value(), wantItems)
 				}
-				if l := int64(len(clusters)); sum != l*(l-1)/2 {
-					t.Fatalf("p=%d: blocks evaluated %d pairs, want %d", p, sum, l*(l-1)/2)
-				}
-			}
-			for k, st := range stats {
-				if st.Collectives != wantCollectives {
-					t.Fatalf("forced=%v p=%d rank %d entered %d collectives, want %d", forced, p, k, st.Collectives, wantCollectives)
+				for k, st := range stats {
+					if st.Collectives != wantCollectives {
+						t.Fatalf("cost %v p=%d W=%d rank %d entered %d collectives, want %d",
+							pairCost, p, workers, k, st.Collectives, wantCollectives)
+					}
 				}
 			}
 		}
