@@ -225,6 +225,13 @@ func QuantizeWeights(logScores []float64) []uint64 {
 	return QuantizeWeightsInto(make([]uint64, len(logScores)), logScores)
 }
 
+// zeroWeightBelow is where QuantizeWeightsInto stops calling math.Exp: a
+// weight round(exp(d)·2^WeightBits) is 0 iff exp(d) ≤ 2^−(WeightBits+1),
+// that is d ≤ −(WeightBits+1)·ln 2 ≈ −22.87, and exp(−23)·2^WeightBits ≈
+// 0.44 rounds to 0 with a 13 % margin. TestQuantizationEnvelope pins the
+// floor; TestQuantizeWeightsSkipBitIdentical sweeps the skip's edge.
+const zeroWeightBelow = -23
+
 // QuantizeWeightsInto is QuantizeWeights writing into ws, which must have
 // len(logScores) elements and is returned; a per-decision caller reuses one
 // buffer across calls.
@@ -247,7 +254,11 @@ func QuantizeWeightsInto(ws []uint64, logScores []float64) []uint64 {
 			ws[i] = MaxWeight
 			continue
 		}
-		w := math.RoundToEven(math.Exp(s-maxs) * (1 << WeightBits))
+		d := s - maxs
+		if d < zeroWeightBelow {
+			continue // ws[i] is 0 already, and exp would round it to 0
+		}
+		w := math.RoundToEven(math.Exp(d) * (1 << WeightBits))
 		if !(w < float64(MaxWeight)) {
 			ws[i] = MaxWeight
 			continue

@@ -124,6 +124,25 @@ func TestQuantizationEnvelope(t *testing.T) {
 	}
 }
 
+// TestQuantizeWeightsSkipBitIdentical: the weights QuantizeWeightsInto
+// stores without calling math.Exp, below zeroWeightBelow, are the weights
+// the unskipped expression gives. A dense sweep of d = s − max over
+// [−23.5, −22.5] crosses both the skip and the floor −33·ln 2.
+func TestQuantizeWeightsSkipBitIdentical(t *testing.T) {
+	const steps = 1 << 20
+	scores, ws := []float64{0, 0}, make([]uint64, 2)
+	for k := 0; k <= steps; k++ {
+		d := -23.5 + float64(k)/steps
+		for _, d := range []float64{d, math.Nextafter(d, 0), math.Nextafter(d, -1)} {
+			scores[1] = d
+			QuantizeWeightsInto(ws, scores)
+			if want := uint64(math.RoundToEven(math.Exp(d) * (1 << WeightBits))); ws[1] != want {
+				t.Fatalf("s − max = %v: weight %d, unskipped expression %d", d, ws[1], want)
+			}
+		}
+	}
+}
+
 func TestQuantizeMonotone(t *testing.T) {
 	check := func(a, b float64) bool {
 		if math.IsNaN(a) || math.IsNaN(b) {
