@@ -43,8 +43,6 @@ type canonicalOptions struct {
 
 	CoOccurrenceThreshold float64 `json:"co_occurrence_threshold"`
 
-	ConsensusMaxIter int `json:"consensus_max_iter"`
-
 	TreeUpdates int `json:"tree_updates"`
 	TreeBurnin  int `json:"tree_burnin"`
 
@@ -68,8 +66,6 @@ func canonicalize(opt Options) canonicalOptions {
 		GaneshUpdates: opt.Ganesh.Updates,
 
 		CoOccurrenceThreshold: opt.CoOccurrenceThreshold,
-
-		ConsensusMaxIter: opt.Consensus.MaxIter,
 
 		TreeUpdates: opt.Module.Tree.Updates,
 		TreeBurnin:  opt.Module.Tree.Burnin,

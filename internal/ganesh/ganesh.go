@@ -17,7 +17,10 @@
 package ganesh
 
 import (
+	"slices"
+
 	"parsimone/internal/cluster"
+	"parsimone/internal/matrix"
 	"parsimone/internal/prng"
 	"parsimone/internal/rank"
 	"parsimone/internal/score"
@@ -313,7 +316,16 @@ func CoOccurrence(n int, ensembles [][][]int, threshold float64) []float64 {
 			}
 		}
 	}
-	g := len(ensembles)
+	value := coValues(len(ensembles), threshold)
+	for i, c := range a {
+		a[i] = value[int(c)]
+	}
+	return a
+}
+
+// coValues is the co-occurrence value of each count c ∈ [0, g] under
+// threshold, as CoOccurrence documents it.
+func coValues(g int, threshold float64) []float64 {
 	value := make([]float64, g+1)
 	inc := 1 / float64(g)
 	var v float64
@@ -323,8 +335,81 @@ func CoOccurrence(n int, ensembles [][][]int, threshold float64) []float64 {
 			value[c] = min(v, 1)
 		}
 	}
-	for i, c := range a {
-		a[i] = value[int(c)]
+	return value
+}
+
+// CoOccurrenceCSR is CoOccurrence's matrix built sparse, straight from the
+// snapshots, with no n×n buffer: the same cells, every positive one stored
+// in a matrix.CSR. Row i merges i's cluster of every snapshot; the lists
+// are ascending, so the merge visits the co-members in ascending column
+// order and needs no sort, and a column's count is the number of lists it
+// heads. The count maps through CoOccurrence's value table. The cost is
+// Σ|cluster|² over the snapshots (times the number of lists a merge step
+// compares) and the memory O(nnz + G·n).
+//
+// Each snapshot lists every variable in [0, n) at most once, as
+// cluster.VarSnapshot writes it; a variable absent from a snapshot shares
+// no cluster in it. A cluster whose members are not ascending is merged
+// from a sorted copy.
+func CoOccurrenceCSR(n int, ensembles [][][]int, threshold float64) *matrix.CSR {
+	s := &matrix.CSR{N: n, RowPtr: make([]int, n+1)}
+	g := len(ensembles)
+	if g == 0 {
+		return s
 	}
-	return a
+	value := coValues(g, threshold)
+	// of[r·n+i] is the index of variable i's cluster in snapshot r, −1 if
+	// the snapshot leaves i out.
+	of := make([]int32, g*n)
+	for i := range of {
+		of[i] = -1
+	}
+	snaps := slices.Clone(ensembles)
+	for r, snap := range ensembles {
+		copied := false
+		for c, cl := range snap {
+			for _, i := range cl {
+				of[r*n+i] = int32(c)
+			}
+			if !slices.IsSorted(cl) {
+				if !copied {
+					snaps[r], copied = slices.Clone(snap), true
+				}
+				snaps[r][c] = slices.Clone(cl)
+				slices.Sort(snaps[r][c])
+			}
+		}
+	}
+	lists := make([][]int, 0, g)
+	for i := 0; i < n; i++ {
+		lists = lists[:0]
+		for r, snap := range snaps {
+			if c := of[r*n+i]; c >= 0 {
+				lists = append(lists, snap[c])
+			}
+		}
+		for len(lists) > 0 {
+			j := lists[0][0]
+			for _, l := range lists[1:] {
+				j = min(j, l[0])
+			}
+			count, kept := 0, lists[:0]
+			for _, l := range lists {
+				if l[0] == j {
+					count++
+					l = l[1:]
+				}
+				if len(l) > 0 {
+					kept = append(kept, l)
+				}
+			}
+			lists = kept
+			if v := value[count]; v > 0 {
+				s.Col = append(s.Col, j)
+				s.Val = append(s.Val, v)
+			}
+		}
+		s.RowPtr[i+1] = len(s.Col)
+	}
+	return s
 }

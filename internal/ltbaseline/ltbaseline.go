@@ -23,7 +23,6 @@ import (
 	"sort"
 
 	"parsimone/internal/cluster"
-	"parsimone/internal/consensus"
 	"parsimone/internal/core"
 	"parsimone/internal/dataset"
 	"parsimone/internal/ganesh"
@@ -487,7 +486,7 @@ func Learn(d *dataset.Data, opt core.Options) (*core.Output, error) {
 	var consErr error
 	timers.Time(core.TaskConsensus, func() {
 		a := ganesh.CoOccurrence(q.N, ensembles, opt.CoOccurrenceThreshold)
-		moduleVars, consErr = consensus.Cluster(q.N, a, opt.Consensus)
+		moduleVars, consErr = consensusClusters(q.N, a)
 	})
 	if consErr != nil {
 		return nil, consErr

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -33,9 +34,9 @@ func (d *dense) csr(t testing.TB) *CSR {
 	return s
 }
 
-// power runs PowerIteration with fresh scratch.
-func power(s *CSR, maxIter int, tol float64) PowerResult {
-	return PowerIteration(s, maxIter, tol, make([]float64, s.N), make([]float64, s.N))
+// dominant runs the Lanczos solver with fresh scratch.
+func dominant(s *CSR, maxProducts int, tol float64) Eigenpair {
+	return NewLanczos(s.N).Dominant(s, maxProducts, tol)
 }
 
 // at reads cell (i, j) through the sparse rows.
@@ -211,24 +212,24 @@ func TestNorm2(t *testing.T) {
 	}
 }
 
-func TestPowerIterationDiagonal(t *testing.T) {
+func TestLanczosDiagonal(t *testing.T) {
 	s := newDense(3)
 	s.Set(0, 0, 1)
 	s.Set(1, 1, 5)
 	s.Set(2, 2, 2)
-	res := power(s.csr(t), 1000, 1e-12)
+	res := dominant(s.csr(t), 1000, 1e-12)
 	if !res.Converged {
 		t.Fatal("did not converge")
 	}
-	if math.Abs(res.Value-5) > 1e-6 {
+	if math.Abs(res.Value-5) > 1e-9 {
 		t.Fatalf("eigenvalue %v, want 5", res.Value)
 	}
-	if math.Abs(math.Abs(res.Vector[1])-1) > 1e-4 {
+	if math.Abs(res.Vector[1]-1) > 1e-6 {
 		t.Fatalf("eigenvector %v, want e1", res.Vector)
 	}
 }
 
-func TestPowerIterationBlockStructure(t *testing.T) {
+func TestLanczosBlockStructure(t *testing.T) {
 	// Two blocks: a dense 3-clique (weight 1) and a 2-clique; the Perron
 	// vector must concentrate on the 3-clique.
 	s := newDense(5)
@@ -242,9 +243,9 @@ func TestPowerIterationBlockStructure(t *testing.T) {
 			s.Set(i, j, 1)
 		}
 	}
-	res := power(s.csr(t), 1000, 1e-12)
-	if math.Abs(res.Value-3) > 1e-6 {
-		t.Fatalf("eigenvalue %v, want 3", res.Value)
+	res := dominant(s.csr(t), 1000, 1e-12)
+	if !res.Converged || math.Abs(res.Value-3) > 1e-9 {
+		t.Fatalf("eigenvalue %v (converged %v), want 3", res.Value, res.Converged)
 	}
 	for i := 0; i < 3; i++ {
 		if res.Vector[i] < 0.5 {
@@ -252,52 +253,150 @@ func TestPowerIterationBlockStructure(t *testing.T) {
 		}
 	}
 	for i := 3; i < 5; i++ {
-		if math.Abs(res.Vector[i]) > 1e-4 {
+		if math.Abs(res.Vector[i]) > 1e-6 {
 			t.Fatalf("non-member %d weight %v too large", i, res.Vector[i])
+		}
+	}
+	// Two distinct block sizes: two products span the start vector's
+	// Krylov space, and one more confirms the pair.
+	if res.Products != 3 {
+		t.Fatalf("%d products, want 3", res.Products)
+	}
+}
+
+func TestLanczosZeroMatrix(t *testing.T) {
+	res := dominant(newDense(4).csr(t), 100, 1e-10)
+	if !res.Converged || res.Value != 0 {
+		t.Fatalf("zero matrix: %+v", res)
+	}
+	for _, v := range res.Vector {
+		if v != 0.5 {
+			t.Fatalf("zero matrix: vector %v, want the uniform start", res.Vector)
 		}
 	}
 }
 
-func TestPowerIterationZeroMatrix(t *testing.T) {
-	s := newDense(4)
-	res := power(s.csr(t), 100, 1e-10)
-	if !res.Converged || res.Value != 0 {
-		t.Fatalf("zero matrix: %+v", res)
+func TestLanczosEmpty(t *testing.T) {
+	if res := dominant(newDense(0).csr(t), 10, 1e-10); !res.Converged || res.Products != 0 {
+		t.Fatalf("empty matrix must converge trivially: %+v", res)
 	}
 }
 
-func TestPowerIterationEmpty(t *testing.T) {
-	res := power(newDense(0).csr(t), 10, 1e-10)
-	if !res.Converged {
-		t.Fatal("empty matrix must converge trivially")
-	}
-}
-
-func TestPowerIterationDeterministic(t *testing.T) {
+// TestLanczosDeterministic: one scratch reused across solves of matrices
+// of different sizes returns the bits a fresh scratch does.
+func TestLanczosDeterministic(t *testing.T) {
 	s := newDense(6)
 	for i := 0; i < 6; i++ {
 		for j := i; j < 6; j++ {
 			s.Set(i, j, float64((i*7+j*3)%5))
 		}
 	}
-	a := power(s.csr(t), 500, 1e-12)
-	b := power(s.csr(t), 500, 1e-12)
-	if a.Value != b.Value || a.Iters != b.Iters {
-		t.Fatal("power iteration not deterministic")
+	small := newDense(2)
+	small.Set(0, 1, 3)
+	small.Set(1, 1, 1)
+	a := dominant(s.csr(t), 500, 1e-12)
+	l := NewLanczos(6)
+	l.Dominant(small.csr(t), 500, 1e-12)
+	b := l.Dominant(s.csr(t), 500, 1e-12)
+	if math.Float64bits(a.Value) != math.Float64bits(b.Value) || a.Products != b.Products {
+		t.Fatal("Lanczos solve not deterministic")
 	}
 	for i := range a.Vector {
-		if a.Vector[i] != b.Vector[i] {
+		if math.Float64bits(a.Vector[i]) != math.Float64bits(b.Vector[i]) {
 			t.Fatal("eigenvector not deterministic")
 		}
 	}
 }
 
-// TestPowerIterationResidual: for symmetric non-negative matrices the
-// returned pair must satisfy the eigen-equation approximately, and the
-// reported Residual is exactly ‖Sv − λv‖ for it — converged or not.
-func TestPowerIterationResidual(t *testing.T) {
-	check := func(raw []uint8, capped bool) bool {
-		n := 4
+// TestLanczosIdenticalRowsTie: entries that rows with identical cells act
+// on stay bit-identical, so a peeling's tie-break by index sees exact
+// ties. Rows 0, 2 and 5 are identical (cells at columns 0, 2, 5 and 1),
+// and so are rows 3 and 4.
+func TestLanczosIdenticalRowsTie(t *testing.T) {
+	s := newDense(6)
+	for _, i := range []int{0, 2, 5} {
+		for _, j := range []int{0, 2, 5} {
+			s.Set(i, j, 0.75)
+		}
+		s.Set(i, 1, 0.25)
+	}
+	s.Set(1, 1, 1)
+	s.Set(3, 3, 0.5)
+	s.Set(4, 4, 0.5)
+	s.Set(3, 4, 0.5)
+	s.Set(1, 3, 0.125)
+	s.Set(1, 4, 0.125)
+	res := dominant(s.csr(t), 1000, 1e-10)
+	if !res.Converged {
+		t.Fatal("did not converge")
+	}
+	v := res.Vector
+	for _, pair := range [][2]int{{0, 2}, {0, 5}, {3, 4}} {
+		if math.Float64bits(v[pair[0]]) != math.Float64bits(v[pair[1]]) {
+			t.Fatalf("entries %d and %d of %v differ", pair[0], pair[1], v)
+		}
+	}
+}
+
+// TestLanczosRestarts: the path-graph matrix (2 on the diagonal, 1 beside
+// it) of size 300 has the eigenvalues 2 + 2·cos(kπ/301), so close at the
+// top that one basis of maxBasis vectors cannot meet tol; the solver must
+// restart from its Ritz vector and still find the largest.
+func TestLanczosRestarts(t *testing.T) {
+	const n = 300
+	s := newDense(n)
+	for i := 0; i < n; i++ {
+		s.Set(i, i, 2)
+		if i+1 < n {
+			s.Set(i, i+1, 1)
+		}
+	}
+	res := dominant(s.csr(t), 20000, 1e-10)
+	want := 2 + 2*math.Cos(math.Pi/(n+1))
+	if !res.Converged || math.Abs(res.Value-want) > 1e-9 {
+		t.Fatalf("eigenvalue %v (converged %v), want %v", res.Value, res.Converged, want)
+	}
+	if res.Products <= maxBasis {
+		t.Fatalf("%d products: the solve never restarted", res.Products)
+	}
+	for i, v := range res.Vector {
+		if !(v > 0) {
+			t.Fatalf("Perron vector entry %d = %v, want positive", i, v)
+		}
+	}
+}
+
+// TestLanczosCap: a solve stopped by its product cap reports the products
+// it made, no convergence, and the residual estimate of its Ritz pair. On
+// this matrix the start vector's Krylov space has two dimensions: under a
+// cap of 2 the estimate meets tol, but no product is left to confirm the
+// pair, and under 3 it converges.
+func TestLanczosCap(t *testing.T) {
+	s := newDense(4)
+	for i := 0; i < 4; i++ {
+		for j := i; j < 4; j++ {
+			s.Set(i, j, float64(1+(i*5+j)%3))
+		}
+	}
+	m := s.csr(t)
+	if res := dominant(m, 1, 1e-10); res.Converged || res.Products != 1 || !(res.Residual > 0) || !(res.Value > 0) {
+		t.Fatalf("cap 1: %+v", res)
+	}
+	if res := dominant(m, 2, 1e-10); res.Converged || res.Products != 2 || res.Residual > 1e-10*(1+res.Value) {
+		t.Fatalf("cap 2: %+v", res)
+	}
+	if res := dominant(m, 3, 1e-10); !res.Converged || res.Products != 3 {
+		t.Fatalf("cap 3: %+v", res)
+	}
+}
+
+// TestLanczosResidual: for symmetric non-negative matrices the returned
+// pair satisfies the eigen-equation, its Residual is exactly ‖Sv − λv‖,
+// and λ is the largest eigenvalue: no Rayleigh quotient of a unit basis
+// vector or of the uniform vector exceeds it.
+func TestLanczosResidual(t *testing.T) {
+	check := func(raw []uint8) bool {
+		n := 1 + len(raw)%9
 		if len(raw) < n*n {
 			return true
 		}
@@ -308,47 +407,73 @@ func TestPowerIterationResidual(t *testing.T) {
 			}
 		}
 		m := s.csr(t)
-		maxIter := 5000
-		if capped {
-			maxIter = 2
-		}
-		res := power(m, maxIter, 1e-12)
-		y := make([]float64, n)
-		m.MulVec(res.Vector, y)
-		var resid float64
-		for i := range y {
-			d := y[i] - res.Value*res.Vector[i]
-			resid += d * d
-		}
-		if res.Residual != math.Sqrt(resid) {
-			t.Errorf("Residual %v, recomputed %v", res.Residual, math.Sqrt(resid))
+		res := dominant(m, 20000, 1e-10)
+		if !res.Converged {
+			t.Errorf("%d×%d matrix %v did not converge", n, n, s.a)
 			return false
 		}
-		if !res.Converged {
-			return true // ties may not converge; not a correctness failure
+		y := make([]float64, n)
+		m.MulVec(res.Vector, y)
+		if r := residual(y, res.Vector, res.Value); res.Residual != r || r > 1e-4*(1+res.Value) {
+			t.Errorf("Residual %v, recomputed %v", res.Residual, r)
+			return false
 		}
-		// ‖Sv − λv‖ should be small relative to λ.
-		return res.Residual <= 1e-4*(1+res.Value)
+		var all float64
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
+				all += s.a[i*n+j]
+			}
+			if s.a[i*n+i] > res.Value+1e-9 {
+				return false
+			}
+		}
+		return all/float64(n) <= res.Value+1e-9
 	}
-	// A bipartite input (eigenvalues ±√43) on which λ is stationary after
-	// two steps while the vector still oscillates: it must not converge.
-	bipartite := make([]uint8, 16)
-	for i, v := range []uint8{0, 0, 3, 0, 0, 0, 5, 0, 0, 0, 0, 3, 0, 0, 0, 0} {
-		bipartite[i] = v
-	}
-	if !check(bipartite, false) {
-		t.Fatal("the bipartite input converged to a pair whose residual exceeds the bound")
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 200, Rand: rand.New(rand.NewSource(1))}); err != nil {
+	if err := quick.Check(check, &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// BenchmarkPowerIteration480 is the consensus task's first round at the
+// TestTQLToeplitz: the tridiagonal eigensolver against the closed form of
+// the matrix with 2 on the diagonal and 1 beside it, eigenvalues
+// 2 + 2·cos(kπ/(n+1)), and its rotations against T·z = λ·z.
+func TestTQLToeplitz(t *testing.T) {
+	const n = 12
+	d, e, z := make([]float64, n), make([]float64, n), make([]float64, n*n)
+	for i := range d {
+		d[i], e[i], z[i*n+i] = 2, 1, 1
+	}
+	e[n-1] = 0
+	tql(d, e, z)
+	got := append([]float64(nil), d...)
+	sort.Float64s(got)
+	for k := 1; k <= n; k++ {
+		want := 2 + 2*math.Cos(float64(n+1-k)*math.Pi/(n+1))
+		if math.Abs(got[k-1]-want) > 1e-12 {
+			t.Fatalf("eigenvalue %d: %v, want %v", k, got[k-1], want)
+		}
+	}
+	for c := 0; c < n; c++ {
+		for i := 0; i < n; i++ {
+			tz := 2 * z[i*n+c]
+			if i > 0 {
+				tz += z[(i-1)*n+c]
+			}
+			if i+1 < n {
+				tz += z[(i+1)*n+c]
+			}
+			if math.Abs(tz-d[c]*z[i*n+c]) > 1e-12 {
+				t.Fatalf("column %d is not the eigenvector of %v", c, d[c])
+			}
+		}
+	}
+}
+
+// BenchmarkDominant480 is the consensus task's first round at the
 // benchmark's `cluster` size: 480 variables in cliques of 2–30 (about 4 % of
 // the cells non-zero), slightly different weights so the Perron vector
 // localizes.
-func BenchmarkPowerIteration480(b *testing.B) {
+func BenchmarkDominant480(b *testing.B) {
 	const n = 480
 	d := newDense(n)
 	for lo, size := 0, 2; lo < n; lo, size = lo+size, size%30+3 {
@@ -360,12 +485,16 @@ func BenchmarkPowerIteration480(b *testing.B) {
 		}
 	}
 	s := d.csr(b)
-	x, z := make([]float64, n), make([]float64, n)
+	l := NewLanczos(n)
+	var products int
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if res := PowerIteration(s, 1000, 1e-10, x, z); !res.Converged {
+		res := l.Dominant(s, 20000, 1e-10)
+		if !res.Converged {
 			b.Fatal("did not converge")
 		}
+		products = res.Products
 	}
 	b.ReportMetric(float64(len(s.Val))/(n*n), "density")
+	b.ReportMetric(float64(products), "products/op")
 }
