@@ -248,10 +248,12 @@ func TestObservabilityCheckpointEvents(t *testing.T) {
 // was re-recorded once more when the per-worker cost column left the model,
 // and `registry` when tree merge rounds joined the decision accounting
 // (obs.Hooks.Decision: pool_cost_total, pool_items_total and
-// tree_decisions_total for tree/build).
+// tree_decisions_total for tree/build). `events` was re-recorded when the
+// consensus task's Lanczos solver replaced power iteration: each
+// consensus.extract event carries its Ritz value and matrix products.
 func TestClusterShapedTelemetryPinned(t *testing.T) {
 	pinned := map[string]string{
-		"events":   "3ae41ce4fe48e4f0493ac43909139e24a1f80e9f55f27502167690d8008ebed2",
+		"events":   "660568304d1ae73e8978d29b6dce7fef366d97664dfa0d737a95cc71e22a4d4d",
 		"registry": "cf28e64e5fd22ebbc7b6dd81183e8397015578cebfabd0e16cf061fdbd423347",
 		"workload": "548ccd95249d82aaad406f814c6c204753f17ef94dbebca095802c6e27f34443",
 		"network":  "b9dcd0a65107d8d9ce2115b7ffcb372627e7b6121f85595b4a47413605d8fa46",
