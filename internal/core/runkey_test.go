@@ -14,12 +14,13 @@ import (
 // another layout never matches. The key this build computes is pinned: it
 // names the service's cache entries and checkpoint directories
 // (root/key[:16]) and stamps every checkpoint file, which all stay valid only
-// while its value does not move. It last moved when Options.Standardize, which
-// every run set to true, left the canonical options.
+// while its value does not move. It last moved when Consensus.MaxIter, which
+// every run left at 0, left the canonical options with the power iteration
+// it capped.
 func TestRunKeyPinned(t *testing.T) {
 	const (
 		layout1Key = "93d570dd5bf7ed82ed851fa6d8e4748884b8ffe13cae09cbde1b6431c9af7a62"
-		pinnedKey  = "5cb3a1071983c0d98a9e8c25ab349a83040a9412cb137595a514d8744375f365"
+		pinnedKey  = "5639af0ea4e3fe99ccfb84621f6cadad8a12fb890a102f7fde5a1d31c532703e"
 	)
 	d, _, err := synth.Generate(synth.Config{N: 12, M: 8, Seed: 3})
 	if err != nil {
