@@ -110,7 +110,10 @@ soak:
 # is answered 200, 400 or (submit, on a drained server) 503, and none
 # panics; and the data envelope: a data set of any shape and cells (±Inf,
 # NaN, ±10³⁰⁰, subnormals, the clipping bound ± one ulp) is refused by the
-# engine's data check or prepared into cells within ±score.MaxAbsCell.
+# engine's data check or prepared into cells within ±score.MaxAbsCell; and
+# the consensus task's sparse co-occurrence builder: any ensemble decoded
+# from the bytes builds the CSR that matrix.FromDense makes of the dense
+# matrix, bit for bit, every stored cell finite, positive and mirrored.
 fuzz: fuzz-wire
 	$(GO) test -run '^$$' -fuzz 'FuzzReadTSV$$' -fuzztime 10s ./internal/dataset/
 	$(GO) test -run '^$$' -fuzz 'FuzzTSVRoundTrip$$' -fuzztime 10s ./internal/dataset/
@@ -118,6 +121,7 @@ fuzz: fuzz-wire
 	$(GO) test -run '^$$' -fuzz 'FuzzJobRequest$$' -fuzztime 10s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz 'FuzzPredictRequest$$' -fuzztime 10s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz 'FuzzPrepare$$' -fuzztime 10s ./internal/core/
+	$(GO) test -run '^$$' -fuzz 'FuzzCoOccurrenceCSR$$' -fuzztime 10s ./internal/ganesh/
 
 # Short native-fuzzing pass over the binary wire format (DESIGN §12): the
 # checkpoint read path (the refusal of non-wire files, the binary codecs)
@@ -168,7 +172,9 @@ bench:
 # Kernel.LogML, which derives αN, λ₀·n, 2·(λ₀+n) and c3 from the count
 # (DESIGN §11); then the split layer
 # (DESIGN §29): one evaluator sweep over every candidate, and a pair-step's
-# decisions in ns/decision on each path at 1, 2, 3, 6 and 64 lanes.
+# decisions in ns/decision on each path at 1, 2, 3, 6 and 64 lanes; last
+# the consensus task at 480 variables (DESIGN §17): the sparse build from
+# three ensembles and the Lanczos peeling, with its matrix products per op.
 bench-core:
 	$(GO) test -run '^$$' -bench 'LearnClusterShaped' -benchtime 10x -count 5 ./internal/core/
 	$(GO) test -run '^$$' -bench 'Run480x32$$|Run32x2577$$|SampleObs32x2577' -benchtime 10x -count 5 ./internal/ganesh/
@@ -177,6 +183,7 @@ bench-core:
 	$(GO) test -run '^$$' -bench 'NewKernel$$|LogML$$' -count 5 ./internal/score/
 	$(GO) test -run '^$$' -bench 'Posterior' -count 5 ./internal/splits/
 	$(GO) test -run '^$$' -bench 'SplitImproves/batch' -count 5 ./internal/score/
+	$(GO) test -run '^$$' -bench 'Cluster480$$' -count 5 ./internal/consensus/
 
 # The repo benchmark's `cluster` workload (GaneSH + consensus ~80 % of the
 # learn) as a traced run: learn_s next to the per-layer clocks
