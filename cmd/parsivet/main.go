@@ -6,7 +6,8 @@
 //	maporder    — no unordered map iteration in deterministic packages
 //	floateq     — no raw float ==/!= outside internal/score's quantizers
 //	seqcount    — no ad-hoc goroutines bypassing internal/pool
-//	scorekernel — no direct math.Lgamma outside internal/score's LogML kernels
+//	scorekernel — no direct math.Lgamma outside internal/score's LogML
+//	              kernels, and no math.Exp in deterministic packages
 //	detreach    — stochastic draws only via internal/prng, no wallclock
 //	              reads, and no deterministic entry point transitively
 //	              reaches a wallclock/PRNG/env sink

@@ -22,6 +22,12 @@
 // because it computes none — it delegates every miss to Kernel.LogML and
 // replays the resulting bits — so a logarithm of either kind appearing in it
 // (or any future score helper) is flagged.
+//
+// The exponential has one spelling in every deterministic package: score's
+// own exp, math/exp_amd64.s's FMA branch in pure Go (DESIGN §31). math.Exp
+// runs a different instruction sequence on an amd64 CPU without FMA and on
+// other GOARCHes, so a math.Exp call in code that feeds the network would
+// make the bits a function of the host; any call there is flagged.
 // Deliberate exceptions carry //parsivet:scorekernel with a justification.
 package scorekernel
 
@@ -35,7 +41,7 @@ import (
 // Analyzer is the scorekernel check.
 var Analyzer = &analysis.Analyzer{
 	Name:     "scorekernel",
-	Doc:      "flags direct math.Lgamma calls outside internal/score, and math.Log/math.Lgamma/fastLog outside the pinned LogML kernels and the certified split decision within it",
+	Doc:      "flags direct math.Lgamma calls outside internal/score, math.Log/math.Lgamma/fastLog outside the pinned LogML kernels and the certified split decision within it, and math.Exp in the deterministic packages",
 	Suppress: "scorekernel",
 	Run:      run,
 }
@@ -55,6 +61,7 @@ var scoreAllowed = map[string]bool{
 
 func run(pass *analysis.Pass) error {
 	inScore := pass.Pkg.Name() == "score"
+	deterministic := analysis.IsDeterministic(pass.Pkg)
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			fd, ok := n.(*ast.FuncDecl)
@@ -64,9 +71,9 @@ func run(pass *analysis.Pass) error {
 			if fd.Body == nil {
 				return false
 			}
-			if inScore && scoreAllowed[funcKey(fd)] {
-				return false // the sanctioned kernel spellings
-			}
+			// The sanctioned kernel spellings may take logarithms; no
+			// function may take math.Exp.
+			kernel := inScore && scoreAllowed[funcKey(fd)]
 			ast.Inspect(fd.Body, func(n ast.Node) bool {
 				call, ok := n.(*ast.CallExpr)
 				if !ok {
@@ -87,15 +94,22 @@ func run(pass *analysis.Pass) error {
 				}
 				switch fn.FullName() {
 				case "math.Lgamma":
-					pass.Reportf(call.Pos(),
-						"direct math.Lgamma call outside the pinned LogML kernels: score through Prior.LogML, Kernel.LogML, or Memo.LogML so the kernel's bit-identity pinning covers it, or annotate //parsivet:scorekernel with why this evaluation is not a block score")
+					if !kernel {
+						pass.Reportf(call.Pos(),
+							"direct math.Lgamma call outside the pinned LogML kernels: score through Prior.LogML, Kernel.LogML, or Memo.LogML so the kernel's bit-identity pinning covers it, or annotate //parsivet:scorekernel with why this evaluation is not a block score")
+					}
 				case "math.Log":
-					if inScore {
+					if inScore && !kernel {
 						pass.Reportf(call.Pos(),
 							"math.Log in package score outside Prior.LogML/Kernel.LogML/NewKernel/newLogTable: the Log(βN) suffix is spelled only in the pinned kernels, and the memo stays exact only by computing none — move the arithmetic into the kernel or annotate //parsivet:scorekernel")
 					}
+				case "math.Exp":
+					if deterministic {
+						pass.Reportf(call.Pos(),
+							"math.Exp in a deterministic package: its bits depend on the host (the FMA and non-FMA branches of math/exp_amd64.s, other GOARCHes) — take the exponential from score's exp (DESIGN §31) or annotate //parsivet:scorekernel")
+					}
 				case pass.Pkg.Path() + ".fastLog":
-					if inScore {
+					if inScore && !kernel {
 						pass.Reportf(call.Pos(),
 							"fastLog outside Kernel.SplitImproves: the approximate logarithm's error is budgeted in the certified split decision only (DESIGN §23) — score through Kernel.LogML or annotate //parsivet:scorekernel")
 					}

@@ -14,8 +14,9 @@ func inExpression(x float64) float64 {
 	return a - b
 }
 
+// A package outside the deterministic set may take math.Exp.
 func otherMathIsFine(x float64) float64 {
-	return math.Log(x) + math.Sqrt(x)
+	return math.Log(x) + math.Sqrt(x) + math.Exp(x)
 }
 
 func audited(x float64) float64 {

@@ -24,9 +24,10 @@ func (k *Kernel) LogML(x float64) float64 {
 	return k.tables[0] - math.Log(x)
 }
 
+// A sanctioned kernel spelling may take logarithms, but not math.Exp.
 func NewKernel(x float64) *Kernel {
 	lg, _ := math.Lgamma(x)
-	return &Kernel{tables: []float64{lg + math.Log(x)}}
+	return &Kernel{tables: []float64{lg + math.Log(x), math.Exp(x)}} // want "math.Exp in a deterministic package"
 }
 
 func newLogTable() [2]float64 {
@@ -84,7 +85,18 @@ func helper(x float64) float64 {
 }
 
 func otherMathIsFine(x float64) float64 {
-	return math.Sqrt(x) + math.Exp(x)
+	return math.Sqrt(x) + exp(x)
+}
+
+// exp stands for the package's own exponential, the one spelling.
+func exp(x float64) float64 { return x }
+
+func hostExp(x float64) float64 {
+	return math.Exp(x) // want "math.Exp in a deterministic package"
+}
+
+func newExpTable() [2]float64 {
+	return [2]float64{math.Exp(1), exp(2)} // want "math.Exp in a deterministic package"
 }
 
 func audited(x float64) float64 {

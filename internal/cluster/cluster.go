@@ -536,9 +536,15 @@ func (cc *CoClustering) AttachVar(x, to int) {
 
 // VarColumnStats returns, for variable cluster src, the per-observation
 // statistics of its cells — the precomputation that makes each merge
-// candidate evaluable in O(m + L) instead of O(|vars|·m).
-func (cc *CoClustering) VarColumnStats(src int) []score.Stats {
-	cols := make([]score.Stats, cc.Q.M)
+// candidate evaluable in O(m + L) instead of O(|vars|·m). It fills dst,
+// grown to m entries when it is shorter, so a caller reuses one buffer
+// across merge decisions; every cols[j].N is the cluster's variable count.
+func (cc *CoClustering) VarColumnStats(dst []score.Stats, src int) []score.Stats {
+	if cap(dst) < cc.Q.M {
+		dst = make([]score.Stats, cc.Q.M)
+	}
+	cols := dst[:cc.Q.M]
+	clear(cols)
 	for _, x := range cc.Clusters[src].Vars {
 		row := cc.Q.Row(x)
 		for j, v := range row {

@@ -2,12 +2,12 @@ package cluster
 
 import (
 	"math"
-	"math/rand"
 	"slices"
 	"testing"
 	"testing/quick"
 
 	"parsimone/internal/prng"
+	"parsimone/internal/quickseed"
 	"parsimone/internal/score"
 	"parsimone/internal/synth"
 )
@@ -398,7 +398,7 @@ func TestMergeVarGainRealized(t *testing.T) {
 	if len(cc.Clusters) < 2 {
 		t.Skip("single cluster")
 	}
-	cols := cc.VarColumnStats(0)
+	cols := cc.VarColumnStats(nil, 0)
 	want := cc.GainMergeVar(cols, 0, 1)
 	before := cc.Score()
 	cc.MergeVar(0, 1)
@@ -412,7 +412,7 @@ func TestMergeVarGainRealized(t *testing.T) {
 
 func TestMergeVarGainRetainIsZero(t *testing.T) {
 	cc, _ := newCC(t, 12, 8, 3, 18)
-	cols := cc.VarColumnStats(0)
+	cols := cc.VarColumnStats(nil, 0)
 	if cc.GainMergeVar(cols, 0, 0) != 0 {
 		t.Fatal("retain gain must be zero")
 	}
@@ -517,7 +517,7 @@ func TestScoreDecomposable(t *testing.T) {
 		}
 		return approxEqual(total, cc.Score())
 	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 30, Rand: rand.New(rand.NewSource(1))}); err != nil {
+	if err := quick.Check(check, &quick.Config{MaxCount: 30, Rand: quickseed.Rand(t, 1)}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -539,7 +539,7 @@ func BenchmarkMergeGains(b *testing.B) {
 	d.Standardize()
 	q := score.QuantizeData(d)
 	cc := NewRandomCoClustering(q, testKernel(q), 10, 5, prng.New(1))
-	cols := cc.VarColumnStats(0)
+	cols := cc.VarColumnStats(nil, 0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cc.GainMergeVar(cols, 0, 1%len(cc.Clusters))

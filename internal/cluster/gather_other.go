@@ -2,8 +2,8 @@
 
 package cluster
 
-// useKernel is false: this platform has no gather kernel, and
-// GainsAttachVar runs the portable loop.
+// useKernel is false: this platform has no gather kernels, and
+// GainsAttachVar and GainsMergeVar run the portable loops.
 var useKernel = false
 
 func gatherKernel(*Batch, *CoClustering, []int32, int, int) {

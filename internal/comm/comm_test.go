@@ -4,11 +4,12 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
-	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"parsimone/internal/quickseed"
 )
 
 // sizes exercised by most collective tests, including non-powers of two.
@@ -371,7 +372,7 @@ func TestBlockRangeCoversAll(t *testing.T) {
 		}
 		return covered == n && prevHi == n
 	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(1))}); err != nil {
+	if err := quick.Check(check, &quick.Config{MaxCount: 300, Rand: quickseed.Rand(t, 1)}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -562,7 +563,7 @@ func TestSplitArbitraryColorsProperty(t *testing.T) {
 		})
 		return err == nil && ok
 	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 50, Rand: rand.New(rand.NewSource(1))}); err != nil {
+	if err := quick.Check(check, &quick.Config{MaxCount: 50, Rand: quickseed.Rand(t, 1)}); err != nil {
 		t.Fatal(err)
 	}
 }

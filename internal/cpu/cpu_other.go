@@ -3,3 +3,5 @@
 package cpu
 
 func hasAVX2() bool { return false }
+
+func hasFMA() bool { return false }

@@ -3,13 +3,14 @@ package dataset
 import (
 	"bytes"
 	"math"
-	"math/rand"
 	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
 	"unsafe"
+
+	"parsimone/internal/quickseed"
 )
 
 func fill(d *Data) {
@@ -186,7 +187,7 @@ func TestTSVRoundTripProperty(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 100, Rand: rand.New(rand.NewSource(1))}); err != nil {
+	if err := quick.Check(check, &quick.Config{MaxCount: 100, Rand: quickseed.Rand(t, 1)}); err != nil {
 		t.Fatal(err)
 	}
 }

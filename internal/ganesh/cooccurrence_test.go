@@ -10,6 +10,7 @@ import (
 	"testing/quick"
 
 	"parsimone/internal/matrix"
+	"parsimone/internal/quickseed"
 )
 
 // coThresholds are the co-occurrence thresholds the builder is checked at:
@@ -92,7 +93,7 @@ func TestCoOccurrenceCSRMatchesDense(t *testing.T) {
 				}
 				return true
 			}
-			if err := quick.Check(check, &quick.Config{MaxCount: 6, Rand: rand.New(rand.NewSource(int64(g)))}); err != nil {
+			if err := quick.Check(check, &quick.Config{MaxCount: 6, Rand: quickseed.Rand(t, int64(g))}); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -81,10 +81,30 @@ type engine struct {
 	// batches holds one block batch per pool worker; a decision evaluated
 	// inline uses the first.
 	batches []*cluster.Batch
+	// cols is the merge-var decisions' column statistics, reused.
+	cols []score.Stats
+	// cur is the decision in progress, which the eval and cost functions
+	// read. They are bound once, in newEngine, so that a decision allocates
+	// no closure.
+	cur                                                      decision
+	attachVarEval, mergeVarEval, attachObsEval, mergeObsEval func(w, lo int, out []float64)
+	attachVarCost, mergeVarCost                              func(int) float64
 	// beforeGains, when non-nil, runs at every decision before its gains
 	// are evaluated, with the decision's candidate count and cost function:
 	// a test's view of every decision, between every two mutations.
 	beforeGains func(count int, itemCost func(int) float64)
+}
+
+// decision is what a decision's eval and cost functions read: the state it
+// scores, the variable, observation or cluster it places (x), the
+// candidate count k of an attach-var decision, the detached observation's
+// column statistics and the merge source's obs-cluster count.
+type decision struct {
+	cc      *cluster.CoClustering
+	oc      *cluster.ObsClusters
+	x, k    int
+	col     score.Stats
+	srcObsK int
 }
 
 // newEngine builds an engine scoring through kern.
@@ -92,6 +112,23 @@ func newEngine(rc rank.Context, q *score.QData, kern *score.Kernel, g *prng.MRG3
 	e := &engine{rc: rc, q: q, kern: kern, g: g, batches: make([]*cluster.Batch, max(1, rc.Workers))}
 	for w := range e.batches {
 		e.batches[w] = &cluster.Batch{}
+	}
+	e.attachVarEval = func(w, lo int, out []float64) { e.cur.cc.GainsAttachVar(e.batches[w], e.cur.x, lo, out) }
+	e.mergeVarEval = func(w, lo int, out []float64) { e.cur.cc.GainsMergeVar(e.batches[w], e.cols, e.cur.x, lo, out) }
+	e.attachObsEval = func(w, lo int, out []float64) { e.cur.oc.GainsAttachObs(e.batches[w], e.cur.col, lo, out) }
+	e.mergeObsEval = func(w, lo int, out []float64) { e.cur.oc.GainsMergeObs(e.batches[w], e.cur.x, lo, out) }
+	e.attachVarCost = func(i int) float64 {
+		l := 1
+		if i < e.cur.k {
+			l = len(e.cur.cc.Clusters[i].Clusters)
+		}
+		return float64(e.q.M + trace.LogMLCost*2*l)
+	}
+	e.mergeVarCost = func(j int) float64 {
+		if j == e.cur.x {
+			return 1
+		}
+		return float64(e.q.M + trace.LogMLCost*(2*len(e.cur.cc.Clusters[j].Clusters)+e.cur.srcObsK))
 	}
 	return e
 }
@@ -130,15 +167,8 @@ func (e *engine) reassignVars(cc *cluster.CoClustering) {
 		r := e.g.Intn(n)
 		cc.DetachVar(r)
 		k := len(cc.Clusters)
-		cost := func(i int) float64 {
-			l := 1
-			if i < k {
-				l = len(cc.Clusters[i].Clusters)
-			}
-			return float64(e.q.M + trace.LogMLCost*2*l)
-		}
-		s := e.decide(PhaseVarReassign, k+1,
-			func(w, lo int, out []float64) { cc.GainsAttachVar(e.batches[w], r, lo, out) }, cost)
+		e.cur = decision{cc: cc, x: r, k: k}
+		s := e.decide(PhaseVarReassign, k+1, e.attachVarEval, e.attachVarCost)
 		cc.AttachVar(r, s)
 		e.rc.Hooks.Serial(PhaseVarReassign, float64(2*e.q.M))
 	}
@@ -149,18 +179,10 @@ func (e *engine) reassignVars(cc *cluster.CoClustering) {
 // retained; after a merge the list shrinks and index i is revisited.
 func (e *engine) mergeVars(cc *cluster.CoClustering) {
 	for i := 0; i < len(cc.Clusters); {
-		cols := cc.VarColumnStats(i)
+		e.cols = cc.VarColumnStats(e.cols, i)
 		e.rc.Hooks.Serial(PhaseVarMerge, float64(len(cc.Clusters[i].Vars)*e.q.M))
-		k := len(cc.Clusters)
-		srcL := len(cc.Clusters[i].Clusters)
-		cost := func(j int) float64 {
-			if j == i {
-				return 1
-			}
-			return float64(e.q.M + trace.LogMLCost*(2*len(cc.Clusters[j].Clusters)+srcL))
-		}
-		s := e.decide(PhaseVarMerge, k,
-			func(w, lo int, out []float64) { cc.GainsMergeVar(e.batches[w], cols, i, lo, out) }, cost)
+		e.cur = decision{cc: cc, x: i, srcObsK: len(cc.Clusters[i].Clusters)}
+		s := e.decide(PhaseVarMerge, len(cc.Clusters), e.mergeVarEval, e.mergeVarCost)
 		if s != i {
 			cc.MergeVar(i, s)
 			// The list shifted; position i now holds the next cluster.
@@ -181,9 +203,8 @@ func (e *engine) reassignObs(oc *cluster.ObsClusters) {
 		r := e.g.Intn(m)
 		col := oc.DetachObs(r)
 		l := len(oc.Clusters)
-		s := e.decide(PhaseObsReassign, l+1,
-			func(w, lo int, out []float64) { oc.GainsAttachObs(e.batches[w], col, lo, out) },
-			func(int) float64 { return 2 * trace.LogMLCost })
+		e.cur = decision{oc: oc, col: col}
+		s := e.decide(PhaseObsReassign, l+1, e.attachObsEval, attachObsCost)
 		oc.AttachObs(r, s)
 		e.rc.Hooks.Serial(PhaseObsReassign, float64(2*nv))
 	}
@@ -193,10 +214,8 @@ func (e *engine) reassignObs(oc *cluster.ObsClusters) {
 // (Merge-Obs-Cluster) on one observation partition.
 func (e *engine) mergeObs(oc *cluster.ObsClusters) {
 	for i := 0; i < len(oc.Clusters); {
-		l := len(oc.Clusters)
-		s := e.decide(PhaseObsMerge, l,
-			func(w, lo int, out []float64) { oc.GainsMergeObs(e.batches[w], i, lo, out) },
-			func(int) float64 { return 3 * trace.LogMLCost })
+		e.cur = decision{oc: oc, x: i}
+		s := e.decide(PhaseObsMerge, len(oc.Clusters), e.mergeObsEval, mergeObsCost)
 		if s != i {
 			oc.MergeObs(i, s)
 		} else {
@@ -204,6 +223,11 @@ func (e *engine) mergeObs(oc *cluster.ObsClusters) {
 		}
 	}
 }
+
+// The costs of scoring one candidate of an obs decision: two block scores
+// to attach an observation, three to merge two obs clusters.
+func attachObsCost(int) float64 { return 2 * trace.LogMLCost }
+func mergeObsCost(int) float64  { return 3 * trace.LogMLCost }
 
 // run executes Algorithm 3: random initialization followed by U update
 // steps.

@@ -3,7 +3,6 @@ package ganesh
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -11,6 +10,7 @@ import (
 	"parsimone/internal/cluster"
 	"parsimone/internal/comm"
 	"parsimone/internal/prng"
+	"parsimone/internal/quickseed"
 	"parsimone/internal/rank"
 	"parsimone/internal/score"
 	"parsimone/internal/synth"
@@ -670,7 +670,7 @@ func TestCoOccurrenceProperties(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 200, Rand: rand.New(rand.NewSource(1))}); err != nil {
+	if err := quick.Check(check, &quick.Config{MaxCount: 200, Rand: quickseed.Rand(t, 1)}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -3,11 +3,12 @@ package prng
 import (
 	"math"
 	"math/big"
-	"math/rand"
 	"slices"
 	"strconv"
 	"testing"
 	"testing/quick"
+
+	"parsimone/internal/quickseed"
 )
 
 func TestModulusIsSophieGermainPrime(t *testing.T) {
@@ -134,7 +135,7 @@ func TestJumpComposes(t *testing.T) {
 		p, q, r := g2.State()
 		return x == p && y == q && z == r
 	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 50, Rand: rand.New(rand.NewSource(1))}); err != nil {
+	if err := quick.Check(check, &quick.Config{MaxCount: 50, Rand: quickseed.Rand(t, 1)}); err != nil {
 		t.Fatal(err)
 	}
 }

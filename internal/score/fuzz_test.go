@@ -2,6 +2,7 @@ package score
 
 import (
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -52,7 +53,8 @@ func FuzzQuantizeProb(f *testing.F) {
 // NaN/−Inf scores unselectable, a selection always possible when any score
 // is non-NaN and above −Inf, and within-vector monotonicity — a higher
 // score never receives a lower weight, which is what makes the quantized
-// argmax/sampling agree with the real score order.
+// argmax/sampling agree with the real score order. The weights are the
+// portable loop's bit for bit on the weight kernel's path (DESIGN §31).
 func FuzzQuantizeWeights(f *testing.F) {
 	f.Add(0.0, 0.0, 0.0)
 	f.Add(1.5, -3.25, 700.0)
@@ -99,6 +101,13 @@ func FuzzQuantizeWeights(f *testing.F) {
 		for i := range ws {
 			if ws[i] != again[i] {
 				t.Fatalf("QuantizeWeights not deterministic at %d", i)
+			}
+		}
+		// Seven scores put the kernel through a full group and a partial one.
+		for _, s := range [][]float64{s, {a, b, c, a - 23, b + c, c, math.Nextafter(a, b)}} {
+			ws := QuantizeWeights(s)
+			if portable := quantizeWeights(make([]uint64, len(s)), s); !slices.Equal(ws, portable) {
+				t.Fatalf("scores %v: weights %v, portable loop %v", s, ws, portable)
 			}
 		}
 	})

@@ -130,3 +130,61 @@
 	VMULPD  S_LOG2PI, Y0, Y6; \
 	VADDPD  S_ALPHA0, Y0, Y5
 
+
+// The lane code of exp (exp.go), the FMA branch of math/exp_amd64.s, for
+// the weight kernel (weights_amd64.s, DESIGN §31).
+//
+// R8 points at an expTable: each constant, once per lane, at its field's
+// offset from go_asm.h.
+#define E_LOG2E expTable_log2E(R8)
+#define E_LN2HI expTable_ln2Hi(R8)
+#define E_LN2LO expTable_ln2Lo(R8)
+#define E_SIXTH expTable_sixteenth(R8)
+#define E_C8    expTable_c8(R8)
+#define E_C7    expTable_c7(R8)
+#define E_C6    expTable_c6(R8)
+#define E_C5    expTable_c5(R8)
+#define E_C4    expTable_c4(R8)
+#define E_C3    expTable_c3(R8)
+#define E_HALF  expTable_half(R8)
+#define E_ONE   expTable_one(R8)
+#define E_TWO   expTable_two(R8)
+#define E_MAGIC expTable_magic(R8)
+#define E_BIAS  expTable_bias(R8)
+
+// EXP4 takes four inputs in x, each in [−708, 708], and leaves e^x in u,
+// using k and p. In exp's names, step by step:
+//   k = x·log₂e rounded to even (VROUNDPD, as CVTSD2SL rounds);
+//   u = r := (x − k·ln2Hi − k·ln2Lo)/16, the subtractions fused;
+//   p = the Horner polynomial from c8 down to 1, fused;
+//   u = r·p, then three times u·(u+2), then u·(u+2)+1 fused;
+//   k = 2^k: 1.5·2⁵² + k holds k in its low bits, and (those + 1023) ≪ 52
+//       is the exponent field; u = u·2^k.
+#define EXP4(x, k, u, p) \
+	VMULPD       E_LOG2E, x, k; \
+	VROUNDPD     $0, k, k; \
+	VMOVAPD      x, u; \
+	VFNMADD231PD E_LN2HI, k, u; \
+	VFNMADD231PD E_LN2LO, k, u; \
+	VMULPD       E_SIXTH, u, u; \
+	VMOVUPD      E_C8, p; \
+	VFMADD213PD  E_C7, u, p; \
+	VFMADD213PD  E_C6, u, p; \
+	VFMADD213PD  E_C5, u, p; \
+	VFMADD213PD  E_C4, u, p; \
+	VFMADD213PD  E_C3, u, p; \
+	VFMADD213PD  E_HALF, u, p; \
+	VFMADD213PD  E_ONE, u, p; \
+	VMULPD       p, u, u; \
+	VADDPD       E_TWO, u, p; \
+	VMULPD       p, u, u; \
+	VADDPD       E_TWO, u, p; \
+	VMULPD       p, u, u; \
+	VADDPD       E_TWO, u, p; \
+	VMULPD       p, u, u; \
+	VADDPD       E_TWO, u, p; \
+	VFMADD213PD  E_ONE, p, u; \
+	VADDPD       E_MAGIC, k, k; \
+	VPADDQ       E_BIAS, k, k; \
+	VPSLLQ       $52, k, k; \
+	VMULPD       k, u, u

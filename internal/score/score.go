@@ -225,7 +225,7 @@ func QuantizeWeights(logScores []float64) []uint64 {
 	return QuantizeWeightsInto(make([]uint64, len(logScores)), logScores)
 }
 
-// zeroWeightBelow is where QuantizeWeightsInto stops calling math.Exp: a
+// zeroWeightBelow is where the weight step stops taking exponentials: a
 // weight round(exp(d)·2^WeightBits) is 0 iff exp(d) ≤ 2^−(WeightBits+1),
 // that is d ≤ −(WeightBits+1)·ln 2 ≈ −22.87, and exp(−23)·2^WeightBits ≈
 // 0.44 rounds to 0 with a 13 % margin. TestQuantizationEnvelope pins the
@@ -234,8 +234,21 @@ const zeroWeightBelow = -23
 
 // QuantizeWeightsInto is QuantizeWeights writing into ws, which must have
 // len(logScores) elements and is returned; a per-decision caller reuses one
-// buffer across calls.
+// buffer across calls. On amd64 with AVX2 and FMA the weights come from one
+// vector kernel (DESIGN §31), elsewhere from the portable loop, which is
+// the reference; both take the exponential from the package's exp and give
+// the same bits.
 func QuantizeWeightsInto(ws []uint64, logScores []float64) []uint64 {
+	ws = ws[:len(logScores)]
+	if useKernel && weightKernel && len(logScores) > 0 {
+		quantizeKernel(ws, logScores)
+		return ws
+	}
+	return quantizeWeights(ws, logScores)
+}
+
+// quantizeWeights is QuantizeWeightsInto's portable loop.
+func quantizeWeights(ws []uint64, logScores []float64) []uint64 {
 	clear(ws)
 	maxs := math.Inf(-1)
 	for _, s := range logScores {
@@ -258,7 +271,7 @@ func QuantizeWeightsInto(ws []uint64, logScores []float64) []uint64 {
 		if d < zeroWeightBelow {
 			continue // ws[i] is 0 already, and exp would round it to 0
 		}
-		w := math.RoundToEven(math.Exp(d) * (1 << WeightBits))
+		w := math.RoundToEven(exp(d) * (1 << WeightBits))
 		if !(w < float64(MaxWeight)) {
 			ws[i] = MaxWeight
 			continue

@@ -2,12 +2,12 @@ package score
 
 import (
 	"math"
-	"math/rand"
 	"reflect"
 	"testing"
 	"testing/quick"
 
 	"parsimone/internal/dataset"
+	"parsimone/internal/quickseed"
 )
 
 func TestQuantizeRoundTrip(t *testing.T) {
@@ -60,7 +60,7 @@ func TestQuantizeFitsInt32(t *testing.T) {
 		q := Quantize(x)
 		return q >= -MaxAbsCell && q <= MaxAbsCell && int64(int32(q)) == q
 	}
-	if err := quick.Check(check, &quick.Config{Rand: rand.New(rand.NewSource(1))}); err != nil {
+	if err := quick.Check(check, &quick.Config{Rand: quickseed.Rand(t, 1)}); err != nil {
 		t.Fatal(err)
 	}
 	d := dataset.New(1, 4)
@@ -124,23 +124,25 @@ func TestQuantizationEnvelope(t *testing.T) {
 	}
 }
 
-// TestQuantizeWeightsSkipBitIdentical: the weights QuantizeWeightsInto
-// stores without calling math.Exp, below zeroWeightBelow, are the weights
-// the unskipped expression gives. A dense sweep of d = s − max over
-// [−23.5, −22.5] crosses both the skip and the floor −33·ln 2.
+// TestQuantizeWeightsSkipBitIdentical: the weights the weight step stores
+// without taking the exponential, below zeroWeightBelow, are the weights the
+// unskipped expression gives, on both paths. A dense sweep of d = s − max
+// over [−23.5, −22.5] crosses both the skip and the floor −33·ln 2.
 func TestQuantizeWeightsSkipBitIdentical(t *testing.T) {
-	const steps = 1 << 20
-	scores, ws := []float64{0, 0}, make([]uint64, 2)
-	for k := 0; k <= steps; k++ {
-		d := -23.5 + float64(k)/steps
-		for _, d := range []float64{d, math.Nextafter(d, 0), math.Nextafter(d, -1)} {
-			scores[1] = d
-			QuantizeWeightsInto(ws, scores)
-			if want := uint64(math.RoundToEven(math.Exp(d) * (1 << WeightBits))); ws[1] != want {
-				t.Fatalf("s − max = %v: weight %d, unskipped expression %d", d, ws[1], want)
+	logPaths(t, func(t *testing.T) {
+		const steps = 1 << 20
+		scores, ws := []float64{0, 0}, make([]uint64, 2)
+		for k := 0; k <= steps; k++ {
+			d := -23.5 + float64(k)/steps
+			for _, d := range []float64{d, math.Nextafter(d, 0), math.Nextafter(d, -1)} {
+				scores[1] = d
+				QuantizeWeightsInto(ws, scores)
+				if want := uint64(math.RoundToEven(exp(d) * (1 << WeightBits))); ws[1] != want {
+					t.Fatalf("s − max = %v: weight %d, unskipped expression %d", d, ws[1], want)
+				}
 			}
 		}
-	}
+	})
 }
 
 func TestQuantizeMonotone(t *testing.T) {
@@ -153,7 +155,7 @@ func TestQuantizeMonotone(t *testing.T) {
 		}
 		return Quantize(a) <= Quantize(b)
 	}
-	if err := quick.Check(check, &quick.Config{Rand: rand.New(rand.NewSource(1))}); err != nil {
+	if err := quick.Check(check, &quick.Config{Rand: quickseed.Rand(t, 1)}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -233,7 +235,7 @@ func TestStatsIncrementalEqualsRecomputedProperty(t *testing.T) {
 		}
 		return inc == StatsOf(remaining)
 	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 200, Rand: rand.New(rand.NewSource(1))}); err != nil {
+	if err := quick.Check(check, &quick.Config{MaxCount: 200, Rand: quickseed.Rand(t, 1)}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -276,7 +278,7 @@ func TestLogMLFinite(t *testing.T) {
 		ml := pr.LogML(StatsOf(vals))
 		return !math.IsNaN(ml) && !math.IsInf(ml, 0)
 	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(1))}); err != nil {
+	if err := quick.Check(check, &quick.Config{MaxCount: 300, Rand: quickseed.Rand(t, 1)}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -380,7 +382,7 @@ func TestQuantizeWeightsMaxAlwaysPositive(t *testing.T) {
 		}
 		return total > 0
 	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 200, Rand: rand.New(rand.NewSource(1))}); err != nil {
+	if err := quick.Check(check, &quick.Config{MaxCount: 200, Rand: quickseed.Rand(t, 1)}); err != nil {
 		t.Fatal(err)
 	}
 }

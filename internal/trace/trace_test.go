@@ -2,10 +2,11 @@ package trace
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
+
+	"parsimone/internal/quickseed"
 )
 
 func TestTimersAccumulate(t *testing.T) {
@@ -77,7 +78,7 @@ func TestImbalanceNonNegative(t *testing.T) {
 		}
 		return Imbalance(xs) >= 0
 	}
-	if err := quick.Check(check, &quick.Config{Rand: rand.New(rand.NewSource(1))}); err != nil {
+	if err := quick.Check(check, &quick.Config{Rand: quickseed.Rand(t, 1)}); err != nil {
 		t.Fatal(err)
 	}
 }
