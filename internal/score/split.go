@@ -138,29 +138,33 @@ const (
 	Certified
 )
 
-// SplitsImprove decides the thresholds of one resample at once: for every
-// lane i, with l = bkt[idx[i]] and r = tot − l, dst[i] holds exactly what
+// Lane is one decision of Kernel.SplitsImprove: the indices of its left
+// block and of its total in the call's blocks.
+type Lane struct{ Left, Total int32 }
+
+// SplitsImprove decides the thresholds of several resamples at once: for
+// every lane i, with l = bkt[lanes[i].Left] and tot = bkt[lanes[i].Total],
+// dst[i] holds exactly what
 //
-//	k.SplitImproves(l, r, k.LogML(tot))
+//	k.SplitImproves(l, tot − l, totML[lanes[i].Total])
 //
 // returns, Improves for its bit and Certified for its path; fallbacks counts
-// the uncertified lanes, and misses its Kernel.LogML calls outside the
-// table: tot's, and each uncertified lane's l and r, whose count is outside.
-// dst must have len(idx) elements, and every idx[i] must index bkt. On amd64
-// with AVX2 one call of splitsAVX2 scores tot, with LOG4 (math.Log's amd64
-// code in lanes), and certifies the lanes two to a vector with
+// the uncertified lanes, and misses their Kernel.LogML calls outside the
+// table: each uncertified lane's l and r whose count is outside. The totals'
+// own scores are the caller's (the evaluator takes them from one
+// LogMLBatch call), so every lane reads its own total and its totML, and
+// lanes of different resamples share a call. dst must have len(lanes)
+// elements, every index must index bkt, and every Total totML. On amd64 with
+// AVX2 one call of splitsAVX2 certifies the lanes two to a vector with
 // SplitImproves' operations in its order (DESIGN §29); the lanes it cannot
-// certify are decided here by the exact expression. Everywhere else, and
-// for a total outside the table, it is the loop over SplitImproves, which
-// is the reference.
-func (k *Kernel) SplitsImprove(dst []Decision, bkt []Stats, idx []int32, tot Stats) (fallbacks, misses int) {
-	dst = dst[:len(idx)]
-	if !useKernel || tot.N <= 0 || tot.N >= int64(len(k.tab)) {
-		totML := k.LogML(tot)
-		misses = k.miss(tot)
-		for i, d := range idx {
-			l := bkt[d]
-			improves, certified := k.SplitImproves(l, tot.minus(l), totML)
+// certify are decided here by the exact expression. Everywhere else it is
+// the loop over SplitImproves, which is the reference.
+func (k *Kernel) SplitsImprove(dst []Decision, bkt []Stats, lanes []Lane, totML []float64) (fallbacks, misses int) {
+	dst = dst[:len(lanes)]
+	if !useKernel || len(lanes) == 0 {
+		for i, ln := range lanes {
+			l, tot := bkt[ln.Left], bkt[ln.Total]
+			improves, certified := k.SplitImproves(l, tot.minus(l), totML[ln.Total])
 			dst[i] = decision(improves, certified)
 			if !certified {
 				fallbacks++
@@ -169,18 +173,15 @@ func (k *Kernel) SplitsImprove(dst []Decision, bkt []Stats, idx []int32, tot Sta
 		}
 		return fallbacks, misses
 	}
-	if len(idx) == 0 {
-		return 0, 0
+	for _, ln := range lanes {
+		_, _, _ = bkt[ln.Left], bkt[ln.Total], totML[ln.Total] // the kernel loads without bounds checks
 	}
-	for _, d := range idx {
-		_ = bkt[d] // the kernel loads without bounds checks
-	}
-	totML, fallbacks := splitsKernel(k, dst, bkt, idx, &tot)
-	if fallbacks > 0 {
+	if fallbacks = splitsKernel(k, dst, bkt, lanes, totML); fallbacks > 0 {
 		for i, d := range dst {
 			if d&Certified == 0 {
-				l := bkt[idx[i]]
-				dst[i] = decision(k.LogML(l)+k.LogML(tot.minus(l))-totML > 0, false)
+				ln := lanes[i]
+				l, tot := bkt[ln.Left], bkt[ln.Total]
+				dst[i] = decision(k.LogML(l)+k.LogML(tot.minus(l))-totML[ln.Total] > 0, false)
 				misses += k.miss(l) + k.miss(tot.minus(l))
 			}
 		}

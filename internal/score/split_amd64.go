@@ -12,12 +12,11 @@ type kernelLanes struct {
 	// mask; fastLog's exponent window 959…1086, bias 1023, table-index
 	// mask, mantissa mask and midpoint — the bias and the midpoint folded
 	// into the magic — 0.25, 1/3, ln 2 and NaN; fastLogEps, sumSlack and the
-	// sign bit; 2⁵¹, the bound of the magic conversion; the odd-element mask
-	// and the integer 1, which form a right side.
+	// sign bit; 2⁵¹, the bound of the magic conversion.
 	magic, two52, two32, lo32, hidw                                     [4]uint64
 	nmax, scale, scale2, mu0, lambda0, alpha0, beta0, log2Pi, half, abs [4]uint64
 	expLo, expHi, kMagic, tIdx, mLow, mMagic, quarter, third, ln2, nan  [4]uint64
-	eps, slack, sign, halfR, odd, one                                   [4]uint64
+	eps, slack, sign, halfR                                             [4]uint64
 	// spread maps a mask of the lanes of a pair, at bits 0 and 2, to two
 	// bytes, one per lane, each 0 or 1.
 	spread [16]uint16
@@ -58,9 +57,6 @@ func newKernelLanes(p Prior, log2Pi float64, tabLen int) kernelLanes {
 		slack:   broadcastF(sumSlack),
 		sign:    broadcast(1 << 63),
 		halfR:   broadcast(1 << 51),
-		// All ones in elements 1 and 3.
-		odd: [4]uint64{0, ^uint64(0), 0, ^uint64(0)},
-		one: broadcast(1),
 	}
 	for m := range l.spread {
 		l.spread[m] = uint16(m&1 | m>>2&1<<8)
@@ -68,15 +64,15 @@ func newKernelLanes(p Prior, log2Pi float64, tabLen int) kernelLanes {
 	return l
 }
 
-// splitsKernel is SplitsImprove's certified pass on the AVX2 kernel, for a
-// total inside the table and len(idx) ≥ 1: it returns k.LogML(*tot) and the
-// number of lanes left uncertified, whose dst elements are 0.
-func splitsKernel(k *Kernel, dst []Decision, bkt []Stats, idx []int32, tot *Stats) (totML float64, fallbacks int) {
-	return splitsAVX2(&k.lanes, &logConsts, &k.tab[0], &logTab[0], &dst[0], &bkt[0], &idx[0], len(idx), tot)
+// splitsKernel is SplitsImprove's certified pass on the AVX2 kernel, for
+// len(lanes) ≥ 1: it returns the number of lanes left uncertified, whose dst
+// elements are 0.
+func splitsKernel(k *Kernel, dst []Decision, bkt []Stats, lanes []Lane, totML []float64) (fallbacks int) {
+	return splitsAVX2(&k.lanes, &k.tab[0], &logTab[0], &dst[0], &bkt[0], &lanes[0], &totML[0], len(lanes))
 }
 
-// splitsAVX2 scores *tot, then decides the n ≥ 1 lanes at idx two at a
-// time, both sides of both lanes in one vector.
+// splitsAVX2 decides the n ≥ 1 lanes two at a time, both sides of both
+// lanes in one vector.
 //
 //go:noescape
-func splitsAVX2(lanes *kernelLanes, lt *logTable, tab *kernelEntry, ltab *logTabEntry, dst *Decision, bkt *Stats, idx *int32, n int, tot *Stats) (totML float64, fallbacks int)
+func splitsAVX2(lanes *kernelLanes, tab *kernelEntry, ltab *logTabEntry, dst *Decision, bkt *Stats, ln *Lane, totML *float64, n int) (fallbacks int)

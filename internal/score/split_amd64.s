@@ -1,6 +1,5 @@
 #include "textflag.h"
 #include "go_asm.h"
-#include "log_amd64.h"
 #include "lanes_amd64.h"
 
 // The split kernel (DESIGN §29): Kernel.SplitImproves two lanes at a time,
@@ -8,28 +7,35 @@
 // SplitImproves' float64 operations — betaN, fastLog, its side's score —
 // and the even elements δ̃ and the margin, in its order, on the same
 // operands, with packed IEEE operations and no FMA, so every lane rounds as
-// the scalar code does. LOG4 (log_amd64.h, DESIGN §28) scores the total as
-// Kernel.LogML does, bit for bit.
+// the scalar code does. Each lane reads its own total and that total's
+// score, so the lanes of one call may come from different resamples.
 //
-// The frame: 32-byte rows of the total's N, Sum and SumSq plus one in the
-// odd lanes (0 in the even ones) and of its score; the total's βN, αN, c1,
-// c2 and c3 and the flag that its score is pending, 8 bytes each; and the
-// first pair's SCORE results while LOG4 runs.
-#define F_CN    0(SP)
-#define F_CSUM  32(SP)
-#define F_CSQ   64(SP)
-#define F_TOTML 96(SP)
-#define F_TB    128(SP)
-#define F_TA    136(SP)
-#define F_TC1   144(SP)
-#define F_TC2   152(SP)
-#define F_TC3   160(SP)
-#define F_PEND  168(SP)
-#define F_S3    192(SP)
-#define F_S4    224(SP)
-#define F_S5    256(SP)
-#define F_S6    288(SP)
-#define F_S7    320(SP)
+// The loop is software-pipelined in three stages, so that three pairs'
+// long dependency chains overlap: stage A of a pair loads its sides and
+// forms βN, αN, c1, c2, c3, the in-table mask and the totals' scores into
+// the frame's first slot; stage B1 takes the logarithm and scores the sides
+// into the second slot; stage B2 decides and stores. A pass runs B2 of one
+// pair, B1 of the next and A of the one after, in that order, so each slot
+// is read before it is written again. F_CNT and F_CNTB are the slots' lane
+// counts, 2 or 1; F_PRIME says that the pipeline is still filling, and
+// F_DONE that the pair in the second slot is the last.
+#define F_BETA  0(SP)
+#define F_ALPHA 32(SP)
+#define F_C1    64(SP)
+#define F_C2    96(SP)
+#define F_C3    128(SP)
+#define F_MASK  160(SP)
+#define F_TML   192(SP)
+#define F_SIDE  224(SP)
+#define F_P     256(SP)
+#define F_ALPHB 288(SP)
+#define F_MAG   320(SP)
+#define F_MASKB 352(SP)
+#define F_TMLB  384(SP)
+#define F_CNT   416(SP)
+#define F_CNTB  424(SP)
+#define F_PRIME 432(SP)
+#define F_DONE  440(SP)
 
 // FASTLOG leaves fastLog(Y8) in Y9: the exponent e = bits>>52 outside
 // 959…1086 gives NaN; otherwise, with i the top seven mantissa bits and
@@ -68,12 +74,12 @@
 	VADDPD    Y9, Y0, Y9; \
 	VBLENDVPD Y1, S_NAN, Y9, Y9
 
-// SCORE finishes one side from BETAN's and ENTRY's results:
-// Y4 = p = αN·fastLog(βN), Y3 = ((c1 − p) + c2) − c3 and Y6 = the entry's
-// magnitude (|c1| + |c2|) + |c3|; αN stays in Y5 and the in-table mask in
-// Y7. Uses Y0–Y4, Y6, Y8–Y15, AX, DX, R12 and R13.
+// SCORE finishes one side from FASTLOG's result and the c1, c2, c3 and αN
+// of ENTRY and BETAN in Y12, Y13, Y6 and Y5: Y4 = p = αN·fastLog(βN),
+// Y3 = ((c1 − p) + c2) − c3 and Y6 = the entry's magnitude
+// (|c1| + |c2|) + |c3|; αN stays in Y5. Uses Y3, Y4, Y6, Y12, Y13 and
+// Y15.
 #define SCORE \
-	FASTLOG; \
 	VMULPD  Y9, Y5, Y4; \
 	VSUBPD  Y4, Y12, Y3; \
 	VADDPD  Y13, Y3, Y3; \
@@ -85,25 +91,8 @@
 	VANDPD  Y15, Y6, Y6; \
 	VADDPD  Y6, Y12, Y6
 
-// SIDEM scores the sides whose N, Sum and SumSq are in Y0, Y1 and Y2,
-// each Sum and SumSq in [−2⁵¹, 2⁵¹); SIDEQ any sides. Both leave SCORE's
-// results.
-#define SIDEM \
-	ENTRY; \
-	CVTM(Y1); \
-	CVTM(Y2); \
-	BETAN; \
-	SCORE
-
-#define SIDEQ \
-	ENTRY; \
-	CVTQ(Y1, Y14, X14, Y15); \
-	CVTQ(Y2, Y14, X14, Y15); \
-	BETAN; \
-	SCORE
-
-// DECIDE takes SCORE's results for the sides [L_a, R_a, L_b, R_b] of two
-// lanes a and b and leaves the lane masks of Improves and Certified in
+// DECIDE takes SCORE's results and the in-table mask in Y7 for the sides
+// [L_a, R_a, L_b, R_b] of two lanes a and b and leaves the lane masks of Improves and Certified in
 // R12 and R13, at bits 0 (lane a) and 2 (lane b). VPERMILPD $5 swaps the
 // two sides of each lane, so that the even elements hold
 // δ̃ = (sideL + sideR) − totML and
@@ -113,7 +102,7 @@
 #define DECIDE \
 	VPERMILPD $5, Y3, Y8; \
 	VADDPD    Y8, Y3, Y3; \
-	VSUBPD    F_TOTML, Y3, Y3; \
+	VSUBPD    F_TMLB, Y3, Y3; \
 	VPERMILPD $5, Y5, Y8; \
 	VADDPD    Y8, Y5, Y5; \
 	VMULPD    S_EPS, Y5, Y5; \
@@ -136,107 +125,121 @@
 	VMOVMSKPD Y0, R12; \
 	VMOVMSKPD Y1, R13
 
-// func splitsAVX2(lanes *kernelLanes, lt *logTable, tab *kernelEntry, ltab *logTabEntry, dst *Decision, bkt *Stats, idx *int32, n int, tot *Stats) (totML float64, fallbacks int)
-TEXT ·splitsAVX2(SB), NOSPLIT, $352-88
+// func splitsAVX2(lanes *kernelLanes, tab *kernelEntry, ltab *logTabEntry, dst *Decision, bkt *Stats, ln *Lane, totML *float64, n int) (fallbacks int)
+TEXT ·splitsAVX2(SB), NOSPLIT, $448-72
 	MOVQ lanes+0(FP), BX
-	MOVQ tab+16(FP), R9
-	MOVQ ltab+24(FP), R10
-	MOVQ dst+32(FP), DI
-	MOVQ bkt+40(FP), R8
-	MOVQ idx+48(FP), SI
+	MOVQ tab+8(FP), R9
+	MOVQ ltab+16(FP), R10
+	MOVQ dst+24(FP), DI
+	MOVQ bkt+32(FP), R8
+	MOVQ ln+40(FP), SI
+	MOVQ totML+48(FP), R15
 	MOVQ n+56(FP), CX
-	MOVQ tot+64(FP), R11
-
-	// A lane's right side is tot − left, formed in the odd elements as
-	// (left XOR −1) + (tot + 1).
-	VPBROADCASTQ 0(R11), Y0
-	VPBROADCASTQ 8(R11), Y1
-	VPBROADCASTQ 16(R11), Y2
-	VMOVDQU      S_ONE, Y3
-	VMOVDQU      S_ODD, Y4
-	VPADDQ       Y3, Y0, Y0
-	VPAND        Y4, Y0, Y0
-	VMOVDQU      Y0, F_CN
-	VPADDQ       Y3, Y1, Y1
-	VPAND        Y4, Y1, Y1
-	VMOVDQU      Y1, F_CSUM
-	VPADDQ       Y3, Y2, Y2
-	VPAND        Y4, Y2, Y2
-	VMOVDQU      Y2, F_CSQ
-
-	// The total's βN and its entry, in scalar operations, BETAN's; the
-	// caller has checked that tot's count is in the table. Its logarithm
-	// waits for the first pair's sides, so that the two dependency chains
-	// overlap.
-	MOVQ         0(R11), AX
-	VCVTSI2SDQ   AX, X0, X0
-	VCVTSI2SDQ   8(R11), X1, X1
-	VCVTSI2SDQ   16(R11), X2, X2
-	VMULSD       S_SCALE, X1, X1
-	VMULSD       S_SCALE2, X2, X2
-	VDIVSD       X0, X1, X3
-	VMULSD       X1, X1, X1
-	VDIVSD       X0, X1, X1
-	VSUBSD       X1, X2, X2
-	VXORPD       X4, X4, X4
-	VCMPSD       $1, X4, X2, X4
-	VANDNPD      X2, X4, X2
-	VSUBSD       S_MU0, X3, X3
-	VMULSD       S_LAMBDA0, X0, X1
-	VMULSD       X3, X1, X1
-	VMULSD       X3, X1, X1
-	VADDSD       S_LAMBDA0, X0, X4
-	VADDSD       X4, X4, X4
-	VDIVSD       X4, X1, X1
-	VMULSD       S_HALF, X2, X2
-	VADDSD       S_BETA0, X2, X2
-	VADDSD       X1, X2, X2
-	VMULSD       S_HALF, X0, X0
-	VMULSD       S_LOG2PI, X0, X15
-	VADDSD       S_ALPHA0, X0, X14
-	IMUL3Q       $kernelEntry__size, AX, AX
-	VMOVSD       kernelEntry_c1(R9)(AX*1), X12
-	VMOVSD       kernelEntry_c2(R9)(AX*1), X13
-	VMOVSD       X2, F_TB
-	VMOVSD       X14, F_TA
-	VMOVSD       X12, F_TC1
-	VMOVSD       X13, F_TC2
-	VMOVSD       X15, F_TC3
-	MOVQ         $1, F_PEND
-	XORQ         R11, R11
+	XORQ R11, R11
+	MOVQ $1, F_PRIME
+	MOVQ $0, F_DONE
+	JMP  stagea
 
 loop:
-	// Two lanes a step, their four sides [L_a, R_a, L_b, R_b] in one
-	// vector; a last odd lane runs as a pair with itself.
-	CMPQ  CX, $2
-	JLT   one
-	MOVL  0(SI), AX
-	MOVL  4(SI), DX
-	JMP   pair
+	// Stage B2: decide the pair in the second slot and store.
+	VMOVUPD F_SIDE, Y3
+	VMOVUPD F_P, Y4
+	VMOVUPD F_ALPHB, Y5
+	VMOVUPD F_MAG, Y6
+	VMOVDQU F_MASKB, Y7
+	DECIDE
+	MOVWLZX S_SPREAD(BX)(R12*2), R12
+	MOVWLZX S_SPREAD(BX)(R13*2), R13
+	CMPQ    F_CNTB, $2
+	JLT     last
+	POPCNTL R13, AX
+	ADDQ    $2, R11
+	SUBQ    AX, R11
+	SHLL    $1, R13
+	ORL     R13, R12
+	MOVW    R12, (DI)
+	ADDQ    $2, DI
+	CMPQ    F_DONE, $0
+	JNE     done
+
+stageb1:
+	// Stage B1: score the sides of the pair in the first slot into the
+	// second.
+	VMOVUPD F_BETA, Y8
+	FASTLOG
+	VMOVUPD F_ALPHA, Y5
+	VMOVUPD F_C1, Y12
+	VMOVUPD F_C2, Y13
+	VMOVUPD F_C3, Y6
+	SCORE
+	VMOVUPD Y3, F_SIDE
+	VMOVUPD Y4, F_P
+	VMOVUPD Y5, F_ALPHB
+	VMOVUPD Y6, F_MAG
+	VMOVDQU F_MASK, Y7
+	VMOVDQU Y7, F_MASKB
+	VMOVUPD F_TML, Y10
+	VMOVUPD Y10, F_TMLB
+	MOVQ    F_CNT, AX
+	MOVQ    AX, F_CNTB
+	TESTQ   CX, CX
+	JG      stagea
+	MOVQ    $1, F_DONE
+	JMP     loop
+
+stagea:
+	// Stage A: the next two lanes, their four sides [L_a, R_a, L_b, R_b]
+	// in one vector; a last odd lane runs as a pair with itself. AX and DX
+	// index the left blocks, R12 and R13 the totals. CX counts the lanes
+	// not yet through stage A.
+	CMPQ CX, $2
+	JLT  one
+	MOVL 0(SI), AX
+	MOVL 4(SI), R12
+	MOVL 8(SI), DX
+	MOVL 12(SI), R13
+	MOVQ $2, F_CNT
+	JMP  pair
 
 one:
-	TESTQ CX, CX
-	JEQ   done
-	MOVL  0(SI), AX
-	MOVL  AX, DX
+	MOVL 0(SI), AX
+	MOVL AX, DX
+	MOVL 4(SI), R12
+	MOVL R12, R13
+	MOVQ $1, F_CNT
 
 pair:
+	ADDQ        $16, SI
+	SUBQ        $2, CX
+	VMOVSD      (R15)(R12*8), X10
+	VMOVSD      (R15)(R13*8), X11
+	VINSERTF128 $1, X11, Y10, Y10
+	VMOVUPD     Y10, F_TML
 	LEAQ        (AX)(AX*2), AX
 	LEAQ        (DX)(DX*2), DX
+	LEAQ        (R12)(R12*2), R12
+	LEAQ        (R13)(R13*2), R13
+	// [N, Sum] of l_a, l_b and of t_a, t_b; [SumSq] of l_a, t_a, l_b, t_b.
 	VMOVDQU     (R8)(AX*8), X0
 	VINSERTI128 $1, (R8)(DX*8), Y0, Y0
+	VMOVDQU     (R8)(R12*8), X1
+	VINSERTI128 $1, (R8)(R13*8), Y1, Y1
 	VMOVQ       16(R8)(AX*8), X2
-	VPINSRQ     $1, 16(R8)(DX*8), X2, X2
-	VPERMQ      $0xf5, Y0, Y1
-	VPERMQ      $0xa0, Y0, Y0
-	VPERMQ      $0x50, Y2, Y2
-	VMOVDQU     S_ODD, Y8
-	VPXOR       Y8, Y0, Y0
-	VPADDQ      F_CN, Y0, Y0
-	VPXOR       Y8, Y1, Y1
-	VPADDQ      F_CSUM, Y1, Y1
-	VPXOR       Y8, Y2, Y2
-	VPADDQ      F_CSQ, Y2, Y2
+	VPINSRQ     $1, 16(R8)(R12*8), X2, X2
+	VMOVQ       16(R8)(DX*8), X3
+	VPINSRQ     $1, 16(R8)(R13*8), X3, X3
+	VINSERTI128 $1, X3, Y2, Y2
+	// Each row [l_a, t_a, l_b, t_b] less itself shifted up one element is
+	// [l_a, t_a − l_a, l_b, t_b − l_b]: the right side is tot − left modulo
+	// 2⁶⁴, Go's -.
+	VPUNPCKHQDQ Y1, Y0, Y3
+	VPUNPCKLQDQ Y1, Y0, Y0
+	VPSLLDQ     $8, Y0, Y4
+	VPSUBQ      Y4, Y0, Y0
+	VPSLLDQ     $8, Y3, Y4
+	VPSUBQ      Y4, Y3, Y1
+	VPSLLDQ     $8, Y2, Y4
+	VPSUBQ      Y4, Y2, Y2
 	// The exact conversions if any Sum or SumSq lies outside [−2⁵¹, 2⁵¹).
 	VMOVDQU     S_HALFR, Y8
 	VPADDQ      Y8, Y1, Y9
@@ -245,56 +248,28 @@ pair:
 	VPSRLQ      $52, Y10, Y10
 	VPTEST      Y10, Y10
 	JNZ         exact
-	SIDEM
-	JMP         scored
+	ENTRY
+	CVTM(Y1)
+	CVTM(Y2)
+	JMP         betan
 
 exact:
-	SIDEQ
+	ENTRY
+	CVTQ(Y1, Y14, X14, Y15)
+	CVTQ(Y2, Y14, X14, Y15)
 
-scored:
-	// totML = ((c1 − αN·ln βN) + c2) − c3, Kernel.LogML's expression, with
-	// LOG4's logarithm, which is math.Log's.
-	CMPQ    F_PEND, $0
-	JEQ     decided
-	MOVQ    $0, F_PEND
-	VMOVUPD Y3, F_S3
-	VMOVUPD Y4, F_S4
-	VMOVUPD Y5, F_S5
-	VMOVUPD Y6, F_S6
-	VMOVUPD Y7, F_S7
-	VBROADCASTSD F_TB, Y0
-	MOVQ    lt+8(FP), AX
-	LOG4
-	VMULSD  F_TA, X1, X1
-	VMOVSD  F_TC1, X12
-	VSUBSD  X1, X12, X12
-	VADDSD  F_TC2, X12, X12
-	VSUBSD  F_TC3, X12, X12
-	VMOVSD  X12, totML+72(FP)
-	VBROADCASTSD X12, Y12
-	VMOVUPD Y12, F_TOTML
-	VMOVUPD F_S3, Y3
-	VMOVUPD F_S4, Y4
-	VMOVUPD F_S5, Y5
-	VMOVUPD F_S6, Y6
-	VMOVUPD F_S7, Y7
-
-decided:
-	DECIDE
-	MOVWLZX S_SPREAD(BX)(R12*2), R12
-	MOVWLZX S_SPREAD(BX)(R13*2), R13
-	CMPQ    CX, $2
-	JLT     last
-	POPCNTL R13, AX
-	ADDQ    $2, R11
-	SUBQ    AX, R11
-	SHLL    $1, R13
-	ORL     R13, R12
-	MOVW    R12, (DI)
-	ADDQ    $8, SI
-	ADDQ    $2, DI
-	SUBQ    $2, CX
-	JMP     loop
+betan:
+	BETAN
+	VMOVUPD Y8, F_BETA
+	VMOVUPD Y5, F_ALPHA
+	VMOVUPD Y12, F_C1
+	VMOVUPD Y13, F_C2
+	VMOVUPD Y6, F_C3
+	VMOVDQU Y7, F_MASK
+	CMPQ    F_PRIME, $0
+	JEQ     loop
+	MOVQ    $0, F_PRIME
+	JMP     stageb1
 
 last:
 	ANDL $1, R13
@@ -305,6 +280,6 @@ last:
 	MOVB R12, (DI)
 
 done:
-	MOVQ R11, fallbacks+80(FP)
+	MOVQ R11, fallbacks+64(FP)
 	VZEROUPPER
 	RET

@@ -9,7 +9,7 @@ type kernelLanes struct{}
 
 func newKernelLanes(Prior, float64, int) kernelLanes { return kernelLanes{} }
 
-func splitsKernel(*Kernel, []Decision, []Stats, []int32, *Stats) (float64, int) {
+func splitsKernel(*Kernel, []Decision, []Stats, []Lane, []float64) int {
 	panic("score: no split kernel on this platform")
 }
 

@@ -479,6 +479,11 @@ func TestBadRequests(t *testing.T) {
 			t.Errorf("%s: code %d, want a 400 naming the field (body %s)", tc.field, w.Code, w.Body)
 		}
 	}
+	// A step cap whose stop table would not fit is refused at admission
+	// (core.Check), never learned; the 400 names the field.
+	if w := post(func(r *JobRequest) { r.MaxSteps = 100000 }); w.Code != http.StatusBadRequest || !strings.Contains(w.Body.String(), "MaxSteps = 100000") {
+		t.Errorf("max_steps 100000: code %d, want a 400 naming MaxSteps (body %s)", w.Code, w.Body)
+	}
 
 	// A variable whose mean or standard deviation overflows float64 cannot
 	// be standardized (core.Check); the 400 names the variable.

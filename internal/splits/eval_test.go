@@ -458,16 +458,57 @@ func TestCutPairInvariance(t *testing.T) {
 	}
 }
 
-// BenchmarkPosterior is one full candidate sweep through the evaluator at a
-// fixed 32 steps per live threshold (substream derivation included: it is
-// per pair now, and part of the cost being measured).
+// TestLiveThresholdFields: every field of a live threshold's word holds its
+// largest value without touching its neighbours, and a success is an add.
+func TestLiveThresholdFields(t *testing.T) {
+	const maxGroup, maxLane = 1<<24 - 1, 1<<laneBits - 1
+	for _, c := range []struct{ q, d, lane, succ int }{
+		{0, 0, 0, 0}, {blockPairs - 1, maxGroup, maxLane, MaxStepsLimit}, {5, 12345, 678, 9}, {blockPairs - 1, 0, maxLane, 0},
+	} {
+		w := newLiveThreshold(c.q, c.d)&^laneMask | liveThreshold(c.lane)<<laneShift
+		w += liveThreshold(c.succ)
+		if w.pair() != c.q || w.group() != c.d || w.lane() != c.lane || w.succ() != c.succ {
+			t.Errorf("%+v packs to pair %d group %d lane %d succ %d", c, w.pair(), w.group(), w.lane(), w.succ())
+		}
+	}
+	if blockPairs > 8 {
+		t.Errorf("blockPairs = %d does not fit the word's three pair bits", blockPairs)
+	}
+	// A node at the 2²⁴-observation limit gets blocks of one pair, whose
+	// lanes fit.
+	if got := blockLen(1 << 24); got != 1 {
+		t.Errorf("blockLen at 2²⁴ observations = %d, want 1", got)
+	}
+	if got := blockLen(30); got != blockPairs {
+		t.Errorf("blockLen at 30 observations = %d, want %d", got, blockPairs)
+	}
+}
+
+// BenchmarkPosterior is one full candidate sweep through the evaluator
+// (substream derivation included: it is per pair, and part of the cost
+// being measured). "eval" holds every live threshold to 32 steps, so none
+// retires early; "stop" runs the learn's rule (stopTable(64)), where
+// thresholds retire one by one, and reports per pair-step the live
+// thresholds and the decision lanes (live thresholds that are neither an
+// empty side nor a repeated neighbour).
 func BenchmarkPosterior(b *testing.B) {
 	q, modules, trees, _ := fixture(b, 1)
-	ev := newEvaluator(rank.Self(nil), q, kernelOf(q, score.DefaultPrior()), modules, trees, Params{MaxSteps: 32}, prng.New(11))
-	ev.stop = fixedSteps(32)
-	b.Run("eval", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			ev.eval(0, ev.total)
-		}
-	})
+	for _, c := range []struct {
+		name     string
+		maxSteps int
+		stop     []bool
+	}{{"eval", 32, fixedSteps(32)}, {"stop", 64, stopTable(64)}} {
+		b.Run(c.name, func(b *testing.B) {
+			ev := newEvaluator(rank.Self(nil), q, kernelOf(q, score.DefaultPrior()), modules, trees, Params{MaxSteps: c.maxSteps}, prng.New(11))
+			ev.stop = c.stop
+			for i := 0; i < b.N; i++ {
+				ev.eval(0, ev.total)
+			}
+			sc := ev.scratches[0]
+			pairSteps := float64(sc.pairSteps)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/pairSteps, "ns/pair-step")
+			b.ReportMetric(float64(sc.decisions)/pairSteps, "live/pair-step")
+			b.ReportMetric(float64(sc.decisions-sc.empty-sc.repeated)/pairSteps, "lanes/pair-step")
+		})
+	}
 }

@@ -85,12 +85,22 @@ func (p Params) WithDefaults(n int) Params {
 	return p
 }
 
+// MaxStepsLimit bounds Params.MaxSteps. Every evaluator holds the stop
+// table, (MaxSteps+1)² entries, so 4096 steps cost 16 MB a worker; the
+// repository's largest use is 64.
+const MaxStepsLimit = 4096
+
 // Validate reports what WithDefaults cannot repair, for a data set of n
-// variables, before any learning runs (core's Options validation): a non-nil
-// empty Candidates (nil means every variable; an empty list would yield an
-// empty Result without a word), an index outside [0, n), which would fail
-// inside a world, or a repeated one, whose parent would be scored twice.
+// variables, before any learning runs (core's Options validation): a
+// MaxSteps above MaxStepsLimit, whose stop table alone would take
+// (MaxSteps+1)² bytes, a non-nil empty Candidates (nil means every
+// variable; an empty list would yield an empty Result without a word), an
+// index outside [0, n), which would fail inside a world, or a repeated one,
+// whose parent would be scored twice.
 func (p Params) Validate(n int) error {
+	if p.MaxSteps > MaxStepsLimit {
+		return fmt.Errorf("splits: MaxSteps = %d is above %d: the bootstrap's stop table takes (MaxSteps+1)² bytes per worker", p.MaxSteps, MaxStepsLimit)
+	}
 	if p.Candidates != nil && len(p.Candidates) == 0 {
 		return fmt.Errorf("splits: Candidates must be nil (all variables) or non-empty — an empty list yields zero candidate splits and an empty Result")
 	}

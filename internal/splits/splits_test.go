@@ -592,6 +592,19 @@ func TestParamsValidate(t *testing.T) {
 			t.Errorf("Candidates %v: error %v, want one naming %q", tc.candidates, err, tc.refused)
 		}
 	}
+	// MaxSteps is refused above the bound, before any stop table is built.
+	for _, tc := range []struct {
+		steps   int
+		refused bool
+	}{{0, false}, {64, false}, {MaxStepsLimit, false}, {MaxStepsLimit + 1, true}, {100000, true}} {
+		err := (Params{MaxSteps: tc.steps}).Validate(n)
+		if !tc.refused && err != nil {
+			t.Errorf("MaxSteps %d refused: %v", tc.steps, err)
+		}
+		if tc.refused && (err == nil || !strings.Contains(err.Error(), fmt.Sprintf("MaxSteps = %d is above %d", tc.steps, MaxStepsLimit))) {
+			t.Errorf("MaxSteps %d: error %v, want one naming MaxSteps and the bound", tc.steps, err)
+		}
+	}
 }
 
 // TestScanMetricsParity: the static schedule records the split_steps
