@@ -199,11 +199,15 @@ bench:
 # the scoring kernel's
 # table build at 2²⁰ counts in ns/count and bytes/count beside one scalar
 # Kernel.LogML, which derives αN, λ₀·n, 2·(λ₀+n) and c3 from the count
-# (DESIGN §11); then the split layer
-# (DESIGN §29): one evaluator sweep over every candidate, and a pair-step's
-# decisions in ns/decision on each path at 1, 2, 3, 6 and 64 lanes; last
-# the consensus task at 480 variables (DESIGN §17): the sparse build from
-# three ensembles and the Lanczos peeling, with its matrix products per op.
+# (DESIGN §11); then the split layer (DESIGN §18, §29): the paper-regime
+# learn witnesses — the assign workload's 64 data sets of 64×32, and synth
+# 300×40 with three GaneSH runs of three updates — with pair-steps, picks
+# and threshold-steps per op, one evaluator sweep over every candidate
+# (fixed steps, and the learn's stop rule with live thresholds and lanes per
+# pair-step), and a block-step's decisions in ns/decision on each path at
+# 1, 2, 3, 6 and 64 lanes for one resample and for four; last the consensus
+# task at 480 variables (DESIGN §17): the sparse build from three ensembles
+# and the Lanczos peeling, with its matrix products per op.
 bench-core:
 	$(GO) test -run '^$$' -bench 'LearnClusterShaped' -benchtime 10x -count 5 ./internal/core/
 	$(GO) test -run '^$$' -bench 'Run480x32$$|Run32x2577$$|SampleObs32x2577' -benchtime 10x -count 5 ./internal/ganesh/
@@ -211,6 +215,7 @@ bench-core:
 	$(GO) test -run '^$$' -bench 'QuantizeWeights' -count 5 ./internal/score/
 	$(GO) test -run '^$$' -bench 'LogMLBatch' -count 5 ./internal/score/
 	$(GO) test -run '^$$' -bench 'NewKernel$$|LogML$$' -count 5 ./internal/score/
+	$(GO) test -run '^$$' -bench 'LearnAssignShaped$$|LearnPaperShaped$$' -benchtime 2x -count 5 ./internal/core/
 	$(GO) test -run '^$$' -bench 'Posterior' -count 5 ./internal/splits/
 	$(GO) test -run '^$$' -bench 'SplitImproves/batch' -count 5 ./internal/score/
 	$(GO) test -run '^$$' -bench 'Cluster480$$' -count 5 ./internal/consensus/

@@ -29,15 +29,15 @@ func logPaths(t *testing.T, f func(t *testing.T)) {
 }
 
 // TestLogMatchesMath: LOG4, the lane copy of math.Log's amd64 code that the
-// fused block scoring and the split kernel include, agrees with math.Log at
-// the edges of its range, seen through LogMLBatch on both paths. Blocks of
+// fused block scoring includes, agrees with math.Log at the edges of its
+// range, seen through LogMLBatch on both paths. Blocks of
 // zeros under a prior with μ₀ = 0 have βN = β₀ exactly, so β₀ at the
 // special values and at the f1 = √2/2 boundary of the range reduction, at
 // every exponent, reaches the logarithm unchanged; a prior with μ₀ = ±10³⁰⁰
 // or NaN gives βN = +Inf or NaN beside finite count-only terms. Zero and
 // negative βN cannot occur beside finite terms (βN ≥ β₀ > 0). The sweeps of
-// TestLogMLBatchMatchesLogML and the split kernel's tests cover the
-// logarithm on the inputs scoring gives it.
+// TestLogMLBatchMatchesLogML cover the logarithm on the inputs scoring
+// gives it.
 func TestLogMatchesMath(t *testing.T) {
 	var priors []Prior
 	betas := []float64{math.SmallestNonzeroFloat64, 0x1p-1022, 0x1p-1023, math.MaxFloat64,

@@ -12,8 +12,7 @@ import (
 var useKernel = cpu.AVX2
 
 // logTable is the constants of LOG4 (log_amd64.h), the lane code of
-// math.Log's amd64 code that the fused block scoring and the split kernel
-// include. Each field holds one constant of that code once per lane, and
+// math.Log's amd64 code that the fused block scoring includes. Each field holds one constant of that code once per lane, and
 // the macro addresses it by the field's offset from go_asm.h.
 type logTable struct {
 	mant, half, exp, bias, magic, hsqrt2, one, two [4]uint64

@@ -1,5 +1,4 @@
-// The lane code of math.Log's amd64 code (DESIGN §28), shared by batch_amd64.s
-// and split_amd64.s.
+// The lane code of math.Log's amd64 code (DESIGN §28), for batch_amd64.s.
 //
 // AX points at a logTable: each constant, once per lane, at its field's
 // offset from go_asm.h, which the including file includes first.
