@@ -33,8 +33,8 @@ vet:
 
 # Vet for arm64: the platform without the vector kernels must compile their
 # portable paths (internal/prng/draw_other.go, internal/score/log_other.go,
-# split_other.go and weights_other.go, internal/cluster/gather_other.go and
-# merge_other.go, internal/cpu/cpu_other.go) and nothing may leak an amd64-only symbol into
+# split_other.go and weights_other.go, internal/cluster/merge_other.go,
+# internal/cpu/cpu_other.go) and nothing may leak an amd64-only symbol into
 # them.
 cross:
 	GOARCH=arm64 $(GO) vet ./...
@@ -163,10 +163,11 @@ fuzz-wire:
 # Kernel.LogML on both paths (the fused AVX2 pass, DESIGN §30, and the
 # portable loop), the certified split decision's agreement with the exact
 # expression it stands for (DESIGN §23), the split kernel's lanes against
-# that decision on both paths (§29), and the attach-var gains on both
-# gather paths, read off the observation layout that is every partition's
-# membership record, against the scalar GainAttachVar (§30), and the
-# merge-var gains on both paths against the scalar GainMergeVar (§31);
+# that decision on both paths (§29), and the variable decisions' gains on
+# both paths of their one gather, read off the observation layout that is
+# every partition's membership record (§30): the attach-var gains (a
+# one-variable source) against the scalar GainAttachVar, the merge-var
+# gains against the scalar GainMergeVar;
 # FuzzQuantizeWeights also holds the weight kernel to the portable loop.
 # One invocation per target (go test allows a single -fuzz match per run).
 fuzz-score:
@@ -193,9 +194,11 @@ bench:
 # 480×32, and at yeast's m = 2577 one run on 32 variables and the module
 # sampler over 2, 8 and 32 (the observation layout's upkeep, whose moves
 # and merges weigh most there); one attach-var decision at its measured
-# shape in ns/gain and ns/cell on each gather path; the block scoring in
-# ns/block on the portable loop and on the AVX2 pass; one merge-var decision
-# in ns/cell and the weight step in ns/weight on each path (DESIGN §31);
+# shape, its column build included, in ns/gain and ns/cell, and one
+# merge-var decision in ns/cell, each on the portable loop and on the AVX2
+# gather (DESIGN §30); the block scoring in ns/block on the portable loop
+# and on the AVX2 pass; the weight step in ns/weight on each path (DESIGN
+# §31);
 # the scoring kernel's
 # table build at 2²⁰ counts in ns/count and bytes/count beside one scalar
 # Kernel.LogML, which derives αN, λ₀·n, 2·(λ₀+n) and c3 from the count

@@ -13,17 +13,9 @@ import "parsimone/internal/score"
 type Batch struct {
 	stats []score.Stats
 	vals  []float64
-	// pre and preSq are the attach-var kernel's running sums, runs the
-	// merge-var kernel's.
-	pre   []int32
-	preSq []int64
-	runs  []int64
+	// runs is the gather kernel's running sums.
+	runs []int64
 }
-
-// maxKernelObs is the largest observation count the gather kernel takes:
-// it sums cells mod 2³², which is exact while every block's sum, at most
-// m·MaxAbsCell in magnitude, fits an int32.
-const maxKernelObs = 1<<31/score.MaxAbsCell - 1
 
 // score evaluates every gathered block with k and returns the scores in
 // gathering order.
@@ -53,35 +45,48 @@ func fold(cc *CoClustering, vals []float64, skip, lo int, out []float64) {
 	}
 }
 
-// GainsAttachVar stores GainAttachVar(x, lo+i) in out[i] for every i. On
-// amd64 with AVX2 each candidate's blocks are gathered by the kernel over
-// its observation layout (DESIGN §30); elsewhere, and for more than
-// maxKernelObs observations, by the portable loop, which is the reference.
-func (cc *CoClustering) GainsAttachVar(b *Batch, x, lo int, out []float64) {
-	row := cc.Q.Row(x)
+// gather appends to b.stats, for every candidate variable cluster lo … hi−1
+// of cc but skip, and each of its obs clusters c in order, c.Stats with the
+// source's column statistics cols summed over c's run added (DESIGN §30).
+// On amd64 with AVX2 the kernel gathers the blocks; elsewhere the portable
+// loop, which is the reference.
+func (cc *CoClustering) gather(b *Batch, cols []score.Stats, skip, lo, hi int) {
+	if lo <= skip && skip < hi {
+		cc.gather(b, cols, -1, lo, skip)
+		cc.gather(b, cols, -1, skip+1, hi)
+		return
+	}
+	if useKernel {
+		mergeKernel(b, cc, cols, lo, hi)
+		return
+	}
+	for _, vc := range cc.Clusters[lo:hi] {
+		for ci, c := range vc.Clusters {
+			part := c.Stats
+			for _, j := range vc.Obs(ci) {
+				part.Merge(cols[j])
+			}
+			b.stats = append(b.stats, part)
+		}
+	}
+}
+
+// GainsAttachVar stores GainAttachVar(x, lo+i) in out[i] for every i, where
+// cols is VarColumnStats of the detached variable x alone: moving a
+// variable is merging a one-variable source, so its blocks are gathered as
+// GainsMergeVar's are, and the new-cluster candidate's block is Σ cols.
+func (cc *CoClustering) GainsAttachVar(b *Batch, cols []score.Stats, lo int, out []float64) {
 	k := len(cc.Clusters)
 	hi := lo + len(out)
 	b.stats = b.stats[:0]
-	if useKernel && cc.Q.M <= maxKernelObs {
-		gatherKernel(b, cc, row, min(lo, k), min(hi, k))
-	} else {
-		for _, vc := range cc.Clusters[min(lo, k):min(hi, k)] {
-			for ci, c := range vc.Clusters {
-				var sum, sumsq int64
-				obs := vc.Obs(ci)
-				for _, j := range obs {
-					v := int64(row[j])
-					sum += v
-					sumsq += v * v
-				}
-				b.stats = append(b.stats, score.Stats{
-					N: c.Stats.N + int64(len(obs)), Sum: c.Stats.Sum + sum, SumSq: c.Stats.SumSq + sumsq})
-			}
-		}
-	}
+	cc.gather(b, cols, -1, min(lo, k), min(hi, k))
 	newCluster := lo <= k && k < hi
 	if newCluster {
-		b.stats = append(b.stats, score.StatsOf(row))
+		var all score.Stats
+		for _, c := range cols {
+			all.Merge(c)
+		}
+		b.stats = append(b.stats, all)
 	}
 	vals := b.score(cc.Kernel)
 	fold(cc, vals, -1, lo, out)
@@ -91,35 +96,10 @@ func (cc *CoClustering) GainsAttachVar(b *Batch, x, lo int, out []float64) {
 }
 
 // GainsMergeVar stores GainMergeVar(cols, src, lo+i) in out[i] for every i.
-// cols must be VarColumnStats of src. On amd64 with AVX2 each candidate's
-// blocks are gathered by the merge-var kernel over its observation layout
-// (DESIGN §31); elsewhere by the portable loop, which is the reference.
+// cols must be VarColumnStats of src's variables.
 func (cc *CoClustering) GainsMergeVar(b *Batch, cols []score.Stats, src, lo int, out []float64) {
-	hi := lo + len(out)
 	b.stats = b.stats[:0]
-	if useKernel {
-		nsrc := int64(len(cc.Clusters[src].Vars))
-		if lo <= src && src < hi {
-			mergeKernel(b, cc, cols, nsrc, lo, src)
-			mergeKernel(b, cc, cols, nsrc, src+1, hi)
-		} else {
-			mergeKernel(b, cc, cols, nsrc, lo, hi)
-		}
-	} else {
-		for dst := lo; dst < hi; dst++ {
-			if dst == src {
-				continue
-			}
-			dc := cc.Clusters[dst]
-			for ci, c := range dc.Clusters {
-				part := c.Stats
-				for _, j := range dc.Obs(ci) {
-					part.Merge(cols[j])
-				}
-				b.stats = append(b.stats, part)
-			}
-		}
-	}
+	cc.gather(b, cols, src, lo, lo+len(out))
 	fold(cc, b.score(cc.Kernel), src, lo, out)
 	for i := range out {
 		if lo+i == src {

@@ -102,13 +102,14 @@ func checkBatchedGains(t *testing.T, what string, b *Batch, cc *CoClustering, g 
 		x := g.Intn(q.N)
 		cc.DetachVar(x)
 		k := len(cc.Clusters)
+		xcols := cc.VarColumnStats(nil, x)
 		ranges("attach-var", k+1,
-			func(lo int, out []float64) { cc.GainsAttachVar(b, x, lo, out) },
+			func(lo int, out []float64) { cc.GainsAttachVar(b, xcols, lo, out) },
 			func(i int) float64 { return cc.GainAttachVar(x, i) })
 		cc.AttachVar(x, g.Intn(k+1))
 
 		src := g.Intn(len(cc.Clusters))
-		cols := cc.VarColumnStats(nil, src)
+		cols := cc.VarColumnStats(nil, cc.Clusters[src].Vars...)
 		ranges("merge-var", len(cc.Clusters),
 			func(lo int, out []float64) { cc.GainsMergeVar(b, cols, src, lo, out) },
 			func(j int) float64 { return cc.GainMergeVar(cols, src, j) })
@@ -135,52 +136,6 @@ func checkBatchedGains(t *testing.T, what string, b *Batch, cc *CoClustering, g 
 	}
 }
 
-// TestGatherKernelMatchesPortable: the gather kernel's blocks are the
-// portable loop's, field for field, over 10⁷ gathered cells — 3 300
-// attach-var decisions at the measured shape, each on a state a few Gibbs
-// moves from the last — and over decisions at every observation count
-// 1 … 40 with cells at ±MaxAbsCell.
-func TestGatherKernelMatchesPortable(t *testing.T) {
-	if !useKernel {
-		t.Skip("no gather kernel on this platform")
-	}
-	t.Cleanup(func() { useKernel = true })
-	var kb, pb Batch
-	same := func(what string, cc *CoClustering, x int) {
-		t.Helper()
-		out := make([]float64, len(cc.Clusters)+1)
-		useKernel = true
-		cc.GainsAttachVar(&kb, x, 0, out)
-		useKernel = false
-		cc.GainsAttachVar(&pb, x, 0, out)
-		sameBlocks(t, what, &kb, &pb)
-	}
-	q := testData(t, 480, 32, 3)
-	g := prng.New(77)
-	cc := NewRandomCoClustering(q, testKernel(q), 95, 6, g)
-	cells := 0
-	for d := 0; cells < 10_000_000; d++ {
-		x := g.Intn(q.N)
-		cc.DetachVar(x)
-		same(fmt.Sprintf("decision %d", d), cc, x)
-		cells += (len(cc.Clusters) + 1) * q.M
-		cc.AttachVar(x, g.Intn(len(cc.Clusters)+1))
-		// Move a few observations, so the layouts change between decisions.
-		for range 3 {
-			oc := cc.Clusters[g.Intn(len(cc.Clusters))]
-			j := g.Intn(q.M)
-			oc.DetachObs(j)
-			oc.AttachObs(j, g.Intn(len(oc.Clusters)+1))
-		}
-	}
-	for m := 1; m <= 40; m++ {
-		q := randomData(g, 12, m, 85)
-		cc := NewRandomCoClustering(q, testKernel(q), 3, 1+m/3, g)
-		cc.DetachVar(5)
-		same(fmt.Sprintf("m=%d", m), cc, 5)
-	}
-}
-
 // sameBlocks fails unless two batches gathered the same blocks, field for
 // field.
 func sameBlocks(t *testing.T, what string, kb, pb *Batch) {
@@ -195,21 +150,25 @@ func sameBlocks(t *testing.T, what string, kb, pb *Batch) {
 	}
 }
 
-// TestMergeKernelMatchesPortable: the merge-var kernel's blocks are the
-// portable loop's, field for field, over 10⁷ gathered cells
-// — merge decisions at the measured shape over every range [lo, hi) that
-// holds the source, starts past it or ends before it, each on a state a
-// few Gibbs moves from the last — and over decisions at every observation
-// count 1 … 40 with cells at ±MaxAbsCell.
+// TestMergeKernelMatchesPortable: the gather kernel's blocks are the
+// portable loop's, field for field, over 10⁷ gathered cells at the
+// measured shape, each decision on a state a few Gibbs moves from the
+// last: merge-var decisions over every range [lo, hi) that holds the
+// source, starts past it or ends before it, and attach-var decisions, whose
+// source is the one detached variable. The edges follow: decisions of both
+// kinds at every observation count 1 … 40 with cells at ±MaxAbsCell, and
+// at 4095, 4096, 4097 and 5102 observations, where a run of +MaxAbsCell
+// cells sums past 2³¹: there the block of a one-variable source over a
+// single observation cluster must also be the exact one.
 func TestMergeKernelMatchesPortable(t *testing.T) {
 	if !useKernel {
-		t.Skip("no merge-var kernel on this platform")
+		t.Skip("no gather kernel on this platform")
 	}
 	t.Cleanup(func() { useKernel = true })
 	var kb, pb Batch
 	var cols []score.Stats
 	same := func(what string, cc *CoClustering, src, lo, hi int) int {
-		cols = cc.VarColumnStats(cols, src)
+		cols = cc.VarColumnStats(cols, cc.Clusters[src].Vars...)
 		out := make([]float64, hi-lo)
 		useKernel = true
 		cc.GainsMergeVar(&kb, cols, src, lo, out)
@@ -218,25 +177,45 @@ func TestMergeKernelMatchesPortable(t *testing.T) {
 		sameBlocks(t, what, &kb, &pb)
 		return len(kb.stats)
 	}
+	// attach detaches x, checks its attach-var decision as same checks a
+	// merge, and attaches x to candidate to.
+	attach := func(what string, cc *CoClustering, x, to int) {
+		cc.DetachVar(x)
+		cols = cc.VarColumnStats(cols, x)
+		out := make([]float64, len(cc.Clusters)+1)
+		useKernel = true
+		cc.GainsAttachVar(&kb, cols, 0, out)
+		useKernel = false
+		cc.GainsAttachVar(&pb, cols, 0, out)
+		sameBlocks(t, what, &kb, &pb)
+		cc.AttachVar(x, to)
+	}
 	q := testData(t, 480, 32, 4)
 	g := prng.New(78)
 	cc := NewRandomCoClustering(q, testKernel(q), 95, 6, g)
 	cells := 0
 	for d := 0; cells < 10_000_000; d++ {
 		k := len(cc.Clusters)
-		src := g.Intn(k)
-		lo := g.Intn(k)
-		hi := lo + g.Intn(k-lo+1)
-		if d%2 == 0 {
-			lo, hi = 0, k
+		if d%3 == 2 {
+			// Attach-var: every candidate but the new cluster is gathered,
+			// and the move that follows is the decision's own.
+			attach(fmt.Sprintf("decision %d attach-var", d), cc, g.Intn(q.N), g.Intn(k))
+			cells += k * q.M
+		} else {
+			src := g.Intn(k)
+			lo := g.Intn(k)
+			hi := lo + g.Intn(k-lo+1)
+			if d%3 == 0 {
+				lo, hi = 0, k
+			}
+			same(fmt.Sprintf("decision %d [%d,%d) src %d", d, lo, hi, src), cc, src, lo, hi)
+			cells += (hi - lo) * q.M
+			// Move a variable, so the clusters change between decisions.
+			x := g.Intn(q.N)
+			cc.DetachVar(x)
+			cc.AttachVar(x, g.Intn(len(cc.Clusters)+1))
 		}
-		same(fmt.Sprintf("decision %d [%d,%d) src %d", d, lo, hi, src), cc, src, lo, hi)
-		cells += (hi - lo) * q.M
-		// Move a variable and a few observations, so the clusters and
-		// layouts change between decisions.
-		x := g.Intn(q.N)
-		cc.DetachVar(x)
-		cc.AttachVar(x, g.Intn(len(cc.Clusters)+1))
+		// Move a few observations, so the layouts change between decisions.
 		for range 3 {
 			oc := cc.Clusters[g.Intn(len(cc.Clusters))]
 			j := g.Intn(q.M)
@@ -250,43 +229,30 @@ func TestMergeKernelMatchesPortable(t *testing.T) {
 		for src := range cc.Clusters {
 			same(fmt.Sprintf("m=%d src %d", m, src), cc, src, 0, len(cc.Clusters))
 		}
+		for x := range q.N {
+			attach(fmt.Sprintf("m=%d attach-var %d", m, x), cc, x, cc.Assign[x])
+		}
 	}
-}
-
-// TestGatherKernelBound pins the gather kernel's bound at maxKernelObs ± 1
-// observations. Every cell is +MaxAbsCell and there is one observation
-// cluster, so the gathered run sums to m·MaxAbsCell: up to the bound that
-// fits the kernel's 32-bit running sums and both paths give the exact
-// block; one past it the sum is 2³¹, which the kernel called directly
-// wraps, and GainsAttachVar takes the portable loop with the same bits.
-func TestGatherKernelBound(t *testing.T) {
-	if !useKernel {
-		t.Skip("no gather kernel on this platform")
-	}
-	t.Cleanup(func() { useKernel = true })
-	for _, m := range []int{maxKernelObs - 1, maxKernelObs, maxKernelObs + 1} {
-		q := &score.QData{Cells: make([]int32, 2*m), N: 2, M: m}
+	for _, m := range []int{4095, 4096, 4097, 5102} {
+		q := randomData(g, 6, m, 255)
+		cc := NewRandomCoClustering(q, testKernel(q), 2, 2, g)
+		for src := range cc.Clusters {
+			same(fmt.Sprintf("m=%d src %d", m, src), cc, src, 0, len(cc.Clusters))
+		}
+		for x := range q.N {
+			attach(fmt.Sprintf("m=%d attach-var %d", m, x), cc, x, cc.Assign[x])
+		}
+		// Every cell +MaxAbsCell, one variable cluster of one obs cluster:
+		// the attach-var block of variable 2 is all N·m cells.
 		for i := range q.Cells {
 			q.Cells[i] = score.MaxAbsCell
 		}
-		cc := NewRandomCoClustering(q, testKernel(q), 1, 1, prng.New(5))
-		cc.DetachVar(1)
-		n := int64(2 * m)
+		cc = NewRandomCoClustering(q, testKernel(q), 1, 1, g)
+		attach(fmt.Sprintf("m=%d all +MaxAbsCell", m), cc, 2, 0)
+		n := int64(q.N * m)
 		want := score.Stats{N: n, Sum: n * score.MaxAbsCell, SumSq: n * score.MaxAbsCell * score.MaxAbsCell}
-		out := make([]float64, 1)
-		for _, on := range []bool{true, false} {
-			useKernel = on
-			var b Batch
-			cc.GainsAttachVar(&b, 1, 0, out)
-			if len(b.stats) != 1 || b.stats[0] != want {
-				t.Fatalf("m = maxKernelObs%+d, %s: gathered %+v, want %+v", m-maxKernelObs, pathName(on), b.stats, want)
-			}
-		}
-		var b Batch
-		gatherKernel(&b, cc, q.Row(1), 0, 1)
-		if wraps := b.stats[0] != want; wraps != (m > maxKernelObs) {
-			t.Fatalf("m = maxKernelObs%+d: the kernel called directly gathered %+v, want it exact only up to the bound (%+v)",
-				m-maxKernelObs, b.stats[0], want)
+		if kb.stats[0] != want {
+			t.Fatalf("m=%d all +MaxAbsCell: gathered %+v, want %+v", m, kb.stats[0], want)
 		}
 	}
 }
@@ -307,6 +273,7 @@ func FuzzGainsAttachVar(f *testing.F) {
 		cc := NewRandomCoClustering(q, testKernel(q), 1+int(k0)%nn, 1+int(obs), g)
 		x := g.Intn(nn)
 		cc.DetachVar(x)
+		cols := cc.VarColumnStats(nil, x)
 		k := len(cc.Clusters)
 		kernel := useKernel
 		defer func() { useKernel = kernel }()
@@ -315,7 +282,7 @@ func FuzzGainsAttachVar(f *testing.F) {
 			useKernel = on
 			var b Batch
 			out := make([]float64, k+1)
-			cc.GainsAttachVar(&b, x, 0, out)
+			cc.GainsAttachVar(&b, cols, 0, out)
 			for i := range out {
 				if want := cc.GainAttachVar(x, i); math.Float64bits(out[i]) != math.Float64bits(want) {
 					t.Fatalf("kernel %v candidate %d: batched %v, scalar %v", on, i, out[i], want)
@@ -348,7 +315,7 @@ func FuzzGainsMergeVar(f *testing.F) {
 		src := g.Intn(k)
 		l := int(lo) % (k + 1)
 		h := l + int(width)%(k-l+1)
-		cols := cc.VarColumnStats(nil, src)
+		cols := cc.VarColumnStats(nil, cc.Clusters[src].Vars...)
 		kernel := useKernel
 		defer func() { useKernel = kernel }()
 		var batches [2]Batch
@@ -374,7 +341,7 @@ func FuzzGainsMergeVar(f *testing.F) {
 func BenchmarkGainsMergeVar(b *testing.B) {
 	q := testData(b, 480, 32, 1)
 	cc := NewRandomCoClustering(q, testKernel(q), 95, 6, prng.New(1))
-	cols := cc.VarColumnStats(nil, 40)
+	cols := cc.VarColumnStats(nil, cc.Clusters[40].Vars...)
 	out := make([]float64, len(cc.Clusters))
 	var batch Batch
 	kernel := useKernel
@@ -398,14 +365,16 @@ func BenchmarkGainsMergeVar(b *testing.B) {
 // kernel as the sampler scores it, at the shape measured in the benchmark's
 // `cluster` learn: 480×32, about 95 variable clusters of about 6
 // observation clusters, on each gather path (the blocks are scored on the
-// CPU's path). ns/gain is the time per candidate gain, ns/cell per gathered
-// cell (M per candidate, the new-cluster candidate included).
+// CPU's path), the detached variable's column build included. ns/gain is
+// the time per candidate gain, ns/cell per gathered cell (M per candidate,
+// the new-cluster candidate included).
 func BenchmarkGainsAttachVar(b *testing.B) {
 	q := testData(b, 480, 32, 1)
 	cc := NewRandomCoClustering(q, testKernel(q), 95, 6, prng.New(1))
 	cc.DetachVar(240)
 	out := make([]float64, len(cc.Clusters)+1)
 	var batch Batch
+	var cols []score.Stats
 	kernel := useKernel
 	b.Cleanup(func() { useKernel = kernel })
 	for _, on := range []bool{false, true} {
@@ -415,7 +384,8 @@ func BenchmarkGainsAttachVar(b *testing.B) {
 		b.Run(pathName(on), func(b *testing.B) {
 			useKernel = on
 			for range b.N {
-				cc.GainsAttachVar(&batch, 240, 0, out)
+				cols = cc.VarColumnStats(cols, 240)
+				cc.GainsAttachVar(&batch, cols, 0, out)
 			}
 			ns := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
 			b.ReportMetric(ns/float64(len(out)), "ns/gain")

@@ -9,8 +9,8 @@
 // A variable cluster is its observation partition (ObsClusters), whose
 // variable list is the cluster's one list. A partition's only membership
 // record is its observation layout: each cluster's observations in one run
-// of a permutation, the layout the attach-var gather kernel reads (DESIGN
-// §30). Every block is scored through the rank's score.Kernel.
+// of a permutation, the layout the variable decisions' gather reads
+// (DESIGN §30). Every block is scored through the rank's score.Kernel.
 //
 // Every mutating operation is deterministic given its arguments. The
 // engines replicate this state on all ranks and apply the same
@@ -58,7 +58,7 @@ type ObsClusters struct {
 	Assign   []int
 	Clusters []*ObsCluster
 	// perm and ends are the partition's only membership record, the layout
-	// the attach-var gather kernel reads (DESIGN §30): perm lists all m
+	// the variable decisions' gather reads (DESIGN §30): perm lists all m
 	// observations, cluster i's in the run [ends[i−1], ends[i]) (ends[−1] =
 	// 0), in any order, and a detached one past the last run. Every mutator
 	// keeps it current, so the read path — which pool workers and ranks run
@@ -534,18 +534,19 @@ func (cc *CoClustering) AttachVar(x, to int) {
 	cc.Assign[x] = to
 }
 
-// VarColumnStats returns, for variable cluster src, the per-observation
-// statistics of its cells — the precomputation that makes each merge
-// candidate evaluable in O(m + L) instead of O(|vars|·m). It fills dst,
-// grown to m entries when it is shorter, so a caller reuses one buffer
-// across merge decisions; every cols[j].N is the cluster's variable count.
-func (cc *CoClustering) VarColumnStats(dst []score.Stats, src int) []score.Stats {
+// VarColumnStats returns the per-observation statistics of the cells of
+// vars — a merge source's variables, or the one detached variable of an
+// attach-var decision — the precomputation that makes each candidate
+// evaluable in O(m + L) instead of O(|vars|·m). It fills dst, grown to m
+// entries when it is shorter, so a caller reuses one buffer across
+// decisions; every cols[j].N is len(vars).
+func (cc *CoClustering) VarColumnStats(dst []score.Stats, vars ...int) []score.Stats {
 	if cap(dst) < cc.Q.M {
 		dst = make([]score.Stats, cc.Q.M)
 	}
 	cols := dst[:cc.Q.M]
 	clear(cols)
-	for _, x := range cc.Clusters[src].Vars {
+	for _, x := range vars {
 		row := cc.Q.Row(x)
 		for j, v := range row {
 			cols[j].Add(int64(v))
@@ -556,7 +557,7 @@ func (cc *CoClustering) VarColumnStats(dst []score.Stats, src int) []score.Stats
 
 // GainMergeVar returns the score gain of merging variable cluster src into
 // dst, where the merged cluster keeps dst's observation partition. cols must
-// be VarColumnStats(src). Returns 0 for src == dst (retain).
+// be VarColumnStats of src's variables. Returns 0 for src == dst (retain).
 func (cc *CoClustering) GainMergeVar(cols []score.Stats, src, dst int) float64 {
 	if src == dst {
 		return 0

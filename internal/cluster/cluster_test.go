@@ -398,7 +398,7 @@ func TestMergeVarGainRealized(t *testing.T) {
 	if len(cc.Clusters) < 2 {
 		t.Skip("single cluster")
 	}
-	cols := cc.VarColumnStats(nil, 0)
+	cols := cc.VarColumnStats(nil, cc.Clusters[0].Vars...)
 	want := cc.GainMergeVar(cols, 0, 1)
 	before := cc.Score()
 	cc.MergeVar(0, 1)
@@ -412,7 +412,7 @@ func TestMergeVarGainRealized(t *testing.T) {
 
 func TestMergeVarGainRetainIsZero(t *testing.T) {
 	cc, _ := newCC(t, 12, 8, 3, 18)
-	cols := cc.VarColumnStats(nil, 0)
+	cols := cc.VarColumnStats(nil, cc.Clusters[0].Vars...)
 	if cc.GainMergeVar(cols, 0, 0) != 0 {
 		t.Fatal("retain gain must be zero")
 	}
@@ -539,7 +539,7 @@ func BenchmarkMergeGains(b *testing.B) {
 	d.Standardize()
 	q := score.QuantizeData(d)
 	cc := NewRandomCoClustering(q, testKernel(q), 10, 5, prng.New(1))
-	cols := cc.VarColumnStats(nil, 0)
+	cols := cc.VarColumnStats(nil, cc.Clusters[0].Vars...)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cc.GainMergeVar(cols, 0, 1%len(cc.Clusters))

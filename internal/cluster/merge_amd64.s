@@ -1,17 +1,17 @@
 #include "textflag.h"
 #include "go_asm.h"
 
-// The merge-var gather (DESIGN §31): for every candidate variable cluster,
-// the statistics of each of its blocks with the source cluster's cells
-// added. cols[j] holds the source's sums over observation j — N, Sum and
-// SumSq at bytes 0, 8 and 16 of 24 — and every cols[j].N is the source's
+// The gather of both variable decisions (DESIGN §30): for every candidate
+// variable cluster, each of its blocks with the source's cells added — a
+// merge source's, or the detached variable's for an attach-var decision.
+// cols[j] holds the source's sums over observation j — N, Sum and SumSq
+// at bytes 0, 8 and 16 of 24 — and every cols[j].N is the source's
 // variable count. For each candidate the kernel walks its perm once and
 // writes the running sums of (Sum, SumSq), a 16-byte pair added with one
 // VPADDQ a cell; then each run's block is the obs cluster's stored
 // statistics plus the run's length times the source's variable count and
 // the differences of the running sums at the run's two ends. The sums run
-// mod 2⁶⁴, as the portable loop's do, so every block is the portable
-// loop's.
+// mod 2⁶⁴, as the portable loop's do, so every block is the loop's.
 
 // func mergeAVX2(cols *score.Stats, vcs **ObsClusters, nc int, nsrc int64, pre *int64, dst *score.Stats)
 TEXT ·mergeAVX2(SB), NOSPLIT, $0-48

@@ -4,6 +4,10 @@ package cluster
 
 import "parsimone/internal/score"
 
-func mergeKernel(*Batch, *CoClustering, []score.Stats, int64, int, int) {
-	panic("cluster: no merge-var kernel on this platform")
+// useKernel is false: this platform has no gather kernel, and
+// GainsAttachVar and GainsMergeVar run the portable loop.
+var useKernel = false
+
+func mergeKernel(*Batch, *CoClustering, []score.Stats, int, int) {
+	panic("cluster: no gather kernel on this platform")
 }

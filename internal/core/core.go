@@ -217,6 +217,21 @@ func (o Options) validate(p, n int) error {
 	if o.GaneshRuns < 1 {
 		return fmt.Errorf("core: GaneshRuns %d must be ≥ 1", o.GaneshRuns)
 	}
+	if o.Ganesh.Updates < 0 {
+		return fmt.Errorf("core: Ganesh.Updates %d must be ≥ 0 (0 means 1)", o.Ganesh.Updates)
+	}
+	tree := o.Module.Tree
+	if tree.Updates < 0 {
+		return fmt.Errorf("core: Module.Tree.Updates %d must be ≥ 0 (0 means 1)", tree.Updates)
+	}
+	if tree.Burnin < 0 {
+		return fmt.Errorf("core: Module.Tree.Burnin %d must be ≥ 0", tree.Burnin)
+	}
+	// A module's trees are the sampler states after its burn-in, so a
+	// burn-in of every update step would learn modules without trees.
+	if tree.Burnin >= max(1, tree.Updates) {
+		return fmt.Errorf("core: Module.Tree.Burnin %d must be below Module.Tree.Updates %d (0 means 1), or no tree is sampled", tree.Burnin, tree.Updates)
+	}
 	if o.CoOccurrenceThreshold < 0 || o.CoOccurrenceThreshold > 1 {
 		return fmt.Errorf("core: co-occurrence threshold %v outside [0,1]", o.CoOccurrenceThreshold)
 	}

@@ -612,6 +612,38 @@ func TestCheckRefusesBadCandidates(t *testing.T) {
 	}
 }
 
+// TestCheckRefusesBadSamplerParams: a negative update count, a negative
+// burn-in, or a burn-in of every update step is refused by Check with the
+// field named. Each used to learn without an error: no update step (the
+// random initial clustering), burn-in steps kept as trees, or modules
+// without trees.
+func TestCheckRefusesBadSamplerParams(t *testing.T) {
+	d, _ := testData(t, 40, 30, 1)
+	for _, c := range []struct {
+		set   func(*Options)
+		named string
+	}{
+		{func(o *Options) { o.Ganesh.Updates = -1 }, "Ganesh.Updates -1"},
+		{func(o *Options) { o.Module.Tree.Updates = -1 }, "Module.Tree.Updates -1"},
+		{func(o *Options) { o.Module.Tree.Burnin = -3 }, "Module.Tree.Burnin -3"},
+		{func(o *Options) { o.Module.Tree = ganesh.ObsParams{Updates: 2, Burnin: 2} }, "Module.Tree.Burnin 2"},
+		{func(o *Options) { o.Module.Tree = ganesh.ObsParams{Updates: 0, Burnin: 1} }, "Module.Tree.Burnin 1"},
+	} {
+		opt := fastOptions(1)
+		c.set(&opt)
+		if err := Check(1, d, opt); err == nil || !strings.Contains(err.Error(), c.named) {
+			t.Errorf("Check = %v, want a refusal naming %q", err, c.named)
+		}
+	}
+	for _, tree := range []ganesh.ObsParams{{}, {Updates: 1}, {Updates: 2, Burnin: 1}} {
+		opt := fastOptions(1)
+		opt.Module.Tree = tree
+		if err := Check(1, d, opt); err != nil {
+			t.Errorf("Module.Tree %+v: Check = %v, want nil", tree, err)
+		}
+	}
+}
+
 // overflowRows are finite rows whose moments overflow float64: the squared
 // deviations of the first sum to +Inf (it used to standardize to all
 // zeros), the second's sum itself overflows (it used to standardize to NaN).

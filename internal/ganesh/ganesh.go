@@ -81,7 +81,9 @@ type engine struct {
 	// batches holds one block batch per pool worker; a decision evaluated
 	// inline uses the first.
 	batches []*cluster.Batch
-	// cols is the merge-var decisions' column statistics, reused.
+	// cols is the variable decisions' column statistics, reused: the
+	// detached variable's for an attach-var decision, the source's for a
+	// merge-var one.
 	cols []score.Stats
 	// cur is the decision in progress, which the eval and cost functions
 	// read. They are bound once, in newEngine, so that a decision allocates
@@ -113,7 +115,7 @@ func newEngine(rc rank.Context, q *score.QData, kern *score.Kernel, g *prng.MRG3
 	for w := range e.batches {
 		e.batches[w] = &cluster.Batch{}
 	}
-	e.attachVarEval = func(w, lo int, out []float64) { e.cur.cc.GainsAttachVar(e.batches[w], e.cur.x, lo, out) }
+	e.attachVarEval = func(w, lo int, out []float64) { e.cur.cc.GainsAttachVar(e.batches[w], e.cols, lo, out) }
 	e.mergeVarEval = func(w, lo int, out []float64) { e.cur.cc.GainsMergeVar(e.batches[w], e.cols, e.cur.x, lo, out) }
 	e.attachObsEval = func(w, lo int, out []float64) { e.cur.oc.GainsAttachObs(e.batches[w], e.cur.col, lo, out) }
 	e.mergeObsEval = func(w, lo int, out []float64) { e.cur.oc.GainsMergeObs(e.batches[w], e.cur.x, lo, out) }
@@ -166,6 +168,9 @@ func (e *engine) reassignVars(cc *cluster.CoClustering) {
 	for it := 0; it < n; it++ {
 		r := e.g.Intn(n)
 		cc.DetachVar(r)
+		// The column build is O(m) serial work that the work record does
+		// not charge (DESIGN §30).
+		e.cols = cc.VarColumnStats(e.cols, r)
 		k := len(cc.Clusters)
 		e.cur = decision{cc: cc, x: r, k: k}
 		s := e.decide(PhaseVarReassign, k+1, e.attachVarEval, e.attachVarCost)
@@ -179,7 +184,7 @@ func (e *engine) reassignVars(cc *cluster.CoClustering) {
 // retained; after a merge the list shrinks and index i is revisited.
 func (e *engine) mergeVars(cc *cluster.CoClustering) {
 	for i := 0; i < len(cc.Clusters); {
-		e.cols = cc.VarColumnStats(e.cols, i)
+		e.cols = cc.VarColumnStats(e.cols, cc.Clusters[i].Vars...)
 		e.rc.Hooks.Serial(PhaseVarMerge, float64(len(cc.Clusters[i].Vars)*e.q.M))
 		e.cur = decision{cc: cc, x: i, srcObsK: len(cc.Clusters[i].Clusters)}
 		s := e.decide(PhaseVarMerge, len(cc.Clusters), e.mergeVarEval, e.mergeVarCost)

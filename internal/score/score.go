@@ -45,8 +45,7 @@ const MaxBlockCells = 1 << 25
 
 // MaxAbsCell is the largest magnitude Quantize returns, MaxAbsValue on the
 // grid: 8·2¹⁶ = 2¹⁹. Every cell therefore fits an int32, and a cell's square,
-// at most 2³⁸, an int64 — the bound the lanes that square cells as signed
-// 32-bit integers rely on.
+// at most 2³⁸, an int64.
 const MaxAbsCell = MaxAbsValue * ValueScale
 
 // Quantize maps a raw value onto the fixed-point grid, clipping to
@@ -74,8 +73,8 @@ func Dequantize(q int64) float64 { return float64(q) / ValueScale }
 // ±MaxAbsCell = ±2¹⁹, so the narrower type holds every one of them and
 // halves the replicated matrix. Every cell must lie within ±MaxAbsCell.
 // QuantizeData guarantees it; a QData built otherwise must keep it too,
-// because the attach-var gather kernel sums cells in 32-bit lanes and is
-// exact only within that bound (cluster's CheckInvariants checks it).
+// because MaxBlockCells, the capacity of exact block statistics, rests on
+// that bound (cluster's CheckInvariants checks it).
 type QData struct {
 	Cells []int32
 	N, M  int

@@ -80,7 +80,7 @@ func TestQuantizeFitsInt32(t *testing.T) {
 // ±MaxAbsValue and rounds to the 2⁻¹⁶ grid, ties to even; a sampling
 // weight, round(exp(s − max)·2^WeightBits) with ties to even, is 0 once
 // s − max drops below −(WeightBits+1)·ln 2, where the scaled weight is ½.
-// core and cluster pin MaxBlockCells and the gather's maxKernelObs.
+// core pins MaxBlockCells.
 func TestQuantizationEnvelope(t *testing.T) {
 	const step = 1.0 / ValueScale
 	for _, c := range []struct {
